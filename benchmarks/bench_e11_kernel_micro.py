@@ -7,13 +7,16 @@ function of log length, and the checkpoint's effect on it.
 
 from __future__ import annotations
 
+import random
+import statistics
 import threading
 import time
 
 import pytest
 
-from repro import Database, persistent
+from repro import Database, StoragePolicy, persistent
 from repro.core.identity import Vid
+from repro.storage.delta import compute_delta
 from repro.storage.wal import recover
 
 
@@ -234,6 +237,81 @@ def test_e11_generic_ref_attr_fast_path(db, benchmark):
     benchmark.extra_info["latest_hits"] = stats["latest_hits"]
     value = benchmark(lambda: ref.n)
     assert value == 7
+
+
+def _publish_ms_per_commit(path, objects: int, commits: int = 150) -> float:
+    """Median snapshot-publish time of a newversion commit at a table size."""
+    db = Database(path, policy=StoragePolicy(kind="delta", keyframe_interval=16))
+    try:
+        rng = random.Random(objects)
+        refs = []
+        for batch in range(0, objects, 250):
+            with db.transaction():
+                refs += [db.pnew(E11Fat(i)) for i in range(batch, batch + 250)]
+        registry = db.store.snapshots
+        publish, spent = registry.publish, []
+
+        def timed_publish(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return publish(*args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - t0)
+
+        registry.publish = timed_publish
+        for i in range(commits):
+            with db.transaction():
+                db.newversion(rng.choice(refs)).n = i
+        assert len(spent) == commits
+        return statistics.median(spent) * 1e3
+    finally:
+        db.close()
+
+
+def test_e11_publish_cost_is_flat_in_table_size(tmp_path, benchmark):
+    """A version-only commit publishes in O(dirty), not O(cluster).
+
+    Publish used to rebuild and re-sort the type's whole cluster tuple
+    on every commit (4.6x from 500 to 2 000 objects); membership is now
+    kept incrementally, so 16x the objects may cost at most 2x.
+    """
+    small = _publish_ms_per_commit(tmp_path / "pub_250", 250)
+    large = _publish_ms_per_commit(tmp_path / "pub_4000", 4000)
+    benchmark.extra_info["publish_ms_per_commit_250"] = round(small, 4)
+    benchmark.extra_info["publish_ms_per_commit_4000"] = round(large, 4)
+    benchmark.extra_info["growth_16x_objects"] = round(large / small, 2)
+    assert large <= 2 * small, (
+        f"publish grew {large / small:.1f}x from 250 to 4000 objects "
+        f"({small:.4f} -> {large:.4f} ms per commit)"
+    )
+    benchmark(lambda: None)
+
+
+def test_e11_identical_base_delta(benchmark):
+    """``newversion`` diffs a version against a byte-identical base: that
+    must be one COPY found by comparison, never a block-matching pass."""
+    rng = random.Random(11)
+    base = rng.randbytes(2048)
+    unrelated = rng.randbytes(2048)  # no shared bytes: the matcher scans it all
+    delta = compute_delta(base, base)
+    assert len(delta) <= 10  # header + COPY(0, 2048)
+
+    def per_call_us(target: bytes, calls: int) -> float:
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            compute_delta(base, target)
+        return (time.perf_counter() - t0) / calls * 1e6
+
+    identical_us = per_call_us(base, 200)
+    scanned_us = per_call_us(unrelated, 20)
+    benchmark.extra_info["identical_2k_us"] = round(identical_us, 2)
+    benchmark.extra_info["unrelated_2k_us"] = round(scanned_us, 2)
+    benchmark.extra_info["identical_delta_bytes"] = len(delta)
+    assert identical_us * 10 <= scanned_us, (
+        f"identical-base delta ({identical_us:.1f}us) is not an order of "
+        f"magnitude cheaper than a full scan ({scanned_us:.1f}us)"
+    )
+    benchmark(lambda: compute_delta(base, base))
 
 
 def _commit_storm(db, threads: int, txns_per_thread: int) -> tuple[int, int]:

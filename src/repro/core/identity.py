@@ -18,6 +18,7 @@ the other direction is the store's job).
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -75,8 +76,15 @@ class Vid:
     @staticmethod
     def unpack(raw: bytes) -> Vid:
         """Inverse of :meth:`pack`."""
-        oid_value, serial = _VID.unpack(raw)
-        return Vid(Oid(oid_value), serial)
+        value, serial = _VID.unpack(raw)
+        return Vid(Oid(value), serial)
+
+
+#: Sort / bisect key for oid-ordered sequences.  ``sorted(oids)`` runs the
+#: dataclass-generated ``Oid.__lt__``, which builds two tuples per
+#: comparison in Python; this reads the int once per element at C speed
+#: and gives the same order.
+oid_value = operator.attrgetter("value")
 
 
 # Wire Oid/Vid into the stable codec (see repro.storage.serialization).

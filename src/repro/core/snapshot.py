@@ -19,8 +19,19 @@ The design is epoch + copy-on-write at three granularities:
   is never published.  Before a slot is overwritten, the displaced entry
   is stashed into the *overlay* of every pinned snapshot that does not
   already hold one -- a pinned snapshot therefore always resolves an oid
-  to the entry that was committed when it was pinned, at a cost
-  proportional to what changed, not to the table size.
+  to the entry that was committed when it was pinned.
+* **Clusters.**  Per-type membership (``_committed_by_type``: one
+  oid-ordered tuple per type name) is maintained *incrementally*: while
+  replacing an entry, publish notes whether the object was created,
+  deleted or re-typed, and only a type with such a change gets a new
+  tuple -- the old one minus the departed, plus the arrivals, spliced in
+  by bisection on the int oid value (C-level copies, no per-member
+  Python work), after the old tuple was stashed into pinned snapshots'
+  type overlays.  A commit that only adds or rewrites versions leaves
+  every tuple the same object.  Publish therefore costs what the
+  finished transaction changed (times the pinned snapshots), never the
+  table or cluster size; only ``full=True`` -- open, and the reload
+  after an abort -- visits every object.
 * **Graphs.**  A published entry shares the live ``VersionGraph`` object
   and marks it ``graph_shared``; a writer about to mutate a shared graph
   clones it first (:meth:`VersionGraph.clone`), so published graphs are
@@ -49,6 +60,7 @@ from __future__ import annotations
 
 import inspect as _inspect
 import threading
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import (
@@ -61,7 +73,7 @@ from repro.errors import (
     VersionError,
 )
 from repro.core.cache import READ_MISS, BudgetedLRU
-from repro.core.identity import Oid, Vid
+from repro.core.identity import Oid, Vid, oid_value
 from repro.core.pointers import Ref, VersionRef, unwrap_ids
 from repro.storage import serialization
 from repro.storage.delta import apply_delta
@@ -130,6 +142,29 @@ class SnapshotEntry:
         self.graph = graph
         self.latest_serial = latest_serial
         self.latest_decoded: Any = None
+
+
+def _with_membership(
+    members: tuple[Oid, ...], left: "list[Oid] | tuple", joined: "list[Oid] | tuple"
+) -> tuple[Oid, ...]:
+    """``members`` (oid order) without ``left`` and with ``joined``, in oid order.
+
+    Costs two C-level copies of the tuple plus O(log n) per change: a
+    departing member is found by bisection, and arrivals -- fresh oids,
+    so nearly always past the current tail -- are appended, re-sorting
+    (by int value, in C) only when commit order ran against oid order.
+    """
+    out = list(members)
+    for oid in left:
+        at = bisect_left(out, oid.value, key=oid_value)
+        if at < len(out) and out[at] == oid:
+            del out[at]
+    arrivals = sorted(joined, key=oid_value)
+    resort = bool(out and arrivals) and arrivals[0].value < out[-1].value
+    out.extend(arrivals)
+    if resort:
+        out.sort(key=oid_value)
+    return tuple(out)
 
 
 class SnapshotRegistry:
@@ -242,18 +277,21 @@ class SnapshotRegistry:
         with self._lock:
             dirty = store._dirty_oids
             if full:
-                candidates = set(store._table) | set(store._committed) | set(dirty)
+                candidates = set(store._table) | set(store._committed) | dirty
             else:
                 candidates = set(dirty)
             publish_now = [oid for oid in candidates if oid not in exclude]
             if not publish_now:
                 return self.epoch
             committed = store._committed
-            by_type = store._committed_by_type
-            touched_types: set[str] = set()
+            table = store._table
+            pinned = self._pinned.values()
+            # Cluster membership changes of this round, by type name.
+            joined: dict[str, list[Oid]] = {}
+            left: dict[str, list[Oid]] = {}
             for oid in publish_now:
                 old = committed.get(oid)
-                live = store._table.get(oid)
+                live = table.get(oid)
                 dirty.discard(oid)
                 self._drop_pending(oid)
                 if old is None and live is None:
@@ -261,35 +299,40 @@ class SnapshotRegistry:
                 # Stash the displaced entry (or its absence) into every
                 # pinned snapshot BEFORE the committed slot moves; readers
                 # re-check the overlay after every committed-table probe.
-                for snap in self._pinned.values():
+                for snap in pinned:
                     if oid not in snap._entry_overlay:
                         snap._entry_overlay[oid] = old
+                new = None
                 if live is not None:
                     live.graph_shared = True
                     latest = live.graph.latest()
-                    if latest is None:
-                        committed.pop(oid, None)
-                    else:
-                        committed[oid] = SnapshotEntry(
-                            live.type_name, live.graph, latest
-                        )
-                    touched_types.add(live.type_name)
-                else:
+                    if latest is not None:
+                        new = SnapshotEntry(live.type_name, live.graph, latest)
+                if new is None:
                     committed.pop(oid, None)
-                if old is not None:
-                    touched_types.add(old.type_name)
-            for tname in touched_types:
-                old_tuple = by_type.get(tname)
-                for snap in self._pinned.values():
+                else:
+                    committed[oid] = new
+                old_type = None if old is None else old.type_name
+                new_type = None if new is None else new.type_name
+                if old_type != new_type:
+                    if old_type is not None:
+                        left.setdefault(old_type, []).append(oid)
+                    if new_type is not None:
+                        joined.setdefault(new_type, []).append(oid)
+            # Only a created, deleted or re-typed object moves a cluster;
+            # a type whose objects merely gained or rewrote versions keeps
+            # the very tuple it had.  Members excluded this round (e.g.
+            # deleted by an uncommitted transaction) were not visited, so
+            # they stay visible.
+            by_type = store._committed_by_type
+            for tname in left.keys() | joined.keys():
+                old_tuple = by_type.get(tname, ())
+                for snap in pinned:
                     if tname not in snap._type_overlay:
-                        snap._type_overlay[tname] = old_tuple or ()
-                members = {
-                    o for o in store._by_type.get(tname, ()) if o in committed
-                }
-                # Members not republished this round (still excluded, e.g.
-                # deleted by an uncommitted transaction) stay visible.
-                members.update(o for o in (old_tuple or ()) if o in committed)
-                by_type[tname] = tuple(sorted(members))
+                        snap._type_overlay[tname] = old_tuple
+                by_type[tname] = _with_membership(
+                    old_tuple, left.get(tname, ()), joined.get(tname, ())
+                )
             self.epoch += 1
             self.published += 1
             return self.epoch
@@ -797,7 +840,7 @@ class Snapshot:
                 oids.discard(oid)
             else:
                 oids.add(oid)
-        for oid in sorted(oids):
+        for oid in sorted(oids, key=oid_value):
             if self._lookup(oid) is not None:
                 yield Ref(self, oid)
 
@@ -825,7 +868,7 @@ class Snapshot:
         candidates = set(oids)
         candidates |= self._divergent_oids()
         out = []
-        for oid in sorted(candidates):
+        for oid in sorted(candidates, key=oid_value):
             entry = self._lookup(oid)
             if entry is not None and entry.type_name == type_name:
                 out.append(oid)

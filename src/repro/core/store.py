@@ -273,14 +273,41 @@ class VersionStore:
         self._load_blob_index()
 
     def _load_blob_index(self) -> None:
+        """Rebuild the refcount index; the counts are *recounted*, not read.
+
+        ``ode.blobs`` records are counters shared by every object with
+        equal content, and no lock covers a key -- yet abort and crash
+        recovery restore physical before-images, which is only sound for
+        records one transaction owns at a time.  When T1 is first to
+        store some content, T2 stores the same content elsewhere and
+        commits, and T1 aborts, T1's undo deletes the record T2's
+        reference counts on.  The payload records *are* protected (strict
+        2PL on their object), so after any undo they are the truth: count
+        the references they hold and rewrite whichever index record
+        disagrees.  The repair is unlogged because every load -- open,
+        abort, in-doubt resolution -- repeats it.
+        """
         self._blob_index.clear()
         self._gc_candidates.clear()
         epoch = self._snapshots.epoch
+        held: dict[str, list[int]] = {}  # key -> [references, payload size]
+        for _rid, raw in self._versions.scan():
+            if blobstore.is_ref(raw):
+                key, size = blobstore.decode_ref(raw)
+                held.setdefault(key, [0, size])[0] += 1
         for rid, payload in self._blobs_heap.scan():
             key, refcount, size = serialization.decode(payload)
-            self._blob_index[key] = _BlobRef(refcount, size, rid)
-            if refcount == 0:
+            actual = held.pop(key, (0, size))[0]
+            if actual != refcount:
+                self._blobs_heap.update(
+                    rid, serialization.encode((key, actual, size))
+                )
+            self._blob_index[key] = _BlobRef(actual, size, rid)
+            if actual == 0:
                 self._gc_candidates[key] = epoch
+        for key, (actual, size) in held.items():  # record undone away
+            rid = self._blobs_heap.insert(serialization.encode((key, actual, size)))
+            self._blob_index[key] = _BlobRef(actual, size, rid)
 
     def _load_table(self) -> None:
         self._table.clear()
@@ -313,8 +340,8 @@ class VersionStore:
         self._load_table()
         # Refcount updates ride every payload mutation, so the rolled-back
         # transaction may have touched the blob index even when only a few
-        # objects changed; rebuild it wholesale (it is small -- one record
-        # per unique content key).
+        # objects changed -- and its undo may have clobbered counts other
+        # transactions share; rebuild it wholesale from a recount.
         self._load_blob_index()
         for oid in touched:
             self._invalidate_object(oid)

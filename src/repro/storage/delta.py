@@ -6,12 +6,21 @@ RCS.  This module provides the binary-delta machinery that the version
 store's ``delta`` storage policy uses, and experiment E5 measures the
 space/latency trade-off against full copies.
 
-Algorithm: rsync-style block matching.  The *base* is split into fixed-size
-blocks which are indexed by a rolling checksum (a weak Adler-32 variant)
-plus a strong hash.  The *target* is scanned with the rolling checksum; on a
-match the delta emits ``COPY(base_offset, length)`` (greedily extended past
-the block boundary), otherwise literal bytes accumulate into ``ADD`` ops.
-Applying a delta is a single pass over its ops.
+Algorithm: trim, then rsync-style block matching on what is left.  The
+store mostly diffs a version against a near-copy of itself (``newversion``
+starts as its base byte for byte; an edit rewrites a slice), so the
+encoder first strips the prefix and suffix the two payloads share, with
+bytes-level comparisons, and emits each as one ``COPY``.  Identical
+payloads end there: one ``COPY(0, n)``, nothing indexed.  Only the
+*middle* of the target -- proportional to the edit, not to the payload --
+reaches the block matcher: the base is split into fixed-size blocks
+indexed by Adler-32, the target middle is scanned with the rolling form
+of the same checksum, a checksum hit is confirmed by comparing the
+block's bytes, and a confirmed match is extended past the block boundary
+slice by slice.
+Unmatched bytes accumulate into ``ADD`` ops, and a ``COPY`` whose
+encoding would be no shorter than the bytes it stands for is folded into
+the surrounding literal.  Applying a delta is a single pass over its ops.
 
 Delta wire format (all varints)::
 
@@ -25,7 +34,7 @@ base fails loudly instead of producing garbage.
 
 from __future__ import annotations
 
-import hashlib
+import zlib
 from dataclasses import dataclass
 
 from repro.errors import DeltaError
@@ -39,28 +48,29 @@ _MAGIC = b"D1"
 _OP_ADD = 0x01
 _OP_COPY = 0x02
 
-_MOD = 1 << 16
+#: Adler-32's modulus (the rolling update must reduce exactly as zlib does).
+_ADLER_MOD = 65521
 
 
-def _weak_checksum(data: bytes | memoryview) -> tuple[int, int, int]:
-    """Adler-style weak checksum; returns ``(a, b, combined)``."""
-    a = 0
-    b = 0
-    for byte in data:
-        a = (a + byte) % _MOD
-        b = (b + a) % _MOD
-    return a, b, (b << 16) | a
+def _common_prefix(a: bytes, a_at: int, b: bytes, b_at: int, limit: int) -> int:
+    """Length of the run ``a[a_at:]`` and ``b[b_at:]`` share, up to ``limit``.
 
-
-def _roll(a: int, b: int, out_byte: int, in_byte: int, block: int) -> tuple[int, int, int]:
-    """Slide the weak checksum one byte forward."""
-    a = (a - out_byte + in_byte) % _MOD
-    b = (b - block * out_byte + a) % _MOD
-    return a, b, (b << 16) | a
-
-
-def _strong_hash(data: bytes | memoryview) -> bytes:
-    return hashlib.blake2b(bytes(data), digest_size=8).digest()
+    Compares doubling chunks (memcmp speed, total work proportional to the
+    run found), then locates the first differing byte inside the chunk
+    that broke it from the big-endian XOR of the two halves.
+    """
+    done = 0
+    step = 64
+    while done < limit:
+        size = min(step, limit - done)
+        x = a[a_at + done : a_at + done + size]
+        y = b[b_at + done : b_at + done + size]
+        if x != y:
+            diff = int.from_bytes(x, "big") ^ int.from_bytes(y, "big")
+            return done + size - (diff.bit_length() + 7) // 8
+        done += size
+        step *= 2
+    return limit
 
 
 @dataclass(frozen=True)
@@ -96,61 +106,68 @@ def compute_delta(
     write_uvarint(out, len(base))
     write_uvarint(out, len(target))
 
-    if not base or len(target) < block_size:
-        _emit_add(out, target)
-        return bytes(out)
+    shorter = min(len(base), len(target))
+    prefix = _common_prefix(base, 0, target, 0, shorter)
+    limit = shorter - prefix  # the suffix may not overlap the prefix
+    suffix = _common_prefix(
+        base[len(base) - limit :][::-1], 0, target[len(target) - limit :][::-1], 0, limit
+    )
+    end = len(target) - suffix  # the target middle is target[prefix:end]
 
-    # Index base blocks: weak checksum -> [(block_start, strong_hash)].
-    index: dict[int, list[tuple[int, bytes]]] = {}
-    base_view = memoryview(base)
-    for start in range(0, len(base) - block_size + 1, block_size):
-        blk = base_view[start : start + block_size]
-        _a, _b, combined = _weak_checksum(blk)
-        index.setdefault(combined, []).append((start, _strong_hash(blk)))
+    # ``literal_start`` is where the pending (not yet emitted) literal
+    # begins; everything before it is encoded.
+    literal_start = _emit_copy(out, target, 0, 0, 0, prefix)
 
-    target_view = memoryview(target)
-    pos = 0
-    literal_start = 0
-    n = len(target)
-    a = b = combined = -1
-    checksum_valid = False
-    while pos + block_size <= n:
-        window = target_view[pos : pos + block_size]
-        if not checksum_valid:
-            a, b, combined = _weak_checksum(window)
-            checksum_valid = True
-        match_start = -1
-        candidates = index.get(combined)
-        if candidates:
-            strong = _strong_hash(window)
-            for base_start, base_strong in candidates:
-                if base_strong == strong:
-                    match_start = base_start
-                    break
-        if match_start >= 0:
-            # Extend the match greedily beyond the block.
-            length = block_size
-            while (
-                pos + length < n
-                and match_start + length < len(base)
-                and target[pos + length] == base[match_start + length]
-            ):
-                length += 1
-            if literal_start < pos:
-                _emit_add(out, target[literal_start:pos])
-            _emit_copy(out, match_start, length)
-            pos += length
-            literal_start = pos
-            checksum_valid = False
-        else:
-            # Roll one byte forward.
-            if pos + block_size < n:
-                a, b, combined = _roll(
-                    a, b, target[pos], target[pos + block_size], block_size
+    if end - prefix >= block_size:
+        # Index the base's blocks (all of them: an edit may repeat content
+        # from outside the middle): Adler-32 -> [block_start, ...].
+        index: dict[int, list[int]] = {}
+        for start in range(0, len(base) - block_size + 1, block_size):
+            index.setdefault(
+                zlib.adler32(base[start : start + block_size]), []
+            ).append(start)
+        pos = prefix
+        a = b = 0
+        rolled = False  # (a, b) hold the checksum of the window at ``pos``
+        while pos + block_size <= end:
+            if not rolled:
+                weak = zlib.adler32(target[pos : pos + block_size])
+                a, b = weak & 0xFFFF, weak >> 16
+                rolled = True
+            match_start = -1
+            candidates = index.get((b << 16) | a)
+            if candidates:
+                window = target[pos : pos + block_size]
+                for start in candidates:
+                    if base[start : start + block_size] == window:
+                        match_start = start
+                        break
+            if match_start >= 0:
+                # Extend the match greedily beyond the block.
+                length = block_size + _common_prefix(
+                    base,
+                    match_start + block_size,
+                    target,
+                    pos + block_size,
+                    min(len(base) - match_start, end - pos) - block_size,
                 )
-            pos += 1
-    if literal_start < n:
-        _emit_add(out, target[literal_start:])
+                literal_start = _emit_copy(
+                    out, target, literal_start, pos, match_start, length
+                )
+                pos += length
+                rolled = False
+            else:
+                # Roll one byte forward.
+                if pos + block_size < end:
+                    out_byte = target[pos]
+                    a = (a - out_byte + target[pos + block_size]) % _ADLER_MOD
+                    b = (b - block_size * out_byte + a - 1) % _ADLER_MOD
+                pos += 1
+
+    literal_start = _emit_copy(
+        out, target, literal_start, end, len(base) - suffix, suffix
+    )
+    _emit_add(out, target[literal_start:])
     return bytes(out)
 
 
@@ -162,10 +179,24 @@ def _emit_add(out: bytearray, data: bytes | memoryview) -> None:
     out.extend(data)
 
 
-def _emit_copy(out: bytearray, offset: int, length: int) -> None:
-    out.append(_OP_COPY)
-    write_uvarint(out, offset)
-    write_uvarint(out, length)
+def _emit_copy(
+    out: bytearray, target: bytes, literal_start: int, pos: int, offset: int, length: int
+) -> int:
+    """Encode ``target[pos:pos+length]`` as a COPY from ``base[offset:]``.
+
+    Flushes the pending literal ``target[literal_start:pos]`` first and
+    returns the new literal start.  A COPY that would not be shorter than
+    the bytes it stands for is not emitted: those bytes simply join the
+    pending literal, so trimming or matching never makes a delta larger.
+    """
+    op = bytearray((_OP_COPY,))
+    write_uvarint(op, offset)
+    write_uvarint(op, length)
+    if len(op) >= length:
+        return literal_start
+    _emit_add(out, target[literal_start:pos])
+    out += op
+    return pos + length
 
 
 def apply_delta(base: bytes, delta: bytes, counters: object | None = None) -> bytes:

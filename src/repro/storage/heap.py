@@ -13,6 +13,7 @@ master's Rid.  Physically, every stored record starts with a marker byte::
     0x00  inline    marker | payload
     0x01  master    marker | codec(total_len, [fragment rids...])
     0x02  fragment  marker | chunk
+    0x03  forward   marker | codec((page_id, slot)) | zero padding
 
 The WAL logs *physical* records (marker included), so crash recovery never
 needs to understand spanning.
@@ -53,6 +54,13 @@ MAX_INLINE = MAX_RECORD_PAYLOAD - 1
 #: Fragment chunk size: leave room for marker + slot overhead.
 _FRAGMENT_CHUNK = MAX_RECORD_PAYLOAD - 1
 
+#: Every forward stub is zero-padded to this size: the marker plus the
+#: codec's longest encoding of a 32-bit page id and a 16-bit slot.  The
+#: codec's varints make a stub that points past page 63 one byte longer
+#: than one that does not; at a fixed width, repointing a stub is always
+#: an in-place rewrite and can never overflow a packed home page.
+_STUB_SIZE = 13
+
 #: ``log_op(kind, file_id, page_id, slot, payload, undo_payload)``
 LogOp = Callable[[int, int, int, int, bytes, bytes], None]
 
@@ -66,6 +74,12 @@ class Rid(NamedTuple):
     def pack(self) -> tuple[int, int]:
         """Plain-tuple form for embedding in serialized state."""
         return (self.page_id, self.slot)
+
+
+def _forward_stub(target: Rid) -> bytes:
+    """The fixed-width home-slot record that points at a relocated body."""
+    stub = bytes([_FORWARD]) + serialization.encode(target.pack())
+    return stub.ljust(_STUB_SIZE, b"\x00")
 
 
 class HeapFile:
@@ -261,7 +275,7 @@ class HeapFile:
             raise HeapError(f"{rid} is a relocated body, not an addressable record")
         if marker != _FORWARD:
             return physical, None
-        page_id, slot = serialization.decode(physical[1:])
+        (page_id, slot), _end = serialization.decode_from(physical, 1)
         target = Rid(page_id, slot)
         body = self._physical_read(target)
         if body[0] not in (_RELOC_INLINE, _RELOC_MASTER):
@@ -328,16 +342,14 @@ class HeapFile:
             # Already relocated once; move the body again and repoint.
             self._physical_delete(target, log_op)
             new_target = self._physical_insert(new_body, log_op)
-            stub = bytes([_FORWARD]) + serialization.encode(new_target.pack())
-            self._physical_update(rid, stub, log_op)
+            self._physical_update(rid, _forward_stub(new_target), log_op)
             return
         reloc_body = self._build_body(payload, True, log_op)
         new_target = self._physical_insert(reloc_body, log_op)
-        stub = bytes([_FORWARD]) + serialization.encode(new_target.pack())
         try:
-            self._physical_update(rid, stub, log_op)
+            self._physical_update(rid, _forward_stub(new_target), log_op)
         except PageFullError:
-            # Even the ~16-byte stub does not fit (can only happen when the
+            # Even the small stub does not fit (can only happen when the
             # existing record is smaller than the stub AND the page is
             # packed solid).  Undo the relocation and report.
             self._release_body(reloc_body, log_op)

@@ -121,12 +121,19 @@ class SlottedPage:
         gap = max(self._free_ptr - dir_end, self._compacted_gap())
         return max(0, gap - _SLOT.size)
 
+    def _slot_directory(self) -> tuple[int, ...]:
+        """Every slot entry in one unpack: ``(offset0, length0, offset1, ...)``.
+
+        The space-accounting helpers run on every insert and update; one
+        bulk read replaces a property call and an unpack per slot.
+        """
+        return struct.unpack_from(
+            f"<{2 * self.num_slots}H", self._buf, _HEADER_SIZE
+        )
+
     def _find_empty_slot(self) -> int | None:
-        for slot in range(self.num_slots):
-            offset, _length = self._read_slot(slot)
-            if offset == _EMPTY_OFFSET:
-                return slot
-        return None
+        offsets = self._slot_directory()[0::2]
+        return offsets.index(_EMPTY_OFFSET) if _EMPTY_OFFSET in offsets else None
 
     def can_insert(self, length: int) -> bool:
         """Return True if a record of ``length`` bytes fits in this page.
@@ -143,15 +150,12 @@ class SlottedPage:
 
     def _compacted_gap(self) -> int:
         """The contiguous gap :meth:`compact` would produce."""
-        live_bytes = sum(length for _, length in self._live_slots())
-        dir_end = _HEADER_SIZE + self.num_slots * _SLOT.size
+        directory = self._slot_directory()
+        # Every writer of an empty slot clears the length with the offset,
+        # so the live bytes are simply the sum of the length fields.
+        live_bytes = sum(directory[1::2])
+        dir_end = _HEADER_SIZE + len(directory) // 2 * _SLOT.size
         return PAGE_SIZE - live_bytes - dir_end
-
-    def _live_slots(self) -> Iterator[tuple[int, int]]:
-        for slot in range(self.num_slots):
-            offset, length = self._read_slot(slot)
-            if offset != _EMPTY_OFFSET:
-                yield slot, length
 
     # -- record operations ---------------------------------------------------
 

@@ -12,8 +12,9 @@ import threading
 
 import pytest
 
+from repro import Database, StoragePolicy
 from repro.errors import DanglingReferenceError, ReadOnlySnapshotError
-from repro.core.identity import Vid
+from repro.core.identity import Oid, Vid
 from tests.conftest import Doc, Part
 
 
@@ -319,6 +320,129 @@ def test_snapshot_write_back_heavy_rewrites(any_db):
         for i, vid in enumerate(vrefs, start=1):
             assert snap.deref(vid).text == f"v{i} " * 50
     assert any_db.deref(vrefs[4]).text == "rewritten " * 60
+
+
+# -- cluster membership: maintained incrementally, O(dirty) per publish ---------
+
+
+def _cluster_names(source) -> list[str]:
+    return [p.name for p in source.cluster(Part)]
+
+
+def test_version_only_commit_keeps_cluster_tuple(any_db):
+    """newversion / in-place writes move no cluster: the published tuple
+    is the very same object afterwards, not an equal rebuild."""
+    refs = [any_db.pnew(Part(f"p{i}", i)) for i in range(5)]
+    by_type = any_db.store._committed_by_type
+    before = by_type["tests.Part"]
+    epoch = any_db.stats()["snap.epoch"]
+    with any_db.transaction():
+        v = any_db.newversion(refs[1])
+        v.weight = 100
+        refs[3].weight = 300
+    any_db.pdelete(v)  # one of two versions: the object stays
+    assert any_db.stats()["snap.epoch"] > epoch
+    assert by_type["tests.Part"] is before
+    assert list(before) == [r.oid for r in refs]
+
+
+def _commit_cost_in_oid_calls(db_path, objects: int, monkeypatch) -> dict[str, int]:
+    """Oid hash / ordering calls made by one newversion commit."""
+    db = Database(db_path, policy=StoragePolicy(kind="delta", keyframe_interval=4))
+    try:
+        with db.transaction():
+            refs = [db.pnew(Part(f"p{i}", i)) for i in range(objects)]
+        target = refs[objects // 2]
+        db.newversion(target)  # warm every lazy path once
+        calls = {"hash": 0, "lt": 0}
+        real_hash, real_lt = Oid.__hash__, Oid.__lt__
+
+        def counting_hash(self):
+            calls["hash"] += 1
+            return real_hash(self)
+
+        def counting_lt(self, other):
+            calls["lt"] += 1
+            return real_lt(self, other)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Oid, "__hash__", counting_hash)
+            patch.setattr(Oid, "__lt__", counting_lt)
+            with db.transaction():
+                v = db.newversion(target)
+                v.weight = -1
+        assert db.store._committed[target.oid].latest_serial == v.vid.serial
+        return calls
+    finally:
+        db.close()
+
+
+def test_commit_work_does_not_grow_with_the_table(tmp_path, monkeypatch):
+    """Counted, not timed: a commit probes and compares exactly as many
+    oids at 2 000 objects as at 50 -- nothing walks the cluster."""
+    small = _commit_cost_in_oid_calls(tmp_path / "small", 50, monkeypatch)
+    large = _commit_cost_in_oid_calls(tmp_path / "large", 2000, monkeypatch)
+    assert large == small
+    assert small["lt"] == 0  # no dataclass-comparison sort on the path
+
+
+def test_membership_changes_spare_a_pinned_snapshot(any_db):
+    refs = [any_db.pnew(Part(f"p{i}", i)) for i in range(4)]
+    with any_db.snapshot() as pinned:
+        late = any_db.pnew(Part("late", 9))
+        any_db.pdelete(refs[0])  # whole object
+        any_db.pdelete(any_db.latest_vid(refs[2].oid))  # its last version
+        assert _cluster_names(pinned) == ["p0", "p1", "p2", "p3"]
+        assert pinned.cluster_names() == ["tests.Part"]
+        with any_db.snapshot() as fresh:
+            assert _cluster_names(fresh) == ["p1", "p3", "late"]
+            assert [r.oid for r in fresh.cluster(Part)] == [
+                refs[1].oid, refs[3].oid, late.oid
+            ]
+    assert list(any_db.store._committed_by_type["tests.Part"]) == [
+        refs[1].oid, refs[3].oid, late.oid
+    ]
+
+
+def test_membership_of_an_active_transaction_is_held_back(any_db):
+    """A concurrent transaction's created / deleted objects stay out of
+    (resp. in) the published cluster until *its* commit -- and an oid
+    committed after a larger one still lands in oid order."""
+    keep, doomed = any_db.pnew(Part("keep", 1)), any_db.pnew(Part("doomed", 2))
+    other = any_db.session("other")
+    with other.activate():
+        txn = any_db.begin()
+        wip = any_db.pnew(Part("wip", 3))
+        any_db.pdelete(doomed)
+    newer = any_db.pnew(Part("newer", 4))  # commits (and publishes) first
+    assert wip.oid < newer.oid
+    with any_db.snapshot() as snap:
+        assert _cluster_names(snap) == ["keep", "doomed", "newer"]
+        assert not snap.object_exists(wip.oid)
+    with other.activate():
+        txn.commit()
+    other.close()
+    with any_db.snapshot() as snap:
+        assert [r.oid for r in snap.cluster(Part)] == [keep.oid, wip.oid, newer.oid]
+
+
+def test_membership_after_abort_full_republish(any_db):
+    keep, doomed = any_db.pnew(Part("keep", 1)), any_db.pnew(Part("doomed", 2))
+    before = any_db.store._committed_by_type["tests.Part"]
+    with any_db.snapshot() as pinned:
+        with pytest.raises(RuntimeError):
+            with any_db.transaction():
+                any_db.pnew(Part("never", 3))
+                any_db.pdelete(doomed)
+                raise RuntimeError("boom")
+        # The abort reloads the table and republishes everything
+        # (full=True): nothing was created or deleted, so nothing moved.
+        assert any_db.store._committed_by_type["tests.Part"] is before
+        assert _cluster_names(pinned) == ["keep", "doomed"]
+    with any_db.snapshot() as snap:
+        assert _cluster_names(snap) == ["keep", "doomed"]
+        assert snap.deref(doomed.oid).weight == 2
+    assert keep.weight == 1
 
 
 # -- the acceptance criterion --------------------------------------------------

@@ -12,6 +12,7 @@ from repro.errors import (
     TransactionStateError,
 )
 from repro.core.transactions import EXCLUSIVE, SHARED, LockManager
+from repro.tools.check import check_database
 from tests.conftest import Part
 
 
@@ -148,6 +149,37 @@ def test_abort_rolls_back_pdelete(db):
     assert ref.is_alive()
     assert ref.weight == 8
     assert db.version_count(ref) == 2
+
+
+def test_abort_keeps_a_concurrent_commits_blob_reference(db):
+    """The deterministic core of the test_shard_chaos reattach flake.
+
+    Blob refcount records are shared by every object with equal content
+    and no lock covers a key.  T1 is the first to store some content
+    (inserts the key's record), T2 stores the same content in another
+    object and commits, T1 aborts: its physical undo deletes the record
+    T2's reference counts on.  Unrepaired, the abort's orphan sweep then
+    unlinks the content T2 committed, and the next rewrite of T2's object
+    raises "blob refcount underflow".
+    """
+    a, b = db.pnew(Part("a", 100)), db.pnew(Part("b", 100))
+    b.name = "a"  # a and b now differ only in identity: equal payloads
+    t1_session = db.session("t1")
+    with t1_session.activate():
+        t1 = db.begin()
+        db.deref(a.oid).weight = 95
+    with db.transaction():
+        b.weight = 95  # same bytes as T1's uncommitted version of a
+    with t1_session.activate():
+        t1.abort()
+    t1_session.close()
+    db.store._bytes_cache.clear()
+    db.store._decoded_cache.clear()
+    assert b.weight == 95  # the content file survived T1's orphan sweep
+    assert check_database(db, strict=True).problems == []
+    b.weight = 96  # releases b's reference to the shared content
+    assert b.weight == 96 and a.weight == 100
+    assert check_database(db, strict=True).problems == []
 
 
 def test_multi_op_transaction_is_atomic(db):

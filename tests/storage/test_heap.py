@@ -361,3 +361,39 @@ def test_forwarded_spanning_record(heap):
     assert heap.read(rid) == huge
     heap.delete(rid)
     assert not heap.exists(rid)
+
+
+def test_second_relocation_past_page_63_in_a_packed_home_page(env, heap):
+    """heap-stub-growth: a forward stub that pointed below page 64 and is
+    repointed above it used to encode one byte longer (codec varint), and
+    in a home page with not one byte to spare the rewrite overflowed:
+    PageFullError out of ``update``.  Stubs are fixed-width now."""
+    disk, pool = env
+
+    def pack(page_id: int) -> None:
+        while True:
+            with pool.page(page_id) as page:
+                free = page.free_space
+            if free == 0:
+                return
+            filler = heap.insert(b"f" * (free - 1))  # marker byte included
+            assert filler.page_id == page_id
+
+    rid = heap.insert(b"r" * 100)
+    pack(rid.page_id)
+    heap.update(rid, b"R" * 300)  # no room at home: first relocation
+    _body, first = heap._resolve(rid)
+    assert first is not None and first.page_id < 64
+    pack(rid.page_id)  # the bytes the record gave up are taken again
+    pack(first.page_id)
+    while disk.num_pages < 64:
+        heap.insert(b"x" * 4000)
+    heap.update(rid, b"S" * 3000)  # fits nowhere it has been: moves again
+    _body, second = heap._resolve(rid)
+    assert second is not None and second.page_id >= 64
+    assert heap.read(rid) == b"S" * 3000
+    with pool.page(rid.page_id) as page:
+        assert page.validate() == []
+    heap.update(rid, b"T" * 10)  # and shrinks in place where it now lives
+    assert heap.read(rid) == b"T" * 10
+    assert heap._resolve(rid)[1] == second
