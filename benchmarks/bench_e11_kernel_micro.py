@@ -314,6 +314,76 @@ def test_e11_identical_base_delta(benchmark):
     benchmark(lambda: compute_delta(base, base))
 
 
+@persistent(name="bench.E11Doc")
+class E11Doc:
+    def __init__(self, body: bytes = b"") -> None:
+        self.body = body
+
+
+def test_e11_small_delta_commit_stays_in_the_wal(tmp_path, benchmark, monkeypatch):
+    """A 5 %-edit ``newversion`` commit stores two small deltas; both ride
+    the versions heap, so the commit is the WAL's one fsync -- no content
+    file, no refcount record.  A 2 KiB full copy still costs one blob."""
+    import os
+
+    db = Database(
+        tmp_path / "small_delta",
+        policy=StoragePolicy(kind="delta", keyframe_interval=16),
+        checkpoint_threshold=0,  # no checkpoint fsyncs among the commits
+    )
+    counts = {"fsyncs": 0, "index_records": 0}
+
+    def counting(fn, what):
+        def wrapper(*args, **kwargs):
+            counts[what] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    try:
+        rng = random.Random(15)
+        with db.transaction():
+            refs = [db.pnew(E11Doc(rng.randbytes(2048))) for _ in range(20)]
+        monkeypatch.setattr(os, "fsync", counting(os.fsync, "fsyncs"))
+        index = db.catalog.ensure_heap("ode.blobs")
+        for op in ("insert", "update", "delete"):
+            monkeypatch.setattr(index, op, counting(getattr(index, op), "index_records"))
+        blob_stats = db.store.blobs.stats
+
+        def measure(commit, commits):
+            before = dict(counts, files=blob_stats.files_written)
+            for _ in range(commits):
+                commit()
+            return {
+                "fsyncs": (counts["fsyncs"] - before["fsyncs"]) / commits,
+                "blob_files": (blob_stats.files_written - before["files"]) / commits,
+                "index_records": (counts["index_records"] - before["index_records"])
+                / commits,
+            }
+
+        def small_edit():
+            ref = rng.choice(refs)
+            body = ref.body
+            at = rng.randrange(0, len(body) - 102)
+            with db.transaction():
+                db.newversion(ref).body = body[:at] + rng.randbytes(102) + body[at + 102 :]
+
+        def full_copy():
+            with db.transaction():
+                db.pnew(E11Doc(rng.randbytes(2048)))
+
+        small = measure(small_edit, 100)
+        large = measure(full_copy, 20)
+    finally:
+        db.close()
+    for side, per_commit in (("small_delta", small), ("full_2k", large)):
+        for name, value in per_commit.items():
+            benchmark.extra_info[f"{side}_{name}_per_commit"] = value
+    assert small == {"fsyncs": 1, "blob_files": 0, "index_records": 0}, small
+    assert large == {"fsyncs": 2, "blob_files": 1, "index_records": 1}, large
+    benchmark(lambda: None)
+
+
 def _commit_storm(db, threads: int, txns_per_thread: int) -> tuple[int, int]:
     """Run a concurrent commit storm; returns (fsyncs, piggybacks) used."""
     refs = [db.pnew(E11Obj(i)) for i in range(threads)]

@@ -72,6 +72,12 @@ CLUSTERS_HEAP = "ode.clusters"
 #: together with the references themselves.
 BLOBS_HEAP = "ode.blobs"
 
+#: Largest stored payload (full copy or delta body) kept inline in its
+#: ``ode.versions`` record instead of the blob store: 1/16 page, so a
+#: versions-heap page still packs 15 of them.  ``repro.storage.blobs``
+#: has the break-even arithmetic.
+INLINE_PAYLOAD_MAX = 256
+
 #: Payload storage kinds (first element of a node's ``data`` tuple).
 _FULL = "F"
 _DELTA = "D"
@@ -186,12 +192,15 @@ class VersionStore:
     payloads live in ``ode.versions``; per-type cluster membership in
     ``ode.clusters``.
 
-    Version-heap records are content-addressed **blob references**: the
-    payload bytes (full copy or delta body) live once in the blob store,
-    keyed by their sha256, and the heap record is a fixed-size pointer.
-    The ``ode.blobs`` heap holds the refcount per key; a key whose
-    refcount reaches zero becomes a GC candidate stamped with the current
-    snapshot epoch (see ``repro.core.gc`` for the reclaim protocol).
+    A version-heap record holds a stored payload (full copy or delta
+    body) one of two ways, chosen by its size alone.  Up to
+    :data:`INLINE_PAYLOAD_MAX` bytes it *is* the record: the WAL's group
+    commit makes it durable and physical undo rolls it back, like any
+    heap record.  Anything larger lives once in the blob store, keyed by
+    its sha256, and the record is a fixed-size **blob reference**.  The
+    ``ode.blobs`` heap holds the refcount per key; a key whose refcount
+    reaches zero becomes a GC candidate stamped with the current snapshot
+    epoch (see ``repro.core.gc`` for the reclaim protocol).
     """
 
     def __init__(
@@ -227,6 +236,10 @@ class VersionStore:
         #: been published, so no later pin can reach it and every earlier
         #: pin holds stash overlays).
         self._gc_candidates: dict[str, int] = {}
+        #: Versions-heap records holding their payload inline, and their
+        #: bytes: recounted with the refcounts, then kept as records change.
+        self._inline_records = 0
+        self._inline_bytes = 0
         self._table: dict[Oid, _Entry] = {}
         self._by_type: dict[str, set[Oid]] = {}
         #: Materialized payload bytes, LRU-bounded by a byte budget with a
@@ -291,10 +304,14 @@ class VersionStore:
         self._gc_candidates.clear()
         epoch = self._snapshots.epoch
         held: dict[str, list[int]] = {}  # key -> [references, payload size]
+        self._inline_records = self._inline_bytes = 0
         for _rid, raw in self._versions.scan():
             if blobstore.is_ref(raw):
                 key, size = blobstore.decode_ref(raw)
                 held.setdefault(key, [0, size])[0] += 1
+            else:
+                self._inline_records += 1
+                self._inline_bytes += len(raw)
         for rid, payload in self._blobs_heap.scan():
             key, refcount, size = serialization.decode(payload)
             actual = held.pop(key, (0, size))[0]
@@ -507,13 +524,20 @@ class VersionStore:
             self._gc_candidates[key] = self._snapshots.epoch
 
     def _blob_ref_record(self, stored: bytes, log_op: LogOp | None) -> bytes:
-        """Write ``stored`` into the blob store; returns the heap record.
+        """The versions-heap record for ``stored``: itself, or a blob ref.
 
-        The file write happens *before* the index record: a crash in
-        between leaves an orphan file, which the GC's orphan sweep (and
-        the recovery repair pass) removes.  The reverse order could lose
-        acknowledged payload bytes.
+        A payload of at most :data:`INLINE_PAYLOAD_MAX` bytes is its own
+        record -- unless it reads as a blob reference, in which case it
+        takes the blob path like a large one so the two encodings stay
+        disjoint.  A large payload is written into the blob store, file
+        *before* index record: a crash in between leaves an orphan file,
+        which the GC's orphan sweep (and the recovery repair pass)
+        removes.  The reverse order could lose acknowledged payload bytes.
         """
+        if len(stored) <= INLINE_PAYLOAD_MAX and not blobstore.is_ref(stored):
+            self._inline_records += 1
+            self._inline_bytes += len(stored)
+            return stored
         key = self._blobs.put(stored)
         self._blob_incref(key, len(stored), log_op)
         # Remember which keys this transaction introduced: if it rolls
@@ -527,17 +551,21 @@ class VersionStore:
         return blobstore.encode_ref(key, len(stored))
 
     def _release_record(self, record: bytes, log_op: LogOp | None) -> None:
-        """Drop the blob reference held by a displaced heap record."""
+        """Drop the blob reference a displaced heap record held, if any."""
         if blobstore.is_ref(record):
             key, _size = blobstore.decode_ref(record)
             self._blob_decref(key, log_op)
+        else:
+            self._inline_records -= 1
+            self._inline_bytes -= len(record)
 
     def _record_insert(self, stored: bytes, log_op: LogOp | None) -> Rid:
         return self._versions.insert(self._blob_ref_record(stored, log_op), log_op)
 
     def _record_update(self, rid: Rid, stored: bytes, log_op: LogOp | None) -> None:
         # Incref-new before decref-old: rewriting a record to the same
-        # content must never let the shared key's count touch zero.
+        # content must never let the shared key's count touch zero.  Either
+        # side may be inline (no reference to take or drop).
         old = self._versions.read(rid)
         self._versions.update(rid, self._blob_ref_record(stored, log_op), log_op)
         self._release_record(old, log_op)
@@ -548,10 +576,11 @@ class VersionStore:
         self._release_record(old, log_op)
 
     def _resolve_payload(self, raw: bytes) -> bytes:
-        """Materialize a versions-heap record: follow a blob reference.
+        """The stored payload of a versions-heap record.
 
-        Legacy records (pre-CAS databases) hold the payload inline and
-        pass through unchanged.
+        A blob reference is followed into the blob store; any other
+        record is a small payload stored inline (see
+        :meth:`_blob_ref_record`) and is returned as it is.
         """
         if blobstore.is_ref(raw):
             key, _size = blobstore.decode_ref(raw)
@@ -621,6 +650,8 @@ class VersionStore:
         out["blobs.live_bytes"] = live_bytes
         out["blobs.logical_bytes"] = logical
         out["blobs.pending_reclaim"] = len(self._gc_candidates)
+        out["blobs.inline_records"] = self._inline_records
+        out["blobs.inline_bytes"] = self._inline_bytes
         return out
 
     # -- payload storage ---------------------------------------------------------
@@ -737,6 +768,7 @@ class VersionStore:
         self._dirty_oids.add(entry.oid)
         hooks.sched_point("store.rewrite.stashed")
         kind, page_id, slot = node.data
+        kind_changed = False
         if kind == _DELTA:
             assert node.dprev is not None
             base_bytes = self._version_bytes(entry, node.dprev)
@@ -744,6 +776,7 @@ class VersionStore:
             if len(stored) >= len(content):
                 stored = content
                 node.data = (_FULL, page_id, slot)
+                kind_changed = True
         else:
             stored = content
         self._record_update(Rid(page_id, slot), stored, log_op)
@@ -757,12 +790,17 @@ class VersionStore:
             new_delta = compute_delta(content, child_content)
             if len(new_delta) >= len(child_content):
                 child_node.data = (_FULL, cpage, cslot)
+                kind_changed = True
                 self._record_update(Rid(cpage, cslot), child_content, log_op)
             else:
                 self._record_update(Rid(cpage, cslot), new_delta, log_op)
             # Children keep their content (only the encoding changed), so
             # their decoded copies stay valid.
             self._cache_bytes(Vid(entry.oid, child), child_content)
+        if kind_changed:
+            # A node's storage kind lives in the object-table record; a
+            # reopen must not read the full copy just written as a delta.
+            self._save_entry(entry, log_op)
 
     # -- public kernel operations ---------------------------------------------
 

@@ -534,7 +534,14 @@ class OdeServer:
         ``slow_client_timeout`` seconds blocked on one flush, the
         connection is aborted (hard, no lingering FIN) and counted in
         ``net.slow_client_disconnects``.
+
+        The timed wait (a task, a timer and two loop turns per frame) is
+        only taken while the buffer is above the transport's high-water
+        mark -- the one state in which ``drain`` would block at all.
         """
+        transport = conn.writer.transport
+        if transport.get_write_buffer_size() <= transport.get_write_buffer_limits()[1]:
+            return
         try:
             await asyncio.wait_for(
                 conn.writer.drain(), self._slow_client_timeout
@@ -542,9 +549,7 @@ class OdeServer:
         except asyncio.TimeoutError:
             with self.stats._lock:
                 self.stats.slow_client_disconnects += 1
-            transport = conn.writer.transport
-            if transport is not None:
-                transport.abort()
+            transport.abort()
         except (ConnectionResetError, BrokenPipeError):
             pass
 

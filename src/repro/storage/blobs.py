@@ -1,12 +1,24 @@
-"""Content-addressed blob storage for version payloads.
+"""Content-addressed blob storage for large version payloads.
 
-OrpheusDB-style dedup for the version store: every payload -- full copies
-*and* the delta bodies along the derived-from chain -- is keyed by the
+OrpheusDB-style dedup for the version store: a stored payload -- a full
+copy or a delta body along the derived-from chain -- *larger than*
+``repro.core.store.INLINE_PAYLOAD_MAX`` (256 bytes) is keyed by the
 sha256 of its bytes and stored once, as an immutable file under
 ``blobs/ab/cdef...`` (first byte of the digest is the fan-out directory).
 Identical payloads across objects, versions, and snapshots therefore share
-one file; ``newversion`` (which starts as a byte-identical copy of its
-base) costs no payload I/O at all.
+one file.
+
+Smaller payloads never come here: they are written inline into their
+``ode.versions`` heap record, where the WAL's group commit already makes
+them durable.  The break-even is a matter of arithmetic, not tuning.  A
+blob costs a 42-byte reference plus a ~70-byte refcount record before the
+file's own inode, so below ~112 bytes content addressing cannot save
+space even when every payload is stored twice; and a put is a file
+create, an fsync and a rename, against none for a heap record the commit
+logs anyway.  The typical small payload is the 10-byte identity delta
+``newversion`` writes, or the ~120-byte delta of a 5 % edit.  The
+threshold is one sixteenth of a page, so a versions-heap page still packs
+15 inline payloads.
 
 Durability protocol for :meth:`BlobStore.put`:
 
@@ -47,8 +59,9 @@ from repro.errors import BlobError, BlobMissingError
 #: Version-record marker: a heap record in ``ode.versions`` that starts
 #: with this magic is a blob *reference*, not inline payload bytes.  The
 #: first byte is 0xFF, which the stable codec never emits as a leading
-#: type tag, and the exact-length check below makes a collision with a
-#: legacy inline payload practically impossible.
+#: type tag; and the store never writes an inline payload that passes
+#: :func:`is_ref` (it sends such a payload through the blob path), so the
+#: two record encodings are disjoint.
 _REF_MAGIC = b"\xffODEB1"
 _REF_LEN = struct.Struct("<I")
 #: Total size of an encoded blob reference: magic + u32 size + 32-byte digest.

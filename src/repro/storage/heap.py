@@ -14,6 +14,12 @@ master's Rid.  Physically, every stored record starts with a marker byte::
     0x01  master    marker | codec(total_len, [fragment rids...])
     0x02  fragment  marker | chunk
     0x03  forward   marker | codec((page_id, slot)) | zero padding
+    0x06  short     marker | payload length (u8) | payload | zero padding
+
+A home-slot record is never physically shorter than a forward stub: a
+payload that would be is stored *short*, padded to the stub's size, so
+relocation can always overwrite the home slot with a stub in place
+however tightly its page is packed.
 
 The WAL logs *physical* records (marker included), so crash recovery never
 needs to understand spanning.
@@ -44,6 +50,7 @@ _FRAGMENT = 0x02
 _FORWARD = 0x03
 _RELOC_INLINE = 0x04
 _RELOC_MASTER = 0x05
+_SHORT = 0x06
 
 #: Relocated counterpart of each primary marker (forwarding targets).
 _RELOC_OF = {_INLINE: _RELOC_INLINE, _MASTER: _RELOC_MASTER}
@@ -245,6 +252,9 @@ class HeapFile:
             inline_marker, master_marker = _RELOC_INLINE, _RELOC_MASTER
         else:
             inline_marker, master_marker = _INLINE, _MASTER
+            if len(payload) < _STUB_SIZE - 1:
+                short = bytes([_SHORT, len(payload)]) + payload
+                return short.ljust(_STUB_SIZE, b"\x00")
         if len(payload) <= MAX_INLINE:
             return bytes([inline_marker]) + payload
         fragments: list[tuple[int, int]] = []
@@ -287,6 +297,8 @@ class HeapFile:
         marker = body[0]
         if marker in (_INLINE, _RELOC_INLINE):
             return body[1:]
+        if marker == _SHORT:
+            return body[2 : 2 + body[1]]
         total_len, fragments = serialization.decode(body[1:])
         out = bytearray()
         for page_id, slot in fragments:
@@ -349,9 +361,10 @@ class HeapFile:
         try:
             self._physical_update(rid, _forward_stub(new_target), log_op)
         except PageFullError:
-            # Even the small stub does not fit (can only happen when the
-            # existing record is smaller than the stub AND the page is
-            # packed solid).  Undo the relocation and report.
+            # Even the stub does not fit: the home record is an unpadded
+            # inline record shorter than a stub, written before short
+            # payloads were padded, in a page packed solid.  Undo the
+            # relocation and report.
             self._release_body(reloc_body, log_op)
             self._physical_delete(new_target, log_op)
             raise HeapError(f"record at {rid} cannot grow within its page") from None
@@ -370,7 +383,7 @@ class HeapFile:
             physical = self._physical_read(rid)
         except RecordNotFoundError:
             return False
-        return physical[0] in (_INLINE, _MASTER, _FORWARD)
+        return physical[0] in (_INLINE, _SHORT, _MASTER, _FORWARD)
 
     def scan(self) -> Iterator[tuple[Rid, bytes]]:
         """Yield every logical record as ``(rid, payload)``, page order.
@@ -385,6 +398,8 @@ class HeapFile:
                 marker = physical[0]
                 if marker == _INLINE:
                     yield Rid(page_id, slot), physical[1:]
+                elif marker == _SHORT:
+                    yield Rid(page_id, slot), physical[2 : 2 + physical[1]]
                 elif marker in (_MASTER, _FORWARD):
                     rid = Rid(page_id, slot)
                     yield rid, self.read(rid)

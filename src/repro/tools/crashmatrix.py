@@ -39,17 +39,18 @@ Run it:
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import Database, PersistentObject, persistent
+from repro import Database, PersistentObject, StoragePolicy, persistent
 from repro.core.identity import Oid, Vid
 from repro.errors import SerializationError
 from repro.shard import ShardedDatabase
-from repro.storage import faults, serialization
+from repro.storage import blobs, faults, serialization
 from repro.storage.faults import (
     ERROR_FAILPOINTS,
     FAILPOINTS,
@@ -58,6 +59,7 @@ from repro.storage.faults import (
     InjectedFaultError,
     SimulatedCrash,
 )
+from repro.storage.heap import Rid
 from repro.tools.check import check_database
 
 #: Rounds of mixed operations per worker thread.
@@ -70,8 +72,8 @@ BLOB_CHUNK = 1300
 
 #: newversions per explicit-transaction batch.  Graph state costs ~25
 #: bytes per node in the object table, so two batches push that record
-#: past one page -- the spanning/compaction paths that inline payloads
-#: used to reach before payloads moved to the content-addressed store.
+#: past one page -- the spanning/compaction paths no version record
+#: reaches (a payload over 256 bytes is a fixed-size blob reference).
 HISTORY_BATCH = 85
 
 _JOIN_TIMEOUT = 60.0
@@ -319,11 +321,11 @@ class _Worker:
             self._attempt(item, model, lambda: setattr(item.ref, "val", val))
         elif op == 1:
             # Explicit transaction: a *batch* of newversions + a write.
-            # Version payloads are content-addressed (fixed-size heap
-            # refs), so the record that grows with use is the object
-            # table's graph-state entry -- the batches push it past a
-            # page (forcing spanning + in-page compaction) the way big
-            # inline payloads used to.
+            # Version records stay small (an inline payload of at most
+            # 256 bytes, or a fixed-size blob reference), so the record
+            # that grows with use is the object table's graph-state
+            # entry -- the batches push it past a page (forcing spanning
+            # + in-page compaction).
             val = 1000 * (self.wid + 1) + 200 + j
             model = dict(item.committed, val=val)
             model["versions"] += HISTORY_BATCH
@@ -915,6 +917,10 @@ _GC_OBJECTS = 4
 _GC_VERSIONS = 10
 _GC_KEEP = 3
 
+#: Deltas on: the mixed histories below need delta-stored children to
+#: re-base.  Every open of a GC-matrix database uses this policy.
+_GC_POLICY = StoragePolicy(kind="delta")
+
 #: Reclaim-protocol windows armed while the *workload* runs a GC.  The
 #: ``gc.repair.*`` windows are deliberately absent: repair fires at every
 #: database open (the orphan sweep is unconditional), so arming them here
@@ -981,49 +987,89 @@ class _GcLedger:
     """
 
     oid_values: list[int] = field(default_factory=list)
-    #: oid value -> serial -> the val written at that serial.
-    vals: dict[int, dict[int, int]] = field(default_factory=dict)
+    #: oid value -> serial -> the text written at that serial.
+    texts: dict[int, dict[int, str]] = field(default_factory=dict)
     keep: dict[int, set[int]] = field(default_factory=dict)
-    all_serials: dict[int, set[int]] = field(default_factory=dict)
+    #: The mixed-history objects: oid value -> True when pruning re-bases
+    #: serial 3 from the blob store to an inline record, False for the
+    #: opposite direction.
+    mixed: dict[int, bool] = field(default_factory=dict)
     #: True once every write (and the retention/tag setup) is committed;
     #: the armed faults fire inside run_gc, after this point.
     setup_done: bool = False
 
 
-def _run_gc_workload(path: Path) -> _GcLedger:
-    """Build doomed history, then collect it until the armed fault fires."""
+def _gc_text(seed: int, chars: int = 600) -> str:
+    """Deterministic text no delta shrinks: a version holding it is stored
+    as a full copy, and at this size that copy lives in the blob store."""
+    return random.Random(seed).randbytes(chars // 2).hex()
+
+
+def _gc_mixed_history(seed: int, to_inline: bool) -> list[str]:
+    """Five versions whose serial 3 changes sides when serial 2 is pruned.
+
+    Serial 2 replaces half of serial 1, a delta too large to inline.
+    Serial 3 is a one-character edit of serial 2 (an inline delta that
+    becomes a large one when re-based onto serial 1) or, with
+    ``to_inline``, of serial 1 (the reverse).  Serials 4 and 5 are small
+    edits, so the object's records sit on both sides throughout.
+    """
+    base = _gc_text(seed, 1200)
+    forked = base[:600] + _gc_text(seed + 1)
+    near = base if to_inline else forked
+    return [base, forked] + ["#" * n + near[n:] for n in (1, 2, 3)]
+
+
+def _build_gc_history(path: Path, ledger: _GcLedger) -> Database:
+    """Commit doomed history under a retention policy; returns the open db.
+
+    Every bulk version is a distinct blob, so pruning feeds each reclaim
+    window; two mixed objects keep serial 1 by tag, so pruning serial 2
+    re-bases a delta child across the inline threshold, once each way.
+    """
     from repro.core.gc import RetentionPolicy
 
+    db = Database(path, pool_size=8, policy=_GC_POLICY)
+    #: (texts by serial, the serial tagged outside the keep-last window or
+    #: None, the mixed direction or None).  keep_tagged must shield the
+    #: tagged serial from the sweep.
+    histories: list[tuple[list[str], int | None, bool | None]] = [
+        (
+            [_gc_text(i * 1000 + serial) for serial in range(1, _GC_VERSIONS + 1)],
+            2 if i == 0 else None,
+            None,
+        )
+        for i in range(_GC_OBJECTS)
+    ]
+    histories += [
+        (_gc_mixed_history(7000, to_inline=False), 1, False),
+        (_gc_mixed_history(8000, to_inline=True), 1, True),
+    ]
+    db.set_retention(Blob, RetentionPolicy(keep_last_n=_GC_KEEP))
+    for i, (texts, tagged, to_inline) in enumerate(histories):
+        ref = db.pnew(Blob(tag=i, text=texts[0]))
+        oid = ref.oid.value
+        ledger.oid_values.append(oid)
+        for text in texts[1:]:
+            db.newversion(ref)
+            ref.text = text
+        ledger.texts[oid] = dict(enumerate(texts, start=1))
+        ledger.keep[oid] = set(range(len(texts) - _GC_KEEP + 1, len(texts) + 1))
+        if tagged is not None:
+            db.tag_version(db.versions(ref)[tagged - 1], "pinned")
+            ledger.keep[oid].add(tagged)
+        if to_inline is not None:
+            ledger.mixed[oid] = to_inline
+    db.checkpoint()
+    ledger.setup_done = True
+    return db
+
+
+def _run_gc_workload(path: Path) -> _GcLedger:
+    """Build doomed history, then collect it until the armed fault fires."""
     ledger = _GcLedger()
     try:
-        db = Database(path, pool_size=8)
-        refs = []
-        for i in range(_GC_OBJECTS):
-            ref = db.pnew(Item(tag=i, val=i * 1000))
-            refs.append(ref)
-            oid = ref.oid.value
-            ledger.oid_values.append(oid)
-            ledger.vals[oid] = {1: i * 1000}
-        db.set_retention(Item, RetentionPolicy(keep_last_n=_GC_KEEP))
-        for i, ref in enumerate(refs):
-            oid = ref.oid.value
-            for serial in range(2, _GC_VERSIONS + 1):
-                db.newversion(ref)
-                val = i * 1000 + serial  # distinct payload -> distinct blob
-                ref.val = val
-                ledger.vals[oid][serial] = val
-        # One tagged version outside the keep-last window: keep_tagged
-        # must shield it from the sweep.
-        db.tag_version(db.versions(refs[0])[1], "pinned")
-        for i, oid in enumerate(ledger.oid_values):
-            serials = set(ledger.vals[oid])
-            ledger.all_serials[oid] = serials
-            keep = set(sorted(serials)[-_GC_KEEP:])
-            if i == 0:
-                keep.add(2)  # the tagged serial
-            ledger.keep[oid] = keep
-        db.checkpoint()
-        ledger.setup_done = True
+        db = _build_gc_history(path, ledger)
         # Small batches -> several tombstone/unlink/index rounds, so the
         # armed window is crossed with committed batches on either side.
         for _ in range(6):
@@ -1042,6 +1088,13 @@ def _blob_leaks(db: Database) -> list[str]:
     return [key[:12] for key in db.store.orphan_blob_keys()]
 
 
+def _stored_inline(db: Database, vid: Vid) -> bool:
+    """True when the version's heap record holds its payload, not a blob ref."""
+    _kind, page_id, slot = db.store.graph(vid.oid).node(vid.serial).data
+    record = db.catalog.ensure_heap("ode.versions").read(Rid(page_id, slot))
+    return not blobs.is_ref(record)
+
+
 def _verify_gc(db: Database, ledger: _GcLedger, problems: list[str]) -> None:
     """Retention safety: kept versions survive with their exact payloads."""
     for oid_value in ledger.oid_values:
@@ -1056,18 +1109,16 @@ def _verify_gc(db: Database, ledger: _GcLedger, problems: list[str]) -> None:
                 f"oid {oid_value}: retained serials {sorted(keep - survivors)} "
                 f"deleted (survivors {sorted(survivors)})"
             )
-        if not survivors <= ledger.all_serials[oid_value]:
+        texts = ledger.texts[oid_value]
+        if not survivors <= texts.keys():
             problems.append(
-                f"oid {oid_value}: phantom serials "
-                f"{sorted(survivors - ledger.all_serials[oid_value])}"
+                f"oid {oid_value}: phantom serials {sorted(survivors - texts.keys())}"
             )
-        for serial in survivors & ledger.all_serials[oid_value]:
-            obj = db.materialize(Vid(oid, serial))
-            expected = ledger.vals[oid_value][serial]
-            if obj.val != expected:
+        for serial in survivors & texts.keys():
+            if db.materialize(Vid(oid, serial)).text != texts[serial]:
                 problems.append(
-                    f"oid {oid_value} serial {serial}: val {obj.val!r}, "
-                    f"expected {expected!r}"
+                    f"oid {oid_value} serial {serial}: text differs from "
+                    f"the one committed"
                 )
 
 
@@ -1092,6 +1143,12 @@ def _gc_convergence_probe(
                     f"oid {oid_value}: post-recovery GC kept "
                     f"{sorted(survivors)}, retention demands "
                     f"{sorted(ledger.keep[oid_value])}"
+                )
+        for oid_value, to_inline in ledger.mixed.items():
+            if _stored_inline(db, Vid(Oid(oid_value), 3)) != to_inline:
+                problems.append(
+                    f"oid {oid_value}: re-based serial 3 is not stored "
+                    f"{'inline' if to_inline else 'in the blob store'}"
                 )
         leaks = _blob_leaks(db)
         if leaks:
@@ -1132,7 +1189,7 @@ def run_gc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
         plan2 = FaultPlan().crash(scenario.recovery_failpoint, hit=1)
         injector2 = faults.activate(plan2)
         try:
-            db = Database(path)
+            db = Database(path, policy=_GC_POLICY)
             db.close()  # repair never reached the second failpoint
         except SimulatedCrash:
             result.recovery_crashed = True
@@ -1141,7 +1198,7 @@ def run_gc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
 
     # Clean reopen: repair must complete and the result must check out.
     try:
-        db = Database(path)
+        db = Database(path, policy=_GC_POLICY)
     except Exception as exc:  # noqa: BLE001 - unrecoverable = the finding
         result.problems.append(f"reopen after crash failed: {exc!r}")
         return result

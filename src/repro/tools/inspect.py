@@ -111,7 +111,9 @@ class DatabaseSummary:
                 f"live ({get('blobs.live_bytes', 0)} bytes, "
                 f"{get('blobs.logical_bytes', 0)} logical), "
                 f"{get('blobs.dedup_hits', 0)} dedup hit(s), "
-                f"{get('blobs.pending_reclaim', 0)} pending reclaim; "
+                f"{get('blobs.pending_reclaim', 0)} pending reclaim, "
+                f"{get('blobs.inline_records', 0)} small payload(s) inline "
+                f"({get('blobs.inline_bytes', 0)} bytes); "
                 f"gc: {get('gc.runs', 0)} run(s), "
                 f"{get('gc.versions_deleted', 0)} version(s) pruned, "
                 f"{get('gc.blobs_unlinked', 0)} blob(s) / "

@@ -36,9 +36,10 @@ class VacuumReport:
     versions_copied: int
     source_pages: int
     target_pages: int
-    #: Content bytes in each side's blob store.  Version payloads live
-    #: there (content-addressed), so this is where dead versions' space
-    #: actually goes; the heap pages only hold fixed-size references.
+    #: Content bytes in each side's blob store.  Every version payload
+    #: too large to sit inline in its heap record lives there
+    #: (content-addressed), so this is where most of dead versions' space
+    #: goes; the heap pages hold references and the small payloads.
     source_blob_bytes: int = 0
     target_blob_bytes: int = 0
 

@@ -287,3 +287,30 @@ def test_version_as_of_skips_deleted(any_db):
     any_db.pdelete(v2)
     # v2 was latest at `stamp` but is gone; the survivor is returned.
     assert any_db.version_as_of(ref, stamp).vid.serial == 1
+
+
+@pytest.mark.parametrize("rewrite_base", [True, False])
+def test_rewrite_that_turns_a_delta_into_a_full_copy_survives_reopen(
+    tmp_path, rewrite_base
+):
+    """An in-place write can leave a delta no smaller than the content --
+    of the version written, or of a child re-based onto it -- and the
+    version is then stored full.  The object-table record was not saved
+    with the new storage kind, so a reopen read the full copy as a delta:
+    ``not a delta (bad magic)``."""
+    from repro import Database, StoragePolicy
+    from repro.tools.check import check_database
+
+    policy = StoragePolicy(kind="delta")
+    db = Database(tmp_path / "db", policy=policy)
+    ref = db.pnew(b"a" * 10)  # small enough that any real delta is no saving
+    v2 = db.newversion(ref)  # an identity delta against serial 1
+    if rewrite_base:
+        db.write_version(Vid(ref.oid, 1), None)  # serial 2 re-bases to full
+    else:
+        db.write_version(v2.vid, b"z" * 10)  # nothing in common with its base
+    db.close()
+    with Database(tmp_path / "db", policy=policy) as db:
+        assert db.store.graph(ref.oid).node(2).data[0] == "F"
+        assert db.materialize(v2.vid) == (b"a" if rewrite_base else b"z") * 10
+        assert check_database(db, strict=True).ok

@@ -13,10 +13,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.identity import Oid, Vid
 from repro.storage import faults
 from repro.tools.crashmatrix import (
     _GC_CRASH_HITS,
     Scenario,
+    _build_gc_history,
+    _GcLedger,
+    _stored_inline,
     enumerate_gc_scenarios,
     run_gc_matrix,
     run_gc_scenario,
@@ -66,3 +70,40 @@ def test_double_crash_during_gc_repair(tmp_path):
     assert result.fired, "the reclaim fault never fired"
     assert result.recovery_crashed, "repair never reached the second fault"
     assert result.ok, result.problems
+
+
+def test_gc_workload_rebases_across_the_inline_threshold(tmp_path):
+    """The matrix's mixed objects do what the scenarios rely on: pruning
+    serial 2 moves the re-based serial 3 inline -> blob store in one
+    object and blob store -> inline in the other, and each object holds
+    records on both sides before and after."""
+    ledger = _GcLedger()
+    db = _build_gc_history(tmp_path / "db", ledger)
+    try:
+        assert sorted(ledger.mixed.values()) == [False, True]
+
+        def sides(oid_value):
+            oid = Oid(oid_value)
+            return {
+                v.vid.serial: _stored_inline(db, v.vid) for v in db.versions(oid)
+            }
+
+        for oid_value, to_inline in ledger.mixed.items():
+            before = sides(oid_value)
+            assert before[3] != to_inline
+            assert set(before.values()) == {True, False}
+        for _ in range(8):
+            if not db.run_gc(batch_limit=64).candidates_remaining:
+                break
+        else:
+            pytest.fail("the collector did not converge")
+        for oid_value, to_inline in ledger.mixed.items():
+            after = sides(oid_value)
+            assert set(after) == ledger.keep[oid_value]
+            assert after[3] == to_inline
+            assert set(after.values()) == {True, False}
+            for serial, text in ledger.texts[oid_value].items():
+                if serial in after:
+                    assert db.materialize(Vid(Oid(oid_value), serial)).text == text
+    finally:
+        db.close()

@@ -74,6 +74,32 @@ def test_oversized_payload_clean_error_then_disconnect(db):
         assert stats["net.errors"] >= 1
 
 
+def test_client_that_never_reads_is_dropped_and_counted(db):
+    """Responses to a peer that sends and never reads pile up past the
+    transport's high-water mark; the flush then blocks, and after
+    ``slow_client_timeout`` the connection is aborted and counted.  A
+    peer that does read is served through the same low limit, untouched."""
+    pad = "x" * 32 * 1024
+    with ServerThread(db, write_buffer_limit=1024, slow_client_timeout=0.2) as server:
+        async def polite():
+            async with await OdeConnection.open(server.host, server.port) as conn:
+                return [await conn.ping({"pad": pad, "n": n}) for n in range(8)]
+
+        assert [r["n"] for r in asyncio.run(polite())] == list(range(8))
+        assert db.stats()["net.slow_client_disconnects"] == 0
+        with socket.create_connection((server.host, server.port)) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10.0)
+            try:
+                for cid in range(1, 2000):  # ~64 MiB of echoes, never read
+                    sock.sendall(protocol.build_frame(protocol.OP_PING, cid, {"pad": pad}))
+            except OSError:
+                pass  # the server hung up on us mid-send: the point
+            stats = _wait_stats(db, "net.slow_client_disconnects", 1)
+        assert stats["net.slow_client_disconnects"] == 1
+        assert _wait_stats(db, "net.connections", 0)["net.connections"] == 0
+
+
 def test_garbage_magic_clean_error_then_disconnect(served):
     db, host, port, _ = served
     with socket.create_connection((host, port)) as sock:

@@ -397,3 +397,57 @@ def test_second_relocation_past_page_63_in_a_packed_home_page(env, heap):
     heap.update(rid, b"T" * 10)  # and shrinks in place where it now lives
     assert heap.read(rid) == b"T" * 10
     assert heap._resolve(rid)[1] == second
+
+
+@pytest.mark.parametrize("gap", [0, 1])
+def test_sub_stub_record_grows_out_of_a_packed_page(env, heap, gap):
+    """A home record physically shorter than a forward stub could not be
+    relocated out of a page packed solid: the stub that must replace it
+    had nowhere to grow.  ``update`` raised ``HeapError: cannot grow
+    within its page``.  Short payloads are padded to the stub's size."""
+    _disk, pool = env
+    shorts = {}
+    while True:
+        payload = bytes([len(shorts) % 251]) * (len(shorts) % 12)  # 0..11 bytes
+        rid = heap.insert(payload)
+        if shorts and rid.page_id != next(iter(shorts)).page_id:
+            break
+        shorts[rid] = payload
+    home = next(iter(shorts)).page_id
+    # Trade the last short record for one filler that leaves exactly ``gap``.
+    last = next(reversed(shorts))
+    heap.delete(last)
+    del shorts[last]
+    with pool.page(home) as page:
+        free = page.free_space
+    filler = heap.insert(b"f" * (free - gap - 1))  # marker byte included
+    assert filler.page_id == home
+    with pool.page(home) as page:
+        assert page._compacted_gap() == gap
+    victim = next(rid for rid, payload in shorts.items() if len(payload) == 10)
+    grown = b"G" * 118
+    heap.update(victim, grown)
+    shorts[victim] = grown
+    assert heap._resolve(victim)[1] is not None, "must have been relocated"
+    for rid, payload in shorts.items():
+        assert heap.read(rid) == payload
+    scanned = dict(heap.scan())
+    assert all(scanned[rid] == payload for rid, payload in shorts.items())
+    with pool.page(home) as page:
+        assert page.validate() == []
+        assert page._compacted_gap() == gap
+    heap.update(victim, b"")  # shrinks where it now lives; the stub stays
+    assert heap.read(victim) == b""
+    heap.delete(victim)
+    assert not heap.exists(victim)
+
+
+def test_unpadded_short_records_keep_reading(heap):
+    """Records written before short payloads were padded are plain inline
+    records; they read, scan, and take the padded form when rewritten."""
+    old = heap._physical_insert(b"\x00abc", None)
+    assert heap.read(old) == b"abc" and heap.exists(old)
+    assert dict(heap.scan())[old] == b"abc"
+    heap.update(old, b"abcd")
+    assert heap.read(old) == b"abcd"
+    assert len(heap._physical_read(old)) == len(heap._physical_read(heap.insert(b"")))
