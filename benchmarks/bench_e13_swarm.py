@@ -9,8 +9,10 @@ into the WAL's group-commit window.  This suite measures:
   pipelined client must win by >= 3x);
 * throughput and tail latency for read-mostly / write-heavy / mixed
   profiles as the swarm scales from 100 toward 2000 connections;
-* that read-only traffic takes **zero** lock-table acquisitions; and
-* that concurrent wire commits overlap into shared WAL flushes.
+* that read-only traffic takes **zero** lock-table acquisitions;
+* that concurrent wire commits overlap into shared WAL flushes; and
+* the per-connection lane's hop counts: one worker wake-up per awaited
+  stateful frame and per pipelined transaction, zero loop tasks.
 """
 
 from __future__ import annotations
@@ -363,4 +365,76 @@ def test_e13_commit_grouping(swarm_server, benchmark):
     )
     assert piggy > 0, "no WAL piggybacks -- group commit never batched"
     _record(benchmark, db, measured)
+    benchmark(lambda: None)
+
+
+# -- E13.5: the lane's hop counts ---------------------------------------------
+
+
+@pytest.mark.smoke
+def test_e13_lane_hops_are_counted(tmp_path, benchmark):
+    """Counted gate on the commit path's plumbing (counts, not times).
+
+    Per *awaited* stateful frame: exactly one lane run, and no event-loop
+    task (BEGIN, alone in its chunk on an idle lane, is served on the
+    loop and costs neither).  Per *pipelined* BEGIN/WRITE/COMMIT triple:
+    exactly one lane run for all three frames -- before the lane, three
+    task + lock + executor round trips.
+    """
+    from benchmarks.conftest import make_db
+
+    db = make_db(tmp_path, "e13_lane")
+    with db.transaction():
+        oid = db.pnew(E13Obj(slot=0)).oid
+    server = ServerThread(db).start()
+    created: list[str] = []
+
+    def counting_factory(loop, coro, **kwargs):
+        created.append(getattr(coro, "__qualname__", repr(coro)))
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    def lanes() -> tuple[int, int]:
+        stats = db.stats()
+        return stats["net.lane_runs"], stats["net.lane_frames"]
+
+    txns = 50
+
+    async def run() -> dict:
+        conn = await OdeConnection.open(server.host, server.port)
+        try:
+            await conn.ping("warm")  # the handler task exists before we count
+            server._loop.call_soon_threadsafe(
+                server._loop.set_task_factory, counting_factory
+            )
+            await conn.ping("factory installed")
+            start = lanes()
+            for j in range(txns):
+                await conn.begin()
+                await conn.write(oid, "n", j)
+                await conn.commit()
+            awaited = lanes()
+            for j in range(txns):
+                conn.send(protocol.OP_BEGIN)
+                conn.send(protocol.OP_WRITE, (oid, "n", -j))
+                await conn.send(protocol.OP_COMMIT)
+            burst = lanes()
+            return {
+                "awaited_runs": awaited[0] - start[0],
+                "awaited_frames": awaited[1] - start[1],
+                "burst_runs": burst[0] - awaited[0],
+                "burst_frames": burst[1] - awaited[1],
+            }
+        finally:
+            await conn.close()
+
+    try:
+        counts = asyncio.run(run())
+    finally:
+        server.stop()
+        db.close()
+    benchmark.extra_info.update(counts, loop_tasks=len(created))
+    # BEGIN inline + WRITE and COMMIT one single-frame lane run each.
+    assert (counts["awaited_runs"], counts["awaited_frames"]) == (2 * txns, 2 * txns)
+    assert (counts["burst_runs"], counts["burst_frames"]) == (txns, 3 * txns)
+    assert not created, f"stateful frames created event-loop tasks: {created[:4]}"
     benchmark(lambda: None)

@@ -20,11 +20,12 @@ connection (the transaction lives on its session), so they run through
         await conn.write(oid, "n", v + 1)
         await conn.commit()
 
-Do not pipeline *across* a transaction boundary on one connection: the
-server serves reads outside a transaction from the lock-free snapshot
-lane, so a read racing its own session's BEGIN may resolve against the
-snapshot instead of the transaction.  Within a transaction, ops execute
-in send order (the server serializes per-session, FIFO).
+Session ops execute in send order (the server runs one FIFO lane per
+connection), so a whole ``begin/write/.../commit`` may be pipelined as
+one burst, and a read sent behind BEGIN + WRITE sees that write.  What
+may overtake queued work: health checks and plain pings always, and a
+read *outside* a transaction past the session's own autocommit writes
+(await the write's ack first if the read must see it).
 
 Server-side errors come back typed: the error envelope names the
 exception class, and known kernel errors re-raise as themselves
@@ -166,12 +167,6 @@ _COUNTERS = _ClientCounters()
 def local_client_stats() -> dict[str, int]:
     """This process's wire-client counters (see :class:`_ClientCounters`)."""
     return _COUNTERS.as_dict()
-
-
-def _consume(future: "asyncio.Future[Any]") -> None:
-    """Swallow an abandoned future's eventual exception (no loop warnings)."""
-    if not future.cancelled():
-        future.exception()
 
 
 _UNSET = object()
@@ -336,30 +331,35 @@ class OdeConnection:
         The wait is bounded by ``deadline`` (default: the connection's
         ``default_deadline``; ``None`` waits forever).  On expiry the
         request is *abandoned*, not cancelled: the server may still
-        execute it, and its late response resolves a future nobody
-        awaits (discarded).  A cancelled request likewise leaves its
-        entry in the pending map; the response pops it and is discarded.
+        execute it.  Its entry -- like a cancelled request's -- stays in
+        the pending map until the late response pops it, to be discarded.
         """
         timeout = self.default_deadline if deadline is _UNSET else deadline
         future = self.send(opcode, payload)
         if timeout is None:
             return await future
+        # One timer handle around the bare future: no wrapper task, no
+        # shield -- an answered request costs a call_later and a cancel.
+        handle = self._loop.call_later(
+            timeout, self._expire, future, opcode, timeout
+        )
         try:
-            return await asyncio.wait_for(asyncio.shield(future), timeout)
-        except asyncio.CancelledError:
-            # The *caller* was cancelled (not the deadline): the shield
-            # leaves the inner future live, and a late RESP_ERR would set
-            # an exception nobody retrieves.  Consume it, as on expiry.
-            future.add_done_callback(_consume)
-            raise
-        except asyncio.TimeoutError:
-            future.add_done_callback(_consume)
-            self.deadline_expired += 1
-            _COUNTERS.bump("deadline_expired")
-            raise DeadlineExceededError(
+            return await future
+        finally:
+            handle.cancel()
+
+    def _expire(self, future: asyncio.Future, opcode: int, timeout: float) -> None:
+        """Deadline timer: fail the still-pending request's future."""
+        if future.done():
+            return
+        self.deadline_expired += 1
+        _COUNTERS.bump("deadline_expired")
+        future.set_exception(
+            DeadlineExceededError(
                 f"{protocol.opcode_name(opcode)} did not complete within "
                 f"{timeout:g}s (the op may still execute server-side)"
-            ) from None
+            )
+        )
 
     def _flush(self) -> None:
         """Push the corked frames to the transport in one write."""

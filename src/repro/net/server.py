@@ -3,29 +3,41 @@
 One :class:`OdeServer` wraps one open :class:`~repro.core.database.
 Database`.  Each accepted connection gets its own
 :class:`~repro.core.session.Session`; frames are decoded as they arrive
-and dispatched **concurrently**, so a pipelining client gets
-out-of-order completion (responses carry the request's correlation id).
+and responses carry the request's correlation id, so a pipelining
+client may see them complete out of order across lanes.
 
-Three execution lanes, chosen per request:
+Three execution lanes, chosen per frame:
 
-* **Snapshot reads, inline.**  A read or query on a session with no open
-  transaction is served from the session's pinned snapshot
-  (:meth:`Session.reader`, the PR-4 lock-free path): zero SHARED locks,
-  no storage mutex -- and therefore safe to run directly on the event
-  loop, skipping the thread-pool hop entirely.  This is the hot path for
-  read-mostly swarms.
-* **Session-stateful ops, serialized.**  begin/commit/abort/write/
-  newversion/pnew/pdelete -- and reads *inside* a transaction, which
-  must take their 2PL SHARED locks -- run on the worker thread pool with
-  the session activated, behind a per-session FIFO lock: one client's
-  operations execute in the order it sent them, while different
-  sessions proceed in parallel.
-* **Commits, grouped.**  Commits block in the pool on the WAL flush;
-  because many sessions' commits run there concurrently, they ride the
-  WAL's group-commit window (one fsync per group -- the PR-1 machinery,
-  measured by ``wal.group_piggybacks``).  ``net.commits_overlapped``
-  counts commits that found another commit already in flight, i.e. the
-  grouping opportunity the server actually created.
+* **Inline, if idle.**  A frame that needs no locks and no I/O is served
+  directly on the event loop, its response appended to the chunk's one
+  output buffer: health checks and plain pings always (they touch no
+  session state); a plain ``BEGIN`` only while the connection's lane is
+  idle; reads and queries outside a transaction (the session's pinned
+  snapshot, :meth:`Session.reader`) unless a frame that decides what
+  they see -- ``BEGIN``/``COMMIT``/``ABORT``, a pin change, an earlier
+  read -- is still on the lane.  They may overtake the session's own
+  autocommit writes and ``STATS``, as they always could.
+* **The lane.**  Everything else -- writes, commits, reads inside a
+  transaction or behind one, snapshot pin/unpin, ``STATS`` -- is
+  appended to the connection's FIFO deque.  One runner on the worker
+  pool activates the session once, drains the deque in order, encodes
+  the responses off the loop and posts them back by
+  ``call_soon_threadsafe``: an awaited frame costs one thread hop, a
+  pipelined ``BEGIN/WRITE/.../COMMIT`` burst one worker wake-up and one
+  socket write.  Acks are batched only inside an open transaction: what
+  has accumulated is posted whenever the session is outside one, so a
+  COMMIT's ack never waits on a follower that blocks.  One client's
+  frames execute in the order sent; different sessions run in parallel.
+  Disconnect is the lane's last item: frames still queued are dropped
+  unexecuted, then the session closes (aborting its open transaction).
+* **A loop task** -- ``PING`` with a ``delay`` only (a load-shedding
+  probe that sleeps on the loop without occupying a worker).
+
+Commits block in the pool on the WAL flush; many sessions' lanes run
+there concurrently, so they ride the WAL's group-commit window (one
+fsync per group, measured by ``wal.group_piggybacks``).
+``net.commits_overlapped`` counts commits that found another already in
+flight, i.e. the grouping opportunity the server actually created.
 
 ``net.*`` counters (connections, sessions, in-flight requests, pipeline
 depth, bytes in/out) are registered with ``Database.add_stats_source``,
@@ -41,7 +53,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from contextlib import ExitStack
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any
 
 from repro.core.cache import READ_MISS
@@ -76,15 +90,15 @@ from repro.net.protocol import (
     RESP_OK,
 )
 
-#: Default worker threads.  Writes serialize per session and block on
-#: locks/fsync; a few times the CPU count keeps commits grouping without
-#: letting lock waiters starve the pool.
+#: Default worker threads.  A lane run holds one while it drains its
+#: session's frames, blocking on locks/fsync; a few times the CPU count
+#: keeps commits grouping without letting lock waiters starve the pool.
 DEFAULT_WORKERS = 16
 
-#: Default bound on dispatched-but-incomplete ops per connection.  A
-#: client pipelining past this gets :class:`ServerOverloadedError`
-#: rejections (the request never executes) instead of growing the
-#: server's task set without limit.
+#: Default bound on queued-or-executing ops per connection.  A client
+#: pipelining past this gets :class:`ServerOverloadedError` rejections
+#: (the request never executes) instead of growing its lane without
+#: limit.
 DEFAULT_MAX_INFLIGHT = 128
 
 #: Default seconds a response write may sit blocked on a client that is
@@ -94,18 +108,31 @@ DEFAULT_SLOW_CLIENT_TIMEOUT = 30.0
 #: Opcodes that start new work on the database.  While draining these
 #: are refused for sessions with no open transaction -- in-flight
 #: transactions get to finish, new ones are turned away.
-_MUTATING_OPS = frozenset(
-    {OP_BEGIN, OP_PNEW, OP_NEWVERSION, OP_PDELETE, OP_WRITE}
-)
+_MUTATING_OPS = frozenset({OP_BEGIN, OP_PNEW, OP_NEWVERSION, OP_PDELETE, OP_WRITE})
+
+_READ_OPS = (OP_READ, OP_QUERY)
+
+#: Lane frames a read outside a transaction may overtake: the session's
+#: own autocommit mutations and STATS.  Every other lane frame decides
+#: what a later read sees and holds it in line.
+_PASSABLE = frozenset({OP_PNEW, OP_NEWVERSION, OP_PDELETE, OP_WRITE, OP_STATS})
 
 _READ_CHUNK = 256 * 1024
 
+#: The lane's last item, appended at disconnect: close the session.
+_CLOSE = object()
+
 
 class _NetStats:
-    """``net.*`` counters, shared across connections (lock-guarded)."""
+    """``net.*`` counters, shared across connections (lock-guarded).
+
+    Every public attribute is a counter or gauge, reported as
+    ``net.<name>``.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._commits_inflight = 0
         self.connections = 0
         self.connections_total = 0
         self.sessions = 0
@@ -119,7 +146,6 @@ class _NetStats:
         self.snapshot_reads = 0
         self.commits = 0
         self.commits_overlapped = 0
-        self._commits_inflight = 0
         #: Requests rejected by admission control (never executed).
         self.shed = 0
         #: Requests refused because the server is draining.
@@ -128,94 +154,62 @@ class _NetStats:
         self.draining = 0
         #: Connections force-dropped for not reading their responses.
         self.slow_client_disconnects = 0
+        #: Lane runs that executed a frame (one worker wake-up each), the
+        #: frames executed, and the frames dropped unexecuted at disconnect.
+        self.lane_runs = 0
+        self.lane_frames = 0
+        self.lane_dropped = 0
 
     def as_dict(self) -> dict[str, Any]:
         with self._lock:
-            out = {
-                "net.connections": self.connections,
-                "net.connections_total": self.connections_total,
-                "net.sessions": self.sessions,
-                "net.inflight": self.inflight,
-                "net.pipeline_max": self.pipeline_max,
-                "net.requests": self.requests,
-                "net.responses": self.responses,
-                "net.errors": self.errors,
-                "net.bytes_in": self.bytes_in,
-                "net.bytes_out": self.bytes_out,
-                "net.snapshot_reads": self.snapshot_reads,
-                "net.commits": self.commits,
-                "net.commits_overlapped": self.commits_overlapped,
-                "net.shed": self.shed,
-                "net.drain_rejects": self.drain_rejects,
-                "net.draining": self.draining,
-                "net.slow_client_disconnects": self.slow_client_disconnects,
-            }
-        # In-process client-side counters (the stress/chaos embeddings run
-        # clients and server in one process): deadline expiries and pool
-        # reconnects, reported next to the server's own numbers.
+            out = {f"net.{k}": v for k, v in vars(self).items() if k[0] != "_"}
+        # In-process client-side counters (stress/chaos run clients and
+        # server in one process): deadline expiries and pool reconnects.
         out.update(local_client_stats())
         return out
 
-    def request_started(self, depth: int) -> None:
+    def add(self, depth: int = 0, **deltas: int) -> None:
+        """Apply counter deltas under one lock acquisition.
+
+        A read chunk and a lane run each account all their frames with
+        one call, not one per request.  ``depth`` raises ``pipeline_max``.
+        """
         with self._lock:
-            self.requests += 1
-            self.inflight += 1
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
             if depth > self.pipeline_max:
                 self.pipeline_max = depth
-
-    def request_finished(self, ok: bool) -> None:
-        with self._lock:
-            self.inflight -= 1
-            self.responses += 1
-            if not ok:
-                self.errors += 1
 
     def commit_started(self) -> None:
         with self._lock:
             self.commits += 1
-            if self._commits_inflight > 0:
-                self.commits_overlapped += 1
+            self.commits_overlapped += self._commits_inflight > 0
             self._commits_inflight += 1
-
-    def commit_finished(self) -> None:
-        with self._lock:
-            self._commits_inflight -= 1
-
-    def inline_batch(
-        self, served: int, errors: int, snap_reads: int, depth: int, out: int
-    ) -> None:
-        """Account one read-chunk's worth of inline requests at once.
-
-        The inline lane turns each pipelined burst into a single batch,
-        so its counters update under one lock acquisition per chunk, not
-        one per request.
-        """
-        with self._lock:
-            self.requests += served
-            self.responses += served
-            self.errors += errors
-            self.snapshot_reads += snap_reads
-            self.bytes_out += out
-            if depth > self.pipeline_max:
-                self.pipeline_max = depth
 
 
 class _Connection:
-    """Per-connection state: session, FIFO op lock, in-flight tasks."""
+    """Per-connection state: the session, its FIFO lane, delay-ping tasks."""
 
     def __init__(self, session: Session, writer: asyncio.StreamWriter) -> None:
         self.session = session
         self.writer = writer
-        self.op_lock = asyncio.Lock()  # FIFO: serializes stateful ops
-        self.write_lock = asyncio.Lock()  # one response frame at a time
-        self.tasks: set[asyncio.Task] = set()
+        #: ``(opcode, cid, payload)``: appended by the event loop, popped
+        #: in order by the one runner on a pool thread.
+        self.lane: deque[Any] = deque()
+        #: From a runner's submission until its completion callback finds
+        #: the deque empty (event-loop thread only).
+        self.lane_active = False
+        #: Lane frames not in ``_PASSABLE``, queued or not yet answered.
+        self.ordered = 0
+        #: Set at disconnect: frames still queued are dropped unexecuted.
+        self.dead = False
+        #: Resolved once the lane has run its final item (session close).
+        self.closed: asyncio.Future[None] = asyncio.get_running_loop().create_future()
+        self.tasks: set[asyncio.Task] = set()  # delay-pings only
+        #: Frames queued or executing on the lane, plus live delay-pings.
         self.inflight = 0
-        #: Dispatched-but-incomplete ops that may mutate the session's
-        #: snapshot pin from an executor thread (OP_SNAPSHOT's pin /
-        #: unpin).  While non-zero, event-loop reads must not touch
-        #: ``session.reader()`` unserialized -- the snapshot they would
-        #: resolve against can be closed out from under them.
-        self.pin_ops = 0
+        #: The pending slow-client watchdog (see ``_write``), or None.
+        self.flush: asyncio.Task | None = None
 
 
 class OdeServer:
@@ -228,13 +222,13 @@ class OdeServer:
     host, port:
         Listen address; ``port=0`` picks a free port (see :attr:`port`).
     workers:
-        Worker threads for session-stateful operations.
+        Worker threads for the connections' lane runs.
     max_frame:
         Reject incoming frames declaring more than this many bytes
         (a clean error frame, then disconnect).
     max_inflight:
-        Admission control: per-connection cap on dispatched-but-
-        incomplete stateful ops.  Beyond it, requests are rejected with
+        Admission control: per-connection cap on queued-or-executing
+        lane frames (and delay-pings).  Beyond it, requests are rejected with
         :class:`ServerOverloadedError` *before* execution (always safe
         to retry).
     slow_client_timeout:
@@ -270,6 +264,7 @@ class OdeServer:
         self.stats = _NetStats()
         self._server: asyncio.AbstractServer | None = None
         self._executor: ThreadPoolExecutor | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._connections: set[_Connection] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._closed = False
@@ -285,9 +280,8 @@ class OdeServer:
 
     async def start(self) -> "OdeServer":
         """Bind and start accepting connections."""
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix="ode-net"
-        )
+        self._loop = asyncio.get_running_loop()
+        self._executor = ThreadPoolExecutor(self._workers, thread_name_prefix="ode-net")
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )
@@ -305,8 +299,6 @@ class OdeServer:
             await self._server.wait_closed()
         for conn in list(self._connections):
             conn.writer.close()
-            for task in list(conn.tasks):
-                task.cancel()
         # Closed sockets EOF the handlers out of their reads; wait for
         # their teardowns so a closing event loop never destroys a
         # pending handler.  Stragglers (a handler wedged past the closed
@@ -346,20 +338,16 @@ class OdeServer:
         if self._draining or self._closed:
             return
         self._draining = True
-        with self.stats._lock:
-            self.stats.draining = 1
+        self.stats.add(draining=1)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         while loop.time() < deadline:
-            busy = [
-                c
-                for c in self._connections
-                if c.inflight or c.session.txn is not None
-            ]
-            if not busy:
+            if not any(
+                c.inflight or c.session.txn is not None for c in self._connections
+            ):
                 break
             await asyncio.sleep(0.02)
         await self.close()
@@ -375,137 +363,137 @@ class OdeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+        task = asyncio.current_task()  # start_server runs handlers as tasks
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
         peer = writer.get_extra_info("peername")
         if self._write_buffer_limit is not None:
-            writer.transport.set_write_buffer_limits(
-                high=self._write_buffer_limit
-            )
+            writer.transport.set_write_buffer_limits(high=self._write_buffer_limit)
         session = self.db.session(name=f"net-{peer}")
         session.context["peer"] = peer
         conn = _Connection(session, writer)
         self._connections.add(conn)
-        with self.stats._lock:
-            self.stats.connections += 1
-            self.stats.connections_total += 1
-            self.stats.sessions += 1
+        self.stats.add(connections=1, connections_total=1, sessions=1)
         decoder = protocol.FrameDecoder(self._max_frame)
         try:
             while True:
                 data = await reader.read(_READ_CHUNK)
                 if not data:
                     break  # EOF: client went away (possibly mid-frame)
-                with self.stats._lock:
-                    self.stats.bytes_in += len(data)
-                await self._serve_chunk(conn, decoder, data)
+                self._serve_chunk(conn, decoder, data)
+                if conn.flush is not None:
+                    # Backpressure: read no more from a peer that is not
+                    # reading until its responses drain (or it is dropped).
+                    await conn.flush
         except ProtocolError as exc:
             # Bad magic / oversized / malformed: tell the client why,
             # then hang up.  cid 0 marks a connection-level error.
-            await self._send(conn, RESP_ERR, 0, protocol.error_payload(exc))
-            with self.stats._lock:
-                self.stats.errors += 1
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass  # disconnects are routine, teardown below is what matters
-        except asyncio.CancelledError:
-            pass  # close() cancelling a straggler; still tear down below
+            frame = protocol.build_frame(RESP_ERR, 0, protocol.error_payload(exc))
+            self._write(conn, frame)
+            self.stats.add(errors=1, bytes_out=len(frame))
+        except (ConnectionResetError, asyncio.CancelledError):
+            pass  # a routine disconnect, or close() cancelling a straggler
         finally:
             await self._teardown(conn)
 
     async def _teardown(self, conn: _Connection) -> None:
-        """Disconnect path: finish/cancel work, abort the txn, drop state."""
+        """Disconnect path: drop queued work, close the session *on the lane*.
+
+        Close is the lane's final item, so it runs after the op in flight
+        has returned, never beside it: ``Session.close`` aborts the
+        abandoned transaction, unpins, and deregisters from the database.
+        """
         self._connections.discard(conn)
+        conn.dead = True
         for task in list(conn.tasks):
             task.cancel()
+        if conn.flush is not None:
+            conn.flush.cancel()
         if conn.tasks:
             await asyncio.gather(*conn.tasks, return_exceptions=True)
-        # Abort any transaction the client abandoned; Session.close also
-        # unpins the snapshot and deregisters from the database.
-        loop = asyncio.get_running_loop()
-        if self._executor is not None and not self._closed:
-            await loop.run_in_executor(self._executor, conn.session.close)
-        else:
-            conn.session.close()
+        conn.lane.append(_CLOSE)
+        if not conn.lane_active:
+            self._arm(conn)
+        await conn.closed
         conn.writer.close()
         try:
             await conn.writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
-        with self.stats._lock:
-            self.stats.connections -= 1
-            self.stats.sessions -= 1
+        self.stats.add(connections=-1, sessions=-1)
 
-    async def _serve_chunk(
+    def _serve_chunk(
         self, conn: _Connection, decoder: protocol.FrameDecoder, data: bytes
     ) -> None:
-        """Decode one transport chunk; serve its frames.
+        """Decode one transport chunk; serve or queue its frames.
 
-        This is where pipelining pays: every frame eligible for the
-        lock-free lane (reads/queries outside a transaction, plain
-        pings) is executed *synchronously* -- no task, no executor hop --
-        and its response appended to one buffer, so a burst of N
-        pipelined reads costs one socket write instead of N.  Stateful
-        frames fan out to tasks as before and complete out of order.
+        This is where pipelining pays: inline frames run synchronously
+        and share one response buffer, so N pipelined reads cost one
+        socket write; lane frames are all queued before the runner is
+        armed, so N stateful frames cost one worker wake-up.
         """
         out = bytearray()
-        served = errors = snap_reads = 0
-        for opcode, cid, payload in decoder.feed(data):
-            if opcode == OP_HEALTH:
-                # Heartbeats answer inline, even mid-drain: liveness
-                # probing must not queue behind the work it is probing.
-                protocol.build_frame_into(
-                    out, RESP_OK, cid, self._health_payload()
-                )
+        served = errors = snap_reads = queued = 0
+        lane = conn.lane
+        frames = list(decoder.feed(data))
+        final = len(frames) - 1
+        for at, (opcode, cid, payload) in enumerate(frames):
+            inline = self._try_inline(conn, opcode, cid, payload, out, at == final)
+            if inline is not None:
                 served += 1
+                ok, was_read = inline
+                errors += not ok
+                snap_reads += was_read
                 continue
-            inline = self._try_inline(conn, opcode, cid, payload, out)
-            if inline is None:
-                rejection = self._admit(conn, opcode)
-                if rejection is not None:
-                    protocol.build_frame_into(
-                        out, RESP_ERR, cid, protocol.error_payload(rejection)
-                    )
-                    served += 1
-                    errors += 1
-                    continue
-                self._dispatch(conn, opcode, cid, payload)
+            rejection = self._admit(conn, opcode)
+            if rejection is not None:
+                _error_frame_into(out, cid, rejection)
+                served += 1
+                errors += 1
                 continue
-            served += 1
-            ok, was_read = inline
-            errors += not ok
-            snap_reads += was_read
-        if served:
-            self.stats.inline_batch(
-                served, errors, snap_reads, conn.inflight + served, len(out)
-            )
-        if out and not conn.writer.is_closing():
-            async with conn.write_lock:
-                conn.writer.write(out)  # fresh buffer per chunk: no copy
-                await self._drain_or_drop(conn)
+            conn.inflight += 1
+            queued += 1
+            if opcode == OP_PING:  # only one with a delay gets this far
+                task = self._loop.create_task(self._delay_ping(conn, cid, payload))
+                conn.tasks.add(task)
+                task.add_done_callback(conn.tasks.discard)
+            else:
+                lane.append((opcode, cid, payload))
+                conn.ordered += opcode not in _PASSABLE
+        self.stats.add(
+            conn.inflight + served,
+            requests=served + queued,
+            inflight=queued,
+            responses=served,
+            errors=errors,
+            snapshot_reads=snap_reads,
+            bytes_in=len(data),
+            bytes_out=len(out),
+        )
+        if out:
+            self._write(conn, out)  # fresh buffer per chunk: no copy
+        if lane and not conn.lane_active:
+            # Arm once the chunks that are ready now have all been served:
+            # a worker woken here would take the interpreter from the loop
+            # while other connections' inline reads are still waiting.
+            conn.lane_active = True
+            self._loop.call_soon(self._arm, conn)
 
     def _admit(self, conn: _Connection, opcode: int) -> Exception | None:
-        """Admission control for the stateful lane.
+        """Admission control for the lane.
 
         Returns the rejection to send (or None to admit).  Rejections
-        happen *before* dispatch, so a shed request provably never
-        executed -- the client may always retry it.
+        happen *before* the frame is queued, so a shed request provably
+        never executed -- the client may always retry it.
         """
-        if (
-            self._draining
-            and opcode in _MUTATING_OPS
-            and conn.session.txn is None
-        ):
-            with self.stats._lock:
-                self.stats.drain_rejects += 1
+        if self._draining and opcode in _MUTATING_OPS and conn.session.txn is None:
+            self.stats.add(drain_rejects=1)
             return ServerDrainingError(
                 "server is draining: finishing in-flight transactions, "
                 "accepting no new work"
             )
         if conn.inflight >= self._max_inflight:
-            with self.stats._lock:
-                self.stats.shed += 1
+            self.stats.add(shed=1)
             return ServerOverloadedError(
                 f"connection exceeded {self._max_inflight} in-flight ops; "
                 "request shed before execution (safe to retry after backoff)"
@@ -521,226 +509,273 @@ class OdeServer:
         }
         shard_health = getattr(self.db, "shard_health", None)
         if callable(shard_health):
-            payload["shards"] = {
-                str(idx): state for idx, state in shard_health().items()
-            }
+            payload["shards"] = {str(i): s for i, s in shard_health().items()}
         return payload
 
-    async def _drain_or_drop(self, conn: _Connection) -> None:
-        """Flush ``conn``'s write buffer, bounded by the slow-client cap.
+    def _write(self, conn: _Connection, buf: bytes | bytearray) -> None:
+        """Hand ``buf`` to the transport (event-loop thread only).
 
-        A client that sends requests but never reads responses would
-        otherwise buffer unbounded response bytes server-side; after
-        ``slow_client_timeout`` seconds blocked on one flush, the
-        connection is aborted (hard, no lingering FIN) and counted in
-        ``net.slow_client_disconnects``.
-
-        The timed wait (a task, a timer and two loop turns per frame) is
-        only taken while the buffer is above the transport's high-water
-        mark -- the one state in which ``drain`` would block at all.
+        A client that sends requests but never reads responses must not
+        buffer unbounded bytes server-side: past the transport's
+        high-water mark -- the one state in which ``drain`` would block
+        -- a watchdog bounds the flush, and the reader waits on it.
         """
-        transport = conn.writer.transport
-        if transport.get_write_buffer_size() <= transport.get_write_buffer_limits()[1]:
+        if conn.writer.is_closing():
             return
+        conn.writer.write(buf)
+        transport = conn.writer.transport
+        if (
+            conn.flush is None
+            and transport.get_write_buffer_size()
+            > transport.get_write_buffer_limits()[1]
+        ):
+            conn.flush = self._loop.create_task(self._drain_or_drop(conn))
+
+    async def _drain_or_drop(self, conn: _Connection) -> None:
+        """Flush ``conn``'s write buffer; after ``slow_client_timeout``
+        seconds blocked, abort the connection (hard, no lingering FIN)."""
         try:
-            await asyncio.wait_for(
-                conn.writer.drain(), self._slow_client_timeout
-            )
+            await asyncio.wait_for(conn.writer.drain(), self._slow_client_timeout)
         except asyncio.TimeoutError:
-            with self.stats._lock:
-                self.stats.slow_client_disconnects += 1
-            transport.abort()
+            self.stats.add(slow_client_disconnects=1)
+            conn.writer.transport.abort()
         except (ConnectionResetError, BrokenPipeError):
             pass
+        finally:
+            conn.flush = None
 
     def _try_inline(
-        self, conn: _Connection, opcode: int, cid: int, payload: Any, out: bytearray
+        self, conn: _Connection, opcode: int, cid: int, payload: Any,
+        out: bytearray, final: bool,
     ) -> tuple[bool, bool] | None:
         """Serve a frame on the event loop if it needs no locks and no I/O.
 
         Returns ``(ok, was_snapshot_read)`` when served, ``None`` when
-        the frame belongs to the stateful lane.  A read pipelined behind
-        a still-queued BEGIN resolves against the snapshot, not the new
-        transaction -- the documented contract (clients must not
-        pipeline across a transaction boundary).
-
-        Inline reads are only safe while no pin-mutating op is in
-        flight: a dispatched OP_SNAPSHOT on the executor may unpin (and
-        close) the very snapshot ``session.reader()`` is about to
-        touch.  ``conn.pin_ops == 0`` rules that out; otherwise the
-        read is dispatched and serialized behind the snapshot op.
+        the frame belongs to the lane (see the module docstring).
+        BEGIN qualifies only as the ``final`` frame of its chunk -- what
+        follows it needs the lane anyway, and the burst kept together
+        costs one wake-up and one socket write -- and never with
+        ``snapshot_reads``: a global cut can wait on the 2PC cut latch.
         """
         session = conn.session
         was_read = False
-        if (
-            opcode in (OP_READ, OP_QUERY)
-            and session.txn is None
-            and conn.pin_ops == 0
-        ):
+        if opcode == OP_PING:
+            if isinstance(payload, dict) and payload.get("delay"):
+                return None
+        elif opcode == OP_HEALTH:
+            # Heartbeats answer even mid-drain, and never queue behind
+            # the work they are probing.
+            payload = self._health_payload()
+        elif opcode in _READ_OPS:
+            # An autocommit write running on the lane shows as a transient
+            # txn: the read then queues behind it, which is always safe.
+            if conn.ordered or session.txn is not None:
+                return None
             was_read = True
-        elif opcode == OP_PING and not (
-            isinstance(payload, dict) and payload.get("delay")
-        ):
-            pass
-        else:
+        elif opcode != OP_BEGIN or not final or conn.lane or conn.lane_active:
+            return None
+        elif self._draining or _snapshot_reads(payload):
             return None
         try:
-            if was_read:
-                reader = session.reader()
-                result = (
-                    _snap_read(reader, payload)
-                    if opcode == OP_READ
-                    else _do_query(reader, payload)
-                )
+            if opcode == OP_READ:
+                result = _snap_read(session.reader(), payload)
+            elif opcode == OP_QUERY:
+                result = _do_query(session.reader(), payload)
+            elif opcode == OP_BEGIN:
+                with session.activate():
+                    result = self.db.begin().txid
             else:
                 result = payload
             protocol.build_frame_into(out, RESP_OK, cid, result)
             return True, was_read
         except Exception as exc:  # noqa: BLE001 - goes into the envelope
-            protocol.build_frame_into(
-                out, RESP_ERR, cid, protocol.error_payload(exc)
-            )
+            _error_frame_into(out, cid, exc)
             return False, was_read
 
-    def _dispatch(self, conn: _Connection, opcode: int, cid: int, payload: Any) -> None:
-        conn.inflight += 1
-        if opcode == OP_SNAPSHOT:
-            conn.pin_ops += 1
-        self.stats.request_started(conn.inflight)
-        task = asyncio.get_running_loop().create_task(
-            self._run_request(conn, opcode, cid, payload)
-        )
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
-
-    async def _run_request(
-        self, conn: _Connection, opcode: int, cid: int, payload: Any
-    ) -> None:
-        ok = True
+    async def _delay_ping(self, conn: _Connection, cid: int, payload: Any) -> None:
+        """PING with a delay: the one frame served by a loop task."""
+        out = bytearray()
+        ok = False
         try:
-            result = await self._execute(conn, opcode, payload)
-        except asyncio.CancelledError:
+            await asyncio.sleep(float(payload["delay"]))
+            protocol.build_frame_into(out, RESP_OK, cid, payload)
+            ok = True
+        except Exception as exc:  # noqa: BLE001 - goes into the envelope
+            _error_frame_into(out, cid, exc)
+        finally:  # cancelled at disconnect too: no response, still accounted
             conn.inflight -= 1
-            if opcode == OP_SNAPSHOT:
-                conn.pin_ops -= 1
-            self.stats.request_finished(ok=False)
-            raise
-        except BaseException as exc:  # noqa: BLE001 - goes into the envelope
-            ok = False
-            result = protocol.error_payload(exc)
-        conn.inflight -= 1
-        if opcode == OP_SNAPSHOT:
-            conn.pin_ops -= 1
-        self.stats.request_finished(ok)
-        await self._send(conn, RESP_OK if ok else RESP_ERR, cid, result)
-
-    async def _send(self, conn: _Connection, opcode: int, cid: int, payload: Any) -> None:
-        try:
-            frame = protocol.build_frame(opcode, cid, payload)
-        except Exception as exc:  # unencodable result: report, don't die
-            frame = protocol.build_frame(
-                RESP_ERR, cid, protocol.error_payload(exc)
+            self.stats.add(
+                inflight=-1, responses=1, errors=not ok, bytes_out=len(out)
             )
-        async with conn.write_lock:
-            if conn.writer.is_closing():
-                return
-            conn.writer.write(frame)
-            with self.stats._lock:
-                self.stats.bytes_out += len(frame)
-            await self._drain_or_drop(conn)
+        self._write(conn, out)
+
+    # -- the lane ------------------------------------------------------------
+
+    def _arm(self, conn: _Connection) -> None:
+        """Start one lane run (event-loop thread, no runner live)."""
+        conn.lane_active = True
+        try:
+            run = self._executor.submit(self._run_lane, conn)
+            run.add_done_callback(Future.result)  # an escaped error is logged
+        except RuntimeError:  # pool shut down under a straggler: close here
+            self._run_lane(conn)
+
+    def _run_lane(self, conn: _Connection) -> None:
+        """One lane run, on a pool thread: drain the deque in order, under
+        one activation, posting each batch of responses to the loop."""
+        refusal: SessionStateError | None = None
+        first = True
+        with ExitStack() as active:
+            try:
+                active.enter_context(conn.session.activate())
+            except SessionStateError as exc:
+                # The database closed the session under the server:
+                # what is queued answers with that, unexecuted.
+                refusal = exc
+            while True:
+                *batch, closing = self._run_batch(conn, refusal, first)
+                if closing or not conn.lane:
+                    break
+                self._post(conn, *batch, False, False)
+                first = False
+        # The last post follows deactivation: it lets the next run start.
+        try:
+            if closing:
+                conn.session.close()
+        finally:
+            self._post(conn, *batch, True, closing)
+
+    def _post(self, conn: _Connection, *batch: Any) -> None:
+        try:
+            self._loop.call_soon_threadsafe(self._lane_done, conn, *batch)
+        except RuntimeError:
+            pass  # the loop is gone (server thread stopped mid-run)
+
+    def _run_batch(
+        self, conn: _Connection, refusal: SessionStateError | None, first: bool
+    ) -> tuple[bytearray, int, int, bool]:
+        """Execute lane frames up to the next ack that must not wait.
+
+        Responses are encoded here, off the loop, into one buffer.  Inside
+        a transaction they accumulate, so a pipelined BEGIN/.../COMMIT is
+        one socket write.  The batch ends once the session is outside a
+        transaction (after a COMMIT, an autocommit write): the next frame
+        may block on a lock, and the ack of durable work must not sit
+        behind it.  Returns ``(out, frames finished, of them ordered,
+        closing)``.
+        """
+        out = bytearray()
+        served = errors = snap_reads = dropped = ordered = 0
+        closing = False
+        lane, session = conn.lane, conn.session
+        while lane:  # only this thread pops
+            frame = lane.popleft()
+            if frame is _CLOSE:
+                closing = True
+                break
+            if conn.dead:
+                dropped += 1
+                continue
+            opcode, cid, payload = frame
+            served += 1
+            ordered += opcode not in _PASSABLE
+            try:
+                if refusal is not None:
+                    raise refusal
+                snap_reads += opcode in _READ_OPS and session.txn is None
+                result = self._stateful(session, opcode, payload)
+                protocol.build_frame_into(out, RESP_OK, cid, result)
+            except BaseException as exc:  # noqa: BLE001 - enveloped
+                errors += 1
+                _error_frame_into(out, cid, exc)
+            if session.txn is None:
+                break
+        self.stats.add(
+            lane_runs=first and served > 0,
+            lane_frames=served,
+            lane_dropped=dropped,
+            inflight=-(served + dropped),
+            responses=served,
+            errors=errors,
+            snapshot_reads=snap_reads,
+            bytes_out=len(out),
+        )
+        return out, served + dropped, ordered, closing
+
+    def _lane_done(
+        self, conn: _Connection, out: bytearray, finished: int, ordered: int,
+        over: bool, closing: bool,
+    ) -> None:
+        """A batch ended: write its responses; once the run is ``over``,
+        re-arm for frames that came meanwhile."""
+        conn.inflight -= finished
+        conn.ordered -= ordered
+        if out:
+            self._write(conn, out)
+        if closing:
+            # The lane stays marked active: nothing runs after close.
+            if not conn.closed.done():
+                conn.closed.set_result(None)
+        elif over and conn.lane:
+            self._arm(conn)
+        elif over:
+            conn.lane_active = False
 
     # -- request execution ---------------------------------------------------
 
-    async def _execute(self, conn: _Connection, opcode: int, payload: Any) -> Any:
-        session = conn.session
-        if opcode == OP_PING:
-            delay = payload.get("delay", 0) if isinstance(payload, dict) else 0
-            if delay:
-                await asyncio.sleep(float(delay))
-            return payload
-        if opcode == OP_STATS:
-            return _plain_stats(self.db.stats())
-        if opcode in (OP_READ, OP_QUERY) and session.txn is None:
-            # Lock-free lane: resolve against the session's pinned
-            # snapshot (re-pinned only when publication advanced).  Pure
-            # CPU work with no locks and no blocking I/O, so it runs
-            # inline on the event loop -- no executor hop, no FIFO lock,
-            # out-of-order completion relative to slower stateful ops.
-            with self.stats._lock:
-                self.stats.snapshot_reads += 1
-            if conn.pin_ops == 0:
-                reader = session.reader()
-                if opcode == OP_READ:
-                    return _do_read(reader, payload)
-                return _do_query(reader, payload)
-            # An OP_SNAPSHOT is in flight on the executor and may swap or
-            # close the session's pin mid-read: take the FIFO lock so this
-            # read is ordered with it (still resolved on the event loop --
-            # pin_ops stays non-zero until the snapshot op completes, and
-            # it holds the same lock while it runs).
-            async with conn.op_lock:
-                reader = session.reader()
-                if opcode == OP_READ:
-                    return _do_read(reader, payload)
-                return _do_query(reader, payload)
-        # Stateful lane: FIFO per session, executed on the pool with the
-        # session activated so the kernel resolves this client's txn.
-        async with conn.op_lock:
-            loop = asyncio.get_running_loop()
-            if opcode == OP_COMMIT:
-                self.stats.commit_started()
-                try:
-                    return await loop.run_in_executor(
-                        self._executor, self._stateful, session, opcode, payload
-                    )
-                finally:
-                    self.stats.commit_finished()
-            return await loop.run_in_executor(
-                self._executor, self._stateful, session, opcode, payload
-            )
-
     def _stateful(self, session: Session, opcode: int, payload: Any) -> Any:
+        """Execute one lane frame (pool thread, session activated)."""
         db = self.db
-        with session.activate():
-            if opcode == OP_BEGIN:
-                snapshot_reads = bool(
-                    isinstance(payload, dict) and payload.get("snapshot_reads")
-                )
-                txn = db.begin(snapshot_reads=snapshot_reads)
-                return txn.txid
-            if opcode == OP_COMMIT:
-                txn = db.current_transaction()
-                if txn is None:
-                    raise TransactionStateError("no transaction open on this session")
-                txn.commit()
-                return None
+        if opcode == OP_BEGIN:
+            return db.begin(snapshot_reads=_snapshot_reads(payload)).txid
+        if opcode == OP_COMMIT or opcode == OP_ABORT:
+            txn = db.current_transaction()
+            if txn is None:
+                raise TransactionStateError("no transaction open on this session")
             if opcode == OP_ABORT:
-                txn = db.current_transaction()
-                if txn is None:
-                    raise TransactionStateError("no transaction open on this session")
                 txn.abort()
                 return None
-            if opcode == OP_PNEW:
-                return db.pnew(payload).oid
-            if opcode == OP_NEWVERSION:
-                return db.newversion(_ident(payload)).vid
-            if opcode == OP_PDELETE:
-                db.pdelete(_ident(payload))
+            self.stats.commit_started()
+            try:
+                txn.commit()
                 return None
-            if opcode == OP_WRITE:
-                return _do_write(db, payload)
-            if opcode == OP_READ:
-                return _do_read(db, payload)
-            if opcode == OP_QUERY:
-                return _do_query(db, payload)
-            if opcode == OP_SNAPSHOT:
-                return _do_snapshot(session, payload)
-            raise ProtocolError(
-                f"unknown opcode 0x{opcode:02x} ({protocol.opcode_name(opcode)})"
-            )
+            finally:
+                self.stats.add(_commits_inflight=-1)
+        if opcode == OP_PNEW:
+            return db.pnew(payload).oid
+        if opcode == OP_NEWVERSION:
+            return db.newversion(_ident(payload)).vid
+        if opcode == OP_PDELETE:
+            db.pdelete(_ident(payload))
+            return None
+        if opcode == OP_WRITE:
+            return _do_write(db, payload)
+        if opcode in _READ_OPS:
+            # Inside a transaction the facade (2PL SHARED locks); outside
+            # one -- queued behind lane work -- the snapshot, zero locks.
+            source = db if session.txn is not None else session.reader()
+            return (_do_read if opcode == OP_READ else _do_query)(source, payload)
+        if opcode == OP_SNAPSHOT:
+            return _do_snapshot(session, payload)
+        if opcode == OP_STATS:
+            # Off the loop: on a sharded database this is a blocking
+            # scatter over the shard executor plus per-shard locks.
+            return _plain_stats(db.stats())
+        raise ProtocolError(
+            f"unknown opcode 0x{opcode:02x} ({protocol.opcode_name(opcode)})"
+        )
 
 
 # -- op bodies ----------------------------------------------------------------
+
+
+def _error_frame_into(out: bytearray, cid: int, exc: BaseException) -> None:
+    protocol.build_frame_into(out, RESP_ERR, cid, protocol.error_payload(exc))
+
+
+def _snapshot_reads(payload: Any) -> bool:
+    """Does this BEGIN payload ask for a snapshot-read transaction?"""
+    return bool(isinstance(payload, dict) and payload.get("snapshot_reads"))
 
 
 def _ident(payload: Any) -> Oid | Vid:
@@ -838,10 +873,7 @@ def _do_snapshot(session: Session, payload: Any) -> Any:
     read context: subsequent reads outside a transaction are lock-free
     against that epoch.  ``{"pin": False}`` releases it.
     """
-    pin = True
-    if isinstance(payload, dict):
-        pin = bool(payload.get("pin", True))
-    if pin:
+    if not isinstance(payload, dict) or payload.get("pin", True):
         return session.pin().epoch
     session.unpin()
     return None
@@ -849,11 +881,11 @@ def _do_snapshot(session: Session, payload: Any) -> Any:
 
 def _plain_stats(stats: dict[str, Any]) -> dict[str, Any]:
     """db.stats() filtered to codec-safe scalars (drops exotic values)."""
-    out: dict[str, Any] = {}
-    for key, value in stats.items():
-        if isinstance(value, (bool, int, float, str, bytes)) or value is None:
-            out[key] = value
-    return out
+    return {
+        key: value
+        for key, value in stats.items()
+        if value is None or isinstance(value, (bool, int, float, str, bytes))
+    }
 
 
 # -- synchronous embedding ----------------------------------------------------

@@ -27,8 +27,9 @@ Why a bespoke pool instead of ``concurrent.futures``:
   observed concurrency, queue-wait p99) are first-class, not bolted on.
 
 The scatter-gather primitive is :meth:`run_all`: submit one task per
-item, wait for all of them, and return per-item outcomes so the caller
-decides how failures compose (2PC wants "did *any* participant crash";
+item but the last, run that one on the scattering thread, wait for the
+rest, and return per-item outcomes so the caller decides how failures
+compose (2PC wants "did *any* participant crash";
 fan-outs want "fence the lowest failing shard").
 """
 
@@ -69,6 +70,17 @@ class _Task:
         self.done = threading.Event()
         self.result: Any = None
         self.error: BaseException | None = None
+
+    def run(self) -> "_Task":
+        """Execute the thunk here; capture its outcome, never raise."""
+        try:
+            self.result = self.fn()
+        except BaseException as exc:  # noqa: BLE001 - crash-carrying
+            # SimulatedCrash included: the outcome travels back to the
+            # scattering thread; whoever ran the task survives.
+            self.error = exc
+        self.done.set()
+        return self
 
     def wait(self) -> None:
         self.done.wait()
@@ -145,15 +157,10 @@ class ShardExecutor:
                         (time.monotonic() - task.enqueued_at) * 1000.0
                     )
                 try:
-                    task.result = task.fn()
-                except BaseException as exc:  # noqa: BLE001 - crash-carrying
-                    # SimulatedCrash included: the outcome travels back to
-                    # the scattering thread; the worker itself survives.
-                    task.error = exc
+                    task.run()
                 finally:
                     with self._lock:
                         self._running -= 1
-                    task.done.set()
         finally:
             with self._cond:
                 self._workers -= 1
@@ -169,19 +176,12 @@ class ShardExecutor:
         waiting on workers it occupies would deadlock, so nested work
         degrades to the caller's thread (the router's ``_scatter`` checks
         :meth:`in_worker` first anyway; this is the backstop)."""
-        if self.in_worker():
-            inline = _Task(fn)
-            try:
-                inline.result = fn()
-            except BaseException as exc:  # noqa: BLE001 - mirror worker shape
-                inline.error = exc
-            inline.done.set()
-            return inline
         task = _Task(fn)
+        if self.in_worker():
+            return task.run()
         with self._cond:
             if self._closed:
-                spawn = False
-                task = None  # type: ignore[assignment]
+                spawn = None
             else:
                 self._tasks += 1
                 self._queue.append(task)
@@ -199,14 +199,8 @@ class ShardExecutor:
                     self._workers += 1
                     self._workers_spawned += 1
                 self._cond.notify()
-        if task is None:
-            inline = _Task(fn)
-            try:
-                inline.result = fn()
-            except BaseException as exc:  # noqa: BLE001 - mirror worker shape
-                inline.error = exc
-            inline.done.set()
-            return inline
+        if spawn is None:
+            return task.run()
         if spawn:
             thread = threading.Thread(
                 target=self._worker,
@@ -221,12 +215,24 @@ class ShardExecutor:
     ) -> list[tuple[Any, BaseException | None]]:
         """Scatter ``fn(item)`` across the pool; gather every outcome.
 
+        **Caller-runs:** the last item runs on the scattering thread,
+        which would otherwise only wait -- N-1 hand-offs, same overlap,
+        and a 1-item scatter touches no pool thread.  That item sees
+        :meth:`in_worker` true like its pooled siblings, so a nested
+        scatter degrades to the serial loop wherever it runs.
+
         Returns ``[(result, error), ...]`` in ``items`` order -- exactly
         one of the pair is meaningful per item.  Never raises: failure
         composition (which error wins, what cleanup runs) is protocol
         policy and belongs to the caller.
         """
-        tasks = [self.submit(lambda item=item: fn(item)) for item in items]
+        if not items:
+            return []
+        tasks = [self.submit(lambda item=item: fn(item)) for item in items[:-1]]
+        nested = self.in_worker()
+        self._local.in_worker = True
+        tasks.append(_Task(lambda: fn(items[-1])).run())  # never raises
+        self._local.in_worker = nested
         for task in tasks:
             task.wait()
         return [(task.result, task.error) for task in tasks]

@@ -68,7 +68,10 @@ class DatabaseSummary:
                 f"pipeline depth {get('net.pipeline_max', 0)}, "
                 f"{get('net.snapshot_reads', 0)} lock-free reads, "
                 f"{get('net.commits', 0)} commits "
-                f"({get('net.commits_overlapped', 0)} overlapped)"
+                f"({get('net.commits_overlapped', 0)} overlapped), "
+                f"{get('net.lane_frames', 0)} lane frame(s) in "
+                f"{get('net.lane_runs', 0)} run(s) "
+                f"({get('net.lane_dropped', 0)} dropped)"
             )
             # The overload/fault-tolerance tier: what the server refused
             # and what the clients survived.

@@ -73,6 +73,7 @@ def test_inspect_renders_served_and_sharded_health(db):
         summary = inspect_database(db)
         out = summary.render()
         assert "network:" in out
+        assert "0 lane frame(s) in 0 run(s) (0 dropped)" in out
         assert "overload: accepting, 0 shed" in out
     # Plain (unserved) databases show neither tier.
     plain = inspect_database(db).render()

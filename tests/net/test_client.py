@@ -19,9 +19,9 @@ import asyncio
 
 import pytest
 
-from repro.errors import ConnectionClosedError, NetworkError
+from repro.errors import ConnectionClosedError, DeadlineExceededError, NetworkError
 from repro.net import protocol
-from repro.net.client import OdeClient, OdeConnection
+from repro.net.client import OdeClient, OdeConnection, local_client_stats
 from repro.net.server import ServerThread
 from tests.conftest import Part
 
@@ -117,6 +117,63 @@ def test_disconnect_fails_request_already_in_flight():
         try:
             with pytest.raises(ConnectionClosedError):
                 await asyncio.wait_for(conn.ping("stranded"), timeout=2.0)
+        finally:
+            await conn.close()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(run())
+
+
+# -- the request deadline -------------------------------------------------------
+
+
+def test_deadline_abandons_the_request_and_discards_its_late_response():
+    """One timer handle bounds the wait: on expiry the caller gets
+    DeadlineExceededError, the entry stays pending (abandoned, not
+    cancelled), and the late response pops it and is discarded -- the
+    next request on the connection correlates cleanly.  An answered
+    request leaves no live timer behind."""
+
+    async def run():
+        release = asyncio.Event()
+
+        async def handler(reader, writer):
+            decoder = protocol.FrameDecoder()
+            while data := await reader.read(1024):
+                for _opcode, cid, payload in decoder.feed(data):
+                    if payload == "slow":
+                        await release.wait()
+                    writer.write(protocol.build_frame(protocol.RESP_OK, cid, payload))
+            writer.close()
+
+        server, port = await _fake_server(handler)
+        conn = await OdeConnection.open("127.0.0.1", port)
+        try:
+            before = local_client_stats()["net.deadline_expired"]
+            with pytest.raises(DeadlineExceededError):
+                await conn.ping("slow", deadline=0.05)
+            assert conn.deadline_expired == 1
+            assert local_client_stats()["net.deadline_expired"] == before + 1
+            assert len(conn._pending) == 1, "abandoned, not forgotten"
+            release.set()
+            assert await conn.ping("next", deadline=2.0) == "next"
+            assert not conn._pending, "the late response must pop its entry"
+            # A caller cancelled mid-wait is abandoned the same way.
+            release.clear()
+            waiter = asyncio.ensure_future(conn.ping("slow", deadline=5.0))
+            await asyncio.sleep(0.02)
+            waiter.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiter
+            release.set()
+            assert await conn.ping("after-cancel", deadline=2.0) == "after-cancel"
+            assert not conn._pending
+            live = [
+                h for h in asyncio.get_running_loop()._scheduled if not h.cancelled()
+            ]
+            assert not live, f"answered requests left timers armed: {live}"
+            assert conn.deadline_expired == 1
         finally:
             await conn.close()
             server.close()

@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.errors import (
+    ProtocolError,
     RemoteError,
     ServerDrainingError,
     ServerOverloadedError,
+    SessionStateError,
     TransactionStateError,
 )
 from repro.net import protocol
@@ -216,6 +220,361 @@ def test_reads_pipelined_around_snapshot_ops_stay_correct(served):
             return await conn.ping("done")
 
     assert asyncio.run(run()) == "done"
+
+
+# -- the per-connection FIFO lane ----------------------------------------------
+
+
+def _lane_counters(db):
+    stats = db.stats()
+    return stats["net.lane_runs"], stats["net.lane_frames"]
+
+
+def test_transaction_burst_is_one_lane_run_and_one_socket_write(served):
+    """A whole transaction sent as one burst executes FIFO in a single
+    lane run -- one worker wake-up -- and its five responses leave in a
+    single socket write."""
+    db, host, port, oid = served
+    with ServerThread(db) as server:
+        writes = []
+        real_write = server.server._write
+        server.server._write = lambda conn, buf: (
+            writes.append(len(buf)), real_write(conn, buf)
+        )
+
+        async def run():
+            async with await OdeConnection.open(server.host, server.port) as conn:
+                await conn.ping("warm")
+                before = _lane_counters(db)
+                writes.clear()
+                order = []
+                burst = [
+                    conn.send(protocol.OP_BEGIN),
+                    conn.send(protocol.OP_WRITE, (oid, "weight", 21)),
+                    conn.send(protocol.OP_READ, (oid, "weight")),
+                    conn.send(protocol.OP_WRITE, (oid, "weight", 22)),
+                    conn.send(protocol.OP_COMMIT),
+                ]
+                for at, future in enumerate(burst):
+                    future.add_done_callback(lambda _f, at=at: order.append(at))
+                results = await asyncio.gather(*burst)
+                after, sizes = _lane_counters(db), list(writes)
+                return results, order, before, after, sizes, await conn.read(oid, "weight")
+
+        results, order, before, after, writes, final = asyncio.run(run())
+    assert isinstance(results[0], int)  # the txid
+    assert results[1:] == [None, 21, None, None]
+    assert order == [0, 1, 2, 3, 4], "responses must come back in send order"
+    assert after[0] - before[0] == 1, "a burst must cost exactly one lane run"
+    assert after[1] - before[1] == 5
+    assert len(writes) == 1, f"expected one socket write, saw {writes}"
+    assert final == 22
+
+
+def test_awaited_stateful_frames_cost_one_lane_run_each(served):
+    """Request/response traffic: BEGIN is served on the loop (it is the
+    only frame in its chunk and the lane is idle); every other awaited
+    stateful frame is exactly one lane run of one frame."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            before = _lane_counters(db)
+            await conn.begin()
+            after_begin = _lane_counters(db)
+            await conn.write(oid, "weight", 31)
+            assert await conn.read(oid, "weight") == 31  # in the txn: lane
+            await conn.commit()
+            return before, after_begin, _lane_counters(db)
+
+    before, after_begin, after = asyncio.run(run())
+    assert after_begin == before, "an awaited plain BEGIN must not take the lane"
+    assert (after[0] - before[0], after[1] - before[1]) == (3, 3)
+
+
+def test_read_pipelined_behind_begin_and_write_sees_its_own_write(served):
+    """The relaxed pipelining contract: a read sent behind BEGIN + WRITE
+    queues behind them on the lane and resolves inside the transaction."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            conn.send(protocol.OP_BEGIN)
+            conn.send(protocol.OP_WRITE, (oid, "weight", 55))
+            inside = await conn.send(protocol.OP_READ, (oid, "weight"))
+            await conn.abort()
+            return inside, await conn.read(oid, "weight")
+
+    assert asyncio.run(run()) == (55, 10)
+
+
+def test_error_mid_burst_fails_only_its_own_future(served):
+    """A failing frame in the middle of a burst answers with its error;
+    the frames queued behind it still execute, in order."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            conn.send(protocol.OP_BEGIN)
+            first = conn.send(protocol.OP_WRITE, (oid, "weight", 41))
+            bad = conn.send(protocol.OP_WRITE, ("not-an-oid", "weight", 0))
+            second = conn.send(protocol.OP_WRITE, (oid, "weight", 42))
+            commit = conn.send(protocol.OP_COMMIT)
+            assert await first is None
+            with pytest.raises(ProtocolError):
+                await bad
+            assert await second is None
+            assert await commit is None
+            return await conn.read(oid, "weight")
+
+    assert asyncio.run(run()) == 42
+
+
+class _ParkedStats:
+    """A stats source that blocks until released (a slow ``db.stats()``)."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.armed = True
+
+    def __call__(self):
+        if self.armed:
+            self.armed = False  # park the first caller only
+            self.entered.set()
+            assert self.release.wait(10.0), "parked stats source never released"
+        return {}
+
+
+def test_stats_runs_on_the_lane_not_on_the_event_loop(served):
+    """Regression: OP_STATS used to call ``db.stats()`` on the event
+    loop, so one slow stats source stalled every connection.  With A's
+    STATS parked, B's inline reads and health checks still complete."""
+    db, host, port, oid = served
+    parked = _ParkedStats()
+    db.add_stats_source(parked)
+
+    async def run():
+        a = await OdeConnection.open(host, port)
+        b = await OdeConnection.open(host, port)
+        try:
+            pending = a.send(protocol.OP_STATS)
+            assert await asyncio.to_thread(parked.entered.wait, 5.0)
+            vals = [await b.read(oid, "weight", deadline=2.0) for _ in range(3)]
+            health = await b.health(deadline=2.0)
+            assert not pending.done(), "A's STATS must still be parked"
+            parked.release.set()
+            return vals, health, await pending
+        finally:
+            parked.release.set()
+            await a.close()
+            await b.close()
+
+    try:
+        vals, health, stats = asyncio.run(run())
+    finally:
+        db.remove_stats_source(parked)
+    assert vals == [10, 10, 10]
+    assert health["status"] == "ok"
+    assert stats["net.connections"] == 2
+
+
+def test_commit_ack_does_not_wait_on_a_lock_blocked_follower(served):
+    """Acks are batched only inside an open transaction.  A pipelines
+    COMMIT, BEGIN, WRITE(o2) while B holds o2's X lock: the COMMIT's ack
+    arrives at once, not when the blocked WRITE behind it returns."""
+    db, host, port, oid = served
+
+    async def run():
+        a = await OdeConnection.open(host, port)
+        b = await OdeConnection.open(host, port)
+        try:
+            o2 = await b.pnew(Part("nut", 1))
+            await b.begin()
+            await b.write(o2, "weight", 2)  # B holds o2's X lock
+            await a.begin()
+            await a.write(oid, "weight", 71)
+            commit = a.send(protocol.OP_COMMIT)
+            a.send(protocol.OP_BEGIN)
+            blocked = a.send(protocol.OP_WRITE, (o2, "weight", 3))
+            await asyncio.wait_for(asyncio.shield(commit), 1.0)
+            assert not blocked.done(), "the follower must still be waiting"
+            await b.abort()
+            await asyncio.wait_for(blocked, 5.0)
+            await a.abort()
+            return await b.read(oid, "weight")
+        finally:
+            await a.close()
+            await b.close()
+
+    assert asyncio.run(run()) == 71
+
+
+def test_reads_overtake_autocommit_work_but_not_session_state_changes(served):
+    """A read outside a transaction stays inline while the lane holds
+    only frames it may pass (here a parked STATS) -- it queues behind a
+    frame that decides what it sees (a snapshot pin)."""
+    db, host, port, oid = served
+    parked = _ParkedStats()
+    db.add_stats_source(parked)
+
+    async def run():
+        async with await OdeConnection.open(host, port) as a:
+            stats = a.send(protocol.OP_STATS)
+            assert await asyncio.to_thread(parked.entered.wait, 5.0)
+            passed = await a.read(oid, "weight", deadline=2.0)  # lane busy: inline
+            pin = a.send(protocol.OP_SNAPSHOT, {"pin": True})
+            held = a.send(protocol.OP_READ, (oid, "weight"))
+            await a.health(deadline=2.0)  # the loop has served that chunk
+            assert not (stats.done() or pin.done() or held.done())
+            parked.release.set()
+            await stats
+            return passed, await held, await pin
+
+    try:
+        passed, held, epoch = asyncio.run(run())
+    finally:
+        parked.release.set()
+        db.remove_stats_source(parked)
+    assert (passed, held) == (10, 10) and epoch is not None
+
+
+def test_disconnect_mid_burst_drops_queued_frames_and_frees_locks(served):
+    """Teardown rides the lane: frames queued behind a dead connection
+    never execute (``net.lane_dropped`` counts them), the open
+    transaction aborts only after the in-flight op has returned, and the
+    EXCLUSIVE lock is free for the next connection."""
+    db, host, port, oid = served
+    parked = _ParkedStats()
+    db.add_stats_source(parked)
+    burst = b"".join(
+        protocol.build_frame(opcode, cid, payload)
+        for cid, (opcode, payload) in enumerate(
+            [
+                (protocol.OP_BEGIN, None),
+                (protocol.OP_WRITE, (oid, "weight", 999)),
+                (protocol.OP_STATS, None),  # parks the lane mid-burst
+                (protocol.OP_WRITE, (oid, "weight", 1000)),
+                (protocol.OP_COMMIT, None),
+            ],
+            start=1,
+        )
+    )
+
+    async def observe():
+        async with await OdeConnection.open(host, port) as b:
+            sock = socket.create_connection((host, port))
+            try:
+                sock.sendall(burst)
+                assert await asyncio.to_thread(parked.entered.wait, 5.0)
+            finally:
+                sock.close()  # dies with STATS executing and two frames queued
+            for _ in range(500):  # the server has seen the EOF
+                if (await b.health())["connections"] == 1:
+                    break
+                await asyncio.sleep(0.01)
+            else:
+                pytest.fail("server never noticed the disconnect")
+            parked.release.set()
+            for _ in range(500):
+                if (await b.stats())["net.sessions"] == 1:
+                    break
+                await asyncio.sleep(0.01)
+            assert await b.read(oid, "weight") == 10, "the dropped COMMIT ran"
+            await b.begin(deadline=2.0)
+            await b.write(oid, "weight", 11, deadline=2.0)  # X lock is free
+            await b.commit(deadline=2.0)
+            return await b.stats()
+
+    try:
+        stats = asyncio.run(observe())
+    finally:
+        parked.release.set()
+        db.remove_stats_source(parked)
+    assert stats["net.lane_dropped"] == 2, "WRITE + COMMIT must be dropped unexecuted"
+    assert stats["net.sessions"] == 1 and stats["net.connections"] == 1
+    assert stats["net.inflight"] == 1  # b's own STATS, nothing leaked from the dead lane
+
+
+def test_lane_handoff_stress_keeps_fifo_and_loses_nothing(db):
+    """More connections than cores, a 10 us switch interval, and every
+    connection alternating pipelined bursts with awaited ops, so chunks
+    keep arriving exactly while a runner is posting its buffer back and
+    the lane flips between idle and armed.  Per-session FIFO must hold
+    (a read inside the transaction sees the previous commit, a read
+    queued behind COMMIT sees this one), no frame may be lost or run
+    twice, and the gauges must return to zero."""
+    conns, rounds = 8, 30
+    with db.transaction():
+        oids = [db.pnew(Part(f"p{k}", 0)).oid for k in range(conns)]
+
+    async def drive(host, port, oid):
+        async with await OdeConnection.open(host, port) as conn:
+            for j in range(rounds):
+                if j % 3 == 2:  # awaited: BEGIN inline, the rest one frame per run
+                    await conn.begin()
+                    inside = await conn.read(oid, "weight")
+                    await conn.write(oid, "weight", j + 1)
+                    await conn.commit()
+                    after = await conn.read(oid, "weight")
+                else:  # one burst: everything rides a single lane run
+                    conn.send(protocol.OP_BEGIN)
+                    seen = conn.send(protocol.OP_READ, (oid, "weight"))
+                    conn.send(protocol.OP_WRITE, (oid, "weight", j + 1))
+                    done = conn.send(protocol.OP_COMMIT)
+                    behind = conn.send(protocol.OP_READ, (oid, "weight"))
+                    assert await conn.ping(j) == j  # overtakes the queued work
+                    inside, _, after = await asyncio.gather(seen, done, behind)
+                assert (inside, after) == (j, j + 1)
+
+    async def swarm(host, port):
+        await asyncio.wait_for(
+            asyncio.gather(*(drive(host, port, oid) for oid in oids)), timeout=60.0
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ServerThread(db) as server:
+            asyncio.run(swarm(server.host, server.port))
+            stats = _wait_stats(db, "net.connections", 0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats["net.connections"] == 0 and stats["net.inflight"] == 0
+    assert stats["net.errors"] == 0
+    assert stats["net.requests"] == stats["net.responses"]
+    assert stats["net.commits"] == conns * rounds
+    assert stats["net.lane_dropped"] == 0
+    with db.snapshot() as snap:
+        assert [snap.read_attr(snap.latest_vid(o), "weight") for o in oids] == (
+            [rounds] * conns
+        )
+
+
+def test_session_closed_under_the_server_answers_errors(served):
+    """``db.close()`` (or anyone) closing a served session must turn its
+    queued frames into typed errors -- one lane run, not a runner that
+    re-arms forever on a session it cannot activate -- and the
+    connection still tears down cleanly."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            assert await conn.read(oid, "weight") == 10
+            for session in list(db._sessions):
+                session.close()
+            before = _lane_counters(db)
+            burst = [conn.send(protocol.OP_WRITE, (oid, "weight", n)) for n in (1, 2)]
+            results = await asyncio.gather(*burst, return_exceptions=True)
+            assert [type(r) for r in results] == [SessionStateError] * 2
+            with pytest.raises(SessionStateError):
+                await conn.begin()  # the inline lane refuses it too
+            assert await conn.ping("alive") == "alive"
+            return before, _lane_counters(db)
+
+    before, after = asyncio.run(run())
+    assert (after[0] - before[0], after[1] - before[1]) == (1, 2)
+    assert _wait_stats(db, "net.connections", 0)["net.connections"] == 0
 
 
 # -- sessions and the client pool ---------------------------------------------

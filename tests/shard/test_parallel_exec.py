@@ -127,7 +127,7 @@ def test_workers_are_bounded_and_reaped():
         assert stats["shard.exec.size"] == 3
         assert stats["shard.exec.workers"] <= 3
         assert stats["shard.exec.max_concurrency"] <= 3
-        assert stats["shard.exec.tasks"] == 12
+        assert stats["shard.exec.tasks"] == 11  # the 12th ran on the caller
         # Idle reap: without close(), the daemons exit on their own.
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline:
@@ -144,6 +144,97 @@ def test_closed_pool_runs_inline():
     exe.close()
     outcomes = exe.run_all([1, 2], lambda i: i + 100)
     assert [r for r, _ in outcomes] == [101, 102]
+
+
+# -- caller-runs scatter --------------------------------------------------------
+
+
+def test_caller_runs_the_last_item_and_outcomes_keep_item_order():
+    """N items cost N-1 pool hand-offs: the last runs on the scattering
+    thread, the rest on pool workers, and outcomes come back in item
+    order whichever finished first."""
+    exe = ShardExecutor(4)
+    try:
+        def where(i):
+            if i < 3:
+                time.sleep(0.02 * (3 - i))  # pooled items finish in reverse
+            return i, threading.get_ident()
+
+        outcomes = exe.run_all([0, 1, 2, 3], where)
+        assert [r[0] for r, _ in outcomes] == [0, 1, 2, 3]
+        me = threading.get_ident()
+        assert outcomes[3][0][1] == me, "the last item must run on the caller"
+        assert all(r[1] != me for r, _ in outcomes[:3]), "the rest are pooled"
+        assert exe.stats()["shard.exec.tasks"] == 3, "only submits are pool traffic"
+        assert not exe.in_worker(), "the caller's worker mark must not leak"
+    finally:
+        exe.close()
+
+
+def test_single_item_scatter_touches_no_pool_thread():
+    exe = ShardExecutor(4)
+    try:
+        assert exe.run_all([7], lambda i: (i, threading.get_ident())) == [
+            ((7, threading.get_ident()), None)
+        ]
+        assert exe.run_all([], lambda i: i) == []
+        stats = exe.stats()
+        assert stats["shard.exec.workers_spawned"] == 0
+        assert stats["shard.exec.tasks"] == 0
+    finally:
+        exe.close()
+
+
+@pytest.mark.parametrize("victim", [0, 2], ids=["pooled-item", "caller-run-item"])
+def test_crash_travels_back_verbatim_from_either_side(victim):
+    """SimulatedCrash on a pooled item *or* on the caller-run item is an
+    outcome, never an exception out of run_all; every sibling's outcome
+    is still gathered, and the pool serves the next scatter."""
+    exe = ShardExecutor(3)
+    try:
+        crash = SimulatedCrash("injected")
+
+        def maybe_die(i):
+            if i == victim:
+                raise crash
+            return i * 10
+
+        outcomes = exe.run_all([0, 1, 2], maybe_die)
+        for i, (result, err) in enumerate(outcomes):
+            if i == victim:
+                assert err is crash and result is None
+            else:
+                assert (result, err) == (i * 10, None)
+        assert not exe.in_worker()
+        assert [r for r, _ in exe.run_all([1, 2], lambda i: -i)] == [-1, -2]
+    finally:
+        exe.close()
+
+
+def test_nested_scatter_from_the_caller_run_item_degrades_inline():
+    """The caller-run item sees in_worker() like its pooled siblings, so
+    a nested scatter runs inline on whichever thread hosts the item --
+    and the mark is restored to what it was, at every nesting depth."""
+    exe = ShardExecutor(2)
+    try:
+        def outer(i):
+            assert exe.in_worker()
+            here = threading.get_ident()
+            inner = exe.run_all(
+                [1, 2, 3], lambda j: (i * 10 + j, threading.get_ident() == here)
+            )
+            assert exe.in_worker(), "an inner scatter must not clear the mark"
+            return [r for r, _ in inner]
+
+        outcomes = exe.run_all([1, 2], outer)
+        assert [err for _, err in outcomes] == [None, None]
+        assert outcomes[0][0] == [(11, True), (12, True), (13, True)]
+        assert outcomes[1][0] == [(21, True), (22, True), (23, True)]
+        assert not exe.in_worker()
+        # Only the outer pooled item was handed to a pool thread.
+        assert exe.stats()["shard.exec.workers_spawned"] == 1
+    finally:
+        exe.close()
 
 
 # -- the consistent cut (the acceptance regression) ---------------------------
