@@ -91,7 +91,7 @@ def test_a1_pool_size_read_latency(tmp_path, benchmark, pool_size):
         assert total == sum(range(300))
         stats = db.stats()
         benchmark.extra_info["pool_size"] = pool_size
-        benchmark.extra_info["evictions"] = stats["pool_evictions"]
+        benchmark.extra_info["evictions"] = stats["pool.evictions"]
     finally:
         db.close()
 
@@ -109,6 +109,6 @@ def test_a1_checkpoint_threshold(tmp_path, benchmark, threshold):
 
         benchmark.pedantic(insert, rounds=60, iterations=1)
         benchmark.extra_info["threshold"] = threshold
-        benchmark.extra_info["wal_bytes_after"] = db.stats()["wal_bytes"]
+        benchmark.extra_info["wal_bytes_after"] = db.stats()["wal.bytes"]
     finally:
         db.close()

@@ -101,7 +101,7 @@ def test_e11_transaction_batching(db, benchmark):
                 ref.n = ref.n + 1
 
     benchmark.pedantic(batched, rounds=5, iterations=1)
-    flushes = db.stats()["wal_flushes"]
+    flushes = db.stats()["wal.flushes"]
     benchmark.extra_info["wal_flushes_total"] = flushes
 
 
@@ -195,13 +195,13 @@ def test_e11_deep_chain_materialize_cache(delta_db, benchmark):
         warm += time.perf_counter() - t0
     speedup = cold / max(warm, 1e-9)
     stats = db.stats()
-    assert stats["bytes_hits"] >= rounds
-    assert stats["deltas_applied"] > 0
+    assert stats["cache.bytes_hits"] >= rounds
+    assert stats["cache.deltas_applied"] > 0
     assert speedup >= 3.0, f"warm materialize only {speedup:.1f}x faster"
     benchmark.extra_info["chain_depth"] = deepest
     benchmark.extra_info["warm_speedup"] = round(speedup, 2)
-    benchmark.extra_info["bytes_hits"] = stats["bytes_hits"]
-    benchmark.extra_info["deltas_applied"] = stats["deltas_applied"]
+    benchmark.extra_info["bytes_hits"] = stats["cache.bytes_hits"]
+    benchmark.extra_info["deltas_applied"] = stats["cache.deltas_applied"]
     benchmark(lambda: store.materialize(vid))
 
 
@@ -229,12 +229,12 @@ def test_e11_generic_ref_attr_fast_path(db, benchmark):
     stats = db.stats()
 
     speedup = slow / max(fast, 1e-9)
-    assert stats["decoded_hits"] - base["decoded_hits"] >= loops
-    assert stats["latest_hits"] - base["latest_hits"] >= loops
+    assert stats["cache.decoded_hits"] - base["cache.decoded_hits"] >= loops
+    assert stats["cache.latest_hits"] - base["cache.latest_hits"] >= loops
     assert speedup >= 2.0, f"attr fast path only {speedup:.1f}x faster"
     benchmark.extra_info["attr_speedup"] = round(speedup, 2)
-    benchmark.extra_info["decoded_hits"] = stats["decoded_hits"]
-    benchmark.extra_info["latest_hits"] = stats["latest_hits"]
+    benchmark.extra_info["decoded_hits"] = stats["cache.decoded_hits"]
+    benchmark.extra_info["latest_hits"] = stats["cache.latest_hits"]
     value = benchmark(lambda: ref.n)
     assert value == 7
 
@@ -388,7 +388,7 @@ def _commit_storm(db, threads: int, txns_per_thread: int) -> tuple[int, int]:
     """Run a concurrent commit storm; returns (fsyncs, piggybacks) used."""
     refs = [db.pnew(E11Obj(i)) for i in range(threads)]
     db.checkpoint()
-    start_flushes = db.stats()["wal_flushes"]
+    start_flushes = db.stats()["wal.flushes"]
     barrier = threading.Barrier(threads)
 
     def work(i: int) -> None:
@@ -403,7 +403,7 @@ def _commit_storm(db, threads: int, txns_per_thread: int) -> tuple[int, int]:
     for w in workers:
         w.join()
     stats = db.stats()
-    return stats["wal_flushes"] - start_flushes, stats["wal_group_piggybacks"]
+    return stats["wal.flushes"] - start_flushes, stats["wal.group_piggybacks"]
 
 
 def test_e11_group_commit_flush_reduction(tmp_path, benchmark):
@@ -675,7 +675,7 @@ def test_e11_buffer_pool_hit_ratio(tmp_path, benchmark):
         total = benchmark(read_hot_set)
         assert total == sum(range(20))
         stats = db.stats()
-        hit_ratio = stats["pool_hits"] / max(1, stats["pool_hits"] + stats["pool_misses"])
+        hit_ratio = stats["pool.hits"] / max(1, stats["pool.hits"] + stats["pool.misses"])
         benchmark.extra_info["hit_ratio"] = round(hit_ratio, 4)
         assert hit_ratio > 0.9
     finally:

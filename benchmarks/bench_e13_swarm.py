@@ -347,7 +347,7 @@ def test_e13_read_swarm_zero_locks(swarm_server, benchmark):
 def test_e13_commit_grouping(swarm_server, benchmark):
     """Concurrent wire commits overlap into the group-commit window."""
     db, host, port, oids = swarm_server
-    start_piggy = db.stats()["wal_group_piggybacks"]
+    start_piggy = db.stats()["wal.group_piggybacks"]
     measured = asyncio.run(
         _run_swarm(
             host, port,
@@ -356,7 +356,7 @@ def test_e13_commit_grouping(swarm_server, benchmark):
         )
     )
     stats = db.stats()
-    piggy = stats["wal_group_piggybacks"] - start_piggy
+    piggy = stats["wal.group_piggybacks"] - start_piggy
     benchmark.extra_info["group_piggybacks"] = piggy
     benchmark.extra_info["commits_overlapped"] = stats["net.commits_overlapped"]
     assert stats["net.commits"] >= measured["requests"]

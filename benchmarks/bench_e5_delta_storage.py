@@ -107,7 +107,7 @@ def test_e5_space_full_vs_delta_database(tmp_path, benchmark):
                 data = mutate_payload(data, 0.03, seed=100 + i)
                 v.data = data
             db.checkpoint()
-            return db.stats()["data_pages"]
+            return db.stats()["disk.pages"]
         finally:
             db.close()
 

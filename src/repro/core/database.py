@@ -28,18 +28,13 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
 import threading
-import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.errors import (
     DatabaseDegradedError,
-    DeadlockError,
-    LockTimeoutError,
     ReadOnlySnapshotError,
-    TransactionAborted,
     TransactionStateError,
     UnknownVersionError,
 )
@@ -48,9 +43,10 @@ from repro.core.identity import Oid, Vid
 from repro.core.indexes import HashIndex, IndexManager, OrderedIndex
 from repro.core.pointers import Ref, VersionRef
 from repro.core.query import Query
-from repro.core.session import Session
+from repro.core.session import RETRYABLE_ERRORS, Session, SessionHost  # noqa: F401 (re-exported)
 from repro.core.snapshot import Snapshot
 from repro.core.store import StoragePolicy, VersionStore
+from repro.core.surface import Target, VersionReads, oid_of, plain_id
 from repro.core.transactions import (
     EXCLUSIVE,
     SHARED,
@@ -87,42 +83,8 @@ _WAL_FILE = "wal.log"
 #: Default WAL size (bytes) that triggers an automatic checkpoint at commit.
 DEFAULT_CHECKPOINT_THRESHOLD = 8 * 1024 * 1024
 
-#: Errors ``run_transaction`` retries by default: transient concurrency
-#: conflicts that a fresh attempt can win.  Everything else (invariant
-#: violations, user exceptions, degraded mode) propagates immediately.
-RETRYABLE_ERRORS: tuple[type[BaseException], ...] = (
-    DeadlockError,
-    LockTimeoutError,
-    TransactionAborted,
-)
 
-
-class _ResilienceCounters:
-    """``run_transaction`` bookkeeping, surfaced under ``txn.*`` in stats."""
-
-    __slots__ = ("attempts", "commits", "conflicts", "retries", "giveups",
-                 "backoff_seconds")
-
-    def __init__(self) -> None:
-        self.attempts = 0
-        self.commits = 0
-        self.conflicts = 0
-        self.retries = 0
-        self.giveups = 0
-        self.backoff_seconds = 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "txn.attempts": self.attempts,
-            "txn.commits": self.commits,
-            "txn.conflicts": self.conflicts,
-            "txn.retries": self.retries,
-            "txn.giveups": self.giveups,
-            "txn.backoff_seconds": self.backoff_seconds,
-        }
-
-
-class Database:
+class Database(VersionReads, SessionHost):
     """An Ode-style versioned object database in a directory.
 
     Parameters
@@ -230,24 +192,15 @@ class Database:
         #: flips this off to prove the oracle notices the resulting leak
         #: of uncommitted state into published snapshots.
         self.publish_exclusion = True
-        self._tlocal = threading.local()
         self._active: dict[int, Transaction] = {}
         self._txn_mutex = threading.Lock()
-        # Client state lives in sessions (repro.core.session).  Embedded
-        # callers get an implicit per-thread session lazily; explicit
-        # sessions (the network layer's) are tracked for teardown/stats.
-        self._sessions: set[Session] = set()
-        self._session_mutex = threading.Lock()
-        #: Extra stats providers (e.g. the network server) merged into
-        #: :meth:`stats` -- each is a zero-arg callable returning a dict.
-        self._stats_sources: list[Callable[[], dict[str, Any]]] = []
+        self._init_session_host()
         self._checkpoint_threshold = checkpoint_threshold
         self._closed = False
         # Graceful degradation: persistent storage-write failure flips the
         # database to read-only.  Hooks are installed after recovery -- an
         # unopenable database should raise from the constructor, not limp.
         self._degraded_reason: str | None = None
-        self._resilience = _ResilienceCounters()
         self._log.failure_threshold = degrade_after
         self._log.on_persistent_failure = self._enter_degraded
         self._disk.failure_threshold = degrade_after
@@ -537,66 +490,13 @@ class Database:
 
     # -- sessions -------------------------------------------------------------
 
-    def session(self, name: str | None = None) -> Session:
-        """Create an explicit client session (see :mod:`repro.core.session`).
-
-        The session owns the client's open transaction and pinned
-        snapshot; activate it around each request with
-        :meth:`Session.activate` (any thread may do so, one at a time).
-        The network server creates one per connection.
-        """
-        sess = Session(self, name)
-        with self._session_mutex:
-            self._sessions.add(sess)
-        return sess
-
-    @property
-    def session_count(self) -> int:
-        """Open explicit sessions (implicit per-thread ones not counted)."""
-        with self._session_mutex:
-            return len(self._sessions)
-
-    def _forget_session(self, sess: Session) -> None:
-        with self._session_mutex:
-            self._sessions.discard(sess)
-
-    def _swap_active_session(self, sess: Session | None) -> Session | None:
-        """Bind ``sess`` to the calling thread; return the previous binding."""
-        prev = getattr(self._tlocal, "active_session", None)
-        self._tlocal.active_session = sess
-        return prev
-
-    def _current_session(self, create: bool = True) -> Session | None:
-        """The calling thread's session: the activated one, else implicit.
-
-        The implicit session reproduces the pre-session thread-local
-        behaviour for embedded callers; it is created lazily (``create``)
-        and never registered -- it lives and dies with its thread.
-        """
-        sess = getattr(self._tlocal, "active_session", None)
-        if sess is not None:
-            return sess
-        sess = getattr(self._tlocal, "implicit_session", None)
-        if sess is None and create:
-            sess = Session(self, name=f"thread-{threading.get_ident()}")
-            self._tlocal.implicit_session = sess
-        return sess
+    def _new_session(self, name: str | None) -> Session:
+        return Session(self, name)
 
     def _session_pin(self) -> Snapshot | None:
         """The calling thread's session snapshot pin, if any."""
         sess = self._current_session(create=False)
         return sess.snapshot if sess is not None else None
-
-    def add_stats_source(self, source: Callable[[], dict[str, Any]]) -> None:
-        """Merge ``source()`` into every :meth:`stats` call (e.g. ``net.*``)."""
-        self._stats_sources.append(source)
-
-    def remove_stats_source(self, source: Callable[[], dict[str, Any]]) -> None:
-        """Detach a stats source added by :meth:`add_stats_source`."""
-        try:
-            self._stats_sources.remove(source)
-        except ValueError:
-            pass
 
     # -- transactions ---------------------------------------------------------
 
@@ -785,74 +685,6 @@ class Database:
             if txn.state == "active":
                 txn.commit()
 
-    def run_transaction(
-        self,
-        fn: Callable[[], Any],
-        *,
-        max_attempts: int = 5,
-        backoff: float = 0.01,
-        max_backoff: float = 0.5,
-        deadline: float | None = None,
-        lock_timeout: float | None = None,
-        retry_on: tuple[type[BaseException], ...] = RETRYABLE_ERRORS,
-    ) -> Any:
-        """Run ``fn`` inside a transaction, retrying transient conflicts.
-
-        ``fn`` takes no arguments, performs its reads and writes through
-        this database, and returns the call's result.  On a retryable
-        conflict (:data:`RETRYABLE_ERRORS` by default -- deadlock victim,
-        lock deadline, aborted transaction) the attempt's transaction is
-        rolled back and ``fn`` re-executes **from scratch**, so it must
-        not carry reads across attempts (re-read everything it needs).
-
-        Backoff between attempts is exponential with full jitter
-        (``uniform(0, min(max_backoff, backoff * 2**(attempt-1)))``),
-        which decorrelates retrying transactions so they stop re-colliding.
-        ``deadline`` bounds the whole call in seconds; ``max_attempts``
-        bounds the number of executions.  Non-retryable errors -- invariant
-        violations, user exceptions, degraded mode -- propagate from the
-        first attempt.
-
-        Called with a transaction already active on this thread, ``fn``
-        joins it and runs exactly once with no retry: the ambient
-        transaction owns commit/abort, and re-running ``fn`` alone could
-        not undo the enclosing transaction's earlier work.
-        """
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.current_transaction() is not None:
-            return fn()
-        start = time.monotonic()
-        attempt = 0
-        while True:
-            attempt += 1
-            self._resilience.attempts += 1
-            try:
-                with self.transaction(lock_timeout=lock_timeout):
-                    result = fn()
-            except retry_on:
-                self._resilience.conflicts += 1
-                out_of_attempts = attempt >= max_attempts
-                out_of_time = (
-                    deadline is not None
-                    and time.monotonic() - start >= deadline
-                )
-                if out_of_attempts or out_of_time:
-                    self._resilience.giveups += 1
-                    raise
-                pause = random.uniform(
-                    0.0, min(max_backoff, backoff * (2 ** (attempt - 1)))
-                )
-                if deadline is not None:
-                    pause = min(pause, max(0.0, deadline - (time.monotonic() - start)))
-                self._resilience.retries += 1
-                self._resilience.backoff_seconds += pause
-                if pause > 0:
-                    time.sleep(pause)
-                continue
-            self._resilience.commits += 1
-            return result
-
     def _txn_work(self, txid: int) -> int:
         """Operations logged by an active transaction (deadlock victim cost)."""
         with self._txn_mutex:
@@ -968,16 +800,16 @@ class Database:
 
     def newversion(self, target: Ref | VersionRef | Oid | Vid) -> VersionRef:
         """Create a version derived from ``target`` (paper §4.2)."""
-        oid = self._oid_of(target)
+        oid = oid_of(target)
         vref = self._mutate(
-            oid, lambda log_op: self._store.newversion(self._unbind(target), log_op)
+            oid, lambda log_op: self._store.newversion(plain_id(target), log_op)
         )
         return VersionRef(self, vref.vid)
 
     def pdelete(self, target: Ref | VersionRef | Oid | Vid) -> None:
         """Delete an object (all versions) or one version (paper §4.4)."""
-        oid = self._oid_of(target)
-        self._mutate(oid, lambda log_op: self._store.pdelete(self._unbind(target), log_op))
+        oid = oid_of(target)
+        self._mutate(oid, lambda log_op: self._store.pdelete(plain_id(target), log_op))
 
     # -- retention & garbage collection ---------------------------------------
 
@@ -1016,7 +848,7 @@ class Database:
         table = gc_engine.load_retention(self._catalog)
         if isinstance(target, (type, str)):
             return table.get(gc_engine.scope_key(target))
-        oid = self._oid_of(target)
+        oid = oid_of(target)
         override = table.get(f"oid:{oid.value}")
         if override is not None:
             return override
@@ -1026,7 +858,7 @@ class Database:
         """Pin one version with a symbolic tag (``keep_tagged`` honors it)."""
         from repro.core import gc as gc_engine
 
-        vid = target.vid if isinstance(target, VersionRef) else target
+        vid = plain_id(target)
         if not isinstance(vid, Vid):
             raise TypeError("tag_version needs a specific version reference")
 
@@ -1043,7 +875,7 @@ class Database:
         """Remove a version's tag (a no-op if untagged)."""
         from repro.core import gc as gc_engine
 
-        vid = target.vid if isinstance(target, VersionRef) else target
+        vid = plain_id(target)
 
         def op(log_op):
             tags = gc_engine.load_tags(self._catalog)
@@ -1059,7 +891,7 @@ class Database:
         """The object's tags: version serial -> tag string."""
         from repro.core import gc as gc_engine
 
-        oid = self._oid_of(target)
+        oid = oid_of(target)
         return gc_engine.load_tags(self._catalog).get(oid.value, {})
 
     def run_gc(
@@ -1174,32 +1006,6 @@ class Database:
             if limit is not None and len(out) >= limit:
                 break
         return out
-
-    @staticmethod
-    def _oid_of(target: Ref | VersionRef | Oid | Vid) -> Oid:
-        if isinstance(target, (Ref, VersionRef)):
-            return target.oid
-        if isinstance(target, Vid):
-            return target.oid
-        return target
-
-    def _unbind(self, target: Ref | VersionRef | Oid | Vid) -> Oid | Vid:
-        """Strip the binding so the store sees plain ids."""
-        if isinstance(target, Ref):
-            return target.oid
-        if isinstance(target, VersionRef):
-            return target.vid
-        return target
-
-    # -- dereferencing ------------------------------------------------------------
-
-    def deref(self, ident: Oid | Vid) -> Ref | VersionRef:
-        """Bind an id into a reference: Oid -> Ref (generic), Vid -> VersionRef."""
-        if isinstance(ident, Oid):
-            return Ref(self, ident)
-        if isinstance(ident, Vid):
-            return VersionRef(self, ident)
-        raise TypeError(f"expected Oid or Vid, got {type(ident).__qualname__}")
 
     # -- store protocol (used by Ref/VersionRef bound to this database) ------------
 
@@ -1319,62 +1125,11 @@ class Database:
         """Stable type name of the object's class."""
         return self._reader().type_name(oid)
 
-    # -- traversal (paper §4: Dprevious/Tprevious and duals) -----------------------
-
-    def _rebind_vref(self, vref: VersionRef | None) -> VersionRef | None:
-        return None if vref is None else VersionRef(self, vref.vid)
-
-    def dprevious(self, vref: VersionRef | Vid) -> VersionRef | None:
-        """The version ``vref`` was derived from (derivation parent)."""
-        return self._rebind_vref(self._reader().dprevious(self._unbind(vref)))
-
-    def dnext(self, vref: VersionRef | Vid) -> list[VersionRef]:
-        """Versions derived from ``vref`` (revisions and variants)."""
-        return [VersionRef(self, v.vid) for v in self._reader().dnext(self._unbind(vref))]
-
-    def tprevious(self, vref: VersionRef | Vid) -> VersionRef | None:
-        """The temporally preceding version."""
-        return self._rebind_vref(self._reader().tprevious(self._unbind(vref)))
-
-    def tnext(self, vref: VersionRef | Vid) -> VersionRef | None:
-        """The temporally following version."""
-        return self._rebind_vref(self._reader().tnext(self._unbind(vref)))
-
-    def history(self, vref: VersionRef | Vid) -> list[VersionRef]:
-        """Derivation path of ``vref``, newest first."""
-        return [VersionRef(self, v.vid) for v in self._reader().history(self._unbind(vref))]
-
-    def versions(self, target: Ref | Oid) -> list[VersionRef]:
-        """All live versions, temporal order (oldest first)."""
-        oid = self._oid_of(target)
-        return [VersionRef(self, v.vid) for v in self._reader().versions(oid)]
-
-    def version_as_of(self, target: Ref | Oid, timestamp: float) -> VersionRef | None:
-        """The version that was latest at wall-clock ``timestamp`` (§3)."""
-        return self._rebind_vref(
-            self._reader().version_as_of(self._oid_of(target), timestamp)
-        )
-
-    def leaves(self, target: Ref | Oid) -> list[VersionRef]:
-        """Up-to-date version of every alternative."""
-        oid = self._oid_of(target)
-        return [VersionRef(self, v.vid) for v in self._reader().leaves(oid)]
-
-    def alternatives(self, target: Ref | Oid) -> list[list[VersionRef]]:
-        """Every root-to-leaf derivation path."""
-        oid = self._oid_of(target)
-        return [
-            [VersionRef(self, v.vid) for v in path]
-            for path in self._reader().alternatives(oid)
-        ]
-
-    def version_count(self, target: Ref | Oid) -> int:
-        """Number of live versions of the object."""
-        return self._reader().version_count(self._oid_of(target))
-
-    def graph(self, target: Ref | Oid) -> VersionGraph:
-        """The object's version graph (read-only view)."""
-        return self._reader().graph(self._oid_of(target))
+    def graph(self, target: Target) -> VersionGraph:
+        """The object's version graph where reads currently resolve
+        (read-only view).  The §4 traversals are built on it -- see
+        :class:`~repro.core.surface.VersionReads`."""
+        return self._reader().graph(target)
 
     # -- clusters & queries ----------------------------------------------------------
 
@@ -1445,9 +1200,7 @@ class Database:
 
         Keys are grouped as ``pool.*``, ``wal.*``, ``cache.*``,
         ``locks.*``, ``txn.*``, ``snap.*``, ``faults.*``, plus
-        ``degraded`` / ``degraded.reason``.  The pre-namespacing spellings
-        (``pool_hits``, ``wal_bytes``, bare cache names, ``faults_*``)
-        remain as aliases so existing tooling keeps working.
+        ``degraded`` / ``degraded.reason``.
         """
         stats: dict[str, Any] = {
             "objects": self._store.object_count(),
@@ -1481,11 +1234,4 @@ class Database:
         # injector is process-global, so these are not per-database.
         for key, value in faults.stats().items():
             stats[key.replace("faults_", "faults.", 1)] = value
-        # Back-compat aliases for the pre-namespacing key spellings.
-        for key in list(stats):
-            if key.startswith("cache."):
-                stats[key[len("cache."):]] = stats[key]
-            elif key.startswith(("pool.", "wal.", "faults.")):
-                stats[key.replace(".", "_", 1)] = stats[key]
-        stats["data_pages"] = stats["disk.pages"]
         return stats

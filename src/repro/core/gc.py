@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.identity import Oid, Vid
-from repro.errors import CatalogError
+from repro.core.surface import oid_of, type_name_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
@@ -92,26 +92,16 @@ class RetentionPolicy:
 def scope_key(scope: Any) -> str:
     """Normalize a retention scope to its catalog key.
 
-    Accepts a ``@persistent`` class, a registered type name, an
-    :class:`Oid`, or a bound ``Ref`` (anything with an ``oid``).
+    Accepts a ``@persistent`` class, a registered type name, or any
+    reference or id of the object (see :func:`repro.core.surface.oid_of`).
     Type scopes key as ``"type:<name>"``, object overrides as
     ``"oid:<value>"`` -- an override beats the type policy.
     """
-    from repro.storage import serialization
-
     if isinstance(scope, str):
         return scope if scope.startswith(("type:", "oid:")) else f"type:{scope}"
     if isinstance(scope, type):
-        name = serialization.registered_name(scope)
-        if name is None:
-            raise CatalogError(f"{scope!r} is not a registered persistent type")
-        return f"type:{name}"
-    if isinstance(scope, Oid):
-        return f"oid:{scope.value}"
-    oid = getattr(scope, "oid", None)
-    if isinstance(oid, Oid):
-        return f"oid:{oid.value}"
-    raise TypeError(f"cannot derive a retention scope from {scope!r}")
+        return f"type:{type_name_of(scope)}"
+    return f"oid:{oid_of(scope).value}"
 
 
 def load_retention(catalog: Any) -> dict[str, RetentionPolicy]:

@@ -24,6 +24,7 @@ from typing import Any, Hashable, Iterable
 
 from repro.errors import OdeError
 from repro.core.identity import Oid, Vid
+from repro.core.surface import type_name_of
 
 
 class IndexError_(OdeError):
@@ -224,7 +225,7 @@ class IndexManager:
 
     def ensure(self, type_or_name: type | str, attr: str) -> HashIndex:
         """Create (or return) the index on ``(cluster, attr)`` and build it."""
-        type_name = self._type_name(type_or_name)
+        type_name = type_name_of(type_or_name)
         key = (type_name, attr)
         index = self._indexes.get(key)
         if index is not None:
@@ -237,7 +238,7 @@ class IndexManager:
 
     def ensure_ordered(self, type_or_name: type | str, attr: str) -> OrderedIndex:
         """Create (or return) the ORDERED index on ``(cluster, attr)``."""
-        type_name = self._type_name(type_or_name)
+        type_name = type_name_of(type_or_name)
         key = (type_name, attr)
         index = self._ordered.get(key)
         if index is not None:
@@ -250,27 +251,17 @@ class IndexManager:
 
     def drop(self, type_or_name: type | str, attr: str) -> None:
         """Remove the hash and/or ordered index on ``(cluster, attr)``."""
-        key = (self._type_name(type_or_name), attr)
+        key = (type_name_of(type_or_name), attr)
         self._indexes.pop(key, None)
         self._ordered.pop(key, None)
 
     def get(self, type_or_name: type | str, attr: str) -> HashIndex | None:
         """The index on ``(cluster, attr)``, if registered."""
-        return self._indexes.get((self._type_name(type_or_name), attr))
+        return self._indexes.get((type_name_of(type_or_name), attr))
 
     def indexes(self) -> list[HashIndex]:
         """All registered indexes."""
         return list(self._indexes.values())
-
-    def _type_name(self, type_or_name: type | str) -> str:
-        if isinstance(type_or_name, str):
-            return type_or_name
-        from repro.storage.serialization import registered_name
-
-        name = registered_name(type_or_name)
-        return name if name is not None else (
-            f"{type_or_name.__module__}.{type_or_name.__qualname__}"
-        )
 
     # -- lookup (used by the query layer) ----------------------------------------
 

@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterator
 
 from repro.core.indexes import AttrEquals, AttrRange
 from repro.core.pointers import Ref, VersionRef
+from repro.core.surface import type_name_of
 
 Predicate = Callable[[Any], bool]
 
@@ -28,7 +29,52 @@ Predicate = Callable[[Any], bool]
 _UNRESOLVED = object()
 
 
-class Query:
+class QueryTerminals:
+    """The result terminals, each defined from ``__iter__`` alone.
+
+    Shared by :class:`Query` and the router's fan-out query, so every
+    query surface ends the same way.
+    """
+
+    def all(self) -> list[Ref | VersionRef]:
+        """Materialize the result list."""
+        return list(self)
+
+    def first(self) -> Ref | VersionRef | None:
+        """The first match, or None."""
+        for ref in self:
+            return ref
+        return None
+
+    def count(self) -> int:
+        """Number of matches."""
+        return sum(1 for _ in self)
+
+    def exists(self) -> bool:
+        """True if any object matches."""
+        return self.first() is not None
+
+    def select(self, projector: Callable[[Any], Any]) -> list[Any]:
+        """Apply ``projector`` to each match and collect the results."""
+        return [projector(ref) for ref in self]
+
+    def order_by(self, key: Callable[[Any], Any], reverse: bool = False) -> list[Ref | VersionRef]:
+        """Materialize the matches sorted by ``key(ref)``."""
+        return sorted(self, key=key, reverse=reverse)
+
+    def limit(self, n: int) -> list[Ref | VersionRef]:
+        """At most the first ``n`` matches, in iteration order."""
+        if n < 0:
+            raise ValueError("limit must be non-negative")
+        out: list[Ref | VersionRef] = []
+        for ref in self:
+            if len(out) == n:
+                break
+            out.append(ref)
+        return out
+
+
+class Query(QueryTerminals):
     """A lazily evaluated filtered iteration over one cluster."""
 
     def __init__(self, store: Any, type_or_name: type | str) -> None:
@@ -94,14 +140,7 @@ class Query:
         lookup = getattr(self._store, "index_lookup", None)
         if lookup is None:
             return None
-        type_name = self._type
-        if not isinstance(type_name, str):
-            from repro.storage.serialization import registered_name
-
-            resolved = registered_name(type_name)
-            type_name = resolved if resolved is not None else (
-                f"{type_name.__module__}.{type_name.__qualname__}"
-            )
+        type_name = type_name_of(self._type)
         for predicate in self._predicates:
             if isinstance(predicate, AttrEquals):
                 oids = lookup(type_name, predicate.attr, predicate.value)
@@ -122,42 +161,3 @@ class Query:
         for ref in self._domain():
             if all(pred(ref) for pred in self._predicates):
                 yield ref
-
-    # -- terminals ----------------------------------------------------------
-
-    def all(self) -> list[Ref | VersionRef]:
-        """Materialize the result list."""
-        return list(self)
-
-    def first(self) -> Ref | VersionRef | None:
-        """The first match, or None."""
-        for ref in self:
-            return ref
-        return None
-
-    def count(self) -> int:
-        """Number of matches."""
-        return sum(1 for _ in self)
-
-    def exists(self) -> bool:
-        """True if any object matches."""
-        return self.first() is not None
-
-    def select(self, projector: Callable[[Any], Any]) -> list[Any]:
-        """Apply ``projector`` to each match and collect the results."""
-        return [projector(ref) for ref in self]
-
-    def order_by(self, key: Callable[[Any], Any], reverse: bool = False) -> list[Ref | VersionRef]:
-        """Materialize the matches sorted by ``key(ref)``."""
-        return sorted(self, key=key, reverse=reverse)
-
-    def limit(self, n: int) -> list[Ref | VersionRef]:
-        """At most the first ``n`` matches, in iteration order."""
-        if n < 0:
-            raise ValueError("limit must be non-negative")
-        out: list[Ref | VersionRef] = []
-        for ref in self:
-            if len(out) == n:
-                break
-            out.append(ref)
-        return out

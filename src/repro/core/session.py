@@ -27,77 +27,120 @@ session, never activated elsewhere".  Explicit sessions come from
 :meth:`Session.activate`, which temporarily binds the session to the
 calling thread (and refuses to be active on two threads at once -- a
 session is one client, and one client's requests are serialized).
+
+Both engines host sessions the same way, so that part is written once
+here too: :class:`ClientSession` is what a session *is* on either engine
+(identity, context, one-thread-at-a-time activation), and
+:class:`SessionHost` is what an engine does for its clients (create and
+track sessions, find the calling thread's one, merge attached stats
+sources, and retry a transaction body on transient conflicts).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import threading
+import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.errors import SessionStateError
+from repro.errors import (
+    DeadlockError,
+    LockTimeoutError,
+    SessionStateError,
+    TransactionAborted,
+)
 
 if TYPE_CHECKING:
     from repro.core.database import Database
     from repro.core.snapshot import Snapshot
-    from repro.core.transactions import Transaction
 
 _session_ids = itertools.count(1)
 
 
-class Session:
-    """One client's state against a database: txn, snapshot pin, context."""
+#: Errors ``run_transaction`` retries by default: transient concurrency
+#: conflicts that a fresh attempt can win.  Everything else (invariant
+#: violations, user exceptions, degraded mode) propagates immediately.
+RETRYABLE_ERRORS: tuple[type[BaseException], ...] = (
+    DeadlockError,
+    LockTimeoutError,
+    TransactionAborted,
+)
 
-    def __init__(self, db: "Database", name: str | None = None) -> None:
+
+class ClientSession:
+    """One client against one engine: identity, context, activation.
+
+    ``host`` is the engine (a :class:`SessionHost`) the session binds to
+    the calling thread while activated.
+    """
+
+    def __init__(self, host: "SessionHost", name: str | None, kind: str) -> None:
         self.id = next(_session_ids)
-        self.name = name or f"session-{self.id}"
-        self._db = db
-        #: The session's open transaction, or None.  Set by
-        #: ``Database.begin`` while this session is active; cleared when
-        #: the transaction finishes (on whatever thread that happens).
-        self.txn: "Transaction | None" = None
+        self.name = name or f"{kind}-{self.id}"
+        self._host = host
+        #: The session's open transaction, or None.  Set by the engine's
+        #: ``begin`` while this session is active; cleared when the
+        #: transaction finishes (on whatever thread that happens).
+        self.txn: Any = None
         #: Client-scoped defaults (the network layer keeps per-connection
         #: settings -- peer address, default-version context -- here).
         self.context: dict[str, Any] = {}
         self.closed = False
-        #: Pinned snapshot serving as the default read context, or None.
-        self._snapshot: "Snapshot | None" = None
-        # Guards pin/unpin/refresh against concurrent readers.
-        self._pin_mutex = threading.Lock()
+        # Guards activation (and the subclass's pin state).
+        self._mutex = threading.Lock()
         # The thread the session is currently activated on, or None.
         self._active_thread: int | None = None
 
-    # -- activation ---------------------------------------------------------
-
     @contextmanager
-    def activate(self) -> Iterator["Session"]:
+    def activate(self) -> Iterator[Any]:
         """Bind the session to the calling thread for one request.
 
-        While active, ``db.begin()`` / ``db.current_transaction()`` and
-        every read resolve against *this* session instead of the thread's
-        implicit one.  Activation nests on the same thread (re-entrant)
-        but refuses to span two threads at once: a session is a single
-        client, and its requests must be serialized by the caller.
+        While active, the engine's ``begin()`` / ``current_transaction()``
+        and every read resolve against *this* session instead of the
+        thread's implicit one.  Activation nests on the same thread
+        (re-entrant) but refuses to span two threads at once: a session
+        is a single client, and its requests must be serialized by the
+        caller.
         """
         if self.closed:
             raise SessionStateError(f"{self.name} is closed")
         me = threading.get_ident()
-        with self._pin_mutex:
+        with self._mutex:
             if self._active_thread is not None and self._active_thread != me:
                 raise SessionStateError(
                     f"{self.name} is already active on another thread"
                 )
             nested = self._active_thread == me
             self._active_thread = me
-        prev = self._db._swap_active_session(self)
+        prev = self._host._swap_active_session(self)
         try:
             yield self
         finally:
-            self._db._swap_active_session(prev)
+            self._host._swap_active_session(prev)
             if not nested:
-                with self._pin_mutex:
+                with self._mutex:
                     self._active_thread = None
+
+    def __enter__(self) -> Any:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        state = "closed" if self.closed else ("txn" if self.txn else "idle")
+        return f"{type(self).__name__}({self.name!r}, {state})"
+
+
+class Session(ClientSession):
+    """One client's state against a database: txn, snapshot pin, context."""
+
+    def __init__(self, db: "Database", name: str | None = None) -> None:
+        super().__init__(db, name, "session")
+        #: Pinned snapshot serving as the default read context, or None.
+        self._snapshot: "Snapshot | None" = None
 
     # -- the snapshot read context -----------------------------------------
 
@@ -114,8 +157,8 @@ class Session:
         """
         if self.closed:
             raise SessionStateError(f"{self.name} is closed")
-        snap = self._db.snapshot()
-        with self._pin_mutex:
+        snap = self._host.snapshot()
+        with self._mutex:
             old, self._snapshot = self._snapshot, snap
         if old is not None:
             old.close()
@@ -134,7 +177,7 @@ class Session:
         """
         if self.closed:
             raise SessionStateError(f"{self.name} is closed")
-        with self._pin_mutex:
+        with self._mutex:
             old, self._snapshot = self._snapshot, snap
         if old is not None and old is not snap:
             old.close()
@@ -142,7 +185,7 @@ class Session:
 
     def unpin(self) -> None:
         """Drop the snapshot read context; reads see live state again."""
-        with self._pin_mutex:
+        with self._mutex:
             old, self._snapshot = self._snapshot, None
         if old is not None:
             old.close()
@@ -155,7 +198,7 @@ class Session:
         takes no locks.  Pins the session if it was not pinned yet.
         """
         snap = self._snapshot
-        if snap is None or snap.epoch < self._db.store.snapshots.epoch:
+        if snap is None or snap.epoch < self._host.store.snapshots.epoch:
             return self.pin()
         return snap
 
@@ -181,7 +224,7 @@ class Session:
                     txn.abort()
         self.txn = None
         self.unpin()
-        self._db._forget_session(self)
+        self._host._forget_session(self)
 
     @contextmanager
     def activate_for_teardown(self) -> Iterator[None]:
@@ -190,18 +233,187 @@ class Session:
         ``close()`` must be able to abort the open transaction even when
         the session's last request died mid-flight on another thread.
         """
-        prev = self._db._swap_active_session(self)
+        prev = self._host._swap_active_session(self)
         try:
             yield
         finally:
-            self._db._swap_active_session(prev)
+            self._host._swap_active_session(prev)
 
-    def __enter__(self) -> "Session":
-        return self
 
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+class ResilienceCounters:
+    """``run_transaction`` bookkeeping, surfaced under ``txn.*`` in stats."""
 
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else ("txn" if self.txn else "idle")
-        return f"Session({self.name!r}, {state})"
+    __slots__ = ("attempts", "commits", "conflicts", "retries", "giveups",
+                 "backoff_seconds")
+
+    def __init__(self) -> None:
+        self.attempts = 0
+        self.commits = 0
+        self.conflicts = 0
+        self.retries = 0
+        self.giveups = 0
+        self.backoff_seconds = 0.0
+
+    def as_dict(self) -> dict[str, object]:
+        return {
+            "txn.attempts": self.attempts,
+            "txn.commits": self.commits,
+            "txn.conflicts": self.conflicts,
+            "txn.retries": self.retries,
+            "txn.giveups": self.giveups,
+            "txn.backoff_seconds": self.backoff_seconds,
+        }
+
+
+class SessionHost:
+    """What an engine does for its clients, once for both engines.
+
+    The host class supplies ``_new_session(name)`` (its session type) and
+    the transaction surface ``run_transaction`` drives:
+    ``current_transaction()`` and ``transaction(lock_timeout=...)``.
+    """
+
+    def _init_session_host(self) -> None:
+        self._tlocal = threading.local()
+        # Client state lives in sessions.  Embedded callers get an
+        # implicit per-thread session lazily; explicit sessions (the
+        # network layer's) are tracked for teardown/stats.
+        self._sessions: set[Any] = set()
+        self._session_mutex = threading.Lock()
+        #: Extra stats providers (e.g. the network server) merged into
+        #: ``stats()`` -- each is a zero-arg callable returning a dict.
+        self._stats_sources: list[Callable[[], dict[str, Any]]] = []
+        self._resilience = ResilienceCounters()
+
+    # -- sessions -------------------------------------------------------------
+
+    def session(self, name: str | None = None) -> Any:
+        """Create an explicit client session.
+
+        The session owns the client's open transaction and pinned read
+        context; activate it around each request with
+        :meth:`ClientSession.activate` (any thread may do so, one at a
+        time).  The network server creates one per connection.
+        """
+        sess = self._new_session(name)
+        with self._session_mutex:
+            self._sessions.add(sess)
+        return sess
+
+    @property
+    def session_count(self) -> int:
+        """Open explicit sessions (implicit per-thread ones not counted)."""
+        with self._session_mutex:
+            return len(self._sessions)
+
+    def _forget_session(self, sess: Any) -> None:
+        with self._session_mutex:
+            self._sessions.discard(sess)
+
+    def _swap_active_session(self, sess: Any) -> Any:
+        """Bind ``sess`` to the calling thread; return the previous binding."""
+        prev = getattr(self._tlocal, "active_session", None)
+        self._tlocal.active_session = sess
+        return prev
+
+    def _current_session(self, create: bool = True) -> Any:
+        """The calling thread's session: the activated one, else implicit.
+
+        The implicit session reproduces the pre-session thread-local
+        behaviour for embedded callers; it is created lazily (``create``)
+        and never registered -- it lives and dies with its thread.
+        """
+        sess = getattr(self._tlocal, "active_session", None)
+        if sess is not None:
+            return sess
+        sess = getattr(self._tlocal, "implicit_session", None)
+        if sess is None and create:
+            sess = self._new_session(f"thread-{threading.get_ident()}")
+            self._tlocal.implicit_session = sess
+        return sess
+
+    # -- attached stats ---------------------------------------------------------
+
+    def add_stats_source(self, source: Callable[[], dict[str, Any]]) -> None:
+        """Merge ``source()`` into every ``stats()`` call (e.g. ``net.*``)."""
+        self._stats_sources.append(source)
+
+    def remove_stats_source(self, source: Callable[[], dict[str, Any]]) -> None:
+        """Detach a stats source added by :meth:`add_stats_source`."""
+        try:
+            self._stats_sources.remove(source)
+        except ValueError:
+            pass
+
+    # -- retrying transactions ----------------------------------------------------
+
+    def run_transaction(
+        self,
+        fn: Callable[[], Any],
+        *,
+        max_attempts: int = 5,
+        backoff: float = 0.01,
+        max_backoff: float = 0.5,
+        deadline: float | None = None,
+        lock_timeout: float | None = None,
+        retry_on: tuple[type[BaseException], ...] = RETRYABLE_ERRORS,
+    ) -> Any:
+        """Run ``fn`` inside a transaction, retrying transient conflicts.
+
+        ``fn`` takes no arguments, performs its reads and writes through
+        this engine, and returns the call's result.  On a retryable
+        conflict (:data:`RETRYABLE_ERRORS` by default -- deadlock victim,
+        lock deadline, aborted transaction; on the router a cross-shard
+        deadlock surfaces as a per-shard lock timeout) the attempt's
+        transaction is rolled back and ``fn`` re-executes **from
+        scratch**, so it must not carry reads across attempts (re-read
+        everything it needs).
+
+        Backoff between attempts is exponential with full jitter
+        (``uniform(0, min(max_backoff, backoff * 2**(attempt-1)))``),
+        which decorrelates retrying transactions so they stop re-colliding.
+        ``deadline`` bounds the whole call in seconds; ``max_attempts``
+        bounds the number of executions.  Non-retryable errors -- invariant
+        violations, user exceptions, degraded mode -- propagate from the
+        first attempt.
+
+        Called with a transaction already active on this session, ``fn``
+        joins it and runs exactly once with no retry: the ambient
+        transaction owns commit/abort, and re-running ``fn`` alone could
+        not undo the enclosing transaction's earlier work.
+        """
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.current_transaction() is not None:
+            return fn()
+        counters = self._resilience
+        start = time.monotonic()
+        attempt = 0
+        while True:
+            attempt += 1
+            counters.attempts += 1
+            try:
+                with self.transaction(lock_timeout=lock_timeout):
+                    result = fn()
+            except retry_on:
+                counters.conflicts += 1
+                out_of_attempts = attempt >= max_attempts
+                out_of_time = (
+                    deadline is not None
+                    and time.monotonic() - start >= deadline
+                )
+                if out_of_attempts or out_of_time:
+                    counters.giveups += 1
+                    raise
+                pause = random.uniform(
+                    0.0, min(max_backoff, backoff * (2 ** (attempt - 1)))
+                )
+                if deadline is not None:
+                    pause = min(pause, max(0.0, deadline - (time.monotonic() - start)))
+                counters.retries += 1
+                counters.backoff_seconds += pause
+                if pause > 0:
+                    time.sleep(pause)
+                continue
+            counters.commits += 1
+            return result

@@ -69,12 +69,12 @@ from repro.errors import (
     ReadOnlySnapshotError,
     StorageError,
     UnknownObjectError,
-    UnknownVersionError,
     VersionError,
 )
 from repro.core.cache import READ_MISS, BudgetedLRU
 from repro.core.identity import Oid, Vid, oid_value
 from repro.core.pointers import Ref, VersionRef, unwrap_ids
+from repro.core.surface import Target, VersionReads, oid_of, type_name_of
 from repro.storage import serialization
 from repro.storage.delta import apply_delta
 from repro.verify import hooks
@@ -367,7 +367,7 @@ class SnapshotRegistry:
                 self.reclaimed += 1
 
 
-class Snapshot:
+class Snapshot(VersionReads):
     """A pinned, immutable point-in-time view of the committed database.
 
     Implements the store protocol consumed by :class:`Ref` /
@@ -656,9 +656,9 @@ class Snapshot:
         """Stable type name of the object's class."""
         return self._entry(oid).type_name
 
-    def graph(self, oid: Oid) -> "VersionGraph":
+    def graph(self, target: Target) -> "VersionGraph":
         """The frozen version graph published into this snapshot."""
-        return self._entry(oid).graph
+        return self._entry(oid_of(target)).graph
 
     # -- store protocol: writes (refused) --------------------------------------
 
@@ -693,112 +693,7 @@ class Snapshot:
                 return False
         raise self._read_only("write_version")
 
-    # -- traversal (paper §4) ---------------------------------------------------
-
-    def _resolve(self, target: Ref | VersionRef | Oid | Vid) -> Vid:
-        if isinstance(target, Ref):
-            return self.latest_vid(target.oid)
-        if isinstance(target, Oid):
-            return self.latest_vid(target)
-        if isinstance(target, VersionRef):
-            return target.vid
-        if isinstance(target, Vid):
-            return target
-        raise TypeError(f"expected a reference or id, got {type(target).__qualname__}")
-
-    @staticmethod
-    def _oid_of(target: Ref | VersionRef | Oid | Vid) -> Oid:
-        if isinstance(target, (Ref, VersionRef)):
-            return target.oid
-        if isinstance(target, Vid):
-            return target.oid
-        return target
-
-    def _graph_of(self, vid: Vid) -> "VersionGraph":
-        graph = self._entry(vid.oid).graph
-        if vid.serial not in graph:
-            raise UnknownVersionError(f"no live version with serial {vid.serial}")
-        return graph
-
-    def dprevious(self, vref: VersionRef | Vid) -> VersionRef | None:
-        """The version ``vref`` was derived from, in this snapshot."""
-        vid = self._resolve(vref)
-        serial = self._graph_of(vid).dprevious(vid.serial)
-        return None if serial is None else VersionRef(self, Vid(vid.oid, serial))
-
-    def dnext(self, vref: VersionRef | Vid) -> list[VersionRef]:
-        """Versions derived from ``vref`` (revisions and variants)."""
-        vid = self._resolve(vref)
-        return [
-            VersionRef(self, Vid(vid.oid, s))
-            for s in self._graph_of(vid).dnext(vid.serial)
-        ]
-
-    def tprevious(self, vref: VersionRef | Vid) -> VersionRef | None:
-        """The temporally preceding version."""
-        vid = self._resolve(vref)
-        serial = self._graph_of(vid).tprevious(vid.serial)
-        return None if serial is None else VersionRef(self, Vid(vid.oid, serial))
-
-    def tnext(self, vref: VersionRef | Vid) -> VersionRef | None:
-        """The temporally following version."""
-        vid = self._resolve(vref)
-        serial = self._graph_of(vid).tnext(vid.serial)
-        return None if serial is None else VersionRef(self, Vid(vid.oid, serial))
-
-    def history(self, vref: VersionRef | Vid) -> list[VersionRef]:
-        """Derivation path of ``vref``, newest first."""
-        vid = self._resolve(vref)
-        return [
-            VersionRef(self, Vid(vid.oid, s))
-            for s in self._graph_of(vid).history(vid.serial)
-        ]
-
-    def version_as_of(self, target: Ref | Oid, timestamp: float) -> VersionRef | None:
-        """The version that was latest at ``timestamp``, per this snapshot."""
-        oid = self._oid_of(target)
-        serial = self._entry(oid).graph.latest_at(timestamp)
-        return None if serial is None else VersionRef(self, Vid(oid, serial))
-
-    def versions(self, target: Ref | Oid) -> list[VersionRef]:
-        """All versions of the object in this snapshot, oldest first."""
-        oid = self._oid_of(target)
-        return [VersionRef(self, Vid(oid, s)) for s in self._entry(oid).graph.serials()]
-
-    def leaves(self, target: Ref | Oid) -> list[VersionRef]:
-        """Up-to-date version of every alternative (derivation leaves)."""
-        oid = self._oid_of(target)
-        return [VersionRef(self, Vid(oid, s)) for s in self._entry(oid).graph.leaves()]
-
-    def alternatives(self, target: Ref | Oid) -> list[list[VersionRef]]:
-        """Every root-to-leaf derivation path."""
-        oid = self._oid_of(target)
-        return [
-            [VersionRef(self, Vid(oid, s)) for s in path]
-            for path in self._entry(oid).graph.alternatives()
-        ]
-
-    def version_count(self, target: Ref | Oid) -> int:
-        """Number of versions of the object in this snapshot."""
-        return len(self._entry(self._oid_of(target)).graph)
-
-    def deref(self, ident: Oid | Vid) -> Ref | VersionRef:
-        """Bind an id into a snapshot-bound reference."""
-        if isinstance(ident, Oid):
-            return Ref(self, ident)
-        if isinstance(ident, Vid):
-            return VersionRef(self, ident)
-        raise TypeError(f"expected Oid or Vid, got {type(ident).__qualname__}")
-
     # -- clusters & queries ------------------------------------------------------
-
-    def _type_key(self, type_or_name: type | str) -> str:
-        if isinstance(type_or_name, str):
-            return type_or_name
-        resolved = serialization.registered_name(type_or_name)
-        if resolved is not None:
-            return resolved
-        return f"{type_or_name.__module__}.{type_or_name.__qualname__}"
 
     def _cluster_members(self, name: str) -> tuple[Oid, ...]:
         overlay = self._type_overlay
@@ -812,7 +707,7 @@ class Snapshot:
 
     def cluster(self, type_or_name: type | str) -> list[Ref]:
         """Snapshot-bound generic references to every object of the type."""
-        name = self._type_key(type_or_name)
+        name = type_name_of(type_or_name)
         out = []
         for oid in self._cluster_members(name):
             entry = self._lookup(oid)

@@ -53,6 +53,7 @@ from repro.core.cache import (
 from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref, VersionRef, unwrap_ids
 from repro.core.snapshot import Snapshot, SnapshotEntry, SnapshotRegistry
+from repro.core.surface import Target, VersionReads, oid_of, plain_id, type_name_of
 from repro.core.vgraph import VersionGraph
 from repro.storage import blobs as blobstore
 from repro.storage import serialization
@@ -184,7 +185,7 @@ class _BlobRef:
         self.rid = rid
 
 
-class VersionStore:
+class VersionStore(VersionReads):
     """Versioned persistent objects over the heap layer.
 
     One store per database.  The object table (oid -> entry) is cached in
@@ -862,7 +863,7 @@ class VersionStore:
         contents and becomes the object's latest.
         """
         hooks.sched_point("store.newversion")
-        base_vid = self._resolve(target)
+        base_vid = self._vid_of(target)
         entry = self._entry(base_vid.oid)
         graph = self._mutable_graph(entry)
         base_serial = base_vid.serial
@@ -881,12 +882,11 @@ class VersionStore:
     def pdelete(self, target: Ref | VersionRef | Oid | Vid, log_op: LogOp | None = None) -> None:
         """Delete an object (all versions) or one version (paper §4.4)."""
         hooks.sched_point("store.pdelete")
-        if isinstance(target, (Ref, Oid)):
-            oid = target.oid if isinstance(target, Ref) else target
-            self._delete_object(oid, log_op)
+        ident = plain_id(target)
+        if isinstance(ident, Oid):
+            self._delete_object(ident, log_op)
         else:
-            vid = target.vid if isinstance(target, VersionRef) else target
-            self._delete_version(vid, log_op)
+            self._delete_version(ident, log_op)
 
     def _delete_object(self, oid: Oid, log_op: LogOp | None) -> None:
         entry = self._entry(oid)
@@ -957,17 +957,6 @@ class VersionStore:
         self._notify(EV_DELETE_VERSION, vid.oid, vid)
 
     # -- dereferencing (used by Ref / VersionRef) --------------------------------
-
-    def _resolve(self, target: Ref | VersionRef | Oid | Vid) -> Vid:
-        if isinstance(target, Ref):
-            return self.latest_vid(target.oid)
-        if isinstance(target, Oid):
-            return self.latest_vid(target)
-        if isinstance(target, VersionRef):
-            return target.vid
-        if isinstance(target, Vid):
-            return target
-        raise TypeError(f"expected a reference or id, got {type(target).__qualname__}")
 
     def latest_vid(self, oid: Oid) -> Vid:
         """The version id an object id currently denotes (paper §4.3).
@@ -1097,85 +1086,9 @@ class VersionStore:
         """Stable type name of the object's class."""
         return self._entry(oid).type_name
 
-    def graph(self, oid: Oid) -> VersionGraph:
+    def graph(self, target: Target) -> VersionGraph:
         """The object's version graph (live view -- do not mutate)."""
-        return self._entry(oid).graph
-
-    # -- traversal surface (paper §4: Dprevious/Tprevious and duals) --------------
-
-    def dprevious(self, vref: VersionRef | Vid) -> VersionRef | None:
-        """The version ``vref`` was derived from, or None for an initial version."""
-        vid = self._resolve(vref)
-        serial = self._entry(vid.oid).graph.dprevious(vid.serial)
-        return None if serial is None else VersionRef(self, Vid(vid.oid, serial))
-
-    def dnext(self, vref: VersionRef | Vid) -> list[VersionRef]:
-        """Versions derived from ``vref`` (its revisions and variants)."""
-        vid = self._resolve(vref)
-        return [
-            VersionRef(self, Vid(vid.oid, s))
-            for s in self._entry(vid.oid).graph.dnext(vid.serial)
-        ]
-
-    def tprevious(self, vref: VersionRef | Vid) -> VersionRef | None:
-        """The temporally preceding version, or None for the oldest."""
-        vid = self._resolve(vref)
-        serial = self._entry(vid.oid).graph.tprevious(vid.serial)
-        return None if serial is None else VersionRef(self, Vid(vid.oid, serial))
-
-    def tnext(self, vref: VersionRef | Vid) -> VersionRef | None:
-        """The temporally following version, or None for the latest."""
-        vid = self._resolve(vref)
-        serial = self._entry(vid.oid).graph.tnext(vid.serial)
-        return None if serial is None else VersionRef(self, Vid(vid.oid, serial))
-
-    def history(self, vref: VersionRef | Vid) -> list[VersionRef]:
-        """The derivation path of ``vref``, newest first (paper §4.3)."""
-        vid = self._resolve(vref)
-        return [
-            VersionRef(self, Vid(vid.oid, s))
-            for s in self._entry(vid.oid).graph.history(vid.serial)
-        ]
-
-    def version_as_of(self, target: Ref | Oid, timestamp: float) -> VersionRef | None:
-        """The version that was latest at wall-clock ``timestamp``.
-
-        Paper §3 motivates temporal order with historical databases "that
-        must access the past states of the database" and "supporting time
-        in databases" [30]: every version records its creation time, so
-        the state as of any instant is the newest version created at or
-        before it.  Returns None when the object did not exist yet.
-        (Versions deleted since then are gone -- pdelete is a real delete,
-        not a logical one.)
-        """
-        oid = target.oid if isinstance(target, Ref) else target
-        serial = self._entry(oid).graph.latest_at(timestamp)
-        return None if serial is None else VersionRef(self, Vid(oid, serial))
-
-    def versions(self, target: Ref | Oid) -> list[VersionRef]:
-        """All live versions of an object, temporal order (oldest first)."""
-        oid = target.oid if isinstance(target, Ref) else target
-        return [
-            VersionRef(self, Vid(oid, s)) for s in self._entry(oid).graph.serials()
-        ]
-
-    def leaves(self, target: Ref | Oid) -> list[VersionRef]:
-        """The up-to-date version of every alternative (derivation leaves)."""
-        oid = target.oid if isinstance(target, Ref) else target
-        return [VersionRef(self, Vid(oid, s)) for s in self._entry(oid).graph.leaves()]
-
-    def alternatives(self, target: Ref | Oid) -> list[list[VersionRef]]:
-        """Every root-to-leaf derivation path (paper §4: alternative designs)."""
-        oid = target.oid if isinstance(target, Ref) else target
-        return [
-            [VersionRef(self, Vid(oid, s)) for s in path]
-            for path in self._entry(oid).graph.alternatives()
-        ]
-
-    def version_count(self, target: Ref | Oid) -> int:
-        """Number of live versions of the object."""
-        oid = target.oid if isinstance(target, Ref) else target
-        return len(self._entry(oid).graph)
+        return self._entry(oid_of(target)).graph
 
     # -- clusters (per-type extents, used by the query layer) ----------------------
 
@@ -1184,14 +1097,7 @@ class VersionStore:
 
         Ode clusters objects by type; the query layer iterates these.
         """
-        if isinstance(type_or_name, str):
-            name = type_or_name
-        else:
-            resolved = serialization.registered_name(type_or_name)
-            name = resolved if resolved is not None else (
-                f"{type_or_name.__module__}.{type_or_name.__qualname__}"
-            )
-        oids = sorted(self._by_type.get(name, set()))
+        oids = sorted(self._by_type.get(type_name_of(type_or_name), set()))
         return [Ref(self, oid) for oid in oids]
 
     def cluster_names(self) -> list[str]:

@@ -40,16 +40,15 @@ import itertools
 import json
 import os
 import random
-import threading
-import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-from repro.core.database import RETRYABLE_ERRORS, Database
+from repro.core.database import Database
 from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref, VersionRef
-from repro.core.query import Query
-from repro.core.session import Session
+from repro.core.query import Query, QueryTerminals
+from repro.core.session import ClientSession, Session, SessionHost
+from repro.core.surface import Target, VersionReads, oid_of, plain_id
 from repro.core.vgraph import VersionGraph
 from repro.errors import (
     SessionStateError,
@@ -71,27 +70,7 @@ SHARD_UP = "up"
 SHARD_DEGRADED = "degraded"  # read-only after persistent I/O failure
 SHARD_DOWN = "down"          # detached: every touch fails fast
 
-_session_ids = itertools.count(1)
-
-
-def _oid_of(target: Ref | VersionRef | Oid | Vid) -> Oid:
-    if isinstance(target, (Ref, VersionRef)):
-        return target.oid
-    if isinstance(target, Vid):
-        return target.oid
-    return target
-
-
-def _unbind(target: Ref | VersionRef | Oid | Vid) -> Oid | Vid:
-    """Strip any binding so shard facades see plain ids."""
-    if isinstance(target, Ref):
-        return target.oid
-    if isinstance(target, VersionRef):
-        return target.vid
-    return target
-
-
-class ShardedDatabase:
+class ShardedDatabase(VersionReads, SessionHost):
     """N shard databases behind the single-database facade.
 
     Parameters
@@ -201,10 +180,7 @@ class ShardedDatabase:
         self._cut_latch = _CutLatch()
         self._cut_seq = itertools.count(1)
         self._snap_counters: dict[str, int] = {"cuts": 0, "degraded_cuts": 0}
-        self._tlocal = threading.local()
-        self._sessions: set["RouterSession"] = set()
-        self._session_mutex = threading.Lock()
-        self._stats_sources: list[Callable[[], dict[str, Any]]] = []
+        self._init_session_host()
         self._closed = False
         #: What restart resolution found and did at this open.
         self.last_resolution: ResolutionReport = resolve_in_doubt(self)
@@ -347,50 +323,8 @@ class ShardedDatabase:
 
     # -- sessions ------------------------------------------------------------
 
-    def session(self, name: str | None = None) -> "RouterSession":
-        """Create an explicit client session (the wire server's per-connection
-        state).  Mirrors :meth:`Database.session`."""
-        sess = RouterSession(self, name)
-        with self._session_mutex:
-            self._sessions.add(sess)
-        return sess
-
-    @property
-    def session_count(self) -> int:
-        with self._session_mutex:
-            return len(self._sessions)
-
-    def _forget_session(self, sess: "RouterSession") -> None:
-        with self._session_mutex:
-            self._sessions.discard(sess)
-
-    def _swap_active_session(
-        self, sess: "RouterSession | None"
-    ) -> "RouterSession | None":
-        prev = getattr(self._tlocal, "active_session", None)
-        self._tlocal.active_session = sess
-        return prev
-
-    def _current_session(self, create: bool = True) -> "RouterSession | None":
-        """The calling thread's router session: activated, else implicit."""
-        sess = getattr(self._tlocal, "active_session", None)
-        if sess is not None:
-            return sess
-        sess = getattr(self._tlocal, "implicit_session", None)
-        if sess is None and create:
-            sess = RouterSession(self, name=f"thread-{threading.get_ident()}")
-            self._tlocal.implicit_session = sess
-        return sess
-
-    def add_stats_source(self, source: Callable[[], dict[str, Any]]) -> None:
-        """Merge ``source()`` into :meth:`stats` (the wire server's ``net.*``)."""
-        self._stats_sources.append(source)
-
-    def remove_stats_source(self, source: Callable[[], dict[str, Any]]) -> None:
-        try:
-            self._stats_sources.remove(source)
-        except ValueError:
-            pass
+    def _new_session(self, name: str | None) -> "RouterSession":
+        return RouterSession(self, name)
 
     # -- routing -------------------------------------------------------------
 
@@ -516,6 +450,14 @@ class ShardedDatabase:
                 shard=idx,
             ) from exc
 
+    def _route(self, oid: Oid, fn: Callable[[Database], Any]) -> Any:
+        """Run ``fn(shard)`` on the shard that owns ``oid``.
+
+        The single-object combinator: locate the owner, join the
+        caller's global transaction there (:meth:`_on_shard`), run.
+        """
+        return self._on_shard(self._locate(oid), fn)
+
     # -- transactions --------------------------------------------------------
 
     def begin(
@@ -602,42 +544,6 @@ class ShardedDatabase:
                             pass  # the commit error is the one to surface
                     raise
 
-    def run_transaction(
-        self,
-        fn: Callable[[], Any],
-        *,
-        max_attempts: int = 5,
-        backoff: float = 0.01,
-        max_backoff: float = 0.5,
-        lock_timeout: float | None = None,
-        retry_on: tuple[type[BaseException], ...] = RETRYABLE_ERRORS,
-    ) -> Any:
-        """Run ``fn`` in a global transaction, retrying transient conflicts.
-
-        Same contract as :meth:`Database.run_transaction` (exponential
-        backoff with full jitter, join an ambient transaction, re-execute
-        from scratch on a retryable conflict).  Cross-shard deadlocks
-        surface as per-shard lock timeouts, which are retryable here.
-        """
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.current_transaction() is not None:
-            return fn()
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                with self.transaction(lock_timeout=lock_timeout):
-                    return fn()
-            except retry_on:
-                if attempt >= max_attempts:
-                    raise
-                pause = random.uniform(
-                    0.0, min(max_backoff, backoff * (2 ** (attempt - 1)))
-                )
-                if pause > 0:
-                    time.sleep(pause)
-
     def _next_gtxid(self) -> tuple:
         return (self._incarnation, next(self._gtxid_seq))
 
@@ -668,28 +574,16 @@ class ShardedDatabase:
         ref = self._on_shard(idx, lambda db: db.pnew(obj))
         return Ref(self, ref.oid)
 
-    def newversion(self, target: Ref | VersionRef | Oid | Vid) -> VersionRef:
+    def newversion(self, target: Target) -> VersionRef:
         """Create a derived version on the shard holding the target."""
-        oid = _oid_of(target)
-        vref = self._on_shard(
-            self._locate(oid), lambda db: db.newversion(_unbind(target))
+        vref = self._route(
+            oid_of(target), lambda db: db.newversion(plain_id(target))
         )
         return VersionRef(self, vref.vid)
 
-    def pdelete(self, target: Ref | VersionRef | Oid | Vid) -> None:
+    def pdelete(self, target: Target) -> None:
         """Delete an object (or one version) on its shard."""
-        oid = _oid_of(target)
-        self._on_shard(
-            self._locate(oid), lambda db: db.pdelete(_unbind(target))
-        )
-
-    def deref(self, ident: Oid | Vid) -> Ref | VersionRef:
-        """Bind an id to a router-bound reference."""
-        if isinstance(ident, Oid):
-            return Ref(self, ident)
-        if isinstance(ident, Vid):
-            return VersionRef(self, ident)
-        raise TypeError(f"expected Oid or Vid, got {type(ident).__qualname__}")
+        self._route(oid_of(target), lambda db: db.pdelete(plain_id(target)))
 
     # -- retention & garbage collection ---------------------------------------
 
@@ -701,68 +595,41 @@ class ShardedDatabase:
         cross-shard coordination); object-scoped policies route to the
         owning shard alone.
         """
-        if isinstance(scope, (Oid, Ref, VersionRef)):
-            oid = _oid_of(scope)
-            self._on_shard(
-                self._locate(oid), lambda db: db.set_retention(oid, policy)
-            )
-            return
-        sess = self._current_session()
-        self._scatter(
-            self._fanout_shards(),
-            lambda idx: self._on_shard(
-                idx, lambda db: db.set_retention(scope, policy), sess=sess
-            ),
-        )
+        if isinstance(scope, (type, str)):
+            self._gather(lambda db: db.set_retention(scope, policy))
+        else:
+            oid = oid_of(scope)
+            self._route(oid, lambda db: db.set_retention(oid, policy))
 
     def retention_policies(self) -> dict[str, Any]:
         """The union of every up shard's retention table."""
-        sess = self._current_session()
-        parts = self._scatter(
-            self._fanout_shards(),
-            lambda idx: self._on_shard(
-                idx, lambda db: db.retention_policies(), sess=sess
-            ),
-        )
         merged: dict[str, Any] = {}
-        for part in parts:
+        for part in self._gather(lambda db: db.retention_policies()):
             merged.update(part)
         return merged
 
     def retention_for(self, target: Ref | Oid | type | str) -> Any | None:
         """The effective policy: routed for objects, any up shard for types."""
-        if isinstance(target, (Oid, Ref, VersionRef)):
-            oid = _oid_of(target)
-            return self._on_shard(
-                self._locate(oid), lambda db: db.retention_for(oid)
-            )
+        if not isinstance(target, (type, str)):
+            oid = oid_of(target)
+            return self._route(oid, lambda db: db.retention_for(oid))
         # Type policies are broadcast identically to every shard.
-        return self._first_up(lambda db: db.retention_for(target))
-
-    def _first_up(self, fn: Callable[[Database], Any]) -> Any:
-        up = self._fanout_shards()
-        if not up:
-            raise ShardUnavailableError("no shard is up", shard=-1)
-        return self._on_shard(up[0], fn)
+        for policy in self._gather(lambda db: db.retention_for(target)):
+            return policy
+        raise ShardUnavailableError("no shard is up", shard=-1)
 
     def tag_version(self, target: VersionRef | Vid, tag: str) -> None:
         """Pin one version with a tag on its owning shard."""
-        vid = target.vid if isinstance(target, VersionRef) else target
-        self._on_shard(
-            self._locate(vid.oid), lambda db: db.tag_version(vid, tag)
-        )
+        vid = plain_id(target)
+        self._route(vid.oid, lambda db: db.tag_version(vid, tag))
 
     def untag_version(self, target: VersionRef | Vid) -> None:
-        vid = target.vid if isinstance(target, VersionRef) else target
-        self._on_shard(
-            self._locate(vid.oid), lambda db: db.untag_version(vid)
-        )
+        vid = plain_id(target)
+        self._route(vid.oid, lambda db: db.untag_version(vid))
 
-    def version_tags(self, target: Ref | VersionRef | Oid | Vid) -> dict[int, str]:
-        oid = _oid_of(target)
-        return self._on_shard(
-            self._locate(oid), lambda db: db.version_tags(oid)
-        )
+    def version_tags(self, target: Target) -> dict[int, str]:
+        oid = oid_of(target)
+        return self._route(oid, lambda db: db.version_tags(oid))
 
     def run_gc(
         self,
@@ -781,17 +648,11 @@ class ShardedDatabase:
         """
         from repro.core.gc import GCReport
 
-        sess = self._current_session()
-        parts = self._scatter(
-            self._fanout_shards(),
-            lambda idx: self._on_shard(
-                idx,
-                lambda db: db.run_gc(
-                    batch_limit=batch_limit, now=now, dry_run=dry_run,
-                    reclaim=reclaim,
-                ),
-                sess=sess,
-            ),
+        parts = self._gather(
+            lambda db: db.run_gc(
+                batch_limit=batch_limit, now=now, dry_run=dry_run,
+                reclaim=reclaim,
+            )
         )
         merged = GCReport(dry_run=dry_run)
         for part in parts:
@@ -808,13 +669,7 @@ class ShardedDatabase:
         self, limit: int | None = None, dry_run: bool = False
     ) -> tuple[int, int, int]:
         """Scatter a blob-reclaim batch; sums the per-shard outcomes."""
-        sess = self._current_session()
-        parts = self._scatter(
-            self._fanout_shards(),
-            lambda idx: self._on_shard(
-                idx, lambda db: db.reclaim_blobs(limit, dry_run), sess=sess
-            ),
-        )
+        parts = self._gather(lambda db: db.reclaim_blobs(limit, dry_run))
         unlinked = sum(p[0] for p in parts)
         freed = sum(p[1] for p in parts)
         remaining = sum(p[2] for p in parts)
@@ -823,12 +678,10 @@ class ShardedDatabase:
     # -- store protocol (Ref/VersionRef bound to the router) -------------------
 
     def materialize(self, vid: Vid) -> Any:
-        return self._on_shard(self._locate(vid.oid), lambda db: db.materialize(vid))
+        return self._route(vid.oid, lambda db: db.materialize(vid))
 
     def read_attr(self, vid: Vid, name: str) -> Any:
-        return self._on_shard(
-            self._locate(vid.oid), lambda db: db.read_attr(vid, name)
-        )
+        return self._route(vid.oid, lambda db: db.read_attr(vid, name))
 
     def latest_vid(self, oid: Oid) -> Vid:
         """The globally latest version of ``oid``.
@@ -867,90 +720,28 @@ class ShardedDatabase:
         return best_vid
 
     def write_version(self, vid: Vid, obj: Any) -> None:
-        self._on_shard(
-            self._locate(vid.oid), lambda db: db.write_version(vid, obj)
-        )
+        self._route(vid.oid, lambda db: db.write_version(vid, obj))
 
     def write_version_if_changed(self, vid: Vid, obj: Any) -> bool:
-        return self._on_shard(
-            self._locate(vid.oid),
-            lambda db: db.write_version_if_changed(vid, obj),
+        return self._route(
+            vid.oid, lambda db: db.write_version_if_changed(vid, obj)
         )
 
     def object_exists(self, oid: Oid) -> bool:
-        return self._on_shard(self._locate(oid), lambda db: db.object_exists(oid))
+        return self._route(oid, lambda db: db.object_exists(oid))
 
     def version_exists(self, vid: Vid) -> bool:
-        return self._on_shard(
-            self._locate(vid.oid), lambda db: db.version_exists(vid)
-        )
+        return self._route(vid.oid, lambda db: db.version_exists(vid))
 
     def type_name(self, oid: Oid) -> str:
-        return self._on_shard(self._locate(oid), lambda db: db.type_name(oid))
+        return self._route(oid, lambda db: db.type_name(oid))
 
-    # -- traversal ------------------------------------------------------------
-
-    def _rebind_vref(self, vref: VersionRef | None) -> VersionRef | None:
-        return None if vref is None else VersionRef(self, vref.vid)
-
-    def dprevious(self, vref: VersionRef | Vid) -> VersionRef | None:
-        vid = _unbind(vref)
-        return self._rebind_vref(
-            self._on_shard(self._locate(vid.oid), lambda db: db.dprevious(vid))
-        )
-
-    def dnext(self, vref: VersionRef | Vid) -> list[VersionRef]:
-        vid = _unbind(vref)
-        out = self._on_shard(self._locate(vid.oid), lambda db: db.dnext(vid))
-        return [VersionRef(self, v.vid) for v in out]
-
-    def tprevious(self, vref: VersionRef | Vid) -> VersionRef | None:
-        vid = _unbind(vref)
-        return self._rebind_vref(
-            self._on_shard(self._locate(vid.oid), lambda db: db.tprevious(vid))
-        )
-
-    def tnext(self, vref: VersionRef | Vid) -> VersionRef | None:
-        vid = _unbind(vref)
-        return self._rebind_vref(
-            self._on_shard(self._locate(vid.oid), lambda db: db.tnext(vid))
-        )
-
-    def history(self, vref: VersionRef | Vid) -> list[VersionRef]:
-        vid = _unbind(vref)
-        out = self._on_shard(self._locate(vid.oid), lambda db: db.history(vid))
-        return [VersionRef(self, v.vid) for v in out]
-
-    def versions(self, target: Ref | Oid) -> list[VersionRef]:
-        oid = _oid_of(target)
-        out = self._on_shard(self._locate(oid), lambda db: db.versions(oid))
-        return [VersionRef(self, v.vid) for v in out]
-
-    def version_as_of(self, target: Ref | Oid, timestamp: float) -> VersionRef | None:
-        oid = _oid_of(target)
-        return self._rebind_vref(
-            self._on_shard(
-                self._locate(oid), lambda db: db.version_as_of(oid, timestamp)
-            )
-        )
-
-    def leaves(self, target: Ref | Oid) -> list[VersionRef]:
-        oid = _oid_of(target)
-        out = self._on_shard(self._locate(oid), lambda db: db.leaves(oid))
-        return [VersionRef(self, v.vid) for v in out]
-
-    def alternatives(self, target: Ref | Oid) -> list[list[VersionRef]]:
-        oid = _oid_of(target)
-        out = self._on_shard(self._locate(oid), lambda db: db.alternatives(oid))
-        return [[VersionRef(self, v.vid) for v in path] for path in out]
-
-    def version_count(self, target: Ref | Oid) -> int:
-        oid = _oid_of(target)
-        return self._on_shard(self._locate(oid), lambda db: db.version_count(oid))
-
-    def graph(self, target: Ref | Oid) -> VersionGraph:
-        oid = _oid_of(target)
-        return self._on_shard(self._locate(oid), lambda db: db.graph(oid))
+    def graph(self, target: Target) -> VersionGraph:
+        """The object's version graph, as its owning shard reads it (the
+        §4 traversals are built on this -- see
+        :class:`~repro.core.surface.VersionReads`)."""
+        oid = oid_of(target)
+        return self._route(oid, lambda db: db.graph(oid))
 
     # -- clusters & queries ----------------------------------------------------
 
@@ -1004,43 +795,35 @@ class ShardedDatabase:
             raise min(errors)[1]
         return [result for result, _ in outcomes]
 
+    def _gather(self, fn: Callable[[Database], Any]) -> list[Any]:
+        """Run ``fn(shard)`` on every up shard; results in shard order.
+
+        The fan-out combinator: scattered across the executor, each
+        call inside :meth:`_on_shard` carrying the *caller's* router
+        session, so every shard joins the caller's transaction and pins.
+        """
+        sess = self._current_session()
+        return self._scatter(
+            self._fanout_shards(),
+            lambda idx: self._on_shard(idx, fn, sess=sess),
+        )
+
     def cluster(self, type_or_name: type | str) -> list[Ref]:
         """The type's cluster, scattered across every up shard."""
-        sess = self._current_session()
-        parts = self._scatter(
-            self._fanout_shards(),
-            lambda idx: self._on_shard(
-                idx, lambda db: db.cluster(type_or_name), sess=sess
-            ),
-        )
-        out: list[Ref] = []
-        for refs in parts:
-            out.extend(Ref(self, ref.oid) for ref in refs)
-        return out
+        return [
+            Ref(self, ref.oid)
+            for refs in self._gather(lambda db: db.cluster(type_or_name))
+            for ref in refs
+        ]
 
     def cluster_names(self) -> list[str]:
-        sess = self._current_session()
-        parts = self._scatter(
-            self._fanout_shards(),
-            lambda idx: self._on_shard(
-                idx, lambda db: db.cluster_names(), sess=sess
-            ),
-        )
         names: set[str] = set()
-        for part in parts:
+        for part in self._gather(lambda db: db.cluster_names()):
             names.update(part)
         return sorted(names)
 
     def object_count(self) -> int:
-        sess = self._current_session()
-        return sum(
-            self._scatter(
-                self._fanout_shards(),
-                lambda idx: self._on_shard(
-                    idx, lambda db: db.object_count(), sess=sess
-                ),
-            )
-        )
+        return sum(self._gather(lambda db: db.object_count()))
 
     def query(self, type_or_name: type | str) -> "_FanoutQuery":
         """A ``suchthat`` query fanned out across every up shard's cluster.
@@ -1155,6 +938,10 @@ class ShardedDatabase:
                     continue
                 agg[key] = agg.get(key, 0) + value
         stats.update(agg)
+        # The router's own run_transaction bookkeeping, on top of the
+        # shards' (a shard counts only retry loops run directly on it).
+        for key, value in self._resilience.as_dict().items():
+            stats[key] = stats.get(key, 0) + value
         stats["degraded"] = any(
             self.shards[idx].degraded for idx in self._up_shards()
         )
@@ -1167,31 +954,25 @@ class ShardedDatabase:
         return f"ShardedDatabase({self._path!r}, nshards={self.nshards})"
 
 
-class RouterSession:
+class RouterSession(ClientSession):
     """One client's state against the router: global txn, pins, context.
 
-    Mirrors :class:`~repro.core.session.Session` (the wire server drives
-    both through the same calls) and owns one shard-local session per
-    shard, created lazily.  The global transaction lives here; its
-    shard-local transactions live in the shard sessions.
+    The router's :class:`~repro.core.session.ClientSession` (the wire
+    server drives it and :class:`~repro.core.session.Session` through the
+    same calls); it owns one shard-local session per shard, created
+    lazily.  The global transaction lives here; its shard-local
+    transactions live in the shard sessions.
     """
 
     def __init__(self, router: ShardedDatabase, name: str | None = None) -> None:
-        self.id = next(_session_ids)
-        self.name = name or f"router-session-{self.id}"
+        super().__init__(router, name, "router-session")
         self.router = router
-        #: The session's open global transaction, or None.
-        self.txn: GlobalTransaction | None = None
-        self.context: dict[str, Any] = {}
-        self.closed = False
         self._shard_sessions: dict[int, Session] = {}
         self._shard_gens: dict[int, int] = {}
         self._reader: "ShardedReader | None" = None
         #: The session's pinned global cut (one consistent point across
         #: shards) -- the read context behind :attr:`snapshot`/:meth:`reader`.
         self._cut: GlobalSnapshot | None = None
-        self._mutex = threading.Lock()
-        self._active_thread: int | None = None
 
     def shard_session(self, idx: int) -> Session:
         """The lazily-created local session on shard ``idx``.
@@ -1218,34 +999,6 @@ class RouterSession:
             self._shard_sessions[idx] = sess
             self._shard_gens[idx] = gen
         return sess
-
-    # -- activation -----------------------------------------------------------
-
-    @contextmanager
-    def activate(self) -> Iterator["RouterSession"]:
-        """Bind the session to the calling thread for one request.
-
-        Same contract as the local session: re-entrant on one thread,
-        refused across two threads at once.
-        """
-        if self.closed:
-            raise SessionStateError(f"{self.name} is closed")
-        me = threading.get_ident()
-        with self._mutex:
-            if self._active_thread is not None and self._active_thread != me:
-                raise SessionStateError(
-                    f"{self.name} is already active on another thread"
-                )
-            nested = self._active_thread == me
-            self._active_thread = me
-        prev = self.router._swap_active_session(self)
-        try:
-            yield self
-        finally:
-            self.router._swap_active_session(prev)
-            if not nested:
-                with self._mutex:
-                    self._active_thread = None
 
     # -- the snapshot read context ---------------------------------------------
 
@@ -1367,18 +1120,8 @@ class RouterSession:
                 pass  # a session on a killed shard tears down best-effort
         self.router._forget_session(self)
 
-    def __enter__(self) -> "RouterSession":
-        return self
 
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else ("txn" if self.txn else "idle")
-        return f"RouterSession({self.name!r}, {state})"
-
-
-class ShardedReader:
+class ShardedReader(VersionReads):
     """The router session's lock-free read surface (the wire inline lane).
 
     Every call delegates to the session's **global cut** (one consistent
@@ -1422,6 +1165,15 @@ class ShardedReader:
     def type_name(self, oid: Oid) -> str:
         return self._cut().type_name(oid)
 
+    def graph(self, target: Target) -> VersionGraph:
+        return self._cut().graph(target)
+
+    def write_version(self, vid: Vid, obj: Any) -> None:
+        self._cut().write_version(vid, obj)  # raises: the cut is read-only
+
+    def write_version_if_changed(self, vid: Vid, obj: Any) -> bool:
+        return self._cut().write_version_if_changed(vid, obj)
+
     def cluster(self, type_or_name: type | str) -> list[Ref]:
         return self._cut().cluster(type_or_name)
 
@@ -1435,15 +1187,16 @@ class ShardedReader:
         return self._cut().query(type_or_name)
 
 
-class _FanoutQuery:
+class _FanoutQuery(QueryTerminals):
     """One query surface over per-shard :class:`~repro.core.query.Query` parts.
 
-    Supports the ``suchthat`` chaining and iteration the query layer and
-    the wire server use; each predicate is pushed down to every part, so
-    filtering runs where the data lives (and, under a pinned snapshot,
-    lock-free).  Given an executor, iteration **materializes the parts
-    in parallel** -- the scatter half of scatter-gather -- then yields
-    in shard order, so result order matches the serial loop exactly.
+    Supports the chaining, iteration and terminals of
+    :class:`~repro.core.query.Query`; ``suchthat`` and ``over_versions``
+    are pushed down to every part, so filtering runs where the data
+    lives (and, under a pinned snapshot, lock-free).  Given an executor,
+    iteration **materializes the parts in parallel** -- the scatter half
+    of scatter-gather -- then yields in shard order, so result order
+    matches the serial loop exactly.
 
     A live router fan-out additionally carries its ``origin`` -- the
     router, the router session the query was issued under, and the shard
@@ -1474,14 +1227,20 @@ class _FanoutQuery:
         # rebind, so its owner passes ``router`` explicitly).
         self._router = router or (origin[0] if origin else rebind)
 
-    def suchthat(self, predicate: Callable[[Any], bool]) -> "_FanoutQuery":
+    def _pushed_down(self, op: Callable[[Query], Query]) -> "_FanoutQuery":
         return _FanoutQuery(
-            [part.suchthat(predicate) for part in self._parts],
+            [op(part) for part in self._parts],
             self._rebind,
             self._executor,
             self._origin,
             self._router,
         )
+
+    def suchthat(self, predicate: Callable[[Any], bool]) -> "_FanoutQuery":
+        return self._pushed_down(lambda part: part.suchthat(predicate))
+
+    def over_versions(self) -> "_FanoutQuery":
+        return self._pushed_down(lambda part: part.over_versions())
 
     def _materialize_part(self, pos: int) -> list[Any]:
         """List one part's matches, via ``_on_shard`` when this fan-out
@@ -1510,13 +1269,10 @@ class _FanoutQuery:
                 raise err
         return [result for result, _ in outcomes]
 
-    def __iter__(self) -> Iterator[Ref]:
+    def __iter__(self) -> Iterator[Ref | VersionRef]:
         for refs in self._materialized():
             for ref in refs:
                 if self._rebind is not None:
-                    yield Ref(self._rebind, ref.oid)
+                    yield self._rebind.deref(plain_id(ref))
                 else:
                     yield ref
-
-    def count(self) -> int:
-        return sum(1 for _ in self)

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.identity import Oid, Vid
-from repro.core.pointers import Ref, VersionRef
+from repro.core.pointers import Ref
+from repro.core.surface import Target, VersionReads, oid_of
 from repro.errors import ShardUnavailableError
 
 if TYPE_CHECKING:
@@ -97,7 +98,7 @@ class _CutLatch:
                 self._cond.notify_all()
 
 
-class GlobalSnapshot:
+class GlobalSnapshot(VersionReads):
     """One pinned point-in-time view spanning every up shard.
 
     Holds one per-shard :class:`~repro.core.snapshot.Snapshot` pinned
@@ -230,50 +231,17 @@ class GlobalSnapshot:
     def type_name(self, oid: Oid) -> str:
         return self._part(self._locate(oid)).type_name(oid)
 
-    def graph(self, target: Ref | Oid) -> "VersionGraph":
-        oid = target.oid if isinstance(target, Ref) else target
+    def graph(self, target: Target) -> "VersionGraph":
+        oid = oid_of(target)
         return self._part(self._locate(oid)).graph(oid)
 
-    # -- traversals (delegate to the owning part) ----------------------------
+    def write_version(self, vid: Vid, obj: Any) -> None:
+        self._part(self._locate(vid.oid)).write_version(vid, obj)  # raises
 
-    def _on_owner(self, vref: VersionRef | Vid, fn: Callable[["Snapshot"], Any]) -> Any:
-        vid = vref.vid if isinstance(vref, VersionRef) else vref
-        return fn(self._part(self._locate(vid.oid)))
-
-    def dprevious(self, vref: VersionRef | Vid):
-        return self._on_owner(vref, lambda s: s.dprevious(vref))
-
-    def dnext(self, vref: VersionRef | Vid):
-        return self._on_owner(vref, lambda s: s.dnext(vref))
-
-    def tprevious(self, vref: VersionRef | Vid):
-        return self._on_owner(vref, lambda s: s.tprevious(vref))
-
-    def tnext(self, vref: VersionRef | Vid):
-        return self._on_owner(vref, lambda s: s.tnext(vref))
-
-    def history(self, vref: VersionRef | Vid):
-        return self._on_owner(vref, lambda s: s.history(vref))
-
-    def versions(self, target: Ref | Oid):
-        oid = target.oid if isinstance(target, Ref) else target
-        return self._part(self._locate(oid)).versions(oid)
-
-    def version_as_of(self, target: Ref | Oid, timestamp: float):
-        oid = target.oid if isinstance(target, Ref) else target
-        return self._part(self._locate(oid)).version_as_of(oid, timestamp)
-
-    def leaves(self, target: Ref | Oid):
-        oid = target.oid if isinstance(target, Ref) else target
-        return self._part(self._locate(oid)).leaves(oid)
-
-    def alternatives(self, target: Ref | Oid):
-        oid = target.oid if isinstance(target, Ref) else target
-        return self._part(self._locate(oid)).alternatives(oid)
-
-    def version_count(self, target: Ref | Oid) -> int:
-        oid = target.oid if isinstance(target, Ref) else target
-        return self._part(self._locate(oid)).version_count(oid)
+    def write_version_if_changed(self, vid: Vid, obj: Any) -> bool:
+        """False for a no-op write-back (pure reader methods run through
+        cut-bound references); a real write fails read-only in the part."""
+        return self._part(self._locate(vid.oid)).write_version_if_changed(vid, obj)
 
     # -- clusters & queries ---------------------------------------------------
 

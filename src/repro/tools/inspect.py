@@ -173,9 +173,8 @@ def inspect_database(db: Database) -> DatabaseSummary:
     counters = {name: catalog.peek_value(name) for name in ("ode.oid",)}
     # Operational counters (cache hits/misses, lock waits/deadlocks, txn
     # retries, fsyncs, evictions...) ride along so `inspect` doubles as a
-    # perf and health probe.  Only the namespaced spellings are shown --
-    # the un-namespaced aliases in stats() exist for back-compat, and
-    # duplicating them here would just double the report.
+    # perf and health probe.  ``objects`` and ``degraded`` have their own
+    # lines in the report.
     counters.update(
         (k, v)
         for k, v in stats.items()
@@ -189,8 +188,8 @@ def inspect_database(db: Database) -> DatabaseSummary:
         clusters=clusters,
         heaps=catalog.heap_names(),
         counters=counters,
-        data_pages=stats["data_pages"],
-        wal_bytes=stats["wal_bytes"],
+        data_pages=stats["disk.pages"],
+        wal_bytes=stats["wal.bytes"],
         storage_policy=store.policy.kind,
         degraded_reason=stats["degraded.reason"],
     )

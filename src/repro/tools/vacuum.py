@@ -123,8 +123,8 @@ def vacuum(
         report = VacuumReport(
             objects_copied=objects,
             versions_copied=versions,
-            source_pages=source.stats()["data_pages"],
-            target_pages=target.stats()["data_pages"],
+            source_pages=source.stats()["disk.pages"],
+            target_pages=target.stats()["disk.pages"],
             source_blob_bytes=source_store.blobs.total_bytes(),
             target_blob_bytes=tstore.blobs.total_bytes(),
         )

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro import Database, PersistentObject, StoragePolicy, persistent
+from repro.shard import ShardedDatabase
 from repro.storage import faults
 from repro.verify import hooks
 
@@ -74,11 +75,13 @@ class Node(PersistentObject):
 
 
 @pytest.fixture
-def db(tmp_path) -> Database:
-    """A fresh full-copy database, closed after the test."""
-    database = Database(tmp_path / "db")
-    yield database
-    database.close()
+def db(engine) -> Database:
+    """A fresh full-copy database: the :func:`engine` of the default kind.
+
+    (A suite whose tests only use ``db`` is thereby engine-agnostic --
+    see :func:`engine_kind`.)
+    """
+    return engine
 
 
 @pytest.fixture
@@ -94,7 +97,50 @@ def delta_db(tmp_path) -> Database:
 @pytest.fixture(params=["full", "delta"])
 def any_db(tmp_path, request) -> Database:
     """Parametrized over both storage policies -- behaviour must not differ."""
-    policy = StoragePolicy(kind=request.param, keyframe_interval=4)
-    database = Database(tmp_path / f"{request.param}_db", policy=policy)
+    database = open_engine(request.param, tmp_path / f"{request.param}_db")
     yield database
     database.close()
+
+
+#: The engines an engine-agnostic suite must pass on: the embedded
+#: database, and the router over one shard and over four.
+ENGINES = ("database", "router-1", "router-4")
+
+
+def open_engine(kind: str, path):
+    """Open the engine a kind names: ``database``, ``router-<nshards>``, or
+    ``full`` / ``delta`` (a database under that storage policy)."""
+    if kind.startswith("router-"):
+        return ShardedDatabase(path, nshards=int(kind[len("router-"):]))
+    if kind == "database":
+        return Database(path)
+    return Database(path, policy=StoragePolicy(kind=kind, keyframe_interval=4))
+
+
+def pytest_generate_tests(metafunc):
+    """A module that sets ``ENGINE_KINDS`` runs every test of its that
+    opens an engine once per kind (ids ``test_x[<kind>]``)."""
+    kinds = getattr(metafunc.module, "ENGINE_KINDS", None)
+    if kinds and "engine_kind" in metafunc.fixturenames:
+        metafunc.parametrize("engine_kind", kinds, indirect=True)
+
+
+@pytest.fixture
+def engine_kind(request) -> str:
+    """Which engine :func:`engine` opens: ``database``, unless the test's
+    module sets ``ENGINE_KINDS``.
+
+    Suites written against ``engine`` (or ``db``, which is the same
+    object) thus keep their plain test ids on the embedded database;
+    ``tests/shard/test_engine_suites.py`` collects the engine-agnostic
+    ones again over the routers, so together they cover :data:`ENGINES`.
+    """
+    return getattr(request, "param", "database")
+
+
+@pytest.fixture
+def engine(engine_kind, tmp_path):
+    """A fresh engine of the requested kind, closed after the test."""
+    eng = open_engine(engine_kind, tmp_path / "db")
+    yield eng
+    eng.close()

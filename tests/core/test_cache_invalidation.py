@@ -68,7 +68,7 @@ def test_bytes_cache_stays_within_budget(tmp_path):
             assert ref.text == "x" * 256
         cache = db.store._bytes_cache
         assert cache.used <= cache.budget
-        assert db.stats()["bytes_evictions"] > 0
+        assert db.stats()["cache.bytes_evictions"] > 0
         # The hot tail is retained, not wholesale-cleared.
         assert len(cache) > 0
     finally:
@@ -202,8 +202,8 @@ def test_attr_fast_path_counters_move(db):
     for _ in range(10):
         assert ref.weight == 1
     stats = db.stats()
-    assert stats["decoded_hits"] - base["decoded_hits"] >= 10
-    assert stats["latest_hits"] - base["latest_hits"] >= 10
+    assert stats["cache.decoded_hits"] - base["cache.decoded_hits"] >= 10
+    assert stats["cache.latest_hits"] - base["cache.latest_hits"] >= 10
 
 
 def test_attr_fast_path_containers_are_copies(db):
@@ -312,10 +312,10 @@ def test_group_commit_window_zero_still_piggybacks_safely(tmp_path):
     """window=0 keeps fsync-per-commit semantics for a single thread."""
     db = Database(tmp_path / "plain")
     try:
-        before = db.stats()["wal_flushes"]
+        before = db.stats()["wal.flushes"]
         for i in range(5):
             db.pnew(Part(f"p{i}", i))
-        after = db.stats()["wal_flushes"]
+        after = db.stats()["wal.flushes"]
         assert after - before >= 5  # one fsync per autocommit, none skipped
     finally:
         db.close()

@@ -59,9 +59,9 @@ def test_deref_type_check(db):
 
 def test_checkpoint_truncates_wal(db):
     db.pnew(Part("w", 1))
-    assert db.stats()["wal_bytes"] > 0
+    assert db.stats()["wal.bytes"] > 0
     db.checkpoint()
-    assert db.stats()["wal_bytes"] == 0
+    assert db.stats()["wal.bytes"] == 0
 
 
 def test_checkpoint_rejected_during_txn(db):
@@ -78,7 +78,7 @@ def test_auto_checkpoint_threshold(tmp_path):
     for i in range(50):
         db.pnew(Part(f"p{i}", i))
     # WAL must have been truncated at least once by the auto checkpoint.
-    assert db.stats()["wal_bytes"] < 50 * 200
+    assert db.stats()["wal.bytes"] < 50 * 200
     # And everything is still there.
     assert db.query(Part).count() == 50
     db.close()
@@ -89,12 +89,12 @@ def test_stats_shape(db):
     stats = db.stats()
     for key in (
         "objects",
-        "pool_hits",
-        "pool_misses",
-        "pool_evictions",
-        "wal_bytes",
-        "wal_flushes",
-        "data_pages",
+        "pool.hits",
+        "pool.misses",
+        "pool.evictions",
+        "wal.bytes",
+        "wal.flushes",
+        "disk.pages",
     ):
         assert key in stats
     assert stats["objects"] == 1
@@ -116,7 +116,7 @@ def test_small_buffer_pool_still_correct(tmp_path):
     for i, ref in enumerate(refs):
         expected = i + 1000 if i % 3 == 0 else i
         assert ref.weight == expected
-    assert db.stats()["pool_evictions"] > 0
+    assert db.stats()["pool.evictions"] > 0
     db.close()
 
 

@@ -169,11 +169,10 @@ def test_concurrent_increments_lose_nothing(db):
 
 
 def test_stats_namespacing_and_aliases(db):
-    """Namespaced keys exist; pre-namespacing aliases keep working."""
+    """Every counter lives under its subsystem's namespace."""
     ref = db.pnew(Part("s", 1))
     ref.weight = 2
     stats = db.stats()
-    # New namespaced keys.
     for key in (
         "pool.hits", "wal.bytes", "wal.flushes", "cache.bytes_hits",
         "locks.acquires", "locks.deadlocks", "txn.commits", "faults.hits",
@@ -182,9 +181,3 @@ def test_stats_namespacing_and_aliases(db):
         assert key in stats, key
     assert stats["degraded"] is False
     assert stats["degraded.reason"] is None
-    # Back-compat aliases mirror their namespaced twins.
-    assert stats["pool_hits"] == stats["pool.hits"]
-    assert stats["wal_bytes"] == stats["wal.bytes"]
-    assert stats["bytes_hits"] == stats["cache.bytes_hits"]
-    assert stats["faults_hits"] == stats["faults.hits"]
-    assert stats["data_pages"] == stats["disk.pages"]

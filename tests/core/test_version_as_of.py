@@ -5,7 +5,9 @@ list, so the subtle cases are (a) a timestamp exactly equal to a version's
 creation time (must be inclusive) and (b) several versions sharing one
 creation time (the temporally latest must win, matching a linear scan).
 Each case is checked against the live database AND against a pinned
-snapshot, which resolves through the frozen published graph.
+snapshot, which resolves through the frozen published graph.  The suite is
+engine-agnostic: here it runs on a database under each storage policy,
+``tests/shard/test_engine_suites.py`` runs it on the routers.
 """
 
 from __future__ import annotations
@@ -14,21 +16,23 @@ import pytest
 
 from tests.conftest import Doc
 
+ENGINE_KINDS = ("full", "delta")
+
 
 @pytest.fixture
-def clocked(any_db, monkeypatch):
+def clocked(engine, monkeypatch):
     """A database whose versions were created at t=10,20,20,20,30."""
     import repro.core.store as store_mod
 
     times = iter([10.0, 20.0, 20.0, 20.0, 30.0])
     monkeypatch.setattr(store_mod.time, "time", lambda: next(times))
-    ref = any_db.pnew(Doc("v1"))
-    vids = [any_db.latest_vid(ref.oid)]
+    ref = engine.pnew(Doc("v1"))
+    vids = [engine.latest_vid(ref.oid)]
     for i in range(2, 6):
-        v = any_db.newversion(ref)
+        v = engine.newversion(ref)
         v.text = f"v{i}"
         vids.append(v.vid)
-    return any_db, ref, vids
+    return engine, ref, vids
 
 
 def _serial_at(reader, target, ts):

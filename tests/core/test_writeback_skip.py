@@ -21,12 +21,12 @@ def test_noop_method_call_skips_writeback(tmp_path):
     with Database(tmp_path / "db") as db:
         ref = db.pnew(Part(name="p", weight=10))
         flushes_before = db._log.flush_count
-        skipped_before = db.stats()["writebacks_skipped"]
+        skipped_before = db.stats()["cache.writebacks_skipped"]
 
         result = ref.reweigh(0)  # mutates nothing: weight += 0
 
         assert result == 10
-        assert db.stats()["writebacks_skipped"] == skipped_before + 1
+        assert db.stats()["cache.writebacks_skipped"] == skipped_before + 1
         assert db._log.flush_count == flushes_before, (
             "a no-op method call paid a commit fsync"
         )
@@ -36,10 +36,10 @@ def test_noop_method_call_skips_writeback(tmp_path):
 def test_real_mutation_still_writes_back(tmp_path):
     with Database(tmp_path / "db") as db:
         ref = db.pnew(Part(name="p", weight=10))
-        skipped_before = db.stats()["writebacks_skipped"]
+        skipped_before = db.stats()["cache.writebacks_skipped"]
         ref.reweigh(5)
         assert ref.weight == 15
-        assert db.stats()["writebacks_skipped"] == skipped_before
+        assert db.stats()["cache.writebacks_skipped"] == skipped_before
     # Durability: the mutation survives reopen.
     with Database(tmp_path / "db") as db:
         objs = [db.deref(r.oid) for r in db.store.all_objects()]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import persistent
-from tests.conftest import Part
+from tests.conftest import Part, open_engine
 
 
 @persistent(name="paper.Object")
@@ -21,6 +21,19 @@ class PaperObject:
 
     def __init__(self, state: str) -> None:
         self.state = state
+
+
+@persistent(name="paper.Person2")
+class Person:
+    def __init__(self, name, address):
+        self.name = name
+        self.address = address
+
+
+@persistent(name="paper.AddressBook2")
+class AddressBook:
+    def __init__(self):
+        self.people = []
 
 
 def test_figure_v0_v1_revision(db):
@@ -120,18 +133,6 @@ def test_deletion_of_object_deletes_all_versions(db):
 def test_generic_reference_address_book(db):
     """§3: the address-book example -- generic references read the latest
     addresses of person objects."""
-
-    @persistent(name="paper.Person2")
-    class Person:
-        def __init__(self, name, address):
-            self.name = name
-            self.address = address
-
-    @persistent(name="paper.AddressBook2")
-    class AddressBook:
-        def __init__(self):
-            self.people = []
-
     ann = db.pnew(Person("ann", "1 Old Lane"))
     book = db.pnew(AddressBook())
     book.people = [ann]  # stored as a generic reference
@@ -151,18 +152,16 @@ def test_specific_reference_stays_pinned(db):
     assert part.weight == 2
 
 
-def test_version_ids_are_stable_across_restarts(tmp_path):
+def test_version_ids_are_stable_across_restarts(engine_kind, tmp_path):
     """§2: persistent objects 'automatically persist across program
     invocations' -- and so do version identities."""
-    from repro import Database
-
     path = tmp_path / "stable"
-    with Database(path) as db:
+    with open_engine(engine_kind, path) as db:
         p = db.pnew(PaperObject("v0"))
         v1 = db.newversion(p)
         v1.state = "v1"
         ids = (p.oid, v1.vid)
-    with Database(path) as db:
+    with open_engine(engine_kind, path) as db:
         p = db.deref(ids[0])
         v1 = db.deref(ids[1])
         assert p.state == "v1"

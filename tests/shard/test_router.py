@@ -10,11 +10,12 @@ forget, all visible in the counters).
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
 from repro.core.identity import Oid
-from repro.errors import TransactionStateError
+from repro.errors import LockTimeoutError, TransactionStateError
 from repro.net.client import OdeClient
 from repro.net.server import ServerThread
 from repro.shard import ModuloPlacement, ShardedDatabase
@@ -152,6 +153,44 @@ def test_run_transaction_retries_and_returns(router):
 
     assert router.run_transaction(bump) == 1
     assert (a.weight, b.weight) == (1, 1)
+
+
+def test_run_transaction_counts_a_forced_conflict(router):
+    """The router runs the same retry loop as a shard and keeps its own
+    ``txn.*`` bookkeeping (a router workload used to report 0 retries)."""
+    a = router.pnew(Part("a", 0))
+    b = router.pnew(Part("b", 0))
+    calls = []
+
+    def bump():
+        calls.append(1)
+        a.weight += 1
+        b.weight += 1
+        if len(calls) == 1:
+            raise LockTimeoutError("forced conflict")
+        return a.weight
+
+    assert router.run_transaction(bump, backoff=0.001) == 1
+    assert (a.weight, b.weight) == (1, 1)  # the first attempt rolled back
+    stats = router.stats()
+    assert stats["txn.attempts"] == 2
+    assert stats["txn.conflicts"] == 1
+    assert stats["txn.retries"] == 1
+    assert stats["txn.commits"] == 1
+    assert stats["txn.giveups"] == 0
+
+
+def test_run_transaction_deadline_gives_up_in_time(router):
+    def conflicted():
+        raise LockTimeoutError("conflict")
+
+    start = time.monotonic()
+    with pytest.raises(LockTimeoutError):
+        router.run_transaction(
+            conflicted, max_attempts=10_000, backoff=0.05, deadline=0.3
+        )
+    assert time.monotonic() - start < 2.0
+    assert router.stats()["txn.giveups"] == 1
 
 
 # -- fan-out surfaces ---------------------------------------------------------

@@ -152,8 +152,8 @@ def test_write_and_error_failpoints_are_registered():
 def test_db_stats_expose_fault_counters(tmp_path):
     with Database(tmp_path / "db") as db:
         stats = db.stats()
-        assert stats["faults_armed"] == 0
-        assert stats["faults_hits"] == 0
+        assert stats["faults.armed"] == 0
+        assert stats["faults.hits"] == 0
 
     db = Database(tmp_path / "db2")
     faults.activate(
@@ -163,10 +163,10 @@ def test_db_stats_expose_fault_counters(tmp_path):
         with pytest.raises(InjectedFaultError):
             db.checkpoint()
         stats = db.stats()
-        assert stats["faults_armed"] == 1
-        assert stats["faults_fsync_errors"] == 1
-        assert stats["faults_hits"] > 0
-        assert stats["faults_crashes"] == 0
+        assert stats["faults.armed"] == 1
+        assert stats["faults.fsync_errors"] == 1
+        assert stats["faults.hits"] > 0
+        assert stats["faults.crashes"] == 0
     finally:
         faults.deactivate()
         db.close()
