@@ -212,12 +212,8 @@ class Database(VersionReads, SessionHost):
             "blobs_unlinked": 0,
             "bytes_freed": 0,
         }
-        # A crash may have landed inside the blob-reclaim unlink protocol
-        # (the WAL tombstones carry the evidence) -- or between a blob
-        # put and its incref, which can leave an orphan content file with
-        # *no* WAL trace at all if the log happened to be empty (the
-        # file write is durable the moment it lands; the incref is not).
-        # Repair therefore runs at every open, not just recovery opens.
+        # A crash may have landed inside the blob-reclaim unlink protocol;
+        # the WAL tombstones carry the evidence.
         self._repair_gc_tombstones()
 
     # -- recovery ----------------------------------------------------------
@@ -251,45 +247,40 @@ class Database(VersionReads, SessionHost):
         self._pool.drop_clean()
 
     def _repair_gc_tombstones(self) -> None:
-        """Finish (or undo the debris of) a crashed blob-reclaim batch.
+        """Finish a crashed blob-reclaim batch.
 
         The unlink protocol journals a ``GC_TOMBSTONE`` naming each key
-        *before* touching the file or the index, so recovery can always
-        tell an interrupted reclaim from corruption:
+        *before* touching the file, so recovery can always tell an
+        interrupted reclaim from corruption.  The store has just recounted
+        every reference, which decides each tombstoned key:
 
-        * tombstoned key, index refcount 0 -> the reclaim was decided;
-          unlink the file (idempotent) and drop the index record.
-        * tombstoned key, no index record -> the reclaim committed;
-          unlink whatever file survived.
-        * tombstoned key, refcount > 0 -> the reclaiming transaction lost
-          (its index deletes were undone); the payload is live again and
-          the file, never unlinked past a live refcount, is intact.
+        * count 0 -> the reclaim was decided and nothing has revived the
+          key since; unlink the file (idempotent) and forget the key.
+        * unknown -> the file is already gone.
+        * count > 0 -> stored again after the reclaim; live.
 
-        Afterwards sweep *orphan* files -- blobs with no index entry at
-        all, left by a crash between ``BlobStore.put`` and the incref
-        (which always runs file-first).  The sweep runs on every open,
-        recovery or not: a put's file write is durable immediately, so a
-        crash at the incref's WAL append can orphan a file even when the
-        log was empty and recovery never runs.  Repair is idempotent: a
+        Nothing else is unlinked at open.  A file no record references --
+        a crashed put, a rolled-back put, a displaced payload -- is a
+        zero-count candidate in the store's index and leaves through
+        :meth:`reclaim_blobs`.  While a 2PC participant is in doubt not
+        even a tombstoned key is touched: with no durable counter, a
+        payload the prepared transaction displaced also counts zero, and
+        an abort verdict must find its file.  Repair is idempotent: a
         crash inside it (the ``gc.repair.*`` windows) leaves the
         tombstones in the WAL, and the next open repairs again.
         """
         report = self.last_recovery
         tombstones = report.gc_tombstones if report is not None else ()
         faults.fire("gc.repair.pre")
-        for key in tombstones:
-            refcount = self._store.blob_refcount(key)
-            if refcount == 0:
-                self._store.blobs.unlink(key)
-                self._store.drop_blob_entry(key, None)
-            elif refcount is None:
-                self._store.blobs.unlink(key)
-        for key in self._store.orphan_blob_keys():
-            self._store.blobs.unlink(key)
+        if not self._in_doubt:
+            for key in tombstones:
+                if self._store.blob_refcount(key) == 0:
+                    self._store.blobs.unlink(key)
+                    self._store.drop_blob_entry(key)
         faults.fire("gc.repair.post")
         if tombstones:
-            # Persist the repaired heaps, then release the WAL evidence
-            # (unless 2PC resolution still pins the log).
+            # Flush, then release the WAL evidence (unless 2PC resolution
+            # still pins the log).
             self._pool.flush_all()
             self._disk.sync()
             if not (self._in_doubt or self._coord_decisions):
@@ -387,11 +378,6 @@ class Database(VersionReads, SessionHost):
             self._store.reload()
             self._indexes.rebuild()
             self._store.publish_snapshot(exclude=self._active_touched(), full=True)
-            # The undone increfs may have orphaned content files; the
-            # recovered transaction carries no put list, so sweep the
-            # store (in-doubt resolution is rare enough for the scan).
-            for key in self._store.orphan_blob_keys():
-                self._store.blobs.unlink(key)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -603,9 +589,6 @@ class Database(VersionReads, SessionHost):
                 self._store.publish_snapshot(
                     exclude=self._active_touched(), full=True
                 )
-                # Undone increfs can leave this transaction's content
-                # files without index records; sweep exactly those.
-                self._store.sweep_blob_puts(txn.blob_puts)
         else:
             exclude = self._active_touched()
             if self._store.has_unpublished_changes(exclude):
@@ -655,11 +638,6 @@ class Database(VersionReads, SessionHost):
                 else:
                     self._store.reload(touched=txn.touched_oids)
                 self._indexes.rebuild()
-                # Puts whose increfs were rewound past the savepoint may
-                # have lost their last index record; keys still referenced
-                # (by this transaction's earlier ops or anyone else) are
-                # left alone by the refcount check inside.
-                self._store.sweep_blob_puts(txn.blob_puts)
         return undone
 
     @contextmanager
@@ -969,7 +947,7 @@ class Database(VersionReads, SessionHost):
                 freed += self._store.blobs.unlink(key)
                 faults.fire("gc.unlink.post")
                 faults.fire("gc.index.pre")
-                self._store.drop_blob_entry(key, log_op)
+                self._store.drop_blob_entry(key)
                 faults.fire("gc.index.post")
                 unlinked += 1
             return (unlinked, freed, len(self._store.gc_candidates()))

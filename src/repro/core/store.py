@@ -67,11 +67,6 @@ from repro.verify import hooks
 OBJECTS_HEAP = "ode.objects"
 VERSIONS_HEAP = "ode.versions"
 CLUSTERS_HEAP = "ode.clusters"
-#: Blob refcount index: ``(key, refcount, size)`` records, one per live
-#: content key.  Updated through the same ``log_op`` as the version record
-#: that references the blob, so refcounts commit, abort, and replay
-#: together with the references themselves.
-BLOBS_HEAP = "ode.blobs"
 
 #: Largest stored payload (full copy or delta body) kept inline in its
 #: ``ode.versions`` record instead of the blob store: 1/16 page, so a
@@ -175,14 +170,13 @@ class _Entry:
 
 
 class _BlobRef:
-    """In-memory image of one ``ode.blobs`` index record."""
+    """One content key's entry in the derived refcount index."""
 
-    __slots__ = ("refcount", "size", "rid")
+    __slots__ = ("refcount", "size")
 
-    def __init__(self, refcount: int, size: int, rid: Rid) -> None:
+    def __init__(self, refcount: int, size: int) -> None:
         self.refcount = refcount
         self.size = size
-        self.rid = rid
 
 
 class VersionStore(VersionReads):
@@ -198,10 +192,16 @@ class VersionStore(VersionReads):
     :data:`INLINE_PAYLOAD_MAX` bytes it *is* the record: the WAL's group
     commit makes it durable and physical undo rolls it back, like any
     heap record.  Anything larger lives once in the blob store, keyed by
-    its sha256, and the record is a fixed-size **blob reference**.  The
-    ``ode.blobs`` heap holds the refcount per key; a key whose refcount
-    reaches zero becomes a GC candidate stamped with the current snapshot
-    epoch (see ``repro.core.gc`` for the reclaim protocol).
+    its sha256, and the record is a fixed-size **blob reference**.
+
+    Those references are the only durable statement of who uses a blob.
+    The refcount index (key -> count, size) is derived from them: counted
+    from one ``ode.versions`` scan at open and after every rollback, kept
+    current in memory in between, never stored.  A content file nothing
+    references -- displaced, rolled back, or left by a crashed put -- is
+    a zero-count entry: a GC candidate stamped with the snapshot epoch at
+    which it was found unreferenced (see ``repro.core.gc`` for the
+    reclaim protocol, the only thing that unlinks a file).
     """
 
     def __init__(
@@ -225,11 +225,10 @@ class VersionStore(VersionReads):
         self._objects: HeapFile = catalog.ensure_heap(OBJECTS_HEAP)
         self._versions: HeapFile = catalog.ensure_heap(VERSIONS_HEAP)
         self._clusters: HeapFile = catalog.ensure_heap(CLUSTERS_HEAP)
-        self._blobs_heap: HeapFile = catalog.ensure_heap(BLOBS_HEAP)
         if blob_root is None:
             blob_root = os.path.join(catalog.directory, "blobs")
         self._blobs = BlobStore(blob_root)
-        #: key -> live index record image.  Mirrors the ``ode.blobs`` heap.
+        #: key -> (refcount, size), derived from the payload records.
         self._blob_index: dict[str, _BlobRef] = {}
         #: Zero-refcount keys awaiting reclaim, stamped with the snapshot
         #: epoch at which the count hit zero.  The GC only unlinks a key
@@ -265,7 +264,7 @@ class VersionStore(VersionReads):
         self._committed: dict[Oid, SnapshotEntry] = {}
         self._committed_by_type: dict[str, tuple[Oid, ...]] = {}
         self._snapshots = SnapshotRegistry()
-        self._load()
+        self._load(opening=True)
         self._snapshots.publish(self, full=True)
 
     @property
@@ -280,52 +279,48 @@ class VersionStore(VersionReads):
 
     # -- loading / reloading -------------------------------------------------
 
-    def _load(self) -> None:
+    def _load(self, opening: bool = False) -> None:
         self._bytes_cache.clear()
         self._decoded_cache.clear()
         self._load_table()
-        self._load_blob_index()
+        self._load_blob_index(opening)
 
-    def _load_blob_index(self) -> None:
-        """Rebuild the refcount index; the counts are *recounted*, not read.
+    def _load_blob_index(self, opening: bool = False) -> None:
+        """Derive the refcount index from the payload records.
 
-        ``ode.blobs`` records are counters shared by every object with
-        equal content, and no lock covers a key -- yet abort and crash
-        recovery restore physical before-images, which is only sound for
-        records one transaction owns at a time.  When T1 is first to
-        store some content, T2 stores the same content elsewhere and
-        commits, and T1 aborts, T1's undo deletes the record T2's
-        reference counts on.  The payload records *are* protected (strict
-        2PL on their object), so after any undo they are the truth: count
-        the references they hold and rewrite whichever index record
-        disagrees.  The repair is unlogged because every load -- open,
-        abort, in-doubt resolution -- repeats it.
+        The references in ``ode.versions`` are under their object's lock
+        and the WAL's undo, so after an open or any rollback they are the
+        truth: one scan counts them.  Every other known key is
+        unreferenced and enters with count zero as a GC candidate.
+        ``opening`` takes the known keys from the files on disk (a crashed
+        put, or a payload displaced before the last close); a reload takes
+        them from the index it replaces, so a candidate keeps the epoch
+        stamp it had and a rolled-back put becomes one at this epoch.
         """
-        self._blob_index.clear()
-        self._gc_candidates.clear()
-        epoch = self._snapshots.epoch
-        held: dict[str, list[int]] = {}  # key -> [references, payload size]
+        old, stamps = self._blob_index, self._gc_candidates
+        index: dict[str, _BlobRef] = {}
         self._inline_records = self._inline_bytes = 0
         for _rid, raw in self._versions.scan():
             if blobstore.is_ref(raw):
                 key, size = blobstore.decode_ref(raw)
-                held.setdefault(key, [0, size])[0] += 1
+                ref = index.get(key)
+                if ref is None:
+                    index[key] = _BlobRef(1, size)
+                else:
+                    ref.refcount += 1
             else:
                 self._inline_records += 1
                 self._inline_bytes += len(raw)
-        for rid, payload in self._blobs_heap.scan():
-            key, refcount, size = serialization.decode(payload)
-            actual = held.pop(key, (0, size))[0]
-            if actual != refcount:
-                self._blobs_heap.update(
-                    rid, serialization.encode((key, actual, size))
-                )
-            self._blob_index[key] = _BlobRef(actual, size, rid)
-            if actual == 0:
-                self._gc_candidates[key] = epoch
-        for key, (actual, size) in held.items():  # record undone away
-            rid = self._blobs_heap.insert(serialization.encode((key, actual, size)))
-            self._blob_index[key] = _BlobRef(actual, size, rid)
+        epoch = self._snapshots.epoch
+        candidates: dict[str, int] = {}
+        for key in self._blobs.keys() if opening else old:
+            if key in index:
+                continue
+            size = self._blobs.size_of(key) if opening else old[key].size
+            if size is not None:
+                index[key] = _BlobRef(0, size)
+                candidates[key] = stamps.get(key, epoch)
+        self._blob_index, self._gc_candidates = index, candidates
 
     def _load_table(self) -> None:
         self._table.clear()
@@ -356,10 +351,8 @@ class VersionStore(VersionReads):
             self._load()
             return
         self._load_table()
-        # Refcount updates ride every payload mutation, so the rolled-back
-        # transaction may have touched the blob index even when only a few
-        # objects changed -- and its undo may have clobbered counts other
-        # transactions share; rebuild it wholesale from a recount.
+        # The undo rewound payload records the in-memory counts had
+        # followed, possibly sharing keys with other objects: recount.
         self._load_blob_index()
         for oid in touched:
             self._invalidate_object(oid)
@@ -495,86 +488,71 @@ class VersionStore(VersionReads):
         """The content-addressed blob store backing version payloads."""
         return self._blobs
 
-    def _blob_incref(self, key: str, size: int, log_op: LogOp | None) -> None:
+    def _blob_incref(self, key: str, size: int) -> None:
         ref = self._blob_index.get(key)
         if ref is None:
-            rid = self._blobs_heap.insert(
-                serialization.encode((key, 1, size)), log_op
-            )
-            self._blob_index[key] = _BlobRef(1, size, rid)
-        else:
-            ref.refcount += 1
-            self._blobs_heap.update(
-                ref.rid, serialization.encode((key, ref.refcount, ref.size)), log_op
-            )
-            if ref.refcount == 1:
-                # Revived while awaiting reclaim: the content is identical
-                # (that is what content addressing means), so the file is
-                # simply live again.
-                self._gc_candidates.pop(key, None)
+            self._blob_index[key] = _BlobRef(1, size)
+            return
+        ref.refcount += 1
+        if ref.refcount == 1:
+            # Revived while awaiting reclaim: the content is identical
+            # (that is what content addressing means), so the file is
+            # simply live again.
+            self._gc_candidates.pop(key, None)
 
-    def _blob_decref(self, key: str, log_op: LogOp | None) -> None:
+    def _blob_decref(self, key: str) -> None:
         ref = self._blob_index.get(key)
         if ref is None or ref.refcount <= 0:
             raise BlobError(f"blob refcount underflow for {key}")
         ref.refcount -= 1
-        self._blobs_heap.update(
-            ref.rid, serialization.encode((key, ref.refcount, ref.size)), log_op
-        )
         if ref.refcount == 0:
             self._gc_candidates[key] = self._snapshots.epoch
 
-    def _blob_ref_record(self, stored: bytes, log_op: LogOp | None) -> bytes:
+    def _blob_ref_record(self, stored: bytes) -> bytes:
         """The versions-heap record for ``stored``: itself, or a blob ref.
 
         A payload of at most :data:`INLINE_PAYLOAD_MAX` bytes is its own
         record -- unless it reads as a blob reference, in which case it
         takes the blob path like a large one so the two encodings stay
         disjoint.  A large payload is written into the blob store, file
-        *before* index record: a crash in between leaves an orphan file,
-        which the GC's orphan sweep (and the recovery repair pass)
-        removes.  The reverse order could lose acknowledged payload bytes.
+        *before* the record that references it: a crash or rollback in
+        between leaves an unreferenced file, which the next recount makes
+        a GC candidate.  The reverse order could lose acknowledged
+        payload bytes.  The count moves with the caller's heap write,
+        under the same storage mutex.
         """
         if len(stored) <= INLINE_PAYLOAD_MAX and not blobstore.is_ref(stored):
             self._inline_records += 1
             self._inline_bytes += len(stored)
             return stored
         key = self._blobs.put(stored)
-        self._blob_incref(key, len(stored), log_op)
-        # Remember which keys this transaction introduced: if it rolls
-        # back, the undone increfs can leave content files with no index
-        # record, and the owner sweeps exactly these (see
-        # :meth:`sweep_blob_puts`) instead of scanning the whole store.
-        owner = getattr(log_op, "__self__", None)
-        puts = getattr(owner, "blob_puts", None)
-        if puts is not None:
-            puts.append(key)
+        self._blob_incref(key, len(stored))
         return blobstore.encode_ref(key, len(stored))
 
-    def _release_record(self, record: bytes, log_op: LogOp | None) -> None:
+    def _release_record(self, record: bytes) -> None:
         """Drop the blob reference a displaced heap record held, if any."""
         if blobstore.is_ref(record):
             key, _size = blobstore.decode_ref(record)
-            self._blob_decref(key, log_op)
+            self._blob_decref(key)
         else:
             self._inline_records -= 1
             self._inline_bytes -= len(record)
 
     def _record_insert(self, stored: bytes, log_op: LogOp | None) -> Rid:
-        return self._versions.insert(self._blob_ref_record(stored, log_op), log_op)
+        return self._versions.insert(self._blob_ref_record(stored), log_op)
 
     def _record_update(self, rid: Rid, stored: bytes, log_op: LogOp | None) -> None:
         # Incref-new before decref-old: rewriting a record to the same
         # content must never let the shared key's count touch zero.  Either
         # side may be inline (no reference to take or drop).
         old = self._versions.read(rid)
-        self._versions.update(rid, self._blob_ref_record(stored, log_op), log_op)
-        self._release_record(old, log_op)
+        self._versions.update(rid, self._blob_ref_record(stored), log_op)
+        self._release_record(old)
 
     def _record_delete(self, rid: Rid, log_op: LogOp | None) -> None:
         old = self._versions.read(rid)
         self._versions.delete(rid, log_op)
-        self._release_record(old, log_op)
+        self._release_record(old)
 
     def _resolve_payload(self, raw: bytes) -> bytes:
         """The stored payload of a versions-heap record.
@@ -599,32 +577,17 @@ class VersionStore(VersionReads):
         return dict(self._gc_candidates)
 
     def blob_refcount(self, key: str) -> int | None:
-        """Live refcount of a key, or None when it has no index record."""
+        """Refcount of a key, or None when the index does not know it."""
         ref = self._blob_index.get(key)
         return None if ref is None else ref.refcount
 
     def orphan_blob_keys(self) -> list[str]:
-        """Content files on disk with no index record (crashed puts)."""
+        """Content files on disk the index does not know (there should be
+        none: every put enters its key, every load lists the directory)."""
         return [key for key in self._blobs.keys() if key not in self._blob_index]
 
-    def sweep_blob_puts(self, keys: "list[str]") -> int:
-        """Unlink rolled-back puts that lost their last index record.
-
-        Called after an abort or savepoint rollback with the keys the
-        transaction put (the caller holds the storage mutex).  A key
-        another reference revived -- or that a concurrent transaction
-        also put -- still has an index record and is left alone; put +
-        incref are atomic under the storage mutex, so a key with *no*
-        record is provably garbage.
-        """
-        swept = 0
-        for key in dict.fromkeys(keys):  # dedup, order preserved
-            if key not in self._blob_index and self._blobs.unlink(key):
-                swept += 1
-        return swept
-
-    def drop_blob_entry(self, key: str, log_op: LogOp | None) -> None:
-        """Delete a reclaimed key's index record (GC, after the unlink)."""
+    def drop_blob_entry(self, key: str) -> None:
+        """Forget a reclaimed key (GC, after the unlink)."""
         ref = self._blob_index.get(key)
         if ref is None:
             return
@@ -632,7 +595,6 @@ class VersionStore(VersionReads):
             raise BlobError(
                 f"cannot drop live blob {key} (refcount {ref.refcount})"
             )
-        self._blobs_heap.delete(ref.rid, log_op)
         del self._blob_index[key]
         self._gc_candidates.pop(key, None)
 

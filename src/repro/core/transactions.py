@@ -455,10 +455,6 @@ class Transaction:
         #: database facade); the transaction's operations may execute on
         #: any thread that has the session activated.
         self.session = None
-        #: Content-addressed blob keys this transaction put (appended by
-        #: the version store).  On abort/rollback the database sweeps the
-        #: ones whose index records the undo removed.
-        self.blob_puts: list = []
         self._log = log
         self._locks = lock_manager
         self._heap_resolver = heap_resolver

@@ -11,14 +11,14 @@ one file.
 Smaller payloads never come here: they are written inline into their
 ``ode.versions`` heap record, where the WAL's group commit already makes
 them durable.  The break-even is a matter of arithmetic, not tuning.  A
-blob costs a 42-byte reference plus a ~70-byte refcount record before the
-file's own inode, so below ~112 bytes content addressing cannot save
-space even when every payload is stored twice; and a put is a file
-create, an fsync and a rename, against none for a heap record the commit
-logs anyway.  The typical small payload is the 10-byte identity delta
-``newversion`` writes, or the ~120-byte delta of a 5 % edit.  The
-threshold is one sixteenth of a page, so a versions-heap page still packs
-15 inline payloads.
+blob costs a 42-byte reference in each record that uses it, before the
+file's own inode and directory entry (its refcount is derived, not
+stored), so a payload stored twice saves nothing below 84 bytes; and a
+put is a file create, an fsync and a rename, against none for a heap
+record the commit logs anyway.  The typical small payload is the 10-byte
+identity delta ``newversion`` writes, or the ~120-byte delta of a 5 %
+edit.  The threshold is one sixteenth of a page, so a versions-heap page
+still packs 15 inline payloads.
 
 Durability protocol for :meth:`BlobStore.put`:
 
@@ -27,12 +27,13 @@ Durability protocol for :meth:`BlobStore.put`:
 3. ``rename`` it onto the final content path (atomic on POSIX).
 
 A crash mid-put leaves either a temp file (swept opportunistically) or an
-orphan content file; both are harmless -- content files carry no liveness
-information.  Liveness is the **refcount index**: an ``ode.blobs`` heap
-(WAL-journaled like every other heap, so refcounts are updated in the same
-transaction as the version records that reference them and are rolled back
-together on abort/recovery).  The index lives in
-:class:`repro.core.store.VersionStore`; this module only knows about files.
+unreferenced content file; both are harmless -- content files carry no
+liveness information.  Liveness is the blob references in the
+``ode.versions`` records (WAL-journaled, locked and rolled back with
+their object); the **refcount index** that
+:class:`repro.core.store.VersionStore` keeps in memory is counted from
+them at every load, and a file nothing references is a GC candidate in
+it.  This module only knows about files.
 
 Blob files are never overwritten: a put whose target path already exists is
 a dedup hit and touches nothing.  Unlink happens only through the GC
@@ -69,6 +70,9 @@ REF_SIZE = len(_REF_MAGIC) + _REF_LEN.size + 32
 
 #: Size of a hex blob key (sha256 hexdigest).
 KEY_HEX_LEN = 64
+
+#: A put's temp file is always new: the name carries pid + sequence.
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
 
 def blob_key(content: bytes) -> str:
@@ -174,17 +178,24 @@ class BlobStore:
             self.stats.dedup_hits += 1
             self.stats.bytes_deduped += len(content)
             return key
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
         with self._lock:
             self._tmp_seq += 1
             seq = self._tmp_seq
+        directory = os.path.dirname(path)
         tmp = os.path.join(directory, f".tmp-{os.getpid()}-{seq}")
         try:
-            with open(tmp, "wb") as fh:
-                fh.write(content)
-                fh.flush()
-                os.fsync(fh.fileno())
+            fd = os.open(tmp, _TMP_FLAGS, 0o666)
+        except FileNotFoundError:  # first put into this fan-out directory
+            os.makedirs(directory, exist_ok=True)
+            fd = os.open(tmp, _TMP_FLAGS, 0o666)
+        try:
+            try:
+                view = memoryview(content)
+                while view:
+                    view = view[os.write(fd, view) :]
+                os.fsync(fd)
+            finally:
+                os.close(fd)
             os.rename(tmp, path)
         except BaseException:
             try:

@@ -145,9 +145,9 @@ def check_database(db: Database, strict: bool = False) -> CheckReport:
         if rid not in referenced:
             report.problems.append(f"orphan payload record at {rid}")
 
-    # 10. content-addressed refcount audit: the blob index must agree
-    # with a from-scratch recount of the payload records, live keys must
-    # have their files, and counts are never negative.
+    # 10. content-addressed refcount audit: the derived blob index must
+    # agree with a from-scratch recount of the payload records, live keys
+    # must have their files, and counts are never negative.
     from repro.storage import blobs as blobstore
 
     recounted: dict[str, int] = {}
@@ -289,34 +289,10 @@ def _check_strict(db: Database, report: CheckReport) -> None:
                 f"its id could be re-issued"
             )
 
-    # 10 (strict): the durable blob index round-trips and matches the
-    # in-memory one, and no content file lacks an index record entirely
-    # (runtime sweeps cover aborts; recovery repair covers crashes).
-    blobs_heap = catalog.ensure_heap("ode.blobs")
-    durable_blobs: dict[str, tuple[int, int]] = {}
-    for rid, payload in blobs_heap.scan():
-        try:
-            key, refcount, size = serialization.decode(payload)
-        except (OdeError, ValueError, TypeError) as exc:
-            report.problems.append(f"blob-index record {rid} undecodable: {exc}")
-            continue
-        if key in durable_blobs:
-            report.problems.append(
-                f"blob {key[:12]}… has duplicate index records"
-            )
-            continue
-        durable_blobs[key] = (refcount, size)
-    in_memory = store.blob_entries()
-    if durable_blobs != in_memory:
-        extra = set(durable_blobs) ^ set(in_memory)
-        diff = extra or {
-            k for k in durable_blobs if durable_blobs[k] != in_memory[k]
-        }
-        report.problems.append(
-            f"blob index diverges between disk and memory for "
-            f"{sorted(k[:12] for k in diff)}"
-        )
+    # 10 (strict): no content file is unknown to the index.  Every put
+    # enters its key and every load lists the directory, so an unknown
+    # file is leaked content the collector will never see.
     for key in store.orphan_blob_keys():
         report.problems.append(
-            f"blob file {key[:12]}… has no index record (leaked content)"
+            f"blob file {key[:12]}… is not in the index (leaked content)"
         )

@@ -128,10 +128,14 @@ class Scenario:
     #: When set, a *second* crash is armed while recovery itself runs
     #: (the reopen), and recovery must then succeed on a third, clean open.
     recovery_failpoint: str | None = None
+    #: Run :func:`_run_shared_content_workload` instead of the mixed one.
+    shared_content: bool = False
 
     @property
     def name(self) -> str:
         parts = [self.failpoint, self.action, f"hit{self.hit}"]
+        if self.shared_content:
+            parts.append("shared-content")
         if self.action in ("torn_write", "short_write"):
             parts.append(f"keep{self.keep}")
         if self.recovery_failpoint:
@@ -231,10 +235,18 @@ def enumerate_scenarios(smoke: bool = False) -> list[Scenario]:
             "wal.flush.post_write", "crash", hit=6, recovery_failpoint="wal.truncate.pre"
         )
     )
+    # The first storer of a shared content key dies mid-abort: its first
+    # undo step is the workload's first replay (see the workload).
+    scenarios.append(
+        Scenario("heap.replay_insert", "crash", hit=1, shared_content=True)
+    )
     if smoke:
-        picked: dict[tuple[str, str], Scenario] = {}
+        picked: dict[tuple[str, str, bool], Scenario] = {}
         for scenario in scenarios:
-            picked.setdefault((scenario.failpoint, scenario.action), scenario)
+            picked.setdefault(
+                (scenario.failpoint, scenario.action, scenario.shared_content),
+                scenario,
+            )
         scenarios = list(picked.values())
     return scenarios
 
@@ -442,6 +454,45 @@ def _run_workload(path: Path) -> list[_Worker]:
     return workers
 
 
+def _run_shared_content_workload(path: Path) -> list[_Worker]:
+    """Two transactions store the same content; the first storer loses.
+
+    T1 is the first to store content K (in one object) and never commits;
+    T2 stores K in another object and commits, which also makes T1's
+    records durable; T1 then aborts and the armed crash kills the process
+    at its first undo step.  Recovery must undo T1 without costing T2 its
+    payload: K's only durable reference count is T2's record itself.
+    """
+    workers = [_Worker(0), _Worker(1)]
+    try:
+        db = Database(path, pool_size=8)
+        for worker in workers:
+            # Equal tags: equal texts are then equal payloads, one key.
+            text = f"B{worker.wid}:" + "x" * 600
+            ref = db.pnew(Blob(tag=0, text=text))
+            worker.blob = _Tracked(
+                "blob", ref, ref.oid.value, {"pad": len(text), "versions": 1}
+            )
+        db.checkpoint()
+        first, second = workers[0].blob, workers[1].blob
+        shared = "k" * BLOB_CHUNK
+        session = db.session("first-storer")
+        with session.activate():
+            txn = db.begin()
+            first.ref.text = shared
+        _Worker._attempt(
+            second, dict(second.committed, pad=len(shared)),
+            lambda: setattr(second.ref, "text", shared),
+        )
+        with session.activate():
+            txn.abort()
+        if not faults.is_crashed():
+            db.close()
+    except (SimulatedCrash, InjectedFaultError):
+        pass  # the simulated machine is dead; leave the files as they lie
+    return workers
+
+
 # -- verification ------------------------------------------------------------
 
 
@@ -555,8 +606,11 @@ def run_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
     """Run one workload under ``scenario``'s fault, then recover and verify."""
     path = base_dir / scenario.name.replace(":", "_").replace("-", "_")
     injector = faults.activate(scenario.plan())
+    workload = (
+        _run_shared_content_workload if scenario.shared_content else _run_workload
+    )
     try:
-        workers = _run_workload(path)
+        workers = workload(path)
         fired = bool(injector.fired)
         crashed = injector.crashed
     finally:
@@ -923,17 +977,17 @@ _GC_POLICY = StoragePolicy(kind="delta")
 
 #: Reclaim-protocol windows armed while the *workload* runs a GC.  The
 #: ``gc.repair.*`` windows are deliberately absent: repair fires at every
-#: database open (the orphan sweep is unconditional), so arming them here
-#: would crash the workload's own setup open -- they are exercised as
-#: ``recovery_failpoint`` double-crash scenarios instead.
+#: database open, so arming them here would crash the workload's own setup
+#: open -- they are exercised as ``recovery_failpoint`` double-crash
+#: scenarios instead.
 _GC_CRASH_HITS: dict[str, tuple[int, ...]] = {
     # Once per reclaim batch: hit=2 lands on the second tombstone, i.e.
-    # after one batch already committed its index deletes.
+    # after one batch already dropped its index entries.
     "gc.tombstone.pre": (1, 2),
     "gc.tombstone.post": (1, 2),
     # Once per key: hit=1 is the batch's first unlink (tombstone durable,
     # nothing unlinked yet); hit=5 is deep inside a batch, files and
-    # index records interleaved across the crash point.
+    # index entries interleaved across the crash point.
     "gc.unlink.pre": (1, 5),
     "gc.unlink.post": (1, 5),
     "gc.index.pre": (1, 5),
@@ -1084,7 +1138,7 @@ def _run_gc_workload(path: Path) -> _GcLedger:
 
 
 def _blob_leaks(db: Database) -> list[str]:
-    """Content files with no index record (must be none after repair)."""
+    """Content files the derived index does not know (must be none)."""
     return [key[:12] for key in db.store.orphan_blob_keys()]
 
 

@@ -148,7 +148,7 @@ def test_ref_lookalike_is_stored_behind_a_real_reference(tmp_path):
 
 @pytest.mark.parametrize("kind", ["full", "delta"])
 def test_inline_only_history_writes_no_blob_file(tmp_path, kind):
-    """Nothing an all-small history does touches ``blobs/`` or ``ode.blobs``."""
+    """Nothing an all-small history does touches ``blobs/`` or the index."""
     with Database(tmp_path / "db", policy=StoragePolicy(kind=kind)) as db:
         ref = db.pnew(value_of_stored_size(INLINE_PAYLOAD_MAX))
         for fill in range(0x62, 0x6A):
@@ -161,7 +161,7 @@ def test_inline_only_history_writes_no_blob_file(tmp_path, kind):
         assert stats["blobs.puts"] == 0 and stats["blobs.count"] == 0
         assert stats["blobs.inline_records"] == 8
         assert db.store.blobs.file_count() == 0
-        assert db.catalog.ensure_heap("ode.blobs").record_count() == 0
+        assert db.store.blob_entries() == {}
         assert check_database(db, strict=True).ok
 
 
@@ -294,10 +294,16 @@ class StraddleMachine(RuleBasedStateMachine):
     @no_txn
     @rule()
     def checkpoint_and_reopen(self) -> None:
+        """The index is derived: an open rebuilds the very same one from
+        the payload records and the files, unreferenced keys included."""
         self._unpin()
         self.db.checkpoint()
+        entries = self.db.store.blob_entries()
+        candidates = set(self.db.store.gc_candidates())
         self.db.close()
         self.db = Database(self._dir, policy=self._policy)
+        assert self.db.store.blob_entries() == entries
+        assert set(self.db.store.gc_candidates()) == candidates
 
     # -- a pinned reader ---------------------------------------------------
 

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import shutil
 import threading
 
 import pytest
 
+from repro import Database
 from repro.errors import (
     LockTimeoutError,
     TransactionAborted,
     TransactionStateError,
 )
 from repro.core.transactions import EXCLUSIVE, SHARED, LockManager
+from repro.storage import blobs as blobstore
+from repro.storage import serialization
 from repro.tools.check import check_database
-from tests.conftest import Part
+from tests.conftest import Doc, Part
 
 
 # -- lock manager -----------------------------------------------------------
@@ -180,6 +184,82 @@ def test_abort_keeps_a_concurrent_commits_blob_reference(db):
     b.weight = 96  # releases b's reference to the shared content
     assert b.weight == 96 and a.weight == 100
     assert check_database(db, strict=True).problems == []
+
+
+def _dirty_pages(db) -> list[int]:
+    return [page_id for page_id, frame in db._pool._iter_frames() if frame.dirty]
+
+
+def test_recovery_undo_of_the_first_storer_keeps_the_committed_reference(tmp_path):
+    """The crash-recovery variant of the interleaving above, on payloads
+    large enough to be content files.  T1 is first to store content K and
+    never commits, T2 stores K in another object and commits, the process
+    dies.  Recovery undoes T1's payload record; the count is derived from
+    the records that remain, so T2's reference is K's count of one -- and
+    the open's load, having nothing to repair, writes nothing."""
+    body, path, image = "k" * 2048, tmp_path / "db", tmp_path / "crashed"
+    db = Database(path)
+    a, b = db.pnew(Doc("a" * 2048)), db.pnew(Doc("b" * 2048))
+    db.checkpoint()
+    key = blobstore.blob_key(serialization.encode(Doc(body)))
+    t1_session = db.session("t1")
+    with t1_session.activate():
+        db.begin()
+        db.deref(a.oid).text = body
+    assert db.store.blob_entries()[key] == (1, len(serialization.encode(Doc(body))))
+    with db.transaction():
+        b.text = body  # T2's commit flush makes T1's records durable too
+    assert db.store.blob_refcount(key) == 2
+    shutil.copytree(path, image)  # the machine dies here
+    with Database(image) as recovered:
+        assert recovered.last_recovery.loser_txids and recovered.last_recovery.ops_undone
+        # Recovery flushed and truncated before the store loaded.
+        assert recovered.stats()["wal.bytes"] == 0 and _dirty_pages(recovered) == []
+        assert recovered.deref(b.oid).text == body
+        assert recovered.deref(a.oid).text == "a" * 2048
+        assert recovered.store.blob_refcount(key) == 1
+        assert check_database(recovered, strict=True).problems == []
+    with Database(image) as clean:  # and an open after a clean close
+        assert clean.stats()["wal.bytes"] == 0 and _dirty_pages(clean) == []
+        assert clean.store.blob_refcount(key) == 1
+    t1_session.close()
+    db.close()
+
+
+def test_savepoint_rollback_onto_content_whose_first_storer_aborted(db):
+    """T1 is first to store content K; T3 stores K too, sets a savepoint
+    and overwrites it; T1 aborts while nothing references K.  An abort
+    that unlinked its own unreferenced puts on the spot (the parent's
+    ``sweep_blob_puts``) destroyed the file T3 can still roll back onto.
+    A rolled-back put is a GC candidate instead, stamped at the rollback,
+    and no candidate is reclaimed under a transaction that was active at
+    its stamp."""
+    body = "k" * 2048
+    a, b = db.pnew(Doc("a" * 2048)), db.pnew(Doc("b" * 2048))
+    key = blobstore.blob_key(serialization.encode(Doc(body)))
+    t1_session, t3_session = db.session("t1"), db.session("t3")
+    with t1_session.activate():
+        t1 = db.begin()
+        db.deref(a.oid).text = body
+    with t3_session.activate():
+        t3 = db.begin()
+        db.deref(b.oid).text = body
+        savepoint = db.savepoint()
+        db.deref(b.oid).text = "z" * 2048
+    with t1_session.activate():
+        t1.abort()
+    assert db.store.blob_refcount(key) == 0 and db.store.blobs.exists(key)
+    assert key not in db._eligible_blob_keys(None), "T3 could still revive it"
+    with t3_session.activate():
+        db.rollback_to(savepoint)
+        db.store._bytes_cache.clear()
+        db.store._decoded_cache.clear()
+        assert db.deref(b.oid).text == body
+        t3.commit()
+    assert db.store.blob_refcount(key) == 1
+    assert check_database(db, strict=True).problems == []
+    t1_session.close()
+    t3_session.close()
 
 
 def test_multi_op_transaction_is_atomic(db):

@@ -59,6 +59,11 @@ def test_matrix_enumerates_every_action():
         (s.failpoint, s.action) for s in scenarios
     }
     assert len(smoke) < len(scenarios)
+    # ... plus the shared-content scenario, which shares its failpoint
+    # with a mixed-workload one and must not be deduplicated away.
+    assert [s.name for s in smoke if s.shared_content] == [
+        "heap.replay_insert:crash:hit1:shared-content"
+    ]
 
 
 def test_savepoint_rollback_then_crash_before_commit(tmp_path):

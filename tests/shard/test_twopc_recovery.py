@@ -239,3 +239,56 @@ def test_direct_open_with_retained_wal_never_reuses_txids(tmp_path):
             assert not shard.coordinator_decisions()
     finally:
         router.close()
+
+
+@persistent(name="tests.shard.Page")
+class Page(PersistentObject):
+    def __init__(self, body: str = "") -> None:
+        self.body = body
+
+
+@pytest.mark.parametrize("commit", [False, True], ids=["abort", "commit"])
+def test_payload_displaced_by_an_in_doubt_participant_survives_the_open(tmp_path, commit):
+    """The blob index is derived from the payload records, so a body a
+    prepared-but-undecided participant overwrote counts zero after a
+    crash -- exactly like a crashed put's orphan.  An open that unlinked
+    unreferenced files would destroy the very content an abort verdict
+    must revive; while a participant is in doubt they are candidates and
+    nothing is unlinked."""
+    path = tmp_path / "shards"
+    old, new = "o" * 2048, "n" * 2048
+    router = ShardedDatabase(path, nshards=3)
+    first, second = router.pnew(Page(old)), router.pnew(Page(old + "2"))
+    router.checkpoint()
+    faults.activate(FaultPlan().crash("shard.2pc.post_prepare", hit=2))
+    try:
+        with pytest.raises(SimulatedCrash):
+            with router.transaction():
+                first.body = new
+                second.body = new + "2"
+    finally:
+        faults.deactivate()
+
+    shard = Database(path / "shard-00")  # first's home, below the router
+    try:
+        (txid,) = shard.in_doubt_txns()
+        store = shard.store
+        zero = [key for key, (count, _size) in store.blob_entries().items() if not count]
+        assert len(zero) == 1, "the displaced body is known and counts zero"
+        (old_key,) = zero
+        assert old_key in store.gc_candidates() and store.blobs.exists(old_key)
+        assert shard.reclaim_blobs() == (0, 0, 1), "refused while in doubt"
+
+        shard.resolve_in_doubt(txid, commit=commit)
+        assert shard.deref(first.oid).body == (new if commit else old)
+        assert not check_database(shard, strict=True).problems
+        shard.pnew(Page("tick"))  # any commit: candidates wait for the epoch
+        # Commit: the old body is the garbage.  Abort: it is live again,
+        # and the rolled-back put of the new body is.
+        assert store.blob_refcount(old_key) == (0 if commit else 1)
+        unlinked, _freed, remaining = shard.reclaim_blobs()
+        assert (unlinked, remaining) == (1, 0)
+        assert store.blobs.exists(old_key) == (not commit)
+        assert not check_database(shard, strict=True).problems
+    finally:
+        shard.close()

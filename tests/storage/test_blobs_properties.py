@@ -19,9 +19,11 @@ store's core invariants after every step:
 from __future__ import annotations
 
 import hashlib
+import os
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -93,6 +95,57 @@ def test_unlink_is_complete_and_idempotent(content):
         assert store.file_count() == 0
     finally:
         shutil.rmtree(tmp)
+
+
+def test_first_put_creates_its_fan_out_directory(tmp_path):
+    """The fan-out directory is made when the temp open finds it missing,
+    including one that was removed after earlier puts went through it."""
+    store = BlobStore(tmp_path / "blobs")
+    first, second = b"first" * 100, b"second" * 100
+    key = store.put(first)
+    fanout = tmp_path / "blobs" / key[:2]
+    assert sorted(p.name for p in fanout.iterdir()) == [key[2:]]
+    assert store.get(key) == first
+    store.unlink(key)
+    fanout.rmdir()
+    assert store.put(first) == key and store.get(key) == first
+    other = store.put(second)
+    assert store.get(other) == second
+    assert store.stats.puts == 3 and store.stats.files_written == 3
+    assert store.stats.dedup_hits == 0
+    assert store.put(second) == other and store.stats.dedup_hits == 1
+
+
+@pytest.mark.parametrize("failing", ["write", "fsync", "rename"])
+def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch, failing):
+    """A put that fails anywhere between the temp open and the rename
+    removes its temp file, publishes nothing, counts no file written --
+    and the same content goes in cleanly afterwards."""
+    store = BlobStore(tmp_path / "blobs")
+    content = b"payload" * 200
+    key = blobstore.blob_key(content)
+
+    def boom(*_args, **_kwargs):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, failing, boom)
+        with pytest.raises(OSError):
+            store.put(content)
+    assert not store.exists(key)
+    assert list((tmp_path / "blobs" / key[:2]).iterdir()) == []
+    assert store.stats.puts == 1 and store.stats.files_written == 0
+    assert store.put(content) == key and store.get(key) == content
+    assert store.stats.files_written == 1
+
+
+def test_put_writes_through_short_writes(tmp_path, monkeypatch):
+    """``os.write`` may accept fewer bytes than offered; put loops."""
+    store = BlobStore(tmp_path / "blobs")
+    content = bytes(range(256)) * 40
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:1000]))
+    assert store.get(store.put(content)) == content
 
 
 @given(st.binary(min_size=0, max_size=512), st.integers(0, 2**31))
@@ -196,9 +249,13 @@ class BlobMachine(RuleBasedStateMachine):
                     break
             report = check_database(self.db, strict=True)
             assert report.ok, report.render()
+            entries = self.db.store.blob_entries()
+            candidates = set(self.db.store.gc_candidates())
             self.db.close()
             with Database(self._dir) as db:
                 assert check_database(db, strict=True).ok
+                assert db.store.blob_entries() == entries
+                assert set(db.store.gc_candidates()) == candidates
         finally:
             shutil.rmtree(self._dir, ignore_errors=True)
 
