@@ -230,7 +230,12 @@ def test_e14_cross_shard_2pc_overhead_reported(tmp_path, benchmark):
     assert did == n
     assert stats["shard.2pc.prepares"] - base["shard.2pc.prepares"] == 2 * n
     assert stats["shard.2pc.decisions"] - base["shard.2pc.decisions"] == n
-    assert stats["shard.2pc.forgets"] - base["shard.2pc.forgets"] == n
+    # A verdict is forgotten once both COMMITs are durable, which a later
+    # commit's flushes bring about: released by now, or still held.
+    assert (
+        stats["shard.2pc.forgets"] - base["shard.2pc.forgets"]
+        + stats["shard.2pc.decisions_held"] - base["shard.2pc.decisions_held"]
+    ) == n
     benchmark.extra_info["single_shard_tps"] = round(single_tps, 1)
     benchmark.extra_info["cross_shard_tps"] = round(cross_tps, 1)
     benchmark.extra_info["2pc_overhead_x"] = round(single_tps / cross_tps, 2)

@@ -2,20 +2,23 @@
 
 PR 9 gave the router a shared :class:`~repro.shard.ShardExecutor` and
 made every cross-shard operation scatter: fan-out queries materialize
-their per-shard parts on pool workers, and 2PC drives phase-1 PREPARE
-flushes and phase-2 COMMITs concurrently across writer participants.
-This suite measures the two claims that justify the layer:
+their per-shard parts on pool workers, and 2PC scatters the phase-1
+PREPARE flushes of a transaction's remote writers.  This suite measures
+the two claims that justify the layer:
 
 * **Scatter-gather fan-out**: a cold fan-out query at 4 shards must run
   >= 2x faster with the parallel scatter than with the serial loop,
   because per-shard I/O stalls overlap instead of adding up;
-* **Parallel 2PC**: the cross-shard commit overhead (vs a single-shard
-  fast-path commit, measured the same way E14 reported its ~2.5x
-  baseline) must land *below* that baseline with parallel phases on,
-  and below the serial protocol measured in the same run.  Under a
-  disk-latency model the structural claim is gated too: serial 2PC
-  cost grows with the participant count (sum of fsyncs), parallel
-  stays nearly flat (max of fsyncs).
+* **2PC forces the log once per writer shard**: an *n*-writer commit
+  flushes n-1 remote PREPAREs, then the coordinator shard's PREPARE and
+  the verdict in one flush; COMMIT records are appended, never forced.
+  That is a *count* (2 at two writers, 4 at four) and is gated as one.
+  With two writers there is a single remote prepare and nothing to
+  overlap, so parallel == serial there; at four writers the three
+  remote prepares overlap, and under the disk-latency model a commit
+  waits for ~2 fsyncs in parallel against ~4 serial.  The raw overhead
+  (vs a single-shard fast-path commit, the way E14 reported its ~2.5x
+  baseline) must still land below that baseline.
 
 **The storage latency model.**  CI containers run on overlay/tmpfs
 storage where ``fsync`` costs ~30us and every page read is cached --
@@ -325,20 +328,23 @@ def test_e16_parallel_fanout_speedup_smoke(tmp_path, benchmark):
 
 @pytest.mark.smoke
 def test_e16_parallel_2pc_overhead_smoke(tmp_path, benchmark):
-    """Cross-shard commit overhead with parallel phases.
+    """Cross-shard commit cost: forced log writes, counted and modeled.
 
     Gates:
 
-    * raw (container storage): parallel-2PC overhead lands below the
-      ~2.5x baseline E14 reported for the serial protocol, and at or
-      below the serial protocol measured in the same run;
-    * modeled (2 ms fsync): the serial protocol pays one fsync *per
-      participant* per phase (sum), parallel pays the max -- so the
-      parallel/serial latency ratio must drop well below 1 and keep
-      dropping as participants grow.
+    * counted: a 2-writer commit flushes the WAL twice, a 4-writer one
+      four times (one per remote PREPARE, one for the coordinator
+      shard's PREPARE + verdict; no COMMIT is forced);
+    * raw (container storage): the 2PC overhead lands below the ~2.5x
+      baseline E14 reported, and parallel is no slower than serial;
+    * modeled (2 ms fsync): at four writers the three remote prepares
+      overlap -- ~2 fsync waits against the serial loop's ~4.  At two
+      writers there is one remote prepare and nothing to overlap, so
+      no ratio is gated there; the modeled waits are reported.
 
-    The 2PC accounting is gated exactly like E14: each 2-participant
-    cross-shard commit runs two prepares, one decision, one forget.
+    The 2PC accounting is gated like E14's: each 2-participant commit
+    runs two prepares and one decision, and its verdict is either
+    forgotten by now or still held for a participant's next flush.
     """
     router, refs = _build(tmp_path, "e16_2pc", nshards=4)
     try:
@@ -351,7 +357,14 @@ def test_e16_parallel_2pc_overhead_smoke(tmp_path, benchmark):
         stats = router.stats()
         assert stats["shard.2pc.prepares"] - base["shard.2pc.prepares"] == 2 * n
         assert stats["shard.2pc.decisions"] - base["shard.2pc.decisions"] == n
-        assert stats["shard.2pc.forgets"] - base["shard.2pc.forgets"] == n
+
+        def settled(key: str) -> int:
+            return stats[f"shard.2pc.{key}"] - base[f"shard.2pc.{key}"]
+
+        assert settled("forgets") + settled("decisions_held") == n
+        flushes2 = (stats["wal.flushes"] - base["wal.flushes"]) / n
+        raw_par4 = cross_commit_ms(router, refs, True, 4)
+        flushes4 = (router.stats()["wal.flushes"] - stats["wal.flushes"]) / n
 
         _model_disk(router, fsync_ms=FSYNC_MS)
         mod_serial2 = cross_commit_ms(
@@ -365,6 +378,11 @@ def test_e16_parallel_2pc_overhead_smoke(tmp_path, benchmark):
     finally:
         router.close()
 
+    assert (flushes2, flushes4) == (2, 4), (
+        f"forced log writes per commit: {flushes2} at 2 writers, "
+        f"{flushes4} at 4 -- expected one per writer shard"
+    )
+
     raw_par_x = raw_par / raw_single
     raw_serial_x = raw_serial / raw_single
     assert raw_par_x < E14_OVERHEAD_BASELINE, (
@@ -375,14 +393,23 @@ def test_e16_parallel_2pc_overhead_smoke(tmp_path, benchmark):
         f"parallel 2PC ({raw_par:.2f}ms) slower than serial "
         f"({raw_serial:.2f}ms) in the same run"
     )
-    # Structural gates under the fsync model: sum -> max.
-    assert mod_par2 <= mod_serial2 * 0.85, (
-        f"2 participants: parallel {mod_par2:.1f}ms vs serial "
-        f"{mod_serial2:.1f}ms -- prepares/commits did not overlap"
-    )
-    assert mod_par4 <= mod_serial4 * 0.60, (
+    # Structural gate under the fsync model: three remote prepares
+    # overlap (2 waits) or add up (4 waits).  The raw commit (four blob
+    # fsyncs) costs about one modelled wait itself, hence 0.85, not 0.5.
+    assert mod_par4 <= mod_serial4 * 0.85, (
         f"4 participants: parallel {mod_par4:.1f}ms vs serial "
-        f"{mod_serial4:.1f}ms -- cost did not stay near-flat (max, not sum)"
+        f"{mod_serial4:.1f}ms -- the remote prepares did not overlap"
+    )
+    benchmark.extra_info["wal_flushes_per_commit_2p"] = flushes2
+    benchmark.extra_info["wal_flushes_per_commit_4p"] = flushes4
+    benchmark.extra_info["modeled_fsync_waits_2p"] = round(
+        (mod_par2 - raw_par) / FSYNC_MS, 2
+    )
+    benchmark.extra_info["modeled_fsync_waits_4p"] = round(
+        (mod_par4 - raw_par4) / FSYNC_MS, 2
+    )
+    benchmark.extra_info["modeled_fsync_waits_4p_serial"] = round(
+        (mod_serial4 - raw_par4) / FSYNC_MS, 2
     )
     benchmark.extra_info["raw_single_ms"] = round(raw_single, 3)
     benchmark.extra_info["raw_serial_overhead_x"] = round(raw_serial_x, 2)

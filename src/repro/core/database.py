@@ -314,8 +314,10 @@ class Database(VersionReads, SessionHost):
 
         This is the 2PC commit point: once the flush returns, every
         prepared participant of ``gtxid`` *will* commit, crash or no
-        crash.  The decision is tracked so the WAL cannot truncate until
-        :meth:`forget_coordinator_decision` confirms phase two finished.
+        crash.  The same flush forces this shard's own ``PREPARE``,
+        appended just before: a torn tail never keeps the verdict without
+        it.  The decision is tracked so the WAL cannot truncate until
+        :meth:`forget_coordinator_decision` releases it.
         """
         self._check_writable()
         with self._twopc_mutex:
@@ -336,18 +338,28 @@ class Database(VersionReads, SessionHost):
             raise
 
     def forget_coordinator_decision(self, gtxid: tuple) -> None:
-        """Phase two finished everywhere: release the decision record.
+        """Every participant's ``COMMIT`` is durable: release the decision.
 
         Appends ``COORD_END`` (lazily flushed -- losing it merely makes a
         future recovery re-deliver an already-applied commit verdict,
         which resolution handles idempotently) and lifts the truncation
-        hold once no decisions remain.
+        hold once no decisions remain.  The router calls this only under
+        its release rule (:func:`repro.shard.coordinator.release_verdicts`).
         """
         with self._twopc_mutex:
             self._coord_decisions.pop(gtxid, None)
         self._log.append(
             LogRecord(COORD_END, 0, payload=serialization.encode(gtxid))
         )
+
+    def flush_log(self) -> None:
+        """Force the WAL: every record appended so far becomes durable."""
+        self._log.flush()
+
+    @property
+    def log_flushed_seq(self) -> int:
+        """The WAL sequence durable so far (see :attr:`Transaction.commit_seq`)."""
+        return self._log.flushed_seq
 
     def resolve_in_doubt(self, txid: int, commit: bool) -> None:
         """Decide a recovered in-doubt participant: commit or roll back.
@@ -359,25 +371,31 @@ class Database(VersionReads, SessionHost):
         may truncate again.
         """
         with self._twopc_mutex:
-            info = self._in_doubt.pop(txid, None)
+            info = self._in_doubt.get(txid)
         if info is None:
             raise TransactionStateError(f"transaction {txid} is not in-doubt")
         if commit:
             self._log.append(LogRecord(COMMIT, txid))
             self._log.flush()
-            return
-        with self._storage_mutex:
-            undo_operations(
-                info.ops, self._catalog.heap_by_id, self._log, txid
-            )
-            self._log.append(LogRecord(ABORT_END, txid))
-            self._log.flush()
-            # The heaps changed underneath the in-memory table: rebuild,
-            # as an aborting transaction's reload does.
-            self._catalog.reload()
-            self._store.reload()
-            self._indexes.rebuild()
-            self._store.publish_snapshot(exclude=self._active_touched(), full=True)
+        else:
+            with self._storage_mutex:
+                undo_operations(
+                    info.ops, self._catalog.heap_by_id, self._log, txid
+                )
+                self._log.append(LogRecord(ABORT_END, txid))
+                self._log.flush()
+                # The heaps changed underneath the in-memory table: rebuild,
+                # as an aborting transaction's reload does.
+                self._catalog.reload()
+                self._store.reload()
+                self._indexes.rebuild()
+                self._store.publish_snapshot(
+                    exclude=self._active_touched(), full=True
+                )
+        # Only now: "not in doubt" is what lets the router release the
+        # verdict, so it must not read true before the outcome is durable.
+        with self._twopc_mutex:
+            self._in_doubt.pop(txid, None)
 
     # -- lifecycle -----------------------------------------------------------
 

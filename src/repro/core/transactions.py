@@ -447,10 +447,12 @@ class Transaction:
         #: True for snapshot-read transactions: every mutation fails fast
         #: with :class:`~repro.errors.ReadOnlySnapshotError`.
         self.read_only = False
-        #: True once :meth:`prepare` has made the prepare promise durable;
-        #: from then on the transaction never aborts itself on a failed
-        #: commit (the coordinator or restart recovery owns its fate).
+        #: True once :meth:`prepare` has logged the prepare promise; from
+        #: then on the transaction never aborts itself on a failed commit
+        #: (the coordinator or restart recovery owns its fate).
         self.prepared = False
+        #: Log sequence of the ``COMMIT`` record, set by :meth:`commit`.
+        self.commit_seq = 0
         #: The owning :class:`~repro.core.session.Session` (set by the
         #: database facade); the transaction's operations may execute on
         #: any thread that has the session activated.
@@ -532,12 +534,16 @@ class Transaction:
         """Phase one of two-phase commit: promise that commit cannot fail.
 
         Appends a ``PREPARE`` record carrying ``meta`` (the coordinator's
-        encoded ``(gtxid, coordinator, participants)``) and flushes through
-        it.  After this returns, the transaction's ops and the promise are
-        durable: a crash before the decision leaves it *in-doubt*, and
-        restart recovery keeps its effects until the coordinator's verdict
-        is known.  The transaction stays active and keeps its locks; the
-        owner must follow with :meth:`commit` or :meth:`abort`.
+        encoded ``(gtxid, coordinator, participants)``) behind the
+        transaction's ops.  The promise is durable once this log is next
+        forced, and forcing it is the coordinator's move: a remote
+        participant's log right away, the coordinator shard's own together
+        with the verdict that follows the ``PREPARE`` in it.  A crash after
+        that force and before the decision leaves the transaction
+        *in-doubt*, and restart recovery keeps its effects until the
+        coordinator's verdict is known.  The transaction stays active and
+        keeps its locks; the owner must follow with :meth:`commit` or
+        :meth:`abort`.
         """
         self._require_active()
         if self.prepared:
@@ -546,7 +552,6 @@ class Transaction:
             )
         hooks.sched_point("txn.prepare")
         self._log.append(LogRecord(PREPARE, self.txid, payload=meta))
-        self._log.flush()
         self.prepared = True
 
     def commit(self) -> None:
@@ -559,18 +564,22 @@ class Transaction:
         transaction must never exit this method still holding locks, or
         every other transaction contending on them stalls until timeout.
 
-        Exception: a *prepared* participant must never abort unilaterally
-        -- by the time phase two runs, the global decision may already be
-        durable in the coordinator's WAL, and a self-abort here would
-        contradict it.  A prepared commit that fails keeps the transaction
-        active (locks held, effects in place) so the caller can retry or
-        leave resolution to restart recovery.
+        A *prepared* participant is different twice over.  Its ``COMMIT``
+        record is appended, not forced: the durable verdict in the
+        coordinator's WAL already owns its fate, so a crash before this
+        log's next force brings it back in-doubt and resolution commits it
+        again (:attr:`commit_seq` is what the router holds the verdict
+        against).  And it must never abort unilaterally -- a self-abort
+        would contradict that verdict -- so a prepared commit that fails
+        keeps the transaction active (locks held, effects in place) for
+        the caller to retry or restart recovery to resolve.
         """
         self._require_active()
         hooks.sched_point("txn.commit")
         try:
-            self._log.append(LogRecord(COMMIT, self.txid))
-            self._log.flush()
+            self.commit_seq = self._log.append(LogRecord(COMMIT, self.txid))
+            if not self.prepared:
+                self._log.flush()
         except BaseException:
             if self.prepared:
                 raise

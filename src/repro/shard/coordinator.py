@@ -1,32 +1,43 @@
 """Two-phase commit across shards.
 
 The router funnels a :class:`GlobalTransaction`'s commit here.  With one
-participant (or none) the global commit *is* the local commit -- the
-single-shard fast path pays no protocol cost.  With two or more:
+writer shard (or none) the global commit *is* the local commit -- the
+single-shard fast path pays no protocol cost.  With *n* >= 2 writers it
+is presumed abort with R*'s two economies, forcing the log *n* times:
 
-1. **Prepare.**  Every participant's local transaction appends a
-   ``PREPARE`` record (carrying the global txid, the coordinator shard,
-   and the full participant list) and flushes through it.  A participant
-   that crashes after this point is *in-doubt*: its effects are durable
-   and recovery keeps them until the verdict is known.  Any prepare
-   failure aborts the whole global transaction -- legal, because no
-   verdict exists yet (presumed abort).
+1. **Remote prepares.**  Every writer but the coordinator shard -- the
+   lowest writer index, so the choice is deterministic and needs no WAL
+   traffic to record -- appends a ``PREPARE`` record (carrying the global
+   txid, the coordinator shard, and the full participant list) and its
+   log is forced.  A participant that crashes after this point is
+   *in-doubt*: its effects are durable and recovery keeps them until the
+   verdict is known.  Any prepare failure aborts the whole global
+   transaction -- legal, because no verdict exists yet (presumed abort).
 
-2. **Decide.**  The coordinator shard -- the lowest participant index, so
-   the choice is deterministic and needs no extra WAL traffic to record
-   -- journals ``COORD_COMMIT(gtxid, participants)`` and flushes.  This
-   single fsync is the commit point for the whole global transaction.
+2. **Prepare and decide, one flush.**  The coordinator shard is its own
+   last agent: it appends its ``PREPARE``, then ``COORD_COMMIT(gtxid,
+   participants)``, to the same log and flushes once -- the commit point
+   of the whole global transaction.  Log order is the argument: a torn
+   tail leaves "prepared, no verdict" (presumed abort everywhere) or
+   "prepared + verdict" (commit everywhere), never a verdict for an
+   unprepared local branch.
 
-3. **Commit.**  Each participant's local transaction commits (appending
-   its ordinary ``COMMIT`` record).  A prepared participant never aborts
-   itself on failure here (see :meth:`Transaction.commit`); a crash
-   leaves it in-doubt and restart resolution consults the coordinator's
-   decision.
+3. **Commit, unforced.**  Each participant commits on the calling
+   thread: its ``COMMIT`` record is appended, *not forced* (see
+   :meth:`Transaction.commit`), locks are released, the result
+   published.  The durable verdict owns the participant's fate: a crash
+   before that log's next flush brings it back in-doubt and restart
+   resolution commits it again.  A prepared participant never aborts
+   itself on failure here.
 
-4. **Forget.**  With every participant's commit durable, the decision
-   record is released (``COORD_END``) so the coordinator shard's WAL can
-   truncate again.  Losing the forget costs nothing but an idempotent
-   re-delivery of the verdict on the next restart.
+4. **Hold, then forget.**  The verdict is *held* (:class:`HeldVerdict`)
+   until every participant's WAL has been flushed -- by anyone: a later
+   commit, a checkpoint -- past its ``COMMIT`` record; only then is
+   ``COORD_END`` appended and the coordinator shard's WAL free to
+   truncate (:func:`release_verdicts`, run at the top of every commit,
+   and after forcing the awaited logs at checkpoint, close and restart
+   resolution).  Losing the unforced ``COORD_END`` costs nothing but an
+   idempotent re-delivery of the verdict on the next restart.
 
 Recovery resolves the other direction: an in-doubt participant commits
 iff its gtxid has a durable ``COORD_COMMIT`` somewhere, otherwise
@@ -34,12 +45,15 @@ iff its gtxid has a durable ``COORD_COMMIT`` somewhere, otherwise
 no participant can have committed.
 
 Failpoints (``shard.2pc.*``) bracket every window so the crash matrix
-can kill the process at each protocol step and assert recovery holds.
+can kill the process at each protocol step and assert recovery holds:
+``post_prepare`` fires per participant (the remote ones forced, then the
+coordinator shard's, only appended), ``post_ack`` per appended
+``COMMIT``, ``pre_forget`` per released verdict.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ShardUnavailableError, TransactionStateError
 from repro.storage import faults, serialization
@@ -105,6 +119,9 @@ class GlobalTransaction:
         self.gtxid: tuple | None = None
         #: Coordinator shard index, fixed when the gtxid is assigned.
         self.coordinator: int | None = None
+        #: The router's :class:`HeldVerdict` for this transaction, from
+        #: just before its decision record is logged.
+        self.held: HeldVerdict | None = None
         #: Per-shard lock deadline override, inherited by every local
         #: transaction the router begins on this transaction's behalf.
         self.lock_timeout: float | None = None
@@ -209,6 +226,21 @@ def prepare_meta(
     return serialization.encode((gtxid, coordinator, tuple(participants)))
 
 
+class HeldVerdict(NamedTuple):
+    """A durable verdict whose ``COORD_END`` waits on its participants.
+
+    Kept in the router's ``_held`` (gtxid -> verdict, oldest first, under
+    ``_held_mutex``) from just before the decision record is logged until
+    :func:`release_verdicts` finds every mark covered.
+    """
+
+    gtxid: tuple
+    coordinator: int
+    #: participant shard -> (shard generation its local transaction ran
+    #: under, log sequence of its ``COMMIT`` -- None until appended).
+    marks: dict[int, tuple[int, int | None]]
+
+
 def commit_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
     """Run the global commit protocol for ``gtxn``.
 
@@ -221,6 +253,10 @@ def commit_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
     verdict is already on disk.
     """
     counters = router._twopc_counters
+    # Earlier verdicts whose participants' logs have been forced since (by
+    # anyone's flush) go here, fast path included: this is what bounds how
+    # long a verdict pins its coordinator shard's WAL.
+    release_verdicts(router)
     try:
         if gtxn.decided:
             # A durable verdict exists from an earlier attempt that failed
@@ -264,36 +300,46 @@ def commit_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
         gtxn.coordinator = coordinator
         meta = prepare_meta(gtxid, coordinator, parts)
 
-        # Phase one: every participant makes the prepare promise durable.
-        # The PREPARE appends+fsyncs scatter across the shard executor
-        # (fsync releases the GIL, so wall-clock cost drops from the sum
-        # of the participants' flushes to their max); the decision append
-        # strictly follows *every* prepare outcome -- the barrier below is
-        # the atomicity of the protocol, not an implementation detail.
+        def _prepare_one(idx: int) -> None:
+            # Distinct shards mean distinct shard-local sessions, so
+            # concurrent workers never trip the one-thread rule.
+            with gtxn.session.shard_session(idx).activate():
+                gtxn.locals[idx].prepare(meta)
+            if idx != coordinator:
+                router.shards[idx].flush_log()  # a remote writer's one force
+            faults.fire("shard.2pc.post_prepare")
+
         try:
             faults.fire("shard.2pc.pre_prepare")
-
-            def _prepare_one(idx: int) -> None:
-                # Distinct shards mean distinct shard-local sessions, so
-                # concurrent workers never trip the one-thread rule.
-                with gtxn.session.shard_session(idx).activate():
-                    gtxn.locals[idx].prepare(meta)
-                faults.fire("shard.2pc.post_prepare")
-
-            error = _scatter_participants(router, parts, _prepare_one, counters, "prepares")
+            # Phase one: the other writers make their promise durable,
+            # scattered across the shard executor (fsync releases the GIL,
+            # so the cost is the slowest flush, not their sum).  The
+            # barrier is the protocol's atomicity: the coordinator shard
+            # prepares, and decides, strictly after *every* remote outcome.
+            error = _scatter_prepares(router, parts, _prepare_one)
             if error is not None:
                 raise error
             faults.fire("shard.2pc.pre_decision")
+            # Held from before the verdict shows in the shard's decision
+            # table, so nothing ever finds it unaccounted for.
+            gtxn.held = HeldVerdict(
+                gtxid, coordinator, {i: (gtxn.local_gens[i], None) for i in parts}
+            )
+            with router._held_mutex:
+                router._held[gtxid] = gtxn.held
             # The commit point: the verdict survives any crash after this.
-            # Its append+fsync rides the coordinator shard's ordinary
-            # group-commit window like any other flush.
+            # The flush also forces the coordinator shard's own PREPARE,
+            # appended just above, and rides that shard's ordinary
+            # group-commit window like any other.
             router.shards[coordinator].log_coordinator_decision(gtxid, parts)
         except BaseException:
             # No durable verdict exists (the decision append either never
             # ran or failed before its fsync): presumed abort.  A
             # simulated crash skips the cleanup -- a dead process aborts
             # nothing, that is what restart resolution is for.
-            if not faults.is_crashed() and not gtxn.decided:
+            if not faults.is_crashed():
+                with router._held_mutex:
+                    router._held.pop(gtxid, None)
                 try:
                     abort_global(router, gtxn)
                 except BaseException:
@@ -309,91 +355,119 @@ def commit_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
             router._finish_global(gtxn)
 
 
-def _scatter_participants(
-    router: "ShardedDatabase",
-    indices: tuple[int, ...] | list[int],
-    fn,
-    counters: dict[str, int],
-    counter_key: str | None,
+def _scatter_prepares(
+    router: "ShardedDatabase", parts: tuple[int, ...], fn
 ) -> BaseException | None:
-    """Run ``fn(idx)`` over participants, in parallel when enabled.
+    """Prepare the remote writers (in parallel when enabled), then --
+    only if all succeeded -- the coordinator shard ``parts[0]``, inline.
 
-    Counts successes into ``counters[counter_key]`` on the coordinating
+    Counts successes into ``shard.2pc.prepares`` on the coordinating
     thread (worker-side increments would race), and returns the one
-    error to surface -- a :class:`~repro.storage.faults.SimulatedCrash`
+    error to surface: a :class:`~repro.storage.faults.SimulatedCrash`
     first (the harness must see the process death it injected; siblings
     may have failed *because* the crash barrier dropped), otherwise the
-    lowest failing shard's error, matching the serial loop's
-    deterministic shape.  The serial fallback stops at the first failure
-    exactly like the historical loop.
+    lowest failing shard's.  The serial loop stops at the first failure.
+    With one remote writer ``run_all`` is caller-runs: no executor task.
     """
-    if (
-        router.parallel_2pc
-        and len(indices) > 1
-        and not router._exec.in_worker()
-    ):
-        outcomes = router._exec.run_all(indices, fn)
-    else:
-        outcomes = []
-        for idx in indices:
-            try:
-                outcomes.append((fn(idx), None))
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                outcomes.append((None, exc))
-                break
-    if counter_key is not None:
-        counters[counter_key] += sum(1 for _, err in outcomes if err is None)
-    errors = [
-        (idx, err)
-        for idx, (_, err) in zip(indices, outcomes)
-        if err is not None
-    ]
-    if not errors:
-        return None
-    for _, err in errors:
-        if isinstance(err, faults.SimulatedCrash):
-            return err
-    return min(errors)[1]
+    errors: list[BaseException | None] = []
+    serial = parts[1:] + parts[:1]
+    if router.parallel_2pc and not router._exec.in_worker():
+        errors = [err for _, err in router._exec.run_all(parts[1:], fn)]
+        serial = parts[:1]
+    for idx in serial:
+        if errors.count(None) < len(errors):
+            break
+        try:
+            fn(idx)
+            errors.append(None)
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+    router._twopc_counters["prepares"] += errors.count(None)
+    failed = [err for err in errors if err is not None]
+    crashed = [err for err in failed if isinstance(err, faults.SimulatedCrash)]
+    return next(iter(crashed or failed), None)
 
 
 def _deliver_verdict(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
-    """Phase two: commit every still-prepared participant, then forget.
+    """Phase two: commit every still-prepared participant.
 
-    Idempotent by construction so a partially failed delivery can be
-    re-run: locals that already committed are skipped, a prepared
-    participant whose commit fails stays active for the next attempt
-    (see :meth:`Transaction.commit`), and re-forgetting an unknown
-    gtxid is a no-op.  The COMMITs scatter across the shard executor
-    with those same semantics, and the whole fan-out runs under the
-    shared side of the router's cut latch: a global snapshot can never
-    land between one participant's publication and another's, which is
-    what makes the cut a consistent one.
+    On the calling thread -- a prepared participant's ``COMMIT`` is an
+    append, there is no fsync to overlap -- and under the shared side of
+    the router's cut latch: a global snapshot can never land between one
+    participant's publication and another's, which is what makes the cut
+    a consistent one.  Each ``COMMIT``'s log position is marked on the
+    held verdict for :func:`release_verdicts` to wait on.
+
+    Idempotent so a partially failed delivery can be re-run: locals that
+    already committed are skipped, and a prepared participant whose
+    commit fails stays active for the next attempt (see
+    :meth:`Transaction.commit`).
     """
-    counters = router._twopc_counters
-    pending = [
-        idx for idx in gtxn.participants if gtxn.locals[idx].state == ACTIVE
-    ]
-
-    def _commit_one(idx: int) -> None:
-        txn = gtxn.locals[idx]
-        if txn.state != ACTIVE:
-            return
-        with gtxn.session.shard_session(idx).activate():
-            txn.commit()
-        faults.fire("shard.2pc.post_ack")
-
+    assert gtxn.held is not None
     with router._cut_latch.publishing():
-        error = _scatter_participants(router, pending, _commit_one, counters, None)
-    if error is not None:
-        raise error
-
-    # Forget: every participant acknowledged; the decision record has
-    # served its purpose and releases the coordinator WAL.
-    faults.fire("shard.2pc.pre_forget")
-    assert gtxn.coordinator is not None and gtxn.gtxid is not None
-    router.shards[gtxn.coordinator].forget_coordinator_decision(gtxn.gtxid)
-    counters["forgets"] += 1
+        for idx in gtxn.participants:
+            txn = gtxn.locals[idx]
+            if txn.state != ACTIVE:
+                continue
+            with gtxn.session.shard_session(idx).activate():
+                txn.commit()
+            gtxn.held.marks[idx] = (gtxn.local_gens[idx], txn.commit_seq)
+            router._twopc_counters["lazy_commits"] += 1
+            faults.fire("shard.2pc.post_ack")
     gtxn.state = COMMITTED
+
+
+def _lag(router: "ShardedDatabase", idx: int, mark: tuple[int, int | None]) -> int | None:
+    """Records shard ``idx`` must still force to cover ``mark`` (<= 0:
+    covered); None while it cannot be: the COMMIT is not appended yet, the
+    shard is down, or the mark is of a generation of it that died."""
+    gen, seq = mark
+    if seq is None or router._shard_down[idx] or gen != router._shard_gen[idx]:
+        return None
+    return seq - router.shards[idx].log_flushed_seq
+
+
+def release_verdicts(router: "ShardedDatabase") -> list[HeldVerdict]:
+    """The one rule for forgetting a verdict; returns those released.
+
+    ``COORD_END`` may be appended only after every participant's WAL has
+    been flushed past its ``COMMIT`` record -- until then a crash brings
+    that participant back in doubt and the verdict is all that says
+    *commit*.  An uncoverable mark (restart resolution re-marks the stale
+    ones, see :func:`repro.shard.recovery.resolve_in_doubt`) and a down
+    coordinator shard leave the verdict held.
+    """
+    released: list[HeldVerdict] = []
+    if not router._held:
+        return released
+    with router._held_mutex:
+        for held in list(router._held.values()):
+            lags = [_lag(router, idx, mark) for idx, mark in held.marks.items()]
+            if router._shard_down[held.coordinator] or any(
+                lag is None or lag > 0 for lag in lags
+            ):
+                continue
+            faults.fire("shard.2pc.pre_forget")
+            router.shards[held.coordinator].forget_coordinator_decision(held.gtxid)
+            del router._held[held.gtxid]
+            router._twopc_counters["forgets"] += 1
+            released.append(held)
+    return released
+
+
+def settle_verdicts(router: "ShardedDatabase") -> list[HeldVerdict]:
+    """Force the logs held verdicts wait on, then release what that frees.
+
+    For the quiescent points (checkpoint, close, restart resolution):
+    every releasable verdict is gone before the shards checkpoint, so
+    their WALs truncate.
+    """
+    with router._held_mutex:
+        marks = [m for held in router._held.values() for m in held.marks.items()]
+    for idx in sorted({idx for idx, mark in marks if (_lag(router, idx, mark) or 0) > 0}):
+        if not router.shards[idx].degraded:
+            router.shards[idx].flush_log()
+    return release_verdicts(router)
 
 
 def abort_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
@@ -423,9 +497,3 @@ def abort_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
     router._finish_global(gtxn)
     if first_error is not None:
         raise first_error
-
-
-def resolution_meta(payload: bytes) -> tuple[tuple, int, tuple[int, ...]]:
-    """Decode a PREPARE payload back to (gtxid, coordinator, participants)."""
-    gtxid, coordinator, participants = serialization.decode(payload)
-    return gtxid, coordinator, tuple(participants)

@@ -1,10 +1,15 @@
 """Restart resolution of in-doubt cross-shard transactions.
 
-Runs once per :class:`~repro.shard.router.ShardedDatabase` open, after
-every shard's own WAL recovery.  Each shard surfaces two things: its
+Runs at every :class:`~repro.shard.router.ShardedDatabase` open, after
+every shard's own WAL recovery, and again -- online -- whenever a down
+shard is reattached.  Each shard surfaces two things: its
 prepared-but-undecided participants (effects already replayed, undo
 images retained) and the coordinator commit verdicts surviving in its
-WAL.  Resolution is presumed abort:
+WAL.  A participant's ``COMMIT`` record is appended without a force
+(see :mod:`repro.shard.coordinator`), so a transaction whose commit was
+acknowledged can come back in doubt: its durability rests on the
+verdict, and this module is what cashes it in.  Resolution is presumed
+abort:
 
 * an in-doubt participant whose gtxid has a durable ``COORD_COMMIT`` on
   *any* reachable shard commits (the verdict was the commit point);
@@ -16,12 +21,17 @@ WAL.  Resolution is presumed abort:
   globally-committed transaction whose verdict is merely unreachable.
   Such participants stay in doubt until the coordinator returns.
 
-Verdicts are read across **all** shards before any participant is
-resolved, then forgotten only after every matching participant is
-resolved durably -- a crash mid-resolution re-runs it idempotently
-(compensation ops are logged, commits are plain ``COMMIT`` appends, and
-re-delivering a verdict to an already-resolved participant is a no-op
-because the participant is no longer in-doubt).
+Verdicts are read across **all** up shards before any participant is
+resolved, and none is forgotten here except through the router's one
+release rule (:func:`~repro.shard.coordinator.release_verdicts`): a
+verdict found in a WAL is enrolled as held, a held verdict's participant
+is re-marked only once it is durably out of doubt, and whatever that
+leaves uncovered -- a participant still down, a live commit between its
+decision and its ``COMMIT`` appends -- stays held.  A crash
+mid-resolution re-runs it idempotently (compensation ops are logged,
+commits are plain ``COMMIT`` appends, and re-delivering a verdict to an
+already-resolved participant is a no-op because the participant is no
+longer in-doubt).
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import DatabaseDegradedError, TransactionStateError
+from repro.shard.coordinator import HeldVerdict, settle_verdicts
 
 if TYPE_CHECKING:
     from repro.shard.router import ShardedDatabase
@@ -54,44 +65,28 @@ class ResolutionReport:
         return len(self.committed) + len(self.aborted)
 
 
-def resolve_in_doubt(
-    router: "ShardedDatabase", only: set[int] | None = None
-) -> ResolutionReport:
-    """Resolve every in-doubt participant across the router's shards.
+def resolve_in_doubt(router: "ShardedDatabase") -> ResolutionReport:
+    """Resolve every in-doubt participant on the router's up shards.
 
-    ``only`` restricts resolution to those shard indices -- the online
-    reattach path (:meth:`ShardedDatabase.reattach_shard`), which must
-    resolve the returning shard's in-doubt participants without touching
-    shards that are still down.  Down shards are always skipped.
-
-    Verdicts are forgotten (and WAL truncation holds lifted) only when
-    resolution covered *every* shard: with any shard still down, a
-    verdict may yet be needed to commit that shard's prepared
-    participants when it returns.  Symmetrically, a verdict-less
-    participant whose *coordinator* shard is down is deferred (left in
-    doubt), not presumed aborted -- the unreachable WAL may hold its
-    ``COORD_COMMIT``.
+    Down shards are skipped: their participants wait for their reattach,
+    and a verdict-less participant whose *coordinator* shard is down is
+    deferred (left in doubt), not presumed aborted -- the unreachable WAL
+    may hold its ``COORD_COMMIT``.
     """
     report = ResolutionReport()
-    all_shards = set(range(len(router.shards)))
-    health = getattr(router, "shard_health", None)
-    up = all_shards
-    if callable(health):
-        up = {idx for idx, state in health().items() if state != "down"}
+    up = set(router._up_shards())
 
     # Collect verdicts from every reachable shard first: a participant
     # on shard A may have been coordinated by shard B.
-    decisions: dict[tuple, int] = {}
+    decisions: dict[tuple, tuple[int, tuple[int, ...]]] = {}
     for idx in sorted(up):
-        for gtxid in router.shards[idx].coordinator_decisions():
-            decisions[gtxid] = idx
+        for gtxid, parts in router.shards[idx].coordinator_decisions().items():
+            decisions[gtxid] = (idx, parts)
 
     touched: set[int] = set()
-    targets = up if only is None else (set(only) & up)
-    for idx in sorted(targets):
+    for idx in sorted(up):
         db = router.shards[idx]
-        for txid in sorted(db.in_doubt_txns()):
-            info = db.in_doubt_txns()[txid]
+        for txid, info in sorted(db.in_doubt_txns().items()):
             commit = info.gtxid in decisions
             if not commit and info.coordinator not in up:
                 # No verdict found -- but the coordinator shard, the one
@@ -105,15 +100,30 @@ def resolve_in_doubt(
             touched.add(idx)
             (report.committed if commit else report.aborted).append((idx, txid))
 
-    # Every participant is resolved durably; the verdicts may now be
-    # forgotten and the involved WALs truncated (the checkpoint below is
-    # what actually lifts each shard's truncation hold).  Not while any
-    # shard is unreachable: its prepared participants still need them.
-    if only is None and up == all_shards:
-        for gtxid, coord_idx in decisions.items():
-            router.shards[coord_idx].forget_coordinator_decision(gtxid)
-            touched.add(coord_idx)
-            report.forgotten.append(gtxid)
+    with router._held_mutex:
+        for gtxid, (coord_idx, parts) in decisions.items():
+            # A verdict that outlived whatever logged it (the previous
+            # process, or a killed generation of its shard) is held like a
+            # live one, every mark stale.
+            router._held.setdefault(
+                gtxid, HeldVerdict(gtxid, coord_idx, {p: (-1, None) for p in parts})
+            )
+        for held in router._held.values():
+            for idx, (gen, _seq) in held.marks.items():
+                if idx not in up or gen == router._shard_gen[idx]:
+                    continue
+                # The participant ran under a generation of its shard that
+                # is gone.  Out of doubt on the shard's current generation
+                # means its outcome is durable there: the COMMIT reached
+                # disk before the shard went down, or was forced just now.
+                if not any(
+                    info.gtxid == held.gtxid
+                    for info in router.shards[idx].in_doubt_txns().values()
+                ):
+                    held.marks[idx] = (router._shard_gen[idx], 0)
+    for held in settle_verdicts(router):
+        touched.add(held.coordinator)
+        report.forgotten.append(held.gtxid)
     for idx in sorted(touched):
         # The checkpoint is only the WAL-truncation opportunity, not
         # part of resolution's correctness.  At open it always succeeds

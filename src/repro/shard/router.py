@@ -40,6 +40,7 @@ import itertools
 import json
 import os
 import random
+import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
@@ -55,7 +56,12 @@ from repro.errors import (
     ShardUnavailableError,
     TransactionStateError,
 )
-from repro.shard.coordinator import ACTIVE, GlobalTransaction
+from repro.shard.coordinator import (
+    ACTIVE,
+    GlobalTransaction,
+    HeldVerdict,
+    settle_verdicts,
+)
 from repro.shard.executor import ShardExecutor
 from repro.shard.placement import ModuloPlacement
 from repro.shard.recovery import ResolutionReport, resolve_in_doubt
@@ -90,9 +96,13 @@ class ShardedDatabase(VersionReads, SessionHost):
         of looping shard-by-shard.  On by default; the serial loops
         remain as the fallback (single shard, nested fan-out, disabled).
     parallel_2pc:
-        Run 2PC phase-1 PREPARE flushes and phase-2 COMMITs concurrently
-        across writer participants (wall-clock cost drops from the sum
-        of the participants' fsyncs to their max).  On by default.
+        Scatter the phase-1 PREPARE flushes of a global transaction's
+        *remote* writers across the executor (wall-clock cost drops from
+        the sum of their fsyncs to the max).  It governs nothing else:
+        the coordinator shard's PREPARE rides the decision flush and
+        phase 2 forces nothing, so only transactions with three or more
+        writer shards have two flushes to overlap.  On by default; tests
+        that need a deterministic failpoint order turn it off.
     **db_kwargs:
         Forwarded to every shard's :class:`Database` (pool size, group
         commit window, lock timeout, ...).
@@ -159,6 +169,7 @@ class ShardedDatabase(VersionReads, SessionHost):
             "decisions": 0,
             "aborts": 0,
             "forgets": 0,
+            "lazy_commits": 0,
             "readonly_participants": 0,
             "resolved_commit": 0,
             "resolved_abort": 0,
@@ -182,6 +193,11 @@ class ShardedDatabase(VersionReads, SessionHost):
         self._snap_counters: dict[str, int] = {"cuts": 0, "degraded_cuts": 0}
         self._init_session_host()
         self._closed = False
+        # Durable verdicts whose COORD_END waits for their participants'
+        # lazily written COMMITs: gtxid -> HeldVerdict, oldest first (see
+        # repro.shard.coordinator.release_verdicts).
+        self._held: dict[tuple, HeldVerdict] = {}
+        self._held_mutex = threading.Lock()
         #: What restart resolution found and did at this open.
         self.last_resolution: ResolutionReport = resolve_in_doubt(self)
         self._twopc_counters["resolved_commit"] = len(self.last_resolution.committed)
@@ -196,7 +212,9 @@ class ShardedDatabase(VersionReads, SessionHost):
 
     def checkpoint(self) -> None:
         """Checkpoint every *up* shard (quiescent only, like the embedded
-        call); down shards are skipped."""
+        call); down shards are skipped.  Held verdicts are settled first
+        so the coordinator shards' WALs truncate too."""
+        settle_verdicts(self)
         for idx, db in enumerate(self.shards):
             if not self._shard_down[idx]:
                 db.checkpoint()
@@ -211,6 +229,7 @@ class ShardedDatabase(VersionReads, SessionHost):
         for sess in sessions:
             sess.close()
         self._exec.close()
+        settle_verdicts(self)
         for idx, db in enumerate(self.shards):
             if not self._shard_down[idx]:
                 db.close()
@@ -291,10 +310,9 @@ class ShardedDatabase(VersionReads, SessionHost):
         Reopens the shard database (its own WAL recovery replays the
         abrupt shutdown), bumps the shard's generation so cached shard
         sessions bound to the dead instance are recreated, then runs
-        in-doubt resolution: full (all shards, verdicts forgotten) when
-        the whole fleet is back up, targeted at this shard (verdicts
-        retained) while others remain down.  Returns the resolution
-        report.
+        in-doubt resolution over every up shard (a participant elsewhere
+        may have been waiting for a verdict in this shard's WAL).  Returns
+        the resolution report.
         """
         if not self._shard_down[idx]:
             raise ValueError(f"shard {idx} is not down")
@@ -307,10 +325,7 @@ class ShardedDatabase(VersionReads, SessionHost):
         self._shard_gen[idx] += 1
         self._shard_down[idx] = False
         self._health_counters["reattaches"] += 1
-        if all(not down for down in self._shard_down):
-            report = resolve_in_doubt(self)
-        else:
-            report = resolve_in_doubt(self, only={idx})
+        report = resolve_in_doubt(self)
         self._twopc_counters["resolved_commit"] += len(report.committed)
         self._twopc_counters["resolved_abort"] += len(report.aborted)
         return report
@@ -904,6 +919,7 @@ class ShardedDatabase(VersionReads, SessionHost):
                 stats["shard.locate_fallbacks"] = value
             else:
                 stats[f"shard.2pc.{key}"] = value
+        stats["shard.2pc.decisions_held"] = len(self._held)
         health = self.shard_health()
         stats["shard.health.up"] = sum(
             1 for state in health.values() if state == SHARD_UP

@@ -28,7 +28,8 @@ experiment E11.
 Frame format: ``u32 length | u32 crc32 | body``.  A torn final frame (short
 read or CRC mismatch) ends replay cleanly; anything after it was never
 acknowledged as committed because ``COMMIT`` is only acknowledged after
-``flush()``.
+``flush()`` -- except a *prepared* transaction's, acknowledged on the
+strength of its coordinator's flushed verdict (see repro.shard.coordinator).
 """
 
 from __future__ import annotations
@@ -162,17 +163,31 @@ class LogManager:
         """Path of the WAL file."""
         return self._path
 
-    def append(self, record: LogRecord) -> None:
-        """Buffer one record.  Call :meth:`flush` to make it durable."""
+    @property
+    def flushed_seq(self) -> int:
+        """Highest append sequence a completed fsync (or truncate) covers."""
+        return self._flushed_seq
+
+    def append(self, record: LogRecord) -> int:
+        """Buffer one record and return its sequence number.
+
+        Call :meth:`flush` to make it durable; it is once
+        :attr:`flushed_seq` reaches the returned sequence.
+        """
         faults.fire("wal.append")
         body = record.to_bytes()
         frame = _FRAME.pack(len(body), zlib.crc32(body)) + body
         with self._cond:
+            if self._file.closed:
+                # A record nobody forces (a prepared participant's COMMIT)
+                # must not vanish into the buffer of a dead log.
+                raise WalError("append to a closed log")
             self._buffer.extend(frame)
             self._seq += 1
             if self._flushing:
                 # Wake a lingering group-commit flusher: the group grew.
                 self._cond.notify_all()
+            return self._seq
 
     def flush(self) -> None:
         """Make every record appended so far durable (one fsync per group)."""

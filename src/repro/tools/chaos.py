@@ -412,21 +412,17 @@ def _plant_in_doubt(
     """Leave a cross-shard 2PC transaction half-committed.
 
     The transaction writes ``val=777`` on both shards, logs its durable
-    COMMIT verdict, commits the first participant (the lower shard),
-    then "crashes" at the ``shard.2pc.post_ack`` failpoint -- the second
-    participant stays prepared.  Exactly the state a coordinator crash
-    between phase-two deliveries leaves behind; reattach-time resolution
-    must commit it.
+    COMMIT verdict, commits the first participant (the lower shard;
+    phase two runs in shard order on the calling thread), then "crashes"
+    at the ``shard.2pc.post_ack`` failpoint -- the second participant
+    stays prepared.  Exactly the state a coordinator crash between
+    phase-two deliveries leaves behind; reattach-time resolution must
+    commit it.
     """
     sess = db.session(name="in-doubt-planter")
     injector = faults.activate(
         faults.FaultPlan().crash("shard.2pc.post_ack", hit=1)
     )
-    # The plant relies on serial phase-two order: commit the lower
-    # shard, crash before the higher one.  Parallel delivery could
-    # commit both before the failpoint fires, leaving nothing in doubt.
-    was_parallel = db.parallel_2pc
-    db.parallel_2pc = False
     try:
         with sess.activate():
             try:
@@ -441,7 +437,6 @@ def _plant_in_doubt(
                 "write was not cross-shard"
             )
     finally:
-        db.parallel_2pc = was_parallel
         faults.deactivate()
     # The planter "process" is dead; its session detaches the decided
     # transaction (never aborts it -- the verdict is durable).

@@ -60,6 +60,7 @@ from repro.storage.faults import (
     SimulatedCrash,
 )
 from repro.storage.heap import Rid
+from repro.storage.wal import COORD_END, LogManager
 from repro.tools.check import check_database
 
 #: Rounds of mixed operations per worker thread.
@@ -130,12 +131,22 @@ class Scenario:
     recovery_failpoint: str | None = None
     #: Run :func:`_run_shared_content_workload` instead of the mixed one.
     shared_content: bool = False
+    #: 2PC matrix: run the lazy-COMMIT steps (see :func:`_twopc_steps`),
+    #: with a single-shard commit forcing the log of each shard named here.
+    lazy_flush: tuple[int, ...] | None = None
+    #: 2PC matrix, checked when set: verdicts released (``COORD_END``
+    #: appended) before the crash; in-doubt participants the clean reopen
+    #: resolves, as ``(committed, aborted)``.
+    expect_released: int | None = None
+    expect_resolution: tuple[int, int] | None = None
 
     @property
     def name(self) -> str:
         parts = [self.failpoint, self.action, f"hit{self.hit}"]
         if self.shared_content:
             parts.append("shared-content")
+        if self.lazy_flush is not None:
+            parts.append("lazy-flush" + "".join(map(str, self.lazy_flush)))
         if self.action in ("torn_write", "short_write"):
             parts.append(f"keep{self.keep}")
         if self.recovery_failpoint:
@@ -320,7 +331,10 @@ class _Worker:
         except (SimulatedCrash, InjectedFaultError):
             pass  # expected: the armed fault fired on this thread
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised by runner
-            self.error = exc
+            # Once the other thread's fault has killed the "process", what
+            # this one still reads in memory (a table mid-reload) is moot.
+            if not faults.is_crashed():
+                self.error = exc
 
     def _step(self, db: Database, j: int) -> None:
         item, blob = self.item, self.blob
@@ -602,39 +616,43 @@ class MatrixReport:
         return "\n".join(lines)
 
 
-def run_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
-    """Run one workload under ``scenario``'s fault, then recover and verify."""
+def _crash_and_reopen(base_dir: Path, scenario: Scenario, workload, reopen):
+    """The skeleton every matrix shares: run ``workload(path)`` with the
+    scenario's fault armed, optionally crash a second time while recovery
+    itself runs (``reopen(path)`` under ``recovery_failpoint``), then
+    reopen cleanly.  Returns ``(result, workload's ledger, injector,
+    handle)``; the handle is None when the clean reopen failed."""
     path = base_dir / scenario.name.replace(":", "_").replace("-", "_")
     injector = faults.activate(scenario.plan())
-    workload = (
-        _run_shared_content_workload if scenario.shared_content else _run_workload
-    )
     try:
-        workers = workload(path)
-        fired = bool(injector.fired)
-        crashed = injector.crashed
+        ledger = workload(path)
     finally:
         faults.deactivate()
-
-    result = ScenarioResult(scenario, fired=fired, crashed=crashed)
-
-    # Optional second crash while recovery itself runs.
+    result = ScenarioResult(
+        scenario, fired=bool(injector.fired), crashed=injector.crashed
+    )
     if scenario.recovery_failpoint is not None:
-        plan2 = FaultPlan().crash(scenario.recovery_failpoint, hit=1)
-        injector2 = faults.activate(plan2)
+        faults.activate(FaultPlan().crash(scenario.recovery_failpoint, hit=1))
         try:
-            db = Database(path)
-            db.close()  # recovery never reached the second failpoint
+            reopen(path).close()  # recovery never reached the second failpoint
         except SimulatedCrash:
             result.recovery_crashed = True
         finally:
             faults.deactivate()
-
-    # Clean reopen: recovery must complete and the result must check out.
     try:
-        db = Database(path)
+        return result, ledger, injector, reopen(path)
     except Exception as exc:  # noqa: BLE001 - unrecoverable = the finding
         result.problems.append(f"reopen after crash failed: {exc!r}")
+        return result, ledger, injector, None
+
+
+def run_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
+    """Run one workload under ``scenario``'s fault, then recover and verify."""
+    workload = (
+        _run_shared_content_workload if scenario.shared_content else _run_workload
+    )
+    result, workers, _, db = _crash_and_reopen(base_dir, scenario, workload, Database)
+    if db is None:
         return result
     try:
         check = check_database(db, strict=True)
@@ -646,14 +664,10 @@ def run_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
     return result
 
 
-def run_matrix(
-    base_dir: Path | None = None,
-    scenarios: list[Scenario] | None = None,
-    verbose: bool = False,
+def _run_all(
+    run_one, scenarios: list[Scenario], base_dir: Path | None, verbose: bool
 ) -> MatrixReport:
-    """Run every scenario; each gets a fresh database directory."""
-    if scenarios is None:
-        scenarios = enumerate_scenarios()
+    """``run_one(dir, scenario)`` for each; a temp dir unless one is given."""
     report = MatrixReport()
     tmp = None
     if base_dir is None:
@@ -661,7 +675,7 @@ def run_matrix(
         base_dir = Path(tmp.name)
     try:
         for scenario in scenarios:
-            result = run_scenario(base_dir, scenario)
+            result = run_one(base_dir, scenario)
             report.results.append(result)
             if verbose:
                 status = "ok" if result.ok else "FAIL"
@@ -673,6 +687,17 @@ def run_matrix(
         if tmp is not None:
             tmp.cleanup()
     return report
+
+
+def run_matrix(
+    base_dir: Path | None = None,
+    scenarios: list[Scenario] | None = None,
+    verbose: bool = False,
+) -> MatrixReport:
+    """Run every scenario; each gets a fresh database directory."""
+    return _run_all(
+        run_scenario, scenarios or enumerate_scenarios(), base_dir, verbose
+    )
 
 
 # -- the 2PC matrix (cross-shard transactions; repro.shard) -------------------
@@ -692,26 +717,41 @@ _TWOPC_ACCOUNTS = 6
 _TWOPC_BALANCE = 100
 _TWOPC_ROUNDS = 6
 
-#: The windows where the global verdict is already durable: a crash there
-#: MUST resolve to commit (both account writes survive).  Everywhere
-#: earlier, presumed abort MUST roll both back.
+#: The windows where the in-flight transfer's verdict is already durable:
+#: a crash there MUST resolve to commit (both account writes survive).
+#: ``wal.flush.pre_fsync`` is only ever armed on the combined PREPARE +
+#: verdict flush, whose bytes this harness's kind page cache keeps.
+#: Everywhere else presumed abort MUST roll both back -- ``pre_forget``
+#: included: it fires in the sweep at the top of a *later* commit, whose
+#: own transfer has logged nothing durable yet.
 _DECIDED_WINDOWS = frozenset(
-    {"shard.2pc.post_decision", "shard.2pc.post_ack", "shard.2pc.pre_forget"}
+    {"shard.2pc.post_decision", "shard.2pc.post_ack", "wal.flush.pre_fsync"}
 )
 
 #: Crash hit ordinals per 2PC failpoint.  The workload is single-threaded
-#: so ordinals are deterministic: a transfer touches two shards, firing
-#: pre_prepare once, post_prepare twice, post_ack twice, the rest once --
-#: the chosen hits land on the first transfer (one or both participants
-#: prepared / acked) and again deep in the run with history behind it.
+#: (one remote writer is caller-runs) so ordinals are deterministic.  A
+#: transfer fires pre_prepare once, post_prepare twice (the remote writer,
+#: forced; then the coordinator shard, its PREPARE only appended),
+#: pre_decision and post_decision once, post_ack twice (both COMMITs only
+#: appended) -- the chosen hits land on the first transfer and again deep
+#: in the run.  pre_forget fires once per released verdict, at the top of
+#: the first commit that finds both participants' logs forced past their
+#: COMMITs: the fourth transfer releases the first's, the sixth the third's.
 _TWOPC_CRASH_HITS: dict[str, tuple[int, ...]] = {
     "shard.2pc.pre_prepare": (1, 3),
     "shard.2pc.post_prepare": (1, 2, 5),
     "shard.2pc.pre_decision": (1, 3),
     "shard.2pc.post_decision": (1, 3),
-    "shard.2pc.post_ack": (1, 2, 5),
+    "shard.2pc.post_ack": (1, 5),  # hit 2 is scenario (a) below
     "shard.2pc.pre_forget": (1, 3),
 }
+
+#: ``wal.flush.write`` / ``wal.flush.pre_fsync`` ordinals of the first
+#: transfer's combined PREPARE + ``COORD_COMMIT`` flush (the first flush
+#: after ``pre_decision`` hit 1; recount with ``injector.hit_count`` after
+#: a crash there if set-up's flushes change -- the resolution counts the
+#: scenarios expect fail loudly on a stale ordinal).
+_COMBINED_FLUSH_WRITE, _COMBINED_FLUSH_FSYNC = 8, 14
 
 
 def enumerate_twopc_scenarios(smoke: bool = False) -> list[Scenario]:
@@ -740,21 +780,55 @@ def enumerate_twopc_scenarios(smoke: bool = False) -> list[Scenario]:
             recovery_failpoint="wal.flush.pre_fsync",
         )
     )
+    # The windows the unforced COMMIT opens.  (a) Verdict durable, both
+    # COMMITs still buffered: both participants come back in doubt and
+    # commit.  (b) The coordinator shard's log is forced past its COMMIT,
+    # the other participant's never: the verdict must still be held and
+    # resolves that participant commit.  (c) Both logs forced: the next
+    # commit's sweep releases the verdict, the crash leaves nothing in doubt.
+    held = Scenario(
+        "shard.2pc.pre_prepare", "crash", hit=2, lazy_flush=(0,),
+        expect_released=0, expect_resolution=(1, 0),
+    )
+    scenarios += [
+        Scenario("shard.2pc.post_ack", "crash", hit=2, expect_resolution=(2, 0)),
+        held,
+        Scenario(
+            "shard.2pc.pre_prepare", "crash", hit=2, lazy_flush=(0, 1),
+            expect_released=1, expect_resolution=(0, 0),
+        ),
+    ]
+    # (d) The combined flush itself.  A write that never reaches the file
+    # (the unkind page cache's crash-before-fsync) leaves only the remote
+    # PREPARE; one torn inside the COORD_COMMIT frame leaves both PREPAREs
+    # and no verdict -- presumed abort on every shard either way.  Under
+    # this harness's kind cache a crash at pre_fsync finds the whole write
+    # in the file: a verdict, so commit on every shard.
+    scenarios += [
+        Scenario("wal.flush.write", "torn_write", hit=_COMBINED_FLUSH_WRITE,
+                 keep=0, expect_resolution=(0, 1)),
+        Scenario("wal.flush.write", "torn_write", hit=_COMBINED_FLUSH_WRITE,
+                 keep=-3, expect_resolution=(0, 2)),
+        Scenario("wal.flush.pre_fsync", "crash", hit=_COMBINED_FLUSH_FSYNC,
+                 expect_resolution=(2, 0)),
+    ]
     if smoke:
         picked: dict[str, Scenario] = {}
         for scenario in scenarios:
             picked.setdefault(scenario.failpoint, scenario)
-        # Keep one resolution-interrupting double crash in the smoke set.
+        # Keep one resolution-interrupting double crash in the smoke set,
+        # and the held-verdict lazy-COMMIT window.
         picked["double"] = next(
             s for s in scenarios if s.recovery_failpoint is not None
         )
+        picked["lazy"] = held
         scenarios = list(picked.values())
     return scenarios
 
 
 @dataclass
 class _Transfer:
-    """Ledger entry for one cross-shard transfer."""
+    """Ledger entry for one transfer."""
 
     src: int  # account index
     dst: int
@@ -770,14 +844,31 @@ class _TransferLedger:
         self.oid_values: list[int] = []
         self.committed: list[int] = [_TWOPC_BALANCE] * _TWOPC_ACCOUNTS
         self.pending: _Transfer | None = None
+        #: COORD_END records in the shards' WAL files as the workload left them.
+        self.coord_ends = 0
 
     @property
     def total(self) -> int:
         return _TWOPC_BALANCE * _TWOPC_ACCOUNTS
 
 
-def _run_twopc_workload(path: Path) -> _TransferLedger:
-    """Cross-shard transfers until done or the armed fault fires."""
+def _twopc_steps(scenario: Scenario) -> list[tuple[int, int]]:
+    """``(src, dst)`` account pairs to transfer between.  Account ``i`` is
+    on shard ``i % 3``: adjacent accounts make a cross-shard transfer,
+    ``s`` and ``s + 3`` a single-shard one (whose fast-path commit forces
+    shard ``s``'s log).  The lazy-COMMIT steps are one cross-shard transfer
+    on shards (0, 1), those forcing commits, and a second one to crash in."""
+    if scenario.lazy_flush is None:
+        return [
+            (j % _TWOPC_ACCOUNTS, (j + 1) % _TWOPC_ACCOUNTS)
+            for j in range(_TWOPC_ROUNDS)
+        ]
+    flushes = [(s, s + _TWOPC_NSHARDS) for s in scenario.lazy_flush]
+    return [(0, 1), *flushes, (1, 2)]
+
+
+def _run_twopc_workload(path: Path, scenario: Scenario) -> _TransferLedger:
+    """Transfers until done or the armed fault fires."""
     ledger = _TransferLedger()
     try:
         router = ShardedDatabase(path, nshards=_TWOPC_NSHARDS, pool_size=8)
@@ -787,9 +878,7 @@ def _run_twopc_workload(path: Path) -> _TransferLedger:
         ]
         ledger.oid_values = [ref.oid.value for ref in refs]
         router.checkpoint()
-        for j in range(_TWOPC_ROUNDS):
-            src = j % _TWOPC_ACCOUNTS
-            dst = (j + 1) % _TWOPC_ACCOUNTS  # adjacent -> different shards
+        for j, (src, dst) in enumerate(_twopc_steps(scenario)):
             amount = j + 1
             transfer = _Transfer(
                 src, dst,
@@ -807,6 +896,10 @@ def _run_twopc_workload(path: Path) -> _TransferLedger:
             router.close()
     except (SimulatedCrash, InjectedFaultError):
         pass  # the simulated machine is dead; leave the files as they lie
+    for wal_path in sorted(path.glob("shard-*/wal.log")):
+        log = LogManager(wal_path)
+        ledger.coord_ends += sum(1 for r in log.records() if r.kind == COORD_END)
+        log.close(flush=False)
     return ledger
 
 
@@ -879,41 +972,33 @@ def _twopc_usability_probe(
 
 def run_twopc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
     """One cross-shard workload under ``scenario``'s fault, then recover."""
-    path = base_dir / scenario.name.replace(":", "_").replace("-", "_")
-    injector = faults.activate(scenario.plan())
-    try:
-        ledger = _run_twopc_workload(path)
-        fired = bool(injector.fired)
-        crashed = injector.crashed
-    finally:
-        faults.deactivate()
-
-    result = ScenarioResult(scenario, fired=fired, crashed=crashed)
-    if not fired:
-        result.problems.append(
-            f"failpoint {scenario.failpoint} hit {scenario.hit} never fired"
-        )
-        return result
-
-    # Optional second crash while restart resolution itself runs.
-    if scenario.recovery_failpoint is not None:
-        plan2 = FaultPlan().crash(scenario.recovery_failpoint, hit=1)
-        injector2 = faults.activate(plan2)
-        try:
-            router = ShardedDatabase(path)
-            router.close()  # resolution never reached the second failpoint
-        except SimulatedCrash:
-            result.recovery_crashed = True
-        finally:
-            faults.deactivate()
-
-    # Clean reopen: resolution must complete and the result must check out.
-    try:
-        router = ShardedDatabase(path)
-    except Exception as exc:  # noqa: BLE001 - unrecoverable = the finding
-        result.problems.append(f"reopen after crash failed: {exc!r}")
+    result, ledger, injector, router = _crash_and_reopen(
+        base_dir, scenario,
+        lambda path: _run_twopc_workload(path, scenario), ShardedDatabase,
+    )
+    if router is None:
         return result
     try:
+        if not result.fired:
+            result.problems.append(
+                f"failpoint {scenario.failpoint} hit {scenario.hit} never fired"
+            )
+            return result
+        # pre_forget is visited once per verdict, right before its COORD_END.
+        forgets = injector.hit_count("shard.2pc.pre_forget")
+        if scenario.expect_released not in (None, forgets) or ledger.coord_ends > forgets:
+            result.problems.append(
+                f"{forgets} verdict(s) released before the crash "
+                f"({ledger.coord_ends} COORD_END durable), expected "
+                f"{scenario.expect_released}"
+            )
+        resolution = router.last_resolution
+        resolved = (len(resolution.committed), len(resolution.aborted))
+        if scenario.expect_resolution not in (None, resolved):
+            result.problems.append(
+                f"resolution (committed, aborted) {resolved}, expected "
+                f"{scenario.expect_resolution}"
+            )
         for idx, shard in enumerate(router.shards):
             check = check_database(shard, strict=True)
             result.problems.extend(
@@ -942,27 +1027,9 @@ def run_twopc_matrix(
     verbose: bool = False,
 ) -> MatrixReport:
     """Run every 2PC scenario; each gets a fresh sharded directory."""
-    if scenarios is None:
-        scenarios = enumerate_twopc_scenarios()
-    report = MatrixReport()
-    tmp = None
-    if base_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="crashmatrix-2pc-")
-        base_dir = Path(tmp.name)
-    try:
-        for scenario in scenarios:
-            result = run_twopc_scenario(base_dir, scenario)
-            report.results.append(result)
-            if verbose:
-                status = "ok" if result.ok else "FAIL"
-                note = "fired" if result.fired else "not reached"
-                print(f"[{status}] {scenario.name} ({note})", flush=True)
-                for problem in result.problems:
-                    print(f"    - {problem}", flush=True)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    return report
+    return _run_all(
+        run_twopc_scenario, scenarios or enumerate_twopc_scenarios(), base_dir, verbose
+    )
 
 
 # -- the GC matrix (retention pruning + blob reclaim; repro.core.gc) ----------
@@ -1219,52 +1286,28 @@ def _gc_convergence_probe(
 
 def run_gc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
     """One GC workload under ``scenario``'s fault, then recover and verify."""
-    path = base_dir / scenario.name.replace(":", "_").replace("-", "_")
-    injector = faults.activate(scenario.plan())
-    try:
-        ledger = _run_gc_workload(path)
-        fired = bool(injector.fired)
-        crashed = injector.crashed
-    finally:
-        faults.deactivate()
-
-    result = ScenarioResult(scenario, fired=fired, crashed=crashed)
-    if not fired:
-        result.problems.append(
-            f"failpoint {scenario.failpoint} hit {scenario.hit} never fired"
-        )
-        return result
-    if not ledger.setup_done:
-        result.problems.append("fault fired before the GC ran (setup crashed)")
-        return result
-
-    # Optional second crash while tombstone repair itself runs.
-    if scenario.recovery_failpoint is not None:
-        plan2 = FaultPlan().crash(scenario.recovery_failpoint, hit=1)
-        injector2 = faults.activate(plan2)
-        try:
-            db = Database(path, policy=_GC_POLICY)
-            db.close()  # repair never reached the second failpoint
-        except SimulatedCrash:
-            result.recovery_crashed = True
-        finally:
-            faults.deactivate()
-
-    # Clean reopen: repair must complete and the result must check out.
-    try:
-        db = Database(path, policy=_GC_POLICY)
-    except Exception as exc:  # noqa: BLE001 - unrecoverable = the finding
-        result.problems.append(f"reopen after crash failed: {exc!r}")
+    result, ledger, _, db = _crash_and_reopen(
+        base_dir, scenario, _run_gc_workload,
+        lambda path: Database(path, policy=_GC_POLICY),
+    )
+    if db is None:
         return result
     try:
-        check = check_database(db, strict=True)
-        result.problems.extend(f"strict check: {p}" for p in check.problems)
-        leaks = _blob_leaks(db)
-        if leaks:
-            result.problems.append(f"blob files leaked past repair: {leaks}")
-        _verify_gc(db, ledger, result.problems)
-        _gc_convergence_probe(db, ledger, result.problems)
-        _usability_probe(db, result.problems)
+        if not result.fired:
+            result.problems.append(
+                f"failpoint {scenario.failpoint} hit {scenario.hit} never fired"
+            )
+        elif not ledger.setup_done:
+            result.problems.append("fault fired before the GC ran (setup crashed)")
+        else:
+            check = check_database(db, strict=True)
+            result.problems.extend(f"strict check: {p}" for p in check.problems)
+            leaks = _blob_leaks(db)
+            if leaks:
+                result.problems.append(f"blob files leaked past repair: {leaks}")
+            _verify_gc(db, ledger, result.problems)
+            _gc_convergence_probe(db, ledger, result.problems)
+            _usability_probe(db, result.problems)
     finally:
         db.close()
     return result
@@ -1276,27 +1319,9 @@ def run_gc_matrix(
     verbose: bool = False,
 ) -> MatrixReport:
     """Run every GC scenario; each gets a fresh database directory."""
-    if scenarios is None:
-        scenarios = enumerate_gc_scenarios()
-    report = MatrixReport()
-    tmp = None
-    if base_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="crashmatrix-gc-")
-        base_dir = Path(tmp.name)
-    try:
-        for scenario in scenarios:
-            result = run_gc_scenario(base_dir, scenario)
-            report.results.append(result)
-            if verbose:
-                status = "ok" if result.ok else "FAIL"
-                note = "fired" if result.fired else "not reached"
-                print(f"[{status}] {scenario.name} ({note})", flush=True)
-                for problem in result.problems:
-                    print(f"    - {problem}", flush=True)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    return report
+    return _run_all(
+        run_gc_scenario, scenarios or enumerate_gc_scenarios(), base_dir, verbose
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

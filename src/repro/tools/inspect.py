@@ -92,6 +92,20 @@ class DatabaseSummary:
                 f"{get('shard.health.failfast', 0)} failed fast, "
                 f"{get('shard.health.skipped_fanouts', 0)} degraded fanout(s)"
             )
+        if "shard.2pc.decisions" in self.counters:
+            # A verdict is *held* while a participant's unforced COMMIT is
+            # not durable yet; until forgotten it pins its coordinator
+            # shard's WAL.
+            get = self.counters.get
+            lines.append(
+                f"  2pc: {get('shard.2pc.commits_cross', 0)} cross-shard / "
+                f"{get('shard.2pc.commits_single', 0)} single-shard commit(s), "
+                f"{get('shard.2pc.prepares', 0)} prepare(s), "
+                f"{get('shard.2pc.decisions', 0)} verdict(s): "
+                f"{get('shard.2pc.forgets', 0)} forgotten, "
+                f"{get('shard.2pc.decisions_held', 0)} held; "
+                f"{get('shard.2pc.lazy_commits', 0)} unforced COMMIT(s)"
+            )
         if "shard.exec.size" in self.counters:
             # The parallel cross-shard execution tier: the shared
             # scatter-gather pool and the global snapshot epoch.

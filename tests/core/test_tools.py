@@ -121,6 +121,27 @@ def test_inspect_renders_executor_and_global_epoch(db):
     assert "7 global cut(s) (1 degraded)" in out
 
 
+def test_inspect_renders_the_2pc_line_with_held_verdicts(db):
+    """shard.2pc.* counters gain a line that answers "why does shard 0's
+    WAL not truncate": verdicts held for a participant's next flush."""
+    summary = inspect_database(db)
+    assert "2pc:" not in summary.render()
+    summary.counters.update(
+        {
+            "shard.2pc.commits_cross": 9,
+            "shard.2pc.commits_single": 4,
+            "shard.2pc.prepares": 18,
+            "shard.2pc.decisions": 9,
+            "shard.2pc.forgets": 7,
+            "shard.2pc.decisions_held": 2,
+            "shard.2pc.lazy_commits": 18,
+        }
+    )
+    out = summary.render()
+    assert "2pc: 9 cross-shard / 4 single-shard commit(s), 18 prepare(s)" in out
+    assert "9 verdict(s): 7 forgotten, 2 held; 18 unforced COMMIT(s)" in out
+
+
 # -- check (fsck) -----------------------------------------------------------------
 
 

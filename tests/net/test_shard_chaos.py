@@ -129,7 +129,11 @@ def test_shard_killed_under_wire_2pc_converges_at_reattach(tmp_path):
                 asyncio.run(run())
 
         # Convergence: nothing in doubt, no verdicts retained, and every
-        # transfer applied atomically -- the money is conserved.
+        # transfer applied atomically -- the money is conserved.  The
+        # last commits' verdicts are held until their participants' logs
+        # are next forced; the quiescent checkpoint does that.
+        db.checkpoint()
+        assert db.stats()["shard.2pc.decisions_held"] == 0
         for idx, shard in enumerate(db.shards):
             assert not shard.in_doubt_txns(), f"shard {idx} still in doubt"
             assert not shard.coordinator_decisions(), (

@@ -17,6 +17,7 @@ The contract under test (see ``ShardedDatabase.kill_shard`` /
 
 from __future__ import annotations
 
+import shutil
 import time
 
 import pytest
@@ -224,10 +225,8 @@ def test_unreachable_coordinator_defers_presumed_abort(trio):
     and presumed abort would roll back a committed transaction.  Once
     the coordinator returns, the verdict commits the deferred half."""
     router, oids = trio
-    # Planting the in-doubt state needs phase two delivered in shard
-    # order (commit 0, crash before 1); parallel delivery may commit
-    # both before the failpoint fires.
-    router.parallel_2pc = False
+    # Phase two runs in shard order on the calling thread: commit 0,
+    # crash before 1.
     a, b = router.deref(oids[0]), router.deref(oids[1])
     planter = router.session(name="planter")
     injector = faults.activate(FaultPlan().crash("shard.2pc.post_ack", hit=1))
@@ -273,9 +272,8 @@ def test_in_doubt_transaction_resolves_at_reattach(trio):
     verify the verdict is *retained* while it is down, then reattach and
     verify resolution commits both halves."""
     router, oids = trio
-    # Serial phase two: the plant relies on shard 0 committing before
-    # the failpoint strands shard 1 prepared.
-    router.parallel_2pc = False
+    # Phase two runs in shard order on the calling thread: shard 0
+    # commits before the failpoint strands shard 1 prepared.
     a, b = router.deref(oids[0]), router.deref(oids[1])
     planter = router.session(name="planter")
     injector = faults.activate(FaultPlan().crash("shard.2pc.post_ack", hit=1))
@@ -306,3 +304,80 @@ def test_in_doubt_transaction_resolves_at_reattach(trio):
     assert not router.shards[0].coordinator_decisions()
     for shard in router.shards:
         assert not shard.in_doubt_txns()
+
+
+def _held(router) -> int:
+    return router.stats()["shard.2pc.decisions_held"]
+
+
+def test_online_reattach_keeps_the_verdict_of_a_commit_in_flight(
+    trio, tmp_path, monkeypatch
+):
+    """The last down shard returns -- full online resolution -- while
+    another session's cross-shard commit sits between its durable verdict
+    and its participants' COMMITs.  Resolution used to forget every
+    verdict it found, that one included: a crash once the COORD_END
+    reached disk and before a participant's COMMIT did resolved that
+    participant by presumed abort while its sibling had committed."""
+    router, oids = trio
+    router.kill_shard(2)
+    a, b = router.deref(oids[0]), router.deref(oids[1])
+    image = tmp_path / "image"
+    real_fire = faults.fire
+
+    def fire(name, *args, **kwargs):
+        if name == "shard.2pc.post_decision":
+            router.reattach_shard(2)
+        elif name == "shard.2pc.post_ack" and not image.exists():
+            shutil.copytree(router.path, image)  # the machine dies here
+        return real_fire(name, *args, **kwargs)
+
+    monkeypatch.setattr(faults, "fire", fire)
+    with router.transaction():
+        a.bal = 1
+        b.bal = 201
+    monkeypatch.setattr(faults, "fire", real_fire)
+    assert image.exists(), "shard.2pc.post_ack never fired"
+
+    crashed = ShardedDatabase(image)
+    try:
+        bals = (crashed.deref(oids[0]).bal, crashed.deref(oids[1]).bal)
+        assert bals == (1, 201), f"torn 2PC outcome after the crash: {bals}"
+        for shard in crashed.shards:
+            assert not shard.in_doubt_txns()
+            assert not shard.coordinator_decisions()
+    finally:
+        crashed.close()
+    assert _held(router) == 1, "the live commit's verdict was released under it"
+
+
+def test_shard_killed_with_a_buffered_commit_resolves_from_the_held_verdict(trio):
+    """A participant's COMMIT is appended, not forced: a shard killed
+    right after an acknowledged cross-shard commit comes back *in doubt*,
+    and the verdict -- held because that COMMIT never became durable --
+    resolves it commit."""
+    router, oids = trio
+    a, b = router.deref(oids[0]), router.deref(oids[1])
+    with router.transaction():
+        a.bal = 1
+        b.bal = 201
+    assert _held(router) == 1
+    router.kill_shard(1)  # the buffered COMMIT dies with the shard
+    # A later commit's sweep finds shard 0 forced past its COMMIT (the
+    # write below does that) but must keep holding for the dead shard.
+    with router.transaction():
+        a.bal = 2
+    with router.transaction():
+        a.bal = 1
+    assert _held(router) == 1
+    assert router.shards[0].coordinator_decisions(), (
+        "verdict released while a participant's COMMIT was not durable"
+    )
+
+    report = router.reattach_shard(1)
+    assert [idx for idx, _ in report.committed] == [1]
+    assert (router.deref(oids[0]).bal, router.deref(oids[1]).bal) == (1, 201)
+    assert _held(router) == 0
+    for shard in router.shards:
+        assert not shard.in_doubt_txns()
+        assert not shard.coordinator_decisions()

@@ -101,7 +101,12 @@ def test_cross_shard_transaction_runs_full_2pc(router):
     assert _twopc(router, "commits_cross") == 1
     assert _twopc(router, "prepares") == 2
     assert _twopc(router, "decisions") == 1
-    assert _twopc(router, "forgets") == 1
+    assert _twopc(router, "lazy_commits") == 2
+    # The verdict is forgotten once both COMMITs are durable, not inside
+    # the commit: it is either released or still held, never lost.
+    assert _twopc(router, "forgets") + _twopc(router, "decisions_held") == 1
+    router.checkpoint()
+    assert (_twopc(router, "forgets"), _twopc(router, "decisions_held")) == (1, 0)
     # Nothing lingers: both sides resolved, verdict forgotten.
     for shard in router.shards:
         assert not shard.in_doubt_txns()

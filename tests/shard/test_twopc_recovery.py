@@ -7,7 +7,10 @@ WAL recovery and router-level in-doubt resolution).  The contract:
 * crash *before* the coordinator's decision record is durable ->
   presumed abort: both legs roll back, nothing half-applied;
 * crash *at or after* the decision -> the verdict wins: both legs
-  survive, recovery completing what the dead process could not;
+  survive, recovery completing what the dead process could not -- a
+  participant's COMMIT is appended, never forced, so after the decision
+  *both* legs usually come back in doubt and are committed from the
+  verdict;
 * either way, no participant stays in-doubt, no verdict record
   lingers, and the reopened database accepts new cross-shard work.
 
@@ -27,6 +30,7 @@ from repro.errors import TransactionStateError
 from repro.shard import ShardedDatabase
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.wal import COMMIT, LogManager
 from repro.tools.check import check_database
 
 
@@ -47,13 +51,13 @@ DECIDED = {
 
 WINDOWS = [
     ("shard.2pc.pre_prepare", 1),
-    ("shard.2pc.post_prepare", 1),  # one participant prepared
-    ("shard.2pc.post_prepare", 2),  # both prepared, still no verdict
+    ("shard.2pc.post_prepare", 1),  # the remote participant prepared (forced)
+    ("shard.2pc.post_prepare", 2),  # + the coordinator's PREPARE, buffered only
     ("shard.2pc.pre_decision", 1),
     ("shard.2pc.post_decision", 1),
-    ("shard.2pc.post_ack", 1),  # one participant committed
-    ("shard.2pc.post_ack", 2),  # both committed, verdict not yet forgotten
-    ("shard.2pc.pre_forget", 1),
+    ("shard.2pc.post_ack", 1),  # one COMMIT appended, none forced
+    ("shard.2pc.post_ack", 2),  # both appended, none forced
+    ("shard.2pc.pre_forget", 1),  # a later commit's sweep releasing the verdict
 ]
 
 
@@ -65,12 +69,22 @@ def _crash_transfer(path, failpoint, hit):
     dst = router.pnew(Acct(bal=100))
     oids = (src.oid, dst.oid)
     router.checkpoint()
+    attempt = (99, 101)
+    if failpoint == "shard.2pc.pre_forget":
+        # The verdict outlives its commit: it is forgotten by the sweep at
+        # the top of a later commit, once both participants' logs have
+        # been forced past their COMMIT records.  The crash lands there,
+        # inside a second transfer that has logged nothing durable yet.
+        with router.transaction():
+            src.bal, dst.bal = attempt
+        for shard in router.shards:
+            shard.flush_log()
+        attempt = (98, 102)
     injector = faults.activate(FaultPlan().crash(failpoint, hit=hit))
     try:
         with pytest.raises(SimulatedCrash):
             with router.transaction():
-                src.bal = 99
-                dst.bal = 101
+                src.bal, dst.bal = attempt
         assert injector.fired, f"{failpoint} hit {hit} never fired"
     finally:
         faults.deactivate()
@@ -158,7 +172,11 @@ def test_in_doubt_participant_blocks_nothing_else(tmp_path):
         assert reopened.deref(b_oid).bal == 7
         assert reopened.deref(s_oid).bal == 100
         assert reopened.deref(d_oid).bal == 100
-        assert len(reopened.last_resolution.aborted) == 2
+        # Only the remote participant's PREPARE was ever forced; the
+        # coordinator shard's rides the decision flush that never ran, so
+        # its branch is a plain WAL loser, not an in-doubt participant.
+        remote = reopened.placement.shard_of(d_oid)
+        assert [idx for idx, _ in reopened.last_resolution.aborted] == [remote]
     finally:
         reopened.close()
 
@@ -166,7 +184,7 @@ def test_in_doubt_participant_blocks_nothing_else(tmp_path):
 # -- liveness without a crash: retry and direct-open safety -------------------
 
 
-def test_phase_two_failure_commit_retry_completes(tmp_path):
+def test_phase_two_failure_commit_retry_completes(tmp_path, monkeypatch):
     """A commit that fails *after* the decision is durable leaves the
     global transaction active and decided; retrying the commit must only
     re-deliver phase two -- never re-enter phase one, never abort."""
@@ -179,18 +197,21 @@ def test_phase_two_failure_commit_retry_completes(tmp_path):
         gtxn = router.begin()
         src.bal = 99
         dst.bal = 101
-        # Flushes inside this commit: prepare(src shard), prepare(dst
-        # shard), coordinator decision -- so fsync hit 4 is the first
-        # phase-two COMMIT record.  One-shot: the retry's I/O is clean.
-        injector = faults.activate(
-            FaultPlan().fsync_error("wal.flush.fsync", hit=4)
-        )
-        try:
-            with pytest.raises(OSError):
-                gtxn.commit()
-            assert injector.fired, "the phase-two fsync error never fired"
-        finally:
-            faults.deactivate()
+        # Phase two forces nothing, so the one way it can fail is the
+        # COMMIT append itself.  Fail the second participant's, once.
+        real_append = LogManager.append
+        failed = []
+
+        def append_failing_once(log, record):
+            if record.kind == COMMIT and log is router.shards[1]._log and not failed:
+                failed.append(record)
+                raise OSError("injected: COMMIT append failed")
+            return real_append(log, record)
+
+        monkeypatch.setattr(LogManager, "append", append_failing_once)
+        with pytest.raises(OSError):
+            gtxn.commit()
+        assert failed, "the phase-two append error never fired"
 
         # The verdict is durable and the transaction is still alive...
         assert gtxn.decided
@@ -202,6 +223,11 @@ def test_phase_two_failure_commit_retry_completes(tmp_path):
         gtxn.commit()
         assert gtxn.state == "committed"
         assert (src.bal, dst.bal) == (99, 101)
+        # The verdict is held until both COMMITs are durable; the next
+        # quiescent point forces them and releases it.
+        assert router.stats()["shard.2pc.decisions_held"] == 1
+        router.checkpoint()
+        assert router.stats()["shard.2pc.decisions_held"] == 0
         for idx, shard in enumerate(router.shards):
             assert not shard.in_doubt_txns(), f"shard {idx} still in doubt"
             assert not shard.coordinator_decisions(), f"shard {idx} holds verdicts"
@@ -216,9 +242,10 @@ def test_direct_open_with_retained_wal_never_reuses_txids(tmp_path):
     path = tmp_path / "shards"
     _crash_transfer(path, "shard.2pc.post_prepare", 2)
 
-    # Open one participant directly, bypassing router-level resolution --
+    # Open the remote participant directly (the coordinator shard's
+    # PREPARE was never forced), bypassing router-level resolution --
     # exactly the window where a colliding txid could do damage.
-    shard = Database(path / "shard-00")
+    shard = Database(path / "shard-01")
     try:
         assert shard.in_doubt_txns(), "precondition: participant is in doubt"
         report = shard.last_recovery
@@ -269,7 +296,9 @@ def test_payload_displaced_by_an_in_doubt_participant_survives_the_open(tmp_path
     finally:
         faults.deactivate()
 
-    shard = Database(path / "shard-00")  # first's home, below the router
+    # second's home, below the router: the remote participant, the one
+    # whose PREPARE is forced before any verdict exists.
+    shard = Database(path / "shard-01")
     try:
         (txid,) = shard.in_doubt_txns()
         store = shard.store
@@ -280,7 +309,7 @@ def test_payload_displaced_by_an_in_doubt_participant_survives_the_open(tmp_path
         assert shard.reclaim_blobs() == (0, 0, 1), "refused while in doubt"
 
         shard.resolve_in_doubt(txid, commit=commit)
-        assert shard.deref(first.oid).body == (new if commit else old)
+        assert shard.deref(second.oid).body == (new + "2" if commit else old + "2")
         assert not check_database(shard, strict=True).problems
         shard.pnew(Page("tick"))  # any commit: candidates wait for the epoch
         # Commit: the old body is the garbage.  Abort: it is live again,
