@@ -322,9 +322,11 @@ class E11Doc:
 
 def test_e11_small_delta_commit_stays_in_the_wal(tmp_path, benchmark, monkeypatch):
     """A 5 %-edit ``newversion`` commit stores two small deltas; both ride
-    the versions heap, so the commit is the WAL's one fsync -- no content
-    file, no refcount to move.  A 2 KiB full copy still costs one blob
-    (and one in-memory count; the index has no record to write)."""
+    the versions heap, so the commit is the WAL's one fsync -- no frame,
+    no refcount to move.  A 2 KiB full copy costs one frame appended to
+    the open pack (no file created), one in-memory count, and two fsyncs:
+    the pack's, beneath the log flush, then the log's.  A 100-object load
+    of 1 KiB bodies in one transaction costs the same two."""
     import os
 
     db = Database(
@@ -353,12 +355,17 @@ def test_e11_small_delta_commit_stays_in_the_wal(tmp_path, benchmark, monkeypatc
         blob_stats = db.store.blobs.stats
 
         def measure(commit, commits):
-            before = dict(counts, files=blob_stats.files_written)
+            before = dict(
+                counts,
+                files=blob_stats.packs_created,
+                frames=blob_stats.frames_appended,
+            )
             for _ in range(commits):
                 commit()
             return {
                 "fsyncs": (counts["fsyncs"] - before["fsyncs"]) / commits,
-                "blob_files": (blob_stats.files_written - before["files"]) / commits,
+                "files_created": (blob_stats.packs_created - before["files"]) / commits,
+                "frames": (blob_stats.frames_appended - before["frames"]) / commits,
                 "index_updates": (counts["index_updates"] - before["index_updates"])
                 / commits,
             }
@@ -374,15 +381,26 @@ def test_e11_small_delta_commit_stays_in_the_wal(tmp_path, benchmark, monkeypatc
             with db.transaction():
                 db.pnew(E11Doc(rng.randbytes(2048)))
 
+        def load():
+            with db.transaction():
+                for _ in range(100):
+                    db.pnew(E11Doc(rng.randbytes(1024)))
+
         small = measure(small_edit, 100)
         large = measure(full_copy, 20)
+        loaded = measure(load, 1)
     finally:
         db.close()
-    for side, per_commit in (("small_delta", small), ("full_2k", large)):
+    for side, per_commit in (
+        ("small_delta", small), ("full_2k", large), ("load_100x1k", loaded)
+    ):
         for name, value in per_commit.items():
             benchmark.extra_info[f"{side}_{name}_per_commit"] = value
-    assert small == {"fsyncs": 1, "blob_files": 0, "index_updates": 0}, small
-    assert large == {"fsyncs": 2, "blob_files": 1, "index_updates": 1}, large
+    assert small == {"fsyncs": 1, "files_created": 0, "frames": 0, "index_updates": 0}, small
+    assert large == {"fsyncs": 2, "files_created": 0, "frames": 1, "index_updates": 1}, large
+    assert loaded == {
+        "fsyncs": 2, "files_created": 0, "frames": 100, "index_updates": 100
+    }, loaded
     benchmark(lambda: None)
 
 

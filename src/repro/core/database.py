@@ -167,6 +167,9 @@ class Database(VersionReads, SessionHost):
             oid_stride=oid_stride,
             oid_residue=oid_residue,
         )
+        # Payload -> log -> data: every flush syncs the packs before it
+        # writes the records that may reference their newest frames.
+        self._log.before_write = self._store.blobs.sync
         self._locks = LockManager(lock_timeout, detect_deadlocks=deadlock_detection)
         self._locks.work_of = self._txn_work
         self._triggers = TriggerManager(type_resolver=self._store.type_name)
@@ -460,6 +463,7 @@ class Database(VersionReads, SessionHost):
         if self._degraded_reason is None:
             self.checkpoint()
         self._log.close(flush=self._degraded_reason is None)
+        self._store.blobs.close()
         self._disk.close(sync=self._degraded_reason is None)
         self._closed = True
 
@@ -948,18 +952,17 @@ class Database(VersionReads, SessionHost):
             eligible = self._eligible_blob_keys(
                 limit, exclude_txid=txn.txid if txn is not None else None
             )
-            if not eligible:
-                return (0, 0, len(self._store.gc_candidates()))
-            faults.fire("gc.tombstone.pre")
-            self._log.append(
-                LogRecord(
-                    GC_TOMBSTONE, 0, payload=serialization.encode(tuple(eligible))
-                )
-            )
-            self._log.flush()
-            faults.fire("gc.tombstone.post")
             unlinked = 0
             freed = 0
+            if eligible:
+                faults.fire("gc.tombstone.pre")
+                self._log.append(
+                    LogRecord(
+                        GC_TOMBSTONE, 0, payload=serialization.encode(tuple(eligible))
+                    )
+                )
+                self._log.flush()
+                faults.fire("gc.tombstone.post")
             for key in eligible:
                 faults.fire("gc.unlink.pre")
                 freed += self._store.blobs.unlink(key)
@@ -968,6 +971,9 @@ class Database(VersionReads, SessionHost):
                 self._store.drop_blob_entry(key)
                 faults.fire("gc.index.post")
                 unlinked += 1
+            # Dead frames are only space: bound them (no journal, nothing
+            # forced -- emptied packs go at the next log flush).
+            self._store.blobs.compact()
             return (unlinked, freed, len(self._store.gc_candidates()))
 
         unlinked, freed, remaining = self._mutate(None, op)

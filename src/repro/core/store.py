@@ -197,11 +197,11 @@ class VersionStore(VersionReads):
     Those references are the only durable statement of who uses a blob.
     The refcount index (key -> count, size) is derived from them: counted
     from one ``ode.versions`` scan at open and after every rollback, kept
-    current in memory in between, never stored.  A content file nothing
+    current in memory in between, never stored.  A frame nothing
     references -- displaced, rolled back, or left by a crashed put -- is
     a zero-count entry: a GC candidate stamped with the snapshot epoch at
     which it was found unreferenced (see ``repro.core.gc`` for the
-    reclaim protocol, the only thing that unlinks a file).
+    reclaim protocol, the only thing that unlinks a key).
     """
 
     def __init__(
@@ -292,7 +292,7 @@ class VersionStore(VersionReads):
         and the WAL's undo, so after an open or any rollback they are the
         truth: one scan counts them.  Every other known key is
         unreferenced and enters with count zero as a GC candidate.
-        ``opening`` takes the known keys from the files on disk (a crashed
+        ``opening`` takes the known keys from the pack files (a crashed
         put, or a payload displaced before the last close); a reload takes
         them from the index it replaces, so a candidate keeps the epoch
         stamp it had and a rolled-back put becomes one at this epoch.
@@ -496,7 +496,7 @@ class VersionStore(VersionReads):
         ref.refcount += 1
         if ref.refcount == 1:
             # Revived while awaiting reclaim: the content is identical
-            # (that is what content addressing means), so the file is
+            # (that is what content addressing means), so the frame is
             # simply live again.
             self._gc_candidates.pop(key, None)
 
@@ -514,10 +514,10 @@ class VersionStore(VersionReads):
         A payload of at most :data:`INLINE_PAYLOAD_MAX` bytes is its own
         record -- unless it reads as a blob reference, in which case it
         takes the blob path like a large one so the two encodings stay
-        disjoint.  A large payload is written into the blob store, file
-        *before* the record that references it: a crash or rollback in
-        between leaves an unreferenced file, which the next recount makes
-        a GC candidate.  The reverse order could lose acknowledged
+        disjoint.  A large payload is appended to the blob store (and
+        synced by the log flush) *before* the record that references it:
+        a crash or rollback in between leaves an unreferenced frame, the
+        next recount's GC candidate.  The reverse order could lose acknowledged
         payload bytes.  The count moves with the caller's heap write,
         under the same storage mutex.
         """
@@ -582,8 +582,8 @@ class VersionStore(VersionReads):
         return None if ref is None else ref.refcount
 
     def orphan_blob_keys(self) -> list[str]:
-        """Content files on disk the index does not know (there should be
-        none: every put enters its key, every load lists the directory)."""
+        """Frames in the packs the index does not know (there should be
+        none: every put enters its key, every load lists the packs)."""
         return [key for key in self._blobs.keys() if key not in self._blob_index]
 
     def drop_blob_entry(self, key: str) -> None:
@@ -600,19 +600,19 @@ class VersionStore(VersionReads):
 
     def blob_stats(self) -> dict[str, int]:
         """Blob-store counters plus index totals (``blobs.*`` namespace)."""
-        out = self._blobs.stats.as_dict()
-        live = sum(1 for ref in self._blob_index.values() if ref.refcount > 0)
-        live_bytes = sum(
-            ref.size for ref in self._blob_index.values() if ref.refcount > 0
-        )
-        logical = sum(
-            ref.refcount * ref.size for ref in self._blob_index.values()
-        )
+        out = self._blobs.stats_dict()
+        refs = self._blob_index.values()
+        live = [ref.size for ref in refs if ref.refcount > 0]
+        logical = sum(ref.refcount * ref.size for ref in refs)
         out["blobs.count"] = len(self._blob_index)
-        out["blobs.live"] = live
-        out["blobs.live_bytes"] = live_bytes
+        out["blobs.live"] = len(live)
+        out["blobs.live_bytes"] = sum(live)
         out["blobs.logical_bytes"] = logical
         out["blobs.pending_reclaim"] = len(self._gc_candidates)
+        # Candidates are the zero-count entries of the same index.
+        out["blobs.pending_reclaim_bytes"] = sum(
+            self._blob_index[key].size for key in self._gc_candidates
+        )
         out["blobs.inline_records"] = self._inline_records
         out["blobs.inline_bytes"] = self._inline_bytes
         return out

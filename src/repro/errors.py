@@ -82,6 +82,10 @@ class BlobMissingError(BlobError):
     """
 
 
+class BlobCorruptError(BlobError):
+    """A frame's bytes do not match its length/crc header: never returned."""
+
+
 # ---------------------------------------------------------------------------
 # Versioning kernel
 # ---------------------------------------------------------------------------

@@ -3,47 +3,64 @@
 OrpheusDB-style dedup for the version store: a stored payload -- a full
 copy or a delta body along the derived-from chain -- *larger than*
 ``repro.core.store.INLINE_PAYLOAD_MAX`` (256 bytes) is keyed by the
-sha256 of its bytes and stored once, as an immutable file under
-``blobs/ab/cdef...`` (first byte of the digest is the fan-out directory).
-Identical payloads across objects, versions, and snapshots therefore share
-one file.
+sha256 of its bytes and stored once, as one frame in an append-only
+**pack file** under ``blobs/``.  Identical payloads across objects,
+versions, and snapshots share one frame.
 
 Smaller payloads never come here: they are written inline into their
 ``ode.versions`` heap record, where the WAL's group commit already makes
-them durable.  The break-even is a matter of arithmetic, not tuning.  A
-blob costs a 42-byte reference in each record that uses it, before the
-file's own inode and directory entry (its refcount is derived, not
-stored), so a payload stored twice saves nothing below 84 bytes; and a
-put is a file create, an fsync and a rename, against none for a heap
-record the commit logs anyway.  The typical small payload is the 10-byte
-identity delta ``newversion`` writes, or the ~120-byte delta of a 5 %
-edit.  The threshold is one sixteenth of a page, so a versions-heap page
-still packs 15 inline payloads.
+them durable.  A blob costs a 42-byte reference in each record that uses
+it plus an 8-byte frame header (its refcount is derived, not stored), so
+a payload stored twice saves nothing below 84 bytes; the typical small
+payload is the 10-byte identity delta ``newversion`` writes, or the
+~120-byte delta of a 5 % edit.  The threshold is one sixteenth of a
+page, so a versions-heap page still packs 15 inline payloads.
 
-Durability protocol for :meth:`BlobStore.put`:
+**Frames** are the WAL's: ``u32 length | u32 crc32 | body``, except that
+the crc covers the length as well, so a tail of zeros (a file a crash
+left extended but unwritten) is not a run of valid empty frames.  Bit 31
+of the length is the *dead mark* (see :meth:`BlobStore.unlink`).  A
+frame never moves and is never rewritten apart from that one bit.
 
-1. write the content to a temp file *in the same directory*,
-2. ``fsync`` the temp file,
-3. ``rename`` it onto the final content path (atomic on POSIX).
+**The index is derived, not stored.**  ``key -> (pack, offset, size)``
+lives in memory and is rebuilt at open by scanning every pack and
+hashing each live body -- the key is nowhere on disk.  A frame that
+fails its length or crc ends the scan of its pack; in the newest pack
+that is the torn tail of a crashed append and is truncated away, in an
+older one (older packs are sealed only when fully synced) it is damage:
+the pack keeps its readable prefix and is never compacted.  Of two
+frames with one key (a crash between copy-forward and retire) the later
+wins and the earlier is dead space.
 
-A crash mid-put leaves either a temp file (swept opportunistically) or an
-unreferenced content file; both are harmless -- content files carry no
-liveness information.  Liveness is the blob references in the
-``ode.versions`` records (WAL-journaled, locked and rolled back with
-their object); the **refcount index** that
-:class:`repro.core.store.VersionStore` keeps in memory is counted from
-them at every load, and a file nothing references is a GC candidate in
-it.  This module only knows about files.
+**Durability: payload -> log -> data.**  ``put`` only appends.
+:meth:`BlobStore.sync` makes everything appended so far durable with one
+fsync of the active pack (and one of ``blobs/`` when a pack file was
+created since the last), and the database hangs it on
+``LogManager.before_write``: a flusher first fixes the set of log
+records it covers, then syncs the packs, then writes those records.  A
+record that references a payload is appended after the payload's
+``put`` returned, so no reference reaches the log file -- and, by the
+buffer pool's write-ahead rule, no data page -- before its payload is
+durable, whichever thread leads the group commit.  A crash or rollback
+in between leaves an unreferenced frame, which the store's next recount
+makes a GC candidate.
 
-Blob files are never overwritten: a put whose target path already exists is
-a dedup hit and touches nothing.  Unlink happens only through the GC
-tombstone protocol (journal first, unlink second -- see
-``repro.core.gc``), so a missing file surfaces as
-:class:`~repro.errors.BlobMissingError` and snapshot readers recover from
-their stash overlays.
+**Reclaim** goes only through the GC tombstone protocol (journal first,
+unlink second -- ``repro.core.gc``): :meth:`BlobStore.unlink` drops the
+index entry and sets the frame's dead mark, so a missing key surfaces as
+:class:`~repro.errors.BlobMissingError` and snapshot readers recover
+from their stash overlays.  The mark is one byte written in place and
+never forced: losing it resurrects a frame nothing references, i.e. a
+GC candidate.  :meth:`BlobStore.compact` bounds dead space: while dead
+bytes exceed :data:`DEAD_BUDGET` of live bytes it copies the survivors
+of the sealed pack with the largest dead share into the active pack, and
+the emptied pack is deleted by the next :meth:`BlobStore.sync` *after*
+the fsync that covers the copies.  Live bytes are thus durable twice
+before they are durable once again, which is why compaction needs no
+journal and forces nothing itself.
 
-The store is deliberately a narrow interface (put/get/unlink/scan over an
-opaque key) so an S3-style remote backend can slot in behind it later
+The store is deliberately a narrow interface (put/get/unlink/keys over
+an opaque key) so an S3-style remote backend can slot in behind it later
 (ROADMAP: multi-backend storage).
 """
 
@@ -51,11 +68,13 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import struct
 import threading
-from typing import Iterator
+import zlib
 
-from repro.errors import BlobError, BlobMissingError
+from repro.errors import BlobCorruptError, BlobError, BlobMissingError
+from repro.storage import faults
 
 #: Version-record marker: a heap record in ``ode.versions`` that starts
 #: with this magic is a blob *reference*, not inline payload bytes.  The
@@ -68,11 +87,14 @@ _REF_LEN = struct.Struct("<I")
 #: Total size of an encoded blob reference: magic + u32 size + 32-byte digest.
 REF_SIZE = len(_REF_MAGIC) + _REF_LEN.size + 32
 
-#: Size of a hex blob key (sha256 hexdigest).
-KEY_HEX_LEN = 64
+_FRAME = struct.Struct("<II")  # length (bit 31: dead mark), crc32
+_DEAD = 1 << 31
+_PACK_NAME = re.compile(r"pack-(\d{6,})\Z")
 
-#: A put's temp file is always new: the name carries pid + sequence.
-_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+#: The active pack is sealed by the first sync that finds it this large.
+PACK_TARGET = 4 << 20
+#: Compaction keeps dead frame bytes at or below this share of live ones.
+DEAD_BUDGET = 1 / 64
 
 
 def blob_key(content: bytes) -> str:
@@ -104,7 +126,7 @@ class BlobStats:
     __slots__ = (
         "puts",
         "dedup_hits",
-        "files_written",
+        "frames_appended",
         "bytes_written",
         "bytes_deduped",
         "reads",
@@ -112,170 +134,379 @@ class BlobStats:
         "unlinks",
         "bytes_unlinked",
         "missing",
+        "syncs",
+        "packs_created",
+        "compactions",
+        "bytes_copied_forward",
     )
 
     def __init__(self) -> None:
-        self.puts = 0
-        self.dedup_hits = 0
-        self.files_written = 0
-        self.bytes_written = 0
-        self.bytes_deduped = 0
-        self.reads = 0
-        self.bytes_read = 0
-        self.unlinks = 0
-        self.bytes_unlinked = 0
-        self.missing = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "blobs.puts": self.puts,
-            "blobs.dedup_hits": self.dedup_hits,
-            "blobs.files_written": self.files_written,
-            "blobs.bytes_written": self.bytes_written,
-            "blobs.bytes_deduped": self.bytes_deduped,
-            "blobs.reads": self.reads,
-            "blobs.bytes_read": self.bytes_read,
-            "blobs.unlinks": self.unlinks,
-            "blobs.bytes_unlinked": self.bytes_unlinked,
-            "blobs.missing": self.missing,
-        }
+        return {f"blobs.{name}": getattr(self, name) for name in self.__slots__}
+
+
+class _Pack:
+    """One pack file: ``size`` bytes of frames, ``live`` of them indexed."""
+
+    __slots__ = ("path", "file", "size", "live", "damaged")
+
+    def __init__(self, path: str, flags: int = 0) -> None:
+        self.path = path
+        fd = os.open(path, os.O_RDWR | flags, 0o666)
+        self.file = os.fdopen(fd, "r+b", buffering=0)
+        self.size = self.live = 0
+        self.damaged = False
+
+    def write(self, data: bytes) -> None:
+        """Write ``data`` at the end of the frames (``faults.write`` file)."""
+        fd, view, at = self.file.fileno(), memoryview(data), self.size
+        while view:
+            done = os.pwrite(fd, view, at)
+            view, at = view[done:], at + done
+
+
+def _crc(size: int, body: bytes | memoryview) -> int:
+    """The frame checksum: crc32 over ``length | body``."""
+    return zlib.crc32(body, zlib.crc32(_REF_LEN.pack(size)))
+
+
+def _checks(raw: bytes, size: int) -> bool:
+    """True when ``raw`` is a whole live frame of ``size`` body bytes."""
+    return len(raw) == _FRAME.size + size and _FRAME.unpack_from(raw) == (
+        size,
+        _crc(size, memoryview(raw)[_FRAME.size :]),
+    )
 
 
 class BlobStore:
-    """Immutable sha256-keyed files under one root directory."""
+    """Immutable sha256-keyed frames in append-only pack files."""
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self._root = os.fspath(root)
         os.makedirs(self._root, exist_ok=True)
+        #: Serializes everything that changes the index or the pack list
+        #: (:meth:`get` only reads them, and revalidates).
         self._lock = threading.Lock()
-        self._tmp_seq = 0
+        self._sync_lock = threading.Lock()  # one sync() at a time
+        self._index: dict[str, tuple[_Pack, int, int]] = {}
+        self._packs: list[_Pack] = []
+        self._retiring: list[_Pack] = []  # emptied; deleted by the next sync
+        self._active: _Pack | None = None
+        #: Frame bytes ever appended / covered by a completed pack fsync.
+        #: Unsynced bytes are always in the active pack: a pack is sealed
+        #: only when the two are equal.
+        self._appended = self._synced = 0
+        self._dir_synced = 0  # ``stats.packs_created`` the directory fsync covers
+        self._next_id = 1
         self.stats = BlobStats()
+        self._open_packs()
 
-    @property
-    def root(self) -> str:
-        """The blob directory."""
-        return self._root
+    # -- open: derive the index --------------------------------------------------
 
-    def path_of(self, key: str) -> str:
-        """Filesystem path of a content key (``blobs/ab/cdef...``)."""
-        if len(key) != KEY_HEX_LEN:
-            raise BlobError(f"malformed blob key {key!r}")
-        return os.path.join(self._root, key[:2], key[2:])
+    def _open_packs(self) -> None:
+        found = sorted(
+            (int(m.group(1)), m.string)
+            for m in map(_PACK_NAME.match, os.listdir(self._root))
+            if m
+        )
+        for pack_id, name in found:
+            pack = _Pack(os.path.join(self._root, name))
+            self._packs.append(pack)
+            end = os.path.getsize(pack.path)
+            pack.size = self._scan(pack, end)
+            if pack.size < end:
+                if pack_id == found[-1][0]:
+                    pack.file.truncate(pack.size)  # a crashed append's torn tail
+                else:
+                    pack.damaged = True
+        if found:
+            self._next_id = found[-1][0] + 1
+            if self._packs[-1].size < PACK_TARGET:
+                self._active = self._packs[-1]
+
+    def _scan(self, pack: _Pack, end: int) -> int:
+        """Index ``pack``'s frames; returns the offset where valid ones end."""
+        pos = 0
+        with open(pack.path, "rb") as fh:
+            while pos + _FRAME.size <= end:
+                length, crc = _FRAME.unpack(fh.read(_FRAME.size))
+                size = length & ~_DEAD
+                if pos + _FRAME.size + size > end:
+                    break
+                if length & _DEAD:
+                    fh.seek(size, os.SEEK_CUR)
+                else:
+                    body = fh.read(size)
+                    if _crc(size, body) != crc:
+                        break
+                    key = blob_key(body)
+                    earlier = self._index.get(key)
+                    if earlier is not None:
+                        earlier[0].live -= _FRAME.size + earlier[2]
+                    self._index[key] = (pack, pos, size)
+                    pack.live += _FRAME.size + size
+                pos += _FRAME.size + size
+        return pos
+
+    def close(self) -> None:
+        """Close every pack file (syncs nothing: see :meth:`sync`)."""
+        with self._lock:
+            for pack in self._packs + self._retiring:
+                pack.file.close()
+
+    # -- the key surface -------------------------------------------------------------
 
     def exists(self, key: str) -> bool:
-        """True when the content file is on disk."""
-        return os.path.exists(self.path_of(key))
+        """True when a frame holds the key's content."""
+        return key in self._index
+
+    def size_of(self, key: str) -> int | None:
+        """Content size of a key, or None when no frame holds it."""
+        loc = self._index.get(key)
+        return None if loc is None else loc[2]
+
+    def keys(self) -> list[str]:
+        """Every key a frame holds (sorted)."""
+        with self._lock:
+            return sorted(self._index)
 
     def put(self, content: bytes) -> str:
         """Store ``content``; returns its key.  Idempotent by construction:
-        ``put(b) == put(b)`` is one key and (after the first call) no I/O."""
+        ``put(b) == put(b)`` is one key, one frame and (after the first
+        call) no I/O.  Durable once :meth:`sync` has run."""
         key = blob_key(content)
-        path = self.path_of(key)
-        self.stats.puts += 1
-        if os.path.exists(path):
-            # Content-addressing makes the existence check sufficient: the
-            # file's bytes *are* the key's preimage, whoever wrote it.
-            self.stats.dedup_hits += 1
-            self.stats.bytes_deduped += len(content)
-            return key
+        size = len(content)
+        if size >= _DEAD:
+            raise BlobError(f"blob of {size} bytes exceeds the frame format")
         with self._lock:
-            self._tmp_seq += 1
-            seq = self._tmp_seq
-        directory = os.path.dirname(path)
-        tmp = os.path.join(directory, f".tmp-{os.getpid()}-{seq}")
-        try:
-            fd = os.open(tmp, _TMP_FLAGS, 0o666)
-        except FileNotFoundError:  # first put into this fan-out directory
-            os.makedirs(directory, exist_ok=True)
-            fd = os.open(tmp, _TMP_FLAGS, 0o666)
-        try:
-            try:
-                view = memoryview(content)
-                while view:
-                    view = view[os.write(fd, view) :]
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            os.rename(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.stats.files_written += 1
-        self.stats.bytes_written += len(content)
+            self.stats.puts += 1
+            if key in self._index:
+                # Content-addressing makes the lookup sufficient: the
+                # frame's bytes *are* the key's preimage, whoever put them.
+                self.stats.dedup_hits += 1
+                self.stats.bytes_deduped += size
+                return key
+            self._append(key, _FRAME.pack(size, _crc(size, content)) + content)
+            self.stats.frames_appended += 1
+            self.stats.bytes_written += size
         return key
 
-    def get(self, key: str) -> bytes:
-        """Read a blob's content; raises :class:`BlobMissingError` if gone."""
+    def _append(self, key: str, frame: bytes) -> None:
+        """Append one frame to the active pack and index it (lock held)."""
+        pack = self._active
+        if pack is None:
+            path = os.path.join(self._root, f"pack-{self._next_id:06d}")
+            pack = self._active = _Pack(path, os.O_CREAT | os.O_EXCL)
+            self._packs.append(pack)
+            self._next_id += 1
+            self.stats.packs_created += 1
         try:
-            with open(self.path_of(key), "rb") as fh:
-                content = fh.read()
-        except FileNotFoundError:
-            self.stats.missing += 1
-            raise BlobMissingError(f"blob {key} is not on disk") from None
-        self.stats.reads += 1
-        self.stats.bytes_read += len(content)
-        return content
+            faults.write("blobs.append", pack, frame)
+        except BaseException:
+            if not faults.is_crashed():
+                # No partial frame may precede a retried one (the WAL's
+                # failed-write repair); should the truncate fail too, the
+                # next append still overwrites from this same offset.
+                try:
+                    os.ftruncate(pack.file.fileno(), pack.size)
+                except OSError:
+                    pass
+            raise
+        self._index[key] = (pack, pack.size, len(frame) - _FRAME.size)
+        pack.size += len(frame)
+        pack.live += len(frame)
+        self._appended += len(frame)
 
-    def size_of(self, key: str) -> int | None:
-        """On-disk size of a blob, or None when the file is gone."""
-        try:
-            return os.path.getsize(self.path_of(key))
-        except OSError:
-            return None
+    def get(self, key: str) -> bytes:
+        """Read a blob's content (one pread, crc checked).
+
+        Raises :class:`BlobMissingError` when no frame holds the key and
+        :class:`BlobCorruptError` rather than return bytes that do not
+        match their frame header.  Takes no lock: a pack is closed only
+        once no index entry points into it and entries never point back,
+        so finding the same entry *after* the read proves the descriptor
+        was the pack's throughout; a reader that loses the race with
+        compaction or reclaim re-resolves through the index.
+        """
+        while True:
+            loc = self._index.get(key)
+            if loc is None:
+                self.stats.missing += 1
+                raise BlobMissingError(f"blob {key} is not on disk")
+            pack, offset, size = loc
+            try:
+                raw = os.pread(pack.file.fileno(), _FRAME.size + size, offset)
+            except (OSError, ValueError):  # closed under us, or a real error
+                if self._index.get(key) is loc:
+                    raise
+                continue
+            if self._index.get(key) is loc:
+                break
+        if not _checks(raw, size):
+            raise BlobCorruptError(
+                f"blob {key}: frame at {os.path.basename(pack.path)}+{offset} "
+                "fails its length/crc check"
+            )
+        self.stats.reads += 1
+        self.stats.bytes_read += size
+        return raw[_FRAME.size :]
 
     def unlink(self, key: str) -> int:
-        """Remove a blob file; returns the bytes freed (0 if already gone).
+        """Forget a key; returns the content bytes freed (0 if already gone).
 
         Only the GC tombstone protocol calls this -- the tombstone must be
-        durable in the WAL *before* the unlink.
+        durable in the WAL *before* the unlink.  The frame stays where it
+        is with its dead mark set (one byte, so the write cannot tear)
+        until :meth:`compact` retires its pack.
         """
-        path = self.path_of(key)
-        try:
-            size = os.path.getsize(path)
-            os.unlink(path)
-        except OSError:
-            return 0
-        self.stats.unlinks += 1
-        self.stats.bytes_unlinked += size
+        with self._lock:
+            loc = self._index.get(key)
+            if loc is None:
+                return 0
+            pack, offset, size = loc
+            del self._index[key]  # first: a racing reader must not meet the mark
+            pack.live -= _FRAME.size + size
+            os.pwrite(pack.file.fileno(), bytes([0x80 | size >> 24]), offset + 3)
+            self.stats.unlinks += 1
+            self.stats.bytes_unlinked += size
         return size
 
-    def keys(self) -> Iterator[str]:
-        """Iterate the keys of every content file on disk (sorted).
+    # -- durability ------------------------------------------------------------------
 
-        Temp files from interrupted puts are swept as they are found --
-        they were never renamed, so nothing can reference them.
+    def sync(self) -> None:
+        """Make every frame appended so far durable; retire emptied packs.
+
+        One fsync of the active pack when it has grown since the last
+        sync, one of the directory when a pack file was created since.
+        Packs :meth:`compact` emptied before this call are deleted after
+        the fsync that covers the copies of their survivors.
         """
-        try:
-            fanouts = sorted(os.listdir(self._root))
-        except FileNotFoundError:
+        if (
+            self._appended == self._synced
+            and self.stats.packs_created == self._dir_synced
+            and not self._retiring
+        ):
+            # Nothing to cover.  Unlocked: a put racing this read has not
+            # logged its reference yet, so a later flush answers for it.
             return
-        for fanout in fanouts:
-            subdir = os.path.join(self._root, fanout)
-            if len(fanout) != 2 or not os.path.isdir(subdir):
-                continue
-            for name in sorted(os.listdir(subdir)):
-                if name.startswith(".tmp-"):
-                    try:
-                        os.unlink(os.path.join(subdir, name))
-                    except OSError:
-                        pass
-                    continue
-                key = fanout + name
-                if len(key) == KEY_HEX_LEN:
-                    yield key
+        with self._sync_lock:
+            with self._lock:
+                pack, appended = self._active, self._appended
+                created = self.stats.packs_created
+                retiring = list(self._retiring)
+            if appended != self._synced:
+                faults.fire("blobs.sync.fsync")
+                os.fsync(pack.file.fileno())
+                self.stats.syncs += 1
+            if created != self._dir_synced:
+                fd = os.open(self._root, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
+            self._synced, self._dir_synced = appended, created
+            with self._lock:
+                if faults.is_crashed():
+                    retiring = []  # a dead process deletes nothing
+                for done in retiring:
+                    os.unlink(done.path)
+                    done.file.close()
+                    self._retiring.remove(done)
+                    faults.fire("blobs.compact.retired")
+                if (
+                    pack is not None
+                    and pack is self._active
+                    and pack.size >= PACK_TARGET
+                    and self._appended == appended
+                ):
+                    self._active = None  # sealed: fully synced, never appended again
 
-    def file_count(self) -> int:
-        """Number of content files on disk."""
-        return sum(1 for _ in self.keys())
+    def unsynced_tail(self) -> tuple[str | None, int]:
+        """The active pack's path and the bytes at its end no fsync covers
+        (what a crash may lose; the crash matrix cuts exactly that)."""
+        with self._lock:
+            path = self._active.path if self._active is not None else None
+            return path, self._appended - self._synced
+
+    # -- dead space ------------------------------------------------------------------
+
+    def stats_dict(self) -> dict[str, int]:
+        """The counters plus the pack gauges (``blobs.*`` namespace)."""
+        out = self.stats.as_dict()
+        out["blobs.packs"] = self.pack_count()
+        out["blobs.dead_bytes"] = self.dead_bytes()
+        return out
+
+    def pack_count(self) -> int:
+        """Number of pack files on disk."""
+        return len(self._packs) + len(self._retiring)
 
     def total_bytes(self) -> int:
-        """Total content bytes on disk."""
-        total = 0
-        for key in self.keys():
-            size = self.size_of(key)
-            if size is not None:
-                total += size
-        return total
+        """Bytes of pack files on disk, dead space included."""
+        return sum(pack.size for pack in self._packs + self._retiring)
+
+    def live_bytes(self) -> int:
+        """Frame bytes (headers included) the index points at."""
+        return sum(pack.live for pack in self._packs)
+
+    def dead_bytes(self) -> int:
+        """Frame bytes nothing points at, in packs not yet queued to retire."""
+        return sum(pack.size - pack.live for pack in self._packs if not pack.damaged)
+
+    def _over_budget(self) -> bool:
+        return self.dead_bytes() > DEAD_BUDGET * self.live_bytes()
+
+    def compact(self) -> None:
+        """Bring dead space back under :data:`DEAD_BUDGET`.
+
+        Sealed packs are taken by descending dead share; each one's live
+        frames are copied (crc checked) into the active pack and re-pointed
+        in the index, and the emptied pack queues for the next
+        :meth:`sync`.  If that is not enough the rest of the dead space is
+        in the active pack: once fully synced it is sealed and copied into
+        a fresh one.  Writes nothing that has to be forced.
+        """
+        with self._lock:
+            victims = [
+                p for p in self._packs
+                if p is not self._active and not p.damaged and (p.live < p.size or not p.size)
+            ]
+        victims.sort(key=lambda p: p.live / max(p.size, 1))
+        for pack in victims:
+            if pack.live and not self._over_budget():
+                return
+            self._copy_forward(pack)
+        with self._lock:
+            pack = self._active
+            if pack is None or self._appended != self._synced or not self._over_budget():
+                return
+            self._active = None
+        self._copy_forward(pack)
+
+    def _copy_forward(self, pack: _Pack) -> None:
+        """Move a sealed pack's live frames to the active pack; queue it."""
+        with self._lock:
+            members = sorted(
+                (loc[1], key) for key, loc in self._index.items() if loc[0] is pack
+            )
+        for offset, key in members:
+            with self._lock:
+                loc = self._index.get(key)
+                if loc is None or loc[0] is not pack:
+                    continue  # unlinked since the listing
+                raw = os.pread(pack.file.fileno(), _FRAME.size + loc[2], offset)
+                if not _checks(raw, loc[2]):
+                    pack.damaged = True  # stays, with the evidence, for check --strict
+                    return
+                self._append(key, raw)
+                pack.live -= len(raw)
+                self.stats.bytes_copied_forward += len(raw)
+        with self._lock:
+            if pack.live == 0 and pack in self._packs:
+                self._packs.remove(pack)
+                self._retiring.append(pack)
+        self.stats.compactions += 1
+        faults.fire("blobs.compact.copied")

@@ -147,11 +147,18 @@ FAILPOINTS: tuple[str, ...] = (
     "gc.index.post",
     "gc.repair.pre",
     "gc.repair.post",
+    # -- pack files (repro.storage.blobs) -----------------------------------
+    # A frame append, the pack fsync beneath every WAL flush, and the two
+    # halves of compaction: survivors copied forward, emptied pack deleted.
+    "blobs.append",
+    "blobs.sync.fsync",
+    "blobs.compact.copied",
+    "blobs.compact.retired",
 )
 
 #: Failpoints that wrap an actual file write (torn/short writes possible).
 WRITE_FAILPOINTS: frozenset[str] = frozenset(
-    {"wal.flush.write", "disk.write_page.write", "disk.write_meta.write"}
+    {"wal.flush.write", "disk.write_page.write", "disk.write_meta.write", "blobs.append"}
 )
 
 #: Failpoints that may raise a survivable :class:`InjectedFaultError`
@@ -161,6 +168,7 @@ ERROR_FAILPOINTS: frozenset[str] = frozenset(
     {
         "wal.flush.fsync",
         "disk.sync.fsync",
+        "blobs.sync.fsync",
         "net.proxy.accept",
         "net.proxy.forward.c2s",
         "net.proxy.forward.s2c",

@@ -143,6 +143,12 @@ class LogManager:
         self._flushed_seq = 0  # highest sequence covered by a completed fsync
         self._flushing = False  # an fsync is in flight (I/O happens unlocked)
         self._pending_flushers = 0  # threads currently inside flush()
+        #: Called by a flusher once the set of records it covers is fixed
+        #: and before any of them is written: whatever those records refer
+        #: to outside the log (blob payloads) is made durable first.  A
+        #: failure fails the flush.  Running it earlier would let a group
+        #: leader cover a follower's record appended after the call.
+        self.before_write: "Callable[[], None] | None" = None
         #: Count of fsyncs, for the E11 micro-benchmarks.
         self.flush_count = 0
         #: Flush calls satisfied by another thread's fsync (group commit).
@@ -238,6 +244,8 @@ class LogManager:
         try:
             # I/O happens outside the lock so that piggybacking flushers can
             # register and appends are never blocked behind the disk.
+            if self.before_write is not None:
+                self.before_write()
             faults.fire("wal.flush.pre_write")
             if buf:
                 write_start = self._file.tell()

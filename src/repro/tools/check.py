@@ -23,7 +23,9 @@ layers against each other:
    version graph, object ids are unique, and the result matches the
    in-memory table (oids, types, serials, record ids);
 9. the ``ode.oid`` counter is at or above every live object id, so a
-   recovered database can never re-issue an id.
+   recovered database can never re-issue an id;
+10. every blob frame re-hashes to the key it is indexed under and is
+    known to the refcount index (dead pack space is a warning).
 
 Returns a :class:`CheckReport`; ``ok`` is True when no problems were
 found.  Never mutates the database.
@@ -36,7 +38,8 @@ from dataclasses import dataclass, field
 from repro.core.database import Database
 from repro.core.identity import Vid
 from repro.core.vgraph import VersionGraph
-from repro.errors import OdeError
+from repro.errors import BlobError, OdeError
+from repro.storage import blobs as blobstore
 from repro.storage.catalog import CATALOG_FILE_ID
 from repro.storage.heap import Rid
 
@@ -147,9 +150,7 @@ def check_database(db: Database, strict: bool = False) -> CheckReport:
 
     # 10. content-addressed refcount audit: the derived blob index must
     # agree with a from-scratch recount of the payload records, live keys
-    # must have their files, and counts are never negative.
-    from repro.storage import blobs as blobstore
-
+    # must have their frames, and counts are never negative.
     recounted: dict[str, int] = {}
     for _rid, payload in versions_heap.scan():
         if blobstore.is_ref(payload):
@@ -181,8 +182,8 @@ def check_database(db: Database, strict: bool = False) -> CheckReport:
                 )
             if not store.blobs.exists(key):
                 report.problems.append(
-                    f"blob {key[:12]}…: live (refcount {refcount}) but its "
-                    "content file is missing"
+                    f"blob {key[:12]}…: live (refcount {refcount}) but no "
+                    "pack holds its content"
                 )
 
     # 4. cluster membership symmetric with the object table.
@@ -289,10 +290,26 @@ def _check_strict(db: Database, report: CheckReport) -> None:
                 f"its id could be re-issued"
             )
 
-    # 10 (strict): no content file is unknown to the index.  Every put
-    # enters its key and every load lists the directory, so an unknown
-    # file is leaked content the collector will never see.
+    # 10 (strict): the pack files against the index.  Every frame must
+    # re-hash to the key it is indexed under, and none may be unknown to
+    # the refcount index: every put enters its key and every load lists
+    # the packs, so an unknown frame is leaked content the collector will
+    # never see.  Dead space is reported, not a problem.
+    blobs = store.blobs
+    for key in blobs.keys():
+        try:
+            if blobstore.blob_key(blobs.get(key)) != key:
+                report.problems.append(
+                    f"blob {key[:12]}…: its frame hashes to another key"
+                )
+        except BlobError as exc:
+            report.problems.append(str(exc))
     for key in store.orphan_blob_keys():
         report.problems.append(
-            f"blob file {key[:12]}… is not in the index (leaked content)"
+            f"blob frame {key[:12]}… is not in the index (leaked content)"
+        )
+    if blobs.dead_bytes():
+        report.warnings.append(
+            f"{blobs.dead_bytes()} dead byte(s) in {blobs.pack_count()} blob "
+            "pack(s) await compaction (reclaim_blobs)"
         )

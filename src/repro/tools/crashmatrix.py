@@ -39,6 +39,7 @@ Run it:
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import tempfile
@@ -62,6 +63,7 @@ from repro.storage.faults import (
 from repro.storage.heap import Rid
 from repro.storage.wal import COORD_END, LogManager
 from repro.tools.check import check_database
+from repro.verify import hooks
 
 #: Rounds of mixed operations per worker thread.
 ROUNDS = 8
@@ -131,6 +133,8 @@ class Scenario:
     recovery_failpoint: str | None = None
     #: Run :func:`_run_shared_content_workload` instead of the mixed one.
     shared_content: bool = False
+    #: GC matrix: run :func:`_run_follower_workload` instead of the collector.
+    follower: bool = False
     #: 2PC matrix: run the lazy-COMMIT steps (see :func:`_twopc_steps`),
     #: with a single-shard commit forcing the log of each shard named here.
     lazy_flush: tuple[int, ...] | None = None
@@ -145,6 +149,8 @@ class Scenario:
         parts = [self.failpoint, self.action, f"hit{self.hit}"]
         if self.shared_content:
             parts.append("shared-content")
+        if self.follower:
+            parts.append("follower")
         if self.lazy_flush is not None:
             parts.append("lazy-flush" + "".join(map(str, self.lazy_flush)))
         if self.action in ("torn_write", "short_write"):
@@ -1059,7 +1065,24 @@ _GC_CRASH_HITS: dict[str, tuple[int, ...]] = {
     "gc.unlink.post": (1, 5),
     "gc.index.pre": (1, 5),
     "gc.index.post": (1, 5),
+    # Once per compacted pack: its survivors are copied forward (both
+    # packs hold every key; an open keeps the copy and the original is
+    # dead space) / the emptied pack is deleted, after the next log flush.
+    "blobs.compact.copied": (1, 3),
+    "blobs.compact.retired": (1,),
 }
+
+#: ``blobs.append`` ordinals inside the collector: 45 appends build the
+#: history, so 46 is the first re-base put of the first prune transaction
+#: (a torn frame under an unacknowledged commit) and 70 the first frame
+#: compaction copies forward.  Recount after changing the history: run
+#: :func:`_build_gc_history` under an empty plan and read
+#: ``injector.hit_count("blobs.append")``.
+_GC_TORN_APPENDS = ((46, 11), (70, -3))
+
+#: The leader's flush in :func:`_run_follower_workload`: two set-up
+#: commits, then the one that covers the parked follower.
+_FOLLOWER_LEADER_FLUSH = 3
 
 
 def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
@@ -1075,6 +1098,13 @@ def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
         assert failpoint in FAILPOINTS, failpoint
         for hit in hits:
             scenarios.append(Scenario(failpoint, "crash", hit=hit))
+    for hit, keep in _GC_TORN_APPENDS:
+        scenarios.append(Scenario("blobs.append", "torn_write", hit=hit, keep=keep))
+    scenarios.append(
+        Scenario(
+            "wal.flush.post_fsync", "crash", hit=_FOLLOWER_LEADER_FLUSH, follower=True
+        )
+    )
     scenarios.append(
         Scenario(
             "gc.unlink.post", "crash", hit=3, recovery_failpoint="gc.repair.pre"
@@ -1204,9 +1234,69 @@ def _run_gc_workload(path: Path) -> _GcLedger:
     return ledger
 
 
-def _blob_leaks(db: Database) -> list[str]:
-    """Content files the derived index does not know (must be none)."""
-    return [key[:12] for key in db.store.orphan_blob_keys()]
+class _FollowerGate:
+    """Scheduler stub (``verify.hooks``): parks one thread at its WAL flush."""
+
+    def __init__(self) -> None:
+        self.follower: threading.Thread | None = None
+        self.parked = threading.Event()
+        self.release = threading.Event()
+
+    def on_point(self, name: str) -> None:
+        if name == "wal.flush" and threading.current_thread() is self.follower:
+            self.parked.set()
+            self.release.wait(_JOIN_TIMEOUT)
+
+    def on_cond_wait(self, cond: threading.Condition, timeout: float | None) -> bool:
+        return cond.wait(timeout)
+
+    def on_notify(self) -> None:
+        pass
+
+
+def _run_follower_workload(path: Path) -> _GcLedger:
+    """Group commit: the leader's flush makes a follower's commit durable.
+
+    The follower appends its payload, its records and its COMMIT, and
+    parks at the door of its own flush.  The leader's commit then covers
+    all of it and the machine dies as that flush returns.  Pack bytes no
+    fsync covered are then cut off -- the unkind page cache the kind one
+    under this harness hides: the follower's commit is durable, so the
+    payload it references must have been synced first, by the leader.
+    """
+    ledger = _GcLedger()
+    gate = _FollowerGate()
+    db = Database(path, policy=_GC_POLICY)
+    try:
+        refs = [db.pnew(Blob(tag=i, text=_gc_text(i))) for i in (0, 1)]
+        for i, ref in enumerate(refs):
+            ledger.oid_values.append(ref.oid.value)
+            ledger.texts[ref.oid.value] = {1: _gc_text(10 + i)}
+            ledger.keep[ref.oid.value] = {1}
+        ledger.setup_done = True
+
+        def follow() -> None:
+            try:
+                refs[1].text = ledger.texts[refs[1].oid.value][1]
+            except SimulatedCrash:
+                pass
+
+        gate.follower = threading.Thread(target=follow)
+        hooks.attach(gate)
+        gate.follower.start()
+        gate.parked.wait(_JOIN_TIMEOUT)
+        refs[0].text = ledger.texts[refs[0].oid.value][1]
+    except SimulatedCrash:
+        pass
+    finally:
+        hooks.detach()
+        gate.release.set()
+        if gate.follower is not None:
+            gate.follower.join(_JOIN_TIMEOUT)
+    pack, unsynced = db.store.blobs.unsynced_tail()
+    if unsynced:
+        os.truncate(pack, os.path.getsize(pack) - unsynced)
+    return ledger
 
 
 def _stored_inline(db: Database, vid: Vid) -> bool:
@@ -1271,9 +1361,6 @@ def _gc_convergence_probe(
                     f"oid {oid_value}: re-based serial 3 is not stored "
                     f"{'inline' if to_inline else 'in the blob store'}"
                 )
-        leaks = _blob_leaks(db)
-        if leaks:
-            problems.append(f"blob files leaked after converged GC: {leaks}")
         stats = db.stats()
         if stats["blobs.count"] != stats["blobs.live"]:
             problems.append(
@@ -1287,7 +1374,8 @@ def _gc_convergence_probe(
 def run_gc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
     """One GC workload under ``scenario``'s fault, then recover and verify."""
     result, ledger, _, db = _crash_and_reopen(
-        base_dir, scenario, _run_gc_workload,
+        base_dir, scenario,
+        _run_follower_workload if scenario.follower else _run_gc_workload,
         lambda path: Database(path, policy=_GC_POLICY),
     )
     if db is None:
@@ -1302,9 +1390,6 @@ def run_gc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
         else:
             check = check_database(db, strict=True)
             result.problems.extend(f"strict check: {p}" for p in check.problems)
-            leaks = _blob_leaks(db)
-            if leaks:
-                result.problems.append(f"blob files leaked past repair: {leaks}")
             _verify_gc(db, ledger, result.problems)
             _gc_convergence_probe(db, ledger, result.problems)
             _usability_probe(db, result.problems)

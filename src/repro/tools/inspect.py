@@ -128,7 +128,13 @@ class DatabaseSummary:
                 f"live ({get('blobs.live_bytes', 0)} bytes, "
                 f"{get('blobs.logical_bytes', 0)} logical), "
                 f"{get('blobs.dedup_hits', 0)} dedup hit(s), "
-                f"{get('blobs.pending_reclaim', 0)} pending reclaim, "
+                f"{get('blobs.pending_reclaim', 0)} pending reclaim "
+                f"({get('blobs.pending_reclaim_bytes', 0)} bytes), "
+                f"{get('blobs.packs', 0)} pack(s) with "
+                f"{get('blobs.dead_bytes', 0)} dead byte(s), "
+                f"{get('blobs.syncs', 0)} sync(s), "
+                f"{get('blobs.compactions', 0)} compaction(s) copied "
+                f"{get('blobs.bytes_copied_forward', 0)} bytes forward, "
                 f"{get('blobs.inline_records', 0)} small payload(s) inline "
                 f"({get('blobs.inline_bytes', 0)} bytes); "
                 f"gc: {get('gc.runs', 0)} run(s), "

@@ -137,10 +137,40 @@ def test_ref_lookalike_is_stored_behind_a_real_reference(tmp_path):
         assert store.blob_refcount(key) == 0
         db.pnew(None)  # any commit: reclaim waits for the epoch to move on
         assert db.run_gc().candidates_remaining == 0
-        assert store.blobs.file_count() == 0
+        assert store.blobs.keys() == []
         assert check_database(db, strict=True).ok
     finally:
         db.close()
+
+
+def test_payload_crossing_the_threshold_survives_reclaim_and_compaction(tmp_path):
+    """Big -> small -> big -> small on one version, each displaced body
+    reclaimed: the dead frames are compacted away (survivors copied into a
+    fresh pack, the emptied one deleted by the next flush) and everything
+    reads back identically before and after a reopen."""
+    path = tmp_path / "db"
+    db = Database(path)
+    keep = db.pnew(value_of_stored_size(3000, 0x6B))
+    ref = db.pnew(value_of_stored_size(4096, 0x61))
+    vid = db.latest_vid(ref.oid)
+    steps = [(12, 0x62), (5000, 0x63), (255, 0x64), (257, 0x65)]
+    for size, fill in steps:
+        db.write_version(vid, value_of_stored_size(size, fill))
+        assert db.reclaim_blobs()[2] == 0  # every displaced body was eligible
+        assert db.materialize(vid) == value_of_stored_size(size, fill)
+        assert_accounting_exact(db)
+    stats = db.stats()
+    assert stats["blobs.unlinks"] == 2 and stats["blobs.compactions"] == 2
+    assert stats["blobs.bytes_copied_forward"] > 2 * 3000
+    assert stats["blobs.packs"] == 1 and stats["blobs.dead_bytes"] == 0
+    assert [p.name for p in (path / "blobs").iterdir()] == ["pack-000003"]
+    assert check_database(db, strict=True).ok
+    db.close()
+    with Database(path) as db:
+        assert db.materialize(vid) == value_of_stored_size(257, 0x65)
+        assert db.materialize(db.latest_vid(keep.oid)) == value_of_stored_size(3000, 0x6B)
+        assert db.stats()["blobs.packs"] == 1 and db.stats()["blobs.dead_bytes"] == 0
+        assert check_database(db, strict=True).ok
 
 
 # -- kernel level ---------------------------------------------------------------
@@ -160,7 +190,7 @@ def test_inline_only_history_writes_no_blob_file(tmp_path, kind):
         stats = db.stats()
         assert stats["blobs.puts"] == 0 and stats["blobs.count"] == 0
         assert stats["blobs.inline_records"] == 8
-        assert db.store.blobs.file_count() == 0
+        assert db.store.blobs.pack_count() == 0
         assert db.store.blob_entries() == {}
         assert check_database(db, strict=True).ok
 
@@ -305,6 +335,15 @@ class StraddleMachine(RuleBasedStateMachine):
         assert self.db.store.blob_entries() == entries
         assert set(self.db.store.gc_candidates()) == candidates
 
+    @no_txn
+    @rule()
+    def reclaim_and_compact(self) -> None:
+        """Displaced bodies leave the packs; what a pin still needs is in
+        its stash, and dead space is back under the budget."""
+        self.db.reclaim_blobs()
+        packs = self.db.store.blobs
+        assert packs.dead_bytes() <= blobstore.DEAD_BUDGET * packs.live_bytes()
+
     # -- a pinned reader ---------------------------------------------------
 
     @no_txn
@@ -347,7 +386,7 @@ class StraddleMachine(RuleBasedStateMachine):
     def accounting_is_exact_and_the_database_checks(self) -> None:
         assert_accounting_exact(self.db)
         if not self.wrote_large:
-            assert self.db.store.blobs.file_count() == 0
+            assert self.db.store.blobs.pack_count() == 0
         report = check_database(self.db, strict=True)
         assert report.ok, report.render()
 

@@ -133,3 +133,33 @@ def test_persistent_data_file_sync_failure_degrades(tmp_path):
             ref.weight = 2
     finally:
         db.close()
+
+
+def test_failed_pack_sync_fails_the_commit_and_counts_as_a_wal_failure(tmp_path):
+    """The pack fsync runs beneath the log flush that exposes its frames:
+    when it fails, so does the commit -- once is a hiccup a retry heals,
+    persistently it is a dead disk like any other."""
+    db = Database(tmp_path / "db", degrade_after=3)
+    try:
+        ref = db.pnew(Part("g" * 600, 5))  # a payload large enough for a pack
+        faults.activate(FaultPlan().fsync_error("blobs.sync.fsync", hit=1))
+        with pytest.raises(InjectedFaultError):
+            ref.name = "h" * 600
+        assert db.stats()["wal.write_failures"] == 1 and not db.degraded
+        ref.name = "i" * 600
+        faults.deactivate()
+        faults.activate(
+            FaultPlan().fsync_error("blobs.sync.fsync", hit=1, persistent=True)
+        )
+        for _ in range(10):
+            if db.degraded:
+                break
+            with pytest.raises((InjectedFaultError, DatabaseDegradedError)):
+                ref.name = "j" * 700
+        assert db.degraded and db.stats()["wal.write_failures"] >= 4
+        assert ref.name == "i" * 600
+    finally:
+        db.close()
+    faults.deactivate()
+    with Database(tmp_path / "db") as db2:
+        assert db2.deref(ref.oid).name == "i" * 600

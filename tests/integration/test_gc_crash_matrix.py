@@ -13,10 +13,14 @@ from pathlib import Path
 
 import pytest
 
+from repro import Database
 from repro.core.identity import Oid, Vid
 from repro.storage import faults
+from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.tools.check import check_database
 from repro.tools.crashmatrix import (
     _GC_CRASH_HITS,
+    _GC_POLICY,
     Scenario,
     _build_gc_history,
     _GcLedger,
@@ -58,6 +62,55 @@ def test_gc_matrix_enumerates_double_crash_repair():
     assert {s.failpoint for s in smoke} >= set(_GC_CRASH_HITS)
     assert any(s.recovery_failpoint for s in smoke)
     assert len(smoke) < len(scenarios)
+
+
+def test_smoke_subset_carries_the_pack_file_windows():
+    """CI's ``crashmatrix --gc --smoke`` runs one of each new row: a torn
+    frame append, the copy-forward / retire windows, and the follower
+    whose payload the group-commit leader must sync."""
+    smoke = enumerate_gc_scenarios(smoke=True)
+    assert any(s.failpoint == "blobs.append" and s.action == "torn_write" for s in smoke)
+    assert {"blobs.compact.copied", "blobs.compact.retired"} <= {
+        s.failpoint for s in smoke
+    }
+    assert any(s.follower for s in smoke)
+
+
+def test_crash_between_copy_forward_and_retire_costs_only_dead_space(tmp_path):
+    """The machine dies with a pack's survivors copied forward and the
+    pack not yet deleted: both packs hold every key.  The open keeps the
+    copies, the whole old pack is dead space, nothing is lost, and the
+    next reclaim + flush deletes it."""
+    path = tmp_path / "db"
+    ledger = _GcLedger()
+    db = _build_gc_history(path, ledger)
+    faults.activate(FaultPlan().crash("blobs.compact.copied"))
+    try:
+        with pytest.raises(SimulatedCrash):
+            for _ in range(6):
+                db.run_gc(batch_limit=5)
+    finally:
+        faults.deactivate()
+    old_pack = path / "blobs" / "pack-000001"
+    reopened = Database(path, policy=_GC_POLICY)
+    try:
+        stats = reopened.stats()
+        assert stats["blobs.packs"] == 2
+        assert stats["blobs.dead_bytes"] == old_pack.stat().st_size
+        report = check_database(reopened, strict=True)
+        assert report.ok, report.render()
+        for _ in range(8):
+            if not reopened.run_gc(batch_limit=64).candidates_remaining:
+                break
+        reopened.checkpoint()
+        assert not old_pack.exists()
+        for oid_value, keep in ledger.keep.items():
+            for serial in keep:
+                text = reopened.materialize(Vid(Oid(oid_value), serial)).text
+                assert text == ledger.texts[oid_value][serial]
+        assert check_database(reopened, strict=True).ok
+    finally:
+        reopened.close()
 
 
 def test_double_crash_during_gc_repair(tmp_path):

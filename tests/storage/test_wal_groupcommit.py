@@ -14,11 +14,13 @@ Two bugs fixed together:
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
 import pytest
 
+from repro.storage import blobs as blobstore
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, InjectedFaultError
 from repro.storage.wal import BEGIN, COMMIT, OP_INSERT, LogManager, LogRecord
@@ -123,3 +125,72 @@ def test_failed_write_then_more_appends(tmp_path):
         assert kinds == [BEGIN, COMMIT]
     finally:
         log.close()
+
+
+def test_no_reference_is_durable_before_its_payload_under_group_commit(
+    tmp_path, monkeypatch
+):
+    """Payload -> log: the leader fixes the records it covers *before* it
+    syncs the packs.  A follower that stores a payload and appends the
+    record referencing it while the leader's pack fsync is in flight is
+    therefore left for the next flush -- checked by intercepting both
+    fsyncs: at every completed log fsync, each reference in the log file
+    points into pack bytes a completed pack fsync already covered."""
+    store = blobstore.BlobStore(tmp_path / "blobs")
+    log = LogManager(tmp_path / "wal.log")
+    log.before_write = store.sync
+    in_pack_fsync, resume = threading.Event(), threading.Event()
+    pack_synced = [0]
+    wal_fsyncs: list[int] = []
+
+    def fsync(fd: int) -> None:
+        target = os.readlink(f"/proc/self/fd/{fd}")
+        if "pack-" in target:
+            covered = os.fstat(fd).st_size
+            if not in_pack_fsync.is_set():
+                in_pack_fsync.set()
+                assert resume.wait(10.0)
+            pack_synced[0] = covered
+        elif target.endswith("wal.log"):
+            refs = [r.payload for r in log_records(target) if r.kind == OP_INSERT]
+            for ref in refs:
+                key, size = blobstore.decode_ref(ref)
+                _pack, offset, _size = store._index[key]
+                assert offset + 8 + size <= pack_synced[0], (
+                    "a reference reached the log ahead of its payload"
+                )
+            wal_fsyncs.append(len(refs))
+
+    def log_records(path: str):
+        reader = LogManager(path)
+        try:
+            return list(reader.records())
+        finally:
+            reader._file.close()
+
+    def commit(txid: int, body: bytes) -> None:
+        key = store.put(body)
+        log.append(LogRecord(BEGIN, txid))
+        log.append(
+            LogRecord(OP_INSERT, txid, 2, 5, txid, blobstore.encode_ref(key, len(body)))
+        )
+        log.append(LogRecord(COMMIT, txid))
+        log.flush()
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    leader = threading.Thread(target=commit, args=(1, b"L" * 900))
+    follower = threading.Thread(target=commit, args=(2, b"F" * 900))
+    leader.start()
+    assert in_pack_fsync.wait(10.0)
+    follower.start()  # put + append + flush: parks behind the leader's flush
+    deadline = time.monotonic() + 10.0
+    while log._pending_flushers < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    resume.set()
+    leader.join(10.0)
+    follower.join(10.0)
+    assert not leader.is_alive() and not follower.is_alive()
+    assert wal_fsyncs == [1, 2]  # the follower's record waited for its own flush
+    assert store.stats.syncs == 2
+    log.close()
+    store.close()
