@@ -132,16 +132,26 @@ def _median_ms(fn, rounds: int) -> float:
 # -- measurements ------------------------------------------------------------------
 
 
+def _serially(router, fn) -> None:
+    """The serial reference: run ``fn`` as a task of the router's own
+    executor.  A scatter issued from inside one never waits on the pool
+    it occupies -- fan-outs loop over the shards and 2PC prepares one
+    writer after the other, on this thread."""
+    ((_, error),) = router._exec.run_all([None], lambda _item: fn())
+    if error is not None:
+        raise error
+
+
 def fanout_scan_ms(router, parallel: bool, rounds: int = SCAN_ROUNDS) -> float:
     """Median latency of a cold fan-out query (chilled caches every
     round, so each round pays the modeled per-page read latency)."""
-    router.parallel_fanout = parallel
     expected = NOBJ
 
-    def scan() -> None:
+    def scatter() -> None:
         n = router.query(E16Doc).suchthat(lambda d: d.slot >= 0).count()
         assert n == expected, n
 
+    scan = scatter if parallel else (lambda: _serially(router, scatter))
     scan()  # warm the workers and the code paths (caches get chilled anyway)
 
     lat = []
@@ -179,15 +189,15 @@ def cross_commit_ms(
 ) -> float:
     """Median latency of a cross-shard commit touching ``participants``
     distinct shards (every one a 2PC writer participant)."""
-    router.parallel_2pc = parallel
     by = _by_shard(router, refs)
     targets = [by[i][0] for i in range(participants)]
 
-    def txn() -> None:
+    def commit() -> None:
         with router.transaction():
             for t in targets:
                 t.slot += 1
 
+    txn = commit if parallel else (lambda: _serially(router, commit))
     txn()
     return _median_ms(txn, rounds)
 

@@ -29,8 +29,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import (
     DatabaseDegradedError,
@@ -38,6 +37,7 @@ from repro.errors import (
     TransactionStateError,
     UnknownVersionError,
 )
+from repro.core import gc as gc_engine
 from repro.core.cache import DEFAULT_BYTES_BUDGET
 from repro.core.identity import Oid, Vid
 from repro.core.indexes import HashIndex, IndexManager, OrderedIndex
@@ -108,10 +108,6 @@ class Database(VersionReads, SessionHost):
         Seconds a committing transaction lingers before fsyncing the WAL
         so concurrent commits can share one fsync (0 disables lingering;
         piggybacking on an in-flight fsync still happens).
-    deadlock_detection:
-        Run the wait-for-graph deadlock detector (True, the default).
-        False falls back to timeout-only resolution -- kept for the E11
-        benchmark comparison, not for production use.
     degrade_after:
         Consecutive WAL-flush / data-file-sync failures after which the
         database enters read-only **degraded mode**: reads and version
@@ -128,7 +124,6 @@ class Database(VersionReads, SessionHost):
         checkpoint_threshold: int = DEFAULT_CHECKPOINT_THRESHOLD,
         cache_budget: int = DEFAULT_BYTES_BUDGET,
         group_commit_window: float = 0.0,
-        deadlock_detection: bool = True,
         degrade_after: int = 3,
         oid_stride: int = 1,
         oid_residue: int = 0,
@@ -142,20 +137,16 @@ class Database(VersionReads, SessionHost):
         self._pool = BufferPool(self._disk, pool_size)
         self._pool.before_write = self._log.flush  # write-ahead rule
         self.last_recovery: RecoveryReport | None = None
-        self._recover_if_needed()
         # Two-phase commit bookkeeping (see repro.shard): prepared
         # participants awaiting a verdict, and coordinator decisions not
-        # yet acknowledged by every participant.  While either is
-        # non-empty the WAL must not truncate -- the records *are* the
-        # evidence recovery needs.
-        report = self.last_recovery
-        self._in_doubt: dict[int, InDoubtTransaction] = (
-            dict(report.in_doubt) if report else {}
-        )
-        self._coord_decisions: dict[tuple, tuple[int, ...]] = (
-            dict(report.coord_decisions) if report else {}
-        )
+        # yet acknowledged by every participant, both recovered from the
+        # WAL.  While either is non-empty the WAL must not truncate -- the
+        # records *are* the evidence recovery needs.
+        self._in_doubt: dict[int, InDoubtTransaction] = {}
+        self._coord_decisions: dict[tuple, tuple[int, ...]] = {}
         self._twopc_mutex = threading.Lock()
+        self._recover_if_needed()
+        report = self.last_recovery
         # Striped page locks guard the short fetch-copy-unpin windows of
         # heap physical ops against lock-free snapshot readers.
         self._page_locks = StripedLock()
@@ -170,7 +161,7 @@ class Database(VersionReads, SessionHost):
         # Payload -> log -> data: every flush syncs the packs before it
         # writes the records that may reference their newest frames.
         self._log.before_write = self._store.blobs.sync
-        self._locks = LockManager(lock_timeout, detect_deadlocks=deadlock_detection)
+        self._locks = LockManager(lock_timeout)
         self._locks.work_of = self._txn_work
         self._triggers = TriggerManager(type_resolver=self._store.type_name)
         self._store.add_observer(self._triggers.dispatch)
@@ -233,21 +224,25 @@ class Database(VersionReads, SessionHost):
                 heaps[file_id] = heap
             return heap
 
-        self.last_recovery = recover(self._log, resolver)
+        report = self.last_recovery = recover(self._log, resolver)
+        self._in_doubt = dict(report.in_doubt)
+        self._coord_decisions = dict(report.coord_decisions)
+        # GC tombstones, too, live only in the WAL until
+        # ``_repair_gc_tombstones`` has acted on them.
+        self._write_back(keep_log=bool(report.gc_tombstones))
+        self._pool.drop_clean()
+
+    def _write_back(self, keep_log: bool = False) -> None:
+        """Bring the data file up to the log, then drop the log.
+
+        Unless it is still evidence: the undo images of in-doubt
+        participants and the coordinator verdicts live only there, so the
+        log stays until the checkpoint that follows their resolution.
+        """
         self._pool.flush_all()
         self._disk.sync()
-        if not (
-            self.last_recovery.in_doubt
-            or self.last_recovery.coord_decisions
-            or self.last_recovery.gc_tombstones
-        ):
-            # In-doubt undo images, coordinator verdicts and GC tombstones
-            # live only in the WAL; truncating now would erase the evidence
-            # resolution/repair needs.  The log is truncated at the
-            # checkpoint that follows resolution (or after the tombstone
-            # repair in ``_repair_gc_tombstones``) instead.
+        if not (keep_log or self._in_doubt or self._coord_decisions):
             self._log.truncate()
-        self._pool.drop_clean()
 
     def _repair_gc_tombstones(self) -> None:
         """Finish a crashed blob-reclaim batch.
@@ -282,12 +277,7 @@ class Database(VersionReads, SessionHost):
                     self._store.drop_blob_entry(key)
         faults.fire("gc.repair.post")
         if tombstones:
-            # Flush, then release the WAL evidence (unless 2PC resolution
-            # still pins the log).
-            self._pool.flush_all()
-            self._disk.sync()
-            if not (self._in_doubt or self._coord_decisions):
-                self._log.truncate()
+            self._write_back()
 
     # -- two-phase commit surface (used by repro.shard) ------------------------
 
@@ -387,14 +377,7 @@ class Database(VersionReads, SessionHost):
                 )
                 self._log.append(LogRecord(ABORT_END, txid))
                 self._log.flush()
-                # The heaps changed underneath the in-memory table: rebuild,
-                # as an aborting transaction's reload does.
-                self._catalog.reload()
-                self._store.reload()
-                self._indexes.rebuild()
-                self._store.publish_snapshot(
-                    exclude=self._active_touched(), full=True
-                )
+                self._reload_after_undo(None)
         # Only now: "not in doubt" is what lets the router release the
         # verdict, so it must not read true before the outcome is durable.
         with self._twopc_mutex:
@@ -441,10 +424,7 @@ class Database(VersionReads, SessionHost):
                     "checkpoint requires no active transactions"
                 )
             self._log.flush()
-            self._pool.flush_all()
-            self._disk.sync()
-            if not (self._in_doubt or self._coord_decisions):
-                self._log.truncate()
+            self._write_back()
 
     def close(self) -> None:
         """Checkpoint and close all files.  Idempotent.
@@ -556,22 +536,6 @@ class Database(VersionReads, SessionHost):
             txn.snapshot = self.snapshot()
         return txn
 
-    def current_transaction(self) -> Transaction | None:
-        """The calling session's active transaction, if any.
-
-        The session is the activated one (network requests) or the
-        thread's implicit session (embedded callers) -- see
-        :meth:`_current_session`.
-        """
-        sess = self._current_session(create=False)
-        if sess is None:
-            return None
-        txn = sess.txn
-        if txn is not None and txn.state != "active":
-            sess.txn = None
-            return None
-        return txn
-
     def _txn_finished(self, txn: Transaction) -> None:
         hooks.sched_point("txn.finish")
         with self._txn_mutex:
@@ -590,27 +554,8 @@ class Database(VersionReads, SessionHost):
             # already released by commit/abort cleanup.
             return
         if txn.state == "aborted":
-            # WAL undo restored the heaps; rebuild the in-memory table and
-            # invalidate only the caches of objects the transaction touched
-            # (a full cache clear would punish every other hot object).  A
-            # tainted touch set -- an op failed partway -- forces the
-            # conservative full reload.  The storage mutex is required:
-            # reload scans the heaps, and an unsynchronized scan racing a
-            # concurrent mutation (a table-record relocation mid-flight)
-            # rebuilds a table with other transactions' objects missing.
             with self._storage_mutex:
-                self._catalog.reload()
-                if txn.cache_taint:
-                    self._store.reload()
-                else:
-                    self._store.reload(touched=txn.touched_oids)
-                self._indexes.rebuild()
-                # The table was rebuilt wholesale: republish everything
-                # (minus other transactions' still-uncommitted objects) so
-                # the committed table tracks the restored state.
-                self._store.publish_snapshot(
-                    exclude=self._active_touched(), full=True
-                )
+                self._reload_after_undo(txn)
         else:
             exclude = self._active_touched()
             if self._store.has_unpublished_changes(exclude):
@@ -627,9 +572,28 @@ class Database(VersionReads, SessionHost):
                         self._active or self._in_doubt or self._coord_decisions
                     ):
                         self._log.flush()
-                        self._pool.flush_all()
-                        self._disk.sync()
-                        self._log.truncate()
+                        self._write_back()
+
+    def _reload_after_undo(self, txn: Transaction | None, publish: bool = True) -> None:
+        """WAL undo rewound the heaps: rebuild the in-memory state.
+
+        Only the caches of objects ``txn`` touched are invalidated (a full
+        clear would punish every other hot object); a tainted touch set
+        -- an op failed partway -- or no live transaction at all (an
+        in-doubt participant's undo) forces the conservative full reload.
+        The table is rebuilt wholesale, so everything is republished
+        (minus other transactions' still-uncommitted objects) -- except
+        while ``txn`` itself goes on.  The caller holds the storage mutex:
+        reload scans the heaps, and an unsynchronized scan racing a
+        concurrent mutation (a table-record relocation mid-flight)
+        rebuilds a table with other transactions' objects missing.
+        """
+        self._catalog.reload()
+        tainted = txn is None or txn.cache_taint
+        self._store.reload(None if tainted else txn.touched_oids)
+        self._indexes.rebuild()
+        if publish:
+            self._store.publish_snapshot(exclude=self._active_touched(), full=True)
 
     def savepoint(self) -> int:
         """Mark a rollback point inside the current transaction."""
@@ -650,40 +614,11 @@ class Database(VersionReads, SessionHost):
             raise TransactionStateError("savepoints require an active transaction")
         undone = txn.rollback_to(savepoint)
         if undone:
-            # The heaps were rewound; bring the derived caches in line.
             # touched_oids is a superset of the objects behind the undone
             # ops, so precise invalidation stays safe here too.
             with self._storage_mutex:
-                self._catalog.reload()
-                if txn.cache_taint:
-                    self._store.reload()
-                else:
-                    self._store.reload(touched=txn.touched_oids)
-                self._indexes.rebuild()
+                self._reload_after_undo(txn, publish=False)
         return undone
-
-    @contextmanager
-    def transaction(
-        self,
-        lock_timeout: float | None = None,
-        snapshot_reads: bool = False,
-    ) -> Iterator[Transaction]:
-        """``with db.transaction():`` -- commit on exit, abort on exception.
-
-        ``snapshot_reads=True`` starts a snapshot-read transaction (see
-        :meth:`begin`): reads are lock-free against a pinned snapshot and
-        writes raise :class:`~repro.errors.ReadOnlySnapshotError`.
-        """
-        txn = self.begin(lock_timeout=lock_timeout, snapshot_reads=snapshot_reads)
-        try:
-            yield txn
-        except BaseException:
-            if txn.state == "active":
-                txn.abort()
-            raise
-        else:
-            if txn.state == "active":
-                txn.commit()
 
     def _txn_work(self, txid: int) -> int:
         """Operations logged by an active transaction (deadlock victim cost)."""
@@ -821,8 +756,6 @@ class Database(VersionReads, SessionHost):
         overrides its type's.  Policies live in the catalog (a logged
         root), so they survive restarts and replicate through vacuum.
         """
-        from repro.core import gc as gc_engine
-
         key = gc_engine.scope_key(scope)
 
         def op(log_op):
@@ -837,14 +770,10 @@ class Database(VersionReads, SessionHost):
 
     def retention_policies(self) -> dict[str, Any]:
         """Every declared retention policy, keyed by scope string."""
-        from repro.core import gc as gc_engine
-
         return gc_engine.load_retention(self._catalog)
 
     def retention_for(self, target: Ref | Oid | type | str) -> Any | None:
         """The effective policy for an object (override beats type)."""
-        from repro.core import gc as gc_engine
-
         table = gc_engine.load_retention(self._catalog)
         if isinstance(target, (type, str)):
             return table.get(gc_engine.scope_key(target))
@@ -856,8 +785,6 @@ class Database(VersionReads, SessionHost):
 
     def tag_version(self, target: VersionRef | Vid, tag: str) -> None:
         """Pin one version with a symbolic tag (``keep_tagged`` honors it)."""
-        from repro.core import gc as gc_engine
-
         vid = plain_id(target)
         if not isinstance(vid, Vid):
             raise TypeError("tag_version needs a specific version reference")
@@ -873,8 +800,6 @@ class Database(VersionReads, SessionHost):
 
     def untag_version(self, target: VersionRef | Vid) -> None:
         """Remove a version's tag (a no-op if untagged)."""
-        from repro.core import gc as gc_engine
-
         vid = plain_id(target)
 
         def op(log_op):
@@ -889,8 +814,6 @@ class Database(VersionReads, SessionHost):
 
     def version_tags(self, target: Ref | VersionRef | Oid | Vid) -> dict[int, str]:
         """The object's tags: version serial -> tag string."""
-        from repro.core import gc as gc_engine
-
         oid = oid_of(target)
         return gc_engine.load_tags(self._catalog).get(oid.value, {})
 
@@ -908,8 +831,6 @@ class Database(VersionReads, SessionHost):
         :class:`~repro.core.gc.GCReport`; ``dry_run`` plans without
         deleting anything.
         """
-        from repro.core import gc as gc_engine
-
         report = gc_engine.collect(
             self, batch_limit=batch_limit, now=now, dry_run=dry_run,
             reclaim=reclaim,
@@ -1011,38 +932,35 @@ class Database(VersionReads, SessionHost):
 
     # -- store protocol (used by Ref/VersionRef bound to this database) ------------
 
-    def _reader(self):
-        """Where reads resolve: the pinned snapshot of a snapshot-read
-        transaction, the session's pinned snapshot (outside transactions),
-        or the live store."""
-        txn = self.current_transaction()
-        if txn is not None:
-            if txn.snapshot is not None:
-                return txn.snapshot
-            return self._store
-        snap = self._session_pin()
-        if snap is not None:
-            return snap
-        return self._store
+    def _read_snapshot(self, lock_oid: Oid | None = None) -> Snapshot | None:
+        """The snapshot reads resolve against, or None for the live store.
 
-    def materialize(self, vid: Vid) -> Any:
-        """Decode a fresh copy of one version's object.
-
-        Inside an explicit transaction the read takes a SHARED lock on the
-        object (strict 2PL: read-modify-write cycles across transactions
-        serialize instead of losing updates).  Autocommit reads are
-        unlocked snapshot reads.  Snapshot-read transactions resolve
-        against their pinned snapshot: no lock, no storage mutex.
+        That is the pinned snapshot of a snapshot-read transaction, or,
+        outside transactions, the session's pin.  An ordinary transaction
+        reads the live store, taking a SHARED lock on ``lock_oid`` first
+        (strict 2PL: read-modify-write cycles across transactions
+        serialize instead of losing updates); the caller then reads under
+        the storage mutex.  Autocommit reads are unlocked.
         """
         txn = self.current_transaction()
-        if txn is not None:
-            if txn.snapshot is not None:
-                return txn.snapshot.materialize(vid)
-            txn.lock(vid.oid, SHARED)
-        else:
-            snap = self._session_pin()
-            if snap is not None:
-                return snap.materialize(vid)
+        if txn is None:
+            return self._session_pin()
+        if txn.snapshot is None and lock_oid is not None:
+            txn.lock(lock_oid, SHARED)
+        return txn.snapshot
+
+    def _reader(self):
+        """Where unlocked reads resolve: :meth:`_read_snapshot`, else the
+        live store."""
+        snap = self._read_snapshot()
+        return snap if snap is not None else self._store
+
+    def materialize(self, vid: Vid) -> Any:
+        """Decode a fresh copy of one version's object (S-locked inside a
+        transaction, lock-free against a snapshot: :meth:`_read_snapshot`)."""
+        snap = self._read_snapshot(vid.oid)
+        if snap is not None:
+            return snap.materialize(vid)
         with self._storage_mutex:
             return self._store.materialize(vid)
 
@@ -1053,32 +971,19 @@ class Database(VersionReads, SessionHost):
         the attribute value when it can safely be served from a shared
         cached instance, or :data:`repro.core.store.READ_MISS` when the
         caller must fall back to :meth:`materialize`.  Locking mirrors
-        :meth:`materialize` (SHARED inside explicit transactions,
-        lock-free in snapshot-read transactions).
+        :meth:`materialize`.
         """
-        txn = self.current_transaction()
-        if txn is not None:
-            if txn.snapshot is not None:
-                return txn.snapshot.read_attr(vid, name)
-            txn.lock(vid.oid, SHARED)
-        else:
-            snap = self._session_pin()
-            if snap is not None:
-                return snap.read_attr(vid, name)
+        snap = self._read_snapshot(vid.oid)
+        if snap is not None:
+            return snap.read_attr(vid, name)
         with self._storage_mutex:
             return self._store.read_attr(vid, name)
 
     def latest_vid(self, oid: Oid) -> Vid:
         """The version id an object id currently denotes (S-locked in txns)."""
-        txn = self.current_transaction()
-        if txn is not None:
-            if txn.snapshot is not None:
-                return txn.snapshot.latest_vid(oid)
-            txn.lock(oid, SHARED)
-        else:
-            snap = self._session_pin()
-            if snap is not None:
-                return snap.latest_vid(oid)
+        snap = self._read_snapshot(oid)
+        if snap is not None:
+            return snap.latest_vid(oid)
         with self._storage_mutex:
             return self._store.latest_vid(oid)
 
@@ -1094,19 +999,13 @@ class Database(VersionReads, SessionHost):
         autocommit BEGIN/COMMIT + fsync, never takes the X lock, and never
         invalidates caches.  Returns True when a write happened.
         """
-        txn = self.current_transaction()
-        if txn is not None:
-            if txn.snapshot is not None:
-                # Pure reader methods write back nothing; a genuinely
-                # dirty receiver fails read-only inside the snapshot.
-                return txn.snapshot.write_version_if_changed(vid, obj)
-            # Under an explicit transaction, hold at least a read lock
-            # while probing so the compared bytes cannot move underneath.
-            txn.lock(vid.oid, SHARED)
-        else:
-            snap = self._session_pin()
-            if snap is not None:
-                return snap.write_version_if_changed(vid, obj)
+        # Under an explicit transaction the probe holds at least a read
+        # lock, so the compared bytes cannot move underneath.
+        snap = self._read_snapshot(vid.oid)
+        if snap is not None:
+            # Pure reader methods write back nothing; a genuinely dirty
+            # receiver fails read-only inside the snapshot.
+            return snap.write_version_if_changed(vid, obj)
         with self._storage_mutex:
             dirty = self._store.version_dirty(vid, obj)
         if not dirty:
@@ -1145,15 +1044,8 @@ class Database(VersionReads, SessionHost):
         Inside a snapshot-read transaction the query binds to the pinned
         snapshot, so iteration scans frozen state lock-free.
         """
-        txn = self.current_transaction()
-        if txn is not None:
-            if txn.snapshot is not None:
-                return Query(txn.snapshot, type_or_name)
-            return Query(self, type_or_name)
-        snap = self._session_pin()
-        if snap is not None:
-            return Query(snap, type_or_name)
-        return Query(self, type_or_name)
+        snap = self._read_snapshot()
+        return Query(snap if snap is not None else self, type_or_name)
 
     # -- indexes ------------------------------------------------------------------
 

@@ -51,6 +51,7 @@ from repro.errors import (
     SessionStateError,
     TransactionAborted,
 )
+from repro.storage import faults
 
 if TYPE_CHECKING:
     from repro.core.database import Database
@@ -269,8 +270,8 @@ class SessionHost:
     """What an engine does for its clients, once for both engines.
 
     The host class supplies ``_new_session(name)`` (its session type) and
-    the transaction surface ``run_transaction`` drives:
-    ``current_transaction()`` and ``transaction(lock_timeout=...)``.
+    ``begin(lock_timeout=..., snapshot_reads=...)``, which parks the new
+    transaction in the calling session's ``txn``.
     """
 
     def _init_session_host(self) -> None:
@@ -331,6 +332,57 @@ class SessionHost:
             sess = self._new_session(f"thread-{threading.get_ident()}")
             self._tlocal.implicit_session = sess
         return sess
+
+    # -- transactions -----------------------------------------------------------
+
+    def current_transaction(self) -> Any:
+        """The calling session's active transaction, if any.
+
+        The session is the activated one (network requests) or the
+        thread's implicit session (embedded callers) -- see
+        :meth:`_current_session`.
+        """
+        sess = self._current_session(create=False)
+        if sess is None:
+            return None
+        txn = sess.txn
+        if txn is not None and txn.state != "active":
+            sess.txn = None
+            return None
+        return txn
+
+    @contextmanager
+    def transaction(
+        self,
+        lock_timeout: float | None = None,
+        snapshot_reads: bool = False,
+    ) -> Iterator[Any]:
+        """``with engine.transaction():`` -- commit on exit, abort on error.
+
+        ``snapshot_reads=True`` starts a snapshot-read transaction (see
+        ``begin``): reads are lock-free against a pinned snapshot and
+        writes raise :class:`~repro.errors.ReadOnlySnapshotError`.
+
+        A block that fails -- in its body or in the commit -- must not
+        leave the transaction attached to the session (that would wedge
+        every later ``begin()`` with "already active"), so it is aborted,
+        and the failure itself is the error that surfaces.  Two things are
+        never aborted: a *decided* transaction (its verdict is durable;
+        restart resolution completes it) and anything at all once a
+        simulated crash has fired (a dead process touches nothing).
+        """
+        txn = self.begin(lock_timeout=lock_timeout, snapshot_reads=snapshot_reads)
+        try:
+            yield txn
+            if txn.state == "active":
+                txn.commit()
+        except BaseException:
+            if txn.state == "active" and not txn.decided and not faults.is_crashed():
+                try:
+                    txn.abort()
+                except Exception:
+                    pass
+            raise
 
     # -- attached stats ---------------------------------------------------------
 

@@ -336,6 +336,14 @@ class VersionStore(VersionReads):
             self._table[oid] = entry
             self._by_type.setdefault(type_name, set()).add(oid)
 
+    def misplaced_oids(self) -> list[Oid]:
+        """Objects outside this store's allocation slice.  The store never
+        creates one; the files of another store copied in would hold them."""
+        return sorted(
+            oid for oid in self._table
+            if oid.value % self._oid_stride != self._oid_residue
+        )
+
     def reload(self, touched: "set[Oid] | None" = None) -> None:
         """Rebuild all in-memory state from the heaps.
 

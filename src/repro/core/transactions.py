@@ -99,9 +99,8 @@ class LockManager:
     EXCLUSIVE too.
     """
 
-    def __init__(self, timeout: float = 2.0, detect_deadlocks: bool = True) -> None:
+    def __init__(self, timeout: float = 2.0) -> None:
         self._timeout = timeout
-        self._detect_enabled = detect_deadlocks
         self._cond = threading.Condition()
         # resource -> {txid: held mode}
         self._holders: dict[object, dict[int, str]] = {}
@@ -197,8 +196,6 @@ class LockManager:
         until no cycle through ``txid`` remains; each round flags one
         victim, which :meth:`_find_cycle` then treats as gone.
         """
-        if not self._detect_enabled:
-            return
         while True:
             cycle = self._find_cycle(txid)
             if cycle is None:
@@ -418,6 +415,10 @@ class Transaction:
     invalidation and lock release.  The transaction's :meth:`log_op` is the
     callback threaded through every heap mutation it performs.
     """
+
+    #: A local transaction has no verdict apart from its own ``COMMIT``
+    #: (see :attr:`repro.shard.coordinator.GlobalTransaction.decided`).
+    decided = False
 
     def __init__(
         self,

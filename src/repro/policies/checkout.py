@@ -34,6 +34,7 @@ from repro.core.database import Database
 from repro.core.identity import Oid, Vid
 from repro.core.persistent import persistent
 from repro.core.pointers import Ref, VersionRef
+from repro.core.surface import oid_of, plain_id
 from repro.policies.environments import VersionEnvironment
 
 #: ORION statuses.
@@ -113,7 +114,7 @@ class OrionOnOde:
 
     def status(self, vref: VersionRef | Vid) -> str:
         """transient / working / released."""
-        vid = vref.vid if isinstance(vref, VersionRef) else vref
+        vid = plain_id(vref)
         return self._env.state_of(vid)
 
     def database_of(self, vref: VersionRef | Vid) -> str:
@@ -122,7 +123,7 @@ class OrionOnOde:
 
     def default_version(self, target: Ref | Oid) -> VersionRef:
         """What a generic reference denotes under this model."""
-        oid = target.oid if isinstance(target, Ref) else target
+        oid = oid_of(target)
         # deref() yields the raw state (ids unwrapped), unlike attribute
         # reads through the proxy which re-bind ids to references.
         vid = self._control.deref().defaults.get(oid)
@@ -211,7 +212,7 @@ class OrionOnOde:
 
     def versions_by_tier(self, target: Ref | Oid) -> dict[str, list[VersionRef]]:
         """Versions of one object grouped by database tier."""
-        oid = target.oid if isinstance(target, Ref) else target
+        oid = oid_of(target)
         tiers: dict[str, list[VersionRef]] = {"private": [], "project": [], "public": []}
         for vref in self._db.versions(self._db.deref(oid)):
             tiers[self.database_of(vref)].append(vref)

@@ -25,6 +25,7 @@ from repro.core.database import Database
 from repro.core.identity import Oid, Vid
 from repro.core.persistent import persistent
 from repro.core.pointers import Ref
+from repro.core.surface import oid_of
 
 
 @persistent(name="ode.policies.OwnershipRegistry")
@@ -76,8 +77,8 @@ class CompositeManager:
         an ancestor by a descendant would require the descendant to be
         owned already, so cycles cannot be declared.
         """
-        parent_oid = parent.oid if isinstance(parent, Ref) else parent
-        component_oid = component.oid if isinstance(component, Ref) else component
+        parent_oid = oid_of(parent)
+        component_oid = oid_of(component)
         if parent_oid == component_oid:
             raise PolicyError("an object cannot own itself")
         owners = self._owners()
@@ -96,18 +97,18 @@ class CompositeManager:
 
     def disown(self, component: Ref | Oid) -> None:
         """Remove a component's ownership link (it becomes independent)."""
-        component_oid = component.oid if isinstance(component, Ref) else component
+        component_oid = oid_of(component)
         with self._registry.modify() as registry:
             registry.owner_of.pop(component_oid, None)
 
     def owner(self, component: Ref | Oid) -> Oid | None:
         """The owner of ``component``, if any."""
-        component_oid = component.oid if isinstance(component, Ref) else component
+        component_oid = oid_of(component)
         return self._owners().get(component_oid)
 
     def components_of(self, parent: Ref | Oid) -> list[Oid]:
         """Directly owned components of ``parent``, sorted."""
-        parent_oid = parent.oid if isinstance(parent, Ref) else parent
+        parent_oid = oid_of(parent)
         return sorted(
             comp for comp, owner in self._owners().items() if owner == parent_oid
         )

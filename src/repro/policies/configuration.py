@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError
 from repro.core.database import Database
 from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref, VersionRef
+from repro.core.surface import oid_of, plain_id
 from repro.core.persistent import persistent
 
 #: Binding kinds (stored alongside each binding for introspection).
@@ -107,12 +108,7 @@ def resolve(db: Database, config: Ref | VersionRef, component: str) -> VersionRe
     """
     target = config.binding(component)
     # Read through a reference proxy, bound ids come back re-wrapped.
-    if isinstance(target, VersionRef):
-        ident: Any = target.vid
-    elif isinstance(target, Ref):
-        ident = target.oid
-    else:
-        ident = target
+    ident: Any = plain_id(target)
     if isinstance(ident, Oid):
         return db.deref(db.latest_vid(ident))
     if isinstance(ident, Vid):
@@ -204,9 +200,9 @@ def resolve_in_context(
     Returns the context's default version when one is set, the latest
     version otherwise.
     """
-    oid = target.oid if isinstance(target, Ref) else target
+    oid = oid_of(target)
     default = context.default_for(oid)
-    vid = default.vid if isinstance(default, VersionRef) else default
+    vid = plain_id(default)
     if vid is not None:
         return db.deref(vid)
     return db.deref(db.latest_vid(oid))

@@ -30,6 +30,7 @@ from repro.core.database import Database
 from repro.core.identity import Oid, Vid
 from repro.core.persistent import persistent
 from repro.core.pointers import Ref, VersionRef
+from repro.core.surface import oid_of, plain_id
 
 #: The default state set from the paper's quote.
 DEFAULT_STATES = ("in-progress", "valid", "invalid", "effective")
@@ -77,12 +78,12 @@ class VersionEnvironment:
 
     def state_of(self, vid: Any) -> str:
         """The state a version is in (initial when never assigned)."""
-        key = vid.vid if isinstance(vid, VersionRef) else vid
+        key = plain_id(vid)
         return self.assignments.get(key, self.initial)
 
     def set_state(self, vid: Any, state: str) -> None:
         """Move a version to ``state``, enforcing the transition relation."""
-        key = vid.vid if isinstance(vid, VersionRef) else vid
+        key = plain_id(vid)
         if state not in self.states:
             raise PolicyError(f"unknown state {state!r} in environment {self.name!r}")
         current = self.assignments.get(key, self.initial)
@@ -98,13 +99,13 @@ class VersionEnvironment:
 
     def drop(self, vid: Any) -> None:
         """Forget a version's assignment (e.g. after pdelete)."""
-        key = vid.vid if isinstance(vid, VersionRef) else vid
+        key = plain_id(vid)
         self.assignments.pop(key, None)
 
 
 def partition(db: Database, env: Ref, target: Ref | Oid) -> dict[str, list[VersionRef]]:
     """All live versions of ``target`` grouped by state, temporal order."""
-    oid = target.oid if isinstance(target, Ref) else target
+    oid = oid_of(target)
     states: dict[str, list[VersionRef]] = {s: [] for s in env.states}
     for vref in db.versions(oid):
         states[env.state_of(vref.vid)].append(vref)
@@ -159,7 +160,7 @@ def sweep_dead_assignments(db: Database, env: Ref) -> int:
     """
     # Keys read through the proxy come back as bound VersionRefs; unwrap.
     keys = [
-        key.vid if isinstance(key, VersionRef) else key
+        plain_id(key)
         for key in env.assignments
     ]
     dead = [vid for vid in keys if not db.version_exists(vid)]

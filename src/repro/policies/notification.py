@@ -23,6 +23,7 @@ from typing import Callable
 from repro.core.database import Database
 from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref
+from repro.core.surface import plain_id
 from repro.core.triggers import PERPETUAL, Trigger
 
 #: Events that constitute a "change" for notification purposes.
@@ -123,7 +124,7 @@ class ChangeNotifier:
         events: tuple[str, ...] = CHANGE_EVENTS,
     ) -> Subscription:
         """Deferred notification for ``target`` (None = every object)."""
-        oid = target.oid if isinstance(target, Ref) else target
+        oid = plain_id(target)
         holder: list[Subscription] = []
 
         def action(event: str, ev_oid: Oid, vid: Vid | None) -> None:
@@ -143,7 +144,7 @@ class ChangeNotifier:
         events: tuple[str, ...] = CHANGE_EVENTS,
     ) -> Trigger:
         """Immediate (message-style) notification via ``callback``."""
-        oid = target.oid if isinstance(target, Ref) else target
+        oid = plain_id(target)
 
         def action(event: str, ev_oid: Oid, vid: Vid | None) -> None:
             callback(Notification(event, ev_oid, vid))

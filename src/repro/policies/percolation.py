@@ -32,6 +32,7 @@ from typing import Any
 from repro.core.database import Database
 from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref, VersionRef
+from repro.core.surface import oid_of, plain_id
 
 
 def ids_in_state(value: Any) -> set[Oid | Vid]:
@@ -103,14 +104,14 @@ class CompositeRegistry:
 
     def link(self, parent: Ref | Oid, component: Ref | Oid) -> None:
         """Declare that ``parent`` references ``component``."""
-        parent_oid = parent.oid if isinstance(parent, Ref) else parent
-        component_oid = component.oid if isinstance(component, Ref) else component
+        parent_oid = oid_of(parent)
+        component_oid = oid_of(component)
         self._parents.setdefault(component_oid, set()).add(parent_oid)
 
     def unlink(self, parent: Ref | Oid, component: Ref | Oid) -> None:
         """Remove a declared link (missing links are ignored)."""
-        parent_oid = parent.oid if isinstance(parent, Ref) else parent
-        component_oid = component.oid if isinstance(component, Ref) else component
+        parent_oid = oid_of(parent)
+        component_oid = oid_of(component)
         self._parents.get(component_oid, set()).discard(parent_oid)
 
     def parents_of(self, component: Oid) -> list[Oid]:
@@ -153,7 +154,7 @@ def _percolate_once(
     registry: CompositeRegistry | None,
     max_depth: int | None,
 ) -> PercolationResult:
-    vid = new_version.vid if isinstance(new_version, VersionRef) else new_version
+    vid = plain_id(new_version)
     result = PercolationResult(trigger=vid)
     # old vid -> new vid, so pins can be rewritten at any depth.
     replacement: dict[Vid, Vid] = {}

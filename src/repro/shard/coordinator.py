@@ -358,27 +358,22 @@ def commit_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
 def _scatter_prepares(
     router: "ShardedDatabase", parts: tuple[int, ...], fn
 ) -> BaseException | None:
-    """Prepare the remote writers (in parallel when enabled), then --
-    only if all succeeded -- the coordinator shard ``parts[0]``, inline.
+    """Prepare the remote writers in parallel, then -- only if all
+    succeeded -- the coordinator shard ``parts[0]``, inline.
 
     Counts successes into ``shard.2pc.prepares`` on the coordinating
     thread (worker-side increments would race), and returns the one
     error to surface: a :class:`~repro.storage.faults.SimulatedCrash`
     first (the harness must see the process death it injected; siblings
     may have failed *because* the crash barrier dropped), otherwise the
-    lowest failing shard's.  The serial loop stops at the first failure.
-    With one remote writer ``run_all`` is caller-runs: no executor task.
+    lowest failing shard's.  With one remote writer ``run_all`` is
+    caller-runs: no executor task; on a pool worker it runs them all
+    on the caller, in order.
     """
-    errors: list[BaseException | None] = []
-    serial = parts[1:] + parts[:1]
-    if router.parallel_2pc and not router._exec.in_worker():
-        errors = [err for _, err in router._exec.run_all(parts[1:], fn)]
-        serial = parts[:1]
-    for idx in serial:
-        if errors.count(None) < len(errors):
-            break
+    errors = [err for _, err in router._exec.run_all(parts[1:], fn)]
+    if errors.count(None) == len(errors):
         try:
-            fn(idx)
+            fn(parts[0])
             errors.append(None)
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)

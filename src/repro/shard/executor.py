@@ -1,8 +1,7 @@
 """The shard executor: one bounded thread pool for every fan-out.
 
 Every cross-shard operation -- fan-out queries, cluster scans, stats
-aggregation, multi-holder ``latest_vid`` ranking, and both 2PC phases --
-scatters its per-shard work through one shared :class:`ShardExecutor`
+aggregation, and the 2PC prepares -- scatters its per-shard work through one shared :class:`ShardExecutor`
 owned by the router.  One pool, sized to the shard count, so the
 parallelism budget is a property of the topology rather than of whoever
 happens to call first; concurrent fan-outs queue behind each other

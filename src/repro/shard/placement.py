@@ -4,10 +4,9 @@ Placement is arithmetic, not a lookup table: shard ``i`` of ``n`` only
 ever allocates oids congruent to ``i`` modulo ``n`` (the store's
 ``oid_stride``/``oid_residue`` slice), so any oid's home shard is
 ``oid.value % n`` with no directory to maintain, replicate, or recover.
-The router still falls back to asking every shard when an oid is not
-where placement says it should be (see ``ShardedDatabase.locate``) --
-placement is a hint that is almost always right, not a correctness
-assumption.
+The router routes on it alone and never asks a second shard; what makes
+that safe is checked where it can break, when a shard's files are opened
+(see ``ShardedDatabase._open_shard``).
 """
 
 from __future__ import annotations

@@ -21,12 +21,10 @@ the wire server -- and routes each operation to the owning shard:
 * **Cross-shard transactions run two-phase commit** -- see
   :mod:`repro.shard.coordinator` -- and restart resolution
   (:mod:`repro.shard.recovery`) finishes whatever a crash interrupted.
-* **Generic-reference reads consult every shard holding versions** of
-  the oid: ``latest_vid`` ranks the holders' latest versions by creation
-  time, so even an oid whose versions somehow span shards (a restored
-  backup, a manual migration) resolves to the globally newest version.
-  Placement is a hint, not a correctness assumption -- a miss falls back
-  to asking every shard (counted as ``shard.locate_fallbacks``).
+* **An object id resolves on its home shard, ``oid % nshards``, and
+  nowhere else.**  That is checked once, when a shard is opened: one
+  whose object table holds an id of another residue class (a directory
+  copied in from elsewhere) is refused, naming the id.
 
 Caveat worth knowing: per-shard deadlock detectors cannot see a wait
 cycle that spans shards.  Cross-shard deadlocks fall to the per-shard
@@ -41,7 +39,6 @@ import json
 import os
 import random
 import threading
-from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.core.database import Database
@@ -54,6 +51,7 @@ from repro.core.vgraph import VersionGraph
 from repro.errors import (
     SessionStateError,
     ShardUnavailableError,
+    StorageError,
     TransactionStateError,
 )
 from repro.shard.coordinator import (
@@ -90,19 +88,6 @@ class ShardedDatabase(VersionReads, SessionHost):
         ``nshards``, so changing it would scatter every existing oid's
         home.  ``None`` adopts the persisted value (or the default of
         {default} for a fresh directory).
-    parallel_fanout:
-        Scatter fan-outs (queries, clusters, stats, multi-holder
-        ``latest_vid``) across the shared :class:`ShardExecutor` instead
-        of looping shard-by-shard.  On by default; the serial loops
-        remain as the fallback (single shard, nested fan-out, disabled).
-    parallel_2pc:
-        Scatter the phase-1 PREPARE flushes of a global transaction's
-        *remote* writers across the executor (wall-clock cost drops from
-        the sum of their fsyncs to the max).  It governs nothing else:
-        the coordinator shard's PREPARE rides the decision flush and
-        phase 2 forces nothing, so only transactions with three or more
-        writer shards have two flushes to overlap.  On by default; tests
-        that need a deterministic failpoint order turn it off.
     **db_kwargs:
         Forwarded to every shard's :class:`Database` (pool size, group
         commit window, lock timeout, ...).
@@ -112,9 +97,6 @@ class ShardedDatabase(VersionReads, SessionHost):
         self,
         path: str | os.PathLike[str],
         nshards: int | None = None,
-        *,
-        parallel_fanout: bool = True,
-        parallel_2pc: bool = True,
         **db_kwargs: Any,
     ) -> None:
         self._path = os.fspath(path)
@@ -140,15 +122,7 @@ class ShardedDatabase(VersionReads, SessionHost):
         self.nshards = nshards
         self.placement = ModuloPlacement(nshards)
         self._db_kwargs = dict(db_kwargs)
-        self.shards: list[Database] = [
-            Database(
-                os.path.join(self._path, f"shard-{i:02d}"),
-                oid_stride=nshards,
-                oid_residue=i,
-                **db_kwargs,
-            )
-            for i in range(nshards)
-        ]
+        self.shards: list[Database] = [self._open_shard(i) for i in range(nshards)]
         # Failure domains: each shard is independently up, degraded
         # (read-only) or down (detached).  ``_shard_gen`` counts
         # reattachments so cached shard sessions bound to a dead
@@ -173,7 +147,6 @@ class ShardedDatabase(VersionReads, SessionHost):
             "readonly_participants": 0,
             "resolved_commit": 0,
             "resolved_abort": 0,
-            "locate_fallbacks": 0,
         }
         # Global transaction ids: a fresh 48-bit incarnation per open plus
         # an in-memory sequence, so gtxids never collide across restarts
@@ -183,10 +156,8 @@ class ShardedDatabase(VersionReads, SessionHost):
         self._gtxn_ids = itertools.count(1)
         self._rr = itertools.count()
         # Parallel cross-shard execution: one bounded pool shared by
-        # every fan-out and both 2PC phases, plus the cut latch that
+        # every fan-out and the 2PC prepares, plus the cut latch that
         # keeps global snapshots consistent against phase-2 publication.
-        self.parallel_fanout = parallel_fanout
-        self.parallel_2pc = parallel_2pc
         self._exec = ShardExecutor(nshards, name=f"shard-exec-{id(self):x}")
         self._cut_latch = _CutLatch()
         self._cut_seq = itertools.count(1)
@@ -209,6 +180,29 @@ class ShardedDatabase(VersionReads, SessionHost):
     def path(self) -> str:
         """The sharded database's root directory."""
         return self._path
+
+    def _open_shard(self, idx: int) -> Database:
+        """Open shard ``idx``, refusing one that holds another's object.
+
+        Routing is ``oid % nshards`` with no second look, so an object
+        off its home shard would be unreachable, and invisible until
+        something asked for it: the open says so instead.
+        """
+        db = Database(
+            os.path.join(self._path, f"shard-{idx:02d}"),
+            oid_stride=self.nshards,
+            oid_residue=idx,
+            **self._db_kwargs,
+        )
+        foreign = db.store.misplaced_oids()
+        if foreign:
+            db.close()
+            raise StorageError(
+                f"shard {idx} at {db.path!r} holds {len(foreign)} object(s) "
+                f"of another shard, first {foreign[0]!r} (home: shard "
+                f"{self.placement.shard_of(foreign[0])}); refusing to open"
+            )
+        return db
 
     def checkpoint(self) -> None:
         """Checkpoint every *up* shard (quiescent only, like the embedded
@@ -316,12 +310,7 @@ class ShardedDatabase(VersionReads, SessionHost):
         """
         if not self._shard_down[idx]:
             raise ValueError(f"shard {idx} is not down")
-        self.shards[idx] = Database(
-            os.path.join(self._path, f"shard-{idx:02d}"),
-            oid_stride=self.nshards,
-            oid_residue=idx,
-            **self._db_kwargs,
-        )
+        self.shards[idx] = self._open_shard(idx)
         self._shard_gen[idx] += 1
         self._shard_down[idx] = False
         self._health_counters["reattaches"] += 1
@@ -342,38 +331,6 @@ class ShardedDatabase(VersionReads, SessionHost):
         return RouterSession(self, name)
 
     # -- routing -------------------------------------------------------------
-
-    def _holders(self, oid: Oid) -> list[int]:
-        """Every *up* shard currently holding live versions of ``oid``."""
-        return [
-            i
-            for i, db in enumerate(self.shards)
-            if not self._shard_down[i] and db.store.object_exists(oid)
-        ]
-
-    def _locate(self, oid: Oid) -> int:
-        """The shard that owns ``oid``: placement hint, verified.
-
-        A hint miss scans the other shards (``shard.locate_fallbacks``);
-        an oid nobody holds routes to its home shard so the error surfaces
-        there with the ordinary not-found message -- and so a snapshot
-        reader can still see an object whose live state was just deleted.
-        An oid whose home shard is down fails fast with
-        :class:`ShardUnavailableError` -- its failure domain.
-        """
-        home = self.placement.shard_of(oid)
-        self._check_up(home)
-        if self.shards[home].store.object_exists(oid):
-            return home
-        for idx, db in enumerate(self.shards):
-            if (
-                idx != home
-                and not self._shard_down[idx]
-                and db.store.object_exists(oid)
-            ):
-                self._twopc_counters["locate_fallbacks"] += 1
-                return idx
-        return home
 
     def _on_shard(
         self,
@@ -468,10 +425,14 @@ class ShardedDatabase(VersionReads, SessionHost):
     def _route(self, oid: Oid, fn: Callable[[Database], Any]) -> Any:
         """Run ``fn(shard)`` on the shard that owns ``oid``.
 
-        The single-object combinator: locate the owner, join the
-        caller's global transaction there (:meth:`_on_shard`), run.
+        The single-object combinator: the owner is the oid's home, by
+        arithmetic (see :meth:`_open_shard`); join the caller's global
+        transaction there (:meth:`_on_shard`), run.  An oid nobody holds
+        routes there too, so the error surfaces with the ordinary
+        not-found message, and a home shard that is down fails fast with
+        :class:`ShardUnavailableError` -- its failure domain.
         """
-        return self._on_shard(self._locate(oid), fn)
+        return self._on_shard(self.placement.shard_of(oid), fn)
 
     # -- transactions --------------------------------------------------------
 
@@ -505,59 +466,6 @@ class ShardedDatabase(VersionReads, SessionHost):
             gtxn.cut = self.snapshot()
         sess.txn = gtxn
         return gtxn
-
-    def current_transaction(self) -> GlobalTransaction | None:
-        """The calling session's active global transaction, if any."""
-        sess = self._current_session(create=False)
-        if sess is None:
-            return None
-        gtxn = sess.txn
-        if gtxn is not None and gtxn.state != ACTIVE:
-            sess.txn = None
-            return None
-        return gtxn
-
-    @contextmanager
-    def transaction(
-        self,
-        lock_timeout: float | None = None,
-        snapshot_reads: bool = False,
-    ) -> Iterator[GlobalTransaction]:
-        """``with router.transaction():`` -- commit on exit, abort on error."""
-        gtxn = self.begin(lock_timeout=lock_timeout, snapshot_reads=snapshot_reads)
-        try:
-            yield gtxn
-        except BaseException:
-            # A decided transaction may no longer abort (restart recovery
-            # completes it), and a simulated-dead process touches nothing.
-            if (
-                gtxn.state == ACTIVE
-                and not gtxn.decided
-                and not faults.is_crashed()
-            ):
-                gtxn.abort()
-            raise
-        else:
-            if gtxn.state == ACTIVE:
-                try:
-                    gtxn.commit()
-                except BaseException:
-                    # An undecided commit failure (e.g. its shard died
-                    # under it) must not leave the transaction attached
-                    # to the session -- that would wedge every later
-                    # begin() with "already active".  Abort detaches it;
-                    # a *decided* transaction stays (restart resolution
-                    # completes it, and abort is forbidden).
-                    if (
-                        gtxn.state == ACTIVE
-                        and not gtxn.decided
-                        and not faults.is_crashed()
-                    ):
-                        try:
-                            gtxn.abort()
-                        except Exception:
-                            pass  # the commit error is the one to surface
-                    raise
 
     def _next_gtxid(self) -> tuple:
         return (self._incarnation, next(self._gtxid_seq))
@@ -699,40 +607,7 @@ class ShardedDatabase(VersionReads, SessionHost):
         return self._route(vid.oid, lambda db: db.read_attr(vid, name))
 
     def latest_vid(self, oid: Oid) -> Vid:
-        """The globally latest version of ``oid``.
-
-        Consults every shard holding versions of the oid (normally
-        exactly one, thanks to strided allocation) and ranks the
-        candidates by version creation time, newest wins -- ties break
-        toward the higher serial, matching the single-shard temporal
-        order.
-        """
-        holders = self._holders(oid)
-        if len(holders) <= 1:
-            idx = holders[0] if holders else self.placement.shard_of(oid)
-            return self._on_shard(idx, lambda db: db.latest_vid(oid))
-        # (down shards never appear in holders; _on_shard fails fast.)
-        best_key: tuple | None = None
-        best_vid: Vid | None = None
-
-        def probe(db: "Database") -> tuple[Vid, float]:
-            # One callback resolves both the vid and its ctime so the
-            # graph lookup runs in the same shard-session context (same
-            # SHARED lock / local-transaction view) as the latest_vid
-            # call it ranks.
-            vid = db.latest_vid(oid)
-            return vid, db.graph(oid).node(vid.serial).ctime
-
-        sess = self._current_session()
-        candidates = self._scatter(
-            holders, lambda idx: self._on_shard(idx, probe, sess=sess)
-        )
-        for vid, ctime in candidates:
-            key = (ctime, vid.serial)
-            if best_key is None or key > best_key:
-                best_key, best_vid = key, vid
-        assert best_vid is not None
-        return best_vid
+        return self._route(oid, lambda db: db.latest_vid(oid))
 
     def write_version(self, vid: Vid, obj: Any) -> None:
         self._route(vid.oid, lambda db: db.write_version(vid, obj))
@@ -788,16 +663,11 @@ class ShardedDatabase(VersionReads, SessionHost):
         shards -> :class:`ShardUnavailableError`) already happened
         inside the scattered ``fn`` via :meth:`_on_shard`.
 
-        Falls back to the serial loop for single-shard fan-outs, when
-        ``parallel_fanout`` is off, or when the calling thread is itself
-        a pool worker (a nested scatter waiting on workers it occupies
-        would deadlock the bounded pool).
+        Falls back to the serial loop for single-shard fan-outs and when
+        the calling thread is itself a pool worker (a nested scatter
+        waiting on workers it occupies would deadlock the bounded pool).
         """
-        if (
-            not self.parallel_fanout
-            or len(indices) <= 1
-            or self._exec.in_worker()
-        ):
+        if len(indices) <= 1 or self._exec.in_worker():
             return [fn(idx) for idx in indices]
         outcomes = self._exec.run_all(indices, fn)
         errors = [
@@ -910,15 +780,12 @@ class ShardedDatabase(VersionReads, SessionHost):
 
         Numeric keys from each shard's :meth:`Database.stats` are summed
         (``wal.flushes`` is the fleet total, and so on); the router adds
-        ``shard.count``, ``shard.locate_fallbacks`` and the 2PC protocol
-        counters under ``shard.2pc.*``.
+        ``shard.count`` and the 2PC protocol counters under
+        ``shard.2pc.*``.
         """
         stats: dict[str, Any] = {"shard.count": self.nshards}
         for key, value in self._twopc_counters.items():
-            if key == "locate_fallbacks":
-                stats["shard.locate_fallbacks"] = value
-            else:
-                stats[f"shard.2pc.{key}"] = value
+            stats[f"shard.2pc.{key}"] = value
         stats["shard.2pc.decisions_held"] = len(self._held)
         health = self.shard_health()
         stats["shard.health.up"] = sum(
@@ -1232,16 +1099,11 @@ class _FanoutQuery(QueryTerminals):
         rebind: ShardedDatabase | None = None,
         executor: "ShardExecutor | None" = None,
         origin: "tuple[ShardedDatabase, RouterSession, list[int]] | None" = None,
-        router: "ShardedDatabase | None" = None,
     ):
         self._parts = parts
         self._rebind = rebind
         self._executor = executor
         self._origin = origin
-        # The router whose ``parallel_fanout`` toggle governs this
-        # query's materialization (a cut-bound fan-out has no origin or
-        # rebind, so its owner passes ``router`` explicitly).
-        self._router = router or (origin[0] if origin else rebind)
 
     def _pushed_down(self, op: Callable[[Query], Query]) -> "_FanoutQuery":
         return _FanoutQuery(
@@ -1249,7 +1111,6 @@ class _FanoutQuery(QueryTerminals):
             self._rebind,
             self._executor,
             self._origin,
-            self._router,
         )
 
     def suchthat(self, predicate: Callable[[Any], bool]) -> "_FanoutQuery":
@@ -1272,12 +1133,7 @@ class _FanoutQuery(QueryTerminals):
         is attached (and the caller is not itself a pool worker)."""
         exe = self._executor
         positions = range(len(self._parts))
-        if (
-            exe is None
-            or len(self._parts) <= 1
-            or exe.in_worker()
-            or (self._router is not None and not self._router.parallel_fanout)
-        ):
+        if exe is None or len(self._parts) <= 1 or exe.in_worker():
             return [self._materialize_part(pos) for pos in positions]
         outcomes = exe.run_all(list(positions), self._materialize_part)
         for _, err in outcomes:

@@ -26,9 +26,9 @@ appends -- so cut latency stays bounded by the slowest in-flight commit.
 
 :class:`GlobalSnapshot` then exposes the whole read surface of a
 per-shard :class:`~repro.core.snapshot.Snapshot` -- materialization,
-attribute reads, the paper-§4 traversals, clusters, queries, the
-multi-holder ``latest_vid`` ranking -- routed over its pinned parts, so
-every parallel fan-out read resolves against the one cut.
+attribute reads, the paper-§4 traversals, clusters, queries -- routed
+over its pinned parts, so every parallel fan-out read resolves against
+the one cut.
 """
 
 from __future__ import annotations
@@ -169,7 +169,9 @@ class GlobalSnapshot(VersionReads):
 
     # -- routing -------------------------------------------------------------
 
-    def _part(self, idx: int) -> "Snapshot":
+    def _locate(self, oid: Oid) -> "Snapshot":
+        """The part of the oid's home shard (placement is arithmetic)."""
+        idx = self._router.placement.shard_of(oid)
         part = self.parts.get(idx)
         if part is None:
             self._router._health_counters["failfast"] += 1
@@ -181,67 +183,40 @@ class GlobalSnapshot(VersionReads):
             )
         return part
 
-    def _locate(self, oid: Oid) -> int:
-        home = self._router.placement.shard_of(oid)
-        if home in self.parts and self._part(home).object_exists(oid):
-            return home
-        for idx in self.parts:
-            if idx != home and self.parts[idx].object_exists(oid):
-                self._router._twopc_counters["locate_fallbacks"] += 1
-                return idx
-        return home  # not found anywhere: home raises the canonical error
-
     # -- reads ---------------------------------------------------------------
 
     def latest_vid(self, oid: Oid) -> Vid:
-        """The globally latest version at the cut (multi-holder ranked)."""
-        holders = [
-            idx for idx in self.parts if self.parts[idx].object_exists(oid)
-        ]
-        if len(holders) <= 1:
-            idx = holders[0] if holders else self._router.placement.shard_of(oid)
-            return self._part(idx).latest_vid(oid)
-        best_key: tuple | None = None
-        best_vid: Vid | None = None
-        for idx in holders:
-            snap = self.parts[idx]
-            vid = snap.latest_vid(oid)
-            node = snap.graph(oid).node(vid.serial)
-            key = (node.ctime, vid.serial)
-            if best_key is None or key > best_key:
-                best_key, best_vid = key, vid
-        assert best_vid is not None
-        return best_vid
+        return self._locate(oid).latest_vid(oid)
 
     def materialize(self, vid: Vid) -> Any:
-        return self._part(self._locate(vid.oid)).materialize(vid)
+        return self._locate(vid.oid).materialize(vid)
 
     def read_attr(self, vid: Vid, name: str) -> Any:
-        return self._part(self._locate(vid.oid)).read_attr(vid, name)
+        return self._locate(vid.oid).read_attr(vid, name)
 
     def read_latest_attr(self, oid: Oid, name: str) -> Any:
-        return self._part(self._locate(oid)).read_latest_attr(oid, name)
+        return self._locate(oid).read_latest_attr(oid, name)
 
     def object_exists(self, oid: Oid) -> bool:
-        return self._part(self._locate(oid)).object_exists(oid)
+        return self._locate(oid).object_exists(oid)
 
     def version_exists(self, vid: Vid) -> bool:
-        return self._part(self._locate(vid.oid)).version_exists(vid)
+        return self._locate(vid.oid).version_exists(vid)
 
     def type_name(self, oid: Oid) -> str:
-        return self._part(self._locate(oid)).type_name(oid)
+        return self._locate(oid).type_name(oid)
 
     def graph(self, target: Target) -> "VersionGraph":
         oid = oid_of(target)
-        return self._part(self._locate(oid)).graph(oid)
+        return self._locate(oid).graph(oid)
 
     def write_version(self, vid: Vid, obj: Any) -> None:
-        self._part(self._locate(vid.oid)).write_version(vid, obj)  # raises
+        self._locate(vid.oid).write_version(vid, obj)  # raises
 
     def write_version_if_changed(self, vid: Vid, obj: Any) -> bool:
         """False for a no-op write-back (pure reader methods run through
         cut-bound references); a real write fails read-only in the part."""
-        return self._part(self._locate(vid.oid)).write_version_if_changed(vid, obj)
+        return self._locate(vid.oid).write_version_if_changed(vid, obj)
 
     # -- clusters & queries ---------------------------------------------------
 
@@ -277,5 +252,4 @@ class GlobalSnapshot(VersionReads):
                 for idx in sorted(self.parts)
             ],
             executor=self._router._exec,
-            router=self._router,
         )

@@ -30,7 +30,8 @@ that is the torn tail of a crashed append and is truncated away, in an
 older one (older packs are sealed only when fully synced) it is damage:
 the pack keeps its readable prefix and is never compacted.  Of two
 frames with one key (a crash between copy-forward and retire) the later
-wins and the earlier is dead space.
+wins and the earlier is dead space, remembered in its pack so that
+:meth:`BlobStore.unlink` marks it dead too.
 
 **Durability: payload -> log -> data.**  ``put`` only appends.
 :meth:`BlobStore.sync` makes everything appended so far durable with one
@@ -47,7 +48,9 @@ makes a GC candidate.
 
 **Reclaim** goes only through the GC tombstone protocol (journal first,
 unlink second -- ``repro.core.gc``): :meth:`BlobStore.unlink` drops the
-index entry and sets the frame's dead mark, so a missing key surfaces as
+index entry and sets the dead mark of every frame holding the key (a
+copy is never marked before then: its replacement may not be synced
+yet), so a missing key surfaces as
 :class:`~repro.errors.BlobMissingError` and snapshot readers recover
 from their stash overlays.  The mark is one byte written in place and
 never forced: losing it resurrects a frame nothing references, i.e. a
@@ -149,9 +152,14 @@ class BlobStats:
 
 
 class _Pack:
-    """One pack file: ``size`` bytes of frames, ``live`` of them indexed."""
+    """One pack file: ``size`` bytes of frames, ``live`` of them indexed.
 
-    __slots__ = ("path", "file", "size", "live", "damaged")
+    ``superseded`` maps a key to the offset of its unmarked frame here
+    that a later copy replaced in the index (copy-forward, whether this
+    process ran it or a crashed one did and the open-time scan found both).
+    """
+
+    __slots__ = ("path", "file", "size", "live", "damaged", "superseded")
 
     def __init__(self, path: str, flags: int = 0) -> None:
         self.path = path
@@ -159,6 +167,7 @@ class _Pack:
         self.file = os.fdopen(fd, "r+b", buffering=0)
         self.size = self.live = 0
         self.damaged = False
+        self.superseded: dict[str, int] = {}
 
     def write(self, data: bytes) -> None:
         """Write ``data`` at the end of the frames (``faults.write`` file)."""
@@ -246,6 +255,7 @@ class BlobStore:
                     earlier = self._index.get(key)
                     if earlier is not None:
                         earlier[0].live -= _FRAME.size + earlier[2]
+                        earlier[0].superseded[key] = earlier[1]
                     self._index[key] = (pack, pos, size)
                     pack.live += _FRAME.size + size
                 pos += _FRAME.size + size
@@ -369,7 +379,14 @@ class BlobStore:
             pack, offset, size = loc
             del self._index[key]  # first: a racing reader must not meet the mark
             pack.live -= _FRAME.size + size
-            os.pwrite(pack.file.fileno(), bytes([0x80 | size >> 24]), offset + 3)
+            # Every copy on disk, or the next open indexes an unmarked one.
+            copies = [(pack, offset)] + [
+                (old, old.superseded.pop(key))
+                for old in self._packs + self._retiring
+                if key in old.superseded
+            ]
+            for holder, at in copies:
+                os.pwrite(holder.file.fileno(), bytes([0x80 | size >> 24]), at + 3)
             self.stats.unlinks += 1
             self.stats.bytes_unlinked += size
         return size
@@ -462,14 +479,23 @@ class BlobStore:
     def compact(self) -> None:
         """Bring dead space back under :data:`DEAD_BUDGET`.
 
-        Sealed packs are taken by descending dead share; each one's live
-        frames are copied (crc checked) into the active pack and re-pointed
-        in the index, and the emptied pack queues for the next
-        :meth:`sync`.  If that is not enough the rest of the dead space is
-        in the active pack: once fully synced it is sealed and copied into
-        a fresh one.  Writes nothing that has to be forced.
+        Copying moves live bytes only, so dead space in the active pack
+        beyond the budget can leave just one way: the pack, once fully
+        synced, is sealed here, before anything is copied into it (a copy
+        un-syncs it).  Sealed packs are then taken by descending dead
+        share; each one's live frames are copied (crc checked) into the
+        active pack and re-pointed in the index, and the emptied pack
+        queues for the next :meth:`sync`.  Writes nothing that has to be
+        forced.
         """
         with self._lock:
+            pack = self._active
+            if (
+                pack is not None
+                and self._appended == self._synced
+                and pack.size - pack.live > DEAD_BUDGET * self.live_bytes()
+            ):
+                self._active = None
             victims = [
                 p for p in self._packs
                 if p is not self._active and not p.damaged and (p.live < p.size or not p.size)
@@ -479,12 +505,6 @@ class BlobStore:
             if pack.live and not self._over_budget():
                 return
             self._copy_forward(pack)
-        with self._lock:
-            pack = self._active
-            if pack is None or self._appended != self._synced or not self._over_budget():
-                return
-            self._active = None
-        self._copy_forward(pack)
 
     def _copy_forward(self, pack: _Pack) -> None:
         """Move a sealed pack's live frames to the active pack; queue it."""
@@ -503,6 +523,7 @@ class BlobStore:
                     return
                 self._append(key, raw)
                 pack.live -= len(raw)
+                pack.superseded[key] = offset
                 self.stats.bytes_copied_forward += len(raw)
         with self._lock:
             if pack.live == 0 and pack in self._packs:

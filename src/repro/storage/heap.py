@@ -358,16 +358,8 @@ class HeapFile:
             return
         reloc_body = self._build_body(payload, True, log_op)
         new_target = self._physical_insert(reloc_body, log_op)
-        try:
-            self._physical_update(rid, _forward_stub(new_target), log_op)
-        except PageFullError:
-            # Even the stub does not fit: the home record is an unpadded
-            # inline record shorter than a stub, written before short
-            # payloads were padded, in a page packed solid.  Undo the
-            # relocation and report.
-            self._release_body(reloc_body, log_op)
-            self._physical_delete(new_target, log_op)
-            raise HeapError(f"record at {rid} cannot grow within its page") from None
+        # A home record is never shorter than the stub: this fits in place.
+        self._physical_update(rid, _forward_stub(new_target), log_op)
 
     def delete(self, rid: Rid, log_op: LogOp | None = None) -> None:
         """Delete the record (with any fragments and relocated body) at ``rid``."""

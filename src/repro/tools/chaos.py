@@ -49,14 +49,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import PersistentObject, persistent
+from repro import PersistentObject
+from repro.core.persistent import persistent_once
 from repro.errors import (
     ConnectionClosedError,
     DeadlineExceededError,
     NetworkError,
     OdeError,
     ProtocolError,
-    SerializationError,
     ShardUnavailableError,
     TransactionStateError,
 )
@@ -64,7 +64,7 @@ from repro.net.chaos import C2S, S2C, ChaosPlan, ChaosProxyThread
 from repro.net.client import OdeClient, is_retryable
 from repro.net.server import ServerThread
 from repro.shard import ShardedDatabase
-from repro.storage import faults, serialization
+from repro.storage import faults
 
 #: Per-op client deadline for chaos runs: tight enough that a black-holed
 #: op fails in bounded time, loose enough that a healthy-but-contended op
@@ -101,20 +101,7 @@ def _should_retry(exc: BaseException) -> bool:
     return isinstance(exc, NetworkError) and not isinstance(exc, ProtocolError)
 
 
-def _workload_type(name: str):
-    """``@persistent`` that survives double execution of this module
-    (``python -m`` re-runs the body as ``__main__``)."""
-
-    def wrap(cls: type) -> type:
-        try:
-            return persistent(name=name)(cls)
-        except SerializationError:
-            return serialization.lookup_type(name)
-
-    return wrap
-
-
-@_workload_type("chaos.Account")
+@persistent_once("chaos.Account")
 class Account(PersistentObject):
     """One counter per swarm connection: the lost-ack canary."""
 

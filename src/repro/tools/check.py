@@ -25,7 +25,9 @@ layers against each other:
 9. the ``ode.oid`` counter is at or above every live object id, so a
    recovered database can never re-issue an id;
 10. every blob frame re-hashes to the key it is indexed under and is
-    known to the refcount index (dead pack space is a warning).
+    known to the refcount index (dead pack space is a warning);
+11. every object id lies in the store's allocation slice (a shard holds
+    only ids of its own residue class -- routing relies on it).
 
 Returns a :class:`CheckReport`; ``ok`` is True when no problems were
 found.  Never mutates the database.
@@ -289,6 +291,13 @@ def _check_strict(db: Database, report: CheckReport) -> None:
                 f"object {oid!r} is above the ode.oid counter ({next_oid}); "
                 f"its id could be re-issued"
             )
+
+    # 11: a shard opened with its stride holds only its own residue class.
+    for oid in store.misplaced_oids():
+        report.problems.append(
+            f"object {oid!r} is outside this store's allocation slice "
+            "(another shard's object: the router cannot reach it here)"
+        )
 
     # 10 (strict): the pack files against the index.  Every frame must
     # re-hash to the key it is indexed under, and none may be unknown to

@@ -47,11 +47,11 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import Database, PersistentObject, StoragePolicy, persistent
+from repro import Database, PersistentObject, StoragePolicy
 from repro.core.identity import Oid, Vid
-from repro.errors import SerializationError
+from repro.core.persistent import persistent_once
 from repro.shard import ShardedDatabase
-from repro.storage import blobs, faults, serialization
+from repro.storage import blobs, faults
 from repro.storage.faults import (
     ERROR_FAILPOINTS,
     FAILPOINTS,
@@ -82,24 +82,7 @@ HISTORY_BATCH = 85
 _JOIN_TIMEOUT = 60.0
 
 
-def _workload_type(name: str):
-    """``@persistent`` that survives double execution of this module.
-
-    ``python -m repro.tools.crashmatrix`` runs this module body a second
-    time as ``__main__`` after ``repro.tools`` already imported it; reuse
-    the canonical registered class so encode/decode stay consistent.
-    """
-
-    def wrap(cls: type) -> type:
-        try:
-            return persistent(name=name)(cls)
-        except SerializationError:
-            return serialization.lookup_type(name)
-
-    return wrap
-
-
-@_workload_type("crashmatrix.Item")
+@persistent_once("crashmatrix.Item")
 class Item(PersistentObject):
     """Small versioned record: exercises the object table + version graphs."""
 
@@ -108,7 +91,7 @@ class Item(PersistentObject):
         self.val = val
 
 
-@_workload_type("crashmatrix.Blob")
+@persistent_once("crashmatrix.Blob")
 class Blob(PersistentObject):
     """Growing payload: exercises page growth, compaction, and spanning."""
 
@@ -709,7 +692,7 @@ def run_matrix(
 # -- the 2PC matrix (cross-shard transactions; repro.shard) -------------------
 
 
-@_workload_type("crashmatrix.Account")
+@persistent_once("crashmatrix.Account")
 class Account(PersistentObject):
     """Transfer-workload record: the invariant is the sum of balances."""
 

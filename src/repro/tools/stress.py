@@ -65,15 +65,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import Database, PersistentObject, persistent
+from repro import Database, PersistentObject
+from repro.core.persistent import persistent_once
 from repro.errors import (
     DeadlockError,
     LockTimeoutError,
     OdeError,
-    SerializationError,
     TransactionAborted,
 )
-from repro.storage import serialization
 
 #: Lock deadline for stress runs.  Deliberately generous: correct runs
 #: never get near it (deadlocks resolve by detection in milliseconds),
@@ -86,24 +85,7 @@ P99_BUDGET_FRACTION = 0.5
 _JOIN_TIMEOUT = 120.0
 
 
-def _workload_type(name: str):
-    """``@persistent`` that survives double execution of this module.
-
-    ``python -m repro.tools.stress`` runs this module body a second time
-    as ``__main__`` after ``repro.tools`` already imported it; reuse the
-    canonical registered class so encode/decode stay consistent.
-    """
-
-    def wrap(cls: type) -> type:
-        try:
-            return persistent(name=name)(cls)
-        except SerializationError:
-            return serialization.lookup_type(name)
-
-    return wrap
-
-
-@_workload_type("stress.Counter")
+@persistent_once("stress.Counter")
 class Counter(PersistentObject):
     """A shared counter: the lost-update canary."""
 

@@ -29,30 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro import PersistentObject, Vid, persistent
+from repro import PersistentObject, Vid
+from repro.core.persistent import persistent_once
 from repro.core.transactions import SHARED
-from repro.errors import DeadlockError, LockTimeoutError, SerializationError, TransactionAborted
-from repro.storage import serialization
+from repro.errors import DeadlockError, LockTimeoutError, TransactionAborted
 from repro.verify.oracle import ThreadLog
 
 #: Concurrency-control outcomes a scenario body absorbs as an abort.
 CONFLICTS = (DeadlockError, LockTimeoutError, TransactionAborted)
 
 
-def _scenario_type(name: str):
-    """``@persistent`` that survives double execution of this module
-    (``python -m repro.tools.explore`` re-runs the body as ``__main__``)."""
-
-    def wrap(cls: type) -> type:
-        try:
-            return persistent(name=name)(cls)
-        except SerializationError:
-            return serialization.lookup_type(name)
-
-    return wrap
-
-
-@_scenario_type("verify.Cell")
+@persistent_once("verify.Cell")
 class Cell(PersistentObject):
     """One versioned integer -- the smallest observable unit of state."""
 

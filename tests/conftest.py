@@ -6,6 +6,7 @@ import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro import Database, PersistentObject, StoragePolicy, persistent
 from repro.shard import ShardedDatabase
@@ -15,6 +16,12 @@ from repro.verify import hooks
 #: Session seed for randomized tests: override with REPRO_TEST_SEED=<int>
 #: to replay a failing run; printed in the pytest header either way.
 TEST_SEED = int(os.environ.get("REPRO_TEST_SEED", "0") or "0")
+
+
+#: ``--hypothesis-profile=ci`` (the blocking CI job): the examples are
+#: derived from each test, not from a random seed, so a verdict is a
+#: function of the tree.  The default profile stays random.
+settings.register_profile("ci", derandomize=True)
 
 
 def pytest_report_header(config):

@@ -204,38 +204,6 @@ def test_timeout_backstop_still_fires(manager):
     manager.assert_quiescent()
 
 
-def test_detection_disabled_falls_back_to_timeout():
-    """detect_deadlocks=False reproduces the old timeout-only behaviour."""
-    manager = LockManager(timeout=0.2, detect_deadlocks=False)
-    manager.acquire(1, "obj", SHARED)
-    manager.acquire(2, "obj", SHARED)
-    outcome = {}
-
-    def upgrade(txid):
-        try:
-            manager.acquire(txid, "obj", EXCLUSIVE)
-            outcome[txid] = "granted"
-        except (DeadlockError, LockTimeoutError) as exc:
-            outcome[txid] = exc
-            manager.release_all(txid)
-
-    threads = [
-        threading.Thread(target=upgrade, args=(txid,), daemon=True)
-        for txid in (1, 2)
-    ]
-    for th in threads:
-        th.start()
-        time.sleep(0.02)
-    for th in threads:
-        th.join(timeout=5.0)
-    assert manager.deadlocks_detected == 0
-    assert manager.timeouts >= 1
-    assert any(isinstance(v, LockTimeoutError) for v in outcome.values())
-    manager.release_all(1)
-    manager.release_all(2)
-    manager.assert_quiescent()
-
-
 def test_database_level_deadlock_resolves(db):
     """End-to-end: two transactions in a classic two-object deadlock; the
     victim gets DeadlockError and the survivor commits."""

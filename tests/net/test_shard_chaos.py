@@ -42,7 +42,6 @@ def test_shard_killed_under_wire_2pc_converges_at_reattach(tmp_path):
     with ShardedDatabase(
         tmp_path / "shards", nshards=3, lock_timeout=5.0
     ) as db:
-        assert db.parallel_2pc and db.parallel_fanout
         # One (src, dst) account pair per stream, src and dst on
         # *different* shards with dst on the victim -- every transfer is
         # a cross-shard 2PC touching the shard we kill.

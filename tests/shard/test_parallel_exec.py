@@ -379,7 +379,6 @@ def test_crash_mid_parallel_prepare_resolves_to_presumed_abort(tmp_path):
     rolled back, nothing in doubt."""
     path = tmp_path / "shards"
     router = ShardedDatabase(path, nshards=3)
-    assert router.parallel_2pc
     src = router.pnew(PxAcct(bal=100))
     dst = router.pnew(PxAcct(bal=100))
     oids = (src.oid, dst.oid)

@@ -10,15 +10,18 @@ forget, all visible in the counters).
 from __future__ import annotations
 
 import asyncio
+import shutil
 import time
 
 import pytest
 
+from repro import Database
 from repro.core.identity import Oid
-from repro.errors import LockTimeoutError, TransactionStateError
+from repro.errors import LockTimeoutError, StorageError, TransactionStateError
 from repro.net.client import OdeClient
 from repro.net.server import ServerThread
 from repro.shard import ModuloPlacement, ShardedDatabase
+from repro.tools.check import check_database
 from tests.conftest import Part
 
 
@@ -52,6 +55,26 @@ def test_nshards_mismatch_refused(router, tmp_path):
     reopened = ShardedDatabase(tmp_path / "shards")
     assert reopened.nshards == 3
     reopened.close()
+
+
+def test_a_shard_holding_another_shards_object_refuses_to_open(router, tmp_path):
+    """Routing is ``oid % nshards`` and nothing else, so the one input that
+    could break it -- files that are not this shard's -- is refused at
+    open, by name, and ``check --strict`` on the directory names it too."""
+    router.close()
+    with Database(tmp_path / "solo") as solo:
+        for i in range(3):
+            solo.pnew(Part(f"s{i}", i))  # oids 1, 2, 3: only 1 is shard 1's
+    shutil.rmtree(tmp_path / "shards" / "shard-01")
+    shutil.copytree(tmp_path / "solo", tmp_path / "shards" / "shard-01")
+    with pytest.raises(StorageError, match=r"shard 1 .*Oid\(2\).*shard 2"):
+        ShardedDatabase(tmp_path / "shards")
+    with Database(
+        tmp_path / "shards" / "shard-01", oid_stride=3, oid_residue=1
+    ) as shard:
+        problems = check_database(shard, strict=True).problems
+    assert [p for p in problems if "Oid(2)" in p and "allocation slice" in p]
+    assert [p for p in problems if "Oid(3)" in p] and not any("Oid(1)" in p for p in problems)
 
 
 def test_pnew_round_robin_matches_modulo_placement(router):
@@ -219,6 +242,26 @@ def test_versions_and_latest_follow_the_object_across_its_shard(router):
     assert router.deref(latest).weight == 2
 
 
+def test_latest_vid_asks_the_home_shard_and_no_other(router, monkeypatch):
+    ref = router.pnew(Part("p", 1))
+    router.newversion(ref)
+    home = router.placement.shard_of(ref.oid)
+    asked: list[int] = []
+    for idx, shard in enumerate(router.shards):
+        for name in ("latest_vid", "object_exists"):
+            real = getattr(shard.store, name)
+            monkeypatch.setattr(
+                shard.store, name,
+                lambda oid, idx=idx, real=real: asked.append(idx) or real(oid),
+            )
+    with router.session() as sess, sess.activate():
+        assert router.latest_vid(ref.oid).serial == 2
+        assert list(sess._shard_sessions) == [home]
+        with router.snapshot() as cut:
+            assert cut.latest_vid(ref.oid).serial == 2
+    assert asked == [home]  # the cut reads its pinned part, not the store
+
+
 def test_snapshot_reader_epoch_is_one_per_shard(router):
     router.pnew(Part("p", 1))
     sess = router.session("probe")
@@ -254,7 +297,7 @@ def test_stats_aggregate_shard_counters(router):
     stats = router.stats()
     assert stats["shard.count"] == 3
     assert "shard.2pc.commits_cross" in stats
-    assert "shard.locate_fallbacks" in stats
+    assert "shard.locate_fallbacks" not in stats  # placement is not a hint
     assert stats["objects"] == 1  # summed across shards
 
 

@@ -485,6 +485,55 @@ class PackMachine(RuleBasedStateMachine):
         assert all(0 <= p.live <= p.size for p in tracked)
 
 
+def _crashed_between_copy_and_retire(root, monkeypatch) -> tuple[BlobStore, str, str]:
+    """A (1,144 B, unlinked), B (5 B) and C (300 B) in pack-1; compaction
+    sealed it and copied B then C into pack-2; the crash kept only B's
+    copy.  Returns the reopened store and the keys of B and C."""
+    monkeypatch.setattr(blobstore, "PACK_TARGET", 2048)
+    store = BlobStore(root)
+    a, b, c = (store.put(body) for body in (b"a" * 1144, b"b" * 5, b"c" * 300))
+    store.sync()
+    store.unlink(a)
+    store.compact()
+    assert _pack_files(root) == ["pack-000001", "pack-000002"]
+    store.close()
+    with open(os.path.join(root, "pack-000002"), "r+b") as fh:
+        fh.truncate(_HEADER + 5)
+    store = BlobStore(root)
+    assert store.keys() == sorted([b, c])
+    assert store._index[b][0].path.endswith("pack-000002")
+    return store, b, c
+
+
+def test_unlink_marks_the_copy_a_crashed_compaction_left_behind(tmp_path, monkeypatch):
+    """B has a frame in both packs and the open indexes the newer one.
+    Unlinking B must mark the older frame too, or the next open indexes
+    it and B is back."""
+    store, b, c = _crashed_between_copy_and_retire(tmp_path, monkeypatch)
+    assert store.unlink(b) == 5
+    store.sync()
+    store.close()
+    store = BlobStore(tmp_path)
+    assert store.keys() == [c]
+    assert store.live_bytes() == _HEADER + 300
+
+
+def test_compact_seals_an_active_pack_whose_dead_space_is_over_budget(
+    tmp_path, monkeypatch
+):
+    """B's dead frame sits in the active pack.  Copying C in from pack-1
+    first would un-sync that pack, which then cannot be sealed in the
+    same pass, and its 13 dead bytes are over the budget for 308 live."""
+    store, b, c = _crashed_between_copy_and_retire(tmp_path, monkeypatch)
+    store.unlink(b)
+    store.sync()
+    store.compact()
+    assert store.dead_bytes() <= blobstore.DEAD_BUDGET * store.live_bytes()
+    store.sync()
+    assert _pack_files(tmp_path) == ["pack-000003"]
+    assert store.keys() == [c] and store.get(c) == b"c" * 300
+
+
 TestPackMachine = PackMachine.TestCase
 TestPackMachine.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
