@@ -1,7 +1,7 @@
 """E13 -- client-swarm scale: the network service layer under load.
 
-The embedded kernel behind a socket (:mod:`repro.net`): an asyncio
-server running kernel calls on a worker pool, read-only requests served
+The embedded kernel behind a socket (:mod:`repro.net`): a one-thread
+reactor handing kernel calls to a worker pool, read-only requests served
 inline from the lock-free snapshot path, concurrent commits grouped
 into the WAL's group-commit window.  This suite measures:
 
@@ -11,14 +11,17 @@ into the WAL's group-commit window.  This suite measures:
   profiles as the swarm scales from 100 toward 2000 connections;
 * that read-only traffic takes **zero** lock-table acquisitions;
 * that concurrent wire commits overlap into shared WAL flushes; and
-* the per-connection lane's hop counts: one worker wake-up per awaited
-  stateful frame and per pipelined transaction, zero loop tasks.
+* the per-connection lane's hop counts: one lane run per awaited
+  stateful frame and per pipelined transaction, on a thread census that
+  does not grow with the connection count.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
+import socket
+import threading
 import time
 
 import pytest
@@ -217,10 +220,10 @@ def _record(benchmark, db, measured: dict) -> None:
 def test_e13_pipelining_speedup(swarm_server, benchmark):
     """256 connections, read-only: pipelining must beat serial >= 3x.
 
-    The serial client pays a full client-loop -> server-loop round trip
-    per request; the pipelined client keeps a window in flight so frames
-    batch through every stage (one syscall carries many frames, one
-    wakeup drains many responses).
+    The serial client pays a full client-loop -> server-reactor round
+    trip per request; the pipelined client keeps a window in flight so
+    frames batch through every stage (one syscall carries many frames,
+    one wakeup drains many responses).
 
     Both loops share whatever cores the box has, so a single paired
     measurement is hostage to GIL-timeslice luck; each arm runs up to
@@ -375,23 +378,23 @@ def test_e13_commit_grouping(swarm_server, benchmark):
 def test_e13_lane_hops_are_counted(tmp_path, benchmark):
     """Counted gate on the commit path's plumbing (counts, not times).
 
-    Per *awaited* stateful frame: exactly one lane run, and no event-loop
-    task (BEGIN, alone in its chunk on an idle lane, is served on the
-    loop and costs neither).  Per *pipelined* BEGIN/WRITE/COMMIT triple:
-    exactly one lane run for all three frames -- before the lane, three
-    task + lock + executor round trips.
+    Per *awaited* stateful frame: exactly one lane run of one frame
+    (BEGIN, alone in its chunk on an idle lane, is served on the reactor
+    and costs none).  Per *pipelined* BEGIN/WRITE/COMMIT triple: exactly
+    one lane run for all three frames.  And the threads that do it: one
+    reactor and no worker for 256 idle connections, never more than
+    1 + ``workers`` once lanes run.
     """
     from benchmarks.conftest import make_db
 
     db = make_db(tmp_path, "e13_lane")
     with db.transaction():
         oid = db.pnew(E13Obj(slot=0)).oid
-    server = ServerThread(db).start()
-    created: list[str] = []
+    workers = 4
+    server = ServerThread(db, workers=workers).start()
 
-    def counting_factory(loop, coro, **kwargs):
-        created.append(getattr(coro, "__qualname__", repr(coro)))
-        return asyncio.Task(coro, loop=loop, **kwargs)
+    def census() -> list[str]:
+        return [t.name for t in threading.enumerate() if t.name.startswith("ode-net")]
 
     def lanes() -> tuple[int, int]:
         stats = db.stats()
@@ -402,12 +405,12 @@ def test_e13_lane_hops_are_counted(tmp_path, benchmark):
     async def run() -> dict:
         conn = await OdeConnection.open(server.host, server.port)
         try:
-            await conn.ping("warm")  # the handler task exists before we count
-            server._loop.call_soon_threadsafe(
-                server._loop.set_task_factory, counting_factory
-            )
-            await conn.ping("factory installed")
+            await conn.ping("warm")
             start = lanes()
+            await conn.begin()
+            after_begin = lanes()
+            await conn.abort()
+            aborted = lanes()
             for j in range(txns):
                 await conn.begin()
                 await conn.write(oid, "n", j)
@@ -419,22 +422,35 @@ def test_e13_lane_hops_are_counted(tmp_path, benchmark):
                 await conn.send(protocol.OP_COMMIT)
             burst = lanes()
             return {
-                "awaited_runs": awaited[0] - start[0],
-                "awaited_frames": awaited[1] - start[1],
+                "begin_runs": after_begin[0] - start[0],
+                "awaited_runs": awaited[0] - aborted[0],
+                "awaited_frames": awaited[1] - aborted[1],
                 "burst_runs": burst[0] - awaited[0],
                 "burst_frames": burst[1] - awaited[1],
             }
         finally:
             await conn.close()
 
+    idle = [socket.create_connection((server.host, server.port)) for _ in range(256)]
     try:
+        give_up = time.monotonic() + 10.0
+        while db.stats()["net.connections"] < len(idle) and time.monotonic() < give_up:
+            time.sleep(0.01)
+        idle_census = census()
         counts = asyncio.run(run())
+        busy_census = census()
     finally:
+        for sock in idle:
+            sock.close()
         server.stop()
         db.close()
-    benchmark.extra_info.update(counts, loop_tasks=len(created))
+    benchmark.extra_info.update(
+        counts, idle_threads=len(idle_census), busy_threads=len(busy_census)
+    )
+    assert counts["begin_runs"] == 0, "an awaited plain BEGIN must not take the lane"
     # BEGIN inline + WRITE and COMMIT one single-frame lane run each.
     assert (counts["awaited_runs"], counts["awaited_frames"]) == (2 * txns, 2 * txns)
     assert (counts["burst_runs"], counts["burst_frames"]) == (txns, 3 * txns)
-    assert not created, f"stateful frames created event-loop tasks: {created[:4]}"
+    assert idle_census == ["ode-net-reactor"], idle_census
+    assert len(busy_census) <= 1 + workers, busy_census
     benchmark(lambda: None)

@@ -6,10 +6,10 @@ it behind a socket so many clients can share one database:
 * :mod:`repro.net.protocol` -- the length-prefixed binary wire format
   (frames, opcodes, the error envelope), built on the storage layer's
   stable codec so any persistable value travels as-is;
-* :mod:`repro.net.server` -- an asyncio server that runs kernel calls on
-  a worker thread pool, serves read-only requests through the lock-free
-  snapshot path, and groups concurrent commits into the WAL's
-  group-commit window;
+* :mod:`repro.net.server` -- a reactor server: one thread reads every
+  socket and serves read-only requests through the lock-free snapshot
+  path; a bounded worker pool runs the kernel calls that lock or block,
+  writes their replies itself, and groups commits into the WAL window;
 * :mod:`repro.net.client` -- an asyncio client with connection pooling,
   request pipelining (many correlated requests in flight per connection,
   out-of-order completion), per-op deadlines and reconnect with jittered

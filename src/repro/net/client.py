@@ -10,46 +10,35 @@ plain :meth:`OdeConnection.request` calls::
     vals = await asyncio.gather(*(conn.read(oid, "n") for oid in oids))
 
 An :class:`OdeClient` pools N connections.  Stateless requests
-round-robin across the pool; transactional sequences must stick to one
-connection (the transaction lives on its session), so they run through
-:meth:`OdeClient.lease`::
+round-robin across the pool; a transaction lives on one session, so it
+runs through :meth:`OdeClient.lease`::
 
     async with client.lease() as conn:
         await conn.begin()
-        v = await conn.read(oid, "n")
-        await conn.write(oid, "n", v + 1)
+        await conn.write(oid, "n", await conn.read(oid, "n") + 1)
         await conn.commit()
 
-Session ops execute in send order (the server runs one FIFO lane per
-connection), so a whole ``begin/write/.../commit`` may be pipelined as
-one burst, and a read sent behind BEGIN + WRITE sees that write.  What
-may overtake queued work: health checks and plain pings always, and a
-read *outside* a transaction past the session's own autocommit writes
-(await the write's ack first if the read must see it).
+The contract is in docs/API.md ("Network service", "Fault tolerance &
+overload"): session ops execute in send order, so a ``begin/write/.../
+commit`` may be one burst (only health checks, plain pings and reads
+outside a transaction overtake queued work); kernel errors come back as
+themselves (``except DeadlockError`` works across the wire), anything
+else as :class:`~repro.errors.RemoteError`.
 
-Server-side errors come back typed: the error envelope names the
-exception class, and known kernel errors re-raise as themselves
-(``except DeadlockError`` works across the wire); everything else
-raises :class:`~repro.errors.RemoteError`.
+**Deadlines.**  Every request is bounded by the connection's
+``default_deadline`` or its own ``deadline=`` (``None``: wait forever).
+Expiry raises :class:`~repro.errors.DeadlineExceededError` -- the op
+*may* still execute server-side; its late response is discarded.  The
+bound covers the wait to *send* too: while the server is not reading
+(the transport paused writing), :meth:`OdeConnection.request` holds its
+frame back instead of growing the write buffer.
 
-**Deadlines.**  Every request is bounded: a connection carries a
-``default_deadline`` (settable per pool via :meth:`OdeClient.connect`)
-and every operation takes a per-op ``deadline`` override.  Expiry
-raises :class:`~repro.errors.DeadlineExceededError` -- the op *may*
-still execute server-side (a timed-out commit is indeterminate), but
-the caller's wait is bounded; the late response is discarded when it
-arrives.  Pass ``deadline=None`` explicitly to wait forever (debugging
-only).
-
-**Error taxonomy.**  :func:`is_retryable` classifies failures: deadline
-expiry, shed/drain rejections, connection loss, reconnect failure, a
-down shard, and the kernel's transient conflicts (deadlock victim, lock
-timeout, abort) are *retryable* -- back off with jitter and re-run.
-Protocol violations, invariant errors, and unknown remote errors are
-not.  The pool's self-healing reconnects with jittered exponential
-backoff (:meth:`OdeClient.connect`'s ``reconnect_attempts`` /
-``reconnect_backoff``), so one server hiccup costs a bounded retry
-loop, not a poisoned pool.
+**Error taxonomy.**  :func:`is_retryable`: deadline expiry, shed/drain
+rejections, connection loss, a down shard and the kernel's transient
+conflicts are worth a backoff and a re-run; protocol violations and
+unknown remote errors are not.  The pool heals itself with jittered
+exponential backoff (:meth:`OdeClient.connect`), so one server hiccup
+costs a bounded retry loop, not a poisoned pool.
 """
 
 from __future__ import annotations
@@ -74,29 +63,11 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.net import protocol
-from repro.net.protocol import (
-    OP_ABORT,
-    OP_BEGIN,
-    OP_COMMIT,
-    OP_HEALTH,
-    OP_NEWVERSION,
-    OP_PDELETE,
-    OP_PING,
-    OP_PNEW,
-    OP_QUERY,
-    OP_READ,
-    OP_SNAPSHOT,
-    OP_STATS,
-    OP_WRITE,
-    RESP_ERR,
-    RESP_OK,
-)
-
-_RECV_CHUNK = 256 * 1024
 
 #: Cork limit: a pipelined burst whose corked frames exceed this many
-#: bytes is flushed (and drained) immediately instead of waiting for the
-#: end of the loop iteration, bounding client-side buffering.
+#: bytes goes to the transport at once, not at the end of the loop
+#: iteration.  (Client-side buffering is bounded by the transport's
+#: ``pause_writing``: see :meth:`OdeConnection.request`.)
 _FLUSH_BYTES = 128 * 1024
 
 #: Default per-op deadline (seconds).  Every wire op completes or fails
@@ -172,18 +143,20 @@ def local_client_stats() -> dict[str, int]:
 _UNSET = object()
 
 
-class OdeConnection:
-    """One socket, one server session, any number of in-flight requests."""
+class OdeConnection(asyncio.Protocol):
+    """One socket, one server session, any number of in-flight requests.
+
+    An :class:`asyncio.Protocol`: :meth:`data_received` decodes each
+    chunk and resolves the waiting futures directly.
+    """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
         max_frame: int = protocol.MAX_FRAME_BYTES,
         default_deadline: float | None = DEFAULT_DEADLINE,
     ) -> None:
-        self._reader = reader
-        self._writer = writer
+        #: The socket transport, from ``connection_made`` on.
+        self.transport: asyncio.Transport | None = None
         self._cids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
         self._decoder = protocol.FrameDecoder(max_frame)
@@ -199,7 +172,10 @@ class OdeConnection:
         #: Highest number of simultaneously in-flight requests seen.
         self.pipeline_max = 0
         self._loop = asyncio.get_running_loop()
-        self._recv_task = self._loop.create_task(self._recv_loop())
+        #: Pending from ``pause_writing`` (the transport's write buffer
+        #: is over its high-water mark) to ``resume_writing``.
+        self._paused: asyncio.Future[None] | None = None
+        self._lost = self._loop.create_future()  # set by ``connection_lost``
 
     @classmethod
     async def open(
@@ -218,53 +194,69 @@ class OdeConnection:
         the caller forever at open time either.
         """
         timeout = connect_timeout if connect_timeout is not None else default_deadline
+        loop = asyncio.get_running_loop()
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout
+            _transport, conn = await asyncio.wait_for(
+                loop.create_connection(
+                    lambda: cls(max_frame, default_deadline), host, port
+                ),
+                timeout,
             )
         except asyncio.TimeoutError:
             _COUNTERS.bump("deadline_expired")
             raise DeadlineExceededError(
                 f"connect to {host}:{port} did not complete within {timeout:g}s"
             ) from None
-        return cls(reader, writer, max_frame, default_deadline)
+        return conn
 
-    # -- the pipe -----------------------------------------------------------
+    # -- the pipe (asyncio.Protocol callbacks) ---------------------------------
 
-    async def _recv_loop(self) -> None:
-        reason: BaseException | None = None
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                data = await self._reader.read(_RECV_CHUNK)
-                if not data:
-                    break
-                for opcode, cid, payload in self._decoder.feed(data):
-                    self._complete(opcode, cid, payload)
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
-        except BaseException as exc:  # noqa: BLE001 - delivered to waiters
-            reason = exc
-        finally:
-            self._fail_pending(reason)
+            for opcode, cid, payload in self._decoder.feed(data):
+                self._complete(opcode, cid, payload)
+        except ProtocolError as exc:
+            self._condemn(exc)  # framing is lost: nothing after it can be trusted
+
+    def connection_lost(self, exc: BaseException | None) -> None:
+        """EOF, reset or ``close()``: the transport has closed itself."""
+        if isinstance(exc, ConnectionResetError):
+            exc = None  # a routine disconnect
+        self._fail_pending(exc)
+        if self._paused is not None:
+            self.resume_writing()  # parked requests wake to a closed connection
+        self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._paused = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        paused, self._paused = self._paused, None
+        paused.set_result(None)
+        self._flush()
 
     def _complete(self, opcode: int, cid: int, payload: Any) -> None:
-        if cid == 0 and opcode == RESP_ERR:
+        if cid == 0 and opcode == protocol.RESP_ERR:
             # Connection-level error (e.g. our frame was oversized): the
             # server is hanging up.  Fail everything in flight *now* --
-            # the requests' own responses are never coming, and waiting
-            # for the reader to observe EOF would leave every caller
-            # hanging until the server's half-close completes (or
-            # forever, if it never does).
-            self._close_reason = _remote_exception(payload)
-            self._fail_pending(self._close_reason)
+            # those responses are never coming, and EOF may never come.
+            self._condemn(_remote_exception(payload))
             return
         future = self._pending.pop(cid, None)
         if future is None or future.done():
             return  # response to a cancelled/timed-out request
-        if opcode == RESP_OK:
+        if opcode == protocol.RESP_OK:
             future.set_result(payload)
         else:
             future.set_exception(_remote_exception(payload))
+
+    def _condemn(self, reason: BaseException) -> None:
+        """The stream is unusable: fail what is in flight, hang up."""
+        self._fail_pending(reason)
+        self.transport.close()
 
     def _fail_pending(self, reason: BaseException | None) -> None:
         self._closed = True
@@ -284,22 +276,22 @@ class OdeConnection:
 
     @property
     def closed(self) -> bool:
-        """True once the connection is unusable (closed or reset)."""
-        return self._closed or self._writer.is_closing()
+        """True once the connection is unusable (closed, reset, or EOF seen)."""
+        return self._closed or self.transport.is_closing()
 
     # -- requests ------------------------------------------------------------
 
     def send(self, opcode: int, payload: Any = None) -> "asyncio.Future[Any]":
         """Issue one request; return the future of its response.
 
-        This is the raw pipelining primitive: it assigns a correlation
-        id, corks the frame, and returns immediately -- no coroutine, no
-        task.  Every frame corked in the same event-loop iteration
-        coalesces into a single socket write, so a burst of N pipelined
-        requests costs one syscall, not N.  Responses resolve their
-        futures in whatever order the server finishes them.
+        The raw pipelining primitive: it assigns a correlation id, corks
+        the frame, and returns at once -- no coroutine, no task.  Frames
+        corked in one event-loop iteration coalesce into a single socket
+        write (N pipelined requests, one syscall); responses resolve
+        their futures in whatever order the server finishes them.  It
+        cannot wait, so it applies no backpressure: :meth:`request` does.
         """
-        if self._closed or self._writer.is_closing():
+        if self._closed or self.transport.is_closing():
             # Fail eagerly: corking a frame onto a dead transport would
             # park the caller on a future no response can ever resolve.
             reason = self._close_reason
@@ -329,12 +321,15 @@ class OdeConnection:
         """Send one frame, await its correlated response (see :meth:`send`).
 
         The wait is bounded by ``deadline`` (default: the connection's
-        ``default_deadline``; ``None`` waits forever).  On expiry the
-        request is *abandoned*, not cancelled: the server may still
-        execute it.  Its entry -- like a cancelled request's -- stays in
-        the pending map until the late response pops it, to be discarded.
+        ``default_deadline``; ``None`` waits forever) -- the wait to send
+        at all included, while the server is not taking our bytes.  On
+        expiry the request is *abandoned*, not cancelled: the server may
+        still execute it, and its entry (like a cancelled request's)
+        stays pending until the late response pops it, to be discarded.
         """
         timeout = self.default_deadline if deadline is _UNSET else deadline
+        if self._paused is not None:
+            timeout = await self._writable(opcode, timeout)
         future = self.send(opcode, payload)
         if timeout is None:
             return await future
@@ -348,27 +343,43 @@ class OdeConnection:
         finally:
             handle.cancel()
 
+    async def _writable(self, opcode: int, timeout: float | None) -> float | None:
+        """Backpressure: wait out ``pause_writing`` within the request's
+        own deadline; returns what is left of it."""
+        give_up = None if timeout is None else self._loop.time() + timeout
+        left = timeout
+        while self._paused is not None:  # a resume wakes every waiter: look again
+            try:
+                await asyncio.wait_for(asyncio.shield(self._paused), left)
+            except asyncio.TimeoutError:
+                raise self._expired(
+                    opcode, f"was not sent within {timeout:g}s: the server is not reading"
+                ) from None
+            if give_up is not None:
+                left = max(0.0, give_up - self._loop.time())
+        return left
+
     def _expire(self, future: asyncio.Future, opcode: int, timeout: float) -> None:
         """Deadline timer: fail the still-pending request's future."""
-        if future.done():
-            return
+        if not future.done():
+            future.set_exception(self._expired(
+                opcode, f"did not complete within {timeout:g}s "
+                "(the op may still execute server-side)"
+            ))
+
+    def _expired(self, opcode: int, what: str) -> DeadlineExceededError:
         self.deadline_expired += 1
         _COUNTERS.bump("deadline_expired")
-        future.set_exception(
-            DeadlineExceededError(
-                f"{protocol.opcode_name(opcode)} did not complete within "
-                f"{timeout:g}s (the op may still execute server-side)"
-            )
-        )
+        return DeadlineExceededError(f"{protocol.opcode_name(opcode)} {what}")
 
     def _flush(self) -> None:
         """Push the corked frames to the transport in one write."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-        if not self._outbuf:
-            return
-        if self._writer.is_closing():
+        if not self._outbuf or self._paused is not None:
+            return  # paused: stay corked until ``resume_writing``
+        if self.transport.is_closing():
             # The transport died between send() and the flush: these
             # frames will never reach the server, so their futures must
             # fail now rather than wait on responses that cannot come.
@@ -376,30 +387,22 @@ class OdeConnection:
             self._fail_pending(self._close_reason)
             return
         buf, self._outbuf = self._outbuf, bytearray()
-        self._writer.write(buf)  # buffer handed off: no copy
+        self.transport.write(buf)  # buffer handed off: no copy
 
     async def close(self) -> None:
         """Close the socket; the server aborts the session's open txn.
-
-        ``_closed`` may already be True for a *condemned* connection
-        (receive loop exited, or a connection-level error frame arrived);
-        the transport must still be torn down, or ``wait_closed`` below
-        would wait on a close that never happens.
-        """
+        Idempotent, and a no-op on a connection that already closed
+        itself (EOF, reset, a connection-level error frame)."""
         if not self._closed:
             self._closed = True
             self._flush()
-        if not self._writer.is_closing():
-            self._writer.close()
-        self._recv_task.cancel()
-        try:
-            await self._recv_task
-        except asyncio.CancelledError:
-            pass
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        if self.transport.get_write_buffer_size():
+            # Unsent frames nobody will be answered for: do not wait on
+            # a peer that is not reading to take them.
+            self.transport.abort()
+        else:
+            self.transport.close()
+        await self._lost
 
     async def __aenter__(self) -> "OdeConnection":
         return self
@@ -413,7 +416,7 @@ class OdeConnection:
     # the bound per op.
 
     async def ping(self, payload: Any = None, *, deadline: Any = _UNSET) -> Any:
-        return await self.request(OP_PING, payload, deadline=deadline)
+        return await self.request(protocol.OP_PING, payload, deadline=deadline)
 
     async def health(self, *, deadline: Any = _UNSET) -> dict[str, Any]:
         """The server's heartbeat: liveness, drain state, shard health.
@@ -422,33 +425,33 @@ class OdeConnection:
         a load balancer (or the chaos harness) can distinguish "slow"
         from "going away" from "gone".
         """
-        return await self.request(OP_HEALTH, None, deadline=deadline)
+        return await self.request(protocol.OP_HEALTH, None, deadline=deadline)
 
     async def begin(
         self, *, snapshot_reads: bool = False, deadline: Any = _UNSET
     ) -> int:
         """Open this session's transaction; returns the txid."""
         return await self.request(
-            OP_BEGIN, {"snapshot_reads": snapshot_reads}, deadline=deadline
+            protocol.OP_BEGIN, {"snapshot_reads": snapshot_reads}, deadline=deadline
         )
 
     async def commit(self, *, deadline: Any = _UNSET) -> None:
-        await self.request(OP_COMMIT, deadline=deadline)
+        await self.request(protocol.OP_COMMIT, deadline=deadline)
 
     async def abort(self, *, deadline: Any = _UNSET) -> None:
-        await self.request(OP_ABORT, deadline=deadline)
+        await self.request(protocol.OP_ABORT, deadline=deadline)
 
     async def pnew(self, obj: Any, *, deadline: Any = _UNSET) -> Oid:
         """Create a persistent object server-side; returns its Oid."""
-        return await self.request(OP_PNEW, obj, deadline=deadline)
+        return await self.request(protocol.OP_PNEW, obj, deadline=deadline)
 
     async def newversion(
         self, target: Oid | Vid, *, deadline: Any = _UNSET
     ) -> Vid:
-        return await self.request(OP_NEWVERSION, target, deadline=deadline)
+        return await self.request(protocol.OP_NEWVERSION, target, deadline=deadline)
 
     async def pdelete(self, target: Oid | Vid, *, deadline: Any = _UNSET) -> None:
-        await self.request(OP_PDELETE, target, deadline=deadline)
+        await self.request(protocol.OP_PDELETE, target, deadline=deadline)
 
     async def read(
         self,
@@ -458,19 +461,19 @@ class OdeConnection:
         deadline: Any = _UNSET,
     ) -> Any:
         """Materialize the target version, or read one attribute of it."""
-        return await self.request(OP_READ, (target, attr), deadline=deadline)
+        return await self.request(protocol.OP_READ, (target, attr), deadline=deadline)
 
     async def write(
         self, target: Oid | Vid, attr: str, value: Any, *, deadline: Any = _UNSET
     ) -> None:
         """In-place update of one attribute of the target version."""
-        await self.request(OP_WRITE, (target, attr, value), deadline=deadline)
+        await self.request(protocol.OP_WRITE, (target, attr, value), deadline=deadline)
 
     async def write_obj(
         self, target: Oid | Vid, obj: Any, *, deadline: Any = _UNSET
     ) -> None:
         """Replace the target version's whole state."""
-        await self.request(OP_WRITE, (target, None, obj), deadline=deadline)
+        await self.request(protocol.OP_WRITE, (target, None, obj), deadline=deadline)
 
     async def query(
         self,
@@ -480,7 +483,7 @@ class OdeConnection:
         deadline: Any = _UNSET,
     ) -> list[Oid]:
         """Cluster scan with optional equality filter; returns oids."""
-        return await self.request(OP_QUERY, (type_name, where), deadline=deadline)
+        return await self.request(protocol.OP_QUERY, (type_name, where), deadline=deadline)
 
     async def snapshot(
         self, pin: bool = True, *, deadline: Any = _UNSET
@@ -491,11 +494,11 @@ class OdeConnection:
         against the pinned epoch (the server re-pins automatically when
         publication advances).  Returns the pinned epoch.
         """
-        return await self.request(OP_SNAPSHOT, {"pin": pin}, deadline=deadline)
+        return await self.request(protocol.OP_SNAPSHOT, {"pin": pin}, deadline=deadline)
 
     async def stats(self, *, deadline: Any = _UNSET) -> dict[str, Any]:
         """The server database's stats(), including ``net.*`` counters."""
-        return await self.request(OP_STATS, deadline=deadline)
+        return await self.request(protocol.OP_STATS, deadline=deadline)
 
 
 class OdeClient:
@@ -575,9 +578,7 @@ class OdeClient:
         one).
         """
         try:
-            # Full teardown, not just a recv-task cancel: the transport
-            # must close too, or every heal leaks a socket.
-            await dead.close()
+            await dead.close()  # a no-op if it closed itself (EOF, error frame)
         except Exception:
             pass  # already dead; reclaiming its resources is best-effort
         if dead in self._conns:

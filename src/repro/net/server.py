@@ -1,62 +1,51 @@
-"""Asyncio server: the database kernel behind a pipelined socket API.
+"""Reactor server: the database kernel behind a pipelined socket API.
 
 One :class:`OdeServer` wraps one open :class:`~repro.core.database.
 Database`.  Each accepted connection gets its own
-:class:`~repro.core.session.Session`; frames are decoded as they arrive
-and responses carry the request's correlation id, so a pipelining
-client may see them complete out of order across lanes.
+:class:`~repro.core.session.Session`; responses carry the request's
+correlation id, so a pipelining client may see them complete out of
+order across lanes.  (Contract: docs/API.md, "Network service"; the
+design and its measurements: DESIGN.md, "One hop per wire frame".)
 
-Three execution lanes, chosen per frame:
+**One reactor thread** owns the listener and every socket (non-blocking,
+one ``selectors`` loop): it accepts, reads, decodes, and picks a lane
+per frame.  Threads: 1 + at most ``workers``, whatever the connection
+count.
 
-* **Inline, if idle.**  A frame that needs no locks and no I/O is served
-  directly on the event loop, its response appended to the chunk's one
-  output buffer: health checks and plain pings always (they touch no
-  session state); a plain ``BEGIN`` only while the connection's lane is
-  idle; reads and queries outside a transaction (the session's pinned
-  snapshot, :meth:`Session.reader`) unless a frame that decides what
-  they see -- ``BEGIN``/``COMMIT``/``ABORT``, a pin change, an earlier
-  read -- is still on the lane.  They may overtake the session's own
-  autocommit writes and ``STATS``, as they always could.
-* **The lane.**  Everything else -- writes, commits, reads inside a
-  transaction or behind one, snapshot pin/unpin, ``STATS`` -- is
-  appended to the connection's FIFO deque.  One runner on the worker
-  pool activates the session once, drains the deque in order, encodes
-  the responses off the loop and posts them back by
-  ``call_soon_threadsafe``: an awaited frame costs one thread hop, a
-  pipelined ``BEGIN/WRITE/.../COMMIT`` burst one worker wake-up and one
-  socket write.  Acks are batched only inside an open transaction: what
-  has accumulated is posted whenever the session is outside one, so a
-  COMMIT's ack never waits on a follower that blocks.  One client's
-  frames execute in the order sent; different sessions run in parallel.
-  Disconnect is the lane's last item: frames still queued are dropped
-  unexecuted, then the session closes (aborting its open transaction).
-* **A loop task** -- ``PING`` with a ``delay`` only (a load-shedding
-  probe that sleeps on the loop without occupying a worker).
+* **Inline, if idle** -- served on the reactor, the chunk's answers in
+  one buffer: health checks and plain pings always; a plain ``BEGIN``
+  while the connection's lane is idle; reads and queries outside a
+  transaction (the session's pinned snapshot) unless a frame that
+  decides what they see is still on the lane.
+* **The lane** -- everything else joins the connection's FIFO deque.
+  One runner on the worker pool activates the session once, drains the
+  deque in order, and writes the responses to the socket itself: one
+  thread hop per awaited frame, one wake-up and one socket write per
+  pipelined ``BEGIN/.../COMMIT`` burst.  Acks are batched only inside an
+  open transaction, so a COMMIT's ack never waits on a follower that
+  blocks.  Disconnect is the lane's last item: frames still queued are
+  dropped unexecuted, then the session closes (aborting its open txn).
+* **A reactor timer** -- ``PING`` with a ``delay`` only (a load-shedding
+  probe that waits without occupying a worker).
 
-Commits block in the pool on the WAL flush; many sessions' lanes run
-there concurrently, so they ride the WAL's group-commit window (one
-fsync per group, measured by ``wal.group_piggybacks``).
-``net.commits_overlapped`` counts commits that found another already in
-flight, i.e. the grouping opportunity the server actually created.
-
-``net.*`` counters (connections, sessions, in-flight requests, pipeline
-depth, bytes in/out) are registered with ``Database.add_stats_source``,
-so ``db.stats()`` and ``repro.tools.inspect`` report the service tier
-next to the kernel's own numbers.
-
-:class:`ServerThread` runs a server on a private event loop in a
-daemon thread -- the embedding used by the stress harness, the swarm
-benchmark, and tests that drive a live socket from synchronous code.
+Response bytes the kernel will not take are parked per connection; the
+reactor then watches that socket for writability *instead of* reading
+from it, and drops it after ``slow_client_timeout``.
 """
 
 from __future__ import annotations
 
-import asyncio
+import heapq
+import itertools
+import selectors
+import socket
 import threading
+import time
+import traceback
 from collections import deque
-from contextlib import ExitStack
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any
+from contextlib import ExitStack, suppress
+from queue import SimpleQueue
+from typing import Any, Callable
 
 from repro.core.cache import READ_MISS
 from repro.core.database import Database
@@ -90,21 +79,6 @@ from repro.net.protocol import (
     RESP_OK,
 )
 
-#: Default worker threads.  A lane run holds one while it drains its
-#: session's frames, blocking on locks/fsync; a few times the CPU count
-#: keeps commits grouping without letting lock waiters starve the pool.
-DEFAULT_WORKERS = 16
-
-#: Default bound on queued-or-executing ops per connection.  A client
-#: pipelining past this gets :class:`ServerOverloadedError` rejections
-#: (the request never executes) instead of growing its lane without
-#: limit.
-DEFAULT_MAX_INFLIGHT = 128
-
-#: Default seconds a response write may sit blocked on a client that is
-#: not reading before the connection is forcibly dropped.
-DEFAULT_SLOW_CLIENT_TIMEOUT = 30.0
-
 #: Opcodes that start new work on the database.  While draining these
 #: are refused for sessions with no open transaction -- in-flight
 #: transactions get to finish, new ones are turned away.
@@ -117,35 +91,32 @@ _READ_OPS = (OP_READ, OP_QUERY)
 #: what a later read sees and holds it in line.
 _PASSABLE = frozenset({OP_PNEW, OP_NEWVERSION, OP_PDELETE, OP_WRITE, OP_STATS})
 
-_READ_CHUNK = 256 * 1024
+#: Under malloc's mmap threshold: a 256 KiB ``recv`` buffer is mapped and
+#: unmapped on every call (13 us of a 120 us round trip, measured: E25).
+_READ_CHUNK = 64 * 1024
+#: Longest ``delay`` a PING may ask for, in seconds.
+_MAX_PING_DELAY = 86400.0
 
 #: The lane's last item, appended at disconnect: close the session.
 _CLOSE = object()
 
+_now = time.monotonic
+
 
 class _NetStats:
-    """``net.*`` counters, shared across connections (lock-guarded).
-
-    Every public attribute is a counter or gauge, reported as
-    ``net.<name>``.
-    """
+    """``net.*`` counters, shared across connections (lock-guarded): every
+    public attribute is a counter or gauge, reported as ``net.<name>``."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._commits_inflight = 0
-        self.connections = 0
-        self.connections_total = 0
-        self.sessions = 0
-        self.inflight = 0
-        self.pipeline_max = 0
-        self.requests = 0
-        self.responses = 0
-        self.errors = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.snapshot_reads = 0
-        self.commits = 0
-        self.commits_overlapped = 0
+        self.connections = self.connections_total = self.sessions = 0
+        self.inflight = self.pipeline_max = 0
+        self.requests = self.responses = self.errors = 0
+        self.bytes_in = self.bytes_out = 0
+        #: Reads served from a snapshot (no locks); commits, and those
+        #: that found another already in flight (the grouping created).
+        self.snapshot_reads = self.commits = self.commits_overlapped = 0
         #: Requests rejected by admission control (never executed).
         self.shed = 0
         #: Requests refused because the server is draining.
@@ -154,11 +125,14 @@ class _NetStats:
         self.draining = 0
         #: Connections force-dropped for not reading their responses.
         self.slow_client_disconnects = 0
-        #: Lane runs that executed a frame (one worker wake-up each), the
+        #: Sends the kernel did not take whole (the rest was parked).
+        self.write_backlogs = 0
+        #: Lane runs that executed a frame (one session activation each), the
         #: frames executed, and the frames dropped unexecuted at disconnect.
-        self.lane_runs = 0
-        self.lane_frames = 0
-        self.lane_dropped = 0
+        self.lane_runs = self.lane_frames = self.lane_dropped = 0
+        #: Gauge: the longest the reactor went from one ``select()`` to the
+        #: next -- blocking work on the thread all connections share.
+        self.reactor_max_busy_ms = 0.0
 
     def as_dict(self) -> dict[str, Any]:
         with self._lock:
@@ -169,11 +143,9 @@ class _NetStats:
         return out
 
     def add(self, depth: int = 0, **deltas: int) -> None:
-        """Apply counter deltas under one lock acquisition.
-
-        A read chunk and a lane run each account all their frames with
-        one call, not one per request.  ``depth`` raises ``pipeline_max``.
-        """
+        """Apply counter deltas under one lock acquisition: a read chunk
+        and a lane run each account all their frames with one call, not
+        one per request.  ``depth`` raises ``pipeline_max``."""
         with self._lock:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
@@ -188,28 +160,33 @@ class _NetStats:
 
 
 class _Connection:
-    """Per-connection state: the session, its FIFO lane, delay-ping tasks."""
+    """Per-connection state: the socket, the session, its FIFO lane."""
 
-    def __init__(self, session: Session, writer: asyncio.StreamWriter) -> None:
+    def __init__(self, sock: socket.socket, session: Session, max_frame: int) -> None:
+        self.sock = sock
         self.session = session
-        self.writer = writer
-        #: ``(opcode, cid, payload)``: appended by the event loop, popped
-        #: in order by the one runner on a pool thread.
+        self.decoder = protocol.FrameDecoder(max_frame)
+        #: ``(opcode, cid, payload)``: appended by the reactor, popped in
+        #: order by the one runner on a pool thread.
         self.lane: deque[Any] = deque()
-        #: From a runner's submission until its completion callback finds
-        #: the deque empty (event-loop thread only).
+        #: Guards the next three: reactor and runner both update them.
+        self.lock = threading.Lock()
+        #: From the reactor's hand-off until the runner, its session
+        #: deactivated, finds the deque empty.
         self.lane_active = False
         #: Lane frames not in ``_PASSABLE``, queued or not yet answered.
         self.ordered = 0
-        #: Set at disconnect: frames still queued are dropped unexecuted.
-        self.dead = False
-        #: Resolved once the lane has run its final item (session close).
-        self.closed: asyncio.Future[None] = asyncio.get_running_loop().create_future()
-        self.tasks: set[asyncio.Task] = set()  # delay-pings only
         #: Frames queued or executing on the lane, plus live delay-pings.
         self.inflight = 0
-        #: The pending slow-client watchdog (see ``_write``), or None.
-        self.flush: asyncio.Task | None = None
+        self.pings = 0  # reactor only: the delay-pings among them (live timers)
+        #: One writer on the socket at a time (reactor or runner); guards
+        #: the next two.  Taken after ``lock``, never before.
+        self.send_lock = threading.Lock()
+        self.outbuf = bytearray()  # bytes the kernel has not taken yet
+        self.dead = False  # disconnected, socket closed: drop, discard
+        #: Reactor only: since when it has watched the socket for
+        #: writability instead of reading from it (None: reading).
+        self.stalled_since: float | None = None
 
 
 class OdeServer:
@@ -222,23 +199,24 @@ class OdeServer:
     host, port:
         Listen address; ``port=0`` picks a free port (see :attr:`port`).
     workers:
-        Worker threads for the connections' lane runs.
+        Upper bound on worker threads (started on demand).  A lane run
+        holds one while it blocks on locks/fsync; a few times the CPU
+        count keeps commits grouping without lock waiters starving it.
     max_frame:
         Reject incoming frames declaring more than this many bytes
         (a clean error frame, then disconnect).
     max_inflight:
         Admission control: per-connection cap on queued-or-executing
-        lane frames (and delay-pings).  Beyond it, requests are rejected with
-        :class:`ServerOverloadedError` *before* execution (always safe
-        to retry).
+        lane frames (and delay-pings).  Beyond it, requests are rejected
+        with :class:`ServerOverloadedError` *before* execution (always
+        safe to retry).
     slow_client_timeout:
-        Seconds a response write may block on an unread socket before
-        the connection is aborted (protects server memory from clients
-        that send requests but never read responses).
+        Seconds response bytes may sit unsent on an unread socket before
+        the connection is dropped (a client that never reads must not
+        hold server memory).
     write_buffer_limit:
-        Optional transport write-buffer high-water mark in bytes; low
-        values make ``drain()`` exert backpressure early (used by tests
-        to exercise the slow-client path without megabytes of backlog).
+        Optional ``SO_SNDBUF`` for accepted sockets, in bytes; tests set
+        it low to reach the slow-client path with kilobytes of backlog.
     """
 
     def __init__(
@@ -247,195 +225,285 @@ class OdeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: int = DEFAULT_WORKERS,
+        workers: int = 16,
         max_frame: int = protocol.MAX_FRAME_BYTES,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        slow_client_timeout: float = DEFAULT_SLOW_CLIENT_TIMEOUT,
+        max_inflight: int = 128,
+        slow_client_timeout: float = 30.0,
         write_buffer_limit: int | None = None,
     ) -> None:
         self.db = db
         self.host = host
-        self._requested_port = port
+        #: As asked for until :meth:`start` binds; then the bound port.
+        self.port = port
+        self._max_workers = workers
         self._max_frame = max_frame
-        self._workers = workers
         self._max_inflight = max_inflight
         self._slow_client_timeout = slow_client_timeout
         self._write_buffer_limit = write_buffer_limit
         self.stats = _NetStats()
-        self._server: asyncio.AbstractServer | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
         self._connections: set[_Connection] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
         self._closed = False
-        self._draining = False
+        #: True once :meth:`drain` has started (sticky until close).
+        self.draining = False
+        # The reactor's; other threads reach it only through ``_post``.
+        self._calls: deque[tuple[Callable[..., None], tuple[Any, ...]]] = deque()
+        self._timers: list[tuple[float, int, Callable[..., None], tuple[Any, ...]]] = []
+        self._timer_ids = itertools.count()
+        self._to_wake: list[_Connection] = []  # lanes to start, at round end
+        self._stopping = False
+        # The worker pool: threads started on demand, one hand-off queue.
+        self._runs: SimpleQueue[_Connection | None] = SimpleQueue()
+        self._workers: list[threading.Thread] = []
+        self._pool_lock = threading.Lock()
+        self._idle = 0  # workers waiting on the queue and not yet spoken for
 
     # -- lifecycle ----------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        """The bound port (after :meth:`start`)."""
-        assert self._server is not None, "server not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> "OdeServer":
-        """Bind and start accepting connections."""
-        self._loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(self._workers, thread_name_prefix="ode-net")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
+    def start(self) -> "OdeServer":
+        """Bind, and start the reactor thread accepting connections."""
+        self._listener = socket.create_server((self.host, self.port), backlog=100)
+        self.port = self._listener.getsockname()[1]
+        self._selector = selectors.DefaultSelector()
+        self._wake_recv, self._wake_send = socket.socketpair()
+        for sock in (self._listener, self._wake_recv, self._wake_send):
+            sock.setblocking(False)
+        self._listen()
+        self._selector.register(self._wake_recv, selectors.EVENT_READ, self._woken)
         self.db.add_stats_source(self.stats.as_dict)
+        self._thread = threading.Thread(
+            target=self._reactor, name="ode-net-reactor", daemon=True
+        )
+        self._thread.start()
         return self
 
-    async def close(self) -> None:
-        """Stop accepting, drop every connection, tear sessions down."""
-        if self._closed:
+    def close(self, timeout: float = 30.0) -> None:
+        """Stop accepting, drop every connection, tear sessions down.
+        Raises :class:`NetworkError` if a thread is still going after
+        ``timeout`` seconds, rather than leak a wedged daemon thread (and
+        an open database) behind a caller who believes the server gone."""
+        if self._closed or self._thread is None:
             return
         self._closed = True
         self.db.remove_stats_source(self.stats.as_dict)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for conn in list(self._connections):
-            conn.writer.close()
-        # Closed sockets EOF the handlers out of their reads; wait for
-        # their teardowns so a closing event loop never destroys a
-        # pending handler.  Stragglers (a handler wedged past the closed
-        # socket) are cancelled outright.
-        if self._conn_tasks:
-            _, pending = await asyncio.wait(self._conn_tasks, timeout=5.0)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
+        deadline = _now() + timeout
+        self._post(self._shutdown)
+        self._thread.join(timeout)
+        if not self._thread.is_alive():
+            # Queued lane runs (the session closes) finish first.
+            for worker in self._workers:
+                self._runs.put(None)
+            for worker in self._workers:
+                worker.join(max(0.0, deadline - _now()))
+        if self._thread.is_alive() or any(w.is_alive() for w in self._workers):
+            raise NetworkError(
+                f"server did not stop within {timeout:g}s -- the reactor or "
+                "a lane run is wedged (a stuck op or stats source); the "
+                "daemon thread and its database remain alive"
+            )
+        self._selector.close()
+        self._wake_recv.close()
+        self._wake_send.close()
 
-    @property
-    def draining(self) -> bool:
-        """True once :meth:`drain` has started (sticky until close)."""
-        return self._draining
-
-    async def drain(self, timeout: float = 30.0) -> None:
+    def drain(self, timeout: float = 30.0) -> None:
         """Graceful shutdown: stop accepting, finish in-flight work.
 
-        Three steps, in order:
-
-        1. The listening socket closes -- no new connections.
-        2. New transactions and mutations on idle sessions are refused
-           with :class:`ServerDrainingError` (retryable against a
-           replacement server); sessions with an *open* transaction keep
-           executing so in-flight commits complete cleanly.
-        3. Once every connection is quiescent (no in-flight ops, no open
-           transaction) -- or ``timeout`` seconds pass -- the remaining
-           idle sessions are aborted and the server closes.
-
-        Health checks (:data:`~repro.net.protocol.OP_HEALTH`) keep
-        answering throughout, reporting ``draining: True`` so load
-        balancers can steer traffic away before the final cutover.
+        The listening socket closes; new transactions and mutations on
+        idle sessions are refused with :class:`ServerDrainingError`
+        (retryable against a replacement server) while sessions with an
+        *open* transaction run on to their commit; once every connection
+        is quiescent -- or ``timeout`` seconds pass -- the server closes.
+        Health checks answer throughout, reporting ``draining: True``.
+        Blocks the caller (never the reactor) until the server is closed.
         """
-        if self._draining or self._closed:
+        if self.draining or self._closed or self._thread is None:
             return
-        self._draining = True
+        self.draining = True
         self.stats.add(draining=1)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while loop.time() < deadline:
-            if not any(
-                c.inflight or c.session.txn is not None for c in self._connections
-            ):
-                break
-            await asyncio.sleep(0.02)
-        await self.close()
+        self._post(self._stop_listening)
+        deadline = _now() + timeout
+        while _now() < deadline and any(
+            c.inflight or c.session.txn is not None for c in list(self._connections)
+        ):
+            time.sleep(0.02)
+        self.close()
 
-    async def __aenter__(self) -> "OdeServer":
-        return await self.start()
+    # -- the reactor ---------------------------------------------------------
 
-    async def __aexit__(self, *exc: object) -> None:
-        await self.close()
+    def _reactor(self) -> None:
+        """The one thread that owns every socket: select, serve, repeat."""
+        timers, calls, to_wake = self._timers, self._calls, self._to_wake
+        now = _now()
+        while not self._stopping:
+            ready = self._selector.select(
+                max(0.0, timers[0][0] - now) if timers else None
+            )
+            woke = _now()
+            conn = None
+            try:
+                for key, _mask in ready:
+                    conn = key.data
+                    if conn.__class__ is not _Connection:
+                        conn()  # the listener or the wake pipe
+                    elif conn.stalled_since is None:
+                        self._read(conn)
+                    else:
+                        self._flush(conn)
+                conn = None
+                while timers and timers[0][0] <= woke:
+                    _when, _id, fn, args = heapq.heappop(timers)
+                    fn(*args)
+                while calls:
+                    fn, args = calls.popleft()
+                    fn(*args)
+            except Exception:  # a bug, or the database closed under us: the
+                traceback.print_exc()  # rest of the round comes round again
+                if conn.__class__ is _Connection:
+                    self._teardown(conn)
+            # Workers are woken once every chunk ready now is served: one
+            # woken earlier takes the interpreter from the reactor while
+            # other connections' inline reads still wait.
+            for conn in to_wake:
+                self._submit(conn)
+            to_wake.clear()
+            now = _now()
+            if (now - woke) * 1e3 > self.stats.reactor_max_busy_ms:
+                self.stats.reactor_max_busy_ms = (now - woke) * 1e3
+
+    def _post(self, fn: Callable[..., None], *args: Any) -> None:
+        """Have the reactor call ``fn(*args)`` (from any thread)."""
+        self._calls.append((fn, args))
+        with suppress(OSError):  # full of wake-ups, or closed: the reactor is gone
+            self._wake_send.send(b"\0")
+
+    def _woken(self) -> None:
+        with suppress(BlockingIOError):
+            self._wake_recv.recv(4096)
+
+    def _call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Reactor thread only: run ``fn(*args)`` after ``delay`` seconds."""
+        heapq.heappush(self._timers, (_now() + delay, next(self._timer_ids), fn, args))
+
+    def _listen(self) -> None:
+        if self._listener.fileno() >= 0:  # else closed meanwhile (drain, close)
+            self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
+
+    def _stop_listening(self) -> None:
+        if self._listener.fileno() >= 0:
+            with suppress(KeyError):  # sitting out a failed accept
+                self._selector.unregister(self._listener)
+            self._listener.close()
+
+    def _shutdown(self) -> None:
+        self._stop_listening()
+        for conn in list(self._connections):
+            self._teardown(conn)
+        self._stopping = True
+
+    def _submit(self, conn: _Connection) -> None:
+        """Queue one lane run: claim an idle worker or start another."""
+        with self._pool_lock:
+            if self._idle:
+                self._idle -= 1
+            elif len(self._workers) < self._max_workers:
+                name = f"ode-net-lane-{len(self._workers)}"
+                self._workers.append(
+                    threading.Thread(target=self._work, name=name, daemon=True)
+                )
+                self._workers[-1].start()
+        self._runs.put(conn)
+
+    def _work(self) -> None:
+        while (conn := self._runs.get()) is not None:
+            try:
+                self._run_lane(conn)
+            except Exception:  # a bug in the lane, not a request's error
+                traceback.print_exc()
+            with self._pool_lock:
+                self._idle += 1
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()  # start_server runs handlers as tasks
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        peer = writer.get_extra_info("peername")
-        if self._write_buffer_limit is not None:
-            writer.transport.set_write_buffer_limits(high=self._write_buffer_limit)
-        session = self.db.session(name=f"net-{peer}")
-        session.context["peer"] = peer
-        conn = _Connection(session, writer)
-        self._connections.add(conn)
-        self.stats.add(connections=1, connections_total=1, sessions=1)
-        decoder = protocol.FrameDecoder(self._max_frame)
+    def _accept(self) -> None:
+        """The listener is readable: take every connection waiting."""
+        while True:
+            try:
+                sock, peer = self._listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:  # out of descriptors: sit out a second, not spin
+                self._selector.unregister(self._listener)
+                self._call_later(1.0, self._listen)
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._write_buffer_limit is not None:
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, self._write_buffer_limit
+                )
+            session = self.db.session(name=f"net-{peer}")
+            session.context["peer"] = peer
+            conn = _Connection(sock, session, self._max_frame)
+            self._connections.add(conn)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+            self.stats.add(connections=1, connections_total=1, sessions=1)
+
+    def _read(self, conn: _Connection) -> None:
+        """``conn`` is readable: serve what arrived, or tear down at EOF."""
         try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break  # EOF: client went away (possibly mid-frame)
-                self._serve_chunk(conn, decoder, data)
-                if conn.flush is not None:
-                    # Backpressure: read no more from a peer that is not
-                    # reading until its responses drain (or it is dropped).
-                    await conn.flush
+            data = conn.sock.recv(_READ_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""  # reset by the peer: a routine disconnect
+        if not data:  # EOF: client went away (possibly mid-frame)
+            self._teardown(conn)
+            return
+        try:
+            self._serve_chunk(conn, data)
         except ProtocolError as exc:
             # Bad magic / oversized / malformed: tell the client why,
             # then hang up.  cid 0 marks a connection-level error.
             frame = protocol.build_frame(RESP_ERR, 0, protocol.error_payload(exc))
             self._write(conn, frame)
             self.stats.add(errors=1, bytes_out=len(frame))
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass  # a routine disconnect, or close() cancelling a straggler
-        finally:
-            await self._teardown(conn)
+            self._teardown(conn)
 
-    async def _teardown(self, conn: _Connection) -> None:
-        """Disconnect path: drop queued work, close the session *on the lane*.
-
-        Close is the lane's final item, so it runs after the op in flight
-        has returned, never beside it: ``Session.close`` aborts the
-        abandoned transaction, unpins, and deregisters from the database.
-        """
+    def _teardown(self, conn: _Connection) -> None:
+        """Disconnect: close the socket, and the session *on the lane* --
+        as its final item, after the op in flight has returned, never
+        beside it (``Session.close`` aborts the abandoned transaction,
+        unpins, and deregisters from the database)."""
+        if conn.dead:
+            return
         self._connections.discard(conn)
-        conn.dead = True
-        for task in list(conn.tasks):
-            task.cancel()
-        if conn.flush is not None:
-            conn.flush.cancel()
-        if conn.tasks:
-            await asyncio.gather(*conn.tasks, return_exceptions=True)
-        conn.lane.append(_CLOSE)
-        if not conn.lane_active:
-            self._arm(conn)
-        await conn.closed
-        conn.writer.close()
-        try:
-            await conn.writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        self.stats.add(connections=-1, sessions=-1)
+        self._selector.unregister(conn.sock)
+        with conn.send_lock:  # no write is in progress, and none will start
+            conn.dead = True
+            conn.outbuf = bytearray()
+            conn.sock.close()
+        if conn.pings:  # settled now: their timers would hold ``conn`` for a day
+            self._timers[:] = [t for t in self._timers if conn not in t[3][:1]]
+            heapq.heapify(self._timers)
+            self.stats.add(inflight=-conn.pings)
+        with conn.lock:
+            conn.inflight -= conn.pings
+            conn.lane.append(_CLOSE)
+            if not conn.lane_active:
+                conn.lane_active = True
+                self._to_wake.append(conn)
 
-    def _serve_chunk(
-        self, conn: _Connection, decoder: protocol.FrameDecoder, data: bytes
-    ) -> None:
-        """Decode one transport chunk; serve or queue its frames.
+    def _serve_chunk(self, conn: _Connection, data: bytes) -> None:
+        """Decode one chunk off the socket; serve or queue its frames.
 
-        This is where pipelining pays: inline frames run synchronously
-        and share one response buffer, so N pipelined reads cost one
-        socket write; lane frames are all queued before the runner is
-        armed, so N stateful frames cost one worker wake-up.
+        This is where pipelining pays: inline frames share one response
+        buffer, so N pipelined reads cost one socket write; lane frames
+        are all queued before the runner is woken, so N stateful frames
+        cost one worker wake-up.
         """
         out = bytearray()
         served = errors = snap_reads = queued = 0
-        lane = conn.lane
-        frames = list(decoder.feed(data))
+        frames = list(conn.decoder.feed(data))
         final = len(frames) - 1
         for at, (opcode, cid, payload) in enumerate(frames):
             inline = self._try_inline(conn, opcode, cid, payload, out, at == final)
@@ -451,15 +519,17 @@ class OdeServer:
                 served += 1
                 errors += 1
                 continue
-            conn.inflight += 1
             queued += 1
+            with conn.lock:
+                conn.inflight += 1
+                if opcode != OP_PING:
+                    conn.lane.append((opcode, cid, payload))
+                    conn.ordered += opcode not in _PASSABLE
+                    if not conn.lane_active:  # woken at the end of the round
+                        conn.lane_active = True
+                        self._to_wake.append(conn)
             if opcode == OP_PING:  # only one with a delay gets this far
-                task = self._loop.create_task(self._delay_ping(conn, cid, payload))
-                conn.tasks.add(task)
-                task.add_done_callback(conn.tasks.discard)
-            else:
-                lane.append((opcode, cid, payload))
-                conn.ordered += opcode not in _PASSABLE
+                self._delay_ping(conn, cid, payload)
         self.stats.add(
             conn.inflight + served,
             requests=served + queued,
@@ -472,21 +542,12 @@ class OdeServer:
         )
         if out:
             self._write(conn, out)  # fresh buffer per chunk: no copy
-        if lane and not conn.lane_active:
-            # Arm once the chunks that are ready now have all been served:
-            # a worker woken here would take the interpreter from the loop
-            # while other connections' inline reads are still waiting.
-            conn.lane_active = True
-            self._loop.call_soon(self._arm, conn)
 
     def _admit(self, conn: _Connection, opcode: int) -> Exception | None:
-        """Admission control for the lane.
-
-        Returns the rejection to send (or None to admit).  Rejections
-        happen *before* the frame is queued, so a shed request provably
-        never executed -- the client may always retry it.
-        """
-        if self._draining and opcode in _MUTATING_OPS and conn.session.txn is None:
+        """Admission control for the lane: the rejection to send, or None.
+        A frame is refused *before* it is queued, so a shed request
+        provably never executed -- the client may always retry it."""
+        if self.draining and opcode in _MUTATING_OPS and conn.session.txn is None:
             self.stats.add(drain_rejects=1)
             return ServerDrainingError(
                 "server is draining: finishing in-flight transactions, "
@@ -503,8 +564,8 @@ class OdeServer:
     def _health_payload(self) -> dict[str, Any]:
         """The OP_HEALTH response body: liveness + drain + shard health."""
         payload: dict[str, Any] = {
-            "status": "draining" if self._draining else "ok",
-            "draining": self._draining,
+            "status": "draining" if self.draining else "ok",
+            "draining": self.draining,
             "connections": len(self._connections),
         }
         shard_health = getattr(self.db, "shard_health", None)
@@ -512,43 +573,68 @@ class OdeServer:
             payload["shards"] = {str(i): s for i, s in shard_health().items()}
         return payload
 
+    # -- writing -------------------------------------------------------------
+
     def _write(self, conn: _Connection, buf: bytes | bytearray) -> None:
-        """Hand ``buf`` to the transport (event-loop thread only).
+        """Send ``buf`` to the peer, from the reactor or a lane's runner.
 
-        A client that sends requests but never reads responses must not
-        buffer unbounded bytes server-side: past the transport's
-        high-water mark -- the one state in which ``drain`` would block
-        -- a watchdog bounds the flush, and the reader waits on it.
+        What the kernel does not take is parked in ``conn.outbuf`` (later
+        writes queue behind it) and the reactor stops reading from this
+        peer until it drains, so a client that never reads its responses
+        cannot make the server buffer without bound.
         """
-        if conn.writer.is_closing():
-            return
-        conn.writer.write(buf)
-        transport = conn.writer.transport
-        if (
-            conn.flush is None
-            and transport.get_write_buffer_size()
-            > transport.get_write_buffer_limits()[1]
-        ):
-            conn.flush = self._loop.create_task(self._drain_or_drop(conn))
+        with conn.send_lock:
+            if conn.dead:
+                return
+            parked = len(conn.outbuf)
+            if not parked:
+                try:
+                    sent = conn.sock.send(buf)
+                except (BlockingIOError, InterruptedError):
+                    sent = 0
+                except OSError:
+                    return  # reset by the peer: the next read tears it down
+                if sent == len(buf):
+                    return
+                buf = memoryview(buf)[sent:]
+            conn.outbuf += buf
+        if not parked:
+            self.stats.add(write_backlogs=1)
+            self._post(self._stall, conn)
 
-    async def _drain_or_drop(self, conn: _Connection) -> None:
-        """Flush ``conn``'s write buffer; after ``slow_client_timeout``
-        seconds blocked, abort the connection (hard, no lingering FIN)."""
-        try:
-            await asyncio.wait_for(conn.writer.drain(), self._slow_client_timeout)
-        except asyncio.TimeoutError:
+    def _stall(self, conn: _Connection) -> None:
+        """Unsent bytes: watch for writability, not reads, and not for long."""
+        if not conn.dead:
+            conn.stalled_since = since = _now()
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+            self._call_later(self._slow_client_timeout, self._drop_if_stalled, conn, since)
+
+    def _drop_if_stalled(self, conn: _Connection, since: float) -> None:
+        if conn.stalled_since == since and not conn.dead:  # the same backlog
             self.stats.add(slow_client_disconnects=1)
-            conn.writer.transport.abort()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            conn.flush = None
+            self._teardown(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        """A stalled socket is writable: push the backlog on, then read again."""
+        with conn.send_lock:
+            try:
+                del conn.outbuf[: conn.sock.send(conn.outbuf)]
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                conn.outbuf.clear()  # reset by the peer: the next read sees it
+            if conn.outbuf:
+                return
+        conn.stalled_since = None
+        self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+
+    # -- the inline lane -----------------------------------------------------
 
     def _try_inline(
         self, conn: _Connection, opcode: int, cid: int, payload: Any,
         out: bytearray, final: bool,
     ) -> tuple[bool, bool] | None:
-        """Serve a frame on the event loop if it needs no locks and no I/O.
+        """Serve a frame on the reactor if it needs no locks and no I/O.
 
         Returns ``(ok, was_snapshot_read)`` when served, ``None`` when
         the frame belongs to the lane (see the module docstring).
@@ -574,7 +660,7 @@ class OdeServer:
             was_read = True
         elif opcode != OP_BEGIN or not final or conn.lane or conn.lane_active:
             return None
-        elif self._draining or _snapshot_reads(payload):
+        elif self.draining or _snapshot_reads(payload):
             return None
         try:
             if opcode == OP_READ:
@@ -592,77 +678,95 @@ class OdeServer:
             _error_frame_into(out, cid, exc)
             return False, was_read
 
-    async def _delay_ping(self, conn: _Connection, cid: int, payload: Any) -> None:
-        """PING with a delay: the one frame served by a loop task."""
-        out = bytearray()
-        ok = False
+    def _delay_ping(self, conn: _Connection, cid: int, payload: Any) -> None:
+        """PING with a delay: the one frame answered by a reactor timer."""
         try:
-            await asyncio.sleep(float(payload["delay"]))
+            delay = float(payload["delay"])
+            if not 0.0 <= delay <= _MAX_PING_DELAY:  # NaN fails this too
+                raise ValueError(f"ping delay {delay!r} is out of range")
+        except (TypeError, ValueError) as exc:
+            delay, payload = 0.0, exc  # answered with the error, now
+        conn.pings += 1
+        self._call_later(delay, self._pong, conn, cid, payload)
+
+    def _pong(self, conn: _Connection, cid: int, payload: Any) -> None:
+        out = bytearray()
+        ok = not isinstance(payload, Exception)
+        if ok:
             protocol.build_frame_into(out, RESP_OK, cid, payload)
-            ok = True
-        except Exception as exc:  # noqa: BLE001 - goes into the envelope
-            _error_frame_into(out, cid, exc)
-        finally:  # cancelled at disconnect too: no response, still accounted
+        else:
+            _error_frame_into(out, cid, payload)
+        conn.pings -= 1
+        with conn.lock:
             conn.inflight -= 1
-            self.stats.add(
-                inflight=-1, responses=1, errors=not ok, bytes_out=len(out)
-            )
+        self.stats.add(inflight=-1, responses=1, errors=not ok, bytes_out=len(out))
         self._write(conn, out)
 
     # -- the lane ------------------------------------------------------------
 
-    def _arm(self, conn: _Connection) -> None:
-        """Start one lane run (event-loop thread, no runner live)."""
-        conn.lane_active = True
-        try:
-            run = self._executor.submit(self._run_lane, conn)
-            run.add_done_callback(Future.result)  # an escaped error is logged
-        except RuntimeError:  # pool shut down under a straggler: close here
-            self._run_lane(conn)
-
     def _run_lane(self, conn: _Connection) -> None:
-        """One lane run, on a pool thread: drain the deque in order, under
-        one activation, posting each batch of responses to the loop."""
-        refusal: SessionStateError | None = None
-        first = True
-        with ExitStack() as active:
-            try:
-                active.enter_context(conn.session.activate())
-            except SessionStateError as exc:
-                # The database closed the session under the server:
-                # what is queued answers with that, unexecuted.
-                refusal = exc
-            while True:
-                *batch, closing = self._run_batch(conn, refusal, first)
-                if closing or not conn.lane:
-                    break
-                self._post(conn, *batch, False, False)
-                first = False
-        # The last post follows deactivation: it lets the next run start.
-        try:
-            if closing:
-                conn.session.close()
-        finally:
-            self._post(conn, *batch, True, closing)
+        """Lane runs, on a pool thread, until the lane is idle.  One run
+        drains the deque in order under one activation, writing each
+        batch of responses to the socket."""
+        while True:
+            refusal: SessionStateError | None = None
+            first = True
+            with ExitStack() as active:
+                try:
+                    active.enter_context(conn.session.activate())
+                except SessionStateError as exc:
+                    # The database closed the session under the server:
+                    # what is queued answers with that, unexecuted.
+                    refusal = exc
+                while True:
+                    *batch, closing = self._run_batch(conn, refusal, first)
+                    if closing or not conn.lane:
+                        break
+                    self._batch_done(conn, *batch, False)
+                    first = False
+            # The last write follows deactivation: once the lane reads
+            # idle the reactor may serve this session's BEGIN inline.
+            if closing:  # the lane stays marked active: nothing runs after
+                try:
+                    conn.session.close()
+                finally:
+                    self.stats.add(connections=-1, sessions=-1)
+                return
+            if self._batch_done(conn, *batch, True):
+                return
+            # Frames came between the last look and the mutex: run again.
 
-    def _post(self, conn: _Connection, *batch: Any) -> None:
-        try:
-            self._loop.call_soon_threadsafe(self._lane_done, conn, *batch)
-        except RuntimeError:
-            pass  # the loop is gone (server thread stopped mid-run)
+    def _batch_done(
+        self, conn: _Connection, out: bytearray, finished: int, ordered: int,
+        over: bool,
+    ) -> bool:
+        """A batch ended: settle its counts, write its responses and, if
+        the run is ``over`` and no frame came meanwhile, mark the lane
+        idle (returned).  All under the connection's mutex: an ack is on
+        the wire only after the lane reads idle (the awaited BEGIN behind
+        a COMMIT's ack is served inline, every time), and the next run's
+        responses cannot overtake this one's."""
+        with conn.lock:
+            conn.inflight -= finished
+            conn.ordered -= ordered
+            idle = over and not conn.lane
+            if idle:
+                conn.lane_active = False
+            if out:
+                self._write(conn, out)
+        return idle
 
     def _run_batch(
         self, conn: _Connection, refusal: SessionStateError | None, first: bool
     ) -> tuple[bytearray, int, int, bool]:
         """Execute lane frames up to the next ack that must not wait.
 
-        Responses are encoded here, off the loop, into one buffer.  Inside
-        a transaction they accumulate, so a pipelined BEGIN/.../COMMIT is
-        one socket write.  The batch ends once the session is outside a
-        transaction (after a COMMIT, an autocommit write): the next frame
-        may block on a lock, and the ack of durable work must not sit
-        behind it.  Returns ``(out, frames finished, of them ordered,
-        closing)``.
+        Responses are encoded into one buffer.  Inside a transaction
+        they accumulate, so a pipelined BEGIN/.../COMMIT is one socket
+        write.  The batch ends once the session is outside a transaction
+        (after a COMMIT, an autocommit write): the next frame may block
+        on a lock, and the ack of durable work must not sit behind it.
+        Returns ``(out, frames finished, of them ordered, closing)``.
         """
         out = bytearray()
         served = errors = snap_reads = dropped = ordered = 0
@@ -701,25 +805,6 @@ class OdeServer:
             bytes_out=len(out),
         )
         return out, served + dropped, ordered, closing
-
-    def _lane_done(
-        self, conn: _Connection, out: bytearray, finished: int, ordered: int,
-        over: bool, closing: bool,
-    ) -> None:
-        """A batch ended: write its responses; once the run is ``over``,
-        re-arm for frames that came meanwhile."""
-        conn.inflight -= finished
-        conn.ordered -= ordered
-        if out:
-            self._write(conn, out)
-        if closing:
-            # The lane stays marked active: nothing runs after close.
-            if not conn.closed.done():
-                conn.closed.set_result(None)
-        elif over and conn.lane:
-            self._arm(conn)
-        elif over:
-            conn.lane_active = False
 
     # -- request execution ---------------------------------------------------
 
@@ -888,119 +973,31 @@ def _plain_stats(stats: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-# -- synchronous embedding ----------------------------------------------------
+# -- the with-statement embedding ----------------------------------------------
 
 
-class ServerThread:
-    """Run an :class:`OdeServer` on a private event loop in a thread.
-
-    The embedding for synchronous callers (the stress harness, the swarm
-    bench, tests)::
+class ServerThread(OdeServer):
+    """An :class:`OdeServer` (whose reactor is a thread of its own) in
+    ``with`` form, for the stress harness, the swarm bench and tests::
 
         with ServerThread(db) as handle:
             ...connect clients to ("127.0.0.1", handle.port)...
-
-    The thread owns the loop; ``stop()`` (or the ``with`` exit) closes
-    the server there and joins the thread.
     """
-
-    def __init__(self, db: Database, **server_kwargs: Any) -> None:
-        self._server = OdeServer(db, **server_kwargs)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
 
     @property
     def server(self) -> OdeServer:
-        return self._server
-
-    @property
-    def port(self) -> int:
-        return self._server.port
-
-    @property
-    def host(self) -> str:
-        return self._server.host
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="ode-server-loop", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise NetworkError(
-                f"server failed to start: {self._startup_error!r}"
-            ) from self._startup_error
         return self
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        stop = loop.create_future()
-        self._stop_future = stop
-
-        async def main() -> None:
-            try:
-                await self._server.start()
-            except BaseException as exc:  # noqa: BLE001 - reported to starter
-                self._startup_error = exc
-                self._started.set()
-                return
-            self._started.set()
-            try:
-                await stop
-            finally:
-                await self._server.close()
-
+    def start(self) -> "ServerThread":
         try:
-            loop.run_until_complete(main())
-        finally:
-            loop.close()
-
-    def drain(self, timeout: float = 30.0) -> None:
-        """Gracefully drain the server, then join the thread.
-
-        Synchronous wrapper over :meth:`OdeServer.drain`: stops
-        accepting, lets in-flight transactions finish (bounded by
-        ``timeout``), then shuts the loop down.
-        """
-        loop = self._loop
-        if loop is None or not loop.is_running():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self._server.drain(timeout), loop
-        )
-        try:
-            future.result(timeout + 10)
-        finally:
-            self.stop()
+            return super().start()
+        except OSError as exc:
+            raise NetworkError(f"server failed to start: {exc!r}") from exc
 
     def stop(self, timeout: float = 30.0) -> None:
-        loop = self._loop
-        thread = self._thread
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(
-                lambda: self._stop_future.done()
-                or self._stop_future.set_result(None)
-            )
-        if thread is None or not thread.is_alive():
-            return
-        thread.join(timeout=timeout)
-        if thread.is_alive():
-            # A silent return here would leak a wedged daemon thread (and
-            # a bound port, and an open database) while the caller
-            # believes the server is gone.  Fail loudly instead.
-            raise NetworkError(
-                f"server thread did not stop within {timeout:g}s -- the "
-                "event loop is wedged (a stuck handler or executor job); "
-                "the daemon thread and its database remain alive"
-            )
+        self.close(timeout)
 
-    def __enter__(self) -> "ServerThread":
-        return self.start()
+    __enter__ = start
 
     def __exit__(self, *exc: object) -> None:
-        self.stop()
+        self.close()

@@ -5,9 +5,12 @@ The regressions pinned here:
 * a connection-level error frame (cid 0) must fail every in-flight
   request *immediately* -- not when (or if) the server's half-close is
   finally observed;
-* ``send()`` on a connection whose receive loop has exited must raise
-  eagerly instead of parking the caller on a future nothing will ever
-  resolve;
+* a connection that saw EOF closes its own transport, and ``send()``
+  on it raises eagerly instead of parking the caller on a future
+  nothing will ever resolve;
+* ``request()`` applies the transport's write backpressure: against a
+  server that is not reading, callers wait (within their deadline) and
+  the client's buffer stays bounded;
 * :meth:`OdeClient.lease` must never hand out -- or re-queue -- a dead
   connection: one lost socket costs one reconnect, not a permanently
   poisoned pool slot.
@@ -16,6 +19,7 @@ The regressions pinned here:
 from __future__ import annotations
 
 import asyncio
+import gc
 
 import pytest
 
@@ -80,13 +84,30 @@ def test_connection_error_frame_fails_inflight_requests_immediately():
             server.close()
             await server.wait_closed()
 
-    asyncio.run(run())
+    # Debug mode: one full collection over 2 000 tasks' creation tracebacks
+    # is a > 100 ms step that the conftest fixture would blame on the loop.
+    gc.disable()
+    try:
+        asyncio.run(run())
+    finally:
+        gc.enable()
 
 
 # -- send() on a dead connection ----------------------------------------------
 
 
+async def _until_closed(conn, timeout=2.0):
+    """Let the loop observe the peer's hang-up (nobody calls ``close``)."""
+    async with asyncio.timeout(timeout):
+        while not conn.closed:
+            await asyncio.sleep(0.005)
+
+
 def test_send_after_recv_loop_exit_raises_eagerly():
+    """EOF condemns the connection on its own: ``closed`` turns true with
+    the transport already closing, ``send`` raises eagerly, and ``close``
+    afterwards (twice) is a no-op that returns."""
+
     async def run():
         async def handler(reader, writer):
             writer.close()  # hang up without a word
@@ -94,16 +115,23 @@ def test_send_after_recv_loop_exit_raises_eagerly():
         server, port = await _fake_server(handler)
         conn = await OdeConnection.open("127.0.0.1", port)
         try:
-            await conn._recv_task  # EOF observed, loop exited
-            assert conn.closed
+            await _until_closed(conn)
+            assert conn.transport.is_closing(), "EOF must close the socket too"
             with pytest.raises(ConnectionClosedError):
                 conn.send(protocol.OP_PING, "never sent")
         finally:
-            await conn.close()
+            await asyncio.wait_for(conn.close(), 2.0)
+            await asyncio.wait_for(conn.close(), 2.0)
             server.close()
             await server.wait_closed()
 
-    asyncio.run(run())
+    # Debug mode: one full collection over 2 000 tasks' creation tracebacks
+    # is a > 100 ms step that the conftest fixture would blame on the loop.
+    gc.disable()
+    try:
+        asyncio.run(run())
+    finally:
+        gc.enable()
 
 
 def test_disconnect_fails_request_already_in_flight():
@@ -122,7 +150,13 @@ def test_disconnect_fails_request_already_in_flight():
             server.close()
             await server.wait_closed()
 
-    asyncio.run(run())
+    # Debug mode: one full collection over 2 000 tasks' creation tracebacks
+    # is a > 100 ms step that the conftest fixture would blame on the loop.
+    gc.disable()
+    try:
+        asyncio.run(run())
+    finally:
+        gc.enable()
 
 
 # -- the request deadline -------------------------------------------------------
@@ -179,7 +213,64 @@ def test_deadline_abandons_the_request_and_discards_its_late_response():
             server.close()
             await server.wait_closed()
 
-    asyncio.run(run())
+    # Debug mode: one full collection over 2 000 tasks' creation tracebacks
+    # is a > 100 ms step that the conftest fixture would blame on the loop.
+    gc.disable()
+    try:
+        asyncio.run(run())
+    finally:
+        gc.enable()
+
+
+# -- write backpressure ---------------------------------------------------------
+
+
+def test_requests_wait_out_a_server_that_is_not_reading():
+    """A peer that accepts and never reads: once the transport pauses
+    writing, ``request()`` callers wait instead of sending, so the write
+    buffer stays at its high-water mark plus one cork however many
+    requests are parked, and each gives up at its own deadline."""
+    from repro.net.client import _FLUSH_BYTES
+
+    async def run():
+        hold, hung_up = asyncio.Event(), asyncio.Event()
+
+        async def handler(reader, writer):
+            await hold.wait()  # accept, then never read
+            writer.close()
+            await writer.wait_closed()
+            hung_up.set()
+
+        server, port = await _fake_server(handler)
+        conn = await OdeConnection.open("127.0.0.1", port)
+        try:
+            body = "x" * 64 * 1024
+            calls = []
+            for n in range(2000):
+                calls.append(asyncio.ensure_future(conn.ping(body, deadline=0.5)))
+                if n % 50 == 49:  # debug mode: 2 000 tasks made in one step is slow
+                    await asyncio.sleep(0)
+            results = await asyncio.gather(*calls, return_exceptions=True)
+            assert {type(r) for r in results} == {DeadlineExceededError}
+            assert conn.deadline_expired == 2000
+            high_water = conn.transport.get_write_buffer_limits()[1]
+            backlog = conn.transport.get_write_buffer_size()
+            assert 0 < backlog <= high_water + _FLUSH_BYTES + len(body) + 64
+            # What was never sent is not waited for at close.
+            await asyncio.wait_for(conn.close(), 2.0)
+        finally:
+            hold.set()
+            await asyncio.wait_for(hung_up.wait(), 2.0)
+            server.close()
+            await server.wait_closed()
+
+    # Debug mode: one full collection over 2 000 tasks' creation tracebacks
+    # is a > 100 ms step that the conftest fixture would blame on the loop.
+    gc.disable()
+    try:
+        asyncio.run(run())
+    finally:
+        gc.enable()
 
 
 # -- pool healing -------------------------------------------------------------
@@ -225,25 +316,25 @@ def test_lease_replaces_connection_killed_mid_lease(served):
 
 
 def test_heal_tears_down_the_dead_connections_transport(served):
-    """Healing must close the dead socket, not just drop the object --
-    a long-lived client leaking one socket per heal eventually hits the
-    fd limit."""
+    """A condemned connection must not keep its socket -- a long-lived
+    client leaking one per heal eventually hits the fd limit.  The server
+    condemns this one with a connection-level error frame (garbage sent
+    behind the pool's back); its transport closes without anyone calling
+    ``close()``, and the next lease heals the slot."""
     db, host, port, oid = served
 
     async def run():
         async with await OdeClient.connect(host, port, pool_size=1) as client:
             dead = client.connections[0]
-            # Kill the receive loop but leave the transport open: the
-            # condemned-but-connected state a server error frame leaves
-            # behind.
-            dead._recv_task.cancel()
-            await asyncio.gather(dead._recv_task, return_exceptions=True)
-            assert dead.closed and not dead._writer.is_closing()
+            dead.transport.write(bytes([16, 0, 0, 0]) + b"NOT-A-PROTOCOL-PEER")
+            await _until_closed(dead)
+            assert dead.transport.is_closing(), "the condemned socket leaked"
+            with pytest.raises(ConnectionClosedError, match="magic"):
+                dead.send(protocol.OP_PING)
             async with client.lease() as conn:
                 assert conn is not dead
                 assert await conn.read(oid, "weight") == 10
             assert client.heals == 1
-            assert dead._writer.is_closing(), "heal leaked the dead socket"
 
     asyncio.run(run())
 

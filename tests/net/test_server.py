@@ -79,9 +79,10 @@ def test_oversized_payload_clean_error_then_disconnect(db):
 
 
 def test_client_that_never_reads_is_dropped_and_counted(db):
-    """Responses to a peer that sends and never reads pile up past the
-    transport's high-water mark; the flush then blocks, and after
-    ``slow_client_timeout`` the connection is aborted and counted.  A
+    """Responses to a peer that sends and never reads fill the socket's
+    send buffer (``write_buffer_limit`` is its ``SO_SNDBUF``); the rest
+    is parked, the reactor stops reading from that peer, and after
+    ``slow_client_timeout`` the connection is dropped and counted.  A
     peer that does read is served through the same low limit, untouched."""
     pad = "x" * 32 * 1024
     with ServerThread(db, write_buffer_limit=1024, slow_client_timeout=0.2) as server:
@@ -102,6 +103,156 @@ def test_client_that_never_reads_is_dropped_and_counted(db):
             stats = _wait_stats(db, "net.slow_client_disconnects", 1)
         assert stats["net.slow_client_disconnects"] == 1
         assert _wait_stats(db, "net.connections", 0)["net.connections"] == 0
+
+
+def test_slow_reader_gets_every_frame_whole_from_both_writers(db):
+    """Partial writes from two threads.  A raw client with a tiny receive
+    buffer pipelines 200 reads of a 64 KiB object around BEGIN / WRITE /
+    COMMIT bursts and reads slowly, so the reactor (inline reads) and the
+    lane's runner (everything behind a burst) both hit a full socket:
+    every response decodes whole, lane responses arrive in send order,
+    the parked-bytes path really ran, and the server reads from the peer
+    again once the backlog has drained."""
+    big = "n" * 64 * 1024
+    with db.transaction():
+        oid = db.pnew(Part(big, 0)).oid
+    requests, lane_cids, bursts = [], [], 20
+    for j in range(bursts):
+        requests += [(protocol.OP_READ, (oid, None))] * 10
+        requests += [
+            (protocol.OP_BEGIN, None),
+            (protocol.OP_WRITE, (oid, "weight", j + 1)),
+            (protocol.OP_COMMIT, None),
+        ]
+        lane_cids += range(len(requests) - 2, len(requests) + 1)
+    stream = b"".join(
+        protocol.build_frame(opcode, cid, payload)
+        for cid, (opcode, payload) in enumerate(requests, start=1)
+    )
+    with ServerThread(db, max_inflight=len(requests)) as server:
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(30.0)
+        sock.connect((server.host, server.port))
+        with sock:
+            sender = threading.Thread(target=sock.sendall, args=(stream,))
+            sender.start()
+            decoder, got = protocol.FrameDecoder(), []
+            while len(got) < len(requests):
+                time.sleep(0.0005)  # the slow reader
+                data = sock.recv(8192)
+                assert data, "server hung up mid-stream"
+                got.extend(decoder.feed(data))
+            sender.join(10.0)
+            assert not sender.is_alive()
+            assert decoder.pending_bytes == 0
+            # The reactor reads from this peer again: a late request answers.
+            sock.sendall(protocol.build_frame(protocol.OP_READ, 9999, (oid, "weight")))
+            assert _recv_frame(sock) == (protocol.RESP_OK, 9999, bursts)
+        stats = db.stats()
+    assert {opcode for opcode, _, _ in got} == {protocol.RESP_OK}
+    assert sorted(cid for _, cid, _ in got) == list(range(1, len(requests) + 1))
+    reads = [payload for _, cid, payload in got if cid not in lane_cids]
+    assert len(reads) == 200 and all(part.name == big for part in reads)
+    order = [cid for _, cid, _ in got if cid in lane_cids]
+    assert order == lane_cids, "lane responses must arrive in send order"
+    assert stats["net.write_backlogs"] > 0, "the slow path never ran"
+    assert stats["net.slow_client_disconnects"] == 0
+
+
+def _net_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("ode-net")]
+
+
+def test_thread_census_is_independent_of_the_connection_count(db):
+    """256 idle connections are one reactor thread and no worker; lane
+    work then starts workers on demand, never more than ``workers``."""
+    with db.transaction():
+        oids = [db.pnew(Part(f"p{k}", 0)).oid for k in range(32)]
+    before = _net_threads()
+    with ServerThread(db, workers=4) as server:
+        socks = [socket.create_connection((server.host, server.port)) for _ in range(256)]
+        try:
+            assert _wait_stats(db, "net.connections", 256)["net.connections"] == 256
+            assert sorted(set(_net_threads()) - set(before)) == ["ode-net-reactor"]
+            for k, oid in enumerate(oids):  # 32 lanes busy at once
+                socks[k].sendall(b"".join(
+                    protocol.build_frame(opcode, cid, payload)
+                    for cid, (opcode, payload) in enumerate([
+                        (protocol.OP_BEGIN, None),
+                        (protocol.OP_WRITE, (oid, "weight", k)),
+                        (protocol.OP_COMMIT, None),
+                    ], start=1)
+                ))
+            assert _wait_stats(db, "net.commits", 32)["net.commits"] == 32
+            lanes = [n for n in set(_net_threads()) - set(before) if "lane" in n]
+            assert 1 <= len(lanes) <= 4
+        finally:
+            for sock in socks:
+                sock.close()
+    assert set(_net_threads()) <= set(before), "stop() must join every thread"
+
+
+def test_reactor_busy_gauge_sees_blocking_work_on_the_reactor(served):
+    """``net.reactor_max_busy_ms`` is the detector tests/net/conftest.py
+    reads: work that blocks the reactor (here a health check made to
+    sleep) must show in it.  That ordinary traffic stays under 100 ms is
+    wall-clock, so only the conftest fixture's debug pass asserts it."""
+    db, host, port, oid = served
+    with ServerThread(db) as server:
+        async def run():
+            async with await OdeConnection.open(server.host, server.port) as conn:
+                await conn.read(oid, "weight")
+                server.stats.reactor_max_busy_ms = 0.0
+                real = server.server._health_payload
+                server.server._health_payload = lambda: time.sleep(0.15) or real()
+                await conn.health()
+                return (await conn.stats())["net.reactor_max_busy_ms"]
+
+        blocked = asyncio.run(run())
+        server.stats.reactor_max_busy_ms = 0.0  # this one was on purpose
+    assert blocked >= 150
+
+
+def test_disconnect_settles_the_delay_pings_still_pending(db):
+    """A peer that queues day-long delay-pings and hangs up must not hold
+    server memory until they fire: teardown voids its timers and settles
+    ``net.inflight`` at once; another peer's ping is untouched."""
+    with ServerThread(db) as server:
+        with socket.create_connection((server.host, server.port)) as other:
+            other.sendall(protocol.build_frame(protocol.OP_PING, 7, {"delay": 1.0}))
+            with socket.create_connection((server.host, server.port)) as sock:
+                sock.sendall(b"".join(
+                    protocol.build_frame(protocol.OP_PING, cid, {"delay": 86400.0})
+                    for cid in range(1, 101)
+                ))
+                assert _wait_stats(db, "net.inflight", 101)["net.inflight"] == 101
+            assert _wait_stats(db, "net.inflight", 1)["net.inflight"] == 1
+            assert [timer[3][1] for timer in server._timers] == [7]
+            assert _recv_frame(other) == (protocol.RESP_OK, 7, {"delay": 1.0})
+        stats = _wait_stats(db, "net.connections", 0)
+    assert stats["net.inflight"] == 0 and not server._timers
+    assert stats["net.responses"] == 1
+
+
+def test_delay_ping_out_of_range_answers_an_error_and_the_reactor_lives(served):
+    """The delay of a PING becomes a reactor timer: a value no timer can
+    hold (infinite, NaN, negative, not a number) must come back as that
+    request's error, not reach the reactor's ``select()`` timeout."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            for delay in (float("inf"), float("nan"), -1.0, "soon"):
+                with pytest.raises((RemoteError, ValueError)):
+                    await conn.ping({"delay": delay}, deadline=2.0)
+            assert await conn.ping({"delay": 0.01, "n": 1}, deadline=2.0) == {
+                "delay": 0.01, "n": 1,
+            }
+            return await conn.stats()
+
+    stats = asyncio.run(run())
+    assert stats["net.inflight"] == 1  # the STATS itself: no ping leaked
 
 
 def test_garbage_magic_clean_error_then_disconnect(served):
