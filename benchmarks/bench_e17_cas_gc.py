@@ -3,7 +3,7 @@
 PR 10 moved every version payload (full copies and deltas alike) into a
 sha256-keyed content-addressed blob store and added retention policies
 plus an incremental, crash-safe collector.  This suite measures the
-three claims that justify the layer:
+four claims that justify the layer:
 
 * **Dedup**: identical payloads across objects and versions are stored
   once.  A workload whose writes draw from a small value pool must show
@@ -19,16 +19,22 @@ three claims that justify the layer:
   must stay within 10% of the quiet baseline (plus a 100us absolute
   guard: sub-100us deltas on shared CI runners are scheduler noise, not
   collector interference).
+* **Pacing**: with no retention policy and no collector at all, in-place
+  rewrites keep garbage (displaced plus dead bytes) within one body of
+  the live bytes after every commit -- counted: one pacer run per
+  live-sized batch, at most two forced writes each, and under a pinned
+  snapshot no more attempts than live-sized batches.
 
 ``python benchmarks/bench_e17_cas_gc.py --json out.json`` runs the full
 sweep standalone and emits machine-readable JSON; the ``-m smoke``
-pytest subset gates the three claims in CI.
+pytest subset gates the four claims in CI.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import threading
 import time
 
@@ -52,6 +58,12 @@ KEEP = 3
 #: cycles (each cycle is fsync-bound: the tombstone record is flushed
 #: before any unlink), so the sample count buys wall-clock width.
 READ_SAMPLES = 4000
+
+#: Garbage pacing: PACE_OBJECTS objects, each rewritten in place
+#: PACE_REWRITES times with a distinct PACE_BODY-byte body.
+PACE_OBJECTS = 8
+PACE_REWRITES = 6
+PACE_BODY = 2048
 
 #: Gates.
 DEDUP_FLOOR_X = 2.0
@@ -134,8 +146,8 @@ def measure_reader_impact(db: Database) -> dict:
 
     The doomed backlog is built *before* sampling (writes are
     fsync-bound and would otherwise dominate the window); the collector
-    thread then cycles ``run_gc`` with a tiny batch limit so dozens of
-    real reclaim batches overlap the busy sample."""
+    thread then cycles ``run_gc`` with a tiny batch limit, pruning and
+    reclaiming through the busy sample."""
     db.set_retention(E17Doc, RetentionPolicy(keep_last_n=KEEP))
     refs = [db.pnew(E17Doc(slot=i, body="z" * PAYLOAD_BYTES)) for i in range(NOBJ)]
     oids = [ref.oid for ref in refs]
@@ -144,10 +156,11 @@ def measure_reader_impact(db: Database) -> dict:
             db.newversion(ref)
             ref.body = f"{ref.slot}:{v}:" + "g" * PAYLOAD_BYTES
     # Drain the version-deletion phase up front (a single pass deletes
-    # the whole doomed backlog, however deep) but leave the blob-reclaim
-    # backlog: with batch_limit=2 each subsequent cycle unlinks two
-    # files, so hundreds of short reclaim cycles remain for the busy
-    # window to overlap.
+    # the whole doomed backlog, however deep).  Its prune commits feed
+    # the commit-path pacer, which reclaims most of the blob backlog on
+    # the way; the collector below dooms a fresh version whenever a pass
+    # finds nothing, so every cycle in the busy window still prunes and
+    # reclaims.
     db.run_gc(batch_limit=2)
 
     def sample() -> list[float]:
@@ -196,6 +209,69 @@ def measure_reader_impact(db: Database) -> dict:
     }
 
 
+def _pace_body(slot: int, k: int) -> str:
+    """Rewrite ``k`` of object ``slot``: distinct, and always PACE_BODY long."""
+    return f"{slot}:{k}:".ljust(PACE_BODY, "p")
+
+
+def measure_pacing(db: Database, pinned: bool) -> dict:
+    """In-place rewrites, no retention, no explicit reclaim: the only
+    reclaim is the commit-path pacer's.  Checks the garbage bound after
+    every commit and counts pacer attempts and the fsyncs they add.
+
+    With ``pinned`` one snapshot is held across the whole loop, so no
+    attempt can reclaim anything; hysteresis must keep the attempts to
+    one per live-sized batch of garbage, and the first attempt after the
+    pin closes must reclaim all of it.
+    """
+    refs = [db.pnew(E17Doc(slot=i, body=_pace_body(i, 0))) for i in range(PACE_OBJECTS)]
+    live = db.stats()["blobs.live_bytes"]
+    body = live // PACE_OBJECTS  # one stored body (all encode alike)
+    snap = db.snapshot() if pinned else None
+    fsyncs = [0]
+    real_fsync = os.fsync
+
+    def counting_fsync(fd: int) -> None:
+        fsyncs[0] += 1
+        real_fsync(fd)
+
+    worst_over = -live  # max of garbage - live after any commit
+    os.fsync = counting_fsync
+    try:
+        for k in range(1, PACE_REWRITES + 1):
+            for ref in refs:
+                ref.body = _pace_body(ref.slot, k)
+                stats = db.stats()
+                garbage = stats["blobs.pending_reclaim_bytes"] + stats["blobs.dead_bytes"]
+                worst_over = max(worst_over, garbage - stats["blobs.live_bytes"])
+    finally:
+        os.fsync = real_fsync
+    commits = PACE_OBJECTS * PACE_REWRITES
+    stats = db.stats()
+    out = {
+        "commits": commits,
+        "body_bytes": body,
+        "live_bytes": live,
+        "paced_runs": stats["gc.paced_runs"],
+        "paced_bytes_freed": stats["gc.paced_bytes_freed"],
+        "worst_garbage_over_live": worst_over,
+        # A 2 KiB in-place autocommit forces the pack and the WAL: the rest
+        # is the pacer's (its tombstone flush, a new pack's directory sync).
+        "fsyncs_added_per_run": (fsyncs[0] - 2 * commits) / max(1, stats["gc.paced_runs"]),
+    }
+    if snap is not None:
+        snap.close()
+        # Rewrite on until the next attempt (at most two live-sized batches).
+        extra = 0
+        while db.stats()["gc.paced_runs"] == out["paced_runs"] and extra < 2 * PACE_OBJECTS:
+            ref = refs[extra % PACE_OBJECTS]
+            extra += 1
+            ref.body = _pace_body(ref.slot, PACE_REWRITES + extra)
+        out["commits_after_pin"] = extra
+        out["pending_after_pin"] = db.stats()["blobs.pending_reclaim_bytes"]
+    return out
+
+
 def run_sweep(base_dir) -> dict:
     results = {}
     with Database(base_dir / "e17_dedup") as db:
@@ -204,6 +280,9 @@ def run_sweep(base_dir) -> dict:
         results["reclamation"] = measure_reclamation(db)
     with Database(base_dir / "e17_readers") as db:
         results["reader_impact"] = measure_reader_impact(db)
+    for pinned in (False, True):
+        with Database(base_dir / f"e17_pacing_{int(pinned)}") as db:
+            results["pacing_pinned" if pinned else "pacing"] = measure_pacing(db, pinned)
     return results
 
 
@@ -238,6 +317,14 @@ def main(argv=None) -> int:
         f"readers: p99 {i['p99_quiet_us']}us quiet -> {i['p99_busy_us']}us "
         f"under GC ({i['impact'] * 100:+.1f}%, {i['gc_runs']} collector runs)"
     )
+    for key in ("pacing", "pacing_pinned"):
+        p = results[key]
+        print(
+            f"{key}: {p['paced_runs']} paced run(s) over {p['commits']} commits, "
+            f"{p['paced_bytes_freed']} bytes freed, worst garbage - live "
+            f"{p['worst_garbage_over_live']}, {p['fsyncs_added_per_run']:.2f} "
+            "fsyncs added per run"
+        )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
@@ -294,6 +381,37 @@ def test_e17_reader_impact_smoke(db, benchmark):
         f"{READER_IMPACT_CEILING * 100:.0f}% (and beyond the "
         f"{READER_IMPACT_GUARD_S * 1e6:.0f}us noise guard)"
     )
+    benchmark.extra_info.update(result)
+    benchmark(lambda: None)
+
+
+@pytest.mark.smoke
+def test_e17_pacing_bounds_garbage_smoke(db, benchmark):
+    """With no retention and no reclaim call, the commit-path pacer keeps
+    garbage (displaced plus dead bytes) within one body of the live bytes
+    after every commit: exactly one run per live-sized batch of displaced
+    bodies, each adding at most two forced writes."""
+    result = measure_pacing(db, pinned=False)
+    assert result["worst_garbage_over_live"] <= result["body_bytes"], result
+    assert result["paced_runs"] == PACE_REWRITES, result  # every PACE_OBJECTS commits
+    assert result["fsyncs_added_per_run"] <= 2, result
+    assert result["paced_bytes_freed"] == result["live_bytes"] * PACE_REWRITES, result
+    benchmark.extra_info.update(result)
+    benchmark(lambda: None)
+
+
+@pytest.mark.smoke
+def test_e17_pacing_hysteresis_under_a_pin_smoke(db, benchmark):
+    """A snapshot pinned across the loop blocks every candidate.  Blocked
+    garbage raises the pacer's mark, so attempts stay at one per
+    live-sized batch (not one per commit), and the first attempt after
+    the pin closes reclaims everything."""
+    result = measure_pacing(db, pinned=True)
+    batches = PACE_OBJECTS * PACE_REWRITES * result["body_bytes"] // result["live_bytes"]
+    assert result["paced_runs"] <= batches, result
+    assert result["paced_bytes_freed"] == 0, result
+    assert result["commits_after_pin"] <= PACE_OBJECTS, result
+    assert result["pending_after_pin"] == 0, result
     benchmark.extra_info.update(result)
     benchmark(lambda: None)
 

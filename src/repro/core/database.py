@@ -57,6 +57,7 @@ from repro.core.transactions import (
 from repro.core.triggers import TriggerManager
 from repro.core.vgraph import VersionGraph
 from repro.storage import faults
+from repro.storage.blobs import GARBAGE_PACE
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
 from repro.storage.disk import DiskManager
@@ -205,7 +206,10 @@ class Database(VersionReads, SessionHost):
             "versions_deleted": 0,
             "blobs_unlinked": 0,
             "bytes_freed": 0,
+            "paced_runs": 0,
+            "paced_bytes_freed": 0,
         }
+        self._gc_mark = 0  # garbage bytes the last reclaim attempt left
         # A crash may have landed inside the blob-reclaim unlink protocol;
         # the WAL tombstones carry the evidence.
         self._repair_gc_tombstones()
@@ -563,6 +567,7 @@ class Database(VersionReads, SessionHost):
                 # objects other active transactions touched stay back.
                 with self._storage_mutex:
                     self._store.publish_snapshot(exclude=self._active_touched())
+            self._pace_reclaim()
             if (
                 self._checkpoint_threshold
                 and self._log.size() > self._checkpoint_threshold
@@ -818,11 +823,7 @@ class Database(VersionReads, SessionHost):
         return gc_engine.load_tags(self._catalog).get(oid.value, {})
 
     def run_gc(
-        self,
-        batch_limit: int = 64,
-        now: float | None = None,
-        dry_run: bool = False,
-        reclaim: bool = True,
+        self, batch_limit: int = 64, now: float | None = None, dry_run: bool = False
     ) -> Any:
         """One incremental GC pass: retention pruning, then blob reclaim.
 
@@ -831,10 +832,7 @@ class Database(VersionReads, SessionHost):
         :class:`~repro.core.gc.GCReport`; ``dry_run`` plans without
         deleting anything.
         """
-        report = gc_engine.collect(
-            self, batch_limit=batch_limit, now=now, dry_run=dry_run,
-            reclaim=reclaim,
-        )
+        report = gc_engine.collect(self, batch_limit, now, dry_run)
         if not dry_run:
             self._gc_counters["runs"] += 1
             self._gc_counters["versions_deleted"] += report.versions_deleted
@@ -849,86 +847,87 @@ class Database(VersionReads, SessionHost):
         candidate is eligible only when the epoch-reclamation signal
         clears it: its displacement has *published* (epoch advanced), no
         pinned snapshot predates the displacement, no active transaction
-        started before it (an abort could revive the reference), and no
-        2PC participant is in doubt (its verdict may undo displacements
-        wholesale).  Each batch journals a WAL ``GC_TOMBSTONE`` before
-        the first unlink so a crash in any window is repaired at the
-        next open.
+        -- the caller's own included -- started before it (an abort could
+        revive the reference), and no 2PC participant is in doubt (its
+        verdict may undo displacements wholesale).  Each batch journals a
+        WAL ``GC_TOMBSTONE`` before the first unlink so a crash in any
+        window is repaired at the next open.  Commits run this same step
+        themselves (:meth:`_pace_reclaim`); this call forces one under the
+        storage mutex, opens no transaction, and syncs the packs, so the
+        ones its compaction emptied leave the disk before it returns.
         """
         self._check_writable()
+        with self._storage_mutex:
+            result = self._reclaim(limit, dry_run)
+        self._store.blobs.sync()
+        return result
+
+    def _pace_reclaim(self) -> None:
+        """Reclaim once garbage (candidate + dead pack bytes) has grown by
+        :data:`~repro.storage.blobs.GARBAGE_PACE` x live payload bytes since
+        the last attempt; candidates an attempt cannot clear (a pin, an older
+        transaction, an in-doubt participant) wait for another such batch."""
+        def due() -> bool:
+            garbage, live = self._store.garbage_and_live_bytes()
+            return garbage - self._gc_mark >= max(GARBAGE_PACE * live, 1)
+
+        if self._degraded_reason is None and due():
+            with self._storage_mutex:
+                if due():
+                    self._gc_counters["paced_runs"] += 1
+                    try:
+                        self._gc_counters["paced_bytes_freed"] += self._reclaim(None)[1]
+                    except OSError:  # the commit is durable: do not fail it
+                        pass  # the WAL counts a failed flush; the next commit retries
+
+    def _reclaim(
+        self, limit: int | None, dry_run: bool = False
+    ) -> tuple[int, int, int]:
+        """The one reclaim step (caller holds the storage mutex)."""
+        store = self._store
+        eligible = self._eligible_blob_keys(limit)
+        remaining = len(store.gc_candidates()) - len(eligible)
+        if dry_run:
+            sizes = store.blob_entries()
+            return (len(eligible), sum(sizes[key][1] for key in eligible), remaining)
+        freed = 0
+        if eligible:
+            faults.fire("gc.tombstone.pre")
+            payload = serialization.encode(tuple(eligible))
+            self._log.append(LogRecord(GC_TOMBSTONE, 0, payload=payload))
+            self._log.flush()
+            faults.fire("gc.tombstone.post")
+        for key in eligible:
+            faults.fire("gc.unlink.pre")
+            freed += store.blobs.unlink(key)
+            faults.fire("gc.unlink.post")
+            faults.fire("gc.index.pre")
+            store.drop_blob_entry(key)
+            faults.fire("gc.index.post")
+        # Dead frames are only space: bound them (no journal, nothing
+        # forced -- emptied packs go at the next log flush).
+        store.blobs.compact()
+        self._gc_mark = store.garbage_and_live_bytes()[0]
+        self._gc_counters["blobs_unlinked"] += len(eligible)
+        self._gc_counters["bytes_freed"] += freed
+        return (len(eligible), freed, remaining)
+
+    def _eligible_blob_keys(self, limit: int | None) -> list[str]:
+        """Candidates the epoch signal clears, oldest first (storage mutex
+        held): none while a participant is in doubt, else those stamped
+        before the epoch (displacement published), every pinned cut (it may
+        predate it) and every active transaction's start (it may abort)."""
         with self._twopc_mutex:
             if self._in_doubt:
-                with self._storage_mutex:
-                    return (0, 0, len(self._store.gc_candidates()))
-        if dry_run:
-            with self._storage_mutex:
-                eligible = self._eligible_blob_keys(limit)
-                sizes = self._store.blob_entries()
-                freed = sum(sizes[key][1] for key in eligible)
-                remaining = len(self._store.gc_candidates()) - len(eligible)
-            return (len(eligible), freed, remaining)
-
-        def op(log_op):
-            txn = self.current_transaction()
-            eligible = self._eligible_blob_keys(
-                limit, exclude_txid=txn.txid if txn is not None else None
-            )
-            unlinked = 0
-            freed = 0
-            if eligible:
-                faults.fire("gc.tombstone.pre")
-                self._log.append(
-                    LogRecord(
-                        GC_TOMBSTONE, 0, payload=serialization.encode(tuple(eligible))
-                    )
-                )
-                self._log.flush()
-                faults.fire("gc.tombstone.post")
-            for key in eligible:
-                faults.fire("gc.unlink.pre")
-                freed += self._store.blobs.unlink(key)
-                faults.fire("gc.unlink.post")
-                faults.fire("gc.index.pre")
-                self._store.drop_blob_entry(key)
-                faults.fire("gc.index.post")
-                unlinked += 1
-            # Dead frames are only space: bound them (no journal, nothing
-            # forced -- emptied packs go at the next log flush).
-            self._store.blobs.compact()
-            return (unlinked, freed, len(self._store.gc_candidates()))
-
-        unlinked, freed, remaining = self._mutate(None, op)
-        self._gc_counters["blobs_unlinked"] += unlinked
-        self._gc_counters["bytes_freed"] += freed
-        return (unlinked, freed, remaining)
-
-    def _eligible_blob_keys(
-        self, limit: int | None, exclude_txid: int | None = None
-    ) -> list[str]:
-        """Candidates the epoch signal clears (caller holds the storage mutex)."""
-        epoch = self._store.snapshots.epoch
-        min_pinned = self._store.snapshots.min_pinned_epoch()
+                return []
+        snapshots = self._store.snapshots
         with self._txn_mutex:
-            starts = [
-                getattr(txn, "gc_start_epoch", 0)
-                for txid, txn in self._active.items()
-                if txid != exclude_txid
-            ]
-        active_floor = min(starts) if starts else None
-        out: list[str] = []
-        for key, stamp in sorted(
-            self._store.gc_candidates().items(), key=lambda kv: (kv[1], kv[0])
-        ):
-            if stamp >= epoch:
-                continue  # displacement not yet published
-            if min_pinned is not None and min_pinned <= stamp:
-                continue  # a pinned cut may predate the displacement
-            if active_floor is not None and active_floor <= stamp:
-                continue  # the displacing transaction may still abort
-            out.append(key)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+            floors = [txn.gc_start_epoch for txn in self._active.values()]
+        floors += [snapshots.epoch, snapshots.min_pinned_epoch()]
+        floor = min(f for f in floors if f is not None)
+        stamps = self._store.gc_candidates().items()
+        eligible = sorted((stamp, key) for key, stamp in stamps if stamp < floor)
+        return [key for _stamp, key in eligible[:limit]]
 
     # -- store protocol (used by Ref/VersionRef bound to this database) ------------
 

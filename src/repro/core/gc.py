@@ -18,13 +18,14 @@ path.  This module supplies it in two stages:
    proves no pinned snapshot and no still-active transaction can reach
    it, journaling a WAL tombstone first so a crash in any window of the
    unlink protocol is repaired at recovery (see
-   ``Database._repair_gc_tombstones``).
+   ``Database._repair_gc_tombstones``).  Commits run the same step once
+   garbage has grown by the live payload bytes; this pass forces one.
 
-Both stages are incremental: bounded batches, each its own transaction,
-run under the same mutexes as any writer -- the collector never blocks
-writers for longer than one small batch, and readers on pinned
-snapshots are never broken (displaced payloads are stashed into their
-overlays before the records are overwritten).
+Both stages are incremental: bounded batches under the same mutexes as
+any writer (each pruning batch its own transaction) -- the collector
+never blocks writers for longer than one small batch, and readers on
+pinned snapshots are never broken (displaced payloads are stashed into
+their overlays before the records are overwritten).
 """
 
 from __future__ import annotations
@@ -150,11 +151,6 @@ class GCReport:
     candidates_remaining: int = 0
     dry_run: bool = False
 
-    def merge_reclaim(self, unlinked: int, freed: int, remaining: int) -> None:
-        self.blobs_unlinked += unlinked
-        self.bytes_freed += freed
-        self.candidates_remaining = remaining
-
     def render(self) -> str:
         verb = "would delete" if self.dry_run else "deleted"
         return (
@@ -195,11 +191,8 @@ def doomed_versions(
 
 
 def collect(
-    db: "Database",
-    batch_limit: int = 64,
-    now: float | None = None,
+    db: "Database", batch_limit: int = 64, now: float | None = None,
     dry_run: bool = False,
-    reclaim: bool = True,
 ) -> GCReport:
     """One incremental GC pass: apply retention, then reclaim blobs.
 
@@ -249,9 +242,7 @@ def collect(
                         continue  # became the latest: now protected
                     db.pdelete(vid)
                     report.versions_deleted += 1
-    if reclaim:
-        unlinked, freed, remaining = db.reclaim_blobs(
-            limit=batch_limit, dry_run=dry_run
-        )
-        report.merge_reclaim(unlinked, freed, remaining)
+    report.blobs_unlinked, report.bytes_freed, report.candidates_remaining = (
+        db.reclaim_blobs(limit=batch_limit, dry_run=dry_run)
+    )
     return report

@@ -212,7 +212,6 @@ class VersionStore(VersionReads):
         decoded_entries: int = DEFAULT_DECODED_ENTRIES,
         oid_stride: int = 1,
         oid_residue: int = 0,
-        blob_root: str | os.PathLike[str] | None = None,
     ) -> None:
         self._catalog = catalog
         self._policy = policy or StoragePolicy()
@@ -225,9 +224,7 @@ class VersionStore(VersionReads):
         self._objects: HeapFile = catalog.ensure_heap(OBJECTS_HEAP)
         self._versions: HeapFile = catalog.ensure_heap(VERSIONS_HEAP)
         self._clusters: HeapFile = catalog.ensure_heap(CLUSTERS_HEAP)
-        if blob_root is None:
-            blob_root = os.path.join(catalog.directory, "blobs")
-        self._blobs = BlobStore(blob_root)
+        self._blobs = BlobStore(os.path.join(catalog.directory, "blobs"))
         #: key -> (refcount, size), derived from the payload records.
         self._blob_index: dict[str, _BlobRef] = {}
         #: Zero-refcount keys awaiting reclaim, stamped with the snapshot
@@ -236,6 +233,9 @@ class VersionStore(VersionReads):
         #: been published, so no later pin can reach it and every earlier
         #: pin holds stash overlays).
         self._gc_candidates: dict[str, int] = {}
+        #: Payload bytes of referenced keys and of candidates, kept with the
+        #: counts: the garbage pacer reads both at every commit.
+        self._live_bytes = self._pending_bytes = 0
         #: Versions-heap records holding their payload inline, and their
         #: bytes: recounted with the refcounts, then kept as records change.
         self._inline_records = 0
@@ -311,6 +311,8 @@ class VersionStore(VersionReads):
             else:
                 self._inline_records += 1
                 self._inline_bytes += len(raw)
+        self._live_bytes = sum(ref.size for ref in index.values())
+        self._pending_bytes = 0
         epoch = self._snapshots.epoch
         candidates: dict[str, int] = {}
         for key in self._blobs.keys() if opening else old:
@@ -320,6 +322,7 @@ class VersionStore(VersionReads):
             if size is not None:
                 index[key] = _BlobRef(0, size)
                 candidates[key] = stamps.get(key, epoch)
+                self._pending_bytes += size
         self._blob_index, self._gc_candidates = index, candidates
 
     def _load_table(self) -> None:
@@ -500,6 +503,7 @@ class VersionStore(VersionReads):
         ref = self._blob_index.get(key)
         if ref is None:
             self._blob_index[key] = _BlobRef(1, size)
+            self._live_bytes += size
             return
         ref.refcount += 1
         if ref.refcount == 1:
@@ -507,6 +511,8 @@ class VersionStore(VersionReads):
             # (that is what content addressing means), so the frame is
             # simply live again.
             self._gc_candidates.pop(key, None)
+            self._live_bytes += ref.size
+            self._pending_bytes -= ref.size
 
     def _blob_decref(self, key: str) -> None:
         ref = self._blob_index.get(key)
@@ -515,6 +521,8 @@ class VersionStore(VersionReads):
         ref.refcount -= 1
         if ref.refcount == 0:
             self._gc_candidates[key] = self._snapshots.epoch
+            self._live_bytes -= ref.size
+            self._pending_bytes += ref.size
 
     def _blob_ref_record(self, stored: bytes) -> bytes:
         """The versions-heap record for ``stored``: itself, or a blob ref.
@@ -605,22 +613,24 @@ class VersionStore(VersionReads):
             )
         del self._blob_index[key]
         self._gc_candidates.pop(key, None)
+        self._pending_bytes -= ref.size
+
+    def garbage_and_live_bytes(self) -> tuple[int, int]:
+        """``(garbage, live)``: candidate plus dead pack bytes, and the
+        referenced payload bytes (what the garbage pacer compares)."""
+        return self._pending_bytes + self._blobs.dead_bytes(), self._live_bytes
 
     def blob_stats(self) -> dict[str, int]:
         """Blob-store counters plus index totals (``blobs.*`` namespace)."""
         out = self._blobs.stats_dict()
-        refs = self._blob_index.values()
-        live = [ref.size for ref in refs if ref.refcount > 0]
-        logical = sum(ref.refcount * ref.size for ref in refs)
         out["blobs.count"] = len(self._blob_index)
-        out["blobs.live"] = len(live)
-        out["blobs.live_bytes"] = sum(live)
-        out["blobs.logical_bytes"] = logical
-        out["blobs.pending_reclaim"] = len(self._gc_candidates)
         # Candidates are the zero-count entries of the same index.
-        out["blobs.pending_reclaim_bytes"] = sum(
-            self._blob_index[key].size for key in self._gc_candidates
-        )
+        out["blobs.live"] = len(self._blob_index) - len(self._gc_candidates)
+        out["blobs.live_bytes"] = self._live_bytes
+        refs = self._blob_index.values()
+        out["blobs.logical_bytes"] = sum(ref.refcount * ref.size for ref in refs)
+        out["blobs.pending_reclaim"] = len(self._gc_candidates)
+        out["blobs.pending_reclaim_bytes"] = self._pending_bytes
         out["blobs.inline_records"] = self._inline_records
         out["blobs.inline_bytes"] = self._inline_bytes
         return out

@@ -112,7 +112,8 @@ class _NetStats:
         self._commits_inflight = 0
         self.connections = self.connections_total = self.sessions = 0
         self.inflight = self.pipeline_max = 0
-        self.requests = self.responses = self.errors = 0
+        #: ``reads``: reactor ``recv`` calls that returned data (frames per read).
+        self.requests = self.responses = self.errors = self.reads = 0
         self.bytes_in = self.bytes_out = 0
         #: Reads served from a snapshot (no locks); commits, and those
         #: that found another already in flight (the grouping created).
@@ -533,6 +534,7 @@ class OdeServer:
         self.stats.add(
             conn.inflight + served,
             requests=served + queued,
+            reads=1,
             inflight=queued,
             responses=served,
             errors=errors,

@@ -555,11 +555,7 @@ class ShardedDatabase(VersionReads, SessionHost):
         return self._route(oid, lambda db: db.version_tags(oid))
 
     def run_gc(
-        self,
-        batch_limit: int = 64,
-        now: float | None = None,
-        dry_run: bool = False,
-        reclaim: bool = True,
+        self, batch_limit: int = 64, now: float | None = None, dry_run: bool = False
     ) -> Any:
         """Scatter one incremental GC pass across every up shard.
 
@@ -567,25 +563,15 @@ class ShardedDatabase(VersionReads, SessionHost):
         shard-local); a shard holding in-doubt 2PC participants skips
         blob reclaim on its own (their verdict may undo displacements),
         so running GC during a partial outage is safe.  Reports are
-        merged.
+        merged: every count is summed.
         """
         from repro.core.gc import GCReport
 
-        parts = self._gather(
-            lambda db: db.run_gc(
-                batch_limit=batch_limit, now=now, dry_run=dry_run,
-                reclaim=reclaim,
-            )
-        )
+        parts = self._gather(lambda db: db.run_gc(batch_limit, now, dry_run))
         merged = GCReport(dry_run=dry_run)
-        for part in parts:
-            merged.versions_examined += part.versions_examined
-            merged.versions_deleted += part.versions_deleted
-            merged.objects_pruned += part.objects_pruned
-            merged.batches += part.batches
-            merged.blobs_unlinked += part.blobs_unlinked
-            merged.bytes_freed += part.bytes_freed
-            merged.candidates_remaining += part.candidates_remaining
+        for name in vars(merged):
+            if name != "dry_run":
+                setattr(merged, name, sum(getattr(part, name) for part in parts))
         return merged
 
     def reclaim_blobs(
@@ -593,10 +579,7 @@ class ShardedDatabase(VersionReads, SessionHost):
     ) -> tuple[int, int, int]:
         """Scatter a blob-reclaim batch; sums the per-shard outcomes."""
         parts = self._gather(lambda db: db.reclaim_blobs(limit, dry_run))
-        unlinked = sum(p[0] for p in parts)
-        freed = sum(p[1] for p in parts)
-        remaining = sum(p[2] for p in parts)
-        return (unlinked, freed, remaining)
+        return tuple(sum(p[i] for p in parts) for i in range(3))
 
     # -- store protocol (Ref/VersionRef bound to the router) -------------------
 

@@ -52,9 +52,10 @@ index entry and sets the dead mark of every frame holding the key (a
 copy is never marked before then: its replacement may not be synced
 yet), so a missing key surfaces as
 :class:`~repro.errors.BlobMissingError` and snapshot readers recover
-from their stash overlays.  The mark is one byte written in place and
-never forced: losing it resurrects a frame nothing references, i.e. a
-GC candidate.  :meth:`BlobStore.compact` bounds dead space: while dead
+from their stash overlays; the commit path runs it at the pace of
+:data:`GARBAGE_PACE`.  The mark is one byte written in place and never
+forced: losing it resurrects a frame nothing references, i.e. a GC
+candidate.  :meth:`BlobStore.compact` bounds dead space: while dead
 bytes exceed :data:`DEAD_BUDGET` of live bytes it copies the survivors
 of the sealed pack with the largest dead share into the active pack, and
 the emptied pack is deleted by the next :meth:`BlobStore.sync` *after*
@@ -98,6 +99,11 @@ _PACK_NAME = re.compile(r"pack-(\d{6,})\Z")
 PACK_TARGET = 4 << 20
 #: Compaction keeps dead frame bytes at or below this share of live ones.
 DEAD_BUDGET = 1 / 64
+#: Garbage pacing (GOGC=100): a commit that finds garbage (zero-ref
+#: candidate plus dead frame bytes) grown by this share of the live payload
+#: bytes since the last reclaim attempt runs one, so garbage stays at or
+#: below live and compaction copies at most a byte per byte it frees.
+GARBAGE_PACE = 1
 
 
 def blob_key(content: bytes) -> str:

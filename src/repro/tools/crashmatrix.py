@@ -118,6 +118,9 @@ class Scenario:
     shared_content: bool = False
     #: GC matrix: run :func:`_run_follower_workload` instead of the collector.
     follower: bool = False
+    #: GC matrix: run the 2PC transfer workload on this many shards with
+    #: blob-sized accounts and no collector -- every reclaim is the pacer's.
+    rewrite: int = 0
     #: 2PC matrix: run the lazy-COMMIT steps (see :func:`_twopc_steps`),
     #: with a single-shard commit forcing the log of each shard named here.
     lazy_flush: tuple[int, ...] | None = None
@@ -134,6 +137,8 @@ class Scenario:
             parts.append("shared-content")
         if self.follower:
             parts.append("follower")
+        if self.rewrite:
+            parts.append(f"rewrite{self.rewrite}")
         if self.lazy_flush is not None:
             parts.append("lazy-flush" + "".join(map(str, self.lazy_flush)))
         if self.action in ("torn_write", "short_write"):
@@ -653,40 +658,40 @@ def run_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
     return result
 
 
-def _run_all(
-    run_one, scenarios: list[Scenario], base_dir: Path | None, verbose: bool
-) -> MatrixReport:
-    """``run_one(dir, scenario)`` for each; a temp dir unless one is given."""
-    report = MatrixReport()
-    tmp = None
-    if base_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="crashmatrix-")
-        base_dir = Path(tmp.name)
-    try:
-        for scenario in scenarios:
-            result = run_one(base_dir, scenario)
-            report.results.append(result)
-            if verbose:
-                status = "ok" if result.ok else "FAIL"
-                note = "fired" if result.fired else "not reached"
-                print(f"[{status}] {scenario.name} ({note})", flush=True)
-                for problem in result.problems:
-                    print(f"    - {problem}", flush=True)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    return report
+def _matrix(run_one, enumerate_all):
+    """A matrix runner: ``run(base_dir=None, scenarios=None, verbose=False)``
+    calls ``run_one(dir, scenario)`` for every scenario (or the given
+    ones), each in a fresh directory under ``base_dir`` or a temp dir."""
+
+    def run(
+        base_dir: Path | None = None,
+        scenarios: list[Scenario] | None = None,
+        verbose: bool = False,
+    ) -> MatrixReport:
+        report = MatrixReport()
+        tmp = None
+        if base_dir is None:
+            tmp = tempfile.TemporaryDirectory(prefix="crashmatrix-")
+            base_dir = Path(tmp.name)
+        try:
+            for scenario in scenarios or enumerate_all():
+                result = run_one(base_dir, scenario)
+                report.results.append(result)
+                if verbose:
+                    status = "ok" if result.ok else "FAIL"
+                    note = "fired" if result.fired else "not reached"
+                    print(f"[{status}] {scenario.name} ({note})", flush=True)
+                    for problem in result.problems:
+                        print(f"    - {problem}", flush=True)
+        finally:
+            if tmp is not None:
+                tmp.cleanup()
+        return report
+
+    return run
 
 
-def run_matrix(
-    base_dir: Path | None = None,
-    scenarios: list[Scenario] | None = None,
-    verbose: bool = False,
-) -> MatrixReport:
-    """Run every scenario; each gets a fresh database directory."""
-    return _run_all(
-        run_scenario, scenarios or enumerate_scenarios(), base_dir, verbose
-    )
+run_matrix = _matrix(run_scenario, enumerate_scenarios)
 
 
 # -- the 2PC matrix (cross-shard transactions; repro.shard) -------------------
@@ -694,11 +699,13 @@ def run_matrix(
 
 @persistent_once("crashmatrix.Account")
 class Account(PersistentObject):
-    """Transfer-workload record: the invariant is the sum of balances."""
+    """Transfer-workload record: the invariant is the sum of balances.  With
+    a blob-sized ``memo`` every balance write displaces a stored body."""
 
-    def __init__(self, tag: int = 0, bal: int = 0) -> None:
+    def __init__(self, tag: int = 0, bal: int = 0, memo: str = "") -> None:
         self.tag = tag
         self.bal = bal
+        self.memo = memo
 
 
 _TWOPC_NSHARDS = 3
@@ -709,12 +716,16 @@ _TWOPC_ROUNDS = 6
 #: The windows where the in-flight transfer's verdict is already durable:
 #: a crash there MUST resolve to commit (both account writes survive).
 #: ``wal.flush.pre_fsync`` is only ever armed on the combined PREPARE +
-#: verdict flush, whose bytes this harness's kind page cache keeps.
-#: Everywhere else presumed abort MUST roll both back -- ``pre_forget``
-#: included: it fires in the sweep at the top of a *later* commit, whose
-#: own transfer has logged nothing durable yet.
+#: verdict flush, whose bytes this harness's kind page cache keeps.  The
+#: garbage pacer's windows (the GC matrix's rewrite rows) run after their
+#: commit, in phase two after its verdict -- all but a pack's retirement,
+#: which fires in the *next* flush.  Everywhere else presumed abort MUST
+#: roll both back -- ``pre_forget`` included: it fires in the sweep at the
+#: top of a *later* commit, whose own transfer has logged nothing durable.
 _DECIDED_WINDOWS = frozenset(
     {"shard.2pc.post_decision", "shard.2pc.post_ack", "wal.flush.pre_fsync"}
+    | {"gc.tombstone.pre", "gc.tombstone.post", "gc.unlink.pre", "gc.unlink.post"}
+    | {"gc.index.pre", "gc.index.post", "blobs.compact.copied"}
 )
 
 #: Crash hit ordinals per 2PC failpoint.  The workload is single-threaded
@@ -846,11 +857,12 @@ def _twopc_steps(scenario: Scenario) -> list[tuple[int, int]]:
     on shard ``i % 3``: adjacent accounts make a cross-shard transfer,
     ``s`` and ``s + 3`` a single-shard one (whose fast-path commit forces
     shard ``s``'s log).  The lazy-COMMIT steps are one cross-shard transfer
-    on shards (0, 1), those forcing commits, and a second one to crash in."""
+    on shards (0, 1), those forcing commits, and a second one to crash in.
+    The rewrite rows run nine: three pacer runs per shard."""
     if scenario.lazy_flush is None:
         return [
             (j % _TWOPC_ACCOUNTS, (j + 1) % _TWOPC_ACCOUNTS)
-            for j in range(_TWOPC_ROUNDS)
+            for j in range(9 if scenario.rewrite else _TWOPC_ROUNDS)
         ]
     flushes = [(s, s + _TWOPC_NSHARDS) for s in scenario.lazy_flush]
     return [(0, 1), *flushes, (1, 2)]
@@ -860,9 +872,11 @@ def _run_twopc_workload(path: Path, scenario: Scenario) -> _TransferLedger:
     """Transfers until done or the armed fault fires."""
     ledger = _TransferLedger()
     try:
-        router = ShardedDatabase(path, nshards=_TWOPC_NSHARDS, pool_size=8)
+        nshards = scenario.rewrite or _TWOPC_NSHARDS
+        router = ShardedDatabase(path, nshards=nshards, pool_size=8)
+        memo = 600 if scenario.rewrite else 0  # chars: a blob-sized body, or none
         refs = [
-            router.pnew(Account(tag=i, bal=_TWOPC_BALANCE))
+            router.pnew(Account(i, _TWOPC_BALANCE, _gc_text(i, memo)))
             for i in range(_TWOPC_ACCOUNTS)
         ]
         ledger.oid_values = [ref.oid.value for ref in refs]
@@ -1005,20 +1019,17 @@ def run_twopc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
                 )
         _verify_twopc(router, ledger, scenario, result.problems)
         _twopc_usability_probe(router, ledger, result.problems)
+        if scenario.rewrite:  # repair converged: one reclaim leaves no candidate
+            router.reclaim_blobs()
+            stats = router.stats()
+            if stats["blobs.count"] != stats["blobs.live"]:
+                result.problems.append("zero-ref blobs outlive a reclaim after repair")
     finally:
         router.close()
     return result
 
 
-def run_twopc_matrix(
-    base_dir: Path | None = None,
-    scenarios: list[Scenario] | None = None,
-    verbose: bool = False,
-) -> MatrixReport:
-    """Run every 2PC scenario; each gets a fresh sharded directory."""
-    return _run_all(
-        run_twopc_scenario, scenarios or enumerate_twopc_scenarios(), base_dir, verbose
-    )
+run_twopc_matrix = _matrix(run_twopc_scenario, enumerate_twopc_scenarios)
 
 
 # -- the GC matrix (retention pruning + blob reclaim; repro.core.gc) ----------
@@ -1057,11 +1068,12 @@ _GC_CRASH_HITS: dict[str, tuple[int, ...]] = {
 
 #: ``blobs.append`` ordinals inside the collector: 45 appends build the
 #: history, so 46 is the first re-base put of the first prune transaction
-#: (a torn frame under an unacknowledged commit) and 70 the first frame
-#: compaction copies forward.  Recount after changing the history: run
-#: :func:`_build_gc_history` under an empty plan and read
+#: (a torn frame under an unacknowledged commit); 16 re-base puts later
+#: the commit pacer runs, and 62 is the first frame its compaction copies
+#: forward.  Recount after changing the history: run
+#: :func:`_run_gc_workload` under an empty plan and read
 #: ``injector.hit_count("blobs.append")``.
-_GC_TORN_APPENDS = ((46, 11), (70, -3))
+_GC_TORN_APPENDS = ((46, 11), (62, -3))
 
 #: The leader's flush in :func:`_run_follower_workload`: two set-up
 #: commits, then the one that covers the parked follower.
@@ -1076,28 +1088,28 @@ def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
     repair finished but before its WAL truncate could persist -- a clean
     third open must repair again (repair is idempotent) and converge.
     """
-    scenarios: list[Scenario] = []
-    for failpoint, hits in _GC_CRASH_HITS.items():
-        assert failpoint in FAILPOINTS, failpoint
-        for hit in hits:
-            scenarios.append(Scenario(failpoint, "crash", hit=hit))
-    for hit, keep in _GC_TORN_APPENDS:
-        scenarios.append(Scenario("blobs.append", "torn_write", hit=hit, keep=keep))
-    scenarios.append(
+    assert set(_GC_CRASH_HITS) <= set(FAILPOINTS)
+    # Each window under the collector, and under the commit-path pacer on
+    # one shard (the same ordinals mean the same there: see above).
+    scenarios = [
+        Scenario(failpoint, "crash", hit=hit, rewrite=rewrite)
+        for rewrite in (0, 1)
+        for failpoint, hits in _GC_CRASH_HITS.items()
+        for hit in hits
+    ]
+    scenarios += [
+        Scenario("blobs.append", "torn_write", hit=hit, keep=keep)
+        for hit, keep in _GC_TORN_APPENDS
+    ]
+    scenarios += [
         Scenario(
             "wal.flush.post_fsync", "crash", hit=_FOLLOWER_LEADER_FLUSH, follower=True
-        )
-    )
-    scenarios.append(
-        Scenario(
-            "gc.unlink.post", "crash", hit=3, recovery_failpoint="gc.repair.pre"
-        )
-    )
-    scenarios.append(
-        Scenario(
-            "gc.index.pre", "crash", hit=3, recovery_failpoint="gc.repair.post"
-        )
-    )
+        ),
+        Scenario("gc.unlink.post", "crash", hit=3, recovery_failpoint="gc.repair.pre"),
+        Scenario("gc.index.pre", "crash", hit=3, recovery_failpoint="gc.repair.post"),
+        # The pacer in a 2PC participant's phase-two commit.
+        Scenario("gc.unlink.post", "crash", hit=1, rewrite=2),
+    ]
     if smoke:
         picked: dict[str, Scenario] = {}
         for scenario in scenarios:
@@ -1105,6 +1117,7 @@ def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
         picked["double"] = next(
             s for s in scenarios if s.recovery_failpoint is not None
         )
+        picked["paced"] = scenarios[-1]
         scenarios = list(picked.values())
     return scenarios
 
@@ -1356,6 +1369,8 @@ def _gc_convergence_probe(
 
 def run_gc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
     """One GC workload under ``scenario``'s fault, then recover and verify."""
+    if scenario.rewrite:
+        return run_twopc_scenario(base_dir, scenario)
     result, ledger, _, db = _crash_and_reopen(
         base_dir, scenario,
         _run_follower_workload if scenario.follower else _run_gc_workload,
@@ -1381,15 +1396,7 @@ def run_gc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
     return result
 
 
-def run_gc_matrix(
-    base_dir: Path | None = None,
-    scenarios: list[Scenario] | None = None,
-    verbose: bool = False,
-) -> MatrixReport:
-    """Run every GC scenario; each gets a fresh database directory."""
-    return _run_all(
-        run_gc_scenario, scenarios or enumerate_gc_scenarios(), base_dir, verbose
-    )
+run_gc_matrix = _matrix(run_gc_scenario, enumerate_gc_scenarios)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1414,15 +1421,12 @@ def main(argv: list[str] | None = None) -> int:
         help="run under this directory instead of a temp dir (kept afterwards)",
     )
     args = parser.parse_args(argv)
-    if args.twopc:
-        scenarios = enumerate_twopc_scenarios(smoke=args.smoke)
-        report = run_twopc_matrix(args.dir, scenarios, verbose=args.verbose)
-    elif args.gc:
-        scenarios = enumerate_gc_scenarios(smoke=args.smoke)
-        report = run_gc_matrix(args.dir, scenarios, verbose=args.verbose)
-    else:
-        scenarios = enumerate_scenarios(smoke=args.smoke)
-        report = run_matrix(args.dir, scenarios, verbose=args.verbose)
+    enumerate_all, run = (
+        (enumerate_twopc_scenarios, run_twopc_matrix) if args.twopc
+        else (enumerate_gc_scenarios, run_gc_matrix) if args.gc
+        else (enumerate_scenarios, run_matrix)
+    )
+    report = run(args.dir, enumerate_all(smoke=args.smoke), verbose=args.verbose)
     print(report.render())
     return 0 if report.ok else 1
 

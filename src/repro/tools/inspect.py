@@ -120,9 +120,10 @@ class DatabaseSummary:
                 f"({get('shard.snap.degraded_cuts', 0)} degraded)"
             )
         if "blobs.count" in self.counters:
-            # The content-addressed payload store: dedup efficiency and
-            # how much displaced content awaits the collector.
+            # The content-addressed payload store: dedup efficiency, and
+            # the garbage awaiting reclaim (the commit pacer keeps it <= live).
             get = self.counters.get
+            garbage = get("blobs.pending_reclaim_bytes", 0) + get("blobs.dead_bytes", 0)
             lines.append(
                 f"  blobs: {get('blobs.live', 0)}/{get('blobs.count', 0)} "
                 f"live ({get('blobs.live_bytes', 0)} bytes, "
@@ -131,7 +132,8 @@ class DatabaseSummary:
                 f"{get('blobs.pending_reclaim', 0)} pending reclaim "
                 f"({get('blobs.pending_reclaim_bytes', 0)} bytes), "
                 f"{get('blobs.packs', 0)} pack(s) with "
-                f"{get('blobs.dead_bytes', 0)} dead byte(s), "
+                f"{get('blobs.dead_bytes', 0)} dead byte(s), garbage/live "
+                f"{garbage / max(1, get('blobs.live_bytes', 0)):.2f}, "
                 f"{get('blobs.syncs', 0)} sync(s), "
                 f"{get('blobs.compactions', 0)} compaction(s) copied "
                 f"{get('blobs.bytes_copied_forward', 0)} bytes forward, "
@@ -140,7 +142,9 @@ class DatabaseSummary:
                 f"gc: {get('gc.runs', 0)} run(s), "
                 f"{get('gc.versions_deleted', 0)} version(s) pruned, "
                 f"{get('gc.blobs_unlinked', 0)} blob(s) / "
-                f"{get('gc.bytes_freed', 0)} byte(s) freed"
+                f"{get('gc.bytes_freed', 0)} byte(s) freed, "
+                f"{get('gc.paced_runs', 0)} paced run(s) freeing "
+                f"{get('gc.paced_bytes_freed', 0)} byte(s)"
             )
         lines += [
             f"  policy: {self.storage_policy}",

@@ -68,11 +68,16 @@ def recount(db: Database):
 
 def assert_accounting_exact(db: Database) -> None:
     refs, inline_records, inline_bytes = recount(db)
-    live = {k: rc for k, (rc, _s) in db.store.blob_entries().items() if rc > 0}
+    entries = db.store.blob_entries()
+    live = {k: rc for k, (rc, _s) in entries.items() if rc > 0}
     assert live == refs
     stats = db.store.blob_stats()
     assert stats["blobs.inline_records"] == inline_records
     assert stats["blobs.inline_bytes"] == inline_bytes
+    # The byte totals the garbage pacer reads are kept, not summed.
+    assert stats["blobs.live_bytes"] == sum(s for rc, s in entries.values() if rc > 0)
+    pending = sum(s for rc, s in entries.values() if rc == 0)
+    assert stats["blobs.pending_reclaim_bytes"] == pending
 
 
 # -- the record funnel, size by size ---------------------------------------------

@@ -243,8 +243,11 @@ def test_vacuum_reclaims_space(tmp_path, db):
         v = db.newversion(ref)
         v.text = f"{i}" + "y" * 3000
         doomed.append(v)
-    for v in doomed[:-1]:
-        db.pdelete(v)
+    # The pin keeps the commit-path pacer from reclaiming the deleted
+    # versions' payloads, so they are still on disk for vacuum to drop.
+    with db.snapshot():
+        for v in doomed[:-1]:
+            db.pdelete(v)
     db.checkpoint()
     report = vacuum(db, tmp_path / "compact")
     # Payload bytes live in the blob store, so that is where the dead

@@ -262,6 +262,38 @@ def test_savepoint_rollback_onto_content_whose_first_storer_aborted(db):
     t3_session.close()
 
 
+@pytest.mark.parametrize("collect", ["reclaim_blobs", "run_gc"])
+def test_reclaim_inside_a_transaction_spares_what_it_displaced(tmp_path, collect):
+    """A reclaim called inside an open transaction once left that
+    transaction out of the active floor: as soon as another commit moved
+    the epoch on, the body its own rewrite displaced was unlinked, and
+    its abort restored a record pointing at a dead frame
+    (``BlobMissingError``, before and after reopen).  The caller's
+    transaction counts like any other."""
+    db = Database(tmp_path / "db")
+    a, b = db.pnew(Doc("a" * 2048)), db.pnew(Doc("b" * 2048))
+    txn = db.begin()
+    a.text = "A" * 2048
+    writer = threading.Thread(target=setattr, args=(b, "text", "B" * 2048))
+    writer.start()
+    writer.join()
+    if collect == "reclaim_blobs":
+        unlinked = db.reclaim_blobs()[0]
+    else:
+        unlinked = db.run_gc().blobs_unlinked
+    assert unlinked == 0, "reclaimed under the transaction that displaced it"
+    txn.abort()
+    db.store._bytes_cache.clear()
+    db.store._decoded_cache.clear()
+    assert a.text == "a" * 2048
+    assert check_database(db, strict=True).problems == []
+    db.close()
+    with Database(tmp_path / "db") as reopened:
+        assert reopened.deref(a.oid).text == "a" * 2048
+        assert reopened.deref(b.oid).text == "B" * 2048
+        assert check_database(reopened, strict=True).problems == []
+
+
 def test_multi_op_transaction_is_atomic(db):
     ref = db.pnew(Part("acct", 100))
     other = db.pnew(Part("acct2", 0))

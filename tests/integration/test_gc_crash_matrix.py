@@ -66,14 +66,27 @@ def test_gc_matrix_enumerates_double_crash_repair():
 
 def test_smoke_subset_carries_the_pack_file_windows():
     """CI's ``crashmatrix --gc --smoke`` runs one of each new row: a torn
-    frame append, the copy-forward / retire windows, and the follower
-    whose payload the group-commit leader must sync."""
+    frame append, the copy-forward / retire windows, the follower whose
+    payload the group-commit leader must sync, and the commit-path pacer
+    crashed inside a 2PC participant's phase-two commit."""
     smoke = enumerate_gc_scenarios(smoke=True)
     assert any(s.failpoint == "blobs.append" and s.action == "torn_write" for s in smoke)
     assert {"blobs.compact.copied", "blobs.compact.retired"} <= {
         s.failpoint for s in smoke
     }
     assert any(s.follower for s in smoke)
+    assert [s.name for s in smoke if s.rewrite] == ["gc.unlink.post:crash:hit1:rewrite2"]
+
+
+def test_pacer_rows_cross_every_reclaim_window(tmp_path):
+    """The rewrite rows run the 2PC transfer workload with blob-sized
+    accounts and no collector: every reclaim window is crossed on one
+    shard, and the crashed pacer's commit -- durable before the pacer ran
+    -- survives recovery whole (``_DECIDED_WINDOWS``)."""
+    rows = [s for s in enumerate_gc_scenarios() if s.rewrite]
+    assert {s.failpoint for s in rows if s.rewrite == 1} == set(_GC_CRASH_HITS)
+    result = run_gc_scenario(Path(tmp_path), rows[-1])
+    assert result.fired and result.crashed and result.ok, result.problems
 
 
 def test_crash_between_copy_forward_and_retire_costs_only_dead_space(tmp_path):

@@ -422,6 +422,28 @@ def test_transaction_burst_is_one_lane_run_and_one_socket_write(served):
     assert final == 22
 
 
+def test_reads_count_the_reactor_recvs_a_burst_arrives_in(served):
+    """``net.reads`` counts reactor ``recv`` calls that returned data:
+    sixteen pings sent in one loop turn are one client write and arrive
+    in one read; an awaited ping is a read of its own.  ``net.requests``
+    / ``net.reads`` is the frames one read carried (E13.1's gate)."""
+    db, host, port, _oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            await conn.ping("warm")
+            before = db.stats()
+            await asyncio.gather(*(conn.send(protocol.OP_PING, i) for i in range(16)))
+            burst = db.stats()
+            await conn.ping("alone")
+            return before, burst, db.stats()
+
+    before, burst, after = asyncio.run(run())
+    assert burst["net.requests"] - before["net.requests"] == 16
+    assert burst["net.reads"] - before["net.reads"] == 1
+    assert after["net.reads"] - burst["net.reads"] == 1
+
+
 def test_awaited_stateful_frames_cost_one_lane_run_each(served):
     """Request/response traffic: BEGIN is served on the loop (it is the
     only frame in its chunk and the lane is idle); every other awaited
