@@ -16,7 +16,9 @@ import pytest
 
 from repro import Database, StoragePolicy, persistent
 from repro.core.identity import Vid
+from repro.storage import serialization
 from repro.storage.delta import compute_delta
+from repro.storage.heap import HeapFile
 from repro.storage.wal import recover
 
 
@@ -205,36 +207,51 @@ def test_e11_deep_chain_materialize_cache(delta_db, benchmark):
     benchmark(lambda: store.materialize(vid))
 
 
-def test_e11_generic_ref_attr_fast_path(db, benchmark):
+def _read_costs(monkeypatch, read, loops: int = 300) -> dict[str, float]:
+    """Payload decodes and heap-record lookups per call of ``read``."""
+    counts = {"decodes": 0, "heap_reads": 0}
+
+    def counting(fn, what):
+        def wrapper(*args, **kwargs):
+            counts[what] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(serialization, "decode", counting(serialization.decode, "decodes"))
+        patch.setattr(HeapFile, "read", counting(HeapFile.read, "heap_reads"))
+        for _ in range(loops):
+            read()
+    return {what: n / loops for what, n in counts.items()}
+
+
+def test_e11_generic_ref_attr_fast_path(db, benchmark, monkeypatch):
     """Generic-ref attribute loops through the shared decoded cache.
 
-    ``ref.n`` must beat the old materialize-per-access path
-    (``ref.deref().n``) by at least 2x, and the counters must show the
-    decoded cache and latest-vid memo doing the work.
+    Counted, not timed: once warm, ``ref.n`` resolves the latest version
+    through the memo and reads the shared decode, so it costs what a
+    specific reference's ``vref.n`` costs -- no decode, no heap lookup --
+    where the old materialize-per-access path (``ref.deref().n``) decodes
+    the payload on every read.
     """
     ref = db.pnew(E11Fat(7))
-    assert ref.n == 7  # prime caches
-    loops = 300
-
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        ref.deref().n  # old path: fresh materialize per access
-    slow = time.perf_counter() - t0
-
+    vref = db.deref(db.latest_vid(ref.oid))
+    assert ref.n == 7 and vref.n == 7  # prime caches
     base = db.stats()
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        ref.n  # fast path: shared decode + latest-vid memo
-    fast = time.perf_counter() - t0
+    generic = _read_costs(monkeypatch, lambda: ref.n)
     stats = db.stats()
-
-    speedup = slow / max(fast, 1e-9)
-    assert stats["cache.decoded_hits"] - base["cache.decoded_hits"] >= loops
-    assert stats["cache.latest_hits"] - base["cache.latest_hits"] >= loops
-    assert speedup >= 2.0, f"attr fast path only {speedup:.1f}x faster"
-    benchmark.extra_info["attr_speedup"] = round(speedup, 2)
-    benchmark.extra_info["decoded_hits"] = stats["cache.decoded_hits"]
-    benchmark.extra_info["latest_hits"] = stats["cache.latest_hits"]
+    specific = _read_costs(monkeypatch, lambda: vref.n)
+    materialized = _read_costs(monkeypatch, lambda: ref.deref().n)
+    for name, costs in (
+        ("generic", generic), ("specific", specific), ("materialize", materialized)
+    ):
+        for what, value in costs.items():
+            benchmark.extra_info[f"{name}_{what}_per_read"] = value
+    assert generic == specific == {"decodes": 0, "heap_reads": 0}, (generic, specific)
+    assert materialized == {"decodes": 1, "heap_reads": 0}, materialized
+    assert stats["cache.decoded_hits"] - base["cache.decoded_hits"] == 300
+    assert stats["cache.latest_hits"] - base["cache.latest_hits"] == 300
     value = benchmark(lambda: ref.n)
     assert value == 7
 
@@ -323,10 +340,11 @@ class E11Doc:
 def test_e11_small_delta_commit_stays_in_the_wal(tmp_path, benchmark, monkeypatch):
     """A 5 %-edit ``newversion`` commit stores two small deltas; both ride
     the versions heap, so the commit is the WAL's one fsync -- no frame,
-    no refcount to move.  A 2 KiB full copy costs one frame appended to
-    the open pack (no file created), one in-memory count, and two fsyncs:
-    the pack's, beneath the log flush, then the log's.  A 100-object load
-    of 1 KiB bodies in one transaction costs the same two."""
+    no refcount to move.  A 2 KiB full-copy autocommit costs one frame
+    appended to the open pack (no file created), one in-memory count, and
+    the same one fsync: the frame's body rides in the log as a ``PAYLOAD``
+    record and the pack is forced only by a checkpoint.  A 100-object load
+    of 1 KiB bodies in one transaction costs one too."""
     import os
 
     db = Database(
@@ -378,8 +396,7 @@ def test_e11_small_delta_commit_stays_in_the_wal(tmp_path, benchmark, monkeypatc
                 db.newversion(ref).body = body[:at] + rng.randbytes(102) + body[at + 102 :]
 
         def full_copy():
-            with db.transaction():
-                db.pnew(E11Doc(rng.randbytes(2048)))
+            db.pnew(E11Doc(rng.randbytes(2048)))
 
         def load():
             with db.transaction():
@@ -397,9 +414,9 @@ def test_e11_small_delta_commit_stays_in_the_wal(tmp_path, benchmark, monkeypatc
         for name, value in per_commit.items():
             benchmark.extra_info[f"{side}_{name}_per_commit"] = value
     assert small == {"fsyncs": 1, "files_created": 0, "frames": 0, "index_updates": 0}, small
-    assert large == {"fsyncs": 2, "files_created": 0, "frames": 1, "index_updates": 1}, large
+    assert large == {"fsyncs": 1, "files_created": 0, "frames": 1, "index_updates": 1}, large
     assert loaded == {
-        "fsyncs": 2, "files_created": 0, "frames": 100, "index_updates": 100
+        "fsyncs": 1, "files_created": 0, "frames": 100, "index_updates": 100
     }, loaded
     benchmark(lambda: None)
 

@@ -9,10 +9,12 @@ the two claims that justify the layer:
 * **Scatter-gather fan-out**: a cold fan-out query at 4 shards must run
   >= 2x faster with the parallel scatter than with the serial loop,
   because per-shard I/O stalls overlap instead of adding up;
-* **2PC forces the log once per writer shard**: an *n*-writer commit
+* **2PC forces one file once per writer shard**: an *n*-writer commit
   flushes n-1 remote PREPAREs, then the coordinator shard's PREPARE and
-  the verdict in one flush; COMMIT records are appended, never forced.
-  That is a *count* (2 at two writers, 4 at four) and is gated as one.
+  the verdict in one flush; COMMIT records are appended, never forced,
+  and the payloads ride in the log, so no pack is forced either.  Those
+  are *counts* (2 log flushes and 2 fsyncs at two writers, 4 and 4 at
+  four) and are gated as such.
   With two writers there is a single remote prepare and nothing to
   overlap, so parallel == serial there; at four writers the three
   remote prepares overlap, and under the disk-latency model a commit
@@ -25,9 +27,9 @@ storage where ``fsync`` costs ~30us and every page read is cached --
 which measures Python dispatch overhead, not protocol structure.  The
 latency-sensitive measurements therefore run under a *stated* disk
 model: a GIL-releasing ``time.sleep`` at the disk boundary
-(``DiskManager.read_page`` for reads, the WAL flush for fsync), which
-behaves exactly like real device latency as far as thread overlap is
-concerned.  ``READ_US=500`` models a network-attached page store (EBS /
+(``DiskManager.read_page`` for reads, every ``os.fsync`` -- log, pack or
+data file -- for forced writes), which behaves exactly like real device
+latency as far as thread overlap is concerned.  ``READ_US=500`` models a network-attached page store (EBS /
 cold-NVMe class); ``FSYNC_MS=2`` models a commodity SSD barrier.  The
 unmodeled (raw container) numbers are measured and reported alongside.
 
@@ -39,9 +41,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -82,32 +86,60 @@ def _build(tmp_path, name: str, nshards: int):
     return router, refs
 
 
-def _model_disk(router, read_us: float = 0.0, fsync_ms: float = 0.0) -> None:
-    """Install the stated latency model on every shard.
+def _model_disk(router, read_us: float) -> None:
+    """Install the stated read-latency model on every shard.
 
-    ``time.sleep`` releases the GIL exactly like a blocking ``pread`` or
-    ``fsync`` would, so overlap across scattered workers is measured
-    faithfully; only the magnitude is simulated.
+    ``time.sleep`` releases the GIL exactly like a blocking ``pread``
+    would, so overlap across scattered workers is measured faithfully;
+    only the magnitude is simulated.
     """
     for shard in router.shards:
-        if read_us:
-            disk = shard._disk
-            orig_read = disk.read_page
+        disk = shard._disk
+        orig_read = disk.read_page
 
-            def read_page(page_id, _orig=orig_read):
-                time.sleep(read_us / 1e6)
-                return _orig(page_id)
+        def read_page(page_id, _orig=orig_read):
+            time.sleep(read_us / 1e6)
+            return _orig(page_id)
 
-            disk.read_page = read_page
-        if fsync_ms:
-            log = shard._log
-            orig_flush = log.flush
+        disk.read_page = read_page
 
-            def flush(_orig=orig_flush):
-                time.sleep(fsync_ms / 1e3)
-                _orig()
 
-            log.flush = flush
+@contextmanager
+def _fsync_model(fsync_ms: float = FSYNC_MS):
+    """The stated forced-write model: every ``os.fsync`` (whichever file)
+    sleeps ``fsync_ms`` first, for as long as the block runs."""
+    real = os.fsync
+
+    def fsync(fd: int) -> None:
+        time.sleep(fsync_ms / 1e3)
+        real(fd)
+
+    os.fsync = fsync
+    try:
+        yield
+    finally:
+        os.fsync = real
+
+
+@contextmanager
+def _counted_fsyncs():
+    """Count fsyncs while the block runs, split by caller: the garbage
+    pacer's (reclaim cost, after the commit is durable) and the rest."""
+    counts = {"commit": 0, "paced": 0}
+    real = os.fsync
+
+    def fsync(fd: int) -> None:
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "_pace_reclaim":
+            frame = frame.f_back
+        counts["commit" if frame is None else "paced"] += 1
+        real(fd)
+
+    os.fsync = fsync
+    try:
+        yield counts
+    finally:
+        os.fsync = real
 
 
 def _chill(router) -> None:
@@ -217,7 +249,7 @@ def run_sweep(tmp_path, shard_counts=(2, 4, 8)) -> dict:
     for nshards in shard_counts:
         router, refs = _build(tmp_path, f"e16_scan_{nshards}", nshards)
         try:
-            _model_disk(router, read_us=READ_US)
+            _model_disk(router, READ_US)
             serial = fanout_scan_ms(router, parallel=False)
             par = fanout_scan_ms(router, parallel=True)
         finally:
@@ -233,15 +265,15 @@ def run_sweep(tmp_path, shard_counts=(2, 4, 8)) -> dict:
             raw_single = single_commit_ms(router, refs)
             raw_serial = cross_commit_ms(router, refs, parallel=False)
             raw_par = cross_commit_ms(router, refs, parallel=True)
-            _model_disk(router, fsync_ms=FSYNC_MS)
             parts = min(nshards, 4)
-            mod_single = single_commit_ms(router, refs, MODELED_COMMIT_ROUNDS)
-            mod_serial = cross_commit_ms(
-                router, refs, False, parts, MODELED_COMMIT_ROUNDS
-            )
-            mod_par = cross_commit_ms(
-                router, refs, True, parts, MODELED_COMMIT_ROUNDS
-            )
+            with _fsync_model():
+                mod_single = single_commit_ms(router, refs, MODELED_COMMIT_ROUNDS)
+                mod_serial = cross_commit_ms(
+                    router, refs, False, parts, MODELED_COMMIT_ROUNDS
+                )
+                mod_par = cross_commit_ms(
+                    router, refs, True, parts, MODELED_COMMIT_ROUNDS
+                )
         finally:
             router.close()
         results["twopc"][str(nshards)] = {
@@ -312,7 +344,7 @@ def test_e16_parallel_fanout_speedup_smoke(tmp_path, benchmark):
     """
     router, _refs = _build(tmp_path, "e16_fanout", nshards=4)
     try:
-        _model_disk(router, read_us=READ_US)
+        _model_disk(router, READ_US)
         serial = fanout_scan_ms(router, parallel=False)
         par = fanout_scan_ms(router, parallel=True)
         stats = router.stats()
@@ -338,22 +370,24 @@ def test_e16_parallel_fanout_speedup_smoke(tmp_path, benchmark):
 
 @pytest.mark.smoke
 def test_e16_parallel_2pc_overhead_smoke(tmp_path, benchmark):
-    """Cross-shard commit cost: forced log writes, counted and modeled.
+    """Cross-shard commit cost: forced writes, counted and modeled.
 
     Gates:
 
     * counted: a 2-writer commit flushes the WAL twice, a 4-writer one
       four times (one per remote PREPARE, one for the coordinator
-      shard's PREPARE + verdict; no COMMIT is forced).  The in-place
-      rewrites also feed the commit-path garbage pacer, whose tombstone
-      flush -- one per paced run here, where nothing blocks a reclaim --
-      is reclaim, not commit cost, and is counted apart;
+      shard's PREPARE + verdict; no COMMIT is forced), and each of those
+      flushes is the one fsync its shard pays -- the rewritten payloads
+      ride in the log, no pack is forced.  The in-place rewrites also
+      feed the commit-path garbage pacer, whose tombstone flush and pack
+      sync are reclaim, not commit cost, and are counted apart;
     * raw (container storage): the 2PC overhead lands below the ~2.5x
       baseline E14 reported, and parallel is no slower than serial;
-    * modeled (2 ms fsync): at four writers the three remote prepares
-      overlap -- ~2 fsync waits against the serial loop's ~4.  At two
-      writers there is one remote prepare and nothing to overlap, so
-      no ratio is gated there; the modeled waits are reported.
+    * modeled (2 ms per fsync, the sleep model -- not a measurement): at
+      four writers the three remote prepares overlap -- ~2 fsync waits
+      against the serial loop's ~4.  At two writers there is one remote
+      prepare and nothing to overlap, so no ratio is gated there; the
+      modeled latencies are reported.
 
     The 2PC accounting is gated like E14's: each 2-participant commit
     runs two prepares and one decision, and its verdict is either
@@ -366,7 +400,8 @@ def test_e16_parallel_2pc_overhead_smoke(tmp_path, benchmark):
 
         base = router.stats()
         n = COMMIT_ROUNDS + 1  # cross_commit_ms runs one warm txn + rounds
-        raw_par = cross_commit_ms(router, refs, parallel=True)
+        with _counted_fsyncs() as fsyncs2:
+            raw_par = cross_commit_ms(router, refs, parallel=True)
         stats = router.stats()
         assert stats["shard.2pc.prepares"] - base["shard.2pc.prepares"] == 2 * n
         assert stats["shard.2pc.decisions"] - base["shard.2pc.decisions"] == n
@@ -381,26 +416,32 @@ def test_e16_parallel_2pc_overhead_smoke(tmp_path, benchmark):
             return (after["wal.flushes"] - before["wal.flushes"] - paced) / n
 
         flushes2 = forced(base, stats)
-        raw_par4 = cross_commit_ms(router, refs, True, 4)
+        with _counted_fsyncs() as fsyncs4:
+            raw_par4 = cross_commit_ms(router, refs, True, 4)
         after = router.stats()
         flushes4 = forced(stats, after)
         paced_runs = after["gc.paced_runs"] - base["gc.paced_runs"]
 
-        _model_disk(router, fsync_ms=FSYNC_MS)
-        mod_serial2 = cross_commit_ms(
-            router, refs, False, 2, MODELED_COMMIT_ROUNDS
-        )
-        mod_par2 = cross_commit_ms(router, refs, True, 2, MODELED_COMMIT_ROUNDS)
-        mod_serial4 = cross_commit_ms(
-            router, refs, False, 4, MODELED_COMMIT_ROUNDS
-        )
-        mod_par4 = cross_commit_ms(router, refs, True, 4, MODELED_COMMIT_ROUNDS)
+        with _fsync_model():
+            mod_serial2 = cross_commit_ms(
+                router, refs, False, 2, MODELED_COMMIT_ROUNDS
+            )
+            mod_par2 = cross_commit_ms(router, refs, True, 2, MODELED_COMMIT_ROUNDS)
+            mod_serial4 = cross_commit_ms(
+                router, refs, False, 4, MODELED_COMMIT_ROUNDS
+            )
+            mod_par4 = cross_commit_ms(router, refs, True, 4, MODELED_COMMIT_ROUNDS)
     finally:
         router.close()
 
     assert (flushes2, flushes4) == (2, 4), (
         f"forced log writes per commit: {flushes2} at 2 writers, "
         f"{flushes4} at 4 -- expected one per writer shard"
+    )
+    per_commit = (fsyncs2["commit"] / n, fsyncs4["commit"] / n)
+    assert per_commit == (2, 4), (
+        f"fsyncs per commit: {per_commit} at (2, 4) writers -- expected "
+        f"one per writer shard"
     )
 
     raw_par_x = raw_par / raw_single
@@ -414,8 +455,8 @@ def test_e16_parallel_2pc_overhead_smoke(tmp_path, benchmark):
         f"({raw_serial:.2f}ms) in the same run"
     )
     # Structural gate under the fsync model: three remote prepares
-    # overlap (2 waits) or add up (4 waits).  The raw commit (four blob
-    # fsyncs) costs about one modelled wait itself, hence 0.85, not 0.5.
+    # overlap (2 waits) or add up (4 waits).  The raw commit costs about
+    # one modelled wait itself, hence 0.85, not 0.5.
     assert mod_par4 <= mod_serial4 * 0.85, (
         f"4 participants: parallel {mod_par4:.1f}ms vs serial "
         f"{mod_serial4:.1f}ms -- the remote prepares did not overlap"
@@ -423,6 +464,9 @@ def test_e16_parallel_2pc_overhead_smoke(tmp_path, benchmark):
     benchmark.extra_info["wal_flushes_per_commit_2p"] = flushes2
     benchmark.extra_info["gc_paced_runs"] = paced_runs
     benchmark.extra_info["wal_flushes_per_commit_4p"] = flushes4
+    benchmark.extra_info["fsyncs_per_commit_2p"] = per_commit[0]
+    benchmark.extra_info["fsyncs_per_commit_4p"] = per_commit[1]
+    benchmark.extra_info["paced_fsyncs"] = fsyncs2["paced"] + fsyncs4["paced"]
     benchmark.extra_info["modeled_fsync_waits_2p"] = round(
         (mod_par2 - raw_par) / FSYNC_MS, 2
     )

@@ -57,7 +57,7 @@ from repro.core.transactions import (
 from repro.core.triggers import TriggerManager
 from repro.core.vgraph import VersionGraph
 from repro.storage import faults
-from repro.storage.blobs import GARBAGE_PACE
+from repro.storage.blobs import GARBAGE_PACE, BlobStore
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
 from repro.storage.disk import DiskManager
@@ -137,6 +137,8 @@ class Database(VersionReads, SessionHost):
         )
         self._pool = BufferPool(self._disk, pool_size)
         self._pool.before_write = self._log.flush  # write-ahead rule
+        # Open before recovery: replay re-puts the logged payloads.
+        self._blobs = BlobStore(os.path.join(self._path, "blobs"))
         self.last_recovery: RecoveryReport | None = None
         # Two-phase commit bookkeeping (see repro.shard): prepared
         # participants awaiting a verdict, and coordinator decisions not
@@ -154,14 +156,12 @@ class Database(VersionReads, SessionHost):
         self._catalog = Catalog(self._disk, self._pool, page_locks=self._page_locks)
         self._store = VersionStore(
             self._catalog,
+            self._blobs,
             policy,
             cache_budget=cache_budget,
             oid_stride=oid_stride,
             oid_residue=oid_residue,
         )
-        # Payload -> log -> data: every flush syncs the packs before it
-        # writes the records that may reference their newest frames.
-        self._log.before_write = self._store.blobs.sync
         self._locks = LockManager(lock_timeout)
         self._locks.work_of = self._txn_work
         self._triggers = TriggerManager(type_resolver=self._store.type_name)
@@ -228,7 +228,7 @@ class Database(VersionReads, SessionHost):
                 heaps[file_id] = heap
             return heap
 
-        report = self.last_recovery = recover(self._log, resolver)
+        report = self.last_recovery = recover(self._log, resolver, self._blobs.put)
         self._in_doubt = dict(report.in_doubt)
         self._coord_decisions = dict(report.coord_decisions)
         # GC tombstones, too, live only in the WAL until
@@ -237,15 +237,24 @@ class Database(VersionReads, SessionHost):
         self._pool.drop_clean()
 
     def _write_back(self, keep_log: bool = False) -> None:
-        """Bring the data file up to the log, then drop the log.
+        """Bring the data file and the packs up to the log, then drop it.
 
         Unless it is still evidence: the undo images of in-doubt
         participants and the coordinator verdicts live only there, so the
         log stays until the checkpoint that follows their resolution.
+        The packs are forced only here, when the log is about to forget
+        the ``PAYLOAD`` records that have kept their new frames durable.
         """
+        forget = not (keep_log or self._in_doubt or self._coord_decisions)
+        if forget:
+            try:
+                self._blobs.sync()
+            except OSError:
+                self._disk.note_failure("pack fsync failed")
+                raise
         self._pool.flush_all()
         self._disk.sync()
-        if not (keep_log or self._in_doubt or self._coord_decisions):
+        if forget:
             self._log.truncate()
 
     def _repair_gc_tombstones(self) -> None:
@@ -447,7 +456,7 @@ class Database(VersionReads, SessionHost):
         if self._degraded_reason is None:
             self.checkpoint()
         self._log.close(flush=self._degraded_reason is None)
-        self._store.blobs.close()
+        self._blobs.close()
         self._disk.close(sync=self._degraded_reason is None)
         self._closed = True
 
@@ -853,14 +862,13 @@ class Database(VersionReads, SessionHost):
         WAL ``GC_TOMBSTONE`` before the first unlink so a crash in any
         window is repaired at the next open.  Commits run this same step
         themselves (:meth:`_pace_reclaim`); this call forces one under the
-        storage mutex, opens no transaction, and syncs the packs, so the
-        ones its compaction emptied leave the disk before it returns.
+        storage mutex and opens no transaction.  Either way the step ends
+        by syncing the packs, so the ones its compaction emptied leave
+        the disk before it returns.
         """
         self._check_writable()
         with self._storage_mutex:
-            result = self._reclaim(limit, dry_run)
-        self._store.blobs.sync()
-        return result
+            return self._reclaim(limit, dry_run)
 
     def _pace_reclaim(self) -> None:
         """Reclaim once garbage (candidate + dead pack bytes) has grown by
@@ -904,9 +912,10 @@ class Database(VersionReads, SessionHost):
             faults.fire("gc.index.pre")
             store.drop_blob_entry(key)
             faults.fire("gc.index.post")
-        # Dead frames are only space: bound them (no journal, nothing
-        # forced -- emptied packs go at the next log flush).
+        # Dead frames are only space: bound them (no journal), and retire
+        # the packs that emptied once the copies are synced.
         store.blobs.compact()
+        store.blobs.sync()
         self._gc_mark = store.garbage_and_live_bytes()[0]
         self._gc_counters["blobs_unlinked"] += len(eligible)
         self._gc_counters["bytes_freed"] += freed
@@ -1105,6 +1114,8 @@ class Database(VersionReads, SessionHost):
             "wal.flushes": self._log.flush_count,
             "wal.group_piggybacks": self._log.group_piggybacks,
             "wal.write_failures": self._log.write_failures,
+            "wal.payload_records": self._log.payload_records,
+            "wal.payload_bytes": self._log.payload_bytes,
             "disk.pages": self._disk.num_pages,
             "disk.write_failures": self._disk.write_failures,
             "degraded": self._degraded_reason is not None,

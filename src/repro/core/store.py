@@ -31,7 +31,6 @@ inherited from the heap layer through the ``log_op`` callback.
 from __future__ import annotations
 
 import inspect
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -61,6 +60,7 @@ from repro.storage.blobs import BlobStore
 from repro.storage.catalog import Catalog
 from repro.storage.delta import apply_delta, compute_delta
 from repro.storage.heap import HeapFile, LogOp, Rid
+from repro.storage.wal import PAYLOAD
 from repro.verify import hooks
 
 #: Heap names used by the store.
@@ -207,6 +207,7 @@ class VersionStore(VersionReads):
     def __init__(
         self,
         catalog: Catalog,
+        blobs: BlobStore,
         policy: StoragePolicy | None = None,
         cache_budget: int = DEFAULT_BYTES_BUDGET,
         decoded_entries: int = DEFAULT_DECODED_ENTRIES,
@@ -224,7 +225,7 @@ class VersionStore(VersionReads):
         self._objects: HeapFile = catalog.ensure_heap(OBJECTS_HEAP)
         self._versions: HeapFile = catalog.ensure_heap(VERSIONS_HEAP)
         self._clusters: HeapFile = catalog.ensure_heap(CLUSTERS_HEAP)
-        self._blobs = BlobStore(os.path.join(catalog.directory, "blobs"))
+        self._blobs = blobs
         #: key -> (refcount, size), derived from the payload records.
         self._blob_index: dict[str, _BlobRef] = {}
         #: Zero-refcount keys awaiting reclaim, stamped with the snapshot
@@ -524,24 +525,28 @@ class VersionStore(VersionReads):
             self._live_bytes -= ref.size
             self._pending_bytes += ref.size
 
-    def _blob_ref_record(self, stored: bytes) -> bytes:
+    def _blob_ref_record(self, stored: bytes, log_op: LogOp | None) -> bytes:
         """The versions-heap record for ``stored``: itself, or a blob ref.
 
         A payload of at most :data:`INLINE_PAYLOAD_MAX` bytes is its own
         record -- unless it reads as a blob reference, in which case it
         takes the blob path like a large one so the two encodings stay
-        disjoint.  A large payload is appended to the blob store (and
-        synced by the log flush) *before* the record that references it:
-        a crash or rollback in between leaves an unreferenced frame, the
-        next recount's GC candidate.  The reverse order could lose acknowledged
-        payload bytes.  The count moves with the caller's heap write,
-        under the same storage mutex.
+        disjoint.  A large payload is put in the blob store *before* the
+        record that references it, and a put that appends a frame logs
+        the body as a ``PAYLOAD`` record first: the flush that makes the
+        reference durable makes the payload durable.  A crash or rollback
+        in between leaves an unreferenced frame, the next recount's GC
+        candidate.  The count moves with the caller's heap write, under
+        the same storage mutex.
         """
         if len(stored) <= INLINE_PAYLOAD_MAX and not blobstore.is_ref(stored):
             self._inline_records += 1
             self._inline_bytes += len(stored)
             return stored
-        key = self._blobs.put(stored)
+        key = self._blobs.put(
+            stored,
+            None if log_op is None else lambda body: log_op(PAYLOAD, 0, 0, 0, body, b""),
+        )
         self._blob_incref(key, len(stored))
         return blobstore.encode_ref(key, len(stored))
 
@@ -555,14 +560,14 @@ class VersionStore(VersionReads):
             self._inline_bytes -= len(record)
 
     def _record_insert(self, stored: bytes, log_op: LogOp | None) -> Rid:
-        return self._versions.insert(self._blob_ref_record(stored), log_op)
+        return self._versions.insert(self._blob_ref_record(stored, log_op), log_op)
 
     def _record_update(self, rid: Rid, stored: bytes, log_op: LogOp | None) -> None:
         # Incref-new before decref-old: rewriting a record to the same
         # content must never let the shared key's count touch zero.  Either
         # side may be inline (no reference to take or drop).
         old = self._versions.read(rid)
-        self._versions.update(rid, self._blob_ref_record(stored), log_op)
+        self._versions.update(rid, self._blob_ref_record(stored, log_op), log_op)
         self._release_record(old)
 
     def _record_delete(self, rid: Rid, log_op: LogOp | None) -> None:

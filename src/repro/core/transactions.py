@@ -477,11 +477,13 @@ class Transaction:
         payload: bytes,
         undo_payload: bytes,
     ) -> None:
-        """Record one heap mutation (appended to the WAL, buffered)."""
+        """Record one heap mutation (appended to the WAL, buffered), or a
+        redo-only ``PAYLOAD``, which nothing undoes."""
         self._require_active()
         record = LogRecord(kind, self.txid, file_id, page_id, slot, payload, undo_payload)
         self._log.append(record)
-        self._ops.append(record)
+        if record.is_op:
+            self._ops.append(record)
 
     # -- locking ------------------------------------------------------------
 

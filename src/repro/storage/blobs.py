@@ -33,18 +33,22 @@ frames with one key (a crash between copy-forward and retire) the later
 wins and the earlier is dead space, remembered in its pack so that
 :meth:`BlobStore.unlink` marks it dead too.
 
-**Durability: payload -> log -> data.**  ``put`` only appends.
-:meth:`BlobStore.sync` makes everything appended so far durable with one
-fsync of the active pack (and one of ``blobs/`` when a pack file was
-created since the last), and the database hangs it on
-``LogManager.before_write``: a flusher first fixes the set of log
-records it covers, then syncs the packs, then writes those records.  A
-record that references a payload is appended after the payload's
-``put`` returned, so no reference reaches the log file -- and, by the
-buffer pool's write-ahead rule, no data page -- before its payload is
-durable, whichever thread leads the group commit.  A crash or rollback
-in between leaves an unreferenced frame, which the store's next recount
-makes a GC candidate.
+**Durability: the log carries the payload.**  ``put`` only appends, and
+nothing on the commit path forces a pack.  The database passes ``put`` a
+``log`` callback that appends a ``PAYLOAD`` record holding the body
+before the frame is written, under the store lock, so **a frame's
+``PAYLOAD`` record precedes, in log order, every record that references
+the frame** -- a record of another transaction that dedups against it
+included.  The flush that makes a reference durable therefore makes its
+payload durable too, with the one log fsync.  Recovery puts every
+``PAYLOAD`` body back before it replays the heaps -- losers' included,
+since a winner may have deduped against a loser's frame -- and the log
+forgets a payload only after :meth:`BlobStore.sync` has made the packs
+durable (the checkpoint's write-back).  Packs are otherwise forced only
+when sealed (full, or holding too much dead space for compaction to
+leave alone), and by the reclaim step that retires emptied ones.  A crash
+or rollback between put and reference leaves an unreferenced frame,
+which the store's next recount makes a GC candidate.
 
 **Reclaim** goes only through the GC tombstone protocol (journal first,
 unlink second -- ``repro.core.gc``): :meth:`BlobStore.unlink` drops the
@@ -61,7 +65,8 @@ of the sealed pack with the largest dead share into the active pack, and
 the emptied pack is deleted by the next :meth:`BlobStore.sync` *after*
 the fsync that covers the copies.  Live bytes are thus durable twice
 before they are durable once again, which is why compaction needs no
-journal and forces nothing itself.
+journal (and copies log no ``PAYLOAD``: their originals stay on disk
+until that fsync).
 
 The store is deliberately a narrow interface (put/get/unlink/keys over
 an opaque key) so an S3-style remote backend can slot in behind it later
@@ -76,6 +81,7 @@ import re
 import struct
 import threading
 import zlib
+from typing import Callable
 
 from repro.errors import BlobCorruptError, BlobError, BlobMissingError
 from repro.storage import faults
@@ -95,7 +101,7 @@ _FRAME = struct.Struct("<II")  # length (bit 31: dead mark), crc32
 _DEAD = 1 << 31
 _PACK_NAME = re.compile(r"pack-(\d{6,})\Z")
 
-#: The active pack is sealed by the first sync that finds it this large.
+#: The append that grows the active pack to this size seals it.
 PACK_TARGET = 4 << 20
 #: Compaction keeps dead frame bytes at or below this share of live ones.
 DEAD_BUDGET = 1 / 64
@@ -205,7 +211,6 @@ class BlobStore:
         #: Serializes everything that changes the index or the pack list
         #: (:meth:`get` only reads them, and revalidates).
         self._lock = threading.Lock()
-        self._sync_lock = threading.Lock()  # one sync() at a time
         self._index: dict[str, tuple[_Pack, int, int]] = {}
         self._packs: list[_Pack] = []
         self._retiring: list[_Pack] = []  # emptied; deleted by the next sync
@@ -289,10 +294,13 @@ class BlobStore:
         with self._lock:
             return sorted(self._index)
 
-    def put(self, content: bytes) -> str:
+    def put(self, content: bytes, log: Callable[[bytes], object] | None = None) -> str:
         """Store ``content``; returns its key.  Idempotent by construction:
         ``put(b) == put(b)`` is one key, one frame and (after the first
-        call) no I/O.  Durable once :meth:`sync` has run."""
+        call) no I/O.  When a frame is appended, ``log(content)`` runs
+        first, under the store lock: no other put can find the key before
+        its ``PAYLOAD`` record is in the log.  Durable once that record
+        is, or once :meth:`sync` has run."""
         key = blob_key(content)
         size = len(content)
         if size >= _DEAD:
@@ -305,6 +313,8 @@ class BlobStore:
                 self.stats.dedup_hits += 1
                 self.stats.bytes_deduped += size
                 return key
+            if log is not None:
+                log(content)
             self._append(key, _FRAME.pack(size, _crc(size, content)) + content)
             self.stats.frames_appended += 1
             self.stats.bytes_written += size
@@ -335,6 +345,14 @@ class BlobStore:
         pack.size += len(frame)
         pack.live += len(frame)
         self._appended += len(frame)
+        if pack.size >= PACK_TARGET:
+            self._seal()
+
+    def _seal(self) -> None:
+        """Sync, and append to the active pack no more (lock held): a
+        sealed pack is fully synced, so a bad frame in it is damage."""
+        self._sync()
+        self._active = None
 
     def get(self, key: str) -> bytes:
         """Read a blob's content (one pread, crc checked).
@@ -405,54 +423,40 @@ class BlobStore:
         One fsync of the active pack when it has grown since the last
         sync, one of the directory when a pack file was created since.
         Packs :meth:`compact` emptied before this call are deleted after
-        the fsync that covers the copies of their survivors.
+        the fsync that covers the copies of their survivors.  Holds the
+        store lock throughout: it runs only where nothing appends (a
+        checkpoint, a reclaim step, a seal).
         """
-        if (
-            self._appended == self._synced
-            and self.stats.packs_created == self._dir_synced
-            and not self._retiring
-        ):
-            # Nothing to cover.  Unlocked: a put racing this read has not
-            # logged its reference yet, so a later flush answers for it.
-            return
-        with self._sync_lock:
-            with self._lock:
-                pack, appended = self._active, self._appended
-                created = self.stats.packs_created
-                retiring = list(self._retiring)
-            if appended != self._synced:
-                faults.fire("blobs.sync.fsync")
-                os.fsync(pack.file.fileno())
-                self.stats.syncs += 1
-            if created != self._dir_synced:
-                fd = os.open(self._root, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
-            self._synced, self._dir_synced = appended, created
-            with self._lock:
-                if faults.is_crashed():
-                    retiring = []  # a dead process deletes nothing
-                for done in retiring:
-                    os.unlink(done.path)
-                    done.file.close()
-                    self._retiring.remove(done)
-                    faults.fire("blobs.compact.retired")
-                if (
-                    pack is not None
-                    and pack is self._active
-                    and pack.size >= PACK_TARGET
-                    and self._appended == appended
-                ):
-                    self._active = None  # sealed: fully synced, never appended again
+        with self._lock:
+            self._sync()
+
+    def _sync(self) -> None:
+        if self._appended != self._synced:
+            faults.fire("blobs.sync.fsync")
+            os.fsync(self._active.file.fileno())
+            self.stats.syncs += 1
+            self._synced = self._appended
+        if self.stats.packs_created != self._dir_synced:
+            fd = os.open(self._root, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            self._dir_synced = self.stats.packs_created
+        if not faults.is_crashed():  # a dead process deletes nothing
+            for done in list(self._retiring):
+                os.unlink(done.path)
+                done.file.close()
+                self._retiring.remove(done)
+                faults.fire("blobs.compact.retired")
 
     def unsynced_tail(self) -> tuple[str | None, int]:
-        """The active pack's path and the bytes at its end no fsync covers
-        (what a crash may lose; the crash matrix cuts exactly that)."""
+        """The active pack's path and the length of it an fsync covers:
+        a crash may lose what follows (the crash matrix cuts exactly that)."""
         with self._lock:
-            path = self._active.path if self._active is not None else None
-            return path, self._appended - self._synced
+            if self._active is None:
+                return None, 0
+            return self._active.path, self._active.size - (self._appended - self._synced)
 
     # -- dead space ------------------------------------------------------------------
 
@@ -461,6 +465,7 @@ class BlobStore:
         out = self.stats.as_dict()
         out["blobs.packs"] = self.pack_count()
         out["blobs.dead_bytes"] = self.dead_bytes()
+        out["blobs.unsynced_bytes"] = self._appended - self._synced  # covered by the log
         return out
 
     def pack_count(self) -> int:
@@ -486,22 +491,16 @@ class BlobStore:
         """Bring dead space back under :data:`DEAD_BUDGET`.
 
         Copying moves live bytes only, so dead space in the active pack
-        beyond the budget can leave just one way: the pack, once fully
-        synced, is sealed here, before anything is copied into it (a copy
-        un-syncs it).  Sealed packs are then taken by descending dead
-        share; each one's live frames are copied (crc checked) into the
-        active pack and re-pointed in the index, and the emptied pack
-        queues for the next :meth:`sync`.  Writes nothing that has to be
-        forced.
+        beyond the budget can leave just one way: the pack is sealed here
+        (one fsync), before anything is copied into it.  Sealed packs are
+        then taken by descending dead share; each one's live frames are
+        copied (crc checked) into the active pack and re-pointed in the
+        index, and the emptied pack queues for the next :meth:`sync`.
         """
         with self._lock:
             pack = self._active
-            if (
-                pack is not None
-                and self._appended == self._synced
-                and pack.size - pack.live > DEAD_BUDGET * self.live_bytes()
-            ):
-                self._active = None
+            if pack is not None and pack.size - pack.live > DEAD_BUDGET * self.live_bytes():
+                self._seal()
             victims = [
                 p for p in self._packs
                 if p is not self._active and not p.damaged and (p.live < p.size or not p.size)

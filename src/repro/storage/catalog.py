@@ -15,7 +15,6 @@ Catalog records are codec-encoded tuples:
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from repro.errors import CatalogError
@@ -56,15 +55,6 @@ class Catalog:
         self._root_rids: dict[str, Rid] = {}
         self._open_heaps: dict[int, HeapFile] = {CATALOG_FILE_ID: self._heap}
         self._load()
-
-    @property
-    def directory(self) -> str:
-        """Directory holding the database files (derived from the data file).
-
-        The version store roots its blob directory here, so everything a
-        database owns -- data file, WAL, blobs -- lives under one path.
-        """
-        return os.path.dirname(os.path.abspath(self._disk.path))
 
     def reload(self) -> None:
         """Rebuild the in-memory catalog caches from heap file 1.

@@ -196,7 +196,7 @@ class DiskManager:
                 self._file.seek(page_id * PAGE_SIZE)
                 faults.write("disk.write_page.write", self._file, bytes(data))
         except OSError:
-            self._note_failure("data-file page write failed")
+            self.note_failure("data-file page write failed")
             raise
         else:
             self._note_success()
@@ -219,13 +219,14 @@ class DiskManager:
             os.fsync(self._file.fileno())
             faults.fire("disk.sync.post")
         except OSError:
-            self._note_failure("data-file fsync failed")
+            self.note_failure("data-file fsync failed")
             raise
         else:
             self._note_success()
 
-    def _note_failure(self, what: str) -> None:
-        """Count a survivable I/O failure; report once past the threshold.
+    def note_failure(self, what: str) -> None:
+        """Count a survivable I/O failure (the write-back's pack fsync's
+        too); report once past the threshold.
 
         Simulated process deaths (:class:`~repro.storage.faults.SimulatedCrash`
         is a ``BaseException``, not ``OSError``) never reach here -- only

@@ -148,8 +148,8 @@ FAILPOINTS: tuple[str, ...] = (
     "gc.repair.pre",
     "gc.repair.post",
     # -- pack files (repro.storage.blobs) -----------------------------------
-    # A frame append, the pack fsync beneath every WAL flush, and the two
-    # halves of compaction: survivors copied forward, emptied pack deleted.
+    # A frame append, the pack fsync (write-back, seal, reclaim), and the
+    # two halves of compaction: survivors copied forward, pack deleted.
     "blobs.append",
     "blobs.sync.fsync",
     "blobs.compact.copied",

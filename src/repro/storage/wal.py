@@ -10,6 +10,11 @@ Log records are logical at record-id granularity:
 * ``BEGIN(txid)`` / ``COMMIT(txid)`` / ``ABORT_END(txid)``
 * ``OP(txid, kind, file_id, page_id, slot, payload, undo_payload)`` with
   ``kind`` in ``{INSERT, UPDATE, DELETE}``
+* ``PREPARE`` / ``COORD_COMMIT`` / ``COORD_END``: two-phase commit
+* ``GC_TOMBSTONE``: blob keys about to be unlinked
+* ``PAYLOAD(txid, body)``: a blob frame's body, logged when the frame is
+  appended and before any record that references it; redo-only, and
+  redone for every transaction, losers included (``repro.storage.blobs``)
 
 Recovery repeats history: it replays **all** ops from the last checkpoint in
 log order (replay is last-writer-wins per record id, so this is idempotent),
@@ -19,11 +24,11 @@ aborted during normal operation logs its undo actions as ordinary ops (a
 poor-man's CLR) followed by ``ABORT_END``, so recovery treats it as
 finished.
 
-Checkpoints are quiescent: with no transaction active, all dirty pages are
-flushed, the data file is fsynced, and the log is truncated to empty.  This
-keeps recovery simple (replay always starts at offset 0) at the cost of a
-pause -- acceptable for the workloads in this reproduction, and measured by
-experiment E11.
+Checkpoints are quiescent: with no transaction active, the blob packs and
+the data file are brought up to the log and fsynced, and the log is
+truncated to empty.  This keeps recovery simple (replay always starts at
+offset 0) at the cost of a pause -- acceptable for the workloads in this
+reproduction, and measured by experiment E11.
 
 Frame format: ``u32 length | u32 crc32 | body``.  A torn final frame (short
 read or CRC mismatch) ends replay cleanly; anything after it was never
@@ -47,6 +52,7 @@ from repro.storage import faults, serialization
 from repro.verify import hooks
 
 _FRAME = struct.Struct("<II")  # length, crc32
+_FIELD_TYPES = [int] * 5 + [bytes] * 2  # a record body: ids, then payloads
 
 # Record kinds (on-disk values; never renumber).
 BEGIN = 1
@@ -63,6 +69,9 @@ COORD_END = 9
 # Journaled and flushed *before* the files go away, so a crash anywhere
 # between tombstone and index update is repaired at recovery.
 GC_TOMBSTONE = 10
+#: A new blob frame's body.  The pack write is not forced; this record,
+#: forced with the references that follow it, is the payload's durability.
+PAYLOAD = 11
 
 
 @dataclass(frozen=True)
@@ -97,8 +106,13 @@ class LogRecord:
 
     @staticmethod
     def from_bytes(raw: bytes) -> LogRecord:
-        fields = serialization.decode(raw)
-        if not isinstance(fields, tuple) or len(fields) != 7:
+        """Decode a body; :class:`WalError` for anything :meth:`to_bytes`
+        cannot have written (only reachable past a matching crc)."""
+        try:
+            fields = serialization.decode(raw)
+        except Exception as exc:  # noqa: BLE001 - garbage may fail any way
+            raise WalError(f"malformed log record body: {exc!r}") from exc
+        if type(fields) is not tuple or list(map(type, fields)) != _FIELD_TYPES:
             raise WalError("malformed log record body")
         return LogRecord(*fields)
 
@@ -135,7 +149,8 @@ class LogManager:
             with open(self._path, "wb"):
                 pass
         self._file = open(self._path, "r+b", buffering=0)
-        self._file.seek(0, os.SEEK_END)
+        #: Durable end of the log: where the next flush writes.
+        self._end = self._file.seek(0, os.SEEK_END)
         self._buffer = bytearray()
         self._cond = threading.Condition()
         self._group_window = group_window
@@ -143,14 +158,10 @@ class LogManager:
         self._flushed_seq = 0  # highest sequence covered by a completed fsync
         self._flushing = False  # an fsync is in flight (I/O happens unlocked)
         self._pending_flushers = 0  # threads currently inside flush()
-        #: Called by a flusher once the set of records it covers is fixed
-        #: and before any of them is written: whatever those records refer
-        #: to outside the log (blob payloads) is made durable first.  A
-        #: failure fails the flush.  Running it earlier would let a group
-        #: leader cover a follower's record appended after the call.
-        self.before_write: "Callable[[], None] | None" = None
         #: Count of fsyncs, for the E11 micro-benchmarks.
         self.flush_count = 0
+        #: ``PAYLOAD`` records appended, and the body bytes they carry.
+        self.payload_records = self.payload_bytes = 0
         #: Flush calls satisfied by another thread's fsync (group commit).
         self.group_piggybacks = 0
         #: Total flush attempts that failed (write or fsync error).
@@ -190,6 +201,9 @@ class LogManager:
                 raise WalError("append to a closed log")
             self._buffer.extend(frame)
             self._seq += 1
+            if record.kind == PAYLOAD:
+                self.payload_records += 1
+                self.payload_bytes += len(record.payload)
             if self._flushing:
                 # Wake a lingering group-commit flusher: the group grew.
                 self._cond.notify_all()
@@ -240,15 +254,12 @@ class LogManager:
             self._buffer.clear()
             covered = self._seq
         ok = False
-        write_start = -1
+        write_start = self._end
         try:
             # I/O happens outside the lock so that piggybacking flushers can
             # register and appends are never blocked behind the disk.
-            if self.before_write is not None:
-                self.before_write()
             faults.fire("wal.flush.pre_write")
             if buf:
-                write_start = self._file.tell()
                 faults.write("wal.flush.write", self._file, buf)
             faults.fire("wal.flush.post_write")
             self._file.flush()
@@ -258,7 +269,7 @@ class LogManager:
             faults.fire("wal.flush.post_fsync")
             ok = True
         finally:
-            if not ok and write_start >= 0 and not faults.is_crashed():
+            if not ok and buf and not faults.is_crashed():
                 # A failed write may have put a *partial* frame in the file.
                 # The retry below re-appends the whole buffer, so without a
                 # repair the log would read  <garbage prefix><good frames>
@@ -277,6 +288,7 @@ class LogManager:
             with self._cond:
                 self._flushing = False
                 if ok:
+                    self._end += len(buf)
                     self._flushed_seq = max(self._flushed_seq, covered)
                     self.flush_count += 1
                     self._consecutive_failures = 0
@@ -312,6 +324,7 @@ class LogManager:
             faults.fire("wal.truncate.pre")
             self._buffer.clear()
             self._flushed_seq = self._seq
+            self._end = 0
             self._file.seek(0)
             self._file.truncate(0)
             self._file.flush()
@@ -320,8 +333,7 @@ class LogManager:
 
     def size(self) -> int:
         """Durable log size in bytes (excludes the unflushed buffer)."""
-        with self._cond:
-            return os.path.getsize(self._path)
+        return self._end
 
     def records(self) -> Iterator[LogRecord]:
         """Iterate durable records from the start; stops at a torn tail."""
@@ -337,8 +349,8 @@ class LogManager:
             length, crc = _FRAME.unpack_from(data, pos)
             body_start = pos + _FRAME.size
             body_end = body_start + length
-            if body_end > n:
-                break  # torn tail
+            if body_end > n or not length:
+                break  # torn tail (no record is empty: zeros are a tail too)
             body = data[body_start:body_end]
             if zlib.crc32(body) != crc:
                 break  # torn or corrupt tail
@@ -402,15 +414,24 @@ class RecoveryReport:
     #: unlink may have happened", and the repair pass (see
     #: ``Database._repair_gc_tombstones``) is idempotent either way.
     gc_tombstones: tuple[str, ...] = ()
+    #: ``PAYLOAD`` records handed to ``redo_payload``.
+    payloads_redone: int = 0
 
 
-def recover(log: LogManager, heap_resolver) -> RecoveryReport:
+def recover(
+    log: LogManager,
+    heap_resolver,
+    redo_payload: "Callable[[bytes], object] | None" = None,
+) -> RecoveryReport:
     """Replay the WAL onto the heap files and roll back losers.
 
     ``heap_resolver(file_id)`` must return an object with the replay
     surface of :class:`repro.storage.heap.HeapFile`:
     ``replay_insert(page_id, slot, payload)`` and
-    ``replay_delete(page_id, slot)``.
+    ``replay_delete(page_id, slot)``.  ``redo_payload(body)`` (the blob
+    store's idempotent ``put``) receives every ``PAYLOAD`` body in log
+    order, whoever logged it: a winner may reference a frame a loser
+    appended, and an unreferenced frame is only a GC candidate.
 
     Pass 1 classifies transactions (losers have neither ``COMMIT`` nor
     ``ABORT_END``).  Pass 2 folds the log into a **final state per record
@@ -441,9 +462,13 @@ def recover(log: LogManager, heap_resolver) -> RecoveryReport:
     ended: set[tuple] = set()
     tombstones: list[str] = []
     tombstone_seen: set[str] = set()
+    payloads = 0
     for rec in records:
         seen.add(rec.txid)
-        if rec.kind in (COMMIT, ABORT_END):
+        if rec.kind == PAYLOAD and redo_payload is not None:
+            redo_payload(rec.payload)
+            payloads += 1
+        elif rec.kind in (COMMIT, ABORT_END):
             finished.add(rec.txid)
         elif rec.kind == PREPARE:
             gtxid, coordinator, participants = serialization.decode(rec.payload)
@@ -470,6 +495,7 @@ def recover(log: LogManager, heap_resolver) -> RecoveryReport:
         },
         max_txid=max(seen, default=0),
         gc_tombstones=tuple(tombstones),
+        payloads_redone=payloads,
     )
     in_doubt_ops: dict[int, list[LogRecord]] = {t: [] for t in in_doubt_ids}
 

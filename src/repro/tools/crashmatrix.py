@@ -25,7 +25,10 @@ demands three things:
 Fidelity notes.  The workload runs on a real filesystem, which is the
 *kindest possible* page cache: ordinary writes are never lost, so loss
 is modelled explicitly (torn/short writes materialize the worst-case
-partial write; a "crash" freezes the files exactly as written).  Data
+partial write; a "crash" freezes the files exactly as written).  Packs
+are the exception: no commit forces them (the log carries new payloads),
+so every scenario then cuts the pack bytes no fsync covered (``hole``
+rows zero the first frame of them instead).  Data
 pages are assumed to be written atomically at page granularity -- the
 classic ARIES assumption absent full-page logging -- so torn-write
 scenarios target the WAL (frame CRCs detect the tear) and the meta page
@@ -63,7 +66,6 @@ from repro.storage.faults import (
 from repro.storage.heap import Rid
 from repro.storage.wal import COORD_END, LogManager
 from repro.tools.check import check_database
-from repro.verify import hooks
 
 #: Rounds of mixed operations per worker thread.
 ROUNDS = 8
@@ -80,6 +82,10 @@ BLOB_CHUNK = 1300
 HISTORY_BATCH = 85
 
 _JOIN_TIMEOUT = 60.0
+
+#: Databases the running workload opened (shards included): each loses its
+#: unsynced pack bytes before :func:`_crash_and_reopen` reopens.
+_opened: list[Database] = []
 
 
 @persistent_once("crashmatrix.Item")
@@ -116,8 +122,8 @@ class Scenario:
     recovery_failpoint: str | None = None
     #: Run :func:`_run_shared_content_workload` instead of the mixed one.
     shared_content: bool = False
-    #: GC matrix: run :func:`_run_follower_workload` instead of the collector.
-    follower: bool = False
+    #: Zero the first unsynced pack frame instead of cutting them all.
+    hole: bool = False
     #: GC matrix: run the 2PC transfer workload on this many shards with
     #: blob-sized accounts and no collector -- every reclaim is the pacer's.
     rewrite: int = 0
@@ -135,8 +141,8 @@ class Scenario:
         parts = [self.failpoint, self.action, f"hit{self.hit}"]
         if self.shared_content:
             parts.append("shared-content")
-        if self.follower:
-            parts.append("follower")
+        if self.hole:
+            parts.append("hole")
         if self.rewrite:
             parts.append(f"rewrite{self.rewrite}")
         if self.lazy_flush is not None:
@@ -148,18 +154,10 @@ class Scenario:
         return ":".join(parts)
 
     def plan(self) -> FaultPlan:
-        plan = FaultPlan()
-        if self.action == "crash":
-            plan.crash(self.failpoint, hit=self.hit)
-        elif self.action == "torn_write":
-            plan.torn_write(self.failpoint, hit=self.hit, keep=self.keep)
-        elif self.action == "short_write":
-            plan.short_write(self.failpoint, hit=self.hit, keep=self.keep)
-        elif self.action == "fsync_error":
-            plan.fsync_error(self.failpoint, hit=self.hit)
-        else:  # pragma: no cover - enumerate_scenarios only emits the above
-            raise ValueError(f"unknown action {self.action!r}")
-        return plan
+        """The armed fault: the action names a :class:`FaultPlan` method."""
+        writes = self.action in ("torn_write", "short_write")
+        kwargs = {"keep": self.keep} if writes else {}
+        return getattr(FaultPlan(), self.action)(self.failpoint, hit=self.hit, **kwargs)
 
 
 #: hit ordinals per failpoint for plain crash scenarios.  Frequent
@@ -171,6 +169,9 @@ _CRASH_HITS: dict[str, tuple[int, ...]] = {
     "wal.flush.post_write": (1, 8),
     "wal.flush.pre_fsync": (1, 8),
     "wal.flush.post_fsync": (1, 8),
+    # The checkpoint's write-back: before its pack fsync, and between
+    # that fsync and the truncate that forgets the logged payloads.
+    "blobs.sync.fsync": (1, 2),
     "wal.truncate.pre": (1, 2),
     "wal.truncate.post": (1, 2),
     "disk.write_page.pre": (1, 6),
@@ -436,6 +437,7 @@ def _run_workload(path: Path) -> list[_Worker]:
     workers = [_Worker(0), _Worker(1)]
     try:
         db = Database(path, pool_size=8)
+        _opened.append(db)
         for worker in workers:
             worker.setup(db)
         db.checkpoint()
@@ -474,6 +476,7 @@ def _run_shared_content_workload(path: Path) -> list[_Worker]:
     workers = [_Worker(0), _Worker(1)]
     try:
         db = Database(path, pool_size=8)
+        _opened.append(db)
         for worker in workers:
             # Equal tags: equal texts are then equal payloads, one key.
             text = f"B{worker.wid}:" + "x" * 600
@@ -617,6 +620,7 @@ def _crash_and_reopen(base_dir: Path, scenario: Scenario, workload, reopen):
     reopen cleanly.  Returns ``(result, workload's ledger, injector,
     handle)``; the handle is None when the clean reopen failed."""
     path = base_dir / scenario.name.replace(":", "_").replace("-", "_")
+    _opened.clear()
     injector = faults.activate(scenario.plan())
     try:
         ledger = workload(path)
@@ -625,10 +629,17 @@ def _crash_and_reopen(base_dir: Path, scenario: Scenario, workload, reopen):
     result = ScenarioResult(
         scenario, fired=bool(injector.fired), crashed=injector.crashed
     )
+    holes = [_lose_unsynced(db, scenario.hole) for db in _opened]
+    _opened.clear()
+    if scenario.hole and not any(holes):
+        result.problems.append("no unsynced frame had a valid one after it")
     if scenario.recovery_failpoint is not None:
         faults.activate(FaultPlan().crash(scenario.recovery_failpoint, hit=1))
         try:
-            reopen(path).close()  # recovery never reached the second failpoint
+            reopen(path).close()
+            result.problems.append(
+                f"recovery never reached {scenario.recovery_failpoint}"
+            )
         except SimulatedCrash:
             result.recovery_crashed = True
         finally:
@@ -638,6 +649,25 @@ def _crash_and_reopen(base_dir: Path, scenario: Scenario, workload, reopen):
     except Exception as exc:  # noqa: BLE001 - unrecoverable = the finding
         result.problems.append(f"reopen after crash failed: {exc!r}")
         return result, ledger, injector, None
+
+
+def _lose_unsynced(db: Database, hole: bool) -> bool:
+    """The unkind page cache, for packs: cut the active pack back to what
+    an fsync covered -- or, with ``hole``, zero only the first unsynced
+    frame, as if the later frames reached the disk and it did not;
+    returns whether a frame followed the hole."""
+    pack, synced = db.store.blobs.unsynced_tail()
+    if pack is None or os.path.getsize(pack) == synced:
+        return False
+    if not hole:
+        os.truncate(pack, synced)
+        return False
+    with open(pack, "r+b") as fh:
+        fh.seek(synced)
+        length = int.from_bytes(fh.read(4), "little")
+        fh.seek(synced)
+        fh.write(bytes(8 + length))
+    return os.path.getsize(pack) > synced + 8 + length
 
 
 def run_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
@@ -718,14 +748,14 @@ _TWOPC_ROUNDS = 6
 #: ``wal.flush.pre_fsync`` is only ever armed on the combined PREPARE +
 #: verdict flush, whose bytes this harness's kind page cache keeps.  The
 #: garbage pacer's windows (the GC matrix's rewrite rows) run after their
-#: commit, in phase two after its verdict -- all but a pack's retirement,
-#: which fires in the *next* flush.  Everywhere else presumed abort MUST
+#: commit, in phase two after its verdict -- a pack's retirement included,
+#: by the pacer's own pack sync.  Everywhere else presumed abort MUST
 #: roll both back -- ``pre_forget`` included: it fires in the sweep at the
 #: top of a *later* commit, whose own transfer has logged nothing durable.
 _DECIDED_WINDOWS = frozenset(
     {"shard.2pc.post_decision", "shard.2pc.post_ack", "wal.flush.pre_fsync"}
     | {"gc.tombstone.pre", "gc.tombstone.post", "gc.unlink.pre", "gc.unlink.post"}
-    | {"gc.index.pre", "gc.index.post", "blobs.compact.copied"}
+    | {"gc.index.pre", "gc.index.post", "blobs.compact.copied", "blobs.compact.retired"}
 )
 
 #: Crash hit ordinals per 2PC failpoint.  The workload is single-threaded
@@ -874,6 +904,7 @@ def _run_twopc_workload(path: Path, scenario: Scenario) -> _TransferLedger:
     try:
         nshards = scenario.rewrite or _TWOPC_NSHARDS
         router = ShardedDatabase(path, nshards=nshards, pool_size=8)
+        _opened.extend(router.shards)
         memo = 600 if scenario.rewrite else 0  # chars: a blob-sized body, or none
         refs = [
             router.pnew(Account(i, _TWOPC_BALANCE, _gc_text(i, memo)))
@@ -1061,7 +1092,8 @@ _GC_CRASH_HITS: dict[str, tuple[int, ...]] = {
     "gc.index.post": (1, 5),
     # Once per compacted pack: its survivors are copied forward (both
     # packs hold every key; an open keeps the copy and the original is
-    # dead space) / the emptied pack is deleted, after the next log flush.
+    # dead space) / the emptied pack is deleted, after the reclaim step's
+    # pack sync.
     "blobs.compact.copied": (1, 3),
     "blobs.compact.retired": (1,),
 }
@@ -1075,9 +1107,10 @@ _GC_CRASH_HITS: dict[str, tuple[int, ...]] = {
 #: ``injector.hit_count("blobs.append")``.
 _GC_TORN_APPENDS = ((46, 11), (62, -3))
 
-#: The leader's flush in :func:`_run_follower_workload`: two set-up
-#: commits, then the one that covers the parked follower.
-_FOLLOWER_LEADER_FLUSH = 3
+#: The rewrite workload's third transfer commit, as ``wal.flush.pre_write``
+#: ordinal: the first two transfers' payloads are acknowledged and no pack
+#: fsync has covered them.  Recount if its set-up flushes change.
+_PAYLOAD_FLUSH = 11
 
 
 def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
@@ -1102,13 +1135,18 @@ def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
         for hit, keep in _GC_TORN_APPENDS
     ]
     scenarios += [
-        Scenario(
-            "wal.flush.post_fsync", "crash", hit=_FOLLOWER_LEADER_FLUSH, follower=True
-        ),
         Scenario("gc.unlink.post", "crash", hit=3, recovery_failpoint="gc.repair.pre"),
         Scenario("gc.index.pre", "crash", hit=3, recovery_failpoint="gc.repair.post"),
         # The pacer in a 2PC participant's phase-two commit.
         Scenario("gc.unlink.post", "crash", hit=1, rewrite=2),
+        # Acknowledged payloads in the unsynced pack tail: a zeroed frame
+        # in front of valid ones, where the open scan stops; then recovery
+        # dying while it puts the lost payloads back.
+        Scenario("wal.flush.pre_write", "crash", hit=_PAYLOAD_FLUSH, rewrite=1, hole=True),
+        Scenario(
+            "wal.flush.pre_write", "crash", hit=_PAYLOAD_FLUSH, rewrite=1,
+            recovery_failpoint="blobs.append",
+        ),
     ]
     if smoke:
         picked: dict[str, Scenario] = {}
@@ -1117,7 +1155,7 @@ def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
         picked["double"] = next(
             s for s in scenarios if s.recovery_failpoint is not None
         )
-        picked["paced"] = scenarios[-1]
+        picked["paced"] = next(s for s in scenarios if s.rewrite == 2)
         scenarios = list(picked.values())
     return scenarios
 
@@ -1217,6 +1255,7 @@ def _run_gc_workload(path: Path) -> _GcLedger:
     ledger = _GcLedger()
     try:
         db = _build_gc_history(path, ledger)
+        _opened.append(db)
         # Small batches -> several tombstone/unlink/index rounds, so the
         # armed window is crossed with committed batches on either side.
         for _ in range(6):
@@ -1227,71 +1266,6 @@ def _run_gc_workload(path: Path) -> _GcLedger:
             db.close()
     except (SimulatedCrash, InjectedFaultError):
         pass  # the simulated machine is dead; leave the files as they lie
-    return ledger
-
-
-class _FollowerGate:
-    """Scheduler stub (``verify.hooks``): parks one thread at its WAL flush."""
-
-    def __init__(self) -> None:
-        self.follower: threading.Thread | None = None
-        self.parked = threading.Event()
-        self.release = threading.Event()
-
-    def on_point(self, name: str) -> None:
-        if name == "wal.flush" and threading.current_thread() is self.follower:
-            self.parked.set()
-            self.release.wait(_JOIN_TIMEOUT)
-
-    def on_cond_wait(self, cond: threading.Condition, timeout: float | None) -> bool:
-        return cond.wait(timeout)
-
-    def on_notify(self) -> None:
-        pass
-
-
-def _run_follower_workload(path: Path) -> _GcLedger:
-    """Group commit: the leader's flush makes a follower's commit durable.
-
-    The follower appends its payload, its records and its COMMIT, and
-    parks at the door of its own flush.  The leader's commit then covers
-    all of it and the machine dies as that flush returns.  Pack bytes no
-    fsync covered are then cut off -- the unkind page cache the kind one
-    under this harness hides: the follower's commit is durable, so the
-    payload it references must have been synced first, by the leader.
-    """
-    ledger = _GcLedger()
-    gate = _FollowerGate()
-    db = Database(path, policy=_GC_POLICY)
-    try:
-        refs = [db.pnew(Blob(tag=i, text=_gc_text(i))) for i in (0, 1)]
-        for i, ref in enumerate(refs):
-            ledger.oid_values.append(ref.oid.value)
-            ledger.texts[ref.oid.value] = {1: _gc_text(10 + i)}
-            ledger.keep[ref.oid.value] = {1}
-        ledger.setup_done = True
-
-        def follow() -> None:
-            try:
-                refs[1].text = ledger.texts[refs[1].oid.value][1]
-            except SimulatedCrash:
-                pass
-
-        gate.follower = threading.Thread(target=follow)
-        hooks.attach(gate)
-        gate.follower.start()
-        gate.parked.wait(_JOIN_TIMEOUT)
-        refs[0].text = ledger.texts[refs[0].oid.value][1]
-    except SimulatedCrash:
-        pass
-    finally:
-        hooks.detach()
-        gate.release.set()
-        if gate.follower is not None:
-            gate.follower.join(_JOIN_TIMEOUT)
-    pack, unsynced = db.store.blobs.unsynced_tail()
-    if unsynced:
-        os.truncate(pack, os.path.getsize(pack) - unsynced)
     return ledger
 
 
@@ -1372,8 +1346,7 @@ def run_gc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
     if scenario.rewrite:
         return run_twopc_scenario(base_dir, scenario)
     result, ledger, _, db = _crash_and_reopen(
-        base_dir, scenario,
-        _run_follower_workload if scenario.follower else _run_gc_workload,
+        base_dir, scenario, _run_gc_workload,
         lambda path: Database(path, policy=_GC_POLICY),
     )
     if db is None:

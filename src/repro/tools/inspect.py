@@ -135,6 +135,7 @@ class DatabaseSummary:
                 f"{get('blobs.dead_bytes', 0)} dead byte(s), garbage/live "
                 f"{garbage / max(1, get('blobs.live_bytes', 0)):.2f}, "
                 f"{get('blobs.syncs', 0)} sync(s), "
+                f"{get('blobs.unsynced_bytes', 0)} unsynced byte(s) covered by the log, "
                 f"{get('blobs.compactions', 0)} compaction(s) copied "
                 f"{get('blobs.bytes_copied_forward', 0)} bytes forward, "
                 f"{get('blobs.inline_records', 0)} small payload(s) inline "

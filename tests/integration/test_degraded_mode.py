@@ -135,31 +135,39 @@ def test_persistent_data_file_sync_failure_degrades(tmp_path):
         db.close()
 
 
-def test_failed_pack_sync_fails_the_commit_and_counts_as_a_wal_failure(tmp_path):
-    """The pack fsync runs beneath the log flush that exposes its frames:
-    when it fails, so does the commit -- once is a hiccup a retry heals,
-    persistently it is a dead disk like any other."""
+def test_failed_pack_sync_fails_the_checkpoint_not_the_commit(tmp_path):
+    """No commit forces a pack: the log carries the payload until the
+    write-back syncs the packs and truncates it.  A failed pack fsync
+    fails that checkpoint and leaves the log in place -- once is a
+    hiccup a retry heals, persistently it is a dead disk like any other."""
     db = Database(tmp_path / "db", degrade_after=3)
     try:
         ref = db.pnew(Part("g" * 600, 5))  # a payload large enough for a pack
         faults.activate(FaultPlan().fsync_error("blobs.sync.fsync", hit=1))
+        db.pnew(Part("h" * 600, 6))  # the commit does not touch the pack fsync
+        assert db.stats()["blobs.unsynced_bytes"] > 0
         with pytest.raises(InjectedFaultError):
-            ref.name = "h" * 600
-        assert db.stats()["wal.write_failures"] == 1 and not db.degraded
+            db.checkpoint()
+        stats = db.stats()
+        assert stats["wal.bytes"] > 0 and stats["disk.write_failures"] == 1
+        assert not db.degraded
+        db.checkpoint()
+        assert db.stats()["wal.bytes"] == 0 and db.stats()["blobs.unsynced_bytes"] == 0
         ref.name = "i" * 600
         faults.deactivate()
         faults.activate(
             FaultPlan().fsync_error("blobs.sync.fsync", hit=1, persistent=True)
         )
-        for _ in range(10):
+        for _ in range(6):
             if db.degraded:
                 break
-            with pytest.raises((InjectedFaultError, DatabaseDegradedError)):
-                ref.name = "j" * 700
-        assert db.degraded and db.stats()["wal.write_failures"] >= 4
+            with pytest.raises(InjectedFaultError):
+                db.checkpoint()
+        assert db.degraded and "pack fsync" in db.degraded_reason
         assert ref.name == "i" * 600
     finally:
         db.close()
     faults.deactivate()
     with Database(tmp_path / "db") as db2:
+        assert db2.last_recovery.payloads_redone == 1
         assert db2.deref(ref.oid).name == "i" * 600

@@ -285,11 +285,11 @@ def test_reader_that_loses_the_race_with_retirement_re_resolves(
     away: the descriptor is closed (EBADF) or already names another file
     (garbage, no error).  Either way the entry it looked up is gone from
     the index afterwards, so it reads again from the copy."""
-    monkeypatch.setattr(blobstore, "PACK_TARGET", 1)  # every sync seals
+    # The second put fills and seals the first pack.
+    monkeypatch.setattr(blobstore, "PACK_TARGET", 2 * _HEADER + 800 + 1200)
     store = BlobStore(tmp_path / "blobs")
     keep = store.put(b"keep" * 200)
     doomed = store.put(b"doomed" * 200)
-    store.sync()
     (tmp_path / "other").write_bytes(b"\xee" * 4096)
     real_pread = os.pread
     raced: list[int] = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.storage.buffer import BufferPool
@@ -228,3 +230,37 @@ def test_flush_count_increments(log):
     before = log.flush_count
     log.flush()
     assert log.flush_count == before + 1
+
+
+def test_the_log_knows_its_own_end(tmp_path, monkeypatch):
+    """``size()`` is the durable end the log keeps itself -- no stat per
+    commit -- and a failed write's truncate-back leaves it in place."""
+    from repro.storage import faults
+    from repro.storage.faults import FaultPlan, InjectedFaultError
+
+    path = tmp_path / "wal.log"
+    log = LogManager(path)
+    real_getsize = os.path.getsize
+    monkeypatch.setattr(os.path, "getsize", lambda _p: pytest.fail("size() stats the file"))
+    log.append(LogRecord(BEGIN, 1))
+    assert log.size() == 0  # the unflushed buffer does not count
+    log.flush()
+    durable = log.size()
+    assert durable == real_getsize(path) > 0
+    faults.activate(FaultPlan().short_write("wal.flush.write", hit=1, keep=3))
+    try:
+        log.append(LogRecord(COMMIT, 1))
+        with pytest.raises(InjectedFaultError):
+            log.flush()
+    finally:
+        faults.deactivate()
+    assert log.size() == durable == real_getsize(path)
+    log.flush()  # the retry writes the kept buffer from the same offset
+    assert log.size() == real_getsize(path) > durable
+    assert [r.kind for r in log.records()] == [BEGIN, COMMIT]
+    log.close()
+    reopened = LogManager(path)
+    assert reopened.size() == real_getsize(path)
+    reopened.truncate()
+    assert reopened.size() == 0
+    reopened.close()

@@ -23,7 +23,7 @@ import pytest
 from repro.storage import blobs as blobstore
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, InjectedFaultError
-from repro.storage.wal import BEGIN, COMMIT, OP_INSERT, LogManager, LogRecord
+from repro.storage.wal import BEGIN, COMMIT, OP_INSERT, PAYLOAD, LogManager, LogRecord
 
 
 @pytest.fixture(autouse=True)
@@ -130,36 +130,30 @@ def test_failed_write_then_more_appends(tmp_path):
 def test_no_reference_is_durable_before_its_payload_under_group_commit(
     tmp_path, monkeypatch
 ):
-    """Payload -> log: the leader fixes the records it covers *before* it
-    syncs the packs.  A follower that stores a payload and appends the
-    record referencing it while the leader's pack fsync is in flight is
-    therefore left for the next flush -- checked by intercepting both
-    fsyncs: at every completed log fsync, each reference in the log file
-    points into pack bytes a completed pack fsync already covered."""
+    """The payload rides in the log: a put that appends a frame logs the
+    body as a ``PAYLOAD`` record first, under the store lock.  A second
+    transaction storing the same content while the first is still inside
+    its put waits for that record, so its reference -- flushed by its own
+    commit before the first transaction commits -- never reaches the log
+    ahead of the payload.  Checked at every log fsync; no pack is forced.
+    Log the payload after releasing the store lock and this fails."""
     store = blobstore.BlobStore(tmp_path / "blobs")
     log = LogManager(tmp_path / "wal.log")
-    log.before_write = store.sync
-    in_pack_fsync, resume = threading.Event(), threading.Event()
-    pack_synced = [0]
-    wal_fsyncs: list[int] = []
+    parked, resume = threading.Event(), threading.Event()
+    references: list[int] = []
 
     def fsync(fd: int) -> None:
         target = os.readlink(f"/proc/self/fd/{fd}")
-        if "pack-" in target:
-            covered = os.fstat(fd).st_size
-            if not in_pack_fsync.is_set():
-                in_pack_fsync.set()
-                assert resume.wait(10.0)
-            pack_synced[0] = covered
-        elif target.endswith("wal.log"):
-            refs = [r.payload for r in log_records(target) if r.kind == OP_INSERT]
-            for ref in refs:
-                key, size = blobstore.decode_ref(ref)
-                _pack, offset, _size = store._index[key]
-                assert offset + 8 + size <= pack_synced[0], (
-                    "a reference reached the log ahead of its payload"
-                )
-            wal_fsyncs.append(len(refs))
+        assert "pack-" not in target, "a commit forced a pack"
+        if target.endswith("wal.log"):
+            logged: set[str] = set()
+            for record in log_records(target):
+                if record.kind == PAYLOAD:
+                    logged.add(blobstore.blob_key(record.payload))
+                elif record.kind == OP_INSERT:
+                    key, _size = blobstore.decode_ref(record.payload)
+                    assert key in logged, "a reference reached the log ahead of its payload"
+                    references.append(record.txid)
 
     def log_records(path: str):
         reader = LogManager(path)
@@ -169,8 +163,14 @@ def test_no_reference_is_durable_before_its_payload_under_group_commit(
             reader._file.close()
 
     def commit(txid: int, body: bytes) -> None:
-        key = store.put(body)
+        def log_payload(content: bytes) -> None:
+            if txid == 1:
+                parked.set()
+                assert resume.wait(10.0)
+            log.append(LogRecord(PAYLOAD, txid, payload=content))
+
         log.append(LogRecord(BEGIN, txid))
+        key = store.put(body, log_payload)
         log.append(
             LogRecord(OP_INSERT, txid, 2, 5, txid, blobstore.encode_ref(key, len(body)))
         )
@@ -178,19 +178,17 @@ def test_no_reference_is_durable_before_its_payload_under_group_commit(
         log.flush()
 
     monkeypatch.setattr(os, "fsync", fsync)
-    leader = threading.Thread(target=commit, args=(1, b"L" * 900))
-    follower = threading.Thread(target=commit, args=(2, b"F" * 900))
-    leader.start()
-    assert in_pack_fsync.wait(10.0)
-    follower.start()  # put + append + flush: parks behind the leader's flush
-    deadline = time.monotonic() + 10.0
-    while log._pending_flushers < 2 and time.monotonic() < deadline:
-        time.sleep(0.001)
+    first = threading.Thread(target=commit, args=(1, b"P" * 900))
+    second = threading.Thread(target=commit, args=(2, b"P" * 900))
+    first.start()
+    assert parked.wait(10.0)  # inside its put, the frame not yet appended
+    second.start()  # the same content: its put dedups once it gets the lock
+    time.sleep(0.1)
     resume.set()
-    leader.join(10.0)
-    follower.join(10.0)
-    assert not leader.is_alive() and not follower.is_alive()
-    assert wal_fsyncs == [1, 2]  # the follower's record waited for its own flush
-    assert store.stats.syncs == 2
+    first.join(10.0)
+    second.join(10.0)
+    assert not first.is_alive() and not second.is_alive()
+    assert store.stats.dedup_hits == 1 and store.stats.syncs == 0
+    assert sorted(set(references)) == [1, 2]
     log.close()
     store.close()
