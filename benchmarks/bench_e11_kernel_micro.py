@@ -256,6 +256,67 @@ def test_e11_generic_ref_attr_fast_path(db, benchmark, monkeypatch):
     assert value == 7
 
 
+def test_e11_snapshot_read_path_counted(delta_db, benchmark, monkeypatch):
+    """Pinned snapshots rebuild through the store's one walker.
+
+    Counted, not timed, so that the fill rule and the decode memos cannot
+    drift: a cold snapshot read of a version at chain depth d applies at
+    most d deltas and caches exactly one entry (the version asked for,
+    not every step, and a live read likewise); a second read touches no
+    heap record; a repeated attribute read through a snapshot decodes
+    nothing, for the latest version (the entry's memo) and for an older
+    one (the store's decoded cache).  A snapshot pinned after an in-place
+    commit reads the new value.
+    """
+    db, store = delta_db, delta_db.store
+    ref = db.pnew(E11Fat(0))
+    with db.transaction():
+        for i in range(1, 6):
+            db.newversion(ref).n = i
+    depth: dict[int, int] = {}
+    for node in store.graph(ref.oid).walk_temporal():
+        depth[node.serial] = 0 if node.data[0] == "F" else depth[node.dprev] + 1
+    latest = db.latest_vid(ref.oid)
+    older = Vid(ref.oid, latest.serial - 1)
+    d = depth[older.serial]
+    assert d >= 3, depth
+    with db.snapshot() as snap:
+        store._bytes_cache.clear()
+        store._decoded_cache.clear()
+        base = store.stats()
+        assert snap.materialize(older).n == older.serial - 1
+        cold = store.stats()
+        assert cold["deltas_applied"] - base["deltas_applied"] <= d, (cold, d)
+        assert cold["bytes_cache_entries"] == 1, cold
+        warm = _read_costs(monkeypatch, lambda: snap.materialize(older))
+        assert warm == {"decodes": 1, "heap_reads": 0}, warm
+        generic, specific = snap.deref(ref.oid), snap.deref(older)
+        assert generic.n == latest.serial - 1 and specific.n == older.serial - 1
+        generic_costs = _read_costs(monkeypatch, lambda: generic.n)
+        specific_costs = _read_costs(monkeypatch, lambda: specific.n)
+        assert generic_costs == {"decodes": 0, "heap_reads": 0}, generic_costs
+        assert specific_costs == {"decodes": 0, "heap_reads": 0}, specific_costs
+    store._bytes_cache.clear()  # the live store fills by the same rule
+    store.materialize(older)
+    assert len(store._bytes_cache) == 1
+    db.deref(older).n = -1  # in place, under the decodes cached above
+    ref.n = -2
+    with db.snapshot() as snap:
+        assert snap.deref(older).n == -1 and snap.deref(ref.oid).n == -2
+    for name, value in (
+        ("chain_depth", d),
+        ("cold_deltas_applied", cold["deltas_applied"] - base["deltas_applied"]),
+        ("cold_bytes_entries_added", cold["bytes_cache_entries"]),
+        ("warm_heap_reads_per_read", warm["heap_reads"]),
+        ("generic_decodes_per_read", generic_costs["decodes"]),
+        ("specific_decodes_per_read", specific_costs["decodes"]),
+    ):
+        benchmark.extra_info[name] = value
+    with db.snapshot() as snap:
+        bound = snap.deref(older)
+        assert benchmark(lambda: bound.n) == -1
+
+
 def _publish_ms_per_commit(path, objects: int, commits: int = 150) -> float:
     """Median snapshot-publish time of a newversion commit at a table size."""
     db = Database(path, policy=StoragePolicy(kind="delta", keyframe_interval=16))

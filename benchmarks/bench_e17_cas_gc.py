@@ -22,8 +22,9 @@ four claims that justify the layer:
 * **Pacing**: with no retention policy and no collector at all, in-place
   rewrites keep garbage (displaced plus dead bytes) within one body of
   the live bytes after every commit -- counted: one pacer run per
-  live-sized batch, at most two forced writes each, and under a pinned
-  snapshot no more attempts than live-sized batches.
+  live-sized batch, each forcing one tombstone flush, one seal and two
+  retire syncs, and under a pinned snapshot no more attempts than
+  live-sized batches.
 
 ``python benchmarks/bench_e17_cas_gc.py --json out.json`` runs the full
 sweep standalone and emits machine-readable JSON; the ``-m smoke``
@@ -35,6 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
+import sys
 import threading
 import time
 
@@ -214,6 +217,26 @@ def _pace_body(slot: int, k: int) -> str:
     return f"{slot}:{k}:".ljust(PACE_BODY, "p")
 
 
+def _fsync_caller(fd: int) -> str:
+    """Who forced ``fd``: the commit itself, or the garbage pacer's
+    tombstone flush, a seal (``BlobStore._seal``) or the sync that
+    retires emptied packs (``BlobStore.sync``) -- the last two split
+    into the pack file and the blob directory."""
+    names, frame = set(), sys._getframe(2)
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    if "_pace_reclaim" not in names:
+        return "commit"
+    if "_seal" in names:
+        step = "seal"
+    elif "sync" in names:
+        step = "retire"
+    else:
+        return "tombstone"
+    return step + ("_dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "_pack")
+
+
 def measure_pacing(db: Database, pinned: bool) -> dict:
     """In-place rewrites, no retention, no explicit reclaim: the only
     reclaim is the commit-path pacer's.  Checks the garbage bound after
@@ -228,11 +251,13 @@ def measure_pacing(db: Database, pinned: bool) -> dict:
     live = db.stats()["blobs.live_bytes"]
     body = live // PACE_OBJECTS  # one stored body (all encode alike)
     snap = db.snapshot() if pinned else None
-    fsyncs = [0]
+    fsyncs = dict.fromkeys(
+        ("commit", "tombstone", "seal_pack", "seal_dir", "retire_pack", "retire_dir"), 0
+    )
     real_fsync = os.fsync
 
     def counting_fsync(fd: int) -> None:
-        fsyncs[0] += 1
+        fsyncs[_fsync_caller(fd)] += 1
         real_fsync(fd)
 
     worst_over = -live  # max of garbage - live after any commit
@@ -255,11 +280,7 @@ def measure_pacing(db: Database, pinned: bool) -> dict:
         "paced_runs": stats["gc.paced_runs"],
         "paced_bytes_freed": stats["gc.paced_bytes_freed"],
         "worst_garbage_over_live": worst_over,
-        # A 2 KiB in-place autocommit forces the WAL alone (the body rides
-        # in it): the rest is the pacer's -- its tombstone flush and the
-        # pack sync that retires what its compaction emptied (plus the
-        # directory's when that compaction sealed the active pack).
-        "fsyncs_added_per_run": (fsyncs[0] - commits) / max(1, stats["gc.paced_runs"]),
+        "fsyncs_by_caller": fsyncs,
     }
     if snap is not None:
         snap.close()
@@ -392,14 +413,25 @@ def test_e17_pacing_bounds_garbage_smoke(db, benchmark):
     """With no retention and no reclaim call, the commit-path pacer keeps
     garbage (displaced plus dead bytes) within one body of the live bytes
     after every commit: exactly one run per live-sized batch of displaced
-    bodies.  Each run adds exactly four forced writes to the one per
-    commit the writes force: the tombstone flush, the seal of the active
-    pack its dead frames fill, and the sync of the pack the survivors are
-    copied into, with its directory entry, before the emptied pack goes."""
+    bodies.  Forced writes are counted per caller.  A commit forces the
+    WAL alone (the body rides in it).  Each run adds its tombstone flush,
+    one seal of the active pack its dead frames fill, and the sync of the
+    pack the survivors are copied into, with its directory entry, before
+    the emptied pack goes.  A seal syncs the pack once; the first one
+    also syncs the directory entry of the pack the loads created, which
+    no fsync had covered (a commit forces no pack)."""
     result = measure_pacing(db, pinned=False)
     assert result["worst_garbage_over_live"] <= result["body_bytes"], result
-    assert result["paced_runs"] == PACE_REWRITES, result  # every PACE_OBJECTS commits
-    assert result["fsyncs_added_per_run"] == 4, result
+    runs = result["paced_runs"]
+    assert runs == PACE_REWRITES, result  # every PACE_OBJECTS commits
+    assert result["fsyncs_by_caller"] == {
+        "commit": result["commits"],
+        "tombstone": runs,
+        "seal_pack": runs,
+        "seal_dir": 1,
+        "retire_pack": runs,
+        "retire_dir": runs,
+    }, result
     assert result["paced_bytes_freed"] == result["live_bytes"] * PACE_REWRITES, result
     benchmark.extra_info.update(result)
     benchmark(lambda: None)

@@ -30,15 +30,19 @@ so it cannot participate in a deadlock cycle.
 
 from __future__ import annotations
 
+import inspect
 import threading
 from collections import OrderedDict
+from collections.abc import Container
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterator
+
+from repro.core.identity import Oid, Vid
 
 #: Default byte budget for the materialized-bytes cache (per store).
 DEFAULT_BYTES_BUDGET = 16 * 1024 * 1024
 
-#: Default entry budget for the decoded-object cache (per store).
+#: Entry budget for the decoded-object cache (per store).
 DEFAULT_DECODED_ENTRIES = 1024
 
 #: Sentinel returned by ``VersionStore.read_attr`` when the fast path
@@ -46,6 +50,43 @@ DEFAULT_DECODED_ENTRIES = 1024
 #: copy.  Lives here (not in the store) so the pointer layer can import
 #: it without a circular import.
 READ_MISS = object()
+
+#: Value types that may be returned straight from a shared cached decode:
+#: immutable scalars, plus ids (the pointer layer re-wraps them into fresh
+#: Ref/VersionRef objects) and containers the pointer layer copies anyway.
+_SHAREABLE_TYPES = frozenset(
+    {type(None), bool, int, float, str, bytes, Oid, Vid}
+)
+
+
+def _is_shareable(value: Any) -> bool:
+    """True when handing ``value`` out cannot let the caller mutate the
+    shared decoded object it came from."""
+    t = type(value)
+    if t in _SHAREABLE_TYPES:
+        return True
+    if t in (list, tuple, set, frozenset):
+        return all(_is_shareable(v) for v in value)
+    if t is dict:
+        return all(
+            _is_shareable(k) and _is_shareable(v) for k, v in value.items()
+        )
+    return False
+
+
+def shared_attr(obj: Any, name: str) -> Any:
+    """Attribute ``name`` of a shared cached decode, or :data:`READ_MISS`.
+
+    The attribute fast path of the store and of snapshots: a value that
+    cannot alias mutable cached state is served as it is; a bound method
+    (it needs a private receiver for write-back) or an unknown type (it
+    could leak shared state) sends the caller to a fresh materialize.
+    ``AttributeError`` propagates as usual.
+    """
+    value = getattr(obj, name)
+    if inspect.ismethod(value) and value.__self__ is obj:
+        return READ_MISS
+    return value if _is_shareable(value) else READ_MISS
 
 
 @dataclass
@@ -55,7 +96,8 @@ class CacheStats:
     ``chain_prefix_hits`` counts cache misses that were served from a
     cached *ancestor* in the delta chain instead of replaying from the
     keyframe; ``deltas_applied`` and ``bytes_decoded`` measure the work
-    that remained.
+    that remained.  Live and pinned-snapshot reads count alike: both
+    rebuild through ``VersionStore._version_bytes``.
     """
 
     bytes_hits: int = 0
@@ -168,10 +210,19 @@ class BudgetedLRU:
         with self._lock:
             return self._entries.get(key, default)
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert/replace an entry, evicting LRU entries to fit the budget."""
+    def put(self, key: Hashable, value: Any, unless: Container | None = None) -> None:
+        """Insert/replace an entry, evicting LRU entries to fit the budget.
+
+        Skipped when ``key in unless``, checked under the cache lock: a
+        snapshot's fill passes its byte overlay, so a writer that stashed
+        the key first is never undone, and one that stashes after finds
+        the entry in place to replace (the fence in
+        ``VersionStore._version_bytes``).
+        """
         size = self._sizeof(value)
         with self._lock:
+            if unless and key in unless:
+                return
             if key in self._entries:
                 self._used -= self._sizes[key]
                 self._entries[key] = value

@@ -42,12 +42,20 @@ The design is epoch + copy-on-write at three granularities:
   deleted, the store stashes the *pre-op content* into every pinned
   snapshot's byte overlay (and into a registry-wide *pending* overlay
   that seeds snapshots pinned later, while the writing transaction is
-  still uncommitted).  A snapshot read checks its overlay, then the
-  shared thread-safe bytes cache, then walks the heap under the striped
-  page locks -- re-checking the overlay after every shared-state probe,
-  which closes the stash/read race (writers stash *before* they
-  overwrite, so a reader that saw post-overwrite bytes is guaranteed to
-  find the stash on the re-check).
+  still uncommitted).  A snapshot rebuilds a version through the
+  store's one walker, ``VersionStore._version_bytes``, passing its
+  overlay.  Per chain step the walker probes the overlay, the shared
+  bytes cache, the overlay again, the heap record, and the overlay once
+  more: writers stash *before* they overwrite, so a reader that saw
+  post-overwrite bytes is guaranteed to find the stash on the re-check.
+  Fill rule: only the version asked for is cached, and only when no
+  step came from the overlay.  Fence: a fill of the bytes cache or the
+  store's decoded cache re-checks the overlay under the cache's lock
+  and is skipped if the vid has appeared there -- a writer replaces or
+  drops its cached entries only after stashing, so a fill that raced a
+  commit can never outlive it.  Decodes: the latest serial of an entry
+  is memoized on the entry (``SnapshotEntry.latest_decoded``); any
+  other serial uses the store's decoded cache under the same fence.
 
 Reclamation is by pin count: a snapshot retains displaced entries and
 stashed bytes only in its own overlays, so closing it frees everything
@@ -58,27 +66,21 @@ reclaimed snapshots, lock-free read hits) surface through
 
 from __future__ import annotations
 
-import inspect as _inspect
 import threading
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import (
-    BlobMissingError,
     DanglingReferenceError,
     ReadOnlySnapshotError,
-    StorageError,
     UnknownObjectError,
-    VersionError,
 )
-from repro.core.cache import READ_MISS, BudgetedLRU
+from repro.core.cache import shared_attr
 from repro.core.identity import Oid, Vid, oid_value
 from repro.core.pointers import Ref, VersionRef, unwrap_ids
 from repro.core.surface import Target, VersionReads, oid_of, type_name_of
 from repro.storage import serialization
-from repro.storage.delta import apply_delta
 from repro.verify import hooks
-from repro.storage.heap import Rid
 
 if TYPE_CHECKING:
     from repro.core.store import VersionStore
@@ -86,42 +88,6 @@ if TYPE_CHECKING:
 
 #: Sentinel distinguishing "no overlay entry" from "overlay says absent".
 _MISS = object()
-
-#: Entry budget for each snapshot's private decoded-object cache.
-_SNAPSHOT_DECODED_ENTRIES = 256
-
-#: Entry budget for the decoded-object cache shared by every snapshot
-#: pinned at the same epoch.  Same-epoch snapshots see identical bytes
-#: for every vid (publication bumps the epoch before any committed
-#: content moves, and pre-images of uncommitted rewrites are stashed
-#: first-wins), so one decode can serve a whole swarm of readers.
-_SHARED_DECODED_ENTRIES = 4096
-
-
-class _EpochDecodedCache:
-    """Decoded-object cache shared by every snapshot of one epoch.
-
-    Reads are a bare ``dict.get`` -- GIL-atomic, no lock, no recency
-    bookkeeping -- because this sits on the network server's inline
-    read path, once per wire request.  When the map outgrows its budget
-    it is dropped wholesale and rebuilt on demand: epoch caches are
-    short-lived, so a reset beats per-entry LRU accounting here.
-    """
-
-    __slots__ = ("_entries", "_budget")
-
-    def __init__(self, budget: int) -> None:
-        self._entries: dict = {}
-        self._budget = budget
-
-    def get(self, key, default=None):
-        return self._entries.get(key, default)
-
-    def put(self, key, value) -> None:
-        entries = self._entries
-        if len(entries) >= self._budget:
-            self._entries = entries = {}
-        entries[key] = value
 
 
 class SnapshotEntry:
@@ -133,11 +99,17 @@ class SnapshotEntry:
     every publish that touches the oid installs a *new* entry, and
     pre-images of in-flight rewrites are stashed before the heap moves
     -- so whoever decodes first stores what every reader would decode.
+    It stays beside the store's decoded cache because it is the cheaper
+    probe on the hottest read: replacing it with the cache cost
+    ``read_latest`` 11 % of its throughput (EXPERIMENTS.md E28).
     """
 
-    __slots__ = ("type_name", "graph", "latest_serial", "latest_decoded")
+    __slots__ = ("oid", "type_name", "graph", "latest_serial", "latest_decoded")
 
-    def __init__(self, type_name: str, graph: "VersionGraph", latest_serial: int) -> None:
+    def __init__(
+        self, oid: Oid, type_name: str, graph: "VersionGraph", latest_serial: int
+    ) -> None:
+        self.oid = oid
         self.type_name = type_name
         self.graph = graph
         self.latest_serial = latest_serial
@@ -191,11 +163,6 @@ class SnapshotRegistry:
         self.stashes = 0
         #: Reads served entirely without the storage mutex or object locks.
         self.lockfree_hits = 0
-        #: Decoded-object cache shared across snapshots of one epoch;
-        #: replaced (not mutated) whenever the epoch advances, since a
-        #: vid's bytes may legitimately differ between epochs.
-        self._decoded_epoch = -1
-        self._decoded_shared: _EpochDecodedCache | None = None
 
     # -- counters -----------------------------------------------------------
 
@@ -307,7 +274,7 @@ class SnapshotRegistry:
                     live.graph_shared = True
                     latest = live.graph.latest()
                     if latest is not None:
-                        new = SnapshotEntry(live.type_name, live.graph, latest)
+                        new = SnapshotEntry(oid, live.type_name, live.graph, latest)
                 if new is None:
                     committed.pop(oid, None)
                 else:
@@ -344,18 +311,8 @@ class SnapshotRegistry:
         hooks.sched_point("snap.pin")
         with self._lock:
             self.pins += 1
-            if self._decoded_epoch != self.epoch:
-                self._decoded_epoch = self.epoch
-                self._decoded_shared = _EpochDecodedCache(
-                    _SHARED_DECODED_ENTRIES
-                )
             snap = Snapshot(
-                store,
-                self,
-                self.epoch,
-                dict(self._pending_bytes),
-                index_source,
-                decoded=self._decoded_shared,
+                store, self, self.epoch, dict(self._pending_bytes), index_source
             )
             self._pinned[id(snap)] = snap
             return snap
@@ -388,7 +345,6 @@ class Snapshot(VersionReads):
         epoch: int,
         bytes_overlay: dict[Vid, bytes],
         index_source: Any = None,
-        decoded: _EpochDecodedCache | None = None,
     ) -> None:
         self._store = store
         self._registry = registry
@@ -396,24 +352,8 @@ class Snapshot(VersionReads):
         self._bytes_overlay = bytes_overlay
         self._entry_overlay: dict[Oid, SnapshotEntry | None] = {}
         self._type_overlay: dict[str, tuple[Oid, ...]] = {}
-        # ``decoded`` lets the registry hand every same-epoch snapshot
-        # one shared cache; a standalone snapshot gets a private one.
-        self._decoded = (
-            decoded
-            if decoded is not None
-            else BudgetedLRU(_SNAPSHOT_DECODED_ENTRIES, lambda _o: 1)
-        )
-        #: Per-snapshot memo of index resolutions (the satellite fix for
-        #: Query._indexed_domain re-walking the index every iteration).
-        self._domain_cache: dict[Any, list[Oid] | None] = {}
         self._index_source = index_source
         self._closed = False
-        # The store module imports this one, so grab its helpers lazily
-        # (the module is fully initialized by the time snapshots exist).
-        from repro.core import store as store_mod
-
-        self._full_kind = store_mod._FULL
-        self._is_shareable = store_mod._is_shareable
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -482,108 +422,6 @@ class Snapshot(VersionReads):
             raise DanglingReferenceError(f"object {oid!r} no longer exists")
         return entry
 
-    # -- payload bytes ---------------------------------------------------------
-
-    def _node_payload(self, vid: Vid, data: tuple) -> tuple[bytes, bool]:
-        """``(payload, from_overlay)`` for one graph node's stored record.
-
-        A heap read is re-checked against the byte overlay: the writer
-        stashes pre-op content *before* rewriting the record, so if the
-        record changed under us the stash is there, and if the stash is
-        not there the record we read is the snapshot's content.
-        """
-        content = self._bytes_overlay.get(vid)
-        if content is not None:
-            return content, True
-        _kind, page_id, slot = data
-        try:
-            raw = self._store._versions.read(Rid(page_id, slot))
-        except StorageError:
-            # A writer deleted the record under us; it stashed the content
-            # first, so the overlay must have it -- anything else is a
-            # genuine storage failure.
-            content = self._bytes_overlay.get(vid)
-            if content is not None:
-                return content, True
-            raise
-        content = self._bytes_overlay.get(vid)
-        if content is not None:
-            return content, True
-        try:
-            return self._store._resolve_payload(raw), False
-        except BlobMissingError:
-            # The record we read was displaced and its blob reclaimed
-            # between our heap read and the file open.  The displacing
-            # writer stashed the content before touching the record, so
-            # the overlay must cover us -- a miss here is a refcount bug.
-            content = self._bytes_overlay.get(vid)
-            if content is not None:
-                return content, True
-            raise
-
-    def _version_bytes(self, entry: SnapshotEntry, oid: Oid, serial: int) -> bytes:
-        """Materialized content of one version, per this snapshot.
-
-        Probe order per chain node: byte overlay -> shared bytes cache
-        (re-checked against the overlay) -> heap record under the page
-        stripes (re-checked again).  The result lands in the shared cache
-        only when no overlay was involved anywhere along the chain -- an
-        overlay hit means live bytes have diverged from this snapshot.
-        """
-        store = self._store
-        vid = Vid(oid, serial)
-        content = self._bytes_overlay.get(vid)
-        if content is not None:
-            return content
-        cached = store._bytes_cache.get(vid)
-        if cached is not None:
-            content = self._bytes_overlay.get(vid)
-            return content if content is not None else cached
-        graph = entry.graph
-        chain: list[int] = []  # delta serials to apply, newest first
-        overlay_used = False
-        current: int | None = serial
-        while True:
-            if current is None:
-                raise VersionError(f"delta chain of {oid!r} has no full-copy root")
-            step_vid = Vid(oid, current)
-            if current != serial:
-                content = self._bytes_overlay.get(step_vid)
-                if content is not None:
-                    overlay_used = True
-                    break
-                cached = store._bytes_cache.get(step_vid)
-                if cached is not None:
-                    content = self._bytes_overlay.get(step_vid)
-                    if content is not None:
-                        overlay_used = True
-                    else:
-                        content = cached
-                    break
-            node = graph.node(current)
-            if node.data[0] == self._full_kind:
-                content, from_overlay = self._node_payload(step_vid, node.data)
-                overlay_used = overlay_used or from_overlay
-                break
-            chain.append(current)
-            current = node.dprev
-        for step in reversed(chain):
-            payload, from_overlay = self._node_payload(
-                Vid(oid, step), graph.node(step).data
-            )
-            if from_overlay:
-                # The overlay holds full content, superseding the chain
-                # prefix assembled so far.
-                content = payload
-                overlay_used = True
-            else:
-                content = apply_delta(content, payload, store._stats)
-        if not overlay_used:
-            # Everything came from shared state that matches live bytes,
-            # so the result is safe to share with the locked read path.
-            store._cache_bytes(vid, content)
-        return content
-
     # -- store protocol: reads -------------------------------------------------
 
     def latest_vid(self, oid: Oid) -> Vid:
@@ -598,50 +436,49 @@ class Snapshot(VersionReads):
         entry = self._deref_entry(vid.oid)
         if vid.serial not in entry.graph:
             raise DanglingReferenceError(f"version {vid!r} no longer exists")
-        content = self._version_bytes(entry, vid.oid, vid.serial)
+        obj = self._store._decode(entry, vid.serial, self._bytes_overlay)
         self._registry.lockfree_hits += 1
-        return serialization.decode(content)
+        return obj
+
+    def _latest_decoded(self, entry: SnapshotEntry) -> Any:
+        """The entry's decode of its latest serial, memoized on the entry."""
+        stats = self._store._stats
+        obj = entry.latest_decoded
+        if obj is None:
+            stats.decoded_misses += 1
+            obj = entry.latest_decoded = self._store._decode(
+                entry, entry.latest_serial, self._bytes_overlay
+            )
+        else:
+            stats.decoded_hits += 1
+        return obj
 
     def read_attr(self, vid: Vid, name: str) -> Any:
-        """Attribute-read fast path over this snapshot's private decodes."""
+        """Attribute-read fast path over shared decodes: the entry's memo
+        for its latest serial, the store's decoded cache for any other."""
         hooks.sched_point("snap.read")
         entry = self._deref_entry(vid.oid)
         if vid.serial not in entry.graph:
             raise DanglingReferenceError(f"version {vid!r} no longer exists")
-        obj = self._decoded.get(vid)
-        if obj is None:
-            content = self._version_bytes(entry, vid.oid, vid.serial)
-            obj = serialization.decode(content)
-            self._decoded.put(vid, obj)
+        if vid.serial == entry.latest_serial:
+            obj = self._latest_decoded(entry)
+        else:
+            obj = self._store._shared_decode(entry, vid, self._bytes_overlay)
         self._registry.lockfree_hits += 1
-        value = getattr(obj, name)
-        if _inspect.ismethod(value) and value.__self__ is obj:
-            return READ_MISS
-        if self._is_shareable(value):
-            return value
-        return READ_MISS
+        return shared_attr(obj, name)
 
     def read_latest_attr(self, oid: Oid, name: str) -> Any:
         """``read_attr(latest_vid(oid), name)`` with one entry resolution.
 
         The network server's inline read lane calls this once per wire
         request, so the oid -> entry probe, the epoch counter bump and
-        the decoded-cache lookup are fused into a single pass.
+        the decode lookup are fused into a single pass.
         """
         hooks.sched_point("snap.read")
         entry = self._deref_entry(oid)
-        obj = entry.latest_decoded
-        if obj is None:
-            content = self._version_bytes(entry, oid, entry.latest_serial)
-            obj = serialization.decode(content)
-            entry.latest_decoded = obj
+        obj = self._latest_decoded(entry)
         self._registry.lockfree_hits += 1
-        value = getattr(obj, name)
-        if _inspect.ismethod(value) and value.__self__ is obj:
-            return READ_MISS
-        if self._is_shareable(value):
-            return value
-        return READ_MISS
+        return shared_attr(obj, name)
 
     def object_exists(self, oid: Oid) -> bool:
         """True while the object exists in this snapshot."""
@@ -688,7 +525,7 @@ class Snapshot(VersionReads):
         """
         entry = self._lookup(vid.oid)
         if entry is not None and vid.serial in entry.graph:
-            stored = self._version_bytes(entry, vid.oid, vid.serial)
+            stored = self._store._version_bytes(entry, vid.serial, self._bytes_overlay)
             if serialization.encode(unwrap_ids(obj)) == stored:
                 return False
         raise self._read_only("write_version")
@@ -759,9 +596,27 @@ class Snapshot(VersionReads):
         out.update(vid.oid for vid in list(self._bytes_overlay))
         return out
 
-    def _index_candidates(self, type_name: str, oids: list[Oid]) -> list[Oid]:
-        candidates = set(oids)
-        candidates |= self._divergent_oids()
+    def _index_candidates(
+        self, probe: str, type_name: str, *args: Any
+    ) -> list[Oid] | None:
+        """Run one live index probe and widen it to this snapshot.
+
+        The live index reflects live latest-state, so objects that have
+        diverged from this snapshot (in either direction) are always
+        added back as candidates -- the query's predicate re-check, which
+        reads *through the snapshot*, gives the exact answer.  Re-running
+        a query reuses its resolution (``Query._domain_memo``).
+        """
+        if self._index_source is None:
+            return None
+        try:
+            oids = getattr(self._index_source, probe)(type_name, *args)
+        except RuntimeError:
+            # The live index mutated mid-probe; fall back to a scan.
+            return None
+        if oids is None:
+            return None
+        candidates = set(oids) | self._divergent_oids()
         out = []
         for oid in sorted(candidates, key=oid_value):
             entry = self._lookup(oid)
@@ -770,52 +625,11 @@ class Snapshot(VersionReads):
         return out
 
     def index_lookup(self, type_name: str, attr: str, value: Any) -> list[Oid] | None:
-        """Index probe for the query layer, memoized per snapshot.
-
-        The live index reflects live latest-state, so objects that have
-        diverged from this snapshot (in either direction) are always
-        added back as candidates -- the query's predicate re-check, which
-        reads *through the snapshot*, gives the exact answer.
-        """
-        if self._index_source is None:
-            return None
-        key = ("eq", type_name, attr, value)
-        try:
-            cached = self._domain_cache.get(key, _MISS)
-        except TypeError:  # unhashable probe value: skip memoization
-            key = None
-            cached = _MISS
-        if cached is not _MISS:
-            return cached
-        try:
-            oids = self._index_source.index_lookup(type_name, attr, value)
-        except RuntimeError:
-            # The live index mutated mid-probe; fall back to a scan.
-            return None
-        result = None if oids is None else self._index_candidates(type_name, oids)
-        if key is not None:
-            self._domain_cache[key] = result
-        return result
+        """Hash-index probe for the query layer."""
+        return self._index_candidates("index_lookup", type_name, attr, value)
 
     def index_lookup_range(
         self, type_name: str, attr: str, lo: Any, hi: Any
     ) -> list[Oid] | None:
-        """Ordered-index probe for the query layer, memoized per snapshot."""
-        if self._index_source is None:
-            return None
-        key = ("range", type_name, attr, lo, hi)
-        try:
-            cached = self._domain_cache.get(key, _MISS)
-        except TypeError:
-            key = None
-            cached = _MISS
-        if cached is not _MISS:
-            return cached
-        try:
-            oids = self._index_source.index_lookup_range(type_name, attr, lo, hi)
-        except RuntimeError:
-            return None
-        result = None if oids is None else self._index_candidates(type_name, oids)
-        if key is not None:
-            self._domain_cache[key] = result
-        return result
+        """Ordered-index probe for the query layer."""
+        return self._index_candidates("index_lookup_range", type_name, attr, lo, hi)

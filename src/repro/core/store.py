@@ -30,7 +30,6 @@ inherited from the heap layer through the ``log_op`` callback.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -38,6 +37,7 @@ from typing import Any, Callable, Iterator
 from repro.errors import (
     BlobError,
     DanglingReferenceError,
+    StorageError,
     UnknownObjectError,
     UnknownVersionError,
     VersionError,
@@ -45,9 +45,9 @@ from repro.errors import (
 from repro.core.cache import (
     DEFAULT_BYTES_BUDGET,
     DEFAULT_DECODED_ENTRIES,
-    READ_MISS,
     BudgetedLRU,
     CacheStats,
+    shared_attr,
 )
 from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref, VersionRef, unwrap_ids
@@ -86,32 +86,6 @@ EV_DELETE_VERSION = "delete_version"
 EV_DELETE_OBJECT = "delete_object"
 
 Observer = Callable[[str, Oid, Vid | None], None]
-
-# READ_MISS (re-exported from repro.core.cache) is the sentinel
-# :meth:`VersionStore.read_attr` returns when the fast path cannot serve
-# the attribute and the caller must materialize a fresh copy.
-
-#: Value types that may be returned straight from a shared cached decode:
-#: immutable scalars, plus ids (the pointer layer re-wraps them into fresh
-#: Ref/VersionRef objects) and containers the pointer layer copies anyway.
-_SHAREABLE_TYPES = frozenset(
-    {type(None), bool, int, float, str, bytes, Oid, Vid}
-)
-
-
-def _is_shareable(value: Any) -> bool:
-    """True when handing ``value`` out cannot let the caller mutate the
-    cached decoded object it came from (see :meth:`VersionStore.read_attr`)."""
-    if type(value) in _SHAREABLE_TYPES:
-        return True
-    t = type(value)
-    if t in (list, tuple, set, frozenset):
-        return all(_is_shareable(v) for v in value)
-    if t is dict:
-        return all(
-            _is_shareable(k) and _is_shareable(v) for k, v in value.items()
-        )
-    return False
 
 
 @dataclass(frozen=True)
@@ -210,7 +184,6 @@ class VersionStore(VersionReads):
         blobs: BlobStore,
         policy: StoragePolicy | None = None,
         cache_budget: int = DEFAULT_BYTES_BUDGET,
-        decoded_entries: int = DEFAULT_DECODED_ENTRIES,
         oid_stride: int = 1,
         oid_residue: int = 0,
     ) -> None:
@@ -252,7 +225,7 @@ class VersionStore(VersionReads):
         #: are *shared* instances: they are never handed out directly (see
         #: read_attr) and never mutated by the store.
         self._decoded_cache = BudgetedLRU(
-            decoded_entries, lambda _obj: 1, group_of=lambda vid: vid.oid
+            DEFAULT_DECODED_ENTRIES, lambda _obj: 1, group_of=lambda vid: vid.oid
         )
         self._stats = CacheStats()
         self._observers: list[Observer] = []
@@ -679,110 +652,189 @@ class VersionStore(VersionReads):
             current = node.dprev
         raise VersionError(f"delta chain of {entry.oid!r} has no full-copy root")
 
-    def _version_bytes(self, entry: _Entry, serial: int) -> bytes:
-        """Materialized payload bytes for one version (cached).
+    def _version_bytes(
+        self,
+        entry: _Entry | SnapshotEntry,
+        serial: int,
+        overlay: dict[Vid, bytes] | None = None,
+    ) -> bytes:
+        """Materialized payload bytes of one version: the one rebuild.
 
-        On a miss, the delta chain is walked back only to the *nearest
-        cached ancestor* (chain-prefix memoization) rather than always to
-        the keyframe, and every intermediate step is cached so the next
-        read along the chain starts even closer.
+        The live store passes no ``overlay``; a pinned snapshot passes its
+        byte overlay (the pre-images stashed for it, see
+        ``repro.core.snapshot``) and its frozen entry.  The delta chain is
+        walked back to the first step that supplies content, probing for
+        each step the overlay, the shared bytes cache, the overlay again
+        and -- at a full copy -- the heap record, then the overlay once
+        more (:meth:`_record_payload`).  A cached ancestor ends the walk
+        (chain-prefix memoization), so only the deltas past it are
+        applied.  Without an overlay, or while it is empty, every overlay
+        probe is skipped.
+
+        Fill rule: only the version asked for is cached, and only when no
+        step came from the overlay.  Fence: a snapshot's fill re-checks its
+        overlay under the cache's lock and is skipped if the vid has
+        appeared there (``BudgetedLRU.put(unless=)``).  A writer stashes a
+        version's pre-image into every pinned overlay before it touches
+        the record, and replaces or drops the cached entry after, so a
+        fill that raced a commit is either refused or replaced: never
+        served stale, to live readers or to later snapshots.
         """
-        oid = entry.oid
-        cached = self._bytes_cache.get(Vid(oid, serial))
-        if cached is not None:
-            self._stats.bytes_hits += 1
-            return cached
-        self._stats.bytes_misses += 1
-        graph = entry.graph
-        # Walk back until a full copy or a cached ancestor supplies a base.
-        chain: list[int] = []  # serials needing delta application, newest first
-        content: bytes | None = None
+        oid, graph = entry.oid, entry.graph
+        cache, stats = self._bytes_cache, self._stats
+        chain: list[int] = []  # delta serials to apply, newest first
+        stashed = False
         current: int | None = serial
         while True:
             if current is None:
-                raise VersionError(f"delta chain of {entry.oid!r} has no full-copy root")
-            if current != serial:
-                ancestor = self._bytes_cache.get(Vid(oid, current))
-                if ancestor is not None:
-                    content = ancestor
-                    self._stats.chain_prefix_hits += 1
+                raise VersionError(f"delta chain of {oid!r} has no full-copy root")
+            vid = Vid(oid, current)
+            if overlay and vid in overlay:
+                content, stashed = overlay[vid], True
+                break
+            content = cache.get(vid)
+            if content is not None:
+                if overlay and vid in overlay:
+                    content, stashed = overlay[vid], True
                     break
+                if current == serial:
+                    stats.bytes_hits += 1
+                    return content
+                stats.chain_prefix_hits += 1
+                break
+            if current == serial:
+                stats.bytes_misses += 1
             node = graph.node(current)
             if node.data[0] == _FULL:
-                content = self._read_record(node.data)
-                self._cache_bytes(Vid(oid, current), content)
+                content, stashed = self._record_payload(vid, node.data, overlay)
                 break
             chain.append(current)
             current = node.dprev
         for step in reversed(chain):
-            content = apply_delta(
-                content, self._read_record(graph.node(step).data), self._stats
+            payload, from_overlay = self._record_payload(
+                Vid(oid, step), graph.node(step).data, overlay
             )
-            self._cache_bytes(Vid(oid, step), content)
+            if from_overlay:
+                # Full content, superseding the prefix assembled so far.
+                content, stashed = payload, True
+            else:
+                content = apply_delta(content, payload, stats)
+        if not stashed:
+            cache.put(Vid(oid, serial), content, unless=overlay)
         return content
 
-    def _read_record(self, data: tuple) -> bytes:
+    def _record_payload(
+        self, vid: Vid, data: tuple, overlay: dict[Vid, bytes] | None
+    ) -> tuple[bytes, bool]:
+        """``(payload, stashed)`` of one chain step's stored record.
+
+        With an overlay the heap read is re-checked against it: the writer
+        stashes the pre-image before it rewrites or deletes the record (and
+        so before its blob can be reclaimed), so a record that moved under
+        the read is covered by the stash, and without a stash the record
+        read is the snapshot's.
+        """
         _kind, page_id, slot = data
-        return self._resolve_payload(self._versions.read(Rid(page_id, slot)))
+        try:
+            raw = self._versions.read(Rid(page_id, slot))
+            if not overlay or vid not in overlay:
+                return self._resolve_payload(raw), False
+        except StorageError:
+            if not overlay or vid not in overlay:
+                raise
+        return overlay[vid], True
+
+    def _decode(
+        self,
+        entry: _Entry | SnapshotEntry,
+        serial: int,
+        overlay: dict[Vid, bytes] | None = None,
+    ) -> Any:
+        """A fresh decode of one version, counted in ``bytes_decoded``."""
+        content = self._version_bytes(entry, serial, overlay)
+        self._stats.bytes_decoded += len(content)
+        return serialization.decode(content)
+
+    def _shared_decode(
+        self,
+        entry: _Entry | SnapshotEntry,
+        vid: Vid,
+        overlay: dict[Vid, bytes] | None = None,
+    ) -> Any:
+        """The shared decoded copy of one version (attribute fast path).
+
+        Probed and filled under :meth:`_version_bytes`'s fence: a hit
+        counts only while the vid is not in the overlay, and a vid in the
+        overlay is decoded privately, never filled.
+        """
+        obj = self._decoded_cache.get(vid)
+        if obj is not None and not (overlay and vid in overlay):
+            self._stats.decoded_hits += 1
+            return obj
+        self._stats.decoded_misses += 1
+        obj = self._decode(entry, vid.serial, overlay)
+        self._decoded_cache.put(vid, obj, unless=overlay)
+        return obj
+
+    def _stash_rebased(self, entry: _Entry, serial: int) -> dict[int, bytes]:
+        """Stash ``serial`` and its delta-stored children before their
+        records change; returns the children's content.
+
+        A child's content does not change when its base does, only its
+        encoding, so its stash is valid on both sides of the re-base.
+        """
+        graph = entry.graph
+        children = {
+            child: self._version_bytes(entry, child)
+            for child in graph.node(serial).children
+            if graph.node(child).data[0] == _DELTA
+        }
+        self._stash_version(entry, serial)
+        for child, content in children.items():
+            self._snapshots.stash_bytes(Vid(entry.oid, child), content)
+        self._dirty_oids.add(entry.oid)
+        return children
+
+    def _reencode(
+        self, entry: _Entry, serial: int, content: bytes, log_op: LogOp | None
+    ) -> bool:
+        """Store ``content`` in the existing record of ``serial`` and cache it.
+
+        A delta-stored node is re-encoded against its current derivation
+        parent, or becomes a full copy when it has none or the delta no
+        longer pays; returns True when the node's storage kind changed.
+        """
+        node = entry.graph.node(serial)
+        kind, page_id, slot = node.data
+        full = kind == _FULL or node.dprev is None
+        if not full:
+            delta = compute_delta(self._version_bytes(entry, node.dprev), content)
+            full = len(delta) >= len(content)
+        self._record_update(Rid(page_id, slot), content if full else delta, log_op)
+        self._cache_bytes(Vid(entry.oid, serial), content)
+        if full and kind == _DELTA:
+            node.data = (_FULL, page_id, slot)
+            return True
+        return False
 
     def _rewrite_payload(
         self, entry: _Entry, serial: int, content: bytes, log_op: LogOp | None
     ) -> None:
         """Replace the stored payload of an existing version with ``content``.
 
-        Keeps the node's storage kind consistent: a delta-stored node is
-        re-encoded against its current derivation parent, and the deltas of
-        any delta-stored children are recomputed (their *content* must not
-        change when their base does).
+        The node and its delta-stored children are re-encoded
+        (:meth:`_reencode`): the children's *content* must not change
+        when their base does.
         """
-        graph = self._mutable_graph(entry)
-        node = graph.node(serial)
-        # Materialize delta children BEFORE the base changes.
-        delta_children = [
-            child for child in node.children if graph.node(child).data[0] == _DELTA
-        ]
-        child_contents = {
-            child: self._version_bytes(entry, child) for child in delta_children
-        }
-        # Stash pre-op content before any record changes: the rewritten
-        # version's old bytes, and the children whose stored encoding is
-        # about to be re-based (their content is unchanged, so the stash
-        # is valid on both sides of the rewrite).
-        self._stash_version(entry, serial)
-        for child, child_content in child_contents.items():
-            self._snapshots.stash_bytes(Vid(entry.oid, child), child_content)
-        self._dirty_oids.add(entry.oid)
+        self._mutable_graph(entry)  # copy-on-write before node kinds change
+        children = self._stash_rebased(entry, serial)
         hooks.sched_point("store.rewrite.stashed")
-        kind, page_id, slot = node.data
-        kind_changed = False
-        if kind == _DELTA:
-            assert node.dprev is not None
-            base_bytes = self._version_bytes(entry, node.dprev)
-            stored = compute_delta(base_bytes, content)
-            if len(stored) >= len(content):
-                stored = content
-                node.data = (_FULL, page_id, slot)
-                kind_changed = True
-        else:
-            stored = content
-        self._record_update(Rid(page_id, slot), stored, log_op)
-        # The version's *content* changed: its decoded copy is stale, and
-        # the bytes cache takes the new payload.
+        kind_changed = self._reencode(entry, serial, content, log_op)
+        # The version's content changed: its decoded copy is stale.  The
+        # children's stay valid (only their encoding changes).
         self._decoded_cache.pop(Vid(entry.oid, serial))
-        self._cache_bytes(Vid(entry.oid, serial), content)
-        for child, child_content in child_contents.items():
-            child_node = graph.node(child)
-            _ckind, cpage, cslot = child_node.data
-            new_delta = compute_delta(content, child_content)
-            if len(new_delta) >= len(child_content):
-                child_node.data = (_FULL, cpage, cslot)
-                kind_changed = True
-                self._record_update(Rid(cpage, cslot), child_content, log_op)
-            else:
-                self._record_update(Rid(cpage, cslot), new_delta, log_op)
-            # Children keep their content (only the encoding changed), so
-            # their decoded copies stay valid.
-            self._cache_bytes(Vid(entry.oid, child), child_content)
+        for child, child_content in children.items():
+            kind_changed |= self._reencode(entry, child, child_content, log_op)
         if kind_changed:
             # A node's storage kind lives in the object-table record; a
             # reopen must not read the full copy just written as a delta.
@@ -903,41 +955,16 @@ class VersionStore(VersionReads):
             self._delete_object(vid.oid, log_op)
             return
         graph = self._mutable_graph(entry)
-        node = graph.node(vid.serial)
-        # Children stored as deltas against this version must be re-based
-        # before the splice: materialize them now.
-        delta_children = [
-            child for child in node.children if graph.node(child).data[0] == _DELTA
-        ]
-        child_contents = {
-            child: self._version_bytes(entry, child) for child in delta_children
-        }
-        # Stash before the record delete / child re-encodes touch the heap.
-        self._stash_version(entry, vid.serial)
-        for child, child_content in child_contents.items():
-            self._snapshots.stash_bytes(Vid(entry.oid, child), child_content)
-        self._dirty_oids.add(entry.oid)
+        # Children stored as deltas against this version are re-based
+        # onto its parent (or become full copies) after the splice.
+        children = self._stash_rebased(entry, vid.serial)
         removed = graph.remove(vid.serial)
         entry.latest_vid = None  # deleting the latest moves the denotation
         _kind, page_id, slot = removed.data
         self._record_delete(Rid(page_id, slot), log_op)
         self._invalidate_version(vid)
-        for child, child_content in child_contents.items():
-            child_node = graph.node(child)
-            _ckind, cpage, cslot = child_node.data
-            if child_node.dprev is None:
-                # Re-parented to nothing: must become a full copy.
-                child_node.data = (_FULL, cpage, cslot)
-                self._record_update(Rid(cpage, cslot), child_content, log_op)
-            else:
-                base = self._version_bytes(entry, child_node.dprev)
-                new_delta = compute_delta(base, child_content)
-                if len(new_delta) >= len(child_content):
-                    child_node.data = (_FULL, cpage, cslot)
-                    self._record_update(Rid(cpage, cslot), child_content, log_op)
-                else:
-                    self._record_update(Rid(cpage, cslot), new_delta, log_op)
-            self._cache_bytes(Vid(entry.oid, child), child_content)
+        for child, child_content in children.items():
+            self._reencode(entry, child, child_content, log_op)
         self._save_entry(entry, log_op)
         self._notify(EV_DELETE_VERSION, vid.oid, vid)
 
@@ -971,9 +998,7 @@ class VersionStore(VersionReads):
             raise DanglingReferenceError(f"object {vid.oid!r} no longer exists")
         if vid.serial not in entry.graph:
             raise DanglingReferenceError(f"version {vid!r} no longer exists")
-        content = self._version_bytes(entry, vid.serial)
-        self._stats.bytes_decoded += len(content)
-        return serialization.decode(content)
+        return self._decode(entry, vid.serial)
 
     def read_attr(self, vid: Vid, name: str) -> Any:
         """Attribute-read fast path over a *shared* cached decode.
@@ -991,21 +1016,7 @@ class VersionStore(VersionReads):
             raise DanglingReferenceError(f"object {vid.oid!r} no longer exists")
         if vid.serial not in entry.graph:
             raise DanglingReferenceError(f"version {vid!r} no longer exists")
-        obj = self._decoded_cache.get(vid)
-        if obj is None:
-            content = self._version_bytes(entry, vid.serial)
-            self._stats.bytes_decoded += len(content)
-            self._stats.decoded_misses += 1
-            obj = serialization.decode(content)
-            self._decoded_cache.put(vid, obj)
-        else:
-            self._stats.decoded_hits += 1
-        value = getattr(obj, name)  # AttributeError propagates as usual
-        if inspect.ismethod(value) and value.__self__ is obj:
-            return READ_MISS
-        if _is_shareable(value):
-            return value
-        return READ_MISS
+        return shared_attr(self._shared_decode(entry, vid), name)
 
     def write_version(self, vid: Vid, obj: Any, log_op: LogOp | None = None) -> None:
         """Update a version's contents **in place** (no new version).

@@ -223,15 +223,14 @@ class LogManager:
     def _flush(self) -> None:
         with self._cond:
             target = self._seq
-            waited = False
             while self._flushing:
-                waited = True
                 self._cond.wait()
-            if waited and self._flushed_seq >= target:
-                # The fsync we waited behind snapshotted our records; its
-                # completion already made them durable.
-                self.group_piggybacks += 1
-                return
+                if self._flushed_seq >= target:
+                    # An fsync we waited behind covered our records.  Checked
+                    # at every wake-up: the leader may already be into its
+                    # next flush, which we need not wait out.
+                    self.group_piggybacks += 1
+                    return
             self._flushing = True
             if self._group_window > 0.0 and self._pending_flushers > 1:
                 # Linger with the lock released so concurrent committers can

@@ -8,6 +8,7 @@ reader from completing a materialize and a full history traversal.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro import Database, StoragePolicy
 from repro.errors import DanglingReferenceError, ReadOnlySnapshotError
 from repro.core.identity import Oid, Vid
+from repro.storage.blobs import BlobStore
 from tests.conftest import Doc, Part
 
 
@@ -146,21 +148,25 @@ def test_snapshot_query_and_indexes(any_db):
         }
 
 
-def test_snapshot_query_domain_memoized(any_db):
+def test_snapshot_query_domain_memoized(any_db, monkeypatch):
     any_db.create_index(Part, "weight")
     for i in range(6):
         any_db.pnew(Part(f"p{i}", i % 2))
     with any_db.snapshot() as snap:
         from repro.core.indexes import attr_equals
 
+        probes = []
+        lookup = snap.index_lookup
+        monkeypatch.setattr(
+            snap, "index_lookup", lambda *args: probes.append(args) or lookup(*args)
+        )
         query = snap.query(Part).suchthat(attr_equals("weight", 1))
         first = sorted(p.name for p in query)
         assert first == ["p1", "p3", "p5"]
         # Re-iterating the same query against the frozen snapshot must
         # reuse the resolved domain, not re-walk the index.
-        assert snap._domain_cache  # the snapshot memoized the probe
-        query._store = None  # any re-resolution would now raise
         assert sorted(p.name for p in query) == first
+        assert probes == [("tests.Part", "weight", 1)]
 
 
 # -- read-only enforcement -----------------------------------------------------
@@ -320,6 +326,119 @@ def test_snapshot_write_back_heavy_rewrites(any_db):
         for i, vid in enumerate(vrefs, start=1):
             assert snap.deref(vid).text == f"v{i} " * 50
     assert any_db.deref(vrefs[4]).text == "rewritten " * 60
+
+
+# -- the fill fence: a snapshot's cache fill never outlives a racing commit -----
+
+
+def _commit_inside_next_blob_read(monkeypatch, commit) -> None:
+    """Run ``commit`` once, inside the next payload read: after the reader
+    fetched the record (and found no stash for it), before it fills a
+    shared cache with what it read."""
+    real_get = BlobStore.get
+    pending = [commit]
+
+    def get(self, key):
+        content = real_get(self, key)
+        if pending:
+            pending.pop()()
+        return content
+
+    monkeypatch.setattr(BlobStore, "get", get)
+
+
+def test_bytes_fill_racing_an_in_place_commit_is_not_served_stale(
+    tmp_path, monkeypatch
+):
+    """The snapshot correctly returns the old body; live readers and later
+    snapshots must see the new one (the snapshot used to cache the old
+    body after the writer had cached the new one, until a reopen)."""
+    db = Database(tmp_path / "db")
+    try:
+        ref = db.pnew(Doc("old" * 700))  # blob-backed, not inline
+        vid = db.latest_vid(ref.oid)
+        with db.snapshot() as snap:
+            db.store._bytes_cache.clear()
+            _commit_inside_next_blob_read(
+                monkeypatch, lambda: db.write_version(vid, Doc("new" * 700))
+            )
+            assert snap.materialize(vid).text == "old" * 700
+        assert db.materialize(vid).text == "new" * 700
+        with db.snapshot() as fresh:
+            assert fresh.materialize(vid).text == "new" * 700
+    finally:
+        db.close()
+
+
+def test_decoded_fill_racing_an_in_place_commit_is_not_served_stale(
+    tmp_path, monkeypatch
+):
+    """The same race on the decoded cache, which a snapshot fills for any
+    version but an entry's latest."""
+    db = Database(tmp_path / "db")
+    try:
+        ref = db.pnew(Doc("old" * 700))
+        old = db.latest_vid(ref.oid)
+        db.newversion(ref)  # ``old`` is no longer the latest serial
+        with db.snapshot() as snap:
+            db.store._bytes_cache.clear()
+            db.store._decoded_cache.clear()
+            _commit_inside_next_blob_read(
+                monkeypatch, lambda: db.write_version(old, Doc("new" * 700))
+            )
+            assert snap.read_attr(old, "text") == "old" * 700
+        assert db.read_attr(old, "text") == "new" * 700
+        with db.snapshot() as fresh:
+            assert fresh.read_attr(old, "text") == "new" * 700
+    finally:
+        db.close()
+
+
+def test_racing_snapshot_fills_never_serve_a_commit_stale(tmp_path):
+    """Snapshot readers rebuild from cold caches and fill them while a
+    writer rewrites versions in place: after every commit the live store
+    and a fresh snapshot read what was written."""
+    db = Database(tmp_path / "db", policy=StoragePolicy(kind="delta", keyframe_interval=4))
+    ref = db.pnew(Doc("0" * 600))
+    with db.transaction():
+        for i in range(1, 4):
+            db.newversion(ref).text = f"{i}" * 600
+    vids = [v.vid for v in db.versions(ref)]
+    stop, errors = threading.Event(), []
+
+    def reader() -> None:
+        try:
+            while not stop.is_set():
+                db.store._bytes_cache.clear()
+                db.store._decoded_cache.clear()
+                with db.snapshot() as snap:
+                    for vid in vids:
+                        snap.read_attr(vid, "text")
+                        snap.materialize(vid)
+        except BaseException as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    readers = [threading.Thread(target=reader) for _ in range(4)]
+    try:
+        for thread in readers:
+            thread.start()
+        for n in range(120):
+            vid, body = vids[n % len(vids)], f"w{n}:".ljust(600, "x")
+            db.write_version(vid, Doc(body))
+            assert db.materialize(vid).text == body
+            assert db.read_attr(vid, "text") == body
+            with db.snapshot() as fresh:
+                assert fresh.materialize(vid).text == body
+    finally:
+        stop.set()
+        for thread in readers:
+            thread.join(10)
+        sys.setswitchinterval(interval)
+        db.close()
+    assert not errors, errors
+    assert not any(thread.is_alive() for thread in readers)
 
 
 # -- cluster membership: maintained incrementally, O(dirty) per publish ---------

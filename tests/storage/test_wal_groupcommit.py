@@ -192,3 +192,64 @@ def test_no_reference_is_durable_before_its_payload_under_group_commit(
     assert sorted(set(references)) == [1, 2]
     log.close()
     store.close()
+
+
+def test_covered_waiter_returns_while_the_next_flush_is_in_flight(
+    tmp_path, monkeypatch
+):
+    """A flusher parked behind an fsync that covers its record returns once
+    that fsync completes, even if the leader has started its next flush
+    before the waiter runs again.  It used to re-check only after the
+    in-flight flag dropped, so it slept through that flush as well, and
+    through every later one while the leader kept committing."""
+    log = LogManager(tmp_path / "wal.log")
+    gates = [threading.Event(), threading.Event()]
+    in_fsync = [threading.Event(), threading.Event()]
+    fsyncs = []
+    real_fsync, real_wait = os.fsync, log._cond.wait
+    parked = threading.Event()
+
+    def fsync(fd: int) -> None:
+        n = len(fsyncs)
+        fsyncs.append(fd)
+        if n < len(gates):  # the leader's two flushes
+            in_fsync[n].set()
+            assert gates[n].wait(10.0)
+        real_fsync(fd)
+
+    def wait(timeout=None):
+        if threading.current_thread() is not waiter:
+            return real_wait(timeout)
+        # Not scheduled again until the leader's next flush is in flight.
+        parked.set()
+        real_wait(0.01)
+        while not in_fsync[1].is_set():
+            real_wait(0.01)
+        return True
+
+    def leader() -> None:
+        log.flush()  # covers the waiter's record
+        log.append(LogRecord(COMMIT, 1))
+        log.flush()
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(log._cond, "wait", wait)
+    log.append(LogRecord(BEGIN, 1))
+    lead = threading.Thread(target=leader)
+    waiter = threading.Thread(target=log.flush)
+    try:
+        lead.start()
+        assert in_fsync[0].wait(10.0)
+        waiter.start()
+        assert parked.wait(10.0)
+        gates[0].set()
+        assert in_fsync[1].wait(10.0)
+        waiter.join(5.0)
+        assert not waiter.is_alive(), "a covered waiter slept through the next flush"
+        assert log.group_piggybacks == 1 and log.flushed_seq == 1
+    finally:
+        gates[0].set()
+        gates[1].set()
+        lead.join(10.0)
+        waiter.join(10.0)
+        log.close()
