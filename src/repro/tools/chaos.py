@@ -3,7 +3,8 @@
 :mod:`repro.tools.crashmatrix` attacks durability (a dying process),
 :mod:`repro.tools.stress` attacks liveness under contention.  This
 harness attacks **availability and correctness under network and shard
-failure**: a client swarm drives wire transactions through a
+failure**: a client swarm drives wire transactions
+(:func:`repro.tools.harness.run_txn`) through a
 :class:`~repro.net.chaos.ChaosProxy` that delays, duplicates, truncates
 and drops traffic, partitions the network mid-run, and kills whole
 shards out from under a sharded server -- then the harness checks the
@@ -36,214 +37,38 @@ promises the fault-tolerance layer makes:
 
 Run it::
 
-    PYTHONPATH=src python -m repro.tools.chaos [--smoke] [--seed N] [-v]
+    PYTHONPATH=src python -m repro.tools.chaos [--scenario NAME ...] [--smoke] [--seed N] [-v]
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import sys
-import tempfile
 import time
-from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
-from repro import PersistentObject
-from repro.core.persistent import persistent_once
-from repro.errors import (
-    ConnectionClosedError,
-    DeadlineExceededError,
-    NetworkError,
-    OdeError,
-    ProtocolError,
-    ShardUnavailableError,
-    TransactionStateError,
-)
+from repro.errors import OdeError, ShardUnavailableError
 from repro.net.chaos import C2S, S2C, ChaosPlan, ChaosProxyThread
-from repro.net.client import OdeClient, is_retryable
+from repro.net.client import OdeClient
 from repro.net.server import ServerThread
 from repro.shard import ShardedDatabase
 from repro.storage import faults
-
-#: Per-op client deadline for chaos runs: tight enough that a black-holed
-#: op fails in bounded time, loose enough that a healthy-but-contended op
-#: never trips it.
-DEADLINE = 3.0
-
-#: Worst-case budget for one transaction *attempt*: five deadline-bounded
-#: ops (begin/read/write/commit + the abort the lease adds on failure)
-#: plus scheduling slack.  Any attempt exceeding this is an unbounded-
-#: latency bug, which is exactly what the deadline layer exists to rule
-#: out.
-ATTEMPT_BUDGET = 5 * DEADLINE + 2.0
+from repro.tools import harness
+from repro.tools.harness import DEADLINE, Ledger, Result, counters, run_txn, swarm
 
 #: A down shard must fail fast, not burn a timeout: the refusal budget.
 FAILFAST_BUDGET = 0.25
 
-_RETRY_CAP = 60
 
-
-def _should_retry(exc: BaseException) -> bool:
-    """The harness's retry predicate, wider than the library's taxonomy:
-
-    * :func:`~repro.net.client.is_retryable` -- the wire taxonomy;
-    * :class:`TransactionStateError` -- a begin that raced an orphaned
-      server-side transaction (its commit was black-holed mid-flight;
-      the lease's abort-on-error already cleared it, a retry is clean);
-    * pool-heal exhaustion (:class:`NetworkError` that is not a
-      :class:`ProtocolError`) -- the server was unreachable for longer
-      than one heal cycle; under a deliberate partition that is
-      expected, and trying again after the heal is the whole point.
-    """
-    if is_retryable(exc) or isinstance(exc, TransactionStateError):
-        return True
-    return isinstance(exc, NetworkError) and not isinstance(exc, ProtocolError)
-
-
-@persistent_once("chaos.Account")
-class Account(PersistentObject):
-    """One counter per swarm connection: the lost-ack canary."""
-
-    def __init__(self, tag: int = 0, val: int = 0) -> None:
-        self.tag = tag
-        self.val = val
-
-
-# -- bookkeeping --------------------------------------------------------------
-
-
-@dataclass
-class ScenarioResult:
-    name: str
-    workers: int
-    txns: int
-    acked: int = 0
-    maybe: int = 0
-    retries: int = 0
-    failfast: int = 0
-    max_attempt_s: float = 0.0
-    elapsed: float = 0.0
-    problems: list[str] = field(default_factory=list)
-    notes: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def line(self) -> str:
-        status = "OK " if self.ok else "FAIL"
-        extra = " ".join(f"{k}={v}" for k, v in self.notes.items())
-        return (
-            f"  [{status}] {self.name:<14} workers={self.workers:<3} "
-            f"acked={self.acked:<5} maybe={self.maybe:<3} "
-            f"retries={self.retries:<4} max_attempt={self.max_attempt_s:.2f}s "
-            f"({self.elapsed:.1f}s) {extra}"
-        )
-
-
-class _Ledger:
-    """Per-worker ack accounting shared with the final verification."""
-
-    def __init__(self, n: int) -> None:
-        self.acked = [0] * n
-        self.maybe = [0] * n
-
-
-async def _run_txn(
-    client: OdeClient, oid, idx: int, ledger: _Ledger, result: ScenarioResult
-) -> bool:
-    """One read-modify-write wire transaction, retried to completion.
-
-    Returns False only when retries are exhausted (recorded as a
-    problem).  A commit that fails *indeterminately* (deadline expiry or
-    connection loss after the COMMIT frame went out) is counted in
-    ``maybe`` and not retried: retrying could double-apply the
-    increment, and the point is to verify the harness can bound what it
-    does not know.
-    """
-    for attempt in range(1, _RETRY_CAP + 1):
-        t0 = time.perf_counter()
-        indeterminate = False
-        try:
-            async with client.lease() as conn:
-                await conn.begin()
-                val = await conn.read(oid, "val")
-                await conn.write(oid, "val", val + 1)
-                try:
-                    await conn.commit()
-                except (DeadlineExceededError, ConnectionClosedError):
-                    indeterminate = True
-                    raise
-                ledger.acked[idx] += 1
-                # Read-your-acked-writes: the post-commit lock-free read
-                # must see at least everything this worker was acked.
-                try:
-                    got = await conn.read(oid, "val")
-                    if got < ledger.acked[idx]:
-                        result.problems.append(
-                            f"worker {idx}: lock-free read saw {got} after "
-                            f"{ledger.acked[idx]} acked commits"
-                        )
-                except OdeError as exc:
-                    if not is_retryable(exc):
-                        raise
-                    # The read-back is best-effort under chaos; a dead
-                    # connection here does not unack the commit.
-            return True
-        except BaseException as exc:  # noqa: BLE001 - classified below
-            elapsed = time.perf_counter() - t0
-            result.max_attempt_s = max(result.max_attempt_s, elapsed)
-            if elapsed > ATTEMPT_BUDGET:
-                result.problems.append(
-                    f"worker {idx}: attempt took {elapsed:.2f}s "
-                    f"(budget {ATTEMPT_BUDGET:.2f}s) -- unbounded latency"
-                )
-                return False
-            if indeterminate:
-                ledger.maybe[idx] += 1
-                return True  # the txn may have landed; do not re-run it
-            if _should_retry(exc):
-                result.retries += 1
-                await asyncio.sleep(min(0.05 * attempt, 0.5))
-                continue
-            result.problems.append(
-                f"worker {idx}: non-retryable {type(exc).__name__}: {exc}"
-            )
-            return False
-        finally:
-            elapsed = time.perf_counter() - t0
-            result.max_attempt_s = max(result.max_attempt_s, elapsed)
-    result.problems.append(f"worker {idx}: exhausted {_RETRY_CAP} retries")
-    return False
-
-
-def _verify_ledger(
-    db: ShardedDatabase, oids, ledger: _Ledger, result: ScenarioResult
-) -> None:
+def _check(db: ShardedDatabase, oids, ledger: Ledger, result: Result) -> None:
     """No lost acked writes; no writes beyond acked + indeterminate."""
-    for idx, oid in enumerate(oids):
-        obj = db.materialize(db.latest_vid(oid))
-        lo, hi = ledger.acked[idx], ledger.acked[idx] + ledger.maybe[idx]
-        if not (lo <= obj.val <= hi):
-            result.problems.append(
-                f"counter {idx}: value {obj.val} outside [{lo}, {hi}] "
-                f"(acked={lo}, indeterminate={ledger.maybe[idx]}) -- "
-                + ("lost acked write" if obj.val < lo else "phantom commit")
-            )
-    result.acked = sum(ledger.acked)
-    result.maybe = sum(ledger.maybe)
+    ledger.check([db.materialize(db.latest_vid(oid)).val for oid in oids], result)
 
 
-# -- scenarios ----------------------------------------------------------------
-
-
-def _scenario_lossy_wire(
-    path: Path, workers: int, txns: int, seed: int
-) -> ScenarioResult:
+def _scenario_lossy_wire(path: Path, workers: int, rounds: int, seed: int) -> Result:
     """The swarm through a seeded lossy plan: delay/dup/truncate/drop."""
-    result = ScenarioResult("lossy_wire", workers, txns)
-    start = time.monotonic()
+    result = Result("lossy_wire")
     plan = (
         ChaosPlan(seed=seed)
         .delay(C2S, prob=0.04, min_s=0.0005, max_s=0.01)
@@ -257,39 +82,27 @@ def _scenario_lossy_wire(
     with ShardedDatabase(
         path, nshards=2, lock_timeout=5.0, group_commit_window=0.001
     ) as db:
-        with db.transaction():
-            oids = [db.pnew(Account(tag=i)).oid for i in range(workers)]
-        ledger = _Ledger(workers)
+        oids = counters(db, workers)
+        ledger = Ledger(workers)
         with ServerThread(db) as server, ChaosProxyThread(
             server.host, server.port, plan
         ) as proxy:
 
-            async def swarm() -> None:
-                client = await OdeClient.connect(
+            async def clients() -> None:
+                async with await OdeClient.connect(
                     proxy.host,
                     proxy.port,
                     pool_size=workers,
                     deadline=DEADLINE,
                     reconnect_attempts=10,
                     reconnect_backoff=0.02,
-                )
-                try:
+                ) as client:
+                    await swarm(client, oids, rounds, ledger, result)
+                result.counts["heals"] = client.heals
 
-                    async def drive(idx: int) -> None:
-                        for _ in range(txns):
-                            if not await _run_txn(
-                                client, oids[idx], idx, ledger, result
-                            ):
-                                return
-
-                    await asyncio.gather(*(drive(i) for i in range(workers)))
-                finally:
-                    await client.close()
-                result.notes["heals"] = client.heals
-
-            asyncio.run(swarm())
+            asyncio.run(clients())
             chaos = proxy.stats
-            result.notes["chaos_faults"] = (
+            result.counts["chaos_faults"] = (
                 chaos.chunks_delayed
                 + chaos.chunks_duplicated
                 + chaos.chunks_truncated
@@ -297,72 +110,58 @@ def _scenario_lossy_wire(
             )
             if chaos.chunks_forwarded == 0:
                 result.problems.append("proxy forwarded nothing -- dead run")
-            if result.notes["chaos_faults"] == 0:
+            if result.counts["chaos_faults"] == 0:
                 result.problems.append(
                     "chaos plan injected no faults -- the run proved nothing"
                 )
-        _verify_ledger(db, oids, ledger, result)
-    result.elapsed = time.monotonic() - start
+        _check(db, oids, ledger, result)
     return result
 
 
-def _scenario_partition(
-    path: Path, workers: int, txns: int, seed: int
-) -> ScenarioResult:
+def _scenario_partition(path: Path, workers: int, rounds: int, seed: int) -> Result:
     """Full partition mid-run: bounded failure, then full recovery."""
-    result = ScenarioResult("partition", workers, txns)
-    start = time.monotonic()
+    result = Result("partition")
     with ShardedDatabase(
         path, nshards=2, lock_timeout=5.0, group_commit_window=0.001
     ) as db:
-        with db.transaction():
-            oids = [db.pnew(Account(tag=i)).oid for i in range(workers)]
-        ledger = _Ledger(workers)
+        oids = counters(db, workers)
+        ledger = Ledger(workers)
         with ServerThread(db) as server, ChaosProxyThread(
             server.host, server.port, ChaosPlan(seed=seed)
         ) as proxy:
 
-            async def swarm() -> None:
-                client = await OdeClient.connect(
-                    proxy.host,
-                    proxy.port,
-                    pool_size=workers,
-                    deadline=1.0,
-                    reconnect_attempts=12,
-                    reconnect_backoff=0.02,
-                )
+            async def clients() -> None:
                 cut = asyncio.Event()
 
                 async def controller() -> None:
-                    # Let the swarm get going, then cut the cable.  The
-                    # workers gate their second half on ``cut`` so their
-                    # remaining transactions provably run into the
-                    # partition, however fast the healthy half went.
+                    # Let the swarm get going, then cut the cable.
                     await asyncio.sleep(0.1)
                     proxy.partition()
                     cut.set()
                     await asyncio.sleep(1.2)
                     proxy.heal()
 
-                async def drive(idx: int) -> None:
-                    for j in range(txns):
-                        if j == txns // 2:
-                            await cut.wait()
-                        if not await _run_txn(
-                            client, oids[idx], idx, ledger, result
-                        ):
-                            return
+                async def halves() -> None:
+                    # The second half waits for ``cut``, so it provably
+                    # runs into the partition, however fast the healthy
+                    # half went.
+                    await swarm(client, oids, rounds // 2, ledger, result)
+                    await cut.wait()
+                    await swarm(client, oids, rounds - rounds // 2, ledger, result)
 
-                try:
-                    await asyncio.gather(
-                        controller(), *(drive(i) for i in range(workers))
-                    )
-                finally:
-                    await client.close()
-                result.notes["heals"] = client.heals
+                async with await OdeClient.connect(
+                    proxy.host,
+                    proxy.port,
+                    pool_size=workers,
+                    deadline=1.0,
+                    reconnect_attempts=12,
+                    reconnect_backoff=0.02,
+                ) as client:
+                    await asyncio.gather(controller(), halves())
+                result.counts["heals"] = client.heals
 
             expired_before = db.stats().get("net.deadline_expired", 0)
-            asyncio.run(swarm())
+            asyncio.run(clients())
             stats = db.stats()
             if proxy.stats.partitions != 1:
                 result.problems.append("partition never engaged")
@@ -379,22 +178,21 @@ def _scenario_partition(
                     "no deadline expiries during a full partition -- "
                     "something waited unboundedly or never waited at all"
                 )
-        _verify_ledger(db, oids, ledger, result)
+        _check(db, oids, ledger, result)
         # Recovery must be total: every planned transaction either acked
         # or (rarely) indeterminate at the partition edge.
         for idx in range(workers):
             done = ledger.acked[idx] + ledger.maybe[idx]
-            if done != txns:
+            if done != rounds:
                 result.problems.append(
-                    f"worker {idx}: only {done}/{txns} transactions "
+                    f"worker {idx}: only {done}/{rounds} transactions "
                     "completed after heal -- the pool did not recover"
                 )
-    result.elapsed = time.monotonic() - start
     return result
 
 
 def _plant_in_doubt(
-    db: ShardedDatabase, oid_a, oid_b, result: ScenarioResult
+    db: ShardedDatabase, oid_a, oid_b, result: Result
 ) -> None:
     """Leave a cross-shard 2PC transaction half-committed.
 
@@ -431,30 +229,27 @@ def _plant_in_doubt(
 
 
 def _scenario_shard_failover(
-    path: Path, workers: int, txns: int, seed: int
-) -> ScenarioResult:
+    path: Path, workers: int, rounds: int, seed: int
+) -> Result:
     """Kill a shard under the swarm; degrade gracefully; reattach online."""
     nshards = 3
     victim = 1
-    result = ScenarioResult("shard_failover", workers, txns)
-    start = time.monotonic()
+    result = Result("shard_failover")
     with ShardedDatabase(
         path, nshards=nshards, lock_timeout=5.0, group_commit_window=0.001
     ) as db:
-        with db.transaction():
-            oids = [db.pnew(Account(tag=i)).oid for i in range(workers)]
+        oids = counters(db, workers)
         homes = [db.placement.shard_of(oid) for oid in oids]
-        # Two extra objects on distinct shards for the in-doubt 2PC txn.
-        with db.transaction():
-            pair = [db.pnew(Account(tag=1000 + i)).oid for i in range(nshards)]
+        # Extra objects on distinct shards for the in-doubt 2PC txn.
+        pair = counters(db, nshards)
         doubt_a = next(o for o in pair if db.placement.shard_of(o) == 0)
         doubt_b = next(o for o in pair if db.placement.shard_of(o) == victim)
-        ledger = _Ledger(workers)
+        ledger = Ledger(workers)
         with ServerThread(db) as server:
 
             async def phase(client: OdeClient, expect_down: bool) -> None:
                 async def drive(idx: int) -> None:
-                    for _ in range(txns):
+                    for _ in range(rounds):
                         if expect_down and homes[idx] == victim:
                             # The failure domain: this op must fail FAST
                             # with the retryable shard error.
@@ -470,7 +265,7 @@ def _scenario_shard_failover(
                                 )
                             except ShardUnavailableError:
                                 elapsed = time.perf_counter() - t0
-                                result.failfast += 1
+                                result.counts["failfast"] += 1
                                 if elapsed > FAILFAST_BUDGET:
                                     result.problems.append(
                                         f"worker {idx}: down-shard refusal "
@@ -483,19 +278,15 @@ def _scenario_shard_failover(
                                     f"{type(exc).__name__}, not "
                                     f"ShardUnavailableError"
                                 )
-                        else:
-                            if not await _run_txn(
-                                client, oids[idx], idx, ledger, result
-                            ):
-                                return
+                        elif not await run_txn(client, oids[idx], idx, ledger, result):
+                            return
 
                 await asyncio.gather(*(drive(i) for i in range(workers)))
 
             async def run_all() -> None:
-                client = await OdeClient.connect(
+                async with await OdeClient.connect(
                     server.host, server.port, pool_size=workers, deadline=DEADLINE
-                )
-                try:
+                ) as client:
                     # Phase 1: healthy fleet.
                     await phase(client, expect_down=False)
                     health = await client.health()
@@ -527,17 +318,15 @@ def _scenario_shard_failover(
                             f"in-doubt transaction (report: {report})"
                         )
                     await phase(client, expect_down=False)
-                finally:
-                    await client.close()
 
             asyncio.run(run_all())
-            result.notes["reattaches"] = db.stats()["shard.health.reattaches"]
+            result.counts["reattaches"] = db.stats()["shard.health.reattaches"]
         # Availability floor: every healthy-homed transaction in every
         # phase must have been acked.  Healthy workers ran all three
         # phases; the victim's workers spent phase 2 in the fail-fast
         # branch (no ledger entries) and ran phases 1 and 3.
         expected = [
-            txns * (3 if homes[i] != victim else 2) for i in range(workers)
+            rounds * (3 if homes[i] != victim else 2) for i in range(workers)
         ]
         for idx in range(workers):
             done = ledger.acked[idx] + ledger.maybe[idx]
@@ -546,7 +335,7 @@ def _scenario_shard_failover(
                     f"worker {idx} (shard {homes[idx]}): {done} completed "
                     f"!= {expected[idx]} planned -- availability hole"
                 )
-        if result.failfast == 0:
+        if result.counts["failfast"] == 0:
             result.problems.append(
                 "no down-shard op was exercised -- victim shard owned no "
                 "workers (seed/layout bug)"
@@ -561,95 +350,33 @@ def _scenario_shard_failover(
                     f"{db.placement.shard_of(oid)} has val={obj.val}, "
                     "not 777 -- resolution lost a committed write"
                 )
-        _verify_ledger(db, oids, ledger, result)
-    result.elapsed = time.monotonic() - start
+        _check(db, oids, ledger, result)
     return result
 
 
-_SCENARIOS = {
+SCENARIOS = {
     "lossy_wire": _scenario_lossy_wire,
     "partition": _scenario_partition,
     "shard_failover": _scenario_shard_failover,
 }
 
 
-# -- the harness --------------------------------------------------------------
-
-
-@dataclass
-class ChaosReport:
-    results: list[ScenarioResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def render(self) -> str:
-        lines = [
-            f"chaos: {len(self.results)} scenarios, "
-            + ("all OK" if self.ok else "FAILURES")
-        ]
-        for result in self.results:
-            lines.append(result.line())
-            lines.extend(f"      - {p}" for p in result.problems)
-        return "\n".join(lines)
-
-
-def run_chaos(
-    base_dir: Path | None = None,
-    workers: int = 16,
-    txns: int = 12,
-    seed: int = 7,
-    verbose: bool = False,
-) -> ChaosReport:
-    """Run every scenario against fresh sharded databases."""
-    report = ChaosReport()
-    tmp = None
-    if base_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="chaos-")
-        base_dir = Path(tmp.name)
-    try:
-        for name, scenario in _SCENARIOS.items():
-            result = scenario(base_dir / name, workers, txns, seed)
-            report.results.append(result)
-            if verbose:
-                print(result.line(), flush=True)
-                for problem in result.problems:
-                    print(f"      - {problem}", flush=True)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    return report
+def scenarios(names, workers: int, rounds: int, seed: int) -> harness.Scenarios:
+    """The named scenarios: ``workers`` counters, ``rounds`` transactions
+    each, ``seed`` for the chaos plan."""
+    return {
+        name: partial(SCENARIOS[name], workers=workers, rounds=rounds, seed=seed)
+        for name in names
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="chaos", description="network/shard fault-tolerance harness"
+    return harness.main(
+        argv, prog="chaos", description="network/shard fault-tolerance harness",
+        names=list(SCENARIOS), default=list(SCENARIOS),
+        select=lambda names, a: scenarios(names, a.workers, a.rounds, a.seed),
+        sizes={"workers": (8, 16), "rounds": (6, 12)}, seed=7,
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small worker/txn counts -- fast CI subset",
-    )
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--txns", type=int, default=None)
-    parser.add_argument(
-        "--seed", type=int, default=7,
-        help="chaos plan seed (same seed + workload => same fault schedule)",
-    )
-    parser.add_argument("-v", "--verbose", action="store_true")
-    parser.add_argument(
-        "--dir", type=Path, default=None,
-        help="run under this directory instead of a temp dir (kept afterwards)",
-    )
-    args = parser.parse_args(argv)
-    workers = args.workers if args.workers is not None else (8 if args.smoke else 16)
-    txns = args.txns if args.txns is not None else (6 if args.smoke else 12)
-    report = run_chaos(
-        args.dir, workers=workers, txns=txns, seed=args.seed,
-        verbose=args.verbose,
-    )
-    print(report.render())
-    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

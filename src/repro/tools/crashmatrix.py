@@ -34,21 +34,26 @@ classic ARIES assumption absent full-page logging -- so torn-write
 scenarios target the WAL (frame CRCs detect the tear) and the meta page
 (torn-safe by layout), not data pages.
 
+Three matrices, each a ``--scenario`` name: ``plain`` (the default; the
+mixed workload above), ``twopc`` (cross-shard transfers through every
+2PC window) and ``gc`` (retention pruning and blob reclaim).
+
 Run it:
 
-    PYTHONPATH=src python -m repro.tools.crashmatrix [--smoke] [-v]
+    PYTHONPATH=src python -m repro.tools.crashmatrix [--scenario plain|twopc|gc ...] [--smoke] [-v]
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import sys
-import tempfile
 import threading
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from repro import Database, PersistentObject, StoragePolicy
 from repro.core.identity import Oid, Vid
@@ -58,14 +63,15 @@ from repro.storage import blobs, faults
 from repro.storage.faults import (
     ERROR_FAILPOINTS,
     FAILPOINTS,
-    WRITE_FAILPOINTS,
     FaultPlan,
     InjectedFaultError,
     SimulatedCrash,
 )
 from repro.storage.heap import Rid
 from repro.storage.wal import COORD_END, LogManager
+from repro.tools import harness
 from repro.tools.check import check_database
+from repro.tools.harness import Result
 
 #: Rounds of mixed operations per worker thread.
 ROUNDS = 8
@@ -135,6 +141,9 @@ class Scenario:
     #: resolves, as ``(committed, aborted)``.
     expect_released: int | None = None
     expect_resolution: tuple[int, int] | None = None
+    #: The matrix the row belongs to, which picks its workload and
+    #: verifier (see :data:`_FAMILIES`); not part of the name.
+    matrix: str = "plain"
 
     @property
     def name(self) -> str:
@@ -247,14 +256,16 @@ def enumerate_scenarios(smoke: bool = False) -> list[Scenario]:
         Scenario("heap.replay_insert", "crash", hit=1, shared_content=True)
     )
     if smoke:
-        picked: dict[tuple[str, str, bool], Scenario] = {}
-        for scenario in scenarios:
-            picked.setdefault(
-                (scenario.failpoint, scenario.action, scenario.shared_content),
-                scenario,
-            )
-        scenarios = list(picked.values())
+        scenarios = _smoke(scenarios, lambda s: (s.failpoint, s.action, s.shared_content))
     return scenarios
+
+
+def _smoke(scenarios: list[Scenario], key, *keep: Scenario) -> list[Scenario]:
+    """A smoke subset: the first row of each ``key``, then ``keep``."""
+    picked: dict = {}
+    for scenario in scenarios:
+        picked.setdefault(key(scenario), scenario)
+    return [*picked.values(), *keep]
 
 
 # -- workload ----------------------------------------------------------------
@@ -429,15 +440,41 @@ class _DeliberateAbort(Exception):
     pass
 
 
-def _run_workload(path: Path) -> list[_Worker]:
+@contextmanager
+def _until_the_fault():
+    """Run the body until it finishes or the armed fault fires.
+
+    The body passes each database it opens through the yielded function,
+    which registers it (shards included) in :data:`_opened`.  If the
+    simulated machine survives, its databases are closed; if it died, the
+    files are left exactly as they lie -- no close, no abort.
+    """
+    live = []
+
+    def opened(db):
+        live.append(db)
+        _opened.extend(getattr(db, "shards", [db]))
+        return db
+
+    try:
+        yield opened
+        if not faults.is_crashed():
+            for db in live:
+                db.close()
+    except (SimulatedCrash, InjectedFaultError):
+        pass
+
+
+def _run_workload(path: Path, scenario: Scenario) -> list[_Worker]:
     """Run the mixed workload until it completes or the armed fault fires.
 
     Always returns the workers (and their ledgers), even on a crash.
     """
+    if scenario.shared_content:
+        return _run_shared_content_workload(path)
     workers = [_Worker(0), _Worker(1)]
-    try:
-        db = Database(path, pool_size=8)
-        _opened.append(db)
+    with _until_the_fault() as opened:
+        db = opened(Database(path, pool_size=8))
         for worker in workers:
             worker.setup(db)
         db.checkpoint()
@@ -455,9 +492,6 @@ def _run_workload(path: Path) -> list[_Worker]:
                 raise RuntimeError(f"workload thread {thread.name} hung")
         if not faults.is_crashed():
             db.checkpoint()
-            db.close()
-    except (SimulatedCrash, InjectedFaultError):
-        pass  # the simulated machine is dead; leave the files as they lie
     for worker in workers:
         if worker.error is not None:
             raise worker.error
@@ -474,9 +508,8 @@ def _run_shared_content_workload(path: Path) -> list[_Worker]:
     payload: K's only durable reference count is T2's record itself.
     """
     workers = [_Worker(0), _Worker(1)]
-    try:
-        db = Database(path, pool_size=8)
-        _opened.append(db)
+    with _until_the_fault() as opened:
+        db = opened(Database(path, pool_size=8))
         for worker in workers:
             # Equal tags: equal texts are then equal payloads, one key.
             text = f"B{worker.wid}:" + "x" * 600
@@ -497,10 +530,6 @@ def _run_shared_content_workload(path: Path) -> list[_Worker]:
         )
         with session.activate():
             txn.abort()
-        if not faults.is_crashed():
-            db.close()
-    except (SimulatedCrash, InjectedFaultError):
-        pass  # the simulated machine is dead; leave the files as they lie
     return workers
 
 
@@ -519,7 +548,9 @@ def _observe(db: Database, tracked: _Tracked) -> dict | None:
     return {"pad": len(obj.text), "versions": len(versions)}
 
 
-def _verify(db: Database, workers: list[_Worker], problems: list[str]) -> None:
+def _verify(
+    db: Database, workers: list[_Worker], scenario: Scenario, problems: list[str]
+) -> None:
     known_oids: set[int] = set()
     in_flight_creates = any(w.creating for w in workers)
     for worker in workers:
@@ -556,7 +587,9 @@ def _verify(db: Database, workers: list[_Worker], problems: list[str]) -> None:
         )
 
 
-def _usability_probe(db: Database, problems: list[str]) -> None:
+def _usability_probe(
+    db: Database, ledger, scenario: Scenario, problems: list[str]
+) -> None:
     """The recovered database must accept new work."""
     try:
         ref = db.pnew(Item(tag=99, val=1))
@@ -569,66 +602,37 @@ def _usability_probe(db: Database, problems: list[str]) -> None:
         problems.append(f"post-recovery write probe failed: {exc!r}")
 
 
-# -- the matrix --------------------------------------------------------------
+# -- the matrix core ----------------------------------------------------------
 
 
-@dataclass
-class ScenarioResult:
-    scenario: Scenario
-    fired: bool
-    crashed: bool
-    recovery_crashed: bool = False
-    problems: list[str] = field(default_factory=list)
+class _Family(NamedTuple):
+    """How one matrix's rows run.  ``workload(path, scenario)`` runs under
+    the armed fault and returns its ledger; ``reopen(path)`` recovers;
+    ``verify`` and then ``probe``, both ``(db, ledger, scenario,
+    problems)``, judge the recovered database.  With ``must_fire``, a row
+    whose fault never fired is a failure."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-@dataclass
-class MatrixReport:
-    results: list[ScenarioResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    @property
-    def fired_failpoints(self) -> set[str]:
-        """Failpoints whose armed fault actually triggered in some scenario."""
-        return {r.scenario.failpoint for r in self.results if r.fired}
-
-    def render(self) -> str:
-        fired = self.fired_failpoints
-        lines = [
-            f"crash matrix: {len(self.results)} scenarios, "
-            f"{len(fired)} distinct failpoints fired, "
-            + ("all OK" if self.ok else "FAILURES")
-        ]
-        for result in self.results:
-            status = "ok" if result.ok else "FAIL"
-            note = "fired" if result.fired else "not reached"
-            lines.append(f"  [{status}] {result.scenario.name} ({note})")
-            lines.extend(f"      - {p}" for p in result.problems)
-        return "\n".join(lines)
+    workload: Callable
+    reopen: Callable
+    verify: Callable
+    probe: Callable
+    must_fire: bool
 
 
-def _crash_and_reopen(base_dir: Path, scenario: Scenario, workload, reopen):
-    """The skeleton every matrix shares: run ``workload(path)`` with the
-    scenario's fault armed, optionally crash a second time while recovery
-    itself runs (``reopen(path)`` under ``recovery_failpoint``), then
-    reopen cleanly.  Returns ``(result, workload's ledger, injector,
-    handle)``; the handle is None when the clean reopen failed."""
-    path = base_dir / scenario.name.replace(":", "_").replace("-", "_")
+def _crash_and_reopen(path: Path, scenario: Scenario, family: _Family):
+    """Run the workload with the scenario's fault armed, optionally crash
+    a second time while recovery itself runs (``reopen(path)`` under
+    ``recovery_failpoint``), then reopen cleanly.  Returns ``(result,
+    workload's ledger, handle)``; the handle is None when the clean
+    reopen failed."""
     _opened.clear()
     injector = faults.activate(scenario.plan())
     try:
-        ledger = workload(path)
+        ledger = family.workload(path, scenario)
     finally:
         faults.deactivate()
-    result = ScenarioResult(
-        scenario, fired=bool(injector.fired), crashed=injector.crashed
-    )
+    result = Result(scenario.name)
+    result.counts.update(fired=int(bool(injector.fired)), crashed=int(injector.crashed))
     holes = [_lose_unsynced(db, scenario.hole) for db in _opened]
     _opened.clear()
     if scenario.hole and not any(holes):
@@ -636,19 +640,19 @@ def _crash_and_reopen(base_dir: Path, scenario: Scenario, workload, reopen):
     if scenario.recovery_failpoint is not None:
         faults.activate(FaultPlan().crash(scenario.recovery_failpoint, hit=1))
         try:
-            reopen(path).close()
+            family.reopen(path).close()
             result.problems.append(
                 f"recovery never reached {scenario.recovery_failpoint}"
             )
         except SimulatedCrash:
-            result.recovery_crashed = True
+            result.counts["recovery_crashed"] = 1
         finally:
             faults.deactivate()
     try:
-        return result, ledger, injector, reopen(path)
+        return result, ledger, family.reopen(path)
     except Exception as exc:  # noqa: BLE001 - unrecoverable = the finding
         result.problems.append(f"reopen after crash failed: {exc!r}")
-        return result, ledger, injector, None
+        return result, ledger, None
 
 
 def _lose_unsynced(db: Database, hole: bool) -> bool:
@@ -670,58 +674,40 @@ def _lose_unsynced(db: Database, hole: bool) -> bool:
     return os.path.getsize(pack) > synced + 8 + length
 
 
-def run_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
-    """Run one workload under ``scenario``'s fault, then recover and verify."""
-    workload = (
-        _run_shared_content_workload if scenario.shared_content else _run_workload
-    )
-    result, workers, _, db = _crash_and_reopen(base_dir, scenario, workload, Database)
+def run_scenario(scenario: Scenario, path: Path) -> Result:
+    """Run ``scenario``'s workload in ``path`` under its fault, recover,
+    and verify: every database (shards included) passes the strict check
+    with nothing left in doubt, then the matrix's verifier and probe."""
+    family = _FAMILIES["twopc" if scenario.rewrite else scenario.matrix]
+    result, ledger, db = _crash_and_reopen(path, scenario, family)
     if db is None:
         return result
     try:
-        check = check_database(db, strict=True)
-        result.problems.extend(f"strict check: {p}" for p in check.problems)
-        _verify(db, workers, result.problems)
-        _usability_probe(db, result.problems)
+        if family.must_fire and not result.counts["fired"]:
+            result.problems.append(
+                f"failpoint {scenario.failpoint} hit {scenario.hit} never fired"
+            )
+            return result
+        for idx, each in enumerate(getattr(db, "shards", [db])):
+            label = "db" if each is db else f"shard {idx}"
+            check = check_database(each, strict=True)
+            result.problems.extend(f"{label} strict check: {p}" for p in check.problems)
+            if each.in_doubt_txns():
+                result.problems.append(
+                    f"{label} still has in-doubt transactions "
+                    f"{sorted(each.in_doubt_txns())} after resolution"
+                )
+            if each.coordinator_decisions():
+                result.problems.append(
+                    f"{label} still holds coordinator decisions after resolution"
+                )
+        family.verify(db, ledger, scenario, result.problems)
+        family.probe(db, ledger, scenario, result.problems)
+    except Exception as exc:  # noqa: BLE001 - a verifier that dies is a finding
+        result.problems.append(f"verification raised {exc!r}")
     finally:
         db.close()
     return result
-
-
-def _matrix(run_one, enumerate_all):
-    """A matrix runner: ``run(base_dir=None, scenarios=None, verbose=False)``
-    calls ``run_one(dir, scenario)`` for every scenario (or the given
-    ones), each in a fresh directory under ``base_dir`` or a temp dir."""
-
-    def run(
-        base_dir: Path | None = None,
-        scenarios: list[Scenario] | None = None,
-        verbose: bool = False,
-    ) -> MatrixReport:
-        report = MatrixReport()
-        tmp = None
-        if base_dir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="crashmatrix-")
-            base_dir = Path(tmp.name)
-        try:
-            for scenario in scenarios or enumerate_all():
-                result = run_one(base_dir, scenario)
-                report.results.append(result)
-                if verbose:
-                    status = "ok" if result.ok else "FAIL"
-                    note = "fired" if result.fired else "not reached"
-                    print(f"[{status}] {scenario.name} ({note})", flush=True)
-                    for problem in result.problems:
-                        print(f"    - {problem}", flush=True)
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
-        return report
-
-    return run
-
-
-run_matrix = _matrix(run_scenario, enumerate_scenarios)
 
 
 # -- the 2PC matrix (cross-shard transactions; repro.shard) -------------------
@@ -843,17 +829,11 @@ def enumerate_twopc_scenarios(smoke: bool = False) -> list[Scenario]:
                  expect_resolution=(2, 0)),
     ]
     if smoke:
-        picked: dict[str, Scenario] = {}
-        for scenario in scenarios:
-            picked.setdefault(scenario.failpoint, scenario)
         # Keep one resolution-interrupting double crash in the smoke set,
         # and the held-verdict lazy-COMMIT window.
-        picked["double"] = next(
-            s for s in scenarios if s.recovery_failpoint is not None
-        )
-        picked["lazy"] = held
-        scenarios = list(picked.values())
-    return scenarios
+        double = next(s for s in scenarios if s.recovery_failpoint is not None)
+        scenarios = _smoke(scenarios, lambda s: s.failpoint, double, held)
+    return [replace(s, matrix="twopc") for s in scenarios]
 
 
 @dataclass
@@ -876,6 +856,9 @@ class _TransferLedger:
         self.pending: _Transfer | None = None
         #: COORD_END records in the shards' WAL files as the workload left them.
         self.coord_ends = 0
+        #: Verdicts released before the crash: ``shard.2pc.pre_forget`` is
+        #: visited once per verdict, right before its COORD_END.
+        self.forgets = 0
 
     @property
     def total(self) -> int:
@@ -901,10 +884,9 @@ def _twopc_steps(scenario: Scenario) -> list[tuple[int, int]]:
 def _run_twopc_workload(path: Path, scenario: Scenario) -> _TransferLedger:
     """Transfers until done or the armed fault fires."""
     ledger = _TransferLedger()
-    try:
+    with _until_the_fault() as opened:
         nshards = scenario.rewrite or _TWOPC_NSHARDS
-        router = ShardedDatabase(path, nshards=nshards, pool_size=8)
-        _opened.extend(router.shards)
+        router = opened(ShardedDatabase(path, nshards=nshards, pool_size=8))
         memo = 600 if scenario.rewrite else 0  # chars: a blob-sized body, or none
         refs = [
             router.pnew(Account(i, _TWOPC_BALANCE, _gc_text(i, memo)))
@@ -926,10 +908,7 @@ def _run_twopc_workload(path: Path, scenario: Scenario) -> _TransferLedger:
             ledger.committed[src] = transfer.src_bal
             ledger.committed[dst] = transfer.dst_bal
             ledger.pending = None
-        if not faults.is_crashed():
-            router.close()
-    except (SimulatedCrash, InjectedFaultError):
-        pass  # the simulated machine is dead; leave the files as they lie
+    ledger.forgets = faults.active().hit_count("shard.2pc.pre_forget")
     for wal_path in sorted(path.glob("shard-*/wal.log")):
         log = LogManager(wal_path)
         ledger.coord_ends += sum(1 for r in log.records() if r.kind == COORD_END)
@@ -943,7 +922,23 @@ def _verify_twopc(
     scenario: Scenario,
     problems: list[str],
 ) -> None:
-    """Atomicity, durability and exactness of the recovered balances."""
+    """The verdicts released and resolved as the row expects; atomicity,
+    durability and exactness of the recovered balances."""
+    if scenario.expect_released not in (None, ledger.forgets) or (
+        ledger.coord_ends > ledger.forgets
+    ):
+        problems.append(
+            f"{ledger.forgets} verdict(s) released before the crash "
+            f"({ledger.coord_ends} COORD_END durable), expected "
+            f"{scenario.expect_released}"
+        )
+    resolution = router.last_resolution
+    resolved = (len(resolution.committed), len(resolution.aborted))
+    if scenario.expect_resolution not in (None, resolved):
+        problems.append(
+            f"resolution (committed, aborted) {resolved}, expected "
+            f"{scenario.expect_resolution}"
+        )
     observed: list[int] = []
     for value in ledger.oid_values:
         oid = Oid(value)
@@ -985,9 +980,14 @@ def _verify_twopc(
 
 
 def _twopc_usability_probe(
-    router: ShardedDatabase, ledger: _TransferLedger, problems: list[str]
+    router: ShardedDatabase,
+    ledger: _TransferLedger,
+    scenario: Scenario,
+    problems: list[str],
 ) -> None:
-    """The recovered sharded database must accept new cross-shard work."""
+    """The recovered sharded database must accept new cross-shard work
+    (and, on the rewrite rows, repair must have converged: one reclaim
+    leaves no candidate)."""
     try:
         a = router.deref(Oid(ledger.oid_values[0]))
         b = router.deref(Oid(ledger.oid_values[1]))
@@ -1002,65 +1002,11 @@ def _twopc_usability_probe(
             problems.append("post-recovery transfer probe read back wrong")
     except Exception as exc:  # noqa: BLE001 - any failure is a finding
         problems.append(f"post-recovery 2PC probe failed: {exc!r}")
-
-
-def run_twopc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
-    """One cross-shard workload under ``scenario``'s fault, then recover."""
-    result, ledger, injector, router = _crash_and_reopen(
-        base_dir, scenario,
-        lambda path: _run_twopc_workload(path, scenario), ShardedDatabase,
-    )
-    if router is None:
-        return result
-    try:
-        if not result.fired:
-            result.problems.append(
-                f"failpoint {scenario.failpoint} hit {scenario.hit} never fired"
-            )
-            return result
-        # pre_forget is visited once per verdict, right before its COORD_END.
-        forgets = injector.hit_count("shard.2pc.pre_forget")
-        if scenario.expect_released not in (None, forgets) or ledger.coord_ends > forgets:
-            result.problems.append(
-                f"{forgets} verdict(s) released before the crash "
-                f"({ledger.coord_ends} COORD_END durable), expected "
-                f"{scenario.expect_released}"
-            )
-        resolution = router.last_resolution
-        resolved = (len(resolution.committed), len(resolution.aborted))
-        if scenario.expect_resolution not in (None, resolved):
-            result.problems.append(
-                f"resolution (committed, aborted) {resolved}, expected "
-                f"{scenario.expect_resolution}"
-            )
-        for idx, shard in enumerate(router.shards):
-            check = check_database(shard, strict=True)
-            result.problems.extend(
-                f"shard {idx} strict check: {p}" for p in check.problems
-            )
-            if shard.in_doubt_txns():
-                result.problems.append(
-                    f"shard {idx} still has in-doubt transactions "
-                    f"{sorted(shard.in_doubt_txns())} after resolution"
-                )
-            if shard.coordinator_decisions():
-                result.problems.append(
-                    f"shard {idx} still holds coordinator decisions "
-                    f"after resolution"
-                )
-        _verify_twopc(router, ledger, scenario, result.problems)
-        _twopc_usability_probe(router, ledger, result.problems)
-        if scenario.rewrite:  # repair converged: one reclaim leaves no candidate
-            router.reclaim_blobs()
-            stats = router.stats()
-            if stats["blobs.count"] != stats["blobs.live"]:
-                result.problems.append("zero-ref blobs outlive a reclaim after repair")
-    finally:
-        router.close()
-    return result
-
-
-run_twopc_matrix = _matrix(run_twopc_scenario, enumerate_twopc_scenarios)
+    if scenario.rewrite:
+        router.reclaim_blobs()
+        stats = router.stats()
+        if stats["blobs.count"] != stats["blobs.live"]:
+            problems.append("zero-ref blobs outlive a reclaim after repair")
 
 
 # -- the GC matrix (retention pruning + blob reclaim; repro.core.gc) ----------
@@ -1149,15 +1095,10 @@ def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
         ),
     ]
     if smoke:
-        picked: dict[str, Scenario] = {}
-        for scenario in scenarios:
-            picked.setdefault(scenario.failpoint, scenario)
-        picked["double"] = next(
-            s for s in scenarios if s.recovery_failpoint is not None
-        )
-        picked["paced"] = next(s for s in scenarios if s.rewrite == 2)
-        scenarios = list(picked.values())
-    return scenarios
+        double = next(s for s in scenarios if s.recovery_failpoint is not None)
+        paced = next(s for s in scenarios if s.rewrite == 2)
+        scenarios = _smoke(scenarios, lambda s: s.failpoint, double, paced)
+    return [replace(s, matrix="gc") for s in scenarios]
 
 
 @dataclass
@@ -1250,22 +1191,17 @@ def _build_gc_history(path: Path, ledger: _GcLedger) -> Database:
     return db
 
 
-def _run_gc_workload(path: Path) -> _GcLedger:
+def _run_gc_workload(path: Path, scenario: Scenario) -> _GcLedger:
     """Build doomed history, then collect it until the armed fault fires."""
     ledger = _GcLedger()
-    try:
-        db = _build_gc_history(path, ledger)
-        _opened.append(db)
+    with _until_the_fault() as opened:
+        db = opened(_build_gc_history(path, ledger))
         # Small batches -> several tombstone/unlink/index rounds, so the
         # armed window is crossed with committed batches on either side.
         for _ in range(6):
             report = db.run_gc(batch_limit=5)
             if report.candidates_remaining == 0 and report.blobs_unlinked == 0:
                 break
-        if not faults.is_crashed():
-            db.close()
-    except (SimulatedCrash, InjectedFaultError):
-        pass  # the simulated machine is dead; leave the files as they lie
     return ledger
 
 
@@ -1276,8 +1212,14 @@ def _stored_inline(db: Database, vid: Vid) -> bool:
     return not blobs.is_ref(record)
 
 
-def _verify_gc(db: Database, ledger: _GcLedger, problems: list[str]) -> None:
-    """Retention safety: kept versions survive with their exact payloads."""
+def _verify_gc(
+    db: Database, ledger: _GcLedger, scenario: Scenario, problems: list[str]
+) -> None:
+    """Retention safety: kept versions survive with their exact payloads,
+    and the collector, run again, converges to exactly the keep set."""
+    if not ledger.setup_done:
+        problems.append("fault fired before the GC ran (setup crashed)")
+        return
     for oid_value in ledger.oid_values:
         oid = Oid(oid_value)
         if not db.object_exists(oid):
@@ -1301,6 +1243,7 @@ def _verify_gc(db: Database, ledger: _GcLedger, problems: list[str]) -> None:
                     f"oid {oid_value} serial {serial}: text differs from "
                     f"the one committed"
                 )
+    _gc_convergence_probe(db, ledger, problems)
 
 
 def _gc_convergence_probe(
@@ -1341,67 +1284,51 @@ def _gc_convergence_probe(
         problems.append(f"post-recovery GC probe failed: {exc!r}")
 
 
-def run_gc_scenario(base_dir: Path, scenario: Scenario) -> ScenarioResult:
-    """One GC workload under ``scenario``'s fault, then recover and verify."""
-    if scenario.rewrite:
-        return run_twopc_scenario(base_dir, scenario)
-    result, ledger, _, db = _crash_and_reopen(
-        base_dir, scenario, _run_gc_workload,
-        lambda path: Database(path, policy=_GC_POLICY),
-    )
-    if db is None:
-        return result
-    try:
-        if not result.fired:
-            result.problems.append(
-                f"failpoint {scenario.failpoint} hit {scenario.hit} never fired"
-            )
-        elif not ledger.setup_done:
-            result.problems.append("fault fired before the GC ran (setup crashed)")
-        else:
-            check = check_database(db, strict=True)
-            result.problems.extend(f"strict check: {p}" for p in check.problems)
-            _verify_gc(db, ledger, result.problems)
-            _gc_convergence_probe(db, ledger, result.problems)
-            _usability_probe(db, result.problems)
-    finally:
-        db.close()
-    return result
+_FAMILIES = {
+    "plain": _Family(
+        _run_workload, Database, _verify, _usability_probe, must_fire=False
+    ),
+    "twopc": _Family(
+        _run_twopc_workload, ShardedDatabase, _verify_twopc,
+        _twopc_usability_probe, must_fire=True,
+    ),
+    "gc": _Family(
+        _run_gc_workload, partial(Database, policy=_GC_POLICY), _verify_gc,
+        _usability_probe, must_fire=True,
+    ),
+}
+
+#: ``--scenario`` name -> the matrix's rows.
+MATRICES = {
+    "plain": enumerate_scenarios,
+    "twopc": enumerate_twopc_scenarios,
+    "gc": enumerate_gc_scenarios,
+}
 
 
-run_gc_matrix = _matrix(run_gc_scenario, enumerate_gc_scenarios)
+def scenarios(names=("plain",), smoke: bool = False) -> harness.Scenarios:
+    """Every row of the named matrices (their smoke subsets with ``smoke``)."""
+    return {
+        row.name: partial(run_scenario, row)
+        for name in names
+        for row in MATRICES[name](smoke=smoke)
+    }
+
+
+def fired_failpoints(report: harness.Report) -> set[str]:
+    """Failpoints whose armed fault actually triggered in some row."""
+    return {r.name.split(":")[0] for r in report.results if r.counts["fired"]}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="crashmatrix", description="fault-injection crash matrix"
+    return harness.main(
+        argv, prog="crashmatrix", description="fault-injection crash matrix",
+        names=list(MATRICES), default=["plain"],
+        select=lambda names, args: scenarios(names, args.smoke),
+        facts=lambda report: [
+            f"{len(fired_failpoints(report))} distinct failpoints fired"
+        ],
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="one scenario per (failpoint, action) pair -- fast CI subset",
-    )
-    parser.add_argument(
-        "--twopc", action="store_true",
-        help="run the cross-shard 2PC matrix instead of the single-node one",
-    )
-    parser.add_argument(
-        "--gc", action="store_true",
-        help="run the blob-reclaim GC matrix instead of the single-node one",
-    )
-    parser.add_argument("-v", "--verbose", action="store_true")
-    parser.add_argument(
-        "--dir", type=Path, default=None,
-        help="run under this directory instead of a temp dir (kept afterwards)",
-    )
-    args = parser.parse_args(argv)
-    enumerate_all, run = (
-        (enumerate_twopc_scenarios, run_twopc_matrix) if args.twopc
-        else (enumerate_gc_scenarios, run_gc_matrix) if args.gc
-        else (enumerate_scenarios, run_matrix)
-    )
-    report = run(args.dir, enumerate_all(smoke=args.smoke), verbose=args.verbose)
-    print(report.render())
-    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

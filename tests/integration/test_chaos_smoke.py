@@ -9,21 +9,24 @@ invariant wired, exit codes correct.
 
 from __future__ import annotations
 
-from repro.tools.chaos import run_chaos
+from repro.tools import harness
+from repro.tools.chaos import SCENARIOS, scenarios
 
 
 def test_smoke_scale_chaos_all_scenarios_pass(tmp_path):
-    report = run_chaos(tmp_path / "chaos", workers=8, txns=6)
+    report = harness.run(
+        scenarios(SCENARIOS, workers=8, rounds=6, seed=7), tmp_path / "chaos"
+    )
     names = [r.name for r in report.results]
     assert names == ["lossy_wire", "partition", "shard_failover"]
     for result in report.results:
         assert result.ok, f"{result.name}: {result.problems}"
-        assert result.acked > 0
+        assert result.counts["acked"] > 0
         # Indeterminate commits stay rare even on the lossy wire -- they
         # only arise when the fault lands exactly on a commit's response.
-        assert result.maybe <= result.acked
+        assert result.counts["maybe"] <= result.counts["acked"]
     assert report.ok
-    assert "all OK" in report.render()
+    assert "all OK" in report.render("chaos")
 
 
 def test_chaos_cli_smoke_exit_code(tmp_path):

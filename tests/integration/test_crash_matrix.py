@@ -8,20 +8,20 @@ acknowledged commit durable, no loser effects visible.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro import Database
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.tools import harness
 from repro.tools.check import check_database
 from repro.tools.crashmatrix import (
     Item,
     Scenario,
     enumerate_scenarios,
-    run_matrix,
+    fired_failpoints,
     run_scenario,
+    scenarios,
 )
 
 
@@ -34,15 +34,13 @@ def _no_leaked_injector():
 
 def test_full_crash_matrix(tmp_path):
     """The acceptance gate: >= 30 distinct failpoints fire, all recover."""
-    report = run_matrix(tmp_path)
+    report = harness.run(scenarios(["plain"]), tmp_path)
     failures = [r for r in report.results if not r.ok]
-    detail = "\n".join(
-        f"{r.scenario.name}: {r.problems}" for r in failures
-    )
+    detail = "\n".join(f"{r.name}: {r.problems}" for r in failures)
     assert not failures, f"crash-matrix failures:\n{detail}"
-    assert len(report.fired_failpoints) >= 30, (
-        f"only {len(report.fired_failpoints)} distinct failpoints fired: "
-        f"{sorted(report.fired_failpoints)}"
+    fired = fired_failpoints(report)
+    assert len(fired) >= 30, (
+        f"only {len(fired)} distinct failpoints fired: {sorted(fired)}"
     )
 
 
@@ -111,15 +109,15 @@ def test_double_crash_during_recovery(tmp_path):
         hit=10,
         recovery_failpoint="heap.replay_insert",
     )
-    result = run_scenario(Path(tmp_path), scenario)
-    assert result.fired, "the workload fault never fired"
-    assert result.recovery_crashed, "recovery never reached the second fault"
+    result = run_scenario(scenario, tmp_path / "db")
+    assert result.counts["fired"], "the workload fault never fired"
+    assert result.counts["recovery_crashed"], "recovery never reached the second fault"
     assert result.ok, result.problems
 
 
 def test_torn_wal_tail_is_discarded_with_losers(tmp_path):
     """A torn final WAL frame may only lose unacknowledged work."""
     scenario = Scenario("wal.flush.write", "torn_write", hit=4, keep=-2)
-    result = run_scenario(Path(tmp_path), scenario)
-    assert result.fired
+    result = run_scenario(scenario, tmp_path / "db")
+    assert result.counts["fired"]
     assert result.ok, result.problems

@@ -9,14 +9,13 @@ post-recovery collector converges to exactly the retention keep set.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro import Database
 from repro.core.identity import Oid, Vid
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.tools import harness
 from repro.tools.check import check_database
 from repro.tools.crashmatrix import (
     _GC_CRASH_HITS,
@@ -26,8 +25,9 @@ from repro.tools.crashmatrix import (
     _GcLedger,
     _stored_inline,
     enumerate_gc_scenarios,
-    run_gc_matrix,
-    run_gc_scenario,
+    fired_failpoints,
+    run_scenario,
+    scenarios,
 )
 
 
@@ -40,13 +40,13 @@ def _no_leaked_injector():
 
 def test_full_gc_crash_matrix(tmp_path):
     """The acceptance gate: every reclaim window fires and recovers."""
-    report = run_gc_matrix(tmp_path)
+    report = harness.run(scenarios(["gc"]), tmp_path)
     failures = [r for r in report.results if not r.ok]
-    detail = "\n".join(f"{r.scenario.name}: {r.problems}" for r in failures)
+    detail = "\n".join(f"{r.name}: {r.problems}" for r in failures)
     assert not failures, f"gc crash-matrix failures:\n{detail}"
-    assert report.fired_failpoints >= set(_GC_CRASH_HITS), (
-        f"unfired reclaim windows: "
-        f"{sorted(set(_GC_CRASH_HITS) - report.fired_failpoints)}"
+    fired = fired_failpoints(report)
+    assert fired >= set(_GC_CRASH_HITS), (
+        f"unfired reclaim windows: {sorted(set(_GC_CRASH_HITS) - fired)}"
     )
 
 
@@ -66,7 +66,7 @@ def test_gc_matrix_enumerates_double_crash_repair():
 
 
 def test_smoke_subset_carries_the_pack_file_windows():
-    """CI's ``crashmatrix --gc --smoke`` runs one of each new row: a torn
+    """CI's ``crashmatrix --scenario gc --smoke`` runs one of each new row: a torn
     frame append, the copy-forward / retire windows, the commit-path pacer
     crashed inside a 2PC participant's phase-two commit, and a hole in
     front of acknowledged payloads in the unsynced pack tail."""
@@ -88,8 +88,9 @@ def test_pacer_rows_cross_every_reclaim_window(tmp_path):
     -- survives recovery whole (``_DECIDED_WINDOWS``)."""
     rows = [s for s in enumerate_gc_scenarios() if s.rewrite]
     assert {s.failpoint for s in rows if s.rewrite == 1} >= set(_GC_CRASH_HITS)
-    result = run_gc_scenario(Path(tmp_path), next(s for s in rows if s.rewrite == 2))
-    assert result.fired and result.crashed and result.ok, result.problems
+    result = run_scenario(next(s for s in rows if s.rewrite == 2), tmp_path / "db")
+    assert result.counts["fired"] and result.counts["crashed"], result.counts
+    assert result.ok, result.problems
 
 
 def test_crash_between_copy_forward_and_retire_costs_only_dead_space(tmp_path):
@@ -135,11 +136,12 @@ def test_double_crash_during_gc_repair(tmp_path):
     """A crash mid-reclaim, then a crash mid-repair: the third open must
     repair again (tombstones are still in the WAL) and leak nothing."""
     scenario = Scenario(
-        "gc.unlink.post", "crash", hit=3, recovery_failpoint="gc.repair.pre"
+        "gc.unlink.post", "crash", hit=3, recovery_failpoint="gc.repair.pre",
+        matrix="gc",
     )
-    result = run_gc_scenario(Path(tmp_path), scenario)
-    assert result.fired, "the reclaim fault never fired"
-    assert result.recovery_crashed, "repair never reached the second fault"
+    result = run_scenario(scenario, tmp_path / "db")
+    assert result.counts["fired"], "the reclaim fault never fired"
+    assert result.counts["recovery_crashed"], "repair never reached the second fault"
     assert result.ok, result.problems
 
 

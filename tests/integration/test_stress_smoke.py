@@ -8,52 +8,44 @@ harness itself honest -- every scenario present, every invariant wired.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.tools.stress import (
-    _GC_SCENARIOS,
-    _SCENARIOS,
-    _SNAPSHOT_SCENARIOS,
-    run_stress,
-)
+from repro.tools import harness
+from repro.tools.stress import DEFAULT, SCENARIOS, scenarios
 
 
 def test_smoke_scale_stress_all_scenarios_pass(tmp_path):
-    report = run_stress(tmp_path / "stress", threads=4, rounds=8)
-    assert len(report.results) == len(_SCENARIOS) == 3
-    names = {r.name for r in report.results}
-    assert names == {"hotspot", "upgrade_storm", "newversion_chain"}
+    report = harness.run(scenarios(DEFAULT, workers=4, rounds=8), tmp_path / "stress")
+    assert len(SCENARIOS) == 6
+    names = [r.name for r in report.results]
+    assert names == ["hotspot", "upgrade_storm", "newversion_chain"]
     for result in report.results:
         assert result.ok, f"{result.name}: {result.problems}"
-        assert result.commits > 0
+        assert result.counts["acked"] > 0
     assert report.ok
-    assert "all OK" in report.render()
+    assert "all OK" in report.render("stress")
 
 
 def test_smoke_scale_stress_with_snapshot_readers(tmp_path):
-    report = run_stress(tmp_path / "stress", threads=4, rounds=8, snapshots=True)
-    assert len(report.results) == len(_SCENARIOS) + len(_SNAPSHOT_SCENARIOS) == 4
-    names = {r.name for r in report.results}
-    assert "snapshot_readers" in names
-    for result in report.results:
-        assert result.ok, f"{result.name}: {result.problems}"
-        assert result.commits > 0
-    assert report.ok
+    report = harness.run(
+        scenarios(["snapshot_readers"], workers=4, rounds=8), tmp_path / "stress"
+    )
+    [result] = report.results
+    assert result.name == "snapshot_readers"
+    assert result.ok, result.problems
+    assert result.counts["acked"] > 0
 
 
 def test_smoke_scale_stress_with_gc_churn(tmp_path):
-    report = run_stress(tmp_path / "stress", threads=4, rounds=8, gc_churn=True)
-    assert len(report.results) == len(_SCENARIOS) + len(_GC_SCENARIOS) == 4
-    names = {r.name for r in report.results}
-    assert "gc_churn" in names
-    for result in report.results:
-        assert result.ok, f"{result.name}: {result.problems}"
-        assert result.commits > 0
-    assert report.ok
+    report = harness.run(
+        scenarios(["gc_churn"], workers=4, rounds=8), tmp_path / "stress"
+    )
+    [result] = report.results
+    assert result.name == "gc_churn"
+    assert result.ok, result.problems
+    assert result.counts["acked"] > 0
 
 
 def test_stress_cli_smoke_exit_code(tmp_path):
     from repro.tools.stress import main
 
-    assert main(["--smoke", "--threads", "3", "--rounds", "5",
+    assert main(["--smoke", "--workers", "3", "--rounds", "5",
                  "--dir", str(tmp_path / "cli")]) == 0

@@ -15,7 +15,7 @@ WAL recovery and router-level in-doubt resolution).  The contract:
   lingers, and the reopened database accepts new cross-shard work.
 
 These are the same windows the crash matrix sweeps
-(``python -m repro.tools.crashmatrix --twopc``); here each window gets
+(``python -m repro.tools.crashmatrix --scenario twopc``); here each window gets
 a named, single-purpose test so a regression points at the exact
 protocol step that broke.
 """
