@@ -108,8 +108,6 @@ class CacheStats:
     bytes_decoded: int = 0
     decoded_hits: int = 0
     decoded_misses: int = 0
-    latest_hits: int = 0
-    latest_misses: int = 0
     writebacks_skipped: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -123,8 +121,6 @@ class CacheStats:
             "bytes_decoded": self.bytes_decoded,
             "decoded_hits": self.decoded_hits,
             "decoded_misses": self.decoded_misses,
-            "latest_hits": self.latest_hits,
-            "latest_misses": self.latest_misses,
             "writebacks_skipped": self.writebacks_skipped,
         }
 
@@ -204,11 +200,6 @@ class BudgetedLRU:
                 return default
             self._entries.move_to_end(key)
             return entry
-
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Return the cached value *without* refreshing recency."""
-        with self._lock:
-            return self._entries.get(key, default)
 
     def put(self, key: Hashable, value: Any, unless: Container | None = None) -> None:
         """Insert/replace an entry, evicting LRU entries to fit the budget.

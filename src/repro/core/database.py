@@ -84,6 +84,9 @@ _WAL_FILE = "wal.log"
 #: Default WAL size (bytes) that triggers an automatic checkpoint at commit.
 DEFAULT_CHECKPOINT_THRESHOLD = 8 * 1024 * 1024
 
+#: Consecutive storage-write failures that turn the database read-only.
+DEGRADE_AFTER = 3
+
 
 class Database(VersionReads, SessionHost):
     """An Ode-style versioned object database in a directory.
@@ -109,11 +112,11 @@ class Database(VersionReads, SessionHost):
         Seconds a committing transaction lingers before fsyncing the WAL
         so concurrent commits can share one fsync (0 disables lingering;
         piggybacking on an in-flight fsync still happens).
-    degrade_after:
-        Consecutive WAL-flush / data-file-sync failures after which the
-        database enters read-only **degraded mode**: reads and version
-        traversal keep working, writes raise
-        :class:`~repro.errors.DatabaseDegradedError`.
+
+    After :data:`DEGRADE_AFTER` consecutive WAL-flush / data-file-sync
+    failures the database enters read-only **degraded mode**: reads and
+    version traversal keep working, writes raise
+    :class:`~repro.errors.DatabaseDegradedError`.
     """
 
     def __init__(
@@ -125,7 +128,6 @@ class Database(VersionReads, SessionHost):
         checkpoint_threshold: int = DEFAULT_CHECKPOINT_THRESHOLD,
         cache_budget: int = DEFAULT_BYTES_BUDGET,
         group_commit_window: float = 0.0,
-        degrade_after: int = 3,
         oid_stride: int = 1,
         oid_residue: int = 0,
     ) -> None:
@@ -182,11 +184,6 @@ class Database(VersionReads, SessionHost):
         # operations.  Reentrant, so trigger actions that call back into
         # the database from within a mutation do not self-deadlock.
         self._storage_mutex = threading.RLock()
-        #: Commit publication excludes objects touched by still-active
-        #: transactions.  The interleaving explorer's mutation self-test
-        #: flips this off to prove the oracle notices the resulting leak
-        #: of uncommitted state into published snapshots.
-        self.publish_exclusion = True
         self._active: dict[int, Transaction] = {}
         self._txn_mutex = threading.Lock()
         self._init_session_host()
@@ -196,9 +193,9 @@ class Database(VersionReads, SessionHost):
         # database to read-only.  Hooks are installed after recovery -- an
         # unopenable database should raise from the constructor, not limp.
         self._degraded_reason: str | None = None
-        self._log.failure_threshold = degrade_after
+        self._log.failure_threshold = DEGRADE_AFTER
         self._log.on_persistent_failure = self._enter_degraded
-        self._disk.failure_threshold = degrade_after
+        self._disk.failure_threshold = DEGRADE_AFTER
         self._disk.on_persistent_failure = self._enter_degraded
         #: Garbage-collection lifetime counters (surfaced under ``gc.*``).
         self._gc_counters: dict[str, int] = {
@@ -648,8 +645,6 @@ class Database(VersionReads, SessionHost):
         Their live state is uncommitted, so snapshot publication must
         leave their committed-table slots alone.
         """
-        if not self.publish_exclusion:
-            return set()
         with self._txn_mutex:
             out: set[Oid] = set()
             for txn in self._active.values():
@@ -768,7 +763,7 @@ class Database(VersionReads, SessionHost):
         ``scope`` is a ``@persistent`` class, a registered type name, an
         :class:`Oid` or a bound ``Ref``; an object-scoped policy
         overrides its type's.  Policies live in the catalog (a logged
-        root), so they survive restarts and replicate through vacuum.
+        root), so they survive restarts and travel with vacuum and dump/load.
         """
         key = gc_engine.scope_key(scope)
 
@@ -1109,7 +1104,6 @@ class Database(VersionReads, SessionHost):
             "pool.hits": self._pool.hits,
             "pool.misses": self._pool.misses,
             "pool.evictions": self._pool.evictions,
-            "pool.promotions": self._pool.promotions,
             "wal.bytes": self._log.size(),
             "wal.flushes": self._log.flush_count,
             "wal.group_piggybacks": self._log.group_piggybacks,

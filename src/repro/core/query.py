@@ -25,9 +25,6 @@ from repro.core.surface import type_name_of
 
 Predicate = Callable[[Any], bool]
 
-#: Sentinel: the query has not resolved its indexed domain yet.
-_UNRESOLVED = object()
-
 
 class QueryTerminals:
     """The result terminals, each defined from ``__iter__`` alone.
@@ -82,10 +79,6 @@ class Query(QueryTerminals):
         self._type = type_or_name
         self._predicates: list[Predicate] = []
         self._versions = False
-        #: Memoized index resolution -- only used when the store is an
-        #: immutable snapshot (it exposes ``epoch``), where the answer
-        #: cannot change between iterations of the same query.
-        self._domain_memo: Any = _UNRESOLVED
 
     def suchthat(self, predicate: Predicate) -> "Query":
         """Add a filter (predicates conjoin).  Returns a new query."""
@@ -122,19 +115,7 @@ class Query(QueryTerminals):
         :class:`AttrEquals` predicate over an attribute the database has
         an index for.  The index may over-approximate (unindexable
         values); the predicate still runs on every candidate.
-
-        Bound to a pinned snapshot, the resolution is memoized on the
-        query: the snapshot never changes, so re-iterating the same query
-        must not re-walk the index.
         """
-        if self._domain_memo is not _UNRESOLVED:
-            return self._domain_memo
-        result = self._resolve_indexed_domain()
-        if hasattr(self._store, "epoch"):
-            self._domain_memo = result
-        return result
-
-    def _resolve_indexed_domain(self) -> list[Ref] | None:
         if self._versions:
             return None
         lookup = getattr(self._store, "index_lookup", None)

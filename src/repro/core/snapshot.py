@@ -166,12 +166,6 @@ class SnapshotRegistry:
 
     # -- counters -----------------------------------------------------------
 
-    @property
-    def pinned_count(self) -> int:
-        """Number of snapshots currently pinned by readers."""
-        with self._lock:
-            return len(self._pinned)
-
     def min_pinned_epoch(self) -> int | None:
         """The oldest epoch any pinned snapshot is reading (None = no pins).
 
@@ -604,8 +598,7 @@ class Snapshot(VersionReads):
         The live index reflects live latest-state, so objects that have
         diverged from this snapshot (in either direction) are always
         added back as candidates -- the query's predicate re-check, which
-        reads *through the snapshot*, gives the exact answer.  Re-running
-        a query reuses its resolution (``Query._domain_memo``).
+        reads *through the snapshot*, gives the exact answer.
         """
         if self._index_source is None:
             return None

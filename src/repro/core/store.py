@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import (
     BlobError,
@@ -87,6 +87,10 @@ EV_DELETE_OBJECT = "delete_object"
 
 Observer = Callable[[str, Oid, Vid | None], None]
 
+#: One version as :meth:`VersionStore.install` takes it and
+#: :meth:`VersionStore.export` yields it: ``(serial, dprev, ctime, content)``.
+VersionRecord = tuple[int, int | None, float, bytes]
+
 
 @dataclass(frozen=True)
 class StoragePolicy:
@@ -117,7 +121,6 @@ class _Entry:
         "graph",
         "rid",
         "cluster_rid",
-        "latest_vid",
         "graph_shared",
     )
 
@@ -134,9 +137,6 @@ class _Entry:
         self.graph = graph
         self.rid = rid
         self.cluster_rid = cluster_rid
-        #: Memoized Vid of the temporally latest version (generic-reference
-        #: fast path); None = recompute.  Invalidated by newversion/pdelete.
-        self.latest_vid: Vid | None = None
         #: True once the graph was published into the snapshot committed
         #: table: pinned readers may be traversing it, so any mutation must
         #: clone first (see :meth:`VersionStore._mutable_graph`).
@@ -440,10 +440,6 @@ class VersionStore(VersionReads):
     def add_observer(self, observer: Observer) -> None:
         """Register a callback invoked after every store mutation."""
         self._observers.append(observer)
-
-    def remove_observer(self, observer: Observer) -> None:
-        """Unregister a previously added observer."""
-        self._observers.remove(observer)
 
     def _notify(self, event: str, oid: Oid, vid: Vid | None) -> None:
         for observer in list(self._observers):
@@ -840,6 +836,59 @@ class VersionStore(VersionReads):
             # reopen must not read the full copy just written as a delta.
             self._save_entry(entry, log_op)
 
+    # -- the one door in, and the one door out ----------------------------------
+
+    def install(
+        self,
+        oid: Oid,
+        type_name: str,
+        max_serial: int,
+        versions: Iterable[VersionRecord],
+        log_op: LogOp | None = None,
+    ) -> None:
+        """Add one object with its history: the only way an object enters.
+
+        ``versions`` are ``(serial, dprev, ctime, content)`` in serial
+        order (a parent precedes its children), ``content`` the encoded
+        payload; each is stored under this store's policy.  ``max_serial``
+        is the graph's high-water mark: serials up to it stay dead, as
+        they were where the history came from (paper §4: a version id
+        names one version).  ``pnew`` installs one version; vacuum and
+        dump/load install what :meth:`export` yields.  An oid already
+        here is refused.
+        """
+        if oid in self._table:
+            raise VersionError(f"object {oid!r} already exists")
+        graph = VersionGraph()
+        entry = _Entry(oid, type_name, graph, None, None)
+        for serial, dprev, ctime, content in versions:
+            data = self._store_payload(entry, serial, content, dprev, log_op)
+            graph.create(serial, dprev, ctime, data)
+            self._cache_bytes(Vid(oid, serial), content)
+        if not len(graph):
+            raise VersionError(f"object {oid!r} has no versions to install")
+        graph.reserve(max_serial)
+        self._save_entry(entry, log_op)
+        cluster_payload = serialization.encode((type_name, oid))
+        entry.cluster_rid = self._clusters.insert(cluster_payload, log_op)
+        self._table[oid] = entry
+        self._by_type.setdefault(type_name, set()).add(oid)
+        self._dirty_oids.add(oid)
+
+    def export(self) -> Iterator[tuple[Oid, str, int, list[VersionRecord]]]:
+        """``(oid, type_name, max_serial, versions)`` for every live object,
+        oid order, in the shape :meth:`install` takes.  Each content is the
+        version's whole encoded payload (rebuilt from its delta chain, not
+        decoded), so what it is stored as here does not travel."""
+        for oid in sorted(self._table):
+            entry = self._table[oid]
+            graph = entry.graph
+            versions = [
+                (node.serial, node.dprev, node.ctime, self._version_bytes(entry, node.serial))
+                for node in graph.walk_temporal()
+            ]
+            yield oid, entry.type_name, graph.max_serial, versions
+
     # -- public kernel operations ---------------------------------------------
 
     def pnew(self, obj: Any, log_op: LogOp | None = None) -> Ref:
@@ -873,21 +922,9 @@ class VersionStore(VersionReads):
                 residue=self._oid_residue,
             )
         )
-        graph = VersionGraph()
-        entry = _Entry(oid, type_name, graph, None, None)
         content = self._encode_object(obj)
-        serial = 1
-        data = self._store_payload(entry, serial, content, None, log_op)
-        graph.create(serial, None, time.time(), data)
-        self._save_entry(entry, log_op)
-        cluster_payload = serialization.encode((type_name, oid))
-        entry.cluster_rid = self._clusters.insert(cluster_payload, log_op)
-        self._table[oid] = entry
-        self._by_type.setdefault(type_name, set()).add(oid)
-        self._cache_bytes(Vid(oid, serial), content)
-        entry.latest_vid = Vid(oid, serial)
-        self._dirty_oids.add(oid)
-        self._notify(EV_CREATE, oid, Vid(oid, serial))
+        self.install(oid, type_name, 1, [(1, None, time.time(), content)], log_op)
+        self._notify(EV_CREATE, oid, Vid(oid, 1))
         return Ref(self, oid)
 
     def newversion(self, target: Ref | VersionRef | Oid | Vid, log_op: LogOp | None = None) -> VersionRef:
@@ -911,7 +948,6 @@ class VersionStore(VersionReads):
         self._save_entry(entry, log_op)
         vid = Vid(entry.oid, serial)
         self._cache_bytes(vid, content)
-        entry.latest_vid = vid  # the new version is the temporally latest
         self._dirty_oids.add(entry.oid)
         self._notify(EV_NEWVERSION, entry.oid, vid)
         return VersionRef(self, vid)
@@ -959,7 +995,6 @@ class VersionStore(VersionReads):
         # onto its parent (or become full copies) after the splice.
         children = self._stash_rebased(entry, vid.serial)
         removed = graph.remove(vid.serial)
-        entry.latest_vid = None  # deleting the latest moves the denotation
         _kind, page_id, slot = removed.data
         self._record_delete(Rid(page_id, slot), log_op)
         self._invalidate_version(vid)
@@ -971,25 +1006,11 @@ class VersionStore(VersionReads):
     # -- dereferencing (used by Ref / VersionRef) --------------------------------
 
     def latest_vid(self, oid: Oid) -> Vid:
-        """The version id an object id currently denotes (paper §4.3).
-
-        Memoized per object-table entry so generic-reference pointer
-        transparency does not recompute the denotation on every attribute
-        access; ``newversion``/``pdelete`` invalidate the memo.
-        """
+        """The version id an object id currently denotes (paper §4.3)."""
         entry = self._table.get(oid)
         if entry is None:
             raise DanglingReferenceError(f"object {oid!r} no longer exists")
-        vid = entry.latest_vid
-        if vid is not None:
-            self._stats.latest_hits += 1
-            return vid
-        self._stats.latest_misses += 1
-        serial = entry.graph.latest()
-        assert serial is not None  # empty graphs are deleted eagerly
-        vid = Vid(oid, serial)
-        entry.latest_vid = vid
-        return vid
+        return Vid(oid, entry.graph.latest())
 
     def materialize(self, vid: Vid) -> Any:
         """Decode and return a fresh copy of the version's object."""

@@ -135,6 +135,11 @@ class VersionGraph:
         self._max_serial = serial
         return node
 
+    def reserve(self, max_serial: int) -> None:
+        """Raise the high-water mark to ``max_serial``: no serial up to it
+        will be assigned (a copied history keeps its deleted serials dead)."""
+        self._max_serial = max(self._max_serial, max_serial)
+
     def remove(self, serial: int) -> VersionNode:
         """Delete one version, splicing both relationships (paper §4.4).
 

@@ -695,10 +695,6 @@ class OdeClient:
     async def stats(self) -> dict[str, Any]:
         return await self._any().stats()
 
-    async def snapshot_all(self, pin: bool = True) -> None:
-        """Pin (or release) the snapshot context on every pooled session."""
-        await asyncio.gather(*(c.snapshot(pin) for c in self._conns))
-
     async def close(self) -> None:
         await asyncio.gather(
             *(c.close() for c in self._conns), return_exceptions=True

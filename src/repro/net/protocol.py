@@ -57,7 +57,7 @@ _FIXED_HEADER = _MAGIC.size + 1
 
 # -- opcodes (wire values; never renumber) -----------------------------------
 
-OP_PING = 0x01        #: echo; body may carry {"delay": seconds} for tests
+OP_PING = 0x01        #: echo the body back
 OP_BEGIN = 0x02       #: start the session's transaction
 OP_COMMIT = 0x03      #: commit it
 OP_ABORT = 0x04       #: abort it

@@ -13,7 +13,7 @@ per frame.  Threads: 1 + at most ``workers``, whatever the connection
 count.
 
 * **Inline, if idle** -- served on the reactor, the chunk's answers in
-  one buffer: health checks and plain pings always; a plain ``BEGIN``
+  one buffer: health checks and pings always; a plain ``BEGIN``
   while the connection's lane is idle; reads and queries outside a
   transaction (the session's pinned snapshot) unless a frame that
   decides what they see is still on the lane.
@@ -25,8 +25,6 @@ count.
   open transaction, so a COMMIT's ack never waits on a follower that
   blocks.  Disconnect is the lane's last item: frames still queued are
   dropped unexecuted, then the session closes (aborting its open txn).
-* **A reactor timer** -- ``PING`` with a ``delay`` only (a load-shedding
-  probe that waits without occupying a worker).
 
 Response bytes the kernel will not take are parked per connection; the
 reactor then watches that socket for writability *instead of* reading
@@ -94,8 +92,6 @@ _PASSABLE = frozenset({OP_PNEW, OP_NEWVERSION, OP_PDELETE, OP_WRITE, OP_STATS})
 #: Under malloc's mmap threshold: a 256 KiB ``recv`` buffer is mapped and
 #: unmapped on every call (13 us of a 120 us round trip, measured: E25).
 _READ_CHUNK = 64 * 1024
-#: Longest ``delay`` a PING may ask for, in seconds.
-_MAX_PING_DELAY = 86400.0
 
 #: The lane's last item, appended at disconnect: close the session.
 _CLOSE = object()
@@ -163,10 +159,10 @@ class _NetStats:
 class _Connection:
     """Per-connection state: the socket, the session, its FIFO lane."""
 
-    def __init__(self, sock: socket.socket, session: Session, max_frame: int) -> None:
+    def __init__(self, sock: socket.socket, session: Session) -> None:
         self.sock = sock
         self.session = session
-        self.decoder = protocol.FrameDecoder(max_frame)
+        self.decoder = protocol.FrameDecoder()
         #: ``(opcode, cid, payload)``: appended by the reactor, popped in
         #: order by the one runner on a pool thread.
         self.lane: deque[Any] = deque()
@@ -177,9 +173,8 @@ class _Connection:
         self.lane_active = False
         #: Lane frames not in ``_PASSABLE``, queued or not yet answered.
         self.ordered = 0
-        #: Frames queued or executing on the lane, plus live delay-pings.
+        #: Frames queued or executing on the lane.
         self.inflight = 0
-        self.pings = 0  # reactor only: the delay-pings among them (live timers)
         #: One writer on the socket at a time (reactor or runner); guards
         #: the next two.  Taken after ``lock``, never before.
         self.send_lock = threading.Lock()
@@ -203,12 +198,9 @@ class OdeServer:
         Upper bound on worker threads (started on demand).  A lane run
         holds one while it blocks on locks/fsync; a few times the CPU
         count keeps commits grouping without lock waiters starving it.
-    max_frame:
-        Reject incoming frames declaring more than this many bytes
-        (a clean error frame, then disconnect).
     max_inflight:
         Admission control: per-connection cap on queued-or-executing
-        lane frames (and delay-pings).  Beyond it, requests are rejected
+        lane frames.  Beyond it, requests are rejected
         with :class:`ServerOverloadedError` *before* execution (always
         safe to retry).
     slow_client_timeout:
@@ -227,7 +219,6 @@ class OdeServer:
         port: int = 0,
         *,
         workers: int = 16,
-        max_frame: int = protocol.MAX_FRAME_BYTES,
         max_inflight: int = 128,
         slow_client_timeout: float = 30.0,
         write_buffer_limit: int | None = None,
@@ -237,7 +228,6 @@ class OdeServer:
         #: As asked for until :meth:`start` binds; then the bound port.
         self.port = port
         self._max_workers = workers
-        self._max_frame = max_frame
         self._max_inflight = max_inflight
         self._slow_client_timeout = slow_client_timeout
         self._write_buffer_limit = write_buffer_limit
@@ -444,7 +434,7 @@ class OdeServer:
                 )
             session = self.db.session(name=f"net-{peer}")
             session.context["peer"] = peer
-            conn = _Connection(sock, session, self._max_frame)
+            conn = _Connection(sock, session)
             self._connections.add(conn)
             self._selector.register(sock, selectors.EVENT_READ, conn)
             self.stats.add(connections=1, connections_total=1, sessions=1)
@@ -483,12 +473,7 @@ class OdeServer:
             conn.dead = True
             conn.outbuf = bytearray()
             conn.sock.close()
-        if conn.pings:  # settled now: their timers would hold ``conn`` for a day
-            self._timers[:] = [t for t in self._timers if conn not in t[3][:1]]
-            heapq.heapify(self._timers)
-            self.stats.add(inflight=-conn.pings)
         with conn.lock:
-            conn.inflight -= conn.pings
             conn.lane.append(_CLOSE)
             if not conn.lane_active:
                 conn.lane_active = True
@@ -523,14 +508,11 @@ class OdeServer:
             queued += 1
             with conn.lock:
                 conn.inflight += 1
-                if opcode != OP_PING:
-                    conn.lane.append((opcode, cid, payload))
-                    conn.ordered += opcode not in _PASSABLE
-                    if not conn.lane_active:  # woken at the end of the round
-                        conn.lane_active = True
-                        self._to_wake.append(conn)
-            if opcode == OP_PING:  # only one with a delay gets this far
-                self._delay_ping(conn, cid, payload)
+                conn.lane.append((opcode, cid, payload))
+                conn.ordered += opcode not in _PASSABLE
+                if not conn.lane_active:  # woken at the end of the round
+                    conn.lane_active = True
+                    self._to_wake.append(conn)
         self.stats.add(
             conn.inflight + served,
             requests=served + queued,
@@ -648,8 +630,7 @@ class OdeServer:
         session = conn.session
         was_read = False
         if opcode == OP_PING:
-            if isinstance(payload, dict) and payload.get("delay"):
-                return None
+            pass  # an echo: always inline
         elif opcode == OP_HEALTH:
             # Heartbeats answer even mid-drain, and never queue behind
             # the work they are probing.
@@ -679,30 +660,6 @@ class OdeServer:
         except Exception as exc:  # noqa: BLE001 - goes into the envelope
             _error_frame_into(out, cid, exc)
             return False, was_read
-
-    def _delay_ping(self, conn: _Connection, cid: int, payload: Any) -> None:
-        """PING with a delay: the one frame answered by a reactor timer."""
-        try:
-            delay = float(payload["delay"])
-            if not 0.0 <= delay <= _MAX_PING_DELAY:  # NaN fails this too
-                raise ValueError(f"ping delay {delay!r} is out of range")
-        except (TypeError, ValueError) as exc:
-            delay, payload = 0.0, exc  # answered with the error, now
-        conn.pings += 1
-        self._call_later(delay, self._pong, conn, cid, payload)
-
-    def _pong(self, conn: _Connection, cid: int, payload: Any) -> None:
-        out = bytearray()
-        ok = not isinstance(payload, Exception)
-        if ok:
-            protocol.build_frame_into(out, RESP_OK, cid, payload)
-        else:
-            _error_frame_into(out, cid, payload)
-        conn.pings -= 1
-        with conn.lock:
-            conn.inflight -= 1
-        self.stats.add(inflight=-1, responses=1, errors=not ok, bytes_out=len(out))
-        self._write(conn, out)
 
     # -- the lane ------------------------------------------------------------
 

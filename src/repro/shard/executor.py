@@ -48,7 +48,8 @@ _MAX_WORKERS = 16
 
 #: Idle worker lifetime.  Long enough that a steady fan-out workload
 #: never respawns, short enough that an abandoned router's daemons
-#: disappear promptly.
+#: disappear promptly.  Read when a worker goes idle, so a test can
+#: patch it.
 _IDLE_TIMEOUT = 5.0
 
 #: Queue-wait samples retained for the p99 (ring buffer; stats are a
@@ -90,19 +91,13 @@ class ShardExecutor:
 
     ``size`` workers at most (clamped to ``{max_workers}``); workers are
     spawned on demand when a task arrives and no idle worker exists, and
-    exit after ``idle_timeout`` seconds without work.  ``close()`` is
+    exit after :data:`_IDLE_TIMEOUT` seconds without work.  ``close()`` is
     best-effort and optional -- an unclosed pool reaps itself.
     """.format(max_workers=_MAX_WORKERS)
 
-    def __init__(
-        self,
-        size: int,
-        name: str | None = None,
-        idle_timeout: float = _IDLE_TIMEOUT,
-    ) -> None:
+    def __init__(self, size: int, name: str | None = None) -> None:
         self.size = max(1, min(int(size), _MAX_WORKERS))
         self.name = name or f"shard-exec-{next(_pool_ids)}"
-        self._idle_timeout = idle_timeout
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._queue: deque[_Task | None] = deque()
@@ -134,7 +129,7 @@ class ShardExecutor:
         try:
             while True:
                 with self._cond:
-                    deadline = time.monotonic() + self._idle_timeout
+                    deadline = time.monotonic() + _IDLE_TIMEOUT
                     self._idle += 1
                     try:
                         while not self._queue:

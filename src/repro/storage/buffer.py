@@ -45,18 +45,12 @@ class _Frame:
 
 
 class BufferPool:
-    """A fixed-capacity, scan-resistant cache of pages with pin counting.
+    """A fixed-capacity LRU cache of pages with pin counting.
 
     Thread-safe.  ``capacity`` bounds resident frames; fetching a page when
     all frames are pinned raises :class:`BufferPoolError` rather than
-    blocking, which turns buffer leaks into loud test failures.
-
-    Eviction is segmented LRU: pages enter a *probationary* segment and
-    are promoted to the *protected* segment (~80% of capacity) only on a
-    re-hit.  Eviction drains probation first, so a one-pass scan -- a
-    cluster sweep, a long delta-chain replay -- churns through probation
-    without flushing the protected hot set (index roots, the object
-    table's pages).
+    blocking, which turns buffer leaks into loud test failures.  Eviction
+    takes the least recently fetched unpinned frame.
     """
 
     def __init__(self, disk: DiskManager, capacity: int = DEFAULT_POOL_SIZE) -> None:
@@ -64,39 +58,15 @@ class BufferPool:
             raise ValueError("buffer pool capacity must be >= 1")
         self._disk = disk
         self._capacity = capacity
-        self._protected_cap = max(1, (capacity * 4) // 5)
         #: Called once before any dirty page is written back.  The database
         #: installs the WAL flush here (write-ahead rule: log before data).
         self.before_write: Callable[[], None] | None = None
-        # Both segments are LRU -> MRU ordered.
-        self._probation: OrderedDict[int, _Frame] = OrderedDict()
-        self._protected: OrderedDict[int, _Frame] = OrderedDict()
+        self._frames: OrderedDict[int, _Frame] = OrderedDict()  # LRU -> MRU
         self._lock = threading.RLock()
         # Statistics -- consumed by the kernel micro-benchmarks (E11).
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.promotions = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of resident frames."""
-        return self._capacity
-
-    @property
-    def resident(self) -> int:
-        """Number of frames currently in memory."""
-        return len(self._probation) + len(self._protected)
-
-    def _frame(self, page_id: int) -> _Frame | None:
-        frame = self._probation.get(page_id)
-        if frame is None:
-            frame = self._protected.get(page_id)
-        return frame
-
-    def _iter_frames(self) -> Iterator[tuple[int, _Frame]]:
-        yield from self._probation.items()
-        yield from self._protected.items()
 
     # -- core protocol ---------------------------------------------------------
 
@@ -110,46 +80,29 @@ class BufferPool:
             self._ensure_room()
             frame = _Frame(page_id, SlottedPage(bytearray(self._disk.read_page(page_id))))
             frame.pins = 1
-            self._probation[page_id] = frame
+            self._frames[page_id] = frame
             return page_id, frame.page
 
     def fetch(self, page_id: int) -> SlottedPage:
         """Pin and return page ``page_id``, reading it from disk on a miss."""
         with self._lock:
-            frame = self._probation.get(page_id)
-            if frame is not None:
-                # Re-hit in probation proves reuse: promote to protected.
-                self.hits += 1
-                frame.pins += 1
-                del self._probation[page_id]
-                self._protected[page_id] = frame
-                self.promotions += 1
-                self._shrink_protected()
-                return frame.page
-            frame = self._protected.get(page_id)
+            frame = self._frames.get(page_id)
             if frame is not None:
                 self.hits += 1
                 frame.pins += 1
-                self._protected.move_to_end(page_id)
+                self._frames.move_to_end(page_id)
                 return frame.page
             self.misses += 1
             self._ensure_room()
             frame = _Frame(page_id, SlottedPage(self._disk.read_page(page_id)))
             frame.pins = 1
-            self._probation[page_id] = frame
+            self._frames[page_id] = frame
             return frame.page
-
-    def _shrink_protected(self) -> None:
-        # Demote the protected LRU back to probation's MRU end when the
-        # segment outgrows its share; it must earn a re-hit to return.
-        while len(self._protected) > self._protected_cap:
-            page_id, frame = self._protected.popitem(last=False)
-            self._probation[page_id] = frame
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
         """Release one pin on ``page_id``; ``dirty=True`` marks it modified."""
         with self._lock:
-            frame = self._frame(page_id)
+            frame = self._frames.get(page_id)
             if frame is None:
                 raise BufferPoolError(f"unpin of non-resident page {page_id}")
             if frame.pins <= 0:
@@ -173,52 +126,39 @@ class BufferPool:
     def discard(self, page_id: int) -> None:
         """Drop page from the pool without writing it back (page was freed)."""
         with self._lock:
-            frame = self._frame(page_id)
+            frame = self._frames.get(page_id)
             if frame is None:
                 return
             if frame.pins > 0:
                 raise BufferPoolError(f"discard of pinned page {page_id}")
-            self._probation.pop(page_id, None)
-            self._protected.pop(page_id, None)
+            del self._frames[page_id]
 
     # -- eviction & flushing ---------------------------------------------------
 
     def _ensure_room(self) -> None:
-        if self.resident < self._capacity:
+        if len(self._frames) < self._capacity:
             return
-        # Probation (cold, unproven pages) drains before protected.
-        for segment in (self._probation, self._protected):
-            for page_id, frame in segment.items():  # LRU -> MRU order
-                if frame.pins == 0:
-                    if frame.dirty:
-                        if self.before_write is not None:
-                            self.before_write()
-                        self._disk.write_page(page_id, frame.page.raw())
-                    del segment[page_id]
-                    self.evictions += 1
-                    return
+        for page_id, frame in self._frames.items():  # LRU -> MRU order
+            if frame.pins == 0:
+                if frame.dirty:
+                    if self.before_write is not None:
+                        self.before_write()
+                    self._disk.write_page(page_id, frame.page.raw())
+                del self._frames[page_id]
+                self.evictions += 1
+                return
         raise BufferPoolError(
             f"all {self._capacity} frames are pinned; cannot evict"
         )
-
-    def flush_page(self, page_id: int) -> None:
-        """Write one resident dirty page back to disk (keeps it resident)."""
-        with self._lock:
-            frame = self._frame(page_id)
-            if frame is not None and frame.dirty:
-                if self.before_write is not None:
-                    self.before_write()
-                self._disk.write_page(page_id, frame.page.raw())
-                frame.dirty = False
 
     def flush_all(self) -> None:
         """Write every dirty resident page back to disk."""
         with self._lock:
             if self.before_write is not None and any(
-                f.dirty for _pid, f in self._iter_frames()
+                f.dirty for f in self._frames.values()
             ):
                 self.before_write()
-            for page_id, frame in self._iter_frames():
+            for page_id, frame in self._frames.items():
                 if frame.dirty:
                     self._disk.write_page(page_id, frame.page.raw())
                     frame.dirty = False
@@ -227,11 +167,10 @@ class BufferPool:
         """Evict all unpinned frames after flushing (for crash simulation)."""
         with self._lock:
             self.flush_all()
-            for segment in (self._probation, self._protected):
-                for page_id in [pid for pid, f in segment.items() if f.pins == 0]:
-                    del segment[page_id]
+            for page_id in [pid for pid, f in self._frames.items() if f.pins == 0]:
+                del self._frames[page_id]
 
     def pinned_pages(self) -> list[int]:
         """Page ids with outstanding pins (should be empty between ops)."""
         with self._lock:
-            return [pid for pid, f in self._iter_frames() if f.pins > 0]
+            return [pid for pid, f in self._frames.items() if f.pins > 0]

@@ -3,14 +3,17 @@
 ``dump_database`` walks every object and emits a plain-data document
 (nested lists/dicts/strings/ints only -- JSON-compatible apart from bytes,
 which are hex-encoded) that fully describes the database: objects, their
-version graphs, per-version payload *states* (decoded, so the dump is
-independent of the storage policy and page layout), and the id counter.
+version graphs and high-water marks, each version's whole encoded payload
+(independent of the storage policy and page layout), the catalog roots
+(retention policies, version tags) and the id counter.  The objects are
+``VersionStore.export``'s records, lowered to JSON.
 
-``load_database`` rebuilds an equivalent database from a dump, preserving
-every Oid/Vid, derivation edge, and temporal position -- so stored
-references inside payloads stay valid.
+``load_database`` raises them back and fills the target the way vacuum
+does (``repro.tools.vacuum.fill``, over ``VersionStore.install``),
+preserving every Oid/Vid, derivation edge, and temporal position -- so
+stored references inside payloads stay valid.
 
-The dump format is versioned; loading rejects unknown format versions.
+The dump format is versioned; loading rejects every other format version.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from typing import Any
 from repro.errors import OdeError
 from repro.core.database import Database
 from repro.core.identity import Oid, Vid
-from repro.core.store import _Entry
-from repro.core.vgraph import VersionGraph
-from repro.storage import serialization
+from repro.tools.vacuum import fill
 
-FORMAT_VERSION = 1
+#: Format 2 carries the catalog roots; format 1 (without them) is not read.
+FORMAT_VERSION = 2
 
 
 class DumpError(OdeError):
@@ -83,37 +85,31 @@ def _decode_value(value: Any) -> Any:
 
 def dump_database(db: Database) -> dict:
     """Produce the portable document for an open database."""
-    store = db.store
-    objects = []
-    for ref in store.all_objects():
-        oid = ref.oid
-        graph = store.graph(oid)
-        versions = []
-        for node in graph.walk_temporal():
-            state = store.materialize(Vid(oid, node.serial))
-            # Re-encode through the codec to get a plain state document:
-            # registered objects become (type name, state dict).
-            raw = serialization.encode(state)
-            versions.append(
-                {
-                    "serial": node.serial,
-                    "dprev": node.dprev,
-                    "ctime": node.ctime,
-                    "payload": raw.hex(),
-                }
-            )
-        objects.append(
-            {
-                "oid": oid.value,
-                "type": store.type_name(oid),
-                "max_serial": graph.max_serial,
-                "versions": versions,
-            }
-        )
+    catalog = db.catalog
     return {
         "format": FORMAT_VERSION,
-        "oid_counter": db.catalog.peek_value("ode.oid"),
-        "objects": objects,
+        "oid_counter": catalog.peek_value("ode.oid"),
+        "roots": {
+            name: _encode_value(catalog.get_root(name))
+            for name in catalog.root_names()
+        },
+        "objects": [
+            {
+                "oid": oid.value,
+                "type": type_name,
+                "max_serial": max_serial,
+                "versions": [
+                    {
+                        "serial": serial,
+                        "dprev": dprev,
+                        "ctime": ctime,
+                        "payload": content.hex(),
+                    }
+                    for serial, dprev, ctime, content in versions
+                ],
+            }
+            for oid, type_name, max_serial, versions in db.store.export()
+        ],
     }
 
 
@@ -121,33 +117,23 @@ def load_database(dump: dict, db: Database) -> int:
     """Rebuild a dumped database into a freshly created, empty ``db``.
 
     Returns the number of objects loaded.  Raises :class:`DumpError` for
-    unknown formats and refuses non-empty targets.
+    other formats and refuses non-empty targets.
     """
     if dump.get("format") != FORMAT_VERSION:
         raise DumpError(f"unsupported dump format {dump.get('format')!r}")
     if db.store.object_count() != 0:
         raise DumpError("load target must be an empty database")
-    store = db.store
-    for record in dump["objects"]:
-        oid = Oid(record["oid"])
-        type_name = record["type"]
-        graph = VersionGraph()
-        entry = _Entry(oid, type_name, graph, None, None)
-        for version in record["versions"]:
-            content = bytes.fromhex(version["payload"])
-            data = store._store_payload(
-                entry, version["serial"], content, version["dprev"], None
-            )
-            graph.create(version["serial"], version["dprev"], version["ctime"], data)
-            store._bytes_cache[Vid(oid, version["serial"])] = content
-        # Restore the serial high-water mark (deleted serials never return).
-        graph._max_serial = max(graph._max_serial, record["max_serial"])
-        store._save_entry(entry, None)
-        cluster_payload = serialization.encode((type_name, oid))
-        entry.cluster_rid = store._clusters.insert(cluster_payload, None)
-        store._table[oid] = entry
-        store._by_type.setdefault(type_name, set()).add(oid)
-    while db.catalog.peek_value("ode.oid") < dump["oid_counter"]:
-        db.catalog.next_value("ode.oid")
-    db.checkpoint()
-    return len(dump["objects"])
+    objects = (
+        (
+            Oid(record["oid"]),
+            record["type"],
+            record["max_serial"],
+            [
+                (v["serial"], v["dprev"], v["ctime"], bytes.fromhex(v["payload"]))
+                for v in record["versions"]
+            ],
+        )
+        for record in dump["objects"]
+    )
+    roots = {name: _decode_value(value) for name, value in dump["roots"].items()}
+    return fill(db, objects, roots, dump["oid_counter"])[0]

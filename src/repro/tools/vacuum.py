@@ -7,10 +7,11 @@ live object's versions are replayed into a brand-new database in
 derivation order, preserving Oids, Vids, derivation and temporal
 structure exactly -- and reports the space saved.
 
-The copy preserves identity by writing the object table directly through
-the target store's internals (ids must survive a vacuum or every stored
-reference would dangle).  The source database is never modified; callers
-swap directories after a successful run.
+Objects leave the source through ``VersionStore.export`` and enter the
+target through ``VersionStore.install``, the door ``pnew`` uses too, so
+ids, high-water marks and every catalog root (retention policies, tags)
+arrive exactly as they were.  The source database is never modified;
+callers swap directories after a successful run.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Any, Iterable
 
 from repro.core.database import Database
-from repro.core.identity import Vid
-from repro.core.store import StoragePolicy
-from repro.core.vgraph import VersionGraph
+from repro.core.identity import Oid
+from repro.core.store import StoragePolicy, VersionRecord
 from repro.storage.disk import PAGE_SIZE
 
 
@@ -72,65 +73,54 @@ def vacuum(
     source_store = source.store
     target = Database(target_path, policy=policy or source_store.policy)
     try:
-        tstore = target.store
-        objects = 0
-        versions = 0
-        for ref in source_store.all_objects():
-            objects += 1
-            oid = ref.oid
-            graph = source_store.graph(oid)
-            type_name = source_store.type_name(oid)
-            # Rebuild the graph with freshly stored payloads, derivation
-            # order (parents before children holds in serial order).
-            from repro.core.store import _Entry
-            from repro.storage import serialization
-
-            if tstore.object_exists(oid):
-                # Re-running into a non-empty target: the chain is about
-                # to be rewritten wholesale, so the old records -- and
-                # every cache entry derived from them (materialized bytes,
-                # decoded objects, the latest-vid memo) -- must go first.
-                # _delete_object invalidates all of them.
-                tstore._delete_object(oid, None)
-            new_graph = VersionGraph()
-            entry = _Entry(oid, type_name, new_graph, None, None)
-            for node in graph.walk_temporal():
-                content = source_store._version_bytes(
-                    source_store._entry(oid), node.serial
-                )
-                data = tstore._store_payload(
-                    entry, node.serial, content, node.dprev, None
-                )
-                # create() enforces monotonic serials; walk_temporal yields
-                # them ascending, and dprev < serial always, so this holds.
-                new_graph.create(node.serial, node.dprev, node.ctime, data)
-                tstore._cache_bytes(Vid(oid, node.serial), content)
-                versions += 1
-            tstore._save_entry(entry, None)
-            cluster_payload = serialization.encode((type_name, oid))
-            entry.cluster_rid = tstore._clusters.insert(cluster_payload, None)
-            tstore._table[oid] = entry
-            tstore._by_type.setdefault(type_name, set()).add(oid)
-            tstore._dirty_oids.add(oid)
-        # Carry the id counter forward so future pnew calls don't collide.
-        current = source.catalog.peek_value("ode.oid")
-        while target.catalog.peek_value("ode.oid") < current:
-            target.catalog.next_value("ode.oid")
-        # The copies bypassed the transaction layer, so publish them here:
-        # snapshots pinned against the target must see the rewritten chains.
-        tstore.publish_snapshot()
-        target.checkpoint()
+        catalog = source.catalog
+        objects, versions = fill(
+            target,
+            source_store.export(),
+            {name: catalog.get_root(name) for name in catalog.root_names()},
+            catalog.peek_value("ode.oid"),
+        )
         report = VacuumReport(
             objects_copied=objects,
             versions_copied=versions,
             source_pages=source.stats()["disk.pages"],
             target_pages=target.stats()["disk.pages"],
             source_blob_bytes=source_store.blobs.total_bytes(),
-            target_blob_bytes=tstore.blobs.total_bytes(),
+            target_blob_bytes=target.store.blobs.total_bytes(),
         )
     finally:
         target.close()
     return report
+
+
+def fill(
+    db: Database,
+    objects: Iterable[tuple[Oid, str, int, list[VersionRecord]]],
+    roots: dict[str, Any],
+    oid_counter: int,
+) -> tuple[int, int]:
+    """Fill a fresh database: the one copy step of vacuum and ``load_database``.
+
+    ``objects`` are what ``VersionStore.export`` yields, installed in
+    order; ``roots`` are catalog roots, set as given; the oid counter is
+    carried forward so later ``pnew`` calls cannot collide.  Nothing here
+    runs in a transaction, so it ends with one publish (snapshots and
+    session readers see the copy at once) and a checkpoint (the copy is
+    durable).  Returns ``(objects, versions)`` installed.
+    """
+    store, catalog = db.store, db.catalog
+    count = versions = 0
+    for oid, type_name, max_serial, history in objects:
+        store.install(oid, type_name, max_serial, history)
+        count += 1
+        versions += len(history)
+    for name, value in roots.items():
+        catalog.set_root(name, value)
+    while catalog.peek_value("ode.oid") < oid_counter:
+        catalog.next_value("ode.oid")
+    store.publish_snapshot()
+    db.checkpoint()
+    return count, versions
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -161,7 +161,9 @@ def run_schedule(
         try:
             refs = _apply_seed(db, scenario.seed)
             if mutate == "publish-exclusion":
-                db.publish_exclusion = False
+                # Publication stops excluding active transactions' objects;
+                # the shadow lives on this run's database and dies with it.
+                db._active_touched = set
             logs = {name: ThreadLog(name) for name, _ in scenario.threads}
             sched = CooperativeScheduler(
                 schedule=schedule, seed=seed, wall_timeout=wall_timeout
@@ -202,7 +204,6 @@ def run_schedule(
             )
             return outcome
         finally:
-            db.publish_exclusion = True
             try:
                 db.close()
             except Exception:

@@ -148,27 +148,6 @@ def test_snapshot_query_and_indexes(any_db):
         }
 
 
-def test_snapshot_query_domain_memoized(any_db, monkeypatch):
-    any_db.create_index(Part, "weight")
-    for i in range(6):
-        any_db.pnew(Part(f"p{i}", i % 2))
-    with any_db.snapshot() as snap:
-        from repro.core.indexes import attr_equals
-
-        probes = []
-        lookup = snap.index_lookup
-        monkeypatch.setattr(
-            snap, "index_lookup", lambda *args: probes.append(args) or lookup(*args)
-        )
-        query = snap.query(Part).suchthat(attr_equals("weight", 1))
-        first = sorted(p.name for p in query)
-        assert first == ["p1", "p3", "p5"]
-        # Re-iterating the same query against the frozen snapshot must
-        # reuse the resolved domain, not re-walk the index.
-        assert sorted(p.name for p in query) == first
-        assert probes == [("tests.Part", "weight", 1)]
-
-
 # -- read-only enforcement -----------------------------------------------------
 
 

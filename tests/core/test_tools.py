@@ -1,13 +1,26 @@
-"""Unit tests for the operational tools (inspect, check, vacuum)."""
+"""Unit tests for the operational tools (inspect, check, vacuum, copies)."""
 
 from __future__ import annotations
+
+import asyncio
+import json
 
 import pytest
 
 from repro import Database, StoragePolicy
+from repro.core.gc import RetentionPolicy
 from repro.core.identity import Vid
+from repro.errors import VersionError
+from repro.net.client import OdeConnection
+from repro.net.server import ServerThread
 from repro.storage.heap import Rid
-from repro.tools import check_database, inspect_database, vacuum
+from repro.tools import (
+    check_database,
+    dump_database,
+    inspect_database,
+    load_database,
+    vacuum,
+)
 from repro.workloads.synthetic import make_random_tree
 from tests.conftest import Doc, Part
 
@@ -234,6 +247,9 @@ def test_vacuum_preserves_everything(tmp_path, db):
         # Oid counter carried forward: new objects get fresh ids.
         fresh = clean.pnew(Part("fresh", 1))
         assert fresh.oid.value > max(r.oid.value for r in refs)
+    # The target already holds these oids: install refuses, nothing is rewritten.
+    with pytest.raises(VersionError):
+        vacuum(db, tmp_path / "vacuumed")
 
 
 def test_vacuum_reclaims_space(tmp_path, db):
@@ -284,3 +300,134 @@ def test_vacuum_empty_database(tmp_path, db):
     assert report.objects_copied == 0
     with Database(tmp_path / "empty_target") as clean:
         assert clean.object_count() == 0
+
+
+def test_vacuum_cli(tmp_path, capsys):
+    """``--json`` reports what ran; ``--gc-only --dry-run`` deletes
+    nothing and needs no target; ``--policy delta`` migrates the copy."""
+    from repro.tools.vacuum import main
+
+    source = tmp_path / "src"
+    with Database(source) as db:
+        ref = db.pnew(Doc("base " * 300))
+        for i in range(4):
+            db.newversion(ref).text = "base " * 300 + f"rev{i}"
+        db.set_retention(Doc, RetentionPolicy(keep_last_n=2))
+    assert main([str(source), "--gc-only", "--dry-run", "--json"]) == 0
+    planned = json.loads(capsys.readouterr().out)
+    assert planned["source"] == str(source) and "vacuum" not in planned
+    assert planned["gc"]["versions_deleted"] == 3 and planned["gc"]["batches"] >= 1
+    with Database(source) as db:
+        assert db.version_count(db.deref(ref.oid)) == 5  # a dry run
+    target = tmp_path / "dst"
+    assert main([str(source), str(target), "--policy", "delta", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["target"] == str(target)
+    assert out["vacuum"]["objects_copied"] == 1
+    assert out["vacuum"]["versions_copied"] == 5
+    # Deltas of one-word edits sit inline: only the keyframe is a blob.
+    vacuumed = out["vacuum"]
+    assert vacuumed["target_blob_bytes"] * 4 < vacuumed["source_blob_bytes"]
+    with Database(target) as copy:
+        assert copy.deref(ref.oid).text.endswith("rev3")
+        assert check_database(copy, strict=True).ok
+    with pytest.raises(SystemExit) as usage:
+        main([str(source)])  # a rewrite needs a target
+    assert usage.value.code == 2
+
+
+# -- copies: vacuum and dump/load install through the store's one door -----------
+
+
+def _copies(db, tmp_path):
+    """Directories of a vacuumed copy and of a dump->JSON->load copy."""
+    vacuum(db, tmp_path / "vacuumed")
+    document = json.loads(json.dumps(dump_database(db)))
+    with Database(tmp_path / "loaded") as loaded:
+        load_database(document, loaded)
+    return tmp_path / "vacuumed", tmp_path / "loaded"
+
+
+def test_copies_never_reissue_a_deleted_serial(tmp_path, db):
+    """A version id names one version forever: the high-water mark
+    travels, so the copy's next ``newversion`` skips the deleted newest
+    serial (the vacuum used to hand ``Vid(oid:3)`` out again)."""
+    ref = db.pnew(Part("p", 1))
+    db.newversion(ref)
+    db.pdelete(db.newversion(ref))  # serial 3, the newest, is gone
+    for path in _copies(db, tmp_path):
+        with Database(path) as copy:
+            assert copy.graph(ref.oid).max_serial == 3
+            assert copy.newversion(copy.deref(ref.oid)).vid.serial == 4
+
+
+def test_loaded_objects_are_visible_at_once(tmp_path, db):
+    """Right after ``load_database``, with no reopen, a snapshot, a session
+    reader and a wire READ each see every loaded object (they saw none)."""
+    refs = [db.pnew(Part(f"p{i}", i)) for i in range(3)]
+    document = dump_database(db)
+    with Database(tmp_path / "loaded") as loaded:
+        assert load_database(document, loaded) == 3
+        with loaded.snapshot() as snap:
+            assert [r.oid for r in snap.cluster(Part)] == [r.oid for r in refs]
+        session = loaded.session()
+        try:
+            reader = session.reader()
+            assert [reader.read_attr(reader.latest_vid(r.oid), "weight") for r in refs] == [0, 1, 2]
+        finally:
+            session.close()
+        with ServerThread(loaded) as server:
+
+            async def read_all():
+                async with await OdeConnection.open(server.host, server.port) as conn:
+                    return [await conn.read(r.oid, "weight") for r in refs]
+
+            assert asyncio.run(read_all()) == [0, 1, 2]
+
+
+def test_copies_keep_retention_and_tags(tmp_path, db):
+    """Retention policies and version tags are catalog roots, and every
+    root travels: the copy's collector keeps the tagged version."""
+    ref = db.pnew(Part("p", 0))
+    for weight in range(1, 6):
+        db.newversion(ref).weight = weight
+    db.set_retention(Part, RetentionPolicy(keep_last_n=2))
+    db.tag_version(Vid(ref.oid, 2), "release")
+    policies, tags = db.retention_policies(), db.version_tags(ref)
+    assert policies and tags == {2: "release"}
+    for path in _copies(db, tmp_path):
+        with Database(path) as copy:
+            assert copy.retention_policies() == policies
+            assert copy.version_tags(ref.oid) == tags
+            copy.run_gc()
+            assert [v.vid.serial for v in copy.versions(ref.oid)] == [2, 5, 6]
+
+
+def test_copies_materialize_every_version_equal(tmp_path, any_db):
+    """Branches, deleted versions, inline and blob payloads, a retention
+    policy and tags: every version reads back equal on both copies, and
+    both pass the strict check."""
+    db = any_db
+    doc = db.pnew(Doc("small"))  # inline payload
+    base = doc.pin()
+    trunk = db.newversion(doc)
+    trunk.text = "x" * 3000  # blob payload
+    variant = db.newversion(base)
+    variant.text = "variant " * 50  # a branch off the root
+    tip = db.newversion(trunk)
+    tip.text = "x" * 2990 + "edited"
+    db.pdelete(trunk)  # an interior delete re-bases the tip
+    part = db.pnew(Part("p", 1))
+    db.pdelete(db.newversion(part))  # the newest deleted
+    db.set_retention(Doc, RetentionPolicy(keep_last_n=3))
+    db.tag_version(base, "first")
+    expected = {
+        vref.vid: vref.deref()
+        for ref in db.cluster(Doc) + db.cluster(Part) for vref in db.versions(ref)
+    }
+    assert len(expected) == 4
+    for path in _copies(db, tmp_path):
+        with Database(path) as copy:
+            assert {vid: copy.materialize(vid) for vid in expected} == expected
+            assert copy.dprevious(copy.deref(tip.vid)).vid == base.vid
+            assert check_database(copy, strict=True).ok

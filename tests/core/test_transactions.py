@@ -187,7 +187,7 @@ def test_abort_keeps_a_concurrent_commits_blob_reference(db):
 
 
 def _dirty_pages(db) -> list[int]:
-    return [page_id for page_id, frame in db._pool._iter_frames() if frame.dirty]
+    return [page_id for page_id, frame in db._pool._frames.items() if frame.dirty]
 
 
 def test_recovery_undo_of_the_first_storer_keeps_the_committed_reference(tmp_path):

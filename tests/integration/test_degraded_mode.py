@@ -1,8 +1,8 @@
 """Graceful degradation: a persistently failing disk flips the database
 to read-only instead of corrupting it or crashing the process.
 
-A one-shot I/O error is a retryable hiccup; ``degrade_after`` *consecutive*
-failures mean the storage is gone for good.  From that point reads and
+A one-shot I/O error is a retryable hiccup; ``DEGRADE_AFTER`` (3)
+*consecutive* failures mean the storage is gone for good.  From that point reads and
 version traversal must keep serving from memory while every write raises
 :class:`~repro.errors.DatabaseDegradedError`.
 """
@@ -37,7 +37,7 @@ def _hammer_until_degraded(db, ref, tries=10):
 
 
 def test_persistent_wal_fsync_failure_enters_degraded_mode(tmp_path):
-    db = Database(tmp_path / "db", degrade_after=3)
+    db = Database(tmp_path / "db")
     try:
         ref = db.pnew(Part("gear", 5))
         ref.weight = 6  # healthy write, durably committed
@@ -80,7 +80,7 @@ def test_persistent_wal_fsync_failure_enters_degraded_mode(tmp_path):
 
 def test_one_shot_fsync_error_does_not_degrade(tmp_path):
     """Below the threshold, failures are transient: a later write heals."""
-    with Database(tmp_path / "db", degrade_after=3) as db:
+    with Database(tmp_path / "db") as db:
         ref = db.pnew(Part("gear", 1))
         faults.activate(FaultPlan().fsync_error("wal.flush.fsync", hit=1))
         with pytest.raises(InjectedFaultError):
@@ -94,7 +94,7 @@ def test_one_shot_fsync_error_does_not_degrade(tmp_path):
 
 def test_degraded_close_and_reopen_preserve_durable_state(tmp_path):
     """Everything acknowledged before the disk died survives reopen."""
-    db = Database(tmp_path / "db", degrade_after=2)
+    db = Database(tmp_path / "db")
     ref = db.pnew(Part("gear", 5))
     ref.weight = 7
     oid = ref.oid
@@ -115,7 +115,7 @@ def test_degraded_close_and_reopen_preserve_durable_state(tmp_path):
 
 def test_persistent_data_file_sync_failure_degrades(tmp_path):
     """The data-file path (checkpoint fsync) trips degradation too."""
-    db = Database(tmp_path / "db", degrade_after=2)
+    db = Database(tmp_path / "db")
     try:
         ref = db.pnew(Part("gear", 1))
         faults.activate(
@@ -140,7 +140,7 @@ def test_failed_pack_sync_fails_the_checkpoint_not_the_commit(tmp_path):
     write-back syncs the packs and truncates it.  A failed pack fsync
     fails that checkpoint and leaves the log in place -- once is a
     hiccup a retry heals, persistently it is a dead disk like any other."""
-    db = Database(tmp_path / "db", degrade_after=3)
+    db = Database(tmp_path / "db")
     try:
         ref = db.pnew(Part("g" * 600, 5))  # a payload large enough for a pack
         faults.activate(FaultPlan().fsync_error("blobs.sync.fsync", hit=1))

@@ -63,11 +63,11 @@ def _recv_frame(sock):
 
 
 def test_oversized_payload_clean_error_then_disconnect(db):
-    """A frame declaring more than max_frame gets a typed error frame
+    """A frame declaring more than MAX_FRAME_BYTES gets a typed error frame
     (cid 0 = connection-level), then the socket is closed server-side."""
-    with ServerThread(db, max_frame=4096) as server:
+    with ServerThread(db) as server:
         with socket.create_connection((server.host, server.port)) as sock:
-            sock.sendall((1024 * 1024).to_bytes(4, "little"))
+            sock.sendall((protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "little"))
             opcode, cid, payload = _recv_frame(sock)
             assert opcode == protocol.RESP_ERR
             assert cid == 0
@@ -214,47 +214,6 @@ def test_reactor_busy_gauge_sees_blocking_work_on_the_reactor(served):
     assert blocked >= 150
 
 
-def test_disconnect_settles_the_delay_pings_still_pending(db):
-    """A peer that queues day-long delay-pings and hangs up must not hold
-    server memory until they fire: teardown voids its timers and settles
-    ``net.inflight`` at once; another peer's ping is untouched."""
-    with ServerThread(db) as server:
-        with socket.create_connection((server.host, server.port)) as other:
-            other.sendall(protocol.build_frame(protocol.OP_PING, 7, {"delay": 1.0}))
-            with socket.create_connection((server.host, server.port)) as sock:
-                sock.sendall(b"".join(
-                    protocol.build_frame(protocol.OP_PING, cid, {"delay": 86400.0})
-                    for cid in range(1, 101)
-                ))
-                assert _wait_stats(db, "net.inflight", 101)["net.inflight"] == 101
-            assert _wait_stats(db, "net.inflight", 1)["net.inflight"] == 1
-            assert [timer[3][1] for timer in server._timers] == [7]
-            assert _recv_frame(other) == (protocol.RESP_OK, 7, {"delay": 1.0})
-        stats = _wait_stats(db, "net.connections", 0)
-    assert stats["net.inflight"] == 0 and not server._timers
-    assert stats["net.responses"] == 1
-
-
-def test_delay_ping_out_of_range_answers_an_error_and_the_reactor_lives(served):
-    """The delay of a PING becomes a reactor timer: a value no timer can
-    hold (infinite, NaN, negative, not a number) must come back as that
-    request's error, not reach the reactor's ``select()`` timeout."""
-    db, host, port, oid = served
-
-    async def run():
-        async with await OdeConnection.open(host, port) as conn:
-            for delay in (float("inf"), float("nan"), -1.0, "soon"):
-                with pytest.raises((RemoteError, ValueError)):
-                    await conn.ping({"delay": delay}, deadline=2.0)
-            assert await conn.ping({"delay": 0.01, "n": 1}, deadline=2.0) == {
-                "delay": 0.01, "n": 1,
-            }
-            return await conn.stats()
-
-    stats = asyncio.run(run())
-    assert stats["net.inflight"] == 1  # the STATS itself: no ping leaked
-
-
 def test_garbage_magic_clean_error_then_disconnect(served):
     db, host, port, _ = served
     with socket.create_connection((host, port)) as sock:
@@ -310,23 +269,30 @@ def test_disconnect_aborts_open_transaction(served):
 
 def test_pipelined_out_of_order_completion(served):
     """Fast requests pipelined behind a slow one complete first, and every
-    response lands on the future that sent it (correlation ids)."""
+    response lands on the future that sent it (correlation ids).  The
+    slow one is an autocommit WRITE waiting for a lock another
+    connection's open transaction holds; reads overtake it (WRITE is
+    passable) and the ping is an inline echo."""
     db, host, port, oid = served
 
     async def run():
-        async with await OdeConnection.open(host, port) as conn:
-            slow = conn.send(protocol.OP_PING, {"delay": 0.5, "tag": "slow"})
+        async with await OdeConnection.open(host, port) as holder, \
+                await OdeConnection.open(host, port) as conn:
+            await holder.begin()
+            await holder.write(oid, "weight", 11)  # X lock, held
+            slow = conn.send(protocol.OP_WRITE, (oid, "weight", 12))
             fast = [conn.send(protocol.OP_READ, (oid, "weight")) for _ in range(8)]
             echo = conn.send(protocol.OP_PING, {"tag": "quick"})
             vals = await asyncio.gather(*fast)
             quick = await echo
-            assert not slow.done(), "slow ping must still be in flight"
-            return vals, quick, await slow
+            assert not slow.done(), "the blocked write must still be in flight"
+            await holder.commit()
+            return vals, quick, await slow, await conn.read(oid, "weight")
 
-    vals, quick, slow = asyncio.run(run())
+    vals, quick, slow, after = asyncio.run(run())
     assert vals == [10] * 8
     assert quick == {"tag": "quick"}
-    assert slow == {"delay": 0.5, "tag": "slow"}
+    assert slow is None and after == 12
     assert db.stats()["net.pipeline_max"] >= 2
 
 
@@ -822,17 +788,22 @@ def test_overload_sheds_excess_inflight_before_execution(served):
     with ServerThread(db, max_inflight=1) as server:
 
         async def run():
+            holder = await OdeConnection.open(server.host, server.port)
             conn = await OdeConnection.open(server.host, server.port)
             try:
-                # A delay-ping is deliberately stateful (executor-bound):
-                # it occupies the connection's single in-flight slot.
-                slow = asyncio.ensure_future(conn.ping({"delay": 0.4}))
-                await asyncio.sleep(0.1)  # let it reach the executor
+                await holder.begin()
+                await holder.write(oid, "weight", 11)  # X lock, held
+                # An autocommit write waiting for that lock occupies the
+                # connection's single in-flight slot.
+                slow = conn.send(protocol.OP_WRITE, (oid, "weight", 12))
                 with pytest.raises(ServerOverloadedError):
-                    await conn.ping({"delay": 0.01})
-                assert await slow == {"delay": 0.4}  # the slot holder finished
+                    await conn.write(oid, "weight", 13)
+                await holder.commit()
+                assert await slow is None  # the slot holder finished
+                assert await conn.read(oid, "weight") == 12  # 13 never ran
                 assert await conn.ping("after") == "after"  # conn still fine
             finally:
+                await holder.close()
                 await conn.close()
 
         asyncio.run(run())

@@ -23,7 +23,7 @@ import pytest
 
 from repro import PersistentObject, persistent
 from repro.errors import ShardUnavailableError
-from repro.shard import ShardedDatabase, ShardExecutor
+from repro.shard import ShardedDatabase, ShardExecutor, executor
 from repro.storage import faults
 from repro.storage.faults import FaultPlan, SimulatedCrash
 
@@ -119,8 +119,9 @@ def test_nested_scatter_runs_inline_not_deadlocked():
         exe.close()
 
 
-def test_workers_are_bounded_and_reaped():
-    exe = ShardExecutor(3, idle_timeout=0.05)
+def test_workers_are_bounded_and_reaped(monkeypatch):
+    monkeypatch.setattr(executor, "_IDLE_TIMEOUT", 0.05)
+    exe = ShardExecutor(3)
     try:
         exe.run_all(list(range(12)), lambda i: time.sleep(0.01) or i)
         stats = exe.stats()

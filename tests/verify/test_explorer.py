@@ -77,7 +77,7 @@ def test_mutation_selftest_catches_publish_leak(tmp_path):
 
 
 def test_mutation_does_not_linger(tmp_path):
-    """run_schedule restores publish_exclusion even for mutated runs."""
+    """A mutated run leaves the next run's database unmutated."""
     scenario = SCENARIOS["uncommitted_read"]
     run_schedule(scenario, seed=1, mutate="publish-exclusion")
     outcome = run_schedule(scenario, seed=1)
