@@ -31,6 +31,7 @@ import os
 import threading
 from typing import Any
 
+from repro import probe
 from repro.errors import (
     DatabaseDegradedError,
     ReadOnlySnapshotError,
@@ -56,7 +57,6 @@ from repro.core.transactions import (
 )
 from repro.core.triggers import TriggerManager
 from repro.core.vgraph import VersionGraph
-from repro.storage import faults
 from repro.storage.blobs import GARBAGE_PACE, BlobStore
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
@@ -76,7 +76,6 @@ from repro.storage.wal import (
     RecoveryReport,
     recover,
 )
-from repro.verify import hooks
 
 _DATA_FILE = "data.odb"
 _WAL_FILE = "wal.log"
@@ -279,13 +278,13 @@ class Database(VersionReads, SessionHost):
         """
         report = self.last_recovery
         tombstones = report.gc_tombstones if report is not None else ()
-        faults.fire("gc.repair.pre")
+        probe.point("gc.repair.pre")
         if not self._in_doubt:
             for key in tombstones:
                 if self._store.blob_refcount(key) == 0:
                     self._store.blobs.unlink(key)
                     self._store.drop_blob_entry(key)
-        faults.fire("gc.repair.post")
+        probe.point("gc.repair.post")
         if tombstones:
             self._write_back()
 
@@ -547,7 +546,7 @@ class Database(VersionReads, SessionHost):
         return txn
 
     def _txn_finished(self, txn: Transaction) -> None:
-        hooks.sched_point("txn.finish")
+        probe.point("txn.finish")
         with self._txn_mutex:
             self._active.pop(txn.txid, None)
         sess = txn.session
@@ -558,7 +557,7 @@ class Database(VersionReads, SessionHost):
             # retain every displaced entry forever.
             txn.snapshot.close()
             txn.snapshot = None
-        if faults.is_crashed():
+        if probe.crashed():
             # A simulated process death: the "dead" process must touch
             # nothing further (no reload I/O, no checkpoint).  Locks were
             # already released by commit/abort cleanup.
@@ -895,18 +894,18 @@ class Database(VersionReads, SessionHost):
             return (len(eligible), sum(sizes[key][1] for key in eligible), remaining)
         freed = 0
         if eligible:
-            faults.fire("gc.tombstone.pre")
+            probe.point("gc.tombstone.pre")
             payload = serialization.encode(tuple(eligible))
             self._log.append(LogRecord(GC_TOMBSTONE, 0, payload=payload))
             self._log.flush()
-            faults.fire("gc.tombstone.post")
+            probe.point("gc.tombstone.post")
         for key in eligible:
-            faults.fire("gc.unlink.pre")
+            probe.point("gc.unlink.pre")
             freed += store.blobs.unlink(key)
-            faults.fire("gc.unlink.post")
-            faults.fire("gc.index.pre")
+            probe.point("gc.unlink.post")
+            probe.point("gc.index.pre")
             store.drop_blob_entry(key)
-            faults.fire("gc.index.post")
+            probe.point("gc.index.post")
         # Dead frames are only space: bound them (no journal), and retire
         # the packs that emptied once the copies are synced.
         store.blobs.compact()
@@ -1130,6 +1129,5 @@ class Database(VersionReads, SessionHost):
             stats.update(source())
         # Injected-fault counters (zero outside fault-injection runs); the
         # injector is process-global, so these are not per-database.
-        for key, value in faults.stats().items():
-            stats[key.replace("faults_", "faults.", 1)] = value
+        stats.update(probe.stats())
         return stats

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import Any, TypeVar
 
-from repro.errors import SerializationError
-from repro.storage.serialization import lookup_type, register_type
+from repro.storage.serialization import register_type
 
 T = TypeVar("T", bound=type)
 
@@ -42,24 +41,6 @@ def persistent(cls: T | None = None, *, name: str | None = None) -> Any:
             return register_type(klass, name)
         return apply
     return register_type(cls, name)
-
-
-def persistent_once(name: str) -> Any:
-    """``@persistent(name=...)`` for a module whose body may run twice.
-
-    ``python -m repro.tools.<tool>`` runs the tool's module a second time
-    as ``__main__`` after the package import already ran it; the second
-    definition gives way to the registered class, so encode and decode
-    stay consistent.
-    """
-
-    def apply(cls: T) -> T:
-        try:
-            return register_type(cls, name)
-        except SerializationError:
-            return lookup_type(name)
-
-    return apply
 
 
 class PersistentObject:

@@ -45,13 +45,13 @@ import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
+from repro import probe
 from repro.errors import (
     DeadlockError,
     LockTimeoutError,
     SessionStateError,
     TransactionAborted,
 )
-from repro.storage import faults
 
 if TYPE_CHECKING:
     from repro.core.database import Database
@@ -377,7 +377,7 @@ class SessionHost:
             if txn.state == "active":
                 txn.commit()
         except BaseException:
-            if txn.state == "active" and not txn.decided and not faults.is_crashed():
+            if txn.state == "active" and not txn.decided and not probe.crashed():
                 try:
                     txn.abort()
                 except Exception:

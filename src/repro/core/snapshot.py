@@ -70,6 +70,7 @@ import threading
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro import probe
 from repro.errors import (
     DanglingReferenceError,
     ReadOnlySnapshotError,
@@ -80,7 +81,6 @@ from repro.core.identity import Oid, Vid, oid_value
 from repro.core.pointers import Ref, VersionRef, unwrap_ids
 from repro.core.surface import Target, VersionReads, oid_of, type_name_of
 from repro.storage import serialization
-from repro.verify import hooks
 
 if TYPE_CHECKING:
     from repro.core.store import VersionStore
@@ -234,7 +234,7 @@ class SnapshotRegistry:
         open and after an abort's full reload, when the live table was
         rebuilt wholesale.  Returns the (possibly unchanged) epoch.
         """
-        hooks.sched_point("snap.publish")
+        probe.point("snap.publish")
         with self._lock:
             dirty = store._dirty_oids
             if full:
@@ -302,7 +302,7 @@ class SnapshotRegistry:
 
     def pin(self, store: "VersionStore", index_source: Any = None) -> "Snapshot":
         """Pin the current epoch; the snapshot stays readable until closed."""
-        hooks.sched_point("snap.pin")
+        probe.point("snap.pin")
         with self._lock:
             self.pins += 1
             snap = Snapshot(
@@ -312,7 +312,7 @@ class SnapshotRegistry:
             return snap
 
     def unpin(self, snap: "Snapshot") -> None:
-        hooks.sched_point("snap.unpin")
+        probe.point("snap.unpin")
         with self._lock:
             if self._pinned.pop(id(snap), None) is not None:
                 self.reclaimed += 1
@@ -426,7 +426,7 @@ class Snapshot(VersionReads):
 
     def materialize(self, vid: Vid) -> Any:
         """Decode a fresh copy of the version as of this snapshot."""
-        hooks.sched_point("snap.read")
+        probe.point("snap.read")
         entry = self._deref_entry(vid.oid)
         if vid.serial not in entry.graph:
             raise DanglingReferenceError(f"version {vid!r} no longer exists")
@@ -450,7 +450,7 @@ class Snapshot(VersionReads):
     def read_attr(self, vid: Vid, name: str) -> Any:
         """Attribute-read fast path over shared decodes: the entry's memo
         for its latest serial, the store's decoded cache for any other."""
-        hooks.sched_point("snap.read")
+        probe.point("snap.read")
         entry = self._deref_entry(vid.oid)
         if vid.serial not in entry.graph:
             raise DanglingReferenceError(f"version {vid!r} no longer exists")
@@ -468,7 +468,7 @@ class Snapshot(VersionReads):
         request, so the oid -> entry probe, the epoch counter bump and
         the decode lookup are fused into a single pass.
         """
-        hooks.sched_point("snap.read")
+        probe.point("snap.read")
         entry = self._deref_entry(oid)
         obj = self._latest_decoded(entry)
         self._registry.lockfree_hits += 1

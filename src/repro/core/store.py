@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
+from repro import probe
 from repro.errors import (
     BlobError,
     DanglingReferenceError,
@@ -61,7 +62,6 @@ from repro.storage.catalog import Catalog
 from repro.storage.delta import apply_delta, compute_delta
 from repro.storage.heap import HeapFile, LogOp, Rid
 from repro.storage.wal import PAYLOAD
-from repro.verify import hooks
 
 #: Heap names used by the store.
 OBJECTS_HEAP = "ode.objects"
@@ -824,7 +824,7 @@ class VersionStore(VersionReads):
         """
         self._mutable_graph(entry)  # copy-on-write before node kinds change
         children = self._stash_rebased(entry, serial)
-        hooks.sched_point("store.rewrite.stashed")
+        probe.point("store.rewrite.stashed")
         kind_changed = self._reencode(entry, serial, content, log_op)
         # The version's content changed: its decoded copy is stale.  The
         # children's stay valid (only their encoding changes).
@@ -898,7 +898,7 @@ class VersionStore(VersionReads):
         the live ``obj`` is not kept -- all later access goes through the
         returned reference.  The object starts with one version.
         """
-        hooks.sched_point("store.pnew")
+        probe.point("store.pnew")
         type_name = serialization.registered_name(type(obj))
         if type_name is None:
             # Version orthogonality in practice: pnew accepts any object.
@@ -936,7 +936,7 @@ class VersionStore(VersionReads):
         variants (alternatives).  The new version starts with the base's
         contents and becomes the object's latest.
         """
-        hooks.sched_point("store.newversion")
+        probe.point("store.newversion")
         base_vid = self._vid_of(target)
         entry = self._entry(base_vid.oid)
         graph = self._mutable_graph(entry)
@@ -954,7 +954,7 @@ class VersionStore(VersionReads):
 
     def pdelete(self, target: Ref | VersionRef | Oid | Vid, log_op: LogOp | None = None) -> None:
         """Delete an object (all versions) or one version (paper §4.4)."""
-        hooks.sched_point("store.pdelete")
+        probe.point("store.pdelete")
         ident = plain_id(target)
         if isinstance(ident, Oid):
             self._delete_object(ident, log_op)
@@ -1045,7 +1045,7 @@ class VersionStore(VersionReads):
         Paper §4.2 separates mutating a version from creating one:
         ``newversion`` is always explicit.
         """
-        hooks.sched_point("store.write")
+        probe.point("store.write")
         entry = self._table.get(vid.oid)
         if entry is None:
             raise DanglingReferenceError(f"object {vid.oid!r} no longer exists")

@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import TYPE_CHECKING, Callable
 
+from repro import probe
 from repro.errors import DeadlockError, LockTimeoutError, TransactionStateError
-from repro.storage import faults
-from repro.verify import hooks
 from repro.storage.wal import (
     ABORT_END,
     BEGIN,
@@ -57,10 +55,6 @@ EXCLUSIVE = "X"
 ACTIVE = "active"
 COMMITTED = "committed"
 ABORTED = "aborted"
-
-
-#: Number of recent lock-wait durations kept for latency percentiles.
-_WAIT_SAMPLE_CAP = 8192
 
 
 class LockManager:
@@ -112,8 +106,8 @@ class LockManager:
         #: Optional callback txid -> work done (e.g. ops logged); the
         #: victim choice prefers the transaction with the least work.
         self.work_of: Callable[[int], int] | None = None
-        #: Recent wait durations (seconds), for p99 latency assertions.
-        self.wait_samples: deque[float] = deque(maxlen=_WAIT_SAMPLE_CAP)
+        #: Wait durations (seconds), for p99 latency assertions.
+        self.waits_s = probe.Histogram()
         self.deadlocks_detected = 0
         self.victims_aborted = 0
         self.timeouts = 0
@@ -204,7 +198,7 @@ class LockManager:
             victim = self._choose_victim(cycle)
             self._victims[victim] = cycle
             self._cond.notify_all()
-            hooks.sched_notify()
+            probe.notify()
             if victim == txid:
                 return  # the caller itself is dying; its edges die with it
 
@@ -264,11 +258,11 @@ class LockManager:
                         raise LockTimeoutError(
                             f"txn {txid} timed out waiting for {mode} on {resource!r}"
                         )
-                    hooks.cond_wait(self._cond, remaining)
+                    probe.wait(self._cond, remaining)
             finally:
                 waited = time.monotonic() - wait_start
                 self.wait_time_total += waited
-                self.wait_samples.append(waited)
+                self.waits_s.record(waited)
                 waiters = self._waiters.get(resource)
                 if waiters is not None:
                     waiters.pop(txid, None)
@@ -280,7 +274,7 @@ class LockManager:
                 # Readers held back by this waiter (writer priority) and
                 # detectors must re-check, whether we acquired or failed.
                 self._cond.notify_all()
-                hooks.sched_notify()
+                probe.notify()
 
     def release_all(self, txid: int) -> None:
         """Release every lock held by ``txid`` (commit/abort time)."""
@@ -294,7 +288,7 @@ class LockManager:
                 del self._holders[resource]
             self._victims.pop(txid, None)
             self._cond.notify_all()
-        hooks.sched_notify()
+        probe.notify()
 
     def covers(self, txid: int, resource: object, mode: str) -> bool:
         """True if the lock ``txid`` already holds satisfies ``mode``."""
@@ -329,12 +323,9 @@ class LockManager:
                 )
 
     def wait_p99(self) -> float:
-        """99th-percentile recent lock-wait latency in seconds (0.0 if none)."""
+        """99th-percentile lock-wait latency in seconds (0.0 if none)."""
         with self._cond:
-            samples = sorted(self.wait_samples)
-        if not samples:
-            return 0.0
-        return samples[min(len(samples) - 1, int(len(samples) * 0.99))]
+            return self.waits_s.quantile(0.99)
 
     def stats(self) -> dict[str, object]:
         """Namespaced counters for ``Database.stats()`` (``locks.*``)."""
@@ -493,10 +484,10 @@ class Transaction:
         # Yield only on acquisitions that could change the lock table --
         # re-acquires of covered locks are invisible to other threads and
         # would only blow up the explorer's decision tree.
-        if hooks.attached() is not None and not self._locks.covers(
+        if probe.attached() is not None and not self._locks.covers(
             self.txid, resource, mode
         ):
-            hooks.sched_point("txn.lock")
+            probe.point("txn.lock")
         self._locks.acquire(self.txid, resource, mode, timeout=self.lock_timeout)
 
     # -- savepoints ------------------------------------------------------------
@@ -553,7 +544,7 @@ class Transaction:
             raise TransactionStateError(
                 f"transaction {self.txid} is already prepared"
             )
-        hooks.sched_point("txn.prepare")
+        probe.point("txn.prepare")
         self._log.append(LogRecord(PREPARE, self.txid, payload=meta))
         self.prepared = True
 
@@ -578,7 +569,7 @@ class Transaction:
         the caller to retry or restart recovery to resolve.
         """
         self._require_active()
-        hooks.sched_point("txn.commit")
+        probe.point("txn.commit")
         try:
             self.commit_seq = self._log.append(LogRecord(COMMIT, self.txid))
             if not self.prepared:
@@ -587,7 +578,7 @@ class Transaction:
             if self.prepared:
                 raise
             try:
-                if not faults.is_crashed():
+                if not probe.crashed():
                     self.abort()
             except BaseException:
                 pass  # the commit's own error is the one to surface
@@ -600,7 +591,7 @@ class Transaction:
                     self.state = ABORTED
                     self._finish()
             raise
-        hooks.sched_point("txn.commit.durable")
+        probe.point("txn.commit.durable")
         self.state = COMMITTED
         self._finish()
 
@@ -623,7 +614,7 @@ class Transaction:
                 f"transaction {self.txid} is prepared; only its coordinator "
                 "(or restart recovery) may decide its fate"
             )
-        hooks.sched_point("txn.abort")
+        probe.point("txn.abort")
         try:
             if self._storage_mutex is not None:
                 with self._storage_mutex:
@@ -647,7 +638,7 @@ class Transaction:
         undo_operations(records, self._heap_resolver, self._log, self.txid)
 
     def _finish(self) -> None:
-        hooks.sched_point("txn.release")
+        probe.point("txn.release")
         self._locks.release_all(self.txid)
         self._on_finish(self)
 

@@ -31,9 +31,9 @@ seeded in the plan, and chunk/connection ordinals are deterministic for
 a deterministic workload.  Scripted one-shots (``kill_conn``,
 ``partition_at``) need no randomness at all.
 
-Fault-registry composition: the proxy visits the ``net.proxy.*``
-failpoints (:data:`repro.storage.faults.FAILPOINTS`) on accept and on
-every forwarded chunk, so a crashmatrix-style :class:`~repro.storage.
+Fault-registry composition: the proxy visits the ``net.proxy.*`` error
+points (:data:`repro.probe.POINTS`) on accept and on every forwarded
+chunk, so a crashmatrix-style :class:`~repro.storage.
 faults.FaultPlan` can compose disk and network faults in one scenario --
 e.g. crash the process at the exact moment a commit acknowledgement
 crosses the wire, or inject an :class:`~repro.storage.faults.
@@ -51,6 +51,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import probe
 from repro.errors import NetworkError
 from repro.storage import faults
 
@@ -331,7 +332,7 @@ class ChaosProxy:
         self.stats.conns_total += 1
         script = self.plan._scripts.get(ordinal)
         try:
-            faults.fire("net.proxy.accept")
+            probe.point("net.proxy.accept")
         except faults.InjectedFaultError:
             script = _ConnScript(refuse=True)
         if self._partitioned or (script is not None and script.refuse):
@@ -384,7 +385,7 @@ class ChaosProxy:
                     self.stats.bytes_blackholed += len(data)
                     continue
                 try:
-                    faults.fire(failpoint)
+                    probe.point(failpoint)
                 except faults.InjectedFaultError:
                     self.stats.conns_killed += 1
                     link.kill()

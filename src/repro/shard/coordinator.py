@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
+from repro import probe
 from repro.errors import ShardUnavailableError, TransactionStateError
 from repro.storage import faults, serialization
 
@@ -307,10 +308,10 @@ def commit_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
                 gtxn.locals[idx].prepare(meta)
             if idx != coordinator:
                 router.shards[idx].flush_log()  # a remote writer's one force
-            faults.fire("shard.2pc.post_prepare")
+            probe.point("shard.2pc.post_prepare")
 
         try:
-            faults.fire("shard.2pc.pre_prepare")
+            probe.point("shard.2pc.pre_prepare")
             # Phase one: the other writers make their promise durable,
             # scattered across the shard executor (fsync releases the GIL,
             # so the cost is the slowest flush, not their sum).  The
@@ -319,7 +320,7 @@ def commit_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
             error = _scatter_prepares(router, parts, _prepare_one)
             if error is not None:
                 raise error
-            faults.fire("shard.2pc.pre_decision")
+            probe.point("shard.2pc.pre_decision")
             # Held from before the verdict shows in the shard's decision
             # table, so nothing ever finds it unaccounted for.
             gtxn.held = HeldVerdict(
@@ -337,7 +338,7 @@ def commit_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
             # ran or failed before its fsync): presumed abort.  A
             # simulated crash skips the cleanup -- a dead process aborts
             # nothing, that is what restart resolution is for.
-            if not faults.is_crashed():
+            if not probe.crashed():
                 with router._held_mutex:
                     router._held.pop(gtxid, None)
                 try:
@@ -347,7 +348,7 @@ def commit_global(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None:
             raise
         gtxn.decided = True
         counters["decisions"] += 1
-        faults.fire("shard.2pc.post_decision")
+        probe.point("shard.2pc.post_decision")
 
         _deliver_verdict(router, gtxn)
     finally:
@@ -408,7 +409,7 @@ def _deliver_verdict(router: "ShardedDatabase", gtxn: GlobalTransaction) -> None
                 txn.commit()
             gtxn.held.marks[idx] = (gtxn.local_gens[idx], txn.commit_seq)
             router._twopc_counters["lazy_commits"] += 1
-            faults.fire("shard.2pc.post_ack")
+            probe.point("shard.2pc.post_ack")
     gtxn.state = COMMITTED
 
 
@@ -442,7 +443,7 @@ def release_verdicts(router: "ShardedDatabase") -> list[HeldVerdict]:
                 lag is None or lag > 0 for lag in lags
             ):
                 continue
-            faults.fire("shard.2pc.pre_forget")
+            probe.point("shard.2pc.pre_forget")
             router.shards[held.coordinator].forget_coordinator_decision(held.gtxid)
             del router._held[held.gtxid]
             router._twopc_counters["forgets"] += 1

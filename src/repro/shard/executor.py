@@ -38,7 +38,9 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
+
+from repro import probe
 
 __all__ = ["ShardExecutor"]
 
@@ -51,10 +53,6 @@ _MAX_WORKERS = 16
 #: disappear promptly.  Read when a worker goes idle, so a test can
 #: patch it.
 _IDLE_TIMEOUT = 5.0
-
-#: Queue-wait samples retained for the p99 (ring buffer; stats are a
-#: health probe, not a ledger).
-_WAIT_SAMPLES = 1024
 
 _pool_ids = itertools.count(1)
 
@@ -111,7 +109,7 @@ class ShardExecutor:
         self._tasks = 0
         self._max_concurrency = 0
         self._workers_spawned = 0
-        self._waits_ms: deque[float] = deque(maxlen=_WAIT_SAMPLES)
+        self._waits_ms = probe.Histogram()
 
     # -- worker-side ---------------------------------------------------------
 
@@ -147,7 +145,7 @@ class ShardExecutor:
                     self._running += 1
                     if self._running > self._max_concurrency:
                         self._max_concurrency = self._running
-                    self._waits_ms.append(
+                    self._waits_ms.record(
                         (time.monotonic() - task.enqueued_at) * 1000.0
                     )
                 try:
@@ -256,16 +254,9 @@ class ShardExecutor:
     def closed(self) -> bool:
         return self._closed
 
-    def _wait_p99_ms(self, waits: Iterable[float]) -> float:
-        ordered = sorted(waits)
-        if not ordered:
-            return 0.0
-        return ordered[int(0.99 * (len(ordered) - 1))]
-
     def stats(self) -> dict[str, Any]:
         """``shard.exec.*`` counters for the router's :meth:`stats`."""
         with self._lock:
-            waits = list(self._waits_ms)
             return {
                 "shard.exec.size": self.size,
                 "shard.exec.tasks": self._tasks,
@@ -273,7 +264,7 @@ class ShardExecutor:
                 "shard.exec.workers_spawned": self._workers_spawned,
                 "shard.exec.max_concurrency": self._max_concurrency,
                 "shard.exec.queue_wait_p99_ms": round(
-                    self._wait_p99_ms(waits), 3
+                    self._waits_ms.quantile(0.99), 3
                 ),
             }
 

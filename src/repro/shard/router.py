@@ -41,6 +41,7 @@ import random
 import threading
 from typing import Any, Callable, Iterator
 
+from repro import probe
 from repro.core.database import Database
 from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref, VersionRef
@@ -762,7 +763,8 @@ class ShardedDatabase(VersionReads, SessionHost):
         """Aggregated counters: shard-summed kernel stats plus ``shard.*``.
 
         Numeric keys from each shard's :meth:`Database.stats` are summed
-        (``wal.flushes`` is the fleet total, and so on); the router adds
+        (``wal.flushes`` is the fleet total, and so on) except the
+        process-wide ``faults.*``; the router adds
         ``shard.count`` and the 2PC protocol counters under
         ``shard.2pc.*``.
         """
@@ -804,6 +806,8 @@ class ShardedDatabase(VersionReads, SessionHost):
                     continue
                 agg[key] = agg.get(key, 0) + value
         stats.update(agg)
+        # The fault counters are process-wide: read once, not once per shard.
+        stats.update(probe.stats())
         # The router's own run_transaction bookkeeping, on top of the
         # shards' (a shard counts only retry loops run directly on it).
         for key, value in self._resilience.as_dict().items():
@@ -960,7 +964,7 @@ class RouterSession(ClientSession):
         if self.closed:
             return
         self.closed = True
-        if faults.is_crashed():
+        if probe.crashed():
             # Simulated process death: the dead process touches nothing.
             return
         gtxn = self.txn

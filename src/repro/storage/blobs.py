@@ -83,8 +83,8 @@ import threading
 import zlib
 from typing import Callable
 
+from repro import probe
 from repro.errors import BlobCorruptError, BlobError, BlobMissingError
-from repro.storage import faults
 
 #: Version-record marker: a heap record in ``ode.versions`` that starts
 #: with this magic is a blob *reference*, not inline payload bytes.  The
@@ -182,7 +182,7 @@ class _Pack:
         self.superseded: dict[str, int] = {}
 
     def write(self, data: bytes) -> None:
-        """Write ``data`` at the end of the frames (``faults.write`` file)."""
+        """Write ``data`` at the end of the frames (``probe.write`` file)."""
         fd, view, at = self.file.fileno(), memoryview(data), self.size
         while view:
             done = os.pwrite(fd, view, at)
@@ -330,9 +330,9 @@ class BlobStore:
             self._next_id += 1
             self.stats.packs_created += 1
         try:
-            faults.write("blobs.append", pack, frame)
+            probe.write("blobs.append", pack, frame)
         except BaseException:
-            if not faults.is_crashed():
+            if not probe.crashed():
                 # No partial frame may precede a retried one (the WAL's
                 # failed-write repair); should the truncate fail too, the
                 # next append still overwrites from this same offset.
@@ -432,7 +432,7 @@ class BlobStore:
 
     def _sync(self) -> None:
         if self._appended != self._synced:
-            faults.fire("blobs.sync.fsync")
+            probe.point("blobs.sync.fsync")
             os.fsync(self._active.file.fileno())
             self.stats.syncs += 1
             self._synced = self._appended
@@ -443,12 +443,12 @@ class BlobStore:
             finally:
                 os.close(fd)
             self._dir_synced = self.stats.packs_created
-        if not faults.is_crashed():  # a dead process deletes nothing
+        if not probe.crashed():  # a dead process deletes nothing
             for done in list(self._retiring):
                 os.unlink(done.path)
                 done.file.close()
                 self._retiring.remove(done)
-                faults.fire("blobs.compact.retired")
+                probe.point("blobs.compact.retired")
 
     def unsynced_tail(self) -> tuple[str | None, int]:
         """The active pack's path and the length of it an fsync covers:
@@ -535,4 +535,4 @@ class BlobStore:
                 self._packs.remove(pack)
                 self._retiring.append(pack)
         self.stats.compactions += 1
-        faults.fire("blobs.compact.copied")
+        probe.point("blobs.compact.copied")

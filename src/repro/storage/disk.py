@@ -18,8 +18,8 @@ import struct
 import threading
 from typing import Callable
 
+from repro import probe
 from repro.errors import DiskError
-from repro.storage import faults
 from repro.storage.pages import PAGE_SIZE
 
 _MAGIC = b"ODEPYDB1"
@@ -101,14 +101,14 @@ class DiskManager:
             )
 
     def _write_meta(self) -> None:
-        faults.fire("disk.write_meta.pre")
+        probe.point("disk.write_meta.pre")
         buf = bytearray(PAGE_SIZE)
         _META.pack_into(buf, 0, _MAGIC, _FORMAT_VERSION, self._free_head, self._num_pages)
         self._file.seek(0)
         # A torn meta write is survivable by layout: the magic/version bytes
         # are rewritten with identical values, and free_head/num_pages only
         # ever lose an update (the file itself was already extended first).
-        faults.write("disk.write_meta.write", self._file, bytes(buf))
+        probe.write("disk.write_meta.write", self._file, bytes(buf))
 
     # -- properties ------------------------------------------------------------
 
@@ -126,7 +126,7 @@ class DiskManager:
 
     def allocate_page(self) -> int:
         """Allocate a fresh zeroed page and return its page id."""
-        faults.fire("disk.allocate.pre")
+        probe.point("disk.allocate.pre")
         with self._lock:
             if self._free_head != _NO_PAGE:
                 page_id = self._free_head
@@ -143,7 +143,7 @@ class DiskManager:
                 self._file.seek(page_id * PAGE_SIZE)
                 self._file.write(bytes(PAGE_SIZE))
                 self._write_meta()
-        faults.fire("disk.allocate.post")
+        probe.point("disk.allocate.post")
         return page_id
 
     def ensure_allocated(self, page_id: int) -> None:
@@ -155,7 +155,7 @@ class DiskManager:
         """
         if page_id == META_PAGE_ID:
             raise DiskError("page 0 is reserved for the disk manager")
-        faults.fire("disk.ensure_allocated")
+        probe.point("disk.ensure_allocated")
         with self._lock:
             if page_id < self._num_pages:
                 return
@@ -166,7 +166,7 @@ class DiskManager:
     def free_page(self, page_id: int) -> None:
         """Return ``page_id`` to the free list.  The caller must not reuse it."""
         self._check_page_id(page_id)
-        faults.fire("disk.free_page")
+        probe.point("disk.free_page")
         with self._lock:
             buf = bytearray(PAGE_SIZE)
             _FREE_LINK.pack_into(buf, 0, self._free_head)
@@ -190,17 +190,17 @@ class DiskManager:
         self._check_page_id(page_id)
         if len(data) != PAGE_SIZE:
             raise DiskError(f"page write must be {PAGE_SIZE} bytes, got {len(data)}")
-        faults.fire("disk.write_page.pre")
+        probe.point("disk.write_page.pre")
         try:
             with self._lock:
                 self._file.seek(page_id * PAGE_SIZE)
-                faults.write("disk.write_page.write", self._file, bytes(data))
+                probe.write("disk.write_page.write", self._file, bytes(data))
         except OSError:
             self.note_failure("data-file page write failed")
             raise
         else:
             self._note_success()
-        faults.fire("disk.write_page.post")
+        probe.point("disk.write_page.post")
 
     def _check_page_id(self, page_id: int) -> None:
         if page_id == META_PAGE_ID:
@@ -213,11 +213,11 @@ class DiskManager:
     def sync(self) -> None:
         """fsync the database file."""
         try:
-            faults.fire("disk.sync.pre")
+            probe.point("disk.sync.pre")
             self._file.flush()
-            faults.fire("disk.sync.fsync")
+            probe.point("disk.sync.fsync")
             os.fsync(self._file.fileno())
-            faults.fire("disk.sync.post")
+            probe.point("disk.sync.post")
         except OSError:
             self.note_failure("data-file fsync failed")
             raise

@@ -3,22 +3,24 @@
 Crash consistency is the paper's whole persistence promise (§6: persistent
 objects "continue to exist after the program that created them has
 terminated"), and it cannot be tested by waiting for real crashes.  This
-module provides *failpoints*: named hooks threaded through the disk
-manager, WAL, heap, and page layers at every boundary where a process
-death or an I/O failure changes what reaches stable storage.  A test (or
-the crash-matrix runner in :mod:`repro.tools.crashmatrix`) arms a
-:class:`FaultPlan`, runs a workload, and the plan deterministically fires
-one fault at a chosen hit of a chosen failpoint.
+module provides the fault injector: the observer of the probe plane
+(:mod:`repro.probe`) that acts at its crash, write and error points --
+every boundary in the disk manager, WAL, heap, page, pack, GC and 2PC
+code where a process death or an I/O failure changes what reaches stable
+storage.  A test (or the crash-matrix runner in
+:mod:`repro.tools.crashmatrix`) attaches ``FaultInjector(plan)``, runs a
+workload, and the plan deterministically fires one fault at a chosen hit
+of a chosen point.
 
 Supported fault actions:
 
 * ``crash`` -- raise :class:`SimulatedCrash` and put the injector into the
-  *crashed* state: every subsequent failpoint (i.e. every subsequent
-  mutating I/O in the process) also raises, so nothing can touch the disk
+  *crashed* state: every subsequent crash, write or error point (every
+  subsequent mutating I/O in the process) also raises, so nothing can touch the disk
   after the "process died".  The test then reopens the database directory
   the way a restarted process would.
-* ``torn_write`` -- at a write-site failpoint, write only a prefix of the
-  buffer (byte granularity) and then crash: the worst-case outcome of a
+* ``torn_write`` -- at a write point, write only a prefix of the buffer
+  (byte granularity) and then crash: the worst-case outcome of a
   real crash in the middle of a ``write(2)``.
 * ``short_write`` -- write only a prefix and raise
   :class:`InjectedFaultError` *without* crashing: the process survives and
@@ -37,11 +39,10 @@ assumed atomic at page granularity (the classic ARIES assumption absent
 full-page logging); the WAL needs no such assumption because its frame
 CRCs detect arbitrary tears.
 
-The injector is installed process-globally (:func:`activate` /
-:func:`deactivate`) so the storage layers need no constructor plumbing;
-determinism comes from the plan itself -- a named failpoint plus a hit
-ordinal is reproducible for a deterministic workload.  When no injector is
-active every hook is a single global load and ``None`` check.
+Attach it with ``probe.attach(FaultInjector(plan))`` and remove it with
+``probe.detach()``: the storage layers need no constructor plumbing, and
+determinism comes from the plan itself -- a named point plus a hit
+ordinal is reproducible for a deterministic workload.
 """
 
 from __future__ import annotations
@@ -49,22 +50,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-__all__ = [
-    "FAILPOINTS",
-    "WRITE_FAILPOINTS",
-    "ERROR_FAILPOINTS",
-    "SimulatedCrash",
-    "InjectedFaultError",
-    "FaultPlan",
-    "FaultInjector",
-    "activate",
-    "deactivate",
-    "active",
-    "fire",
-    "write",
-    "is_crashed",
-    "stats",
-]
+from repro import probe
+
+__all__ = ["SimulatedCrash", "InjectedFaultError", "FaultPlan", "FaultInjector"]
 
 
 class SimulatedCrash(BaseException):
@@ -80,105 +68,12 @@ class InjectedFaultError(OSError):
     """An injected I/O failure (failed write or fsync) the caller observes."""
 
 
-#: Crash-site failpoints: a plain :func:`fire` call at a code boundary.
-FAILPOINTS: tuple[str, ...] = (
-    # -- WAL (repro.storage.wal) ------------------------------------------
-    "wal.append",
-    "wal.flush.pre_write",
-    "wal.flush.write",
-    "wal.flush.post_write",
-    "wal.flush.pre_fsync",
-    "wal.flush.fsync",
-    "wal.flush.post_fsync",
-    "wal.truncate.pre",
-    "wal.truncate.post",
-    # -- disk manager (repro.storage.disk) --------------------------------
-    "disk.write_page.pre",
-    "disk.write_page.write",
-    "disk.write_page.post",
-    "disk.write_meta.pre",
-    "disk.write_meta.write",
-    "disk.allocate.pre",
-    "disk.allocate.post",
-    "disk.free_page",
-    "disk.ensure_allocated",
-    "disk.sync.pre",
-    "disk.sync.fsync",
-    "disk.sync.post",
-    # -- heap files (repro.storage.heap) -----------------------------------
-    "heap.insert.pre",
-    "heap.insert.post",
-    "heap.update.pre",
-    "heap.update.post",
-    "heap.delete.pre",
-    "heap.delete.post",
-    "heap.span.fragment",
-    "heap.replay_insert",
-    "heap.replay_delete",
-    # -- slotted pages (repro.storage.pages) --------------------------------
-    "page.compact",
-    "page.update.grow",
-    # -- cross-shard two-phase commit (repro.shard.coordinator) -------------
-    "shard.2pc.pre_prepare",
-    "shard.2pc.post_prepare",
-    "shard.2pc.pre_decision",
-    "shard.2pc.post_decision",
-    "shard.2pc.post_ack",
-    "shard.2pc.pre_forget",
-    # -- network chaos proxy (repro.net.chaos) ------------------------------
-    # Visited by the proxy as it accepts and forwards traffic, so one
-    # FaultPlan can compose disk faults with network moments: crash the
-    # "process" exactly when a byte crosses the wire, or fire an
-    # InjectedFaultError (the proxy turns it into a dropped connection).
-    "net.proxy.accept",
-    "net.proxy.forward.c2s",
-    "net.proxy.forward.s2c",
-    # -- online GC protocol windows (repro.core.gc) -------------------------
-    # Every step of the reclaim protocol is bracketed: crash before the
-    # tombstone is durable (nothing happened), between tombstone and
-    # unlink (recovery repair finishes the unlink), between unlink and
-    # index delete (repair drops the stale index entry), and inside the
-    # recovery repair itself (the double-crash scenarios).
-    "gc.tombstone.pre",
-    "gc.tombstone.post",
-    "gc.unlink.pre",
-    "gc.unlink.post",
-    "gc.index.pre",
-    "gc.index.post",
-    "gc.repair.pre",
-    "gc.repair.post",
-    # -- pack files (repro.storage.blobs) -----------------------------------
-    # A frame append, the pack fsync (write-back, seal, reclaim), and the
-    # two halves of compaction: survivors copied forward, pack deleted.
-    "blobs.append",
-    "blobs.sync.fsync",
-    "blobs.compact.copied",
-    "blobs.compact.retired",
-)
-
-#: Failpoints that wrap an actual file write (torn/short writes possible).
-WRITE_FAILPOINTS: frozenset[str] = frozenset(
-    {"wal.flush.write", "disk.write_page.write", "disk.write_meta.write", "blobs.append"}
-)
-
-#: Failpoints that may raise a survivable :class:`InjectedFaultError`
-#: instead of crashing: fsync stand-ins, plus the chaos proxy's forward
-#: points (where the error means "this connection just died").
-ERROR_FAILPOINTS: frozenset[str] = frozenset(
-    {
-        "wal.flush.fsync",
-        "disk.sync.fsync",
-        "blobs.sync.fsync",
-        "net.proxy.accept",
-        "net.proxy.forward.c2s",
-        "net.proxy.forward.s2c",
-    }
-)
-
 _CRASH = "crash"
 _TORN = "torn_write"
 _SHORT = "short_write"
 _FSYNC_ERROR = "fsync_error"
+
+_FAULT_KINDS = (probe.CRASH, probe.WRITE, probe.ERROR)
 
 
 @dataclass(frozen=True)
@@ -209,9 +104,9 @@ class Fault:
 class FaultPlan:
     """A deterministic set of faults, at most one per failpoint.
 
-    All arming methods validate the failpoint name against
-    :data:`FAILPOINTS` (catching typos loudly) and return ``self`` so
-    plans read as chains::
+    All arming methods validate the name and its kind against
+    :data:`repro.probe.POINTS` (catching typos loudly) and return ``self``
+    so plans read as chains::
 
         plan = FaultPlan().crash("wal.flush.pre_fsync", hit=3)
     """
@@ -219,9 +114,12 @@ class FaultPlan:
     def __init__(self) -> None:
         self._faults: dict[str, Fault] = {}
 
-    def _arm(self, failpoint: str, fault: Fault) -> "FaultPlan":
-        if failpoint not in FAILPOINTS:
+    def _arm(self, failpoint: str, fault: Fault, *kinds: str) -> "FaultPlan":
+        kind = probe.POINTS.get(failpoint)
+        if kind not in _FAULT_KINDS:
             raise ValueError(f"unknown failpoint {failpoint!r}")
+        if kinds and kind not in kinds:
+            raise ValueError(f"{failpoint!r} is a {kind} point, not {' or '.join(kinds)}")
         if fault.hit < 1:
             raise ValueError("hit ordinal must be >= 1")
         if failpoint in self._faults:
@@ -234,10 +132,8 @@ class FaultPlan:
         return self._arm(failpoint, Fault(_CRASH, hit))
 
     def torn_write(self, failpoint: str, keep: int, hit: int = 1) -> "FaultPlan":
-        """Write ``keep`` bytes of the buffer, then die (write sites only)."""
-        if failpoint not in WRITE_FAILPOINTS:
-            raise ValueError(f"{failpoint!r} is not a write-site failpoint")
-        return self._arm(failpoint, Fault(_TORN, hit, keep))
+        """Write ``keep`` bytes of the buffer, then die (write points only)."""
+        return self._arm(failpoint, Fault(_TORN, hit, keep), probe.WRITE)
 
     def short_write(
         self, failpoint: str, keep: int, hit: int = 1, persistent: bool = False
@@ -246,9 +142,7 @@ class FaultPlan:
 
         ``persistent=True`` fails every write from the ``hit``-th on.
         """
-        if failpoint not in WRITE_FAILPOINTS:
-            raise ValueError(f"{failpoint!r} is not a write-site failpoint")
-        return self._arm(failpoint, Fault(_SHORT, hit, keep, persistent))
+        return self._arm(failpoint, Fault(_SHORT, hit, keep, persistent), probe.WRITE)
 
     def fsync_error(
         self, failpoint: str, hit: int = 1, persistent: bool = False
@@ -258,16 +152,14 @@ class FaultPlan:
         ``persistent=True`` models a dead disk: every fsync from the
         ``hit``-th on fails, which is the trigger for degraded mode.
         """
-        if failpoint not in ERROR_FAILPOINTS:
-            raise ValueError(f"{failpoint!r} is not an fsync failpoint")
-        return self._arm(failpoint, Fault(_FSYNC_ERROR, hit, 0, persistent))
+        return self._arm(failpoint, Fault(_FSYNC_ERROR, hit, 0, persistent), probe.ERROR)
 
     def error(
         self, failpoint: str, hit: int = 1, persistent: bool = False
     ) -> "FaultPlan":
-        """Raise :class:`InjectedFaultError` at a survivable error site.
+        """Raise :class:`InjectedFaultError` at a survivable error point.
 
-        The readable spelling for non-fsync error failpoints (the chaos
+        The readable spelling for non-fsync error points (the chaos
         proxy's ``net.proxy.*`` points, where the injected error means
         the connection died); mechanically identical to
         :meth:`fsync_error`.
@@ -283,12 +175,13 @@ class FaultPlan:
         return sorted(self._faults)
 
 
-class FaultInjector:
-    """Executes a :class:`FaultPlan` against the live failpoint stream.
+class FaultInjector(probe.Observer):
+    """Executes a :class:`FaultPlan` against the live probe stream.
 
+    It counts crash, write and error points and passes yield points by.
     Thread-safe: hit counting and the crashed flag are guarded by one
-    lock.  Once crashed, *every* subsequent failpoint visit raises
-    :class:`SimulatedCrash` -- the storage layers place a failpoint on
+    lock.  Once crashed, *every* subsequent crash, write or error point
+    raises :class:`SimulatedCrash` -- the storage layers place one on
     every mutating I/O path, so a dead process can no longer change the
     on-disk state (exactly like a real crash).
     """
@@ -335,8 +228,10 @@ class FaultInjector:
 
     # -- hook implementations ------------------------------------------------
 
-    def fire(self, failpoint: str) -> None:
-        """Visit a plain (non-write) failpoint."""
+    def point(self, failpoint: str) -> None:
+        """Visit a crash or error point; a yield point passes by."""
+        if probe.POINTS[failpoint] == probe.YIELD:
+            return
         with self._lock:
             fault = self._visit(failpoint)
             if fault is None:
@@ -348,7 +243,7 @@ class FaultInjector:
             self._die(failpoint, fault.action)
 
     def write(self, failpoint: str, file, data) -> None:
-        """Visit a write-site failpoint, performing (or mutilating) the write."""
+        """Visit a write point, performing (or mutilating) the write."""
         with self._lock:
             fault = self._visit(failpoint)
             if fault is None:
@@ -369,77 +264,13 @@ class FaultInjector:
             )
 
     def stats(self) -> dict[str, int]:
-        """Counters for ``Database.stats()`` / the crash-matrix report."""
+        """The ``faults.*`` counters of ``Database.stats()``."""
         with self._lock:
             return {
-                "faults_armed": len(self.plan.failpoints()),
-                "faults_hits": self.hits_total,
-                "faults_crashes": self.crashes,
-                "faults_torn_writes": self.torn_writes,
-                "faults_short_writes": self.short_writes,
-                "faults_fsync_errors": self.fsync_errors,
+                "faults.armed": len(self.plan.failpoints()),
+                "faults.hits": self.hits_total,
+                "faults.crashes": self.crashes,
+                "faults.torn_writes": self.torn_writes,
+                "faults.short_writes": self.short_writes,
+                "faults.fsync_errors": self.fsync_errors,
             }
-
-
-# -- process-global installation -------------------------------------------
-#
-# The storage layers call the module-level fire()/write(); tests install an
-# injector around a workload.  Inactive cost: one global load per hook.
-
-_active: FaultInjector | None = None
-
-
-def activate(plan: FaultPlan) -> FaultInjector:
-    """Install an injector for ``plan``; returns it for assertions."""
-    global _active
-    injector = FaultInjector(plan)
-    _active = injector
-    return injector
-
-
-def deactivate() -> None:
-    """Remove the active injector (always pair with :func:`activate`)."""
-    global _active
-    _active = None
-
-
-def active() -> FaultInjector | None:
-    """The currently installed injector, if any."""
-    return _active
-
-
-def fire(failpoint: str) -> None:
-    """Hook: visit a crash-site failpoint (no-op when inactive)."""
-    injector = _active
-    if injector is not None:
-        injector.fire(failpoint)
-
-
-def write(failpoint: str, file, data) -> None:
-    """Hook: write ``data`` to ``file`` through a write-site failpoint."""
-    injector = _active
-    if injector is None:
-        file.write(data)
-    else:
-        injector.write(failpoint, file, data)
-
-
-def is_crashed() -> bool:
-    """True once a crash fault has fired (error-path cleanup must not run)."""
-    injector = _active
-    return injector is not None and injector.crashed
-
-
-def stats() -> dict[str, int]:
-    """Injected-fault counters (all zero when no injector is active)."""
-    injector = _active
-    if injector is None:
-        return {
-            "faults_armed": 0,
-            "faults_hits": 0,
-            "faults_crashes": 0,
-            "faults_torn_writes": 0,
-            "faults_short_writes": 0,
-            "faults_fsync_errors": 0,
-        }
-    return injector.stats()

@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
+from repro import probe
 from repro.errors import HeapError, PageFullError, RecordNotFoundError
-from repro.storage import faults, serialization
+from repro.storage import serialization
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.pages import MAX_RECORD_PAYLOAD, SlottedPage
@@ -166,7 +167,7 @@ class HeapFile:
             self._page_locks.release(page_id)
 
     def _physical_insert(self, physical: bytes, log_op: LogOp | None) -> Rid:
-        faults.fire("heap.insert.pre")
+        probe.point("heap.insert.pre")
         page_id = self._find_page_for(len(physical))
         self._stripe_acquire(page_id)
         try:
@@ -180,7 +181,7 @@ class HeapFile:
             self._stripe_release(page_id)
         if log_op is not None:
             log_op(OP_INSERT, self._file_id, page_id, slot, physical, b"")
-        faults.fire("heap.insert.post")
+        probe.point("heap.insert.post")
         return Rid(page_id, slot)
 
     def _physical_read(self, rid: Rid) -> bytes:
@@ -197,7 +198,7 @@ class HeapFile:
             self._stripe_release(rid.page_id)
 
     def _physical_update(self, rid: Rid, physical: bytes, log_op: LogOp | None) -> None:
-        faults.fire("heap.update.pre")
+        probe.point("heap.update.pre")
         self._stripe_acquire(rid.page_id)
         try:
             page = self._pool.fetch(rid.page_id)
@@ -213,10 +214,10 @@ class HeapFile:
             self._stripe_release(rid.page_id)
         if log_op is not None:
             log_op(OP_UPDATE, self._file_id, rid.page_id, rid.slot, physical, old)
-        faults.fire("heap.update.post")
+        probe.point("heap.update.post")
 
     def _physical_delete(self, rid: Rid, log_op: LogOp | None) -> None:
-        faults.fire("heap.delete.pre")
+        probe.point("heap.delete.pre")
         self._stripe_acquire(rid.page_id)
         try:
             page = self._pool.fetch(rid.page_id)
@@ -232,7 +233,7 @@ class HeapFile:
             self._stripe_release(rid.page_id)
         if log_op is not None:
             log_op(OP_DELETE, self._file_id, rid.page_id, rid.slot, b"", old)
-        faults.fire("heap.delete.post")
+        probe.point("heap.delete.post")
 
     # -- logical record operations -------------------------------------------
     #
@@ -259,7 +260,7 @@ class HeapFile:
             return bytes([inline_marker]) + payload
         fragments: list[tuple[int, int]] = []
         for start in range(0, len(payload), _FRAGMENT_CHUNK):
-            faults.fire("heap.span.fragment")
+            probe.point("heap.span.fragment")
             chunk = payload[start : start + _FRAGMENT_CHUNK]
             frag_rid = self._physical_insert(bytes([_FRAGMENT]) + chunk, log_op)
             fragments.append(frag_rid.pack())
@@ -414,7 +415,7 @@ class HeapFile:
 
     def replay_insert(self, page_id: int, slot: int, payload: bytes) -> None:
         """Redo an insert: ensure ``payload`` lives at ``(page_id, slot)``."""
-        faults.fire("heap.replay_insert")
+        probe.point("heap.replay_insert")
         page = self._replay_page(page_id)
         try:
             if page.has_record(slot):
@@ -431,7 +432,7 @@ class HeapFile:
 
     def replay_delete(self, page_id: int, slot: int) -> None:
         """Redo a delete; a missing record is fine (already gone)."""
-        faults.fire("heap.replay_delete")
+        probe.point("heap.replay_delete")
         page = self._replay_page(page_id)
         try:
             if page.has_record(slot):

@@ -28,8 +28,8 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterator
 
+from repro import probe
 from repro.errors import BadSlotError, PageFullError
-from repro.storage import faults
 
 #: Size of every page in the database file, in bytes.
 PAGE_SIZE = 4096
@@ -263,7 +263,7 @@ class SlottedPage:
         # Grown (or grown-from/shrunk-to empty): release then re-place.
         # Check fitness BEFORE touching the slot -- update must be atomic:
         # on PageFullError the old record is still intact.
-        faults.fire("page.update.grow")
+        probe.point("page.update.grow")
         num_slots, free_ptr, flags, _ = _HEADER.unpack_from(self._buf, 0)
         dir_end = _HEADER_SIZE + num_slots * _SLOT.size
         after_compact = self._compacted_gap() + length  # old copy freed too
@@ -309,7 +309,7 @@ class SlottedPage:
 
     def compact(self) -> None:
         """Slide all live records to the end of the page, removing holes."""
-        faults.fire("page.compact")
+        probe.point("page.compact")
         records: list[tuple[int, bytes]] = list(self.records())
         num_slots, _free_ptr, flags, _ = _HEADER.unpack_from(self._buf, 0)
         free_ptr = PAGE_SIZE

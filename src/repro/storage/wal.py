@@ -47,9 +47,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from repro import probe
 from repro.errors import WalError
-from repro.storage import faults, serialization
-from repro.verify import hooks
+from repro.storage import serialization
 
 _FRAME = struct.Struct("<II")  # length, crc32
 _FIELD_TYPES = [int] * 5 + [bytes] * 2  # a record body: ids, then payloads
@@ -191,7 +191,7 @@ class LogManager:
         Call :meth:`flush` to make it durable; it is once
         :attr:`flushed_seq` reaches the returned sequence.
         """
-        faults.fire("wal.append")
+        probe.point("wal.append")
         body = record.to_bytes()
         frame = _FRAME.pack(len(body), zlib.crc32(body)) + body
         with self._cond:
@@ -211,7 +211,7 @@ class LogManager:
 
     def flush(self) -> None:
         """Make every record appended so far durable (one fsync per group)."""
-        hooks.sched_point("wal.flush")
+        probe.point("wal.flush")
         with self._cond:
             self._pending_flushers += 1
         try:
@@ -257,18 +257,18 @@ class LogManager:
         try:
             # I/O happens outside the lock so that piggybacking flushers can
             # register and appends are never blocked behind the disk.
-            faults.fire("wal.flush.pre_write")
+            probe.point("wal.flush.pre_write")
             if buf:
-                faults.write("wal.flush.write", self._file, buf)
-            faults.fire("wal.flush.post_write")
+                probe.write("wal.flush.write", self._file, buf)
+            probe.point("wal.flush.post_write")
             self._file.flush()
-            faults.fire("wal.flush.pre_fsync")
-            faults.fire("wal.flush.fsync")
+            probe.point("wal.flush.pre_fsync")
+            probe.point("wal.flush.fsync")
             os.fsync(self._file.fileno())
-            faults.fire("wal.flush.post_fsync")
+            probe.point("wal.flush.post_fsync")
             ok = True
         finally:
-            if not ok and buf and not faults.is_crashed():
+            if not ok and buf and not probe.crashed():
                 # A failed write may have put a *partial* frame in the file.
                 # The retry below re-appends the whole buffer, so without a
                 # repair the log would read  <garbage prefix><good frames>
@@ -294,7 +294,7 @@ class LogManager:
                 else:
                     # Keep the unwritten records so a retry can flush them.
                     self._buffer[:0] = buf
-                    if not faults.is_crashed():
+                    if not probe.crashed():
                         # A simulated crash is a dead process, not a sick
                         # disk -- only survivable failures count towards
                         # the persistent-failure threshold.
@@ -320,7 +320,7 @@ class LogManager:
         with self._cond:
             while self._flushing:
                 self._cond.wait()
-            faults.fire("wal.truncate.pre")
+            probe.point("wal.truncate.pre")
             self._buffer.clear()
             self._flushed_seq = self._seq
             self._end = 0
@@ -328,7 +328,7 @@ class LogManager:
             self._file.truncate(0)
             self._file.flush()
             os.fsync(self._file.fileno())
-            faults.fire("wal.truncate.post")
+            probe.point("wal.truncate.post")
 
     def size(self) -> int:
         """Durable log size in bytes (excludes the unflushed buffer)."""

@@ -48,6 +48,7 @@ import time
 from functools import partial
 from pathlib import Path
 
+from repro import probe
 from repro.errors import OdeError, ShardUnavailableError
 from repro.net.chaos import C2S, S2C, ChaosPlan, ChaosProxyThread
 from repro.net.client import OdeClient
@@ -205,8 +206,8 @@ def _plant_in_doubt(
     commit it.
     """
     sess = db.session(name="in-doubt-planter")
-    injector = faults.activate(
-        faults.FaultPlan().crash("shard.2pc.post_ack", hit=1)
+    injector = probe.attach(
+        faults.FaultInjector(faults.FaultPlan().crash("shard.2pc.post_ack", hit=1))
     )
     try:
         with sess.activate():
@@ -222,7 +223,7 @@ def _plant_in_doubt(
                 "write was not cross-shard"
             )
     finally:
-        faults.deactivate()
+        probe.detach()
     # The planter "process" is dead; its session detaches the decided
     # transaction (never aborts it -- the verdict is durable).
     sess.close()

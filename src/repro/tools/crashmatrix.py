@@ -5,9 +5,9 @@ For every enumerated scenario the harness runs one mixed workload
 ``rollback_to``, a deliberately aborted transaction -- on two concurrent
 worker threads) against a fresh database while exactly one fault is
 armed: a crash, a torn write, a short write, or an fsync failure at a
-named failpoint (see :mod:`repro.storage.faults`).  When the fault
-fires, the simulated process is dead -- every subsequent failpoint
-raises, so not even ``abort`` handlers can touch the files.
+named point (see :mod:`repro.storage.faults` and :mod:`repro.probe`).
+When the fault fires, the simulated process is dead -- every subsequent
+fault point raises, so not even ``abort`` handlers can touch the files.
 
 The harness then reopens the database (running WAL recovery) and
 demands three things:
@@ -55,14 +55,12 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from repro import Database, PersistentObject, StoragePolicy
+from repro import Database, PersistentObject, StoragePolicy, persistent, probe
 from repro.core.identity import Oid, Vid
-from repro.core.persistent import persistent_once
 from repro.shard import ShardedDatabase
-from repro.storage import blobs, faults
+from repro.storage import blobs
 from repro.storage.faults import (
-    ERROR_FAILPOINTS,
-    FAILPOINTS,
+    FaultInjector,
     FaultPlan,
     InjectedFaultError,
     SimulatedCrash,
@@ -94,7 +92,7 @@ _JOIN_TIMEOUT = 60.0
 _opened: list[Database] = []
 
 
-@persistent_once("crashmatrix.Item")
+@persistent(name="crashmatrix.Item")
 class Item(PersistentObject):
     """Small versioned record: exercises the object table + version graphs."""
 
@@ -103,7 +101,7 @@ class Item(PersistentObject):
         self.val = val
 
 
-@persistent_once("crashmatrix.Blob")
+@persistent(name="crashmatrix.Blob")
 class Blob(PersistentObject):
     """Growing payload: exercises page growth, compaction, and spanning."""
 
@@ -221,7 +219,7 @@ def enumerate_scenarios(smoke: bool = False) -> list[Scenario]:
     """The full crash matrix (or a small smoke subset for CI)."""
     scenarios: list[Scenario] = []
     for failpoint, hits in _CRASH_HITS.items():
-        assert failpoint in FAILPOINTS, failpoint
+        assert probe.POINTS[failpoint] != probe.YIELD, failpoint
         for hit in hits:
             scenarios.append(Scenario(failpoint, "crash", hit=hit))
     # Torn writes: WAL frames (CRC detects the tear) and the meta page
@@ -237,7 +235,8 @@ def enumerate_scenarios(smoke: bool = False) -> list[Scenario]:
     # WAL's truncate-back repair must keep the file replayable.
     scenarios.append(Scenario("wal.flush.write", "short_write", hit=3, keep=10))
     # fsync failures: surfaced to the caller, transaction aborts cleanly.
-    for failpoint in sorted(ERROR_FAILPOINTS):
+    errors = [name for name, kind in probe.POINTS.items() if kind == probe.ERROR]
+    for failpoint in sorted(errors):
         scenarios.append(Scenario(failpoint, "fsync_error", hit=1))
     # Double crash: the first recovery is itself interrupted.
     scenarios.append(
@@ -339,7 +338,7 @@ class _Worker:
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised by runner
             # Once the other thread's fault has killed the "process", what
             # this one still reads in memory (a table mid-reload) is moot.
-            if not faults.is_crashed():
+            if not probe.crashed():
                 self.error = exc
 
     def _step(self, db: Database, j: int) -> None:
@@ -458,7 +457,7 @@ def _until_the_fault():
 
     try:
         yield opened
-        if not faults.is_crashed():
+        if not probe.crashed():
             for db in live:
                 db.close()
     except (SimulatedCrash, InjectedFaultError):
@@ -490,7 +489,7 @@ def _run_workload(path: Path, scenario: Scenario) -> list[_Worker]:
             thread.join(timeout=_JOIN_TIMEOUT)
             if thread.is_alive():
                 raise RuntimeError(f"workload thread {thread.name} hung")
-        if not faults.is_crashed():
+        if not probe.crashed():
             db.checkpoint()
     for worker in workers:
         if worker.error is not None:
@@ -626,11 +625,11 @@ def _crash_and_reopen(path: Path, scenario: Scenario, family: _Family):
     workload's ledger, handle)``; the handle is None when the clean
     reopen failed."""
     _opened.clear()
-    injector = faults.activate(scenario.plan())
+    injector = probe.attach(FaultInjector(scenario.plan()))
     try:
         ledger = family.workload(path, scenario)
     finally:
-        faults.deactivate()
+        probe.detach()
     result = Result(scenario.name)
     result.counts.update(fired=int(bool(injector.fired)), crashed=int(injector.crashed))
     holes = [_lose_unsynced(db, scenario.hole) for db in _opened]
@@ -638,7 +637,7 @@ def _crash_and_reopen(path: Path, scenario: Scenario, family: _Family):
     if scenario.hole and not any(holes):
         result.problems.append("no unsynced frame had a valid one after it")
     if scenario.recovery_failpoint is not None:
-        faults.activate(FaultPlan().crash(scenario.recovery_failpoint, hit=1))
+        probe.attach(FaultInjector(FaultPlan().crash(scenario.recovery_failpoint, hit=1)))
         try:
             family.reopen(path).close()
             result.problems.append(
@@ -647,7 +646,7 @@ def _crash_and_reopen(path: Path, scenario: Scenario, family: _Family):
         except SimulatedCrash:
             result.counts["recovery_crashed"] = 1
         finally:
-            faults.deactivate()
+            probe.detach()
     try:
         return result, ledger, family.reopen(path)
     except Exception as exc:  # noqa: BLE001 - unrecoverable = the finding
@@ -713,7 +712,7 @@ def run_scenario(scenario: Scenario, path: Path) -> Result:
 # -- the 2PC matrix (cross-shard transactions; repro.shard) -------------------
 
 
-@persistent_once("crashmatrix.Account")
+@persistent(name="crashmatrix.Account")
 class Account(PersistentObject):
     """Transfer-workload record: the invariant is the sum of balances.  With
     a blob-sized ``memo`` every balance write displaces a stored body."""
@@ -781,7 +780,7 @@ def enumerate_twopc_scenarios(smoke: bool = False) -> list[Scenario]:
     """
     scenarios: list[Scenario] = []
     for failpoint, hits in _TWOPC_CRASH_HITS.items():
-        assert failpoint in FAILPOINTS, failpoint
+        assert probe.POINTS[failpoint] == probe.CRASH, failpoint
         for hit in hits:
             scenarios.append(Scenario(failpoint, "crash", hit=hit))
     scenarios.append(
@@ -908,7 +907,7 @@ def _run_twopc_workload(path: Path, scenario: Scenario) -> _TransferLedger:
             ledger.committed[src] = transfer.src_bal
             ledger.committed[dst] = transfer.dst_bal
             ledger.pending = None
-    ledger.forgets = faults.active().hit_count("shard.2pc.pre_forget")
+    ledger.forgets = probe.attached().hit_count("shard.2pc.pre_forget")
     for wal_path in sorted(path.glob("shard-*/wal.log")):
         log = LogManager(wal_path)
         ledger.coord_ends += sum(1 for r in log.records() if r.kind == COORD_END)
@@ -1067,7 +1066,7 @@ def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
     repair finished but before its WAL truncate could persist -- a clean
     third open must repair again (repair is idempotent) and converge.
     """
-    assert set(_GC_CRASH_HITS) <= set(FAILPOINTS)
+    assert all(probe.POINTS[name] != probe.YIELD for name in _GC_CRASH_HITS)
     # Each window under the collector, and under the commit-path pacer on
     # one shard (the same ordinals mean the same there: see above).
     scenarios = [

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro import PersistentObject
-from repro.core.persistent import persistent_once
+from repro import PersistentObject, persistent
 from repro.errors import (
     ConnectionClosedError,
     DeadlineExceededError,
@@ -163,7 +162,7 @@ def main(
 # -- counters and their ledger ------------------------------------------------
 
 
-@persistent_once("harness.Counter")
+@persistent(name="harness.Counter")
 class Counter(PersistentObject):
     """A counter incremented by read-modify-write: the lost-update canary."""
 

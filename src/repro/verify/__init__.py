@@ -1,13 +1,11 @@
 """Deterministic interleaving explorer and serializability oracle.
 
-Layers (each importable on its own):
+Layers (each importable on its own; the kernel itself imports none of
+them -- its yield points are :mod:`repro.probe` hooks):
 
-* :mod:`repro.verify.hooks` -- the ``sched_point`` / ``cond_wait`` /
-  ``sched_notify`` hooks the kernel is instrumented with.  Import-light
-  and zero-overhead when nothing is attached; this module is the only
-  part of the package the core ever loads.
-* :mod:`repro.verify.scheduler` -- the cooperative scheduler that turns
-  thread interleaving into an explicit, replayable decision sequence.
+* :mod:`repro.verify.scheduler` -- the cooperative scheduler, the probe
+  observer that turns thread interleaving into an explicit, replayable
+  decision sequence.
 * :mod:`repro.verify.model` -- the sequential reference model of the
   paper's versioning semantics.
 * :mod:`repro.verify.oracle` -- history recording and the
@@ -15,21 +13,4 @@ Layers (each importable on its own):
 * :mod:`repro.verify.scenarios` / :mod:`repro.verify.explorer` -- the
   concurrency scenarios and the bounded-exhaustive / seeded-random
   schedule explorer (CLI: ``python -m repro.tools.explore``).
-
-Heavier submodules load lazily so that the core's ``hooks`` import does
-not drag the whole database package in a circle.
 """
-
-from repro.verify import hooks
-
-_LAZY = ("scheduler", "model", "oracle", "scenarios", "explorer")
-
-__all__ = ["hooks", *_LAZY]
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        return importlib.import_module(f"repro.verify.{name}")
-    raise AttributeError(f"module 'repro.verify' has no attribute {name!r}")

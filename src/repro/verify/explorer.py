@@ -33,10 +33,10 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import probe
 from repro.core.database import Database
 from repro.core.identity import Vid
 from repro.core.pointers import Ref
-from repro.verify import hooks
 from repro.verify.oracle import ThreadLog, Verdict, check
 from repro.verify.scenarios import Cell, Scenario
 from repro.verify.scheduler import CooperativeScheduler, SchedulerStuck
@@ -169,7 +169,7 @@ def run_schedule(
                 schedule=schedule, seed=seed, wall_timeout=wall_timeout
             )
             restore = sched.instrument(db)
-            hooks.attach(sched)
+            probe.attach(sched)
             stuck: str | None = None
             try:
                 for name, body in scenario.threads:
@@ -178,7 +178,7 @@ def run_schedule(
             except SchedulerStuck as exc:
                 stuck = f"scheduler stuck: {exc}"
             finally:
-                hooks.detach()
+                probe.detach()
                 restore()
             outcome.schedule = [c for c, _ in sched.decisions]
             outcome.branching = [n for _, n in sched.decisions]

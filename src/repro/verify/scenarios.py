@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro import PersistentObject, Vid
-from repro.core.persistent import persistent_once
+from repro import PersistentObject, Vid, persistent
 from repro.core.transactions import SHARED
 from repro.errors import DeadlockError, LockTimeoutError, TransactionAborted
 from repro.verify.oracle import ThreadLog
@@ -39,7 +38,7 @@ from repro.verify.oracle import ThreadLog
 CONFLICTS = (DeadlockError, LockTimeoutError, TransactionAborted)
 
 
-@persistent_once("verify.Cell")
+@persistent(name="verify.Cell")
 class Cell(PersistentObject):
     """One versioned integer -- the smallest observable unit of state."""
 

@@ -14,12 +14,12 @@ Thread lifecycle (states of :class:`_ThreadState`):
 ``new``
     Spawned, not yet arrived at its start point.
 ``parked``
-    Stopped at a :func:`~repro.verify.hooks.sched_point`, runnable --
+    Stopped at a yield point (:func:`repro.probe.point`), runnable --
     waiting for the scheduler's grant.
 ``blocked``
-    Inside a lock wait (:func:`~repro.verify.hooks.cond_wait` or the
+    Inside a lock wait (:func:`repro.probe.wait` or the
     scheduler-aware storage mutex).  Not runnable: granting it would just
-    spin.  A wake event (:func:`~repro.verify.hooks.sched_notify`, fired
+    spin.  A wake event (:func:`repro.probe.notify`, fired
     after lock releases) promotes it to ``wake``.
 ``wake``
     Blocked but wake-pending: runnable.  When granted it retries its
@@ -42,6 +42,8 @@ import random
 import threading
 import time
 from typing import Any, Callable
+
+from repro import probe
 
 NEW = "new"
 PARKED = "parked"
@@ -100,7 +102,7 @@ class _SchedulerMutex:
 
     def release(self) -> None:
         self._inner.release()
-        self._sched.on_notify()
+        self._sched.notify()
 
     def __enter__(self) -> bool:
         return self.acquire()
@@ -109,8 +111,11 @@ class _SchedulerMutex:
         self.release()
 
 
-class CooperativeScheduler:
+class CooperativeScheduler(probe.Observer):
     """Serialize registered threads at named yield points.
+
+    The probe plane's second observer: it parks at yield points only and
+    passes crash, write and error points by.
 
     Parameters
     ----------
@@ -177,15 +182,17 @@ class CooperativeScheduler:
     def _current(self) -> _ThreadState | None:
         return self._by_ident.get(threading.get_ident())
 
-    # -- hook entry points (called from instrumented kernel code) --------------
+    # -- probe hooks (called from instrumented kernel code) ---------------------
 
-    def on_point(self, name: str) -> None:
+    def point(self, name: str) -> None:
+        if probe.POINTS[name] != probe.YIELD:
+            return
         st = self._current()
         if st is None:
             return
         self._park(st, name, PARKED)
 
-    def on_cond_wait(self, cond: threading.Condition, timeout: float | None) -> bool:
+    def wait(self, cond: threading.Condition, timeout: float | None) -> bool:
         st = self._current()
         if st is None:
             return cond.wait(timeout)
@@ -196,7 +203,7 @@ class CooperativeScheduler:
             cond.acquire()
         return True
 
-    def on_notify(self) -> None:
+    def notify(self) -> None:
         with self._mon:
             for st in self._order:
                 if st.state == BLOCKED:
@@ -238,7 +245,7 @@ class CooperativeScheduler:
         """Drive all spawned threads to completion, one grant at a time.
 
         Call from the controlling (unregistered) thread after
-        ``hooks.attach(self)`` and all :meth:`spawn` calls.  Scenario
+        ``probe.attach(self)`` and all :meth:`spawn` calls.  Scenario
         thread exceptions are captured on their ``_ThreadState`` (see
         :attr:`errors`), not raised here; :class:`SchedulerStuck` is
         raised for harness-level deadlock or timeout.

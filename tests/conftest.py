@@ -8,10 +8,8 @@ import random
 import pytest
 from hypothesis import settings
 
-from repro import Database, PersistentObject, StoragePolicy, persistent
+from repro import Database, PersistentObject, StoragePolicy, persistent, probe
 from repro.shard import ShardedDatabase
-from repro.storage import faults
-from repro.verify import hooks
 
 #: Session seed for randomized tests: override with REPRO_TEST_SEED=<int>
 #: to replay a failing run; printed in the pytest header either way.
@@ -32,15 +30,13 @@ def pytest_report_header(config):
 def _isolate_process_globals():
     """Reset cross-test process-global state, before and after each test.
 
-    The fault injector, failpoint hit counters, and the verify scheduler
-    hook are process globals by design (zero-overhead when inactive); a
-    test that fails mid-setup must not leak them into the next test.
+    The probe plane's observer slot (a fault injector or the verify
+    scheduler) is a process global by design (zero-overhead when empty);
+    a test that fails mid-setup must not leak it into the next test.
     """
-    faults.deactivate()
-    hooks.detach()
+    probe.detach()
     yield
-    faults.deactivate()
-    hooks.detach()
+    probe.detach()
 
 
 @pytest.fixture

@@ -10,10 +10,9 @@ Everything here is counted, not timed.
 
 from __future__ import annotations
 
-from repro import Database
+from repro import Database, probe
 from repro.shard import ShardedDatabase
-from repro.storage import faults
-from repro.storage.faults import FaultPlan
+from repro.storage.faults import FaultInjector, FaultPlan
 from repro.tools.check import check_database
 from repro.tools.inspect import inspect_database
 from tests.conftest import Doc
@@ -93,11 +92,11 @@ def test_a_failed_pacer_flush_does_not_fail_its_commit(tmp_path):
         refs = _load(db)
         _rewrite_all(refs[:-1], 1)
         # WAL fsync 1 is the commit's own, 2 the pacer's tombstone flush.
-        faults.activate(FaultPlan().fsync_error("wal.flush.fsync", hit=2))
+        probe.attach(FaultInjector(FaultPlan().fsync_error("wal.flush.fsync", hit=2)))
         try:
             _rewrite_all(refs[-1:], 1)
         finally:
-            faults.deactivate()
+            probe.detach()
         stats = db.stats()
         assert stats["wal.write_failures"] == 1
         assert (stats["gc.paced_runs"], stats["gc.paced_bytes_freed"]) == (1, 0)

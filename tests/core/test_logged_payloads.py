@@ -16,12 +16,11 @@ import os
 
 import pytest
 
-from repro import Database
+from repro import Database, probe
 from repro.core import database as database_module
 from repro.errors import BlobMissingError
 from repro.shard import ShardedDatabase
-from repro.storage import faults
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.storage.wal import ABORT_END, COMMIT, PAYLOAD
 from repro.tools.check import check_database
 from repro.tools.crashmatrix import _lose_unsynced
@@ -37,9 +36,9 @@ def _text(tag: str) -> str:
 
 @pytest.fixture(autouse=True)
 def _clean_injector():
-    faults.deactivate()
+    probe.detach()
     yield
-    faults.deactivate()
+    probe.detach()
 
 
 def test_a_large_payload_commit_forces_one_file(tmp_path, monkeypatch):
@@ -163,10 +162,10 @@ def test_a_crash_inside_the_write_back_keeps_the_logged_payloads(tmp_path, failp
     db = Database(path)
     texts = [_text(f"w{i}") for i in range(3)]
     oids = [db.pnew(Doc(text)).oid for text in texts]
-    faults.activate(FaultPlan().crash(failpoint))
+    probe.attach(FaultInjector(FaultPlan().crash(failpoint)))
     with pytest.raises(SimulatedCrash):
         db.checkpoint()
-    faults.deactivate()
+    probe.detach()
     cut = db.stats()["blobs.unsynced_bytes"]
     assert (cut > 0) == (failpoint == "blobs.sync.fsync")
     _lose_unsynced(db, hole=False)
@@ -185,10 +184,10 @@ def test_a_crash_during_payload_redo_is_redone(tmp_path):
     texts = [_text(f"r{i}") for i in range(3)]
     oids = [db.pnew(Doc(text)).oid for text in texts]
     _lose_unsynced(db, hole=False)
-    faults.activate(FaultPlan().crash("blobs.append", hit=2))
+    probe.attach(FaultInjector(FaultPlan().crash("blobs.append", hit=2)))
     with pytest.raises(SimulatedCrash):
         Database(path)
-    faults.deactivate()
+    probe.detach()
     with Database(path) as db:
         assert db.last_recovery.payloads_redone == len(texts)
         assert [db.deref(oid).text for oid in oids] == texts

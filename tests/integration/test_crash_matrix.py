@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database
-from repro.storage import faults
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro import Database, probe
+from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.tools import harness
 from repro.tools.check import check_database
 from repro.tools.crashmatrix import (
@@ -28,8 +27,8 @@ from repro.tools.crashmatrix import (
 @pytest.fixture(autouse=True)
 def _no_leaked_injector():
     yield
-    assert faults.active() is None, "a test leaked an active fault injector"
-    faults.deactivate()
+    assert probe.attached() is None, "a test leaked an active fault injector"
+    probe.detach()
 
 
 def test_full_crash_matrix(tmp_path):
@@ -76,7 +75,7 @@ def test_savepoint_rollback_then_crash_before_commit(tmp_path):
     oid_value = ref.oid.value
     db.checkpoint()
 
-    faults.activate(FaultPlan().crash("wal.flush.pre_fsync", hit=1))
+    probe.attach(FaultInjector(FaultPlan().crash("wal.flush.pre_fsync", hit=1)))
     try:
         with pytest.raises(SimulatedCrash):
             with db.transaction():
@@ -90,7 +89,7 @@ def test_savepoint_rollback_then_crash_before_commit(tmp_path):
                 ref.val = 42
                 # commit -> flush -> pre_fsync failpoint -> crash
     finally:
-        faults.deactivate()
+        probe.detach()
 
     with Database(path) as db:
         report = check_database(db, strict=True)

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database
+from repro import Database, probe
 from repro.errors import DatabaseDegradedError
-from repro.storage import faults
-from repro.storage.faults import FaultPlan, InjectedFaultError
+from repro.storage.faults import FaultInjector, FaultPlan, InjectedFaultError
 
 from tests.conftest import Part
 
 
 @pytest.fixture(autouse=True)
 def _clean_injector():
-    faults.deactivate()
+    probe.detach()
     yield
-    faults.deactivate()
+    probe.detach()
 
 
 def _hammer_until_degraded(db, ref, tries=10):
@@ -41,8 +40,8 @@ def test_persistent_wal_fsync_failure_enters_degraded_mode(tmp_path):
     try:
         ref = db.pnew(Part("gear", 5))
         ref.weight = 6  # healthy write, durably committed
-        faults.activate(
-            FaultPlan().fsync_error("wal.flush.fsync", hit=1, persistent=True)
+        probe.attach(
+            FaultInjector(FaultPlan().fsync_error("wal.flush.fsync", hit=1, persistent=True))
         )
         _hammer_until_degraded(db, ref)
 
@@ -82,7 +81,7 @@ def test_one_shot_fsync_error_does_not_degrade(tmp_path):
     """Below the threshold, failures are transient: a later write heals."""
     with Database(tmp_path / "db") as db:
         ref = db.pnew(Part("gear", 1))
-        faults.activate(FaultPlan().fsync_error("wal.flush.fsync", hit=1))
+        probe.attach(FaultInjector(FaultPlan().fsync_error("wal.flush.fsync", hit=1)))
         with pytest.raises(InjectedFaultError):
             ref.weight = 2
         assert not db.degraded
@@ -98,13 +97,13 @@ def test_degraded_close_and_reopen_preserve_durable_state(tmp_path):
     ref = db.pnew(Part("gear", 5))
     ref.weight = 7
     oid = ref.oid
-    faults.activate(
-        FaultPlan().fsync_error("wal.flush.fsync", hit=1, persistent=True)
+    probe.attach(
+        FaultInjector(FaultPlan().fsync_error("wal.flush.fsync", hit=1, persistent=True))
     )
     _hammer_until_degraded(db, ref)
     db.close()
 
-    faults.deactivate()  # the "disk" works again on the next open
+    probe.detach()  # the "disk" works again on the next open
     with Database(tmp_path / "db") as db2:
         again = db2.deref(oid)
         assert again.weight == 7
@@ -118,8 +117,8 @@ def test_persistent_data_file_sync_failure_degrades(tmp_path):
     db = Database(tmp_path / "db")
     try:
         ref = db.pnew(Part("gear", 1))
-        faults.activate(
-            FaultPlan().fsync_error("disk.sync.fsync", hit=1, persistent=True)
+        probe.attach(
+            FaultInjector(FaultPlan().fsync_error("disk.sync.fsync", hit=1, persistent=True))
         )
         for _ in range(6):
             if db.degraded:
@@ -143,7 +142,7 @@ def test_failed_pack_sync_fails_the_checkpoint_not_the_commit(tmp_path):
     db = Database(tmp_path / "db")
     try:
         ref = db.pnew(Part("g" * 600, 5))  # a payload large enough for a pack
-        faults.activate(FaultPlan().fsync_error("blobs.sync.fsync", hit=1))
+        probe.attach(FaultInjector(FaultPlan().fsync_error("blobs.sync.fsync", hit=1)))
         db.pnew(Part("h" * 600, 6))  # the commit does not touch the pack fsync
         assert db.stats()["blobs.unsynced_bytes"] > 0
         with pytest.raises(InjectedFaultError):
@@ -154,9 +153,9 @@ def test_failed_pack_sync_fails_the_checkpoint_not_the_commit(tmp_path):
         db.checkpoint()
         assert db.stats()["wal.bytes"] == 0 and db.stats()["blobs.unsynced_bytes"] == 0
         ref.name = "i" * 600
-        faults.deactivate()
-        faults.activate(
-            FaultPlan().fsync_error("blobs.sync.fsync", hit=1, persistent=True)
+        probe.detach()
+        probe.attach(
+            FaultInjector(FaultPlan().fsync_error("blobs.sync.fsync", hit=1, persistent=True))
         )
         for _ in range(6):
             if db.degraded:
@@ -167,7 +166,7 @@ def test_failed_pack_sync_fails_the_checkpoint_not_the_commit(tmp_path):
         assert ref.name == "i" * 600
     finally:
         db.close()
-    faults.deactivate()
+    probe.detach()
     with Database(tmp_path / "db") as db2:
         assert db2.last_recovery.payloads_redone == 1
         assert db2.deref(ref.oid).name == "i" * 600

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database
+from repro import Database, probe
 from repro.core.identity import Oid, Vid
-from repro.storage import faults
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.tools import harness
 from repro.tools.check import check_database
 from repro.tools.crashmatrix import (
@@ -34,8 +33,8 @@ from repro.tools.crashmatrix import (
 @pytest.fixture(autouse=True)
 def _no_leaked_injector():
     yield
-    assert faults.active() is None, "a test leaked an active fault injector"
-    faults.deactivate()
+    assert probe.attached() is None, "a test leaked an active fault injector"
+    probe.detach()
 
 
 def test_full_gc_crash_matrix(tmp_path):
@@ -102,13 +101,13 @@ def test_crash_between_copy_forward_and_retire_costs_only_dead_space(tmp_path):
     path = tmp_path / "db"
     ledger = _GcLedger()
     db = _build_gc_history(path, ledger)
-    faults.activate(FaultPlan().crash("blobs.compact.copied"))
+    probe.attach(FaultInjector(FaultPlan().crash("blobs.compact.copied")))
     try:
         with pytest.raises(SimulatedCrash):
             for _ in range(6):
                 db.run_gc(batch_limit=5)
     finally:
-        faults.deactivate()
+        probe.detach()
     old_pack = path / "blobs" / "pack-000001"
     reopened = Database(path, policy=_GC_POLICY)
     try:

@@ -102,15 +102,19 @@ def test_every_harness_renders_ok_and_failures(monkeypatch, capsys, tmp_path, to
     assert len(out) == 1 + len(ran) + len(PROBLEMS)
 
 
-@pytest.mark.parametrize("tool", HARNESSES, ids=TOOL_IDS)
-def test_harness_cli_runs_its_module_once(tool):
+@pytest.mark.parametrize(
+    "module", [tool.__name__ for tool in HARNESSES] + ["repro.tools.explore"],
+    ids=TOOL_IDS + ["explore"],
+)
+def test_harness_cli_runs_its_module_once(module):
     """The module must not be imported by its package before ``-m`` runs
-    it: runpy would warn and execute the module body twice."""
+    it: runpy would warn and execute the module body twice -- and its
+    persistent types would register twice, which raises."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")]
     ))
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", tool.__name__, "--help"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

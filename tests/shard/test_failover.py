@@ -22,11 +22,10 @@ import time
 
 import pytest
 
-from repro import PersistentObject, persistent
+from repro import PersistentObject, persistent, probe
 from repro.errors import ShardUnavailableError
 from repro.shard import SHARD_DOWN, SHARD_UP, ShardedDatabase
-from repro.storage import faults
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 
 
 @persistent(name="tests.shard.FoAcct")
@@ -229,7 +228,7 @@ def test_unreachable_coordinator_defers_presumed_abort(trio):
     # crash before 1.
     a, b = router.deref(oids[0]), router.deref(oids[1])
     planter = router.session(name="planter")
-    injector = faults.activate(FaultPlan().crash("shard.2pc.post_ack", hit=1))
+    injector = probe.attach(FaultInjector(FaultPlan().crash("shard.2pc.post_ack", hit=1)))
     try:
         with planter.activate():
             with pytest.raises(SimulatedCrash):
@@ -238,7 +237,7 @@ def test_unreachable_coordinator_defers_presumed_abort(trio):
                     b.bal = 201
         assert injector.fired
     finally:
-        faults.deactivate()
+        probe.detach()
     planter.close()
     # Shard 0 (lowest writer index) coordinated and committed; shard 1
     # is prepared and in doubt.  Take BOTH down: the verdict is now
@@ -276,7 +275,7 @@ def test_in_doubt_transaction_resolves_at_reattach(trio):
     # commits before the failpoint strands shard 1 prepared.
     a, b = router.deref(oids[0]), router.deref(oids[1])
     planter = router.session(name="planter")
-    injector = faults.activate(FaultPlan().crash("shard.2pc.post_ack", hit=1))
+    injector = probe.attach(FaultInjector(FaultPlan().crash("shard.2pc.post_ack", hit=1)))
     try:
         with planter.activate():
             with pytest.raises(SimulatedCrash):
@@ -285,7 +284,7 @@ def test_in_doubt_transaction_resolves_at_reattach(trio):
                     b.bal = 201
         assert injector.fired
     finally:
-        faults.deactivate()
+        probe.detach()
     # The "crashed" client's session detaches its decided transaction
     # (it must never abort it -- the verdict is durable).
     planter.close()
@@ -323,7 +322,7 @@ def test_online_reattach_keeps_the_verdict_of_a_commit_in_flight(
     router.kill_shard(2)
     a, b = router.deref(oids[0]), router.deref(oids[1])
     image = tmp_path / "image"
-    real_fire = faults.fire
+    real_fire = probe.point
 
     def fire(name, *args, **kwargs):
         if name == "shard.2pc.post_decision":
@@ -332,11 +331,11 @@ def test_online_reattach_keeps_the_verdict_of_a_commit_in_flight(
             shutil.copytree(router.path, image)  # the machine dies here
         return real_fire(name, *args, **kwargs)
 
-    monkeypatch.setattr(faults, "fire", fire)
+    monkeypatch.setattr(probe, "point", fire)
     with router.transaction():
         a.bal = 1
         b.bal = 201
-    monkeypatch.setattr(faults, "fire", real_fire)
+    monkeypatch.setattr(probe, "point", real_fire)
     assert image.exists(), "shard.2pc.post_ack never fired"
 
     crashed = ShardedDatabase(image)

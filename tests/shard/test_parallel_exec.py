@@ -21,11 +21,10 @@ import time
 
 import pytest
 
-from repro import PersistentObject, persistent
+from repro import PersistentObject, persistent, probe
 from repro.errors import ShardUnavailableError
 from repro.shard import ShardedDatabase, ShardExecutor, executor
-from repro.storage import faults
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 
 
 @persistent(name="tests.shard.PxAcct")
@@ -384,7 +383,7 @@ def test_crash_mid_parallel_prepare_resolves_to_presumed_abort(tmp_path):
     dst = router.pnew(PxAcct(bal=100))
     oids = (src.oid, dst.oid)
     router.checkpoint()
-    injector = faults.activate(FaultPlan().crash("shard.2pc.post_prepare", hit=1))
+    injector = probe.attach(FaultInjector(FaultPlan().crash("shard.2pc.post_prepare", hit=1)))
     try:
         with pytest.raises(SimulatedCrash):
             with router.transaction():
@@ -392,7 +391,7 @@ def test_crash_mid_parallel_prepare_resolves_to_presumed_abort(tmp_path):
                 dst.bal = 199
         assert injector.fired
     finally:
-        faults.deactivate()
+        probe.detach()
 
     reopened = ShardedDatabase(path)
     try:
@@ -412,14 +411,14 @@ def test_kill_shard_mid_prepare_converges_at_reattach(trio, monkeypatch):
     prepared half back and the fleet converges."""
     router, oids = trio
     victim = 1
-    real_fire = faults.fire
+    real_fire = probe.point
 
     def fire_and_kill(name, *args, **kwargs):
         if name == "shard.2pc.post_prepare" and not router._shard_down[victim]:
             router.kill_shard(victim)
         return real_fire(name, *args, **kwargs)
 
-    monkeypatch.setattr(faults, "fire", fire_and_kill)
+    monkeypatch.setattr(probe, "point", fire_and_kill)
     a, b = router.deref(oids[0]), router.deref(oids[victim])
     planter = router.session(name="mid-prepare-planter")
     with planter.activate():
@@ -430,7 +429,7 @@ def test_kill_shard_mid_prepare_converges_at_reattach(trio, monkeypatch):
     # The client "process" dies; a decided transaction is detached (its
     # fate belongs to resolution), an undecided one was already aborted.
     planter.close()
-    monkeypatch.setattr(faults, "fire", real_fire)
+    monkeypatch.setattr(probe, "point", real_fire)
 
     report = router.reattach_shard(victim)
     assert not report.deferred

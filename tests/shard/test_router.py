@@ -15,12 +15,13 @@ import time
 
 import pytest
 
-from repro import Database
+from repro import Database, probe
 from repro.core.identity import Oid
 from repro.errors import LockTimeoutError, StorageError, TransactionStateError
 from repro.net.client import OdeClient
 from repro.net.server import ServerThread
 from repro.shard import ModuloPlacement, ShardedDatabase
+from repro.storage.faults import FaultInjector, FaultPlan
 from repro.tools.check import check_database
 from tests.conftest import Part
 
@@ -299,6 +300,16 @@ def test_stats_aggregate_shard_counters(router):
     assert "shard.2pc.commits_cross" in stats
     assert "shard.locate_fallbacks" not in stats  # placement is not a hint
     assert stats["objects"] == 1  # summed across shards
+
+
+def test_stats_report_fault_counters_once_not_per_shard(router):
+    """The fault counters are process-wide: summing every shard's copy
+    multiplied them by the shard count."""
+    injector = probe.attach(FaultInjector(FaultPlan().crash("gc.repair.pre", hit=99)))
+    router.pnew(Part("p", 1))
+    faults = {k: v for k, v in router.stats().items() if k.startswith("faults.")}
+    assert faults == injector.stats()
+    assert faults["faults.hits"] > 0 and faults["faults.armed"] == 1
 
 
 # -- wire servability ---------------------------------------------------------

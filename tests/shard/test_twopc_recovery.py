@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import PersistentObject, persistent
+from repro import PersistentObject, persistent, probe
 from repro.core.database import Database
 from repro.errors import TransactionStateError
 from repro.shard import ShardedDatabase
-from repro.storage import faults
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.storage.wal import COMMIT, LogManager
 from repro.tools.check import check_database
 
@@ -80,14 +79,14 @@ def _crash_transfer(path, failpoint, hit):
         for shard in router.shards:
             shard.flush_log()
         attempt = (98, 102)
-    injector = faults.activate(FaultPlan().crash(failpoint, hit=hit))
+    injector = probe.attach(FaultInjector(FaultPlan().crash(failpoint, hit=hit)))
     try:
         with pytest.raises(SimulatedCrash):
             with router.transaction():
                 src.bal, dst.bal = attempt
         assert injector.fired, f"{failpoint} hit {hit} never fired"
     finally:
-        faults.deactivate()
+        probe.detach()
     return oids
 
 
@@ -130,12 +129,12 @@ def test_resolution_is_idempotent_under_double_crash(tmp_path):
     path = tmp_path / "shards"
     src_oid, dst_oid = _crash_transfer(path, "shard.2pc.post_decision", 1)
 
-    faults.activate(FaultPlan().crash("wal.flush.pre_fsync", hit=1))
+    probe.attach(FaultInjector(FaultPlan().crash("wal.flush.pre_fsync", hit=1)))
     try:
         with pytest.raises(SimulatedCrash):
             ShardedDatabase(path)
     finally:
-        faults.deactivate()
+        probe.detach()
 
     router = ShardedDatabase(path)
     try:
@@ -158,14 +157,14 @@ def test_in_doubt_participant_blocks_nothing_else(tmp_path):
     dst = router.pnew(Acct(bal=100))
     b_oid, s_oid, d_oid = bystander.oid, src.oid, dst.oid
     router.checkpoint()
-    faults.activate(FaultPlan().crash("shard.2pc.post_prepare", hit=2))
+    probe.attach(FaultInjector(FaultPlan().crash("shard.2pc.post_prepare", hit=2)))
     try:
         with pytest.raises(SimulatedCrash):
             with router.transaction():
                 src.bal = 1
                 dst.bal = 199
     finally:
-        faults.deactivate()
+        probe.detach()
 
     reopened = ShardedDatabase(path)
     try:
@@ -287,14 +286,14 @@ def test_payload_displaced_by_an_in_doubt_participant_survives_the_open(tmp_path
     router = ShardedDatabase(path, nshards=3)
     first, second = router.pnew(Page(old)), router.pnew(Page(old + "2"))
     router.checkpoint()
-    faults.activate(FaultPlan().crash("shard.2pc.post_prepare", hit=2))
+    probe.attach(FaultInjector(FaultPlan().crash("shard.2pc.post_prepare", hit=2)))
     try:
         with pytest.raises(SimulatedCrash):
             with router.transaction():
                 first.body = new
                 second.body = new + "2"
     finally:
-        faults.deactivate()
+        probe.detach()
 
     # second's home, below the router: the remote participant, the one
     # whose PREPARE is forced before any verdict exists.

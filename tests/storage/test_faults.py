@@ -3,30 +3,26 @@
 from __future__ import annotations
 
 import io
-from pathlib import Path
 
 import pytest
 
-from repro import Database
-from repro.storage import faults
+from repro import Database, probe
 from repro.storage.faults import (
-    ERROR_FAILPOINTS,
-    FAILPOINTS,
     Fault,
+    FaultInjector,
     FaultPlan,
     InjectedFaultError,
     SimulatedCrash,
-    WRITE_FAILPOINTS,
 )
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+from tests.test_probe import call_sites
 
 
 @pytest.fixture(autouse=True)
 def _clean_injector():
-    faults.deactivate()
+    probe.detach()
     yield
-    faults.deactivate()
+    probe.detach()
 
 
 # -- plan construction -------------------------------------------------------
@@ -65,85 +61,94 @@ def test_keep_bytes_semantics():
 
 
 def test_crash_fires_on_exact_nth_hit():
-    faults.activate(FaultPlan().crash("wal.append", hit=3))
-    faults.fire("wal.append")
-    faults.fire("wal.append")
+    probe.attach(FaultInjector(FaultPlan().crash("wal.append", hit=3)))
+    probe.point("wal.append")
+    probe.point("wal.append")
     with pytest.raises(SimulatedCrash):
-        faults.fire("wal.append")
+        probe.point("wal.append")
 
 
 def test_unarmed_failpoints_do_not_fire():
-    faults.activate(FaultPlan().crash("wal.append", hit=1))
-    for name in FAILPOINTS:
-        if name != "wal.append":
-            faults.fire(name)  # must not raise
+    injector = probe.attach(FaultInjector(FaultPlan().crash("wal.append", hit=1)))
+    visited = 0
+    for name, kind in probe.POINTS.items():
+        if name != "wal.append" and kind != probe.WRITE:
+            probe.point(name)  # must not raise
+            visited += kind != probe.YIELD
+    assert injector.hits_total == visited
 
 
 def test_crashed_state_blocks_all_io():
     """After the crash, the process is dead: every failpoint raises and
     no write reaches the file -- abort handlers cannot repair anything."""
-    injector = faults.activate(FaultPlan().crash("heap.insert.pre", hit=1))
+    injector = probe.attach(FaultInjector(FaultPlan().crash("heap.insert.pre", hit=1)))
     with pytest.raises(SimulatedCrash):
-        faults.fire("heap.insert.pre")
+        probe.point("heap.insert.pre")
     assert injector.crashed
     with pytest.raises(SimulatedCrash):
-        faults.fire("disk.sync.pre")  # a different, unarmed failpoint
+        probe.point("disk.sync.pre")  # a different, unarmed failpoint
     buf = io.BytesIO()
     with pytest.raises(SimulatedCrash):
-        faults.write("wal.flush.write", buf, b"payload")
+        probe.write("wal.flush.write", buf, b"payload")
     assert buf.getvalue() == b""
 
 
 def test_torn_write_truncates_then_crashes():
-    faults.activate(FaultPlan().torn_write("wal.flush.write", hit=1, keep=4))
+    probe.attach(FaultInjector(FaultPlan().torn_write("wal.flush.write", hit=1, keep=4)))
     buf = io.BytesIO()
     with pytest.raises(SimulatedCrash):
-        faults.write("wal.flush.write", buf, b"abcdefgh")
+        probe.write("wal.flush.write", buf, b"abcdefgh")
     assert buf.getvalue() == b"abcd"
 
 
 def test_short_write_truncates_and_raises_oserror():
-    faults.activate(FaultPlan().short_write("wal.flush.write", hit=1, keep=2))
+    probe.attach(FaultInjector(FaultPlan().short_write("wal.flush.write", hit=1, keep=2)))
     buf = io.BytesIO()
     with pytest.raises(InjectedFaultError):
-        faults.write("wal.flush.write", buf, b"abcdefgh")
+        probe.write("wal.flush.write", buf, b"abcdefgh")
     assert buf.getvalue() == b"ab"
     # A short write is an error, not a crash: later I/O proceeds.
-    faults.write("wal.flush.write", buf, b"ij")
+    probe.write("wal.flush.write", buf, b"ij")
     assert buf.getvalue() == b"abij"
 
 
 def test_fsync_error_is_not_a_crash():
-    faults.activate(FaultPlan().fsync_error("wal.flush.fsync", hit=1))
+    probe.attach(FaultInjector(FaultPlan().fsync_error("wal.flush.fsync", hit=1)))
     with pytest.raises(InjectedFaultError):
-        faults.fire("wal.flush.fsync")
-    faults.fire("wal.flush.fsync")  # fires once, then the point is spent
+        probe.point("wal.flush.fsync")
+    probe.point("wal.flush.fsync")  # fires once, then the point is spent
 
 
 def test_write_passes_through_when_inactive():
     buf = io.BytesIO()
-    faults.write("wal.flush.write", buf, b"data")
+    probe.write("wal.flush.write", buf, b"data")
     assert buf.getvalue() == b"data"
-    faults.fire("wal.append")  # no-op
+    probe.point("wal.append")  # no-op
 
 
 # -- registry hygiene --------------------------------------------------------
 
 
 def test_every_failpoint_is_referenced_in_source():
-    """The registry and the instrumented code must not drift apart."""
-    source = "\n".join(
-        path.read_text()
-        for path in SRC.rglob("*.py")
-        if path.name not in ("faults.py", "crashmatrix.py")
-    )
-    missing = [name for name in FAILPOINTS if f'"{name}"' not in source]
-    assert not missing, f"failpoints never referenced in source: {missing}"
+    """The table and the instrumented code must not drift apart: every
+    declared point, of every kind, has a hook call site."""
+    called = {name for _, name, _ in call_sites()}
+    missing = [name for name in probe.POINTS if name not in called]
+    assert not missing, f"probe points never visited in source: {missing}"
 
 
 def test_write_and_error_failpoints_are_registered():
-    assert WRITE_FAILPOINTS <= set(FAILPOINTS)
-    assert ERROR_FAILPOINTS <= set(FAILPOINTS)
+    def kind(k):
+        return {name for name, of in probe.POINTS.items() if of == k}
+
+    assert kind(probe.WRITE) == {
+        "wal.flush.write", "disk.write_page.write", "disk.write_meta.write", "blobs.append"
+    }
+    assert kind(probe.ERROR) == {
+        "wal.flush.fsync", "disk.sync.fsync", "blobs.sync.fsync",
+        "net.proxy.accept", "net.proxy.forward.c2s", "net.proxy.forward.s2c",
+    }
+    assert len(kind(probe.CRASH)) == 43
 
 
 # -- stats surface -----------------------------------------------------------
@@ -156,8 +161,8 @@ def test_db_stats_expose_fault_counters(tmp_path):
         assert stats["faults.hits"] == 0
 
     db = Database(tmp_path / "db2")
-    faults.activate(
-        FaultPlan().fsync_error("disk.sync.fsync", hit=1)
+    probe.attach(
+        FaultInjector(FaultPlan().fsync_error("disk.sync.fsync", hit=1))
     )
     try:
         with pytest.raises(InjectedFaultError):
@@ -168,5 +173,5 @@ def test_db_stats_expose_fault_counters(tmp_path):
         assert stats["faults.hits"] > 0
         assert stats["faults.crashes"] == 0
     finally:
-        faults.deactivate()
+        probe.detach()
         db.close()

@@ -235,8 +235,8 @@ def test_flush_count_increments(log):
 def test_the_log_knows_its_own_end(tmp_path, monkeypatch):
     """``size()`` is the durable end the log keeps itself -- no stat per
     commit -- and a failed write's truncate-back leaves it in place."""
-    from repro.storage import faults
-    from repro.storage.faults import FaultPlan, InjectedFaultError
+    from repro import probe
+    from repro.storage.faults import FaultInjector, FaultPlan, InjectedFaultError
 
     path = tmp_path / "wal.log"
     log = LogManager(path)
@@ -247,13 +247,13 @@ def test_the_log_knows_its_own_end(tmp_path, monkeypatch):
     log.flush()
     durable = log.size()
     assert durable == real_getsize(path) > 0
-    faults.activate(FaultPlan().short_write("wal.flush.write", hit=1, keep=3))
+    probe.attach(FaultInjector(FaultPlan().short_write("wal.flush.write", hit=1, keep=3)))
     try:
         log.append(LogRecord(COMMIT, 1))
         with pytest.raises(InjectedFaultError):
             log.flush()
     finally:
-        faults.deactivate()
+        probe.detach()
     assert log.size() == durable == real_getsize(path)
     log.flush()  # the retry writes the kept buffer from the same offset
     assert log.size() == real_getsize(path) > durable

@@ -20,17 +20,17 @@ import time
 
 import pytest
 
+from repro import probe
 from repro.storage import blobs as blobstore
-from repro.storage import faults
-from repro.storage.faults import FaultPlan, InjectedFaultError
+from repro.storage.faults import FaultInjector, FaultPlan, InjectedFaultError
 from repro.storage.wal import BEGIN, COMMIT, OP_INSERT, PAYLOAD, LogManager, LogRecord
 
 
 @pytest.fixture(autouse=True)
 def _clean_injector():
-    faults.deactivate()
+    probe.detach()
     yield
-    faults.deactivate()
+    probe.detach()
 
 
 def test_solo_commit_pays_no_linger_tax(tmp_path):
@@ -90,10 +90,10 @@ def test_failed_write_leaves_log_replayable(tmp_path):
         log.append(LogRecord(BEGIN, 1))
         log.append(LogRecord(OP_INSERT, 1, 2, 5, 0, b"\x00payload", b""))
         log.append(LogRecord(COMMIT, 1))
-        faults.activate(FaultPlan().short_write("wal.flush.write", keep=9))
+        probe.attach(FaultInjector(FaultPlan().short_write("wal.flush.write", keep=9)))
         with pytest.raises(InjectedFaultError):
             log.flush()
-        faults.deactivate()
+        probe.detach()
         # The buffer was preserved; the retry must write *only* complete
         # frames (no garbage prefix from the failed attempt).
         log.flush()
@@ -115,10 +115,10 @@ def test_failed_write_then_more_appends(tmp_path):
     log = LogManager(tmp_path / "wal.log")
     try:
         log.append(LogRecord(BEGIN, 1))
-        faults.activate(FaultPlan().short_write("wal.flush.write", keep=3))
+        probe.attach(FaultInjector(FaultPlan().short_write("wal.flush.write", keep=3)))
         with pytest.raises(InjectedFaultError):
             log.flush()
-        faults.deactivate()
+        probe.detach()
         log.append(LogRecord(COMMIT, 1))
         log.flush()
         kinds = [record.kind for record in log.records()]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verify import hooks
+from repro import probe
 from repro.verify.scheduler import CooperativeScheduler, SchedulerStuck
 
 
@@ -14,17 +14,21 @@ def attached():
 
     def make(**kwargs) -> CooperativeScheduler:
         sched = CooperativeScheduler(**kwargs)
-        hooks.attach(sched)
+        probe.attach(sched)
         return sched
 
     yield make
-    hooks.detach()
+    probe.detach()
+
+
+#: Step labels -> the declared yield points the steppers park at.
+_YIELDS = {"p1": "txn.lock", "p2": "txn.commit", "p3": "txn.release", "p": "snap.read"}
 
 
 def _stepper(points: list[str], out: list[str], tag: str):
     def body() -> str:
         for point in points:
-            hooks.sched_point(point)
+            probe.point(_YIELDS[point])
             out.append(f"{tag}:{point}")
         return tag
 
@@ -32,9 +36,9 @@ def _stepper(points: list[str], out: list[str], tag: str):
 
 
 def test_unattached_hooks_are_noops():
-    assert hooks.attached() is None
-    hooks.sched_point("anything")  # must fall straight through
-    hooks.sched_notify()
+    assert probe.attached() is None
+    probe.point("txn.commit")  # must fall straight through
+    probe.notify()
 
 
 def test_default_schedule_runs_threads_in_spawn_order(attached):
@@ -63,8 +67,8 @@ def test_explicit_schedule_controls_interleaving(attached):
     assert sched.decisions[0] == (1, 2)
     # Preferring B at every decision runs B to completion first.
     b_first = CooperativeScheduler(schedule=[1] * 8)
-    hooks.detach()
-    hooks.attach(b_first)
+    probe.detach()
+    probe.attach(b_first)
     out2: list[str] = []
     b_first.spawn("A", _stepper(["p1", "p2"], out2, "A"))
     b_first.spawn("B", _stepper(["p1", "p2"], out2, "B"))
@@ -75,7 +79,7 @@ def test_explicit_schedule_controls_interleaving(attached):
 def test_same_schedule_replays_identical_trace(attached):
     def run_once(schedule):
         sched = CooperativeScheduler(schedule=schedule)
-        hooks.attach(sched)
+        probe.attach(sched)
         try:
             out: list[str] = []
             sched.spawn("A", _stepper(["p1", "p2", "p3"], out, "A"))
@@ -83,9 +87,9 @@ def test_same_schedule_replays_identical_trace(attached):
             sched.run()
             return out, list(sched.trace), list(sched.decisions)
         finally:
-            hooks.detach()
+            probe.detach()
 
-    hooks.detach()  # run_once manages its own attach/detach
+    probe.detach()  # run_once manages its own attach/detach
     first = run_once([1, 0, 1, 1])
     second = run_once([1, 0, 1, 1])
     assert first == second
@@ -94,7 +98,7 @@ def test_same_schedule_replays_identical_trace(attached):
 def test_seeded_schedules_are_deterministic(attached):
     def run_once(seed):
         sched = CooperativeScheduler(seed=seed)
-        hooks.attach(sched)
+        probe.attach(sched)
         try:
             out: list[str] = []
             sched.spawn("A", _stepper(["p"] * 4, out, "A"))
@@ -102,9 +106,9 @@ def test_seeded_schedules_are_deterministic(attached):
             sched.run()
             return out, list(sched.decisions)
         finally:
-            hooks.detach()
+            probe.detach()
 
-    hooks.detach()
+    probe.detach()
     assert run_once(7) == run_once(7)
 
 
@@ -119,8 +123,8 @@ def test_out_of_range_choices_clamp(attached):
 
 def test_unregistered_threads_pass_through(attached):
     attached()
-    # The test's own (unregistered) thread hits a sched point: no parking.
-    hooks.sched_point("somewhere")
+    # The test's own (unregistered) thread hits a yield point: no parking.
+    probe.point("txn.commit")
 
 
 def test_wall_timeout_raises_scheduler_stuck(attached):
@@ -130,7 +134,7 @@ def test_wall_timeout_raises_scheduler_stuck(attached):
     sched = attached(wall_timeout=0.3)
 
     def stall() -> None:
-        hooks.sched_point("start-op")
+        probe.point("txn.prepare")
         gate.wait(10.0)  # blocks natively, invisible to the scheduler
 
     sched.spawn("A", stall)
@@ -139,3 +143,19 @@ def test_wall_timeout_raises_scheduler_stuck(attached):
             sched.run()
     finally:
         gate.set()
+
+
+def test_fault_points_do_not_park(attached):
+    """Only yield points are scheduling decisions: a registered thread
+    passes crash, write and error points by."""
+    sched = attached()
+
+    def body() -> None:
+        probe.point("wal.append")
+        probe.point("wal.flush.fsync")
+        probe.point("txn.commit")
+
+    sched.spawn("A", body)
+    sched.run()
+    assert sched.errors == {}
+    assert [point for _, point in sched.trace] == ["start", "txn.commit"]
