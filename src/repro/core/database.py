@@ -46,7 +46,7 @@ from repro.core.pointers import Ref, VersionRef
 from repro.core.query import Query
 from repro.core.session import RETRYABLE_ERRORS, Session, SessionHost  # noqa: F401 (re-exported)
 from repro.core.snapshot import Snapshot
-from repro.core.store import StoragePolicy, VersionStore
+from repro.core.store import StoragePolicy, VersionRecord, VersionStore
 from repro.core.surface import Target, VersionReads, oid_of, plain_id
 from repro.core.transactions import (
     EXCLUSIVE,
@@ -1090,6 +1090,12 @@ class Database(VersionReads, SessionHost):
     def object_count(self) -> int:
         """Number of live persistent objects."""
         return self._reader().object_count()
+
+    def export(self) -> list[tuple[Oid, str, int, list[VersionRecord]]]:
+        """Every live object's whole history, oid order: what
+        :meth:`VersionStore.export` yields, read under the storage mutex."""
+        with self._storage_mutex:
+            return list(self._store.export())
 
     def stats(self) -> dict[str, Any]:
         """Operational counters, namespaced by subsystem.

@@ -35,7 +35,6 @@ from repro.net.protocol import (
     FrameDecoder,
     MAX_FRAME_BYTES,
     build_frame,
-    parse_frame,
 )
 from repro.net.server import OdeServer, ServerThread
 
@@ -53,5 +52,4 @@ __all__ = [
     "ServerThread",
     "build_frame",
     "is_retryable",
-    "parse_frame",
 ]

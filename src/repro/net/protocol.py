@@ -141,33 +141,6 @@ def build_frame(opcode: int, cid: int, payload: Any) -> bytes:
     return bytes(buf)
 
 
-def parse_frame(body: bytes) -> tuple[int, int, Any]:
-    """Parse a frame body (everything after the length prefix).
-
-    Returns ``(opcode, cid, payload)``.  Raises :class:`ProtocolError`
-    on bad magic or a malformed header/body.
-    """
-    if len(body) < _FIXED_HEADER + 1:
-        raise ProtocolError(f"frame body of {len(body)} bytes is too short")
-    (magic,) = _MAGIC.unpack_from(body, 0)
-    if magic != MAGIC:
-        raise ProtocolError(
-            f"bad magic 0x{magic:04x} (expected 0x{MAGIC:04x}) -- "
-            "not a protocol peer, or the stream lost sync"
-        )
-    opcode = body[_MAGIC.size]
-    try:
-        cid, pos = read_uvarint(body, _FIXED_HEADER)
-        payload, end = decode_from(body, pos)
-        if end != len(body):
-            raise ProtocolError(f"{len(body) - end} trailing bytes in frame")
-    except ProtocolError:
-        raise
-    except Exception as exc:
-        raise ProtocolError(f"malformed {opcode_name(opcode)} frame: {exc}") from exc
-    return opcode, cid, payload
-
-
 class FrameDecoder:
     """Incremental frame parser over arbitrarily chunked input.
 

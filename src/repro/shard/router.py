@@ -694,6 +694,13 @@ class ShardedDatabase(VersionReads, SessionHost):
     def object_count(self) -> int:
         return sum(self._gather(lambda db: db.object_count()))
 
+    def export(self) -> list[tuple]:
+        """Every up shard's :meth:`Database.export`, merged in oid order."""
+        return sorted(
+            (row for part in self._gather(lambda db: db.export()) for row in part),
+            key=lambda row: row[0],
+        )
+
     def query(self, type_or_name: type | str) -> "_FanoutQuery":
         """A ``suchthat`` query fanned out across every up shard's cluster.
 

@@ -10,17 +10,28 @@ When the fault fires, the simulated process is dead -- every subsequent
 fault point raises, so not even ``abort`` handlers can touch the files.
 
 The harness then reopens the database (running WAL recovery) and
-demands three things:
+demands four things:
 
 1. ``tools.check.check_database(db, strict=True)`` reports no problems:
    graphs validate, payloads materialize, pages are structurally sound,
    the durable object table round-trips, the id counter is safe;
-2. every *acknowledged* operation survived: each tracked object's
-   recovered state equals the last model its worker recorded as
-   committed -- or, if the fault hit mid-operation, the model of that
-   one in-flight operation (atomicity: nothing in between);
+2. the recovered state is admissible.  Each workload mirrors its calls
+   into a reference model (:class:`repro.verify.model.ModelStore`):
+   ``committed`` holds what was acknowledged, ``pending`` a clone with
+   the in-flight operation applied.  The decoded ``export()`` must equal
+   an admissible model's -- whole histories, ``dprev`` links and serial
+   high-water marks, not just newest values.  Admissible is committed or
+   pending (``plain``); pending exactly when the in-flight transfer's
+   verdict was durable (``twopc``); committed less any versions
+   retention dooms (``gc``);
 3. no loser effects are visible: in-flight creates either exist
-   completely or not at all, and no untracked objects appear.
+   completely or not at all, and no untracked objects appear;
+4. recovery is a fixed point: after the checks, a clean close and
+   reopen leaves ``export()`` unchanged, creation times included.
+
+A mutation that swaps two recovered versions' payloads at open, which
+every newest-value check passes, fails rows here
+(``tests/integration/test_crash_matrix.py``).
 
 Fidelity notes.  The workload runs on a real filesystem, which is the
 *kindest possible* page cache: ordinary writes are never lost, so loss
@@ -56,7 +67,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from repro import Database, PersistentObject, StoragePolicy, persistent, probe
-from repro.core.identity import Oid, Vid
+from repro.core.identity import Vid
+from repro.core.pointers import Ref
 from repro.shard import ShardedDatabase
 from repro.storage import blobs
 from repro.storage.faults import (
@@ -66,10 +78,12 @@ from repro.storage.faults import (
     SimulatedCrash,
 )
 from repro.storage.heap import Rid
+from repro.storage.serialization import decode
 from repro.storage.wal import COORD_END, LogManager
 from repro.tools import harness
 from repro.tools.check import check_database
 from repro.tools.harness import Result
+from repro.verify.model import ModelStore, history
 
 #: Rounds of mixed operations per worker thread.
 ROUNDS = 8
@@ -270,62 +284,53 @@ def _smoke(scenarios: list[Scenario], key, *keep: Scenario) -> list[Scenario]:
 # -- workload ----------------------------------------------------------------
 
 
-@dataclass
-class _Tracked:
-    """Ledger entry for one persistent object a worker owns."""
-
-    kind: str  # "item" | "blob"
-    ref: object
-    oid_value: int
-    committed: dict
-    pending: dict | None = None
-
-
 class _Worker:
-    """One workload thread plus its operation ledger.
+    """One workload thread plus its ledger, a model of its two objects.
 
-    The ledger protocol makes verification a dict compare: before issuing
-    an operation the worker records the post-state as ``pending``; once
-    the database call returns (the commit is acknowledged) it promotes it
-    to ``committed``.  A crash can therefore leave at most one tracked
-    object with a pending model, and recovery must observe either its
-    committed or its pending state -- nothing else.
+    Before issuing an operation the worker applies it to a clone of the
+    ``committed`` model, held as ``pending``; once the database call
+    returns (the commit is acknowledged) the clone becomes ``committed``.
+    A crash can therefore leave at most one operation pending, and
+    recovery must export the committed model or the pending one --
+    nothing else.
     """
 
     def __init__(self, wid: int) -> None:
         self.wid = wid
-        self.item: _Tracked | None = None
-        self.blob: _Tracked | None = None
+        self.committed = ModelStore()
+        self.pending: ModelStore | None = None
+        self.item: Ref | None = None
+        self.blob: Ref | None = None
         #: Set while a pnew is in flight (oid unknown until it returns).
         self.creating = False
         self.error: BaseException | None = None
 
-    def tracked(self) -> list[_Tracked]:
-        return [t for t in (self.item, self.blob) if t is not None]
-
-    # -- ledger-protocol helpers --------------------------------------------
-
-    @staticmethod
-    def _attempt(tracked: _Tracked, new_model: dict, fn) -> None:
-        tracked.pending = new_model
+    def _attempt(self, change: Callable[[ModelStore], object], fn) -> None:
+        pending = self.committed.clone()
+        change(pending)
+        self.pending = pending
         fn()
-        tracked.committed = new_model
-        tracked.pending = None
+        self.committed, self.pending = pending, None
+
+    def _write(self, ref: Ref, value: PersistentObject, attr: str) -> None:
+        """One autocommit attribute write of ``value``'s ``attr``."""
+        self._attempt(
+            lambda model: model.write(ref.oid, value),
+            lambda: setattr(ref, attr, getattr(value, attr)),
+        )
+
+    def _pnew(self, db: Database, obj: PersistentObject) -> Ref:
+        ref = db.pnew(obj)
+        self.committed.pnew(ref.oid, obj)
+        return ref
 
     # -- the workload --------------------------------------------------------
 
     def setup(self, db: Database) -> None:
         """Create this worker's objects (runs on the main thread)."""
         self.creating = True
-        ref = db.pnew(Item(tag=self.wid, val=0))
-        self.item = _Tracked(
-            "item", ref, ref.oid.value, {"val": 0, "versions": 1}
-        )
-        text = f"B{self.wid}:" + "x" * 600
-        bref = db.pnew(Blob(tag=self.wid, text=text))
-        self.blob = _Tracked(
-            "blob", bref, bref.oid.value, {"pad": len(text), "versions": 1}
-        )
+        self.item = self._pnew(db, Item(tag=self.wid, val=0))
+        self.blob = self._pnew(db, Blob(tag=self.wid, text=f"B{self.wid}:" + "x" * 600))
         self.creating = False
 
     def run(self, db: Database) -> None:
@@ -345,11 +350,10 @@ class _Worker:
         item, blob = self.item, self.blob
         assert item is not None and blob is not None
         op = j % 5
+        base = 1000 * (self.wid + 1) + j
         if op == 0:
             # Autocommit attribute write through the generic reference.
-            val = 1000 * (self.wid + 1) + 100 + j
-            model = dict(item.committed, val=val)
-            self._attempt(item, model, lambda: setattr(item.ref, "val", val))
+            self._write(item, Item(self.wid, base + 100), "val")
         elif op == 1:
             # Explicit transaction: a *batch* of newversions + a write.
             # Version records stay small (an inline payload of at most
@@ -357,64 +361,51 @@ class _Worker:
             # that grows with use is the object table's graph-state
             # entry -- the batches push it past a page (forcing spanning
             # + in-page compaction).
-            val = 1000 * (self.wid + 1) + 200 + j
-            model = dict(item.committed, val=val)
-            model["versions"] += HISTORY_BATCH
+            val = base + 200
+
+            def model_fn(model: ModelStore) -> None:
+                for _ in range(HISTORY_BATCH):
+                    model.newversion(item.oid)
+                model.write(item.oid, Item(self.wid, val))
 
             def txn_fn() -> None:
                 with db.transaction():
                     for _ in range(HISTORY_BATCH):
-                        db.newversion(item.ref)
-                    item.ref.val = val
+                        db.newversion(item)
+                    item.val = val
 
-            self._attempt(item, model, txn_fn)
+            self._attempt(model_fn, txn_fn)
         elif op == 2:
             # Shrink then grow the blob: two autocommits.  The shrink
             # leaves a hole; the regrow forces compaction / relocation /
             # spanning once the payload outgrows a page.
-            self._attempt(
-                blob, dict(blob.committed, pad=1),
-                lambda: setattr(blob.ref, "text", "s"),
-            )
-            pad = BLOB_CHUNK * (j + 2)
-            self._attempt(
-                blob, dict(blob.committed, pad=pad),
-                lambda: setattr(blob.ref, "text", "b" * pad),
-            )
+            self._write(blob, Blob(self.wid, "s"), "text")
+            self._write(blob, Blob(self.wid, "b" * (BLOB_CHUNK * (j + 2))), "text")
         elif op == 3:
             # Savepoint dance: the rolled-back write must never surface.
-            val = 1000 * (self.wid + 1) + 300 + j
-            model = dict(item.committed, val=val)
+            val = base + 300
 
             def sp_fn() -> None:
                 with db.transaction():
-                    item.ref.val = 777
+                    item.val = 777
                     sp = db.savepoint()
-                    item.ref.val = 888
+                    item.val = 888
                     db.rollback_to(sp)
-                    item.ref.val = val
+                    item.val = val
 
-            self._attempt(item, model, sp_fn)
-        else:
+            self._attempt(lambda model: model.write(item.oid, Item(self.wid, val)), sp_fn)
+        elif self.committed.version_count(item.oid) > 3:
             # Prune the two oldest versions once history is deep enough
-            # (exercises heap.delete on the version-index records).
-            if item.committed["versions"] > 3:
-                # Each pdelete is its own autocommit, so each gets its
-                # own ledger attempt (a crash between them is a valid
-                # intermediate state).
-                for _ in range(2):
-                    model = dict(item.committed)
-                    model["versions"] -= 1
-
-                    def prune_fn() -> None:
-                        versions = db.versions(item.ref)
-                        db.pdelete(versions[0])
-
-                    self._attempt(item, model, prune_fn)
-            else:
-                val = 1000 * (self.wid + 1) + 400 + j
-                model = dict(item.committed, val=val)
-                self._attempt(item, model, lambda: setattr(item.ref, "val", val))
+            # (exercises heap.delete on the version-index records).  Each
+            # pdelete is its own autocommit, so each gets its own ledger
+            # attempt (a crash between them is a valid intermediate state).
+            for _ in range(2):
+                self._attempt(
+                    lambda model: model.vdelete(item.oid, model.serials(item.oid)[0]),
+                    lambda: db.pdelete(db.versions(item)[0]),
+                )
+        else:
+            self._write(item, Item(self.wid, base + 400), "val")
 
     def _aborted_txn(self, db: Database) -> None:
         """A transaction that aborts on purpose: undo must erase it.
@@ -422,17 +413,13 @@ class _Worker:
         The insert (``newversion``) exercises ``heap.replay_delete`` and
         the update exercises ``heap.replay_insert`` during the abort.
         """
-        item = self.item
-        assert item is not None
-        item.pending = dict(item.committed)  # abort changes nothing
         try:
             with db.transaction():
-                db.newversion(item.ref)
-                item.ref.val = 999_999
+                db.newversion(self.item)
+                self.item.val = 999_999
                 raise _DeliberateAbort()
         except _DeliberateAbort:
             pass
-        item.pending = None
 
 
 class _DeliberateAbort(Exception):
@@ -511,22 +498,15 @@ def _run_shared_content_workload(path: Path) -> list[_Worker]:
         db = opened(Database(path, pool_size=8))
         for worker in workers:
             # Equal tags: equal texts are then equal payloads, one key.
-            text = f"B{worker.wid}:" + "x" * 600
-            ref = db.pnew(Blob(tag=0, text=text))
-            worker.blob = _Tracked(
-                "blob", ref, ref.oid.value, {"pad": len(text), "versions": 1}
-            )
+            worker.blob = worker._pnew(db, Blob(tag=0, text=f"B{worker.wid}:" + "x" * 600))
         db.checkpoint()
         first, second = workers[0].blob, workers[1].blob
         shared = "k" * BLOB_CHUNK
         session = db.session("first-storer")
         with session.activate():
             txn = db.begin()
-            first.ref.text = shared
-        _Worker._attempt(
-            second, dict(second.committed, pad=len(shared)),
-            lambda: setattr(second.ref, "text", shared),
-        )
+            first.text = shared
+        workers[1]._write(second, Blob(tag=0, text=shared), "text")
         with session.activate():
             txn.abort()
     return workers
@@ -535,54 +515,51 @@ def _run_shared_content_workload(path: Path) -> list[_Worker]:
 # -- verification ------------------------------------------------------------
 
 
-def _observe(db: Database, tracked: _Tracked) -> dict | None:
-    """The recovered state of one tracked object (None if absent)."""
-    oid = Oid(tracked.oid_value)
-    if not db.object_exists(oid):
-        return None
-    versions = db.versions(oid)
-    obj = db.materialize(versions[-1].vid)
-    if tracked.kind == "item":
-        return {"val": obj.val, "versions": len(versions)}
-    return {"pad": len(obj.text), "versions": len(versions)}
+def _recovered(db: Database | ShardedDatabase) -> dict:
+    """The database's state in :meth:`ModelStore.export`'s shape."""
+    return history(db.export(), decode)
+
+
+def _difference(got: dict, want: dict) -> str:
+    """Where a recovered state first departs from a model's, in words."""
+    key = min(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+    if key not in got or key not in want:
+        return f"oid {key.value} {'lost' if key in want else 'not in the model'}"
+    (got_max, got_rows), (want_max, want_rows) = got[key], want[key]
+    lost = sorted({r[0] for r in want_rows} - {r[0] for r in got_rows})
+    extra = sorted({r[0] for r in got_rows} - {r[0] for r in want_rows})
+    if lost or extra:
+        return f"oid {key.value}: serials {lost} lost, {extra} not in the model"
+    for got_row, want_row in zip(got_rows, want_rows):
+        if got_row != want_row:
+            what = "dprev" if got_row[1] != want_row[1] else "value"
+            return f"oid {key.value} serial {got_row[0]}: {what} differs from the model's"
+    return f"oid {key.value}: max serial {got_max}, the model's {want_max}"
 
 
 def _verify(
     db: Database, workers: list[_Worker], scenario: Scenario, problems: list[str]
 ) -> None:
-    known_oids: set[int] = set()
-    in_flight_creates = any(w.creating for w in workers)
+    """Each worker's objects export its committed model or its pending
+    one; every object left over is a loser."""
+    real = _recovered(db)
     for worker in workers:
-        for tracked in worker.tracked():
-            known_oids.add(tracked.oid_value)
-            state = _observe(db, tracked)
-            allowed: list[dict | None] = [tracked.committed]
-            if tracked.pending is not None:
-                allowed.append(tracked.pending)
-            if state not in allowed:
-                problems.append(
-                    f"worker {worker.wid} {tracked.kind} "
-                    f"(oid {tracked.oid_value}): recovered {state!r}, "
-                    f"expected committed {tracked.committed!r}"
-                    + (
-                        f" or pending {tracked.pending!r}"
-                        if tracked.pending is not None
-                        else ""
-                    )
-                )
+        want = worker.committed.export()
+        got = {key: real.pop(key) for key in want if key in real}
+        if got != want and (worker.pending is None or got != worker.pending.export()):
+            problems.append(
+                f"worker {worker.wid}: recovered state is not the committed "
+                f"model{'' if worker.pending is None else ' or the pending one'} "
+                f"({_difference(got, want)})"
+            )
     # Loser absence: the only admissible untracked object is a single
     # in-flight pnew (setup is sequential), and then only whole or absent
     # -- partial presence is caught by the strict check above.
-    unknown = [
-        ref.oid.value
-        for ref in db.store.all_objects()
-        if ref.oid.value not in known_oids
-    ]
-    budget = 1 if in_flight_creates else 0
-    if len(unknown) > budget:
+    budget = 1 if any(w.creating for w in workers) else 0
+    if len(real) > budget:
         problems.append(
-            f"{len(unknown)} untracked object(s) {sorted(unknown)} survived "
-            f"recovery (at most {budget} in-flight create admissible)"
+            f"{len(real)} untracked object(s) {sorted(o.value for o in real)} "
+            f"survived recovery (at most {budget} in-flight create admissible)"
         )
 
 
@@ -676,7 +653,8 @@ def _lose_unsynced(db: Database, hole: bool) -> bool:
 def run_scenario(scenario: Scenario, path: Path) -> Result:
     """Run ``scenario``'s workload in ``path`` under its fault, recover,
     and verify: every database (shards included) passes the strict check
-    with nothing left in doubt, then the matrix's verifier and probe."""
+    with nothing left in doubt, then the matrix's verifier and probe; a
+    clean close and reopen must then leave ``export()`` as it was."""
     family = _FAMILIES["twopc" if scenario.rewrite else scenario.matrix]
     result, ledger, db = _crash_and_reopen(path, scenario, family)
     if db is None:
@@ -702,6 +680,11 @@ def run_scenario(scenario: Scenario, path: Path) -> Result:
                 )
         family.verify(db, ledger, scenario, result.problems)
         family.probe(db, ledger, scenario, result.problems)
+        before = db.export()
+        db.close()
+        db = family.reopen(path)
+        if db.export() != before:
+            result.problems.append("a clean close and reopen changed the export")
     except Exception as exc:  # noqa: BLE001 - a verifier that dies is a finding
         result.problems.append(f"verification raised {exc!r}")
     finally:
@@ -835,33 +818,19 @@ def enumerate_twopc_scenarios(smoke: bool = False) -> list[Scenario]:
     return [replace(s, matrix="twopc") for s in scenarios]
 
 
-@dataclass
-class _Transfer:
-    """Ledger entry for one transfer."""
-
-    src: int  # account index
-    dst: int
-    #: Post-transfer balances of (src, dst).
-    src_bal: int
-    dst_bal: int
-
-
 class _TransferLedger:
-    """Single-threaded transfer workload state: balances + in-flight op."""
+    """Single-threaded transfer workload state: the accounts as a model,
+    and, while a transfer is in flight, a clone with it applied."""
 
     def __init__(self) -> None:
-        self.oid_values: list[int] = []
-        self.committed: list[int] = [_TWOPC_BALANCE] * _TWOPC_ACCOUNTS
-        self.pending: _Transfer | None = None
+        self.accounts: list[Ref] = []
+        self.committed = ModelStore()
+        self.pending: ModelStore | None = None
         #: COORD_END records in the shards' WAL files as the workload left them.
         self.coord_ends = 0
         #: Verdicts released before the crash: ``shard.2pc.pre_forget`` is
         #: visited once per verdict, right before its COORD_END.
         self.forgets = 0
-
-    @property
-    def total(self) -> int:
-        return _TWOPC_BALANCE * _TWOPC_ACCOUNTS
 
 
 def _twopc_steps(scenario: Scenario) -> list[tuple[int, int]]:
@@ -887,26 +856,21 @@ def _run_twopc_workload(path: Path, scenario: Scenario) -> _TransferLedger:
         nshards = scenario.rewrite or _TWOPC_NSHARDS
         router = opened(ShardedDatabase(path, nshards=nshards, pool_size=8))
         memo = 600 if scenario.rewrite else 0  # chars: a blob-sized body, or none
-        refs = [
-            router.pnew(Account(i, _TWOPC_BALANCE, _gc_text(i, memo)))
-            for i in range(_TWOPC_ACCOUNTS)
-        ]
-        ledger.oid_values = [ref.oid.value for ref in refs]
+        for i in range(_TWOPC_ACCOUNTS):
+            account = Account(i, _TWOPC_BALANCE, _gc_text(i, memo))
+            ledger.accounts.append(router.pnew(account))
+            ledger.committed.pnew(ledger.accounts[i].oid, account)
         router.checkpoint()
         for j, (src, dst) in enumerate(_twopc_steps(scenario)):
-            amount = j + 1
-            transfer = _Transfer(
-                src, dst,
-                ledger.committed[src] - amount,
-                ledger.committed[dst] + amount,
-            )
-            ledger.pending = transfer
+            pending = ledger.committed.clone()
+            for i, amount in ((src, -(j + 1)), (dst, j + 1)):
+                old = pending.read(ledger.accounts[i].oid)
+                pending.write(ledger.accounts[i].oid, Account(i, old.bal + amount, old.memo))
+            ledger.pending = pending
             with router.transaction():
-                refs[src].bal = transfer.src_bal
-                refs[dst].bal = transfer.dst_bal
-            ledger.committed[src] = transfer.src_bal
-            ledger.committed[dst] = transfer.dst_bal
-            ledger.pending = None
+                for i in (src, dst):
+                    ledger.accounts[i].bal = pending.read(ledger.accounts[i].oid).bal
+            ledger.committed, ledger.pending = pending, None
     ledger.forgets = probe.attached().hit_count("shard.2pc.pre_forget")
     for wal_path in sorted(path.glob("shard-*/wal.log")):
         log = LogManager(wal_path)
@@ -921,8 +885,8 @@ def _verify_twopc(
     scenario: Scenario,
     problems: list[str],
 ) -> None:
-    """The verdicts released and resolved as the row expects; atomicity,
-    durability and exactness of the recovered balances."""
+    """The verdicts released and resolved as the row expects, and the
+    whole router exports the model the row admits."""
     if scenario.expect_released not in (None, ledger.forgets) or (
         ledger.coord_ends > ledger.forgets
     ):
@@ -938,44 +902,17 @@ def _verify_twopc(
             f"resolution (committed, aborted) {resolved}, expected "
             f"{scenario.expect_resolution}"
         )
-    observed: list[int] = []
-    for value in ledger.oid_values:
-        oid = Oid(value)
-        if not router.object_exists(oid):
-            problems.append(f"account oid {value} lost by recovery")
-            return
-        observed.append(router.deref(oid).bal)
-    if sum(observed) != ledger.total:
-        problems.append(
-            f"conservation broken: balances {observed} sum to "
-            f"{sum(observed)}, expected {ledger.total}"
-        )
-    expected = list(ledger.committed)
-    transfer = ledger.pending
-    if transfer is None:
-        if observed != expected:
-            problems.append(
-                f"recovered balances {observed} != committed {expected}"
-            )
-        return
-    # One transfer was in flight.  Both its writes survive or neither --
-    # and which of the two is not a matter of luck: a durable verdict
-    # (crash at/after post_decision) must commit, no verdict must abort.
-    applied = list(expected)
-    applied[transfer.src] = transfer.src_bal
-    applied[transfer.dst] = transfer.dst_bal
-    if scenario.failpoint in _DECIDED_WINDOWS:
-        if observed != applied:
-            problems.append(
-                f"decided transfer lost: recovered {observed}, the durable "
-                f"verdict demands {applied}"
-            )
-    else:
-        if observed != expected:
-            problems.append(
-                f"undecided transfer not presumed-aborted: recovered "
-                f"{observed}, expected rollback to {expected}"
-            )
+    # Both writes of an in-flight transfer survive or neither -- and
+    # which of the two is not a matter of luck: a durable verdict (crash
+    # at/after post_decision) must commit, no verdict must abort.
+    want, what = ledger.committed, "recovered accounts are not the committed ones"
+    if ledger.pending is not None and scenario.failpoint in _DECIDED_WINDOWS:
+        want, what = ledger.pending, "decided transfer lost"
+    elif ledger.pending is not None:
+        what = "undecided transfer not presumed-aborted"
+    real, want = _recovered(router), want.export()
+    if real != want:
+        problems.append(f"{what}: {_difference(real, want)}")
 
 
 def _twopc_usability_probe(
@@ -988,8 +925,7 @@ def _twopc_usability_probe(
     (and, on the rewrite rows, repair must have converged: one reclaim
     leaves no candidate)."""
     try:
-        a = router.deref(Oid(ledger.oid_values[0]))
-        b = router.deref(Oid(ledger.oid_values[1]))
+        a, b = (router.deref(ref.oid) for ref in ledger.accounts[:2])
         before = (a.bal, b.bal)
         with router.transaction():
             a.bal = before[0] - 1
@@ -1104,24 +1040,32 @@ def enumerate_gc_scenarios(smoke: bool = False) -> list[Scenario]:
 class _GcLedger:
     """What the GC workload promised before the fault fired.
 
-    ``keep`` holds, per object, the serials retention must preserve (the
-    latest, the last ``_GC_KEEP``, and any tagged serial); every other
-    serial is *doomed* -- the collector may have deleted it, or the crash
-    may have left it behind.  Recovered state is valid iff each object's
-    surviving serials satisfy ``keep <= survivors <= all``.
+    ``committed`` models the history it built; ``tags`` holds, per object,
+    the serials tagged outside the keep-last window.  Retention
+    (:meth:`policy`) dooms the serials :meth:`ModelStore.doomed` selects --
+    the collector may have deleted any of them, or the crash may have left
+    them behind -- and a converged collector leaves :meth:`retained`.
     """
 
-    oid_values: list[int] = field(default_factory=list)
-    #: oid value -> serial -> the text written at that serial.
-    texts: dict[int, dict[int, str]] = field(default_factory=dict)
-    keep: dict[int, set[int]] = field(default_factory=dict)
-    #: The mixed-history objects: oid value -> True when pruning re-bases
+    committed: ModelStore = field(default_factory=ModelStore)
+    tags: dict = field(default_factory=dict)
+    #: The mixed-history objects: oid -> True when pruning re-bases
     #: serial 3 from the blob store to an inline record, False for the
     #: opposite direction.
-    mixed: dict[int, bool] = field(default_factory=dict)
+    mixed: dict = field(default_factory=dict)
     #: True once every write (and the retention/tag setup) is committed;
     #: the armed faults fire inside run_gc, after this point.
     setup_done: bool = False
+
+    def policy(self, key) -> dict:
+        """The retention policy the workload set, as the model's keywords."""
+        return {"keep_last_n": _GC_KEEP, "tags": self.tags.get(key, ())}
+
+    def retained(self) -> ModelStore:
+        model = self.committed.clone()
+        for key in model.keys():
+            model.apply_retention(key, **self.policy(key))
+        return model
 
 
 def _gc_text(seed: int, chars: int = 600) -> str:
@@ -1171,20 +1115,20 @@ def _build_gc_history(path: Path, ledger: _GcLedger) -> Database:
         (_gc_mixed_history(8000, to_inline=True), 1, True),
     ]
     db.set_retention(Blob, RetentionPolicy(keep_last_n=_GC_KEEP))
+    model = ledger.committed
     for i, (texts, tagged, to_inline) in enumerate(histories):
         ref = db.pnew(Blob(tag=i, text=texts[0]))
-        oid = ref.oid.value
-        ledger.oid_values.append(oid)
+        model.pnew(ref.oid, Blob(tag=i, text=texts[0]))
         for text in texts[1:]:
             db.newversion(ref)
             ref.text = text
-        ledger.texts[oid] = dict(enumerate(texts, start=1))
-        ledger.keep[oid] = set(range(len(texts) - _GC_KEEP + 1, len(texts) + 1))
+            model.newversion(ref.oid)
+            model.write(ref.oid, Blob(tag=i, text=text))
         if tagged is not None:
             db.tag_version(db.versions(ref)[tagged - 1], "pinned")
-            ledger.keep[oid].add(tagged)
+            ledger.tags[ref.oid] = (tagged,)
         if to_inline is not None:
-            ledger.mixed[oid] = to_inline
+            ledger.mixed[ref.oid] = to_inline
     db.checkpoint()
     ledger.setup_done = True
     return db
@@ -1214,34 +1158,25 @@ def _stored_inline(db: Database, vid: Vid) -> bool:
 def _verify_gc(
     db: Database, ledger: _GcLedger, scenario: Scenario, problems: list[str]
 ) -> None:
-    """Retention safety: kept versions survive with their exact payloads,
-    and the collector, run again, converges to exactly the keep set."""
+    """Retention safety: the recovered histories are the committed ones
+    less some doomed versions, and the collector, run again, converges
+    to exactly the retained model."""
     if not ledger.setup_done:
         problems.append("fault fired before the GC ran (setup crashed)")
         return
-    for oid_value in ledger.oid_values:
-        oid = Oid(oid_value)
-        if not db.object_exists(oid):
-            problems.append(f"object oid {oid_value} lost by the collector")
-            continue
-        survivors = {v.vid.serial for v in db.versions(oid)}
-        keep = ledger.keep[oid_value]
-        if not keep <= survivors:
-            problems.append(
-                f"oid {oid_value}: retained serials {sorted(keep - survivors)} "
-                f"deleted (survivors {sorted(survivors)})"
-            )
-        texts = ledger.texts[oid_value]
-        if not survivors <= texts.keys():
-            problems.append(
-                f"oid {oid_value}: phantom serials {sorted(survivors - texts.keys())}"
-            )
-        for serial in survivors & texts.keys():
-            if db.materialize(Vid(oid, serial)).text != texts[serial]:
-                problems.append(
-                    f"oid {oid_value} serial {serial}: text differs from "
-                    f"the one committed"
-                )
+    real = _recovered(db)
+    model = ledger.committed.clone()
+    for key, (_, rows) in real.items():
+        if model.exists(key):
+            survivors = {row[0] for row in rows}
+            for serial in ledger.committed.doomed(key, **ledger.policy(key)):
+                if serial not in survivors:
+                    model.vdelete(key, serial)
+    if real != model.export():
+        problems.append(
+            f"recovered state is not the committed model less doomed "
+            f"versions: {_difference(real, model.export())}"
+        )
     _gc_convergence_probe(db, ledger, problems)
 
 
@@ -1259,18 +1194,16 @@ def _gc_convergence_probe(
                 f"reclaim did not drain: {report.candidates_remaining} "
                 f"candidate(s) remain after 4 passes"
             )
-        for oid_value in ledger.oid_values:
-            survivors = {v.vid.serial for v in db.versions(Oid(oid_value))}
-            if survivors != ledger.keep[oid_value]:
+        real, want = _recovered(db), ledger.retained().export()
+        if real != want:
+            problems.append(
+                f"post-recovery GC did not converge to the retained model: "
+                f"{_difference(real, want)}"
+            )
+        for oid, to_inline in ledger.mixed.items():
+            if _stored_inline(db, Vid(oid, 3)) != to_inline:
                 problems.append(
-                    f"oid {oid_value}: post-recovery GC kept "
-                    f"{sorted(survivors)}, retention demands "
-                    f"{sorted(ledger.keep[oid_value])}"
-                )
-        for oid_value, to_inline in ledger.mixed.items():
-            if _stored_inline(db, Vid(Oid(oid_value), 3)) != to_inline:
-                problems.append(
-                    f"oid {oid_value}: re-based serial 3 is not stored "
+                    f"oid {oid.value}: re-based serial 3 is not stored "
                     f"{'inline' if to_inline else 'in the blob store'}"
                 )
         stats = db.stats()

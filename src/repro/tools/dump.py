@@ -108,7 +108,7 @@ def dump_database(db: Database) -> dict:
                     for serial, dprev, ctime, content in versions
                 ],
             }
-            for oid, type_name, max_serial, versions in db.store.export()
+            for oid, type_name, max_serial, versions in db.export()
         ],
     }
 

@@ -37,6 +37,8 @@ from repro import probe
 from repro.core.database import Database
 from repro.core.identity import Vid
 from repro.core.pointers import Ref
+from repro.storage.serialization import decode
+from repro.verify.model import history
 from repro.verify.oracle import ThreadLog, Verdict, check
 from repro.verify.scenarios import Cell, Scenario
 from repro.verify.scheduler import CooperativeScheduler, SchedulerStuck
@@ -123,24 +125,6 @@ def _apply_seed(db: Database, seed: tuple[tuple, ...]) -> dict[str, Ref]:
     return refs
 
 
-def _real_fingerprint(db: Database, refs: dict[str, Ref], keys: tuple[str, ...]) -> tuple:
-    """The real database's final state, in ``ModelStore.fingerprint`` shape."""
-    out = []
-    for key in sorted(keys, key=repr):
-        ref = refs[key]
-        if not ref.is_alive():
-            out.append((key, None))
-            continue
-        rows = []
-        for vref in db.versions(ref):
-            parent = db.dprevious(vref)
-            rows.append(
-                (vref.vid.serial, parent.vid.serial if parent else None, vref.value)
-            )
-        out.append((key, (tuple(rows), db.latest_vid(ref.oid).serial)))
-    return tuple(out)
-
-
 MUTATIONS = ("publish-exclusion",)
 
 
@@ -198,7 +182,12 @@ def run_schedule(
             except AssertionError as exc:
                 outcome.error = str(exc)
                 return outcome
-            final = _real_fingerprint(db, refs, scenario.keys)
+            real = history(db.export(), lambda content: decode(content).value)
+            final = {
+                key: real[refs[key].oid]
+                for key in scenario.keys
+                if refs[key].oid in real
+            }
             outcome.verdict = check(
                 list(scenario.seed), logs, final, list(scenario.keys)
             )

@@ -12,9 +12,12 @@ bisects, no shared code) so that agreement between the two is evidence,
 not tautology.
 
 The oracle (:mod:`repro.verify.oracle`) replays recorded transaction
-histories against this model to decide serializability; the property
-tests (``tests/core/test_vgraph_properties.py``) drive it in lockstep
-with the real kernel under random operation sequences.
+histories against this model to decide serializability; the crash
+matrix (:mod:`repro.tools.crashmatrix`) mirrors its workloads into it as
+their ledger.  Both judge a real database the same way: :func:`history`
+of its ``export()`` against :meth:`ModelStore.export`.  The property
+tests (``tests/core/test_vgraph_properties.py``) drive the model in
+lockstep with the real kernel under random operation sequences.
 
 Objects are keyed by arbitrary hashable names chosen by the caller
 (scenario-level keys, oids, whatever).  Creation times default to a
@@ -25,7 +28,7 @@ logical op counter; pass explicit ``ctime`` values to mirror a real run
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable
 
 Key = Hashable
 
@@ -303,21 +306,31 @@ class ModelStore:
             copy._objects[key] = twin
         return copy
 
-    def fingerprint(self, keys: Iterable[Key] | None = None) -> tuple:
-        """Canonical comparable state: per key, the live ``(serial, dprev,
-        value)`` rows plus the latest serial.  Creation times are excluded
-        (the real kernel stamps wall-clock time; the model a logical one).
-        """
-        chosen = self.keys() if keys is None else sorted(keys, key=repr)
-        out = []
-        for key in chosen:
-            if key not in self._objects:
-                out.append((key, None))
-                continue
-            obj = self._objects[key]
-            rows = tuple(
-                (s, obj.versions[s].dprev, obj.versions[s].value)
-                for s in self._chain(key)
+    def export(self, keys: Iterable[Key] | None = None) -> dict:
+        """Comparable state: ``key -> (max_serial, ((serial, dprev, value),
+        ...))`` per live object (of ``keys``, when given), rows in serial
+        order -- the shape :func:`history` gives a real ``export()``.
+        Creation times are left out (the real kernel stamps wall-clock
+        time; the model a logical one)."""
+        chosen = self._objects if keys is None else keys
+        return {
+            key: (
+                obj.max_serial,
+                tuple((s, v.dprev, v.value) for s, v in sorted(obj.versions.items())),
             )
-            out.append((key, (rows, self.latest(key))))
-        return tuple(out)
+            for key in chosen
+            if (obj := self._objects.get(key)) is not None
+        }
+
+
+def history(rows: Iterable[tuple], value_of: Callable[[bytes], Any]) -> dict:
+    """A real ``export()`` -- ``(oid, type_name, max_serial, [(serial,
+    dprev, ctime, content)])`` rows -- in :meth:`ModelStore.export`'s
+    shape, keyed by oid; ``value_of`` decodes each version's content."""
+    return {
+        oid: (
+            max_serial,
+            tuple((serial, dprev, value_of(content)) for serial, dprev, _, content in versions),
+        )
+        for oid, _type_name, max_serial, versions in rows
+    }

@@ -9,7 +9,8 @@ transactions that the sequential reference model
 
 * every committed transaction, replayed atomically at its position,
   observes precisely what it observed in the real run;
-* the real database's final state equals the model's final state;
+* the real database's final state equals the model's final state, whole
+  histories and serial high-water marks included;
 * every *aborted* transaction observed some committed prefix plus its own
   ops (its effects must appear nowhere else -- the final-state check and
   the committed replays enforce that);
@@ -228,14 +229,15 @@ def _split(name: str, events: list[tuple]) -> tuple[list[_TxnUnit], list[_ReadGr
 def check(
     seed_events: list[tuple],
     logs: dict[str, ThreadLog],
-    final_state: tuple,
+    final_state: dict,
     keys: list[Key],
 ) -> Verdict:
     """Search for a reproducing serial order; see the module docstring.
 
     ``seed_events`` build the pre-run state (same event tuples as recorded
-    ops).  ``final_state`` is the real database's post-run fingerprint in
-    :meth:`ModelStore.fingerprint` shape over ``keys``.
+    ops).  ``final_state`` is the real database's post-run state over
+    ``keys``, in :meth:`ModelStore.export` shape (see
+    :func:`repro.verify.model.history`).
     """
     all_txns: list[_TxnUnit] = []
     reader_groups: dict[str, list[_ReadGroup]] = {}
@@ -280,9 +282,9 @@ def check(
                 mismatch = f"txn {t.label}: {mismatch}"
                 break
             states.append(nxt)
-        if mismatch is None and states[-1].fingerprint(keys) != final_state:
+        if mismatch is None and states[-1].export(keys) != final_state:
             mismatch = (
-                f"final state mismatch: model {states[-1].fingerprint(keys)!r} "
+                f"final state mismatch: model {states[-1].export(keys)!r} "
                 f"vs real {final_state!r}"
             )
         if mismatch is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, probe
+from repro.core.store import VersionStore
 from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.tools import harness
 from repro.tools.check import check_database
@@ -41,6 +42,26 @@ def test_full_crash_matrix(tmp_path):
     assert len(fired) >= 30, (
         f"only {len(fired)} distinct failpoints fired: {sorted(fired)}"
     )
+
+
+def test_matrix_sees_payloads_swapped_at_open(tmp_path, monkeypatch):
+    """The rows compare whole recovered histories, not newest values: an
+    open that swaps each object's oldest and second-newest payloads
+    (newest value, version count and strict check all intact) must be
+    reported by some row of the full matrix."""
+    load = VersionStore._load
+
+    def swapping_load(self, opening=False):
+        load(self, opening)
+        if opening:
+            for entry in self._table.values():
+                nodes = list(entry.graph.walk_temporal())
+                if len(nodes) > 2:
+                    nodes[0].data, nodes[-2].data = nodes[-2].data, nodes[0].data
+
+    monkeypatch.setattr(VersionStore, "_load", swapping_load)
+    report = harness.run(scenarios(["plain"]), tmp_path)
+    assert any(not r.ok for r in report.results), "no row saw the swapped payloads"
 
 
 def test_matrix_enumerates_every_action():

@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, probe
-from repro.core.identity import Oid, Vid
 from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
+from repro.storage.serialization import decode
 from repro.tools import harness
 from repro.tools.check import check_database
 from repro.tools.crashmatrix import (
@@ -28,6 +28,7 @@ from repro.tools.crashmatrix import (
     run_scenario,
     scenarios,
 )
+from repro.verify.model import history
 
 
 @pytest.fixture(autouse=True)
@@ -122,10 +123,8 @@ def test_crash_between_copy_forward_and_retire_costs_only_dead_space(tmp_path):
                 break
         reopened.checkpoint()
         assert not old_pack.exists()
-        for oid_value, keep in ledger.keep.items():
-            for serial in keep:
-                text = reopened.materialize(Vid(Oid(oid_value), serial)).text
-                assert text == ledger.texts[oid_value][serial]
+        # Every retained version, whole: payload, dprev and serial mark.
+        assert history(reopened.export(), decode) == ledger.retained().export()
         assert check_database(reopened, strict=True).ok
     finally:
         reopened.close()
@@ -154,14 +153,11 @@ def test_gc_workload_rebases_across_the_inline_threshold(tmp_path):
     try:
         assert sorted(ledger.mixed.values()) == [False, True]
 
-        def sides(oid_value):
-            oid = Oid(oid_value)
-            return {
-                v.vid.serial: _stored_inline(db, v.vid) for v in db.versions(oid)
-            }
+        def sides(oid):
+            return {v.vid.serial: _stored_inline(db, v.vid) for v in db.versions(oid)}
 
-        for oid_value, to_inline in ledger.mixed.items():
-            before = sides(oid_value)
+        for oid, to_inline in ledger.mixed.items():
+            before = sides(oid)
             assert before[3] != to_inline
             assert set(before.values()) == {True, False}
         for _ in range(8):
@@ -169,13 +165,13 @@ def test_gc_workload_rebases_across_the_inline_threshold(tmp_path):
                 break
         else:
             pytest.fail("the collector did not converge")
-        for oid_value, to_inline in ledger.mixed.items():
-            after = sides(oid_value)
-            assert set(after) == ledger.keep[oid_value]
+        retained = ledger.retained()
+        for oid, to_inline in ledger.mixed.items():
+            after = sides(oid)
+            assert list(after) == retained.serials(oid)
             assert after[3] == to_inline
             assert set(after.values()) == {True, False}
-            for serial, text in ledger.texts[oid_value].items():
-                if serial in after:
-                    assert db.materialize(Vid(Oid(oid_value), serial)).text == text
+        # The re-based versions read back whole, on both sides.
+        assert history(db.export(), decode) == retained.export()
     finally:
         db.close()

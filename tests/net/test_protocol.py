@@ -53,8 +53,6 @@ def test_frame_round_trip(payload):
     assert opcode == protocol.OP_READ
     assert cid == 123
     assert got == payload
-    # parse_frame (the one-shot parser) agrees with the decoder.
-    assert protocol.parse_frame(wire[4:]) == (opcode, cid, payload)
 
 
 def test_build_frame_into_appends_in_place():

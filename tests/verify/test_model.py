@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verify.model import ModelError, ModelStore
+from repro.verify.model import ModelError, ModelStore, history
 
 
 @pytest.fixture
@@ -109,11 +109,22 @@ def test_clone_is_independent(store):
     assert store.serials("x") == [1]
 
 
-def test_fingerprint_shape_and_dead_objects(store):
+def test_export_shape_and_dead_objects(store):
     store.pnew("x", 1)
     store.newversion("x")
     store.write("x", 2)
-    assert store.fingerprint(["x", "ghost"]) == (
-        ("ghost", None),
-        ("x", (((1, None, 1), (2, 1, 2)), 2)),
-    )
+    assert store.export(["x", "ghost"]) == {"x": (2, ((1, None, 1), (2, 1, 2)))}
+    assert store.export() == store.export(["x"])
+    # The high-water mark outlives the version that set it.
+    store.vdelete("x", 2)
+    assert store.export() == {"x": (2, ((1, None, 1),))}
+    store.odelete("x")
+    assert store.export(["x"]) == {}
+
+
+def test_history_decodes_a_real_export_into_the_model_shape(store):
+    store.pnew("x", 1)
+    store.newversion("x")
+    store.write("x", 2)
+    rows = [("x", "T", 2, [(1, None, 10.0, b"1"), (2, 1, 11.0, b"2")])]
+    assert history(rows, lambda content: int(content)) == store.export()

@@ -9,14 +9,14 @@ from repro.verify.oracle import ThreadLog, check
 
 
 def _final(seed, *txn_event_lists, keys=("x",)):
-    """Fingerprint after replaying ``seed`` then each event list in order."""
+    """The model's export after replaying ``seed`` then each event list in order."""
     model = ModelStore()
     for event in seed:
         _apply(model, event)
     for events in txn_event_lists:
         for event in events:
             _apply(model, event)
-    return model.fingerprint(list(keys))
+    return model.export(list(keys))
 
 
 def _apply(model, event):
@@ -120,11 +120,11 @@ def test_newversion_serials_checked():
     t1 = ThreadLog("T1")
     t1.begin(); t1.newversion("x", 2, 1); t1.commit()
     model = ModelStore(); model.pnew("x", 0); model.newversion("x")
-    assert check(SEED, {"T1": t1}, model.fingerprint(["x"]), ["x"])
+    assert check(SEED, {"T1": t1}, model.export(["x"]), ["x"])
 
     wrong = ThreadLog("T1")
     wrong.begin(); wrong.newversion("x", 7, 1); wrong.commit()
-    assert not check(SEED, {"T1": wrong}, model.fingerprint(["x"]), ["x"])
+    assert not check(SEED, {"T1": wrong}, model.export(["x"]), ["x"])
 
 
 def test_unterminated_transaction_is_a_harness_error():
@@ -137,4 +137,4 @@ def test_unterminated_transaction_is_a_harness_error():
 def test_bad_seed_raises():
     t1 = ThreadLog("T1")
     with pytest.raises(ValueError):
-        check([("read", "x", None, 99)], {"T1": t1}, (), ["x"])
+        check([("read", "x", None, 99)], {"T1": t1}, {}, ["x"])
