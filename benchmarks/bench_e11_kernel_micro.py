@@ -7,6 +7,7 @@ function of log length, and the checkpoint's effect on it.
 
 from __future__ import annotations
 
+import asyncio
 import random
 import statistics
 import threading
@@ -16,9 +17,12 @@ import pytest
 
 from repro import Database, StoragePolicy, persistent
 from repro.core.identity import Vid
+from repro.net.client import OdeConnection
+from repro.net.server import ServerThread
 from repro.storage import serialization
+from repro.storage.buffer import BufferPool
 from repro.storage.delta import compute_delta
-from repro.storage.heap import HeapFile
+from repro.storage.heap import HeapFile, Rid
 from repro.storage.wal import recover
 
 
@@ -314,6 +318,72 @@ def test_e11_snapshot_read_path_counted(delta_db, benchmark, monkeypatch):
     with db.snapshot() as snap:
         bound = snap.deref(older)
         assert benchmark(lambda: bound.n) == -1
+
+
+def test_e11_wire_read_ships_the_stored_image(delta_db, benchmark, monkeypatch):
+    """A whole-version wire read is a byte path from the store to the socket.
+
+    Counted, not timed, so it repeats exactly: a READ with ``attr=None``
+    frames the version's stored image as it is and leaves the store's
+    ``bytes_decoded`` where it was (the client does the one decode; a
+    server that decoded and re-encoded would add each payload's length).
+    Beneath it, every ``HeapFile.read`` of an inline record is one
+    buffer-pool lookup -- ``pool.hits + pool.misses`` moves by exactly 1
+    -- and calls neither ``BufferPool.fetch`` nor ``unpin``.
+    """
+    db, store = delta_db, delta_db.store
+    ref = db.pnew(E11Fat(0))
+    with db.transaction():
+        for i in range(1, 6):
+            db.newversion(ref).n = i
+    vids = [Vid(ref.oid, serial) for serial in range(1, 7)]
+
+    async def read_all(host, port):
+        conn = await OdeConnection.open(host, port)
+        try:
+            return [await conn.read(vid) for vid in vids]
+        finally:
+            await conn.close()
+
+    with ServerThread(db) as server:
+        store._bytes_cache.clear()
+        before = store.stats()["bytes_decoded"]
+        got = asyncio.run(read_all(server.host, server.port))
+        decoded = store.stats()["bytes_decoded"] - before
+    assert [obj.n for obj in got] == list(range(6))
+    assert decoded == 0, decoded
+
+    heap = db.catalog.ensure_heap("ode.versions")
+    graph = db.graph(ref.oid)
+    rids = [Rid(*graph.node(vid.serial).data[1:]) for vid in vids]
+    pins = {"fetch": 0, "unpin": 0}
+
+    def counting(name):
+        real = getattr(BufferPool, name)
+
+        def wrapper(*args, **kwargs):
+            pins[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    def lookups():
+        stats = db.stats()
+        return stats["pool.hits"] + stats["pool.misses"]
+
+    with monkeypatch.context() as patch:
+        for name in pins:
+            patch.setattr(BufferPool, name, counting(name))
+        moved = []
+        for rid in rids:
+            start = lookups()
+            heap.read(rid)
+            moved.append(lookups() - start)
+    assert moved == [1] * len(rids), moved
+    assert pins == {"fetch": 0, "unpin": 0}, pins
+    benchmark.extra_info["bytes_decoded_per_wire_read"] = decoded / len(vids)
+    benchmark.extra_info["pool_lookups_per_heap_read"] = sum(moved) / len(rids)
+    assert benchmark(lambda: heap.read(rids[-1])) is not None
 
 
 def _publish_ms_per_commit(path, objects: int, commits: int = 150) -> float:

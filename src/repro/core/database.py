@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from typing import Any
+from typing import Any, Callable
 
 from repro import probe
 from repro.errors import (
@@ -957,14 +957,24 @@ class Database(VersionReads, SessionHost):
         snap = self._read_snapshot()
         return snap if snap is not None else self._store
 
+    def _read(self, oid: Oid, read: Callable[[Any], Any]) -> Any:
+        """``read(source)``: the snapshot :meth:`_read_snapshot` picks (it
+        S-locks ``oid`` inside a transaction), else the live store under
+        the storage mutex."""
+        snap = self._read_snapshot(oid)
+        if snap is not None:
+            return read(snap)
+        with self._storage_mutex:
+            return read(self._store)
+
     def materialize(self, vid: Vid) -> Any:
         """Decode a fresh copy of one version's object (S-locked inside a
         transaction, lock-free against a snapshot: :meth:`_read_snapshot`)."""
-        snap = self._read_snapshot(vid.oid)
-        if snap is not None:
-            return snap.materialize(vid)
-        with self._storage_mutex:
-            return self._store.materialize(vid)
+        return self._read(vid.oid, lambda source: source.materialize(vid))
+
+    def version_bytes(self, vid: Vid) -> bytes:
+        """The version's stored image, undecoded; locks as :meth:`materialize`."""
+        return self._read(vid.oid, lambda source: source.version_bytes(vid))
 
     def read_attr(self, vid: Vid, name: str) -> Any:
         """Read one attribute through the store's shared decoded cache.
@@ -975,19 +985,11 @@ class Database(VersionReads, SessionHost):
         caller must fall back to :meth:`materialize`.  Locking mirrors
         :meth:`materialize`.
         """
-        snap = self._read_snapshot(vid.oid)
-        if snap is not None:
-            return snap.read_attr(vid, name)
-        with self._storage_mutex:
-            return self._store.read_attr(vid, name)
+        return self._read(vid.oid, lambda source: source.read_attr(vid, name))
 
     def latest_vid(self, oid: Oid) -> Vid:
         """The version id an object id currently denotes (S-locked in txns)."""
-        snap = self._read_snapshot(oid)
-        if snap is not None:
-            return snap.latest_vid(oid)
-        with self._storage_mutex:
-            return self._store.latest_vid(oid)
+        return self._read(oid, lambda source: source.latest_vid(oid))
 
     def write_version(self, vid: Vid, obj: Any) -> None:
         """Update a version in place (transactional, X-locks the object)."""

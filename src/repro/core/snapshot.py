@@ -424,15 +424,24 @@ class Snapshot(VersionReads):
         self._registry.lockfree_hits += 1
         return Vid(oid, entry.latest_serial)
 
-    def materialize(self, vid: Vid) -> Any:
-        """Decode a fresh copy of the version as of this snapshot."""
+    def _version_entry(self, vid: Vid) -> SnapshotEntry:
+        """The entry holding ``vid`` for one (counted) lock-free read;
+        raises when the version is gone."""
         probe.point("snap.read")
         entry = self._deref_entry(vid.oid)
         if vid.serial not in entry.graph:
             raise DanglingReferenceError(f"version {vid!r} no longer exists")
-        obj = self._store._decode(entry, vid.serial, self._bytes_overlay)
         self._registry.lockfree_hits += 1
-        return obj
+        return entry
+
+    def version_bytes(self, vid: Vid) -> bytes:
+        """The version's stored image as of this snapshot, undecoded."""
+        entry = self._version_entry(vid)
+        return self._store._version_bytes(entry, vid.serial, self._bytes_overlay)
+
+    def materialize(self, vid: Vid) -> Any:
+        """Decode a fresh copy of the version as of this snapshot."""
+        return self._store._decode(self.version_bytes(vid))
 
     def _latest_decoded(self, entry: SnapshotEntry) -> Any:
         """The entry's decode of its latest serial, memoized on the entry."""
@@ -440,9 +449,9 @@ class Snapshot(VersionReads):
         obj = entry.latest_decoded
         if obj is None:
             stats.decoded_misses += 1
-            obj = entry.latest_decoded = self._store._decode(
-                entry, entry.latest_serial, self._bytes_overlay
-            )
+            store = self._store
+            image = store._version_bytes(entry, entry.latest_serial, self._bytes_overlay)
+            obj = entry.latest_decoded = store._decode(image)
         else:
             stats.decoded_hits += 1
         return obj
@@ -450,15 +459,11 @@ class Snapshot(VersionReads):
     def read_attr(self, vid: Vid, name: str) -> Any:
         """Attribute-read fast path over shared decodes: the entry's memo
         for its latest serial, the store's decoded cache for any other."""
-        probe.point("snap.read")
-        entry = self._deref_entry(vid.oid)
-        if vid.serial not in entry.graph:
-            raise DanglingReferenceError(f"version {vid!r} no longer exists")
+        entry = self._version_entry(vid)
         if vid.serial == entry.latest_serial:
             obj = self._latest_decoded(entry)
         else:
             obj = self._store._shared_decode(entry, vid, self._bytes_overlay)
-        self._registry.lockfree_hits += 1
         return shared_attr(obj, name)
 
     def read_latest_attr(self, oid: Oid, name: str) -> Any:

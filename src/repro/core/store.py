@@ -740,14 +740,8 @@ class VersionStore(VersionReads):
                 raise
         return overlay[vid], True
 
-    def _decode(
-        self,
-        entry: _Entry | SnapshotEntry,
-        serial: int,
-        overlay: dict[Vid, bytes] | None = None,
-    ) -> Any:
-        """A fresh decode of one version, counted in ``bytes_decoded``."""
-        content = self._version_bytes(entry, serial, overlay)
+    def _decode(self, content: bytes) -> Any:
+        """A fresh decode of one version image, counted in ``bytes_decoded``."""
         self._stats.bytes_decoded += len(content)
         return serialization.decode(content)
 
@@ -768,7 +762,7 @@ class VersionStore(VersionReads):
             self._stats.decoded_hits += 1
             return obj
         self._stats.decoded_misses += 1
-        obj = self._decode(entry, vid.serial, overlay)
+        obj = self._decode(self._version_bytes(entry, vid.serial, overlay))
         self._decoded_cache.put(vid, obj, unless=overlay)
         return obj
 
@@ -1012,14 +1006,22 @@ class VersionStore(VersionReads):
             raise DanglingReferenceError(f"object {oid!r} no longer exists")
         return Vid(oid, entry.graph.latest())
 
-    def materialize(self, vid: Vid) -> Any:
-        """Decode and return a fresh copy of the version's object."""
+    def _version_entry(self, vid: Vid) -> _Entry:
+        """The entry holding ``vid``; raises when the version is gone."""
         entry = self._table.get(vid.oid)
         if entry is None:
             raise DanglingReferenceError(f"object {vid.oid!r} no longer exists")
         if vid.serial not in entry.graph:
             raise DanglingReferenceError(f"version {vid!r} no longer exists")
-        return self._decode(entry, vid.serial)
+        return entry
+
+    def version_bytes(self, vid: Vid) -> bytes:
+        """The version's stored image: its payload in the codec, undecoded."""
+        return self._version_bytes(self._version_entry(vid), vid.serial)
+
+    def materialize(self, vid: Vid) -> Any:
+        """Decode and return a fresh copy of the version's object."""
+        return self._decode(self.version_bytes(vid))
 
     def read_attr(self, vid: Vid, name: str) -> Any:
         """Attribute-read fast path over a *shared* cached decode.
@@ -1032,12 +1034,7 @@ class VersionStore(VersionReads):
         fresh :meth:`materialize` (methods need a private receiver for
         write-back; unknown types could leak shared mutable state).
         """
-        entry = self._table.get(vid.oid)
-        if entry is None:
-            raise DanglingReferenceError(f"object {vid.oid!r} no longer exists")
-        if vid.serial not in entry.graph:
-            raise DanglingReferenceError(f"version {vid!r} no longer exists")
-        return shared_attr(self._shared_decode(entry, vid), name)
+        return shared_attr(self._shared_decode(self._version_entry(vid), vid), name)
 
     def write_version(self, vid: Vid, obj: Any, log_op: LogOp | None = None) -> None:
         """Update a version's contents **in place** (no new version).
@@ -1046,13 +1043,8 @@ class VersionStore(VersionReads):
         ``newversion`` is always explicit.
         """
         probe.point("store.write")
-        entry = self._table.get(vid.oid)
-        if entry is None:
-            raise DanglingReferenceError(f"object {vid.oid!r} no longer exists")
-        if vid.serial not in entry.graph:
-            raise DanglingReferenceError(f"version {vid!r} no longer exists")
-        content = self._encode_object(obj)
-        self._rewrite_payload(entry, vid.serial, content, log_op)
+        entry = self._version_entry(vid)
+        self._rewrite_payload(entry, vid.serial, self._encode_object(obj), log_op)
         self._notify(EV_UPDATE, vid.oid, vid)
 
     def _encode_object(self, obj: Any) -> bytes:

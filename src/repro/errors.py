@@ -216,6 +216,15 @@ class ProtocolError(NetworkError):
     """A wire frame could not be parsed (bad magic, malformed header/body)."""
 
 
+class FrameBodyError(ProtocolError):
+    """A complete frame whose body does not decode (the ``__cause__``):
+    framing is intact, so only the request ``cid`` names fails."""
+
+    def __init__(self, message: str, cid: int = 0) -> None:
+        super().__init__(message)
+        self.cid = cid
+
+
 class FrameTooLargeError(ProtocolError):
     """A frame declared a payload larger than the negotiated maximum.
 

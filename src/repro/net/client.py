@@ -55,7 +55,9 @@ from repro.core.identity import Oid, Vid
 from repro.errors import (
     ConnectionClosedError,
     DeadlineExceededError,
+    FrameBodyError,
     NetworkError,
+    OdeError,
     ProtocolError,
     RemoteError,
     ServerDrainingError,
@@ -215,11 +217,20 @@ class OdeConnection(asyncio.Protocol):
         self.transport = transport
 
     def data_received(self, data: bytes) -> None:
-        try:
-            for opcode, cid, payload in self._decoder.feed(data):
-                self._complete(opcode, cid, payload)
-        except ProtocolError as exc:
-            self._condemn(exc)  # framing is lost: nothing after it can be trusted
+        while True:
+            try:
+                for opcode, cid, payload in self._decoder.feed(data):
+                    self._complete(opcode, cid, payload)
+                return
+            except FrameBodyError as exc:
+                # One response that does not decode (say, an image of a
+                # type not registered here) fails its own request only.
+                cause = exc.__cause__
+                self._complete(None, exc.cid, cause if isinstance(cause, OdeError) else exc)
+                data = b""
+            except ProtocolError as exc:
+                self._condemn(exc)  # framing is lost: nothing after it can be trusted
+                return
 
     def connection_lost(self, exc: BaseException | None) -> None:
         """EOF, reset or ``close()``: the transport has closed itself."""
@@ -238,7 +249,8 @@ class OdeConnection(asyncio.Protocol):
         paused.set_result(None)
         self._flush()
 
-    def _complete(self, opcode: int, cid: int, payload: Any) -> None:
+    def _complete(self, opcode: int | None, cid: int, payload: Any) -> None:
+        """Resolve request ``cid``; ``opcode`` None fails it with ``payload``."""
         if cid == 0 and opcode == protocol.RESP_ERR:
             # Connection-level error (e.g. our frame was oversized): the
             # server is hanging up.  Fail everything in flight *now* --
@@ -251,7 +263,7 @@ class OdeConnection(asyncio.Protocol):
         if opcode == protocol.RESP_OK:
             future.set_result(payload)
         else:
-            future.set_exception(_remote_exception(payload))
+            future.set_exception(payload if opcode is None else _remote_exception(payload))
 
     def _condemn(self, reason: BaseException) -> None:
         """The stream is unusable: fail what is in flight, hang up."""
@@ -468,12 +480,6 @@ class OdeConnection(asyncio.Protocol):
     ) -> None:
         """In-place update of one attribute of the target version."""
         await self.request(protocol.OP_WRITE, (target, attr, value), deadline=deadline)
-
-    async def write_obj(
-        self, target: Oid | Vid, obj: Any, *, deadline: Any = _UNSET
-    ) -> None:
-        """Replace the target version's whole state."""
-        await self.request(protocol.OP_WRITE, (target, None, obj), deadline=deadline)
 
     async def query(
         self,

@@ -19,7 +19,9 @@ objects, containers -- and both ends share one set of golden bytes.
 
 Responses are ``RESP_OK`` with the result as body, or ``RESP_ERR`` with
 ``{"error": <class name>, "message": <str>}``; the client re-raises the
-real exception class when :mod:`repro.errors` defines it.
+real exception class when :mod:`repro.errors` defines it.  A whole-version
+READ answers with the version's stored image (:class:`Encoded`): the
+codec's bytes for that object, so the server never decodes it.
 
 :class:`FrameDecoder` is the incremental parser both ends run: feed it
 whatever the transport delivered -- half a header, three frames and a
@@ -32,7 +34,12 @@ from __future__ import annotations
 import struct
 from typing import Any, Iterator
 
-from repro.errors import FrameTooLargeError, ProtocolError
+from repro.errors import (
+    FrameBodyError,
+    FrameTooLargeError,
+    ProtocolError,
+    SerializationError,
+)
 from repro.storage.serialization import (
     decode_from,
     encode_into,
@@ -106,6 +113,16 @@ def opcode_name(opcode: int) -> str:
 _MAGIC_BYTES = _MAGIC.pack(MAGIC)
 
 
+class Encoded:
+    """A body already in the codec -- a stored version image -- that
+    :func:`build_frame_into` appends verbatim instead of encoding."""
+
+    __slots__ = ("body",)
+
+    def __init__(self, body: bytes) -> None:
+        self.body = body
+
+
 def build_frame_into(out: bytearray, opcode: int, cid: int, payload: Any) -> None:
     """Append one serialized frame to ``out`` in place.
 
@@ -122,7 +139,10 @@ def build_frame_into(out: bytearray, opcode: int, cid: int, payload: Any) -> Non
         out += _MAGIC_BYTES
         out.append(opcode)
         write_uvarint(out, cid)
-        encode_into(out, payload)
+        if type(payload) is Encoded:
+            out += payload.body
+        else:
+            encode_into(out, payload)
         body_len = len(out) - base - _LEN.size
         if body_len > MAX_FRAME_BYTES:
             raise FrameTooLargeError(
@@ -166,7 +186,10 @@ class FrameDecoder:
 
         Raises :class:`FrameTooLargeError` or :class:`ProtocolError` the
         moment the stream turns bad; the decoder is then unusable (frame
-        boundaries are lost) and the connection should be dropped.
+        boundaries are lost) and the connection should be dropped.  A
+        complete frame whose body does not decode raises
+        :class:`~repro.errors.FrameBodyError` after it is consumed: feed
+        again (``b""`` will do) to go on with the frames behind it.
 
         Consumed bytes are trimmed once per call (not once per frame),
         so a pipelined chunk of N frames costs one buffer move.
@@ -207,19 +230,17 @@ class FrameDecoder:
                 pos = start + length
                 self.frames_in += 1
                 opcode = body[_MAGIC.size]
+                cid = None
                 try:
                     cid, at = read_uvarint(body, _FIXED_HEADER)
                     payload, end = decode_from(body, at)
                     if end != length:
-                        raise ProtocolError(
-                            f"{length - end} trailing bytes in frame"
-                        )
-                except ProtocolError:
-                    raise
+                        raise SerializationError(f"{length - end} trailing bytes in frame")
                 except Exception as exc:
-                    raise ProtocolError(
-                        f"malformed {opcode_name(opcode)} frame: {exc}"
-                    ) from exc
+                    message = f"malformed {opcode_name(opcode)} frame: {exc}"
+                    if cid is None:  # no request to name: the stream is bad
+                        raise ProtocolError(message) from exc
+                    raise FrameBodyError(message, cid) from exc
                 yield opcode, cid, payload
         finally:
             if pos:

@@ -829,7 +829,8 @@ def _ident(payload: Any) -> Oid | Vid:
 
 
 def _do_read(reader: Any, payload: Any) -> Any:
-    """READ: ``(target, attr)`` -> value; ``attr=None`` materializes.
+    """READ: ``(target, attr)`` -> value; ``attr=None`` answers with the
+    version's stored image, framed as it is (the client decodes it).
 
     Positional (a tuple, not a dict) because this is the hottest frame
     on the wire: two fewer key strings to encode, decode and hash per
@@ -846,7 +847,7 @@ def _do_read(reader: Any, payload: Any) -> Any:
     else:
         raise ProtocolError("read target must be an Oid or Vid")
     if attr is None:
-        return reader.materialize(vid)
+        return protocol.Encoded(reader.version_bytes(vid))
     value = reader.read_attr(vid, attr)
     if value is READ_MISS:
         value = getattr(reader.materialize(vid), attr)

@@ -587,6 +587,9 @@ class ShardedDatabase(VersionReads, SessionHost):
     def materialize(self, vid: Vid) -> Any:
         return self._route(vid.oid, lambda db: db.materialize(vid))
 
+    def version_bytes(self, vid: Vid) -> bytes:
+        return self._route(vid.oid, lambda db: db.version_bytes(vid))
+
     def read_attr(self, vid: Vid, name: str) -> Any:
         return self._route(vid.oid, lambda db: db.read_attr(vid, name))
 
@@ -1029,6 +1032,9 @@ class ShardedReader(VersionReads):
 
     def materialize(self, vid: Vid) -> Any:
         return self._cut().materialize(vid)
+
+    def version_bytes(self, vid: Vid) -> bytes:
+        return self._cut().version_bytes(vid)
 
     def read_attr(self, vid: Vid, name: str) -> Any:
         return self._cut().read_attr(vid, name)

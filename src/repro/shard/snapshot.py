@@ -191,6 +191,9 @@ class GlobalSnapshot(VersionReads):
     def materialize(self, vid: Vid) -> Any:
         return self._locate(vid.oid).materialize(vid)
 
+    def version_bytes(self, vid: Vid) -> bytes:
+        return self._locate(vid.oid).version_bytes(vid)
+
     def read_attr(self, vid: Vid, name: str) -> Any:
         return self._locate(vid.oid).read_attr(vid, name)
 

@@ -5,18 +5,11 @@ they fetch pages through the pool, which keeps a bounded set of frames in
 memory with LRU eviction.  A pinned frame is never evicted, and a dirty
 frame is written back before its frame is reused.
 
-The pool exposes pages as :class:`~repro.storage.pages.SlottedPage` views
-over the frame's buffer, so mutations through the view are visible to the
-pool; callers mark frames dirty via :meth:`BufferPool.unpin`.
-
-Usage pattern (also wrapped by :meth:`BufferPool.page` as a context
-manager)::
-
-    page = pool.fetch(pid)
-    try:
-        slot = page.insert(payload)
-    finally:
-        pool.unpin(pid, dirty=True)
+A writer pins a page with :meth:`BufferPool.fetch` (or the
+:meth:`BufferPool.page` context manager), changes it through the
+:class:`~repro.storage.pages.SlottedPage` view over the frame's buffer and
+marks it dirty at :meth:`BufferPool.unpin`.  A reader after one record
+takes a copy with :meth:`BufferPool.read_record`: one lock hold, no pin.
 """
 
 from __future__ import annotations
@@ -83,21 +76,33 @@ class BufferPool:
             self._frames[page_id] = frame
             return page_id, frame.page
 
+    def _frame(self, page_id: int) -> _Frame:
+        """The resident frame of ``page_id``, read from disk on a miss
+        (caller holds the lock)."""
+        frame = self._frames.get(page_id)
+        if frame is not None:
+            self.hits += 1
+            self._frames.move_to_end(page_id)
+            return frame
+        self.misses += 1
+        self._ensure_room()
+        frame = self._frames[page_id] = _Frame(
+            page_id, SlottedPage(self._disk.read_page(page_id))
+        )
+        return frame
+
     def fetch(self, page_id: int) -> SlottedPage:
         """Pin and return page ``page_id``, reading it from disk on a miss."""
         with self._lock:
-            frame = self._frames.get(page_id)
-            if frame is not None:
-                self.hits += 1
-                frame.pins += 1
-                self._frames.move_to_end(page_id)
-                return frame.page
-            self.misses += 1
-            self._ensure_room()
-            frame = _Frame(page_id, SlottedPage(self._disk.read_page(page_id)))
-            frame.pins = 1
-            self._frames[page_id] = frame
+            frame = self._frame(page_id)
+            frame.pins += 1
             return frame.page
+
+    def read_record(self, page_id: int, slot: int) -> bytes | None:
+        """A copy of one record (None for an empty slot), taken under one
+        hold of the pool lock: no pin, so nothing to unpin."""
+        with self._lock:
+            return self._frame(page_id).page.record(slot)
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
         """Release one pin on ``page_id``; ``dirty=True`` marks it modified."""

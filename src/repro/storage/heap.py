@@ -110,11 +110,11 @@ class HeapFile:
         self._file_id = file_id
         self._disk = disk
         self._pool = pool
-        # Striped page locks guard each physical op's fetch..unpin window
+        # Striped page locks guard each physical op's window on its page
         # against lock-free snapshot readers; one stripe is held at a time,
-        # so the stripes cannot deadlock.  None = single-threaded heap.
-        self._page_locks = page_locks
-        self._pages: list[int] = list(known_pages) if known_pages else []
+        # so the stripes cannot deadlock.  None = a heap of its own.
+        self._page_locks = page_locks if page_locks is not None else StripedLock(1)
+        self._pages: dict[int, None] = dict.fromkeys(known_pages or ())  # ordered set
         # Approximate free space per page; refreshed lazily.
         self._free: dict[int, int] = {}
         if known_pages is None:
@@ -135,7 +135,7 @@ class HeapFile:
         for page_id in range(1, self._disk.num_pages):
             with self._pool.page(page_id) as page:
                 if page.flags == self._file_id:
-                    self._pages.append(page_id)
+                    self._pages[page_id] = None
                     self._free[page_id] = page.free_space
 
     # -- physical record operations (marker-level) ---------------------------
@@ -154,86 +154,59 @@ class HeapFile:
         page_id, page = self._pool.new_page()
         page.flags = self._file_id
         self._pool.unpin(page_id, dirty=True)
-        self._pages.append(page_id)
+        self._pages[page_id] = None
         self._free[page_id] = page.free_space
         return page_id
-
-    def _stripe_acquire(self, page_id: int) -> None:
-        if self._page_locks is not None:
-            self._page_locks.acquire(page_id)
-
-    def _stripe_release(self, page_id: int) -> None:
-        if self._page_locks is not None:
-            self._page_locks.release(page_id)
 
     def _physical_insert(self, physical: bytes, log_op: LogOp | None) -> Rid:
         probe.point("heap.insert.pre")
         page_id = self._find_page_for(len(physical))
-        self._stripe_acquire(page_id)
-        try:
+        with self._page_locks.lock_for(page_id):
             page = self._pool.fetch(page_id)
             try:
                 slot = page.insert(physical)
                 self._free[page_id] = page.free_space
             finally:
                 self._pool.unpin(page_id, dirty=True)
-        finally:
-            self._stripe_release(page_id)
         if log_op is not None:
             log_op(OP_INSERT, self._file_id, page_id, slot, physical, b"")
         probe.point("heap.insert.post")
         return Rid(page_id, slot)
 
     def _physical_read(self, rid: Rid) -> bytes:
-        if rid.page_id not in self._free and rid.page_id not in self._pages:
+        if rid.page_id not in self._pages:
             # Unknown page: treat as missing record rather than disk error.
             raise RecordNotFoundError(f"no record at {rid} (unknown page)")
-        self._stripe_acquire(rid.page_id)
-        try:
-            with self._pool.page(rid.page_id) as page:
-                if not page.has_record(rid.slot):
-                    raise RecordNotFoundError(f"no record at {rid}")
-                return page.read(rid.slot)
-        finally:
-            self._stripe_release(rid.page_id)
+        with self._page_locks.lock_for(rid.page_id):
+            physical = self._pool.read_record(rid.page_id, rid.slot)
+        if physical is None:
+            raise RecordNotFoundError(f"no record at {rid}")
+        return physical
 
-    def _physical_update(self, rid: Rid, physical: bytes, log_op: LogOp | None) -> None:
-        probe.point("heap.update.pre")
-        self._stripe_acquire(rid.page_id)
-        try:
-            page = self._pool.fetch(rid.page_id)
+    def _physical_change(
+        self, kind: int, rid: Rid, physical: bytes, log_op: LogOp | None
+    ) -> None:
+        """Rewrite (``OP_UPDATE``) or delete (``OP_DELETE``, ``physical``
+        empty) the physical record at ``rid``; its old image is the undo."""
+        update = kind == OP_UPDATE
+        probe.point("heap.update.pre" if update else "heap.delete.pre")
+        page_id, slot = rid
+        with self._page_locks.lock_for(page_id):
+            page = self._pool.fetch(page_id)
             try:
-                if not page.has_record(rid.slot):
+                old = page.record(slot)
+                if old is None:
                     raise RecordNotFoundError(f"no record at {rid}")
-                old = page.read(rid.slot)
-                page.update(rid.slot, physical)
-                self._free[rid.page_id] = page.free_space
+                if update:
+                    page.update(slot, physical)
+                else:
+                    page.delete(slot)
+                self._free[page_id] = page.free_space
             finally:
-                self._pool.unpin(rid.page_id, dirty=True)
-        finally:
-            self._stripe_release(rid.page_id)
+                self._pool.unpin(page_id, dirty=True)
         if log_op is not None:
-            log_op(OP_UPDATE, self._file_id, rid.page_id, rid.slot, physical, old)
-        probe.point("heap.update.post")
-
-    def _physical_delete(self, rid: Rid, log_op: LogOp | None) -> None:
-        probe.point("heap.delete.pre")
-        self._stripe_acquire(rid.page_id)
-        try:
-            page = self._pool.fetch(rid.page_id)
-            try:
-                if not page.has_record(rid.slot):
-                    raise RecordNotFoundError(f"no record at {rid}")
-                old = page.read(rid.slot)
-                page.delete(rid.slot)
-                self._free[rid.page_id] = page.free_space
-            finally:
-                self._pool.unpin(rid.page_id, dirty=True)
-        finally:
-            self._stripe_release(rid.page_id)
-        if log_op is not None:
-            log_op(OP_DELETE, self._file_id, rid.page_id, rid.slot, b"", old)
-        probe.point("heap.delete.post")
+            log_op(kind, self._file_id, page_id, slot, physical, old)
+        probe.point("heap.update.post" if update else "heap.delete.post")
 
     # -- logical record operations -------------------------------------------
     #
@@ -318,7 +291,7 @@ class HeapFile:
         if body[0] in (_MASTER, _RELOC_MASTER):
             _total, fragments = serialization.decode(body[1:])
             for page_id, slot in fragments:
-                self._physical_delete(Rid(page_id, slot), log_op)
+                self._physical_change(OP_DELETE, Rid(page_id, slot), b"", log_op)
 
     def insert(self, payload: bytes, log_op: LogOp | None = None) -> Rid:
         """Store ``payload`` and return its Rid (spanning if necessary)."""
@@ -345,7 +318,7 @@ class HeapFile:
         home = target if target is not None else rid
         new_body = self._build_body(payload, target is not None, log_op)
         try:
-            self._physical_update(home, new_body, log_op)
+            self._physical_change(OP_UPDATE, home, new_body, log_op)
             return
         except PageFullError:
             pass
@@ -353,22 +326,22 @@ class HeapFile:
         # becomes) a small forward stub.
         if target is not None:
             # Already relocated once; move the body again and repoint.
-            self._physical_delete(target, log_op)
+            self._physical_change(OP_DELETE, target, b"", log_op)
             new_target = self._physical_insert(new_body, log_op)
-            self._physical_update(rid, _forward_stub(new_target), log_op)
+            self._physical_change(OP_UPDATE, rid, _forward_stub(new_target), log_op)
             return
         reloc_body = self._build_body(payload, True, log_op)
         new_target = self._physical_insert(reloc_body, log_op)
         # A home record is never shorter than the stub: this fits in place.
-        self._physical_update(rid, _forward_stub(new_target), log_op)
+        self._physical_change(OP_UPDATE, rid, _forward_stub(new_target), log_op)
 
     def delete(self, rid: Rid, log_op: LogOp | None = None) -> None:
         """Delete the record (with any fragments and relocated body) at ``rid``."""
         body, target = self._resolve(rid)
         self._release_body(body, log_op)
         if target is not None:
-            self._physical_delete(target, log_op)
-        self._physical_delete(rid, log_op)
+            self._physical_change(OP_DELETE, target, b"", log_op)
+        self._physical_change(OP_DELETE, rid, b"", log_op)
 
     def exists(self, rid: Rid) -> bool:
         """True if an addressable logical record lives at ``rid``."""
@@ -409,8 +382,7 @@ class HeapFile:
         if page.flags != self._file_id:
             # Fresh (zeroed) page revived by replay: claim and format it.
             page.flags = self._file_id
-        if page_id not in self._pages:
-            self._pages.append(page_id)
+        self._pages[page_id] = None
         return page
 
     def replay_insert(self, page_id: int, slot: int, payload: bytes) -> None:
@@ -418,7 +390,7 @@ class HeapFile:
         probe.point("heap.replay_insert")
         page = self._replay_page(page_id)
         try:
-            if page.has_record(slot):
+            if page.record(slot) is not None:
                 page.update(slot, payload)
             else:
                 page.insert_at(slot, payload)
@@ -435,7 +407,7 @@ class HeapFile:
         probe.point("heap.replay_delete")
         page = self._replay_page(page_id)
         try:
-            if page.has_record(slot):
+            if page.record(slot) is not None:
                 page.delete(slot)
             self._free[page_id] = page.free_space
         finally:

@@ -234,14 +234,14 @@ class SlottedPage:
             self._write_header(new_num_slots, free_ptr, flags)
             self._write_slot(slot, free_ptr if free_ptr != 0 else PAGE_SIZE, 0)
 
-    def read(self, slot: int) -> bytes:
-        """Return the payload stored at ``slot``.
-
-        Raises :class:`BadSlotError` if the slot is empty or out of range.
-        """
-        offset, length = self._read_slot(slot)
+    def record(self, slot: int) -> bytes | None:
+        """A copy of the payload stored at ``slot``; None when the slot is
+        empty or out of range (one read of the slot directory)."""
+        if not 0 <= slot < _HEADER.unpack_from(self._buf, 0)[0]:
+            return None
+        offset, length = _SLOT.unpack_from(self._buf, _HEADER_SIZE + slot * _SLOT.size)
         if offset == _EMPTY_OFFSET:
-            raise BadSlotError(f"slot {slot} is empty")
+            return None
         return bytes(self._buf[offset : offset + length])
 
     def update(self, slot: int, payload: bytes) -> None:
@@ -299,13 +299,6 @@ class SlottedPage:
                 break
             num_slots -= 1
         self._write_header(num_slots, free_ptr, flags)
-
-    def has_record(self, slot: int) -> bool:
-        """Return True if ``slot`` exists and holds a record."""
-        if not 0 <= slot < self.num_slots:
-            return False
-        offset, _length = self._read_slot(slot)
-        return offset != _EMPTY_OFFSET
 
     def compact(self) -> None:
         """Slide all live records to the end of the page, removing holes."""
@@ -375,7 +368,3 @@ class SlottedPage:
     def raw(self) -> bytes:
         """The page's full :data:`PAGE_SIZE`-byte image (a copy)."""
         return bytes(self._buf)
-
-    def buffer(self) -> bytearray:
-        """The underlying mutable buffer (shared, not a copy)."""
-        return self._buf

@@ -13,8 +13,8 @@ page id hashing to one stripe.  Heap physical operations hold exactly one
 stripe at a time (one page per physical op; spanning records take stripes
 fragment-by-fragment), so stripes can never deadlock against each other.
 Writers still serialize logical mutations through the storage mutex; the
-stripes only guard the short fetch-copy-unpin window against lock-free
-readers.
+stripes only guard the short window in which an op touches a page's bytes
+(a writer's fetch..unpin, a reader's copy) against lock-free readers.
 """
 
 from __future__ import annotations
@@ -38,19 +38,6 @@ class StripedLock:
         self._stripes = stripes
         self._locks = [threading.Lock() for _ in range(stripes)]
 
-    @property
-    def stripes(self) -> int:
-        """Number of stripes."""
-        return self._stripes
-
     def lock_for(self, key: int) -> threading.Lock:
-        """The stripe lock guarding ``key`` (exposed for tests/diagnostics)."""
+        """The stripe lock guarding ``key``: hold it with ``with``."""
         return self._locks[hash(key) % self._stripes]
-
-    def acquire(self, key: int) -> None:
-        """Acquire the stripe guarding ``key`` (blocking)."""
-        self._locks[hash(key) % self._stripes].acquire()
-
-    def release(self, key: int) -> None:
-        """Release the stripe guarding ``key``."""
-        self._locks[hash(key) % self._stripes].release()

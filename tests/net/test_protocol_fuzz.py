@@ -6,7 +6,9 @@ frames; arbitrary bytes either decode to frames or raise
 :class:`~repro.errors.ProtocolError` (:class:`~repro.errors.
 FrameTooLargeError` is one) -- nothing else escapes ``feed`` -- and the
 decoder never buffers more than one length prefix plus the declared
-length of the frame it is assembling.  Run with
+length of the frame it is assembling; a complete frame whose body does
+not decode fails alone (:class:`~repro.errors.FrameBodyError` names its
+cid) and every frame behind it still decodes.  Run with
 ``--hypothesis-profile=ci`` for a derandomized verdict.
 """
 
@@ -17,9 +19,10 @@ import struct
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ProtocolError
+from repro.errors import FrameBodyError, ProtocolError
 from repro.net import protocol
 from repro.net.protocol import FrameDecoder
+from repro.storage.serialization import encode, write_uvarint
 
 _LEN = struct.Struct("<I")
 _HEADER = struct.Struct("<HB")
@@ -93,3 +96,44 @@ def test_arbitrary_bytes_yield_frames_or_raise_protocol_error(parts, cuts):
             assert decoder.pending_bytes <= bound
     except ProtocolError:
         pass  # FrameTooLargeError included: the stream is bad, drop it
+
+
+#: A body the codec refuses: a value with bytes after it, or a tag byte
+#: the codec does not have.
+bad_bodies = st.builds(
+    lambda value, tail: encode(value) + tail, payloads, st.binary(min_size=1, max_size=8)
+) | st.builds(lambda tail: b"\xff" + tail, st.binary(max_size=8))
+
+
+def _raw_frame(opcode: int, cid: int, body: bytes) -> bytes:
+    head = bytearray(_HEADER.pack(protocol.MAGIC, opcode))
+    write_uvarint(head, cid)
+    return _LEN.pack(len(head) + len(body)) + bytes(head) + body
+
+
+@given(
+    st.lists(frames, max_size=3),
+    st.integers(1, 2**40),
+    bad_bodies,
+    st.lists(frames, min_size=1, max_size=4),
+    st.lists(st.integers(0, 2**16), max_size=12),
+)
+def test_an_undecodable_body_fails_alone_and_the_frames_behind_it_decode(
+    before, bad_cid, bad_body, after, cuts
+):
+    wire = b"".join(protocol.build_frame(*frame) for frame in before)
+    wire += _raw_frame(protocol.RESP_OK, bad_cid, bad_body)
+    wire += b"".join(protocol.build_frame(*frame) for frame in after)
+    decoder, got, failed = FrameDecoder(), [], []
+    for chunk in _split(wire, cuts):
+        while True:  # what the client does: fail that cid, feed on
+            try:
+                got.extend(decoder.feed(chunk))
+                break
+            except FrameBodyError as exc:
+                failed.append(exc.cid)
+                assert len(failed) == 1, "the bad frame was not consumed"
+                chunk = b""
+    assert got == before + after
+    assert failed == [bad_cid]
+    assert decoder.pending_bytes == 0

@@ -42,7 +42,7 @@ def test_mutation_visible_through_pool(pool):
     slot = page.insert(b"cached")
     pool.unpin(page_id, dirty=True)
     again = pool.fetch(page_id)
-    assert again.read(slot) == b"cached"
+    assert again.record(slot) == b"cached"
     pool.unpin(page_id)
 
 
@@ -56,7 +56,7 @@ def test_dirty_page_survives_eviction(disk, pool):
         pool.unpin(pid)
     assert pool.evictions >= 1
     fresh = pool.fetch(page_id)
-    assert fresh.read(slot) == b"evict-me"
+    assert fresh.record(slot) == b"evict-me"
     pool.unpin(page_id)
 
 

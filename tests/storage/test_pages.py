@@ -20,7 +20,7 @@ def test_new_page_is_empty():
 def test_insert_and_read_roundtrip():
     page = SlottedPage()
     slot = page.insert(b"hello")
-    assert page.read(slot) == b"hello"
+    assert page.record(slot) == b"hello"
     assert page.live_count() == 1
 
 
@@ -33,23 +33,21 @@ def test_insert_returns_sequential_slots():
 def test_insert_empty_payload():
     page = SlottedPage()
     slot = page.insert(b"")
-    assert page.read(slot) == b""
-    assert page.has_record(slot)
+    assert page.record(slot) == b""
+    assert page.record(slot) is not None
 
 
-def test_read_bad_slot_raises():
+def test_record_of_bad_slot_is_none():
     page = SlottedPage()
-    with pytest.raises(BadSlotError):
-        page.read(0)
+    assert page.record(0) is None
 
 
-def test_read_deleted_slot_raises():
+def test_record_of_deleted_slot_is_none():
     page = SlottedPage()
     a = page.insert(b"a")
     page.insert(b"b")
     page.delete(a)
-    with pytest.raises(BadSlotError):
-        page.read(a)
+    assert page.record(a) is None
 
 
 def test_delete_frees_slot_for_reuse():
@@ -59,7 +57,7 @@ def test_delete_frees_slot_for_reuse():
     page.delete(a)
     c = page.insert(b"c")
     assert c == a  # the emptied slot is reused
-    assert page.read(c) == b"c"
+    assert page.record(c) == b"c"
 
 
 def test_delete_trailing_slot_shrinks_directory():
@@ -84,14 +82,14 @@ def test_update_in_place_smaller():
     page = SlottedPage()
     slot = page.insert(b"long payload")
     page.update(slot, b"tiny")
-    assert page.read(slot) == b"tiny"
+    assert page.record(slot) == b"tiny"
 
 
 def test_update_grows_within_page():
     page = SlottedPage()
     slot = page.insert(b"aa")
     page.update(slot, b"b" * 100)
-    assert page.read(slot) == b"b" * 100
+    assert page.record(slot) == b"b" * 100
 
 
 def test_update_keeps_other_records():
@@ -99,15 +97,15 @@ def test_update_keeps_other_records():
     a = page.insert(b"alpha")
     b = page.insert(b"beta")
     page.update(a, b"ALPHA-PRIME")
-    assert page.read(b) == b"beta"
-    assert page.read(a) == b"ALPHA-PRIME"
+    assert page.record(b) == b"beta"
+    assert page.record(a) == b"ALPHA-PRIME"
 
 
 def test_update_to_empty():
     page = SlottedPage()
     slot = page.insert(b"data")
     page.update(slot, b"")
-    assert page.read(slot) == b""
+    assert page.record(slot) == b""
 
 
 def test_update_grow_after_fragmentation_compacts():
@@ -118,7 +116,7 @@ def test_update_grow_after_fragmentation_compacts():
     page.delete(a)
     # b can now grow into a's abandoned space only after compaction.
     page.update(b, b"c" * (2 * big))
-    assert page.read(b) == b"c" * (2 * big)
+    assert page.record(b) == b"c" * (2 * big)
 
 
 def test_insert_too_large_raises():
@@ -142,7 +140,7 @@ def test_page_fills_up():
 def test_max_record_exactly_fits():
     page = SlottedPage()
     slot = page.insert(b"z" * MAX_RECORD_PAYLOAD)
-    assert len(page.read(slot)) == MAX_RECORD_PAYLOAD
+    assert len(page.record(slot)) == MAX_RECORD_PAYLOAD
 
 
 def test_compact_reclaims_holes():
@@ -155,7 +153,7 @@ def test_compact_reclaims_holes():
     assert page.free_space >= before
     # Survivors unchanged.
     for slot in slots[1::2]:
-        assert page.read(slot) == b"p" * 200
+        assert page.record(slot) == b"p" * 200
 
 
 def test_records_iterates_live_only():
@@ -173,14 +171,14 @@ def test_raw_roundtrip_through_bytes():
     image = page.raw()
     assert len(image) == PAGE_SIZE
     restored = SlottedPage(bytearray(image))
-    assert restored.read(slot) == b"persisted"
+    assert restored.record(slot) == b"persisted"
 
 
 def test_zeroed_buffer_formats_itself():
     page = SlottedPage(bytearray(PAGE_SIZE))
     assert page.num_slots == 0
     slot = page.insert(b"first")
-    assert page.read(slot) == b"first"
+    assert page.record(slot) == b"first"
 
 
 def test_wrong_buffer_size_rejected():
@@ -209,9 +207,9 @@ def test_flags_survive_record_ops():
 def test_insert_at_specific_slot():
     page = SlottedPage()
     page.insert_at(3, b"late")
-    assert page.read(3) == b"late"
+    assert page.record(3) == b"late"
     assert page.num_slots == 4
-    assert not page.has_record(0)
+    assert page.record(0) is None
 
 
 def test_insert_at_occupied_raises():
@@ -226,16 +224,16 @@ def test_insert_at_then_normal_insert_fills_gaps():
     page.insert_at(2, b"two")
     slot = page.insert(b"zero")
     assert slot in (0, 1)
-    assert page.read(2) == b"two"
+    assert page.record(2) == b"two"
 
 
 def test_has_record_bounds():
     page = SlottedPage()
-    assert not page.has_record(-1)
-    assert not page.has_record(0)
+    assert page.record(-1) is None
+    assert page.record(0) is None
     page.insert(b"a")
-    assert page.has_record(0)
-    assert not page.has_record(1)
+    assert page.record(0) is not None
+    assert page.record(1) is None
 
 
 @settings(max_examples=50)
