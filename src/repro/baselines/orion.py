@@ -101,10 +101,6 @@ class OrionStore:
         """Declare a class versionable *at schema time* (the ORION way)."""
         self._versionable.add(class_name)
 
-    def is_versionable(self, class_name: str) -> bool:
-        """True if the class was declared versionable."""
-        return class_name in self._versionable
-
     def make_versionable(self, class_name: str) -> int:
         """Retrofit versionability: migrate the whole extent (E6's cost).
 

@@ -21,6 +21,9 @@ primitives its host supplies:
   :class:`~repro.errors.UnknownObjectError` for a missing object);
 * ``latest_vid(oid) -> Vid`` -- the version a generic id denotes.
 
+The three sharded hosts inherit both, with their other per-object reads,
+from :class:`~repro.shard.snapshot.Routed`.
+
 **Argument rule.**  Every call takes a ``Ref``, ``Oid``, ``VersionRef`` or
 ``Vid``.  The version-scoped reads (``dprevious``, ``dnext``,
 ``tprevious``, ``tnext``, ``history``) read a generic id as the object's

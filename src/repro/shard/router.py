@@ -47,8 +47,7 @@ from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref, VersionRef
 from repro.core.query import Query, QueryTerminals
 from repro.core.session import ClientSession, Session, SessionHost
-from repro.core.surface import Target, VersionReads, oid_of, plain_id
-from repro.core.vgraph import VersionGraph
+from repro.core.surface import Target, oid_of, plain_id
 from repro.errors import (
     SessionStateError,
     ShardUnavailableError,
@@ -64,7 +63,7 @@ from repro.shard.coordinator import (
 from repro.shard.executor import ShardExecutor
 from repro.shard.placement import ModuloPlacement
 from repro.shard.recovery import ResolutionReport, resolve_in_doubt
-from repro.shard.snapshot import GlobalSnapshot, _CutLatch
+from repro.shard.snapshot import GlobalSnapshot, Routed, _CutLatch
 from repro.storage import faults
 
 _META_FILE = "shards.meta"
@@ -75,7 +74,7 @@ SHARD_UP = "up"
 SHARD_DEGRADED = "degraded"  # read-only after persistent I/O failure
 SHARD_DOWN = "down"          # detached: every touch fails fast
 
-class ShardedDatabase(VersionReads, SessionHost):
+class ShardedDatabase(Routed, SessionHost):
     """N shard databases behind the single-database facade.
 
     Parameters
@@ -435,6 +434,10 @@ class ShardedDatabase(VersionReads, SessionHost):
         """
         return self._on_shard(self.placement.shard_of(oid), fn)
 
+    def _at(self, oid: Oid, name: str, *args: Any) -> Any:
+        """``name(*args)`` on the shard that owns ``oid`` (see :class:`Routed`)."""
+        return self._route(oid, lambda db: getattr(db, name)(*args))
+
     # -- transactions --------------------------------------------------------
 
     def begin(
@@ -500,14 +503,12 @@ class ShardedDatabase(VersionReads, SessionHost):
 
     def newversion(self, target: Target) -> VersionRef:
         """Create a derived version on the shard holding the target."""
-        vref = self._route(
-            oid_of(target), lambda db: db.newversion(plain_id(target))
-        )
-        return VersionRef(self, vref.vid)
+        vid = self._at(oid_of(target), "newversion", plain_id(target)).vid
+        return VersionRef(self, vid)
 
     def pdelete(self, target: Target) -> None:
         """Delete an object (or one version) on its shard."""
-        self._route(oid_of(target), lambda db: db.pdelete(plain_id(target)))
+        self._at(oid_of(target), "pdelete", plain_id(target))
 
     # -- retention & garbage collection ---------------------------------------
 
@@ -523,7 +524,7 @@ class ShardedDatabase(VersionReads, SessionHost):
             self._gather(lambda db: db.set_retention(scope, policy))
         else:
             oid = oid_of(scope)
-            self._route(oid, lambda db: db.set_retention(oid, policy))
+            self._at(oid, "set_retention", oid, policy)
 
     def retention_policies(self) -> dict[str, Any]:
         """The union of every up shard's retention table."""
@@ -536,7 +537,7 @@ class ShardedDatabase(VersionReads, SessionHost):
         """The effective policy: routed for objects, any up shard for types."""
         if not isinstance(target, (type, str)):
             oid = oid_of(target)
-            return self._route(oid, lambda db: db.retention_for(oid))
+            return self._at(oid, "retention_for", oid)
         # Type policies are broadcast identically to every shard.
         for policy in self._gather(lambda db: db.retention_for(target)):
             return policy
@@ -545,15 +546,15 @@ class ShardedDatabase(VersionReads, SessionHost):
     def tag_version(self, target: VersionRef | Vid, tag: str) -> None:
         """Pin one version with a tag on its owning shard."""
         vid = plain_id(target)
-        self._route(vid.oid, lambda db: db.tag_version(vid, tag))
+        self._at(vid.oid, "tag_version", vid, tag)
 
     def untag_version(self, target: VersionRef | Vid) -> None:
         vid = plain_id(target)
-        self._route(vid.oid, lambda db: db.untag_version(vid))
+        self._at(vid.oid, "untag_version", vid)
 
     def version_tags(self, target: Target) -> dict[int, str]:
         oid = oid_of(target)
-        return self._route(oid, lambda db: db.version_tags(oid))
+        return self._at(oid, "version_tags", oid)
 
     def run_gc(
         self, batch_limit: int = 64, now: float | None = None, dry_run: bool = False
@@ -582,44 +583,6 @@ class ShardedDatabase(VersionReads, SessionHost):
         parts = self._gather(lambda db: db.reclaim_blobs(limit, dry_run))
         return tuple(sum(p[i] for p in parts) for i in range(3))
 
-    # -- store protocol (Ref/VersionRef bound to the router) -------------------
-
-    def materialize(self, vid: Vid) -> Any:
-        return self._route(vid.oid, lambda db: db.materialize(vid))
-
-    def version_bytes(self, vid: Vid) -> bytes:
-        return self._route(vid.oid, lambda db: db.version_bytes(vid))
-
-    def read_attr(self, vid: Vid, name: str) -> Any:
-        return self._route(vid.oid, lambda db: db.read_attr(vid, name))
-
-    def latest_vid(self, oid: Oid) -> Vid:
-        return self._route(oid, lambda db: db.latest_vid(oid))
-
-    def write_version(self, vid: Vid, obj: Any) -> None:
-        self._route(vid.oid, lambda db: db.write_version(vid, obj))
-
-    def write_version_if_changed(self, vid: Vid, obj: Any) -> bool:
-        return self._route(
-            vid.oid, lambda db: db.write_version_if_changed(vid, obj)
-        )
-
-    def object_exists(self, oid: Oid) -> bool:
-        return self._route(oid, lambda db: db.object_exists(oid))
-
-    def version_exists(self, vid: Vid) -> bool:
-        return self._route(vid.oid, lambda db: db.version_exists(vid))
-
-    def type_name(self, oid: Oid) -> str:
-        return self._route(oid, lambda db: db.type_name(oid))
-
-    def graph(self, target: Target) -> VersionGraph:
-        """The object's version graph, as its owning shard reads it (the
-        §4 traversals are built on this -- see
-        :class:`~repro.core.surface.VersionReads`)."""
-        oid = oid_of(target)
-        return self._route(oid, lambda db: db.graph(oid))
-
     # -- clusters & queries ----------------------------------------------------
 
     def _fanout_shards(self) -> list[int]:
@@ -639,16 +602,17 @@ class ShardedDatabase(VersionReads, SessionHost):
     def _scatter(
         self, indices: list[int], fn: Callable[[int], Any]
     ) -> list[Any]:
-        """Run ``fn(idx)`` for every shard index; scatter-gather when enabled.
+        """Run ``fn(idx)`` for every shard index, scattered across the pool.
 
-        The parallel path preserves the serial loop's semantics exactly:
-        results come back in ``indices`` order, and on failure one
-        deterministic exception surfaces -- a :class:`SimulatedCrash`
-        first (the harness must see the "process death" it injected, and
-        concurrent siblings may have failed *because* of it), otherwise
-        the lowest failing shard's error.  Per-shard fencing (dying
-        shards -> :class:`ShardUnavailableError`) already happened
-        inside the scattered ``fn`` via :meth:`_on_shard`.
+        Every fan-out goes through here (gathers, queries, stats), and the
+        parallel path keeps the serial loop's semantics: results come back
+        in ``indices`` order, and on failure one deterministic exception
+        surfaces -- a :class:`SimulatedCrash` first (the harness must see
+        the "process death" it injected, and concurrent siblings may have
+        failed *because* of it), otherwise the lowest failing shard's
+        error.  Per-shard fencing (dying shards ->
+        :class:`ShardUnavailableError`) already happened inside the
+        scattered ``fn`` via :meth:`_on_shard`.
 
         Falls back to the serial loop for single-shard fan-outs and when
         the calling thread is itself a pool worker (a nested scatter
@@ -688,15 +652,6 @@ class ShardedDatabase(VersionReads, SessionHost):
             for ref in refs
         ]
 
-    def cluster_names(self) -> list[str]:
-        names: set[str] = set()
-        for part in self._gather(lambda db: db.cluster_names()):
-            names.update(part)
-        return sorted(names)
-
-    def object_count(self) -> int:
-        return sum(self._gather(lambda db: db.object_count()))
-
     def export(self) -> list[tuple]:
         """Every up shard's :meth:`Database.export`, merged in oid order."""
         return sorted(
@@ -713,17 +668,15 @@ class ShardedDatabase(VersionReads, SessionHost):
         scatters across the shard executor (see :class:`_FanoutQuery`).
         """
         sess = self._current_session()
+
+        def scatter(indices: list[int], fn: Callable[[int], Any]) -> list[Any]:
+            return self._scatter(
+                indices, lambda idx: self._on_shard(idx, lambda _db: fn(idx), sess=sess)
+            )
+
         indices = self._fanout_shards()
-        parts = self._scatter(
-            indices,
-            lambda idx: self._on_shard(
-                idx, lambda db: db.query(type_or_name), sess=sess
-            ),
-        )
-        return _FanoutQuery(
-            parts, rebind=self, executor=self._exec,
-            origin=(self, sess, indices),
-        )
+        parts = scatter(indices, lambda idx: self.shards[idx].query(type_or_name))
+        return _FanoutQuery(dict(zip(indices, parts)), scatter, rebind=self)
 
     # -- the global snapshot epoch ---------------------------------------------
 
@@ -899,9 +852,7 @@ class RouterSession(ClientSession):
         if self.closed:
             raise SessionStateError(f"{self.name} is closed")
         self._retake_cut()
-        if self._reader is None:
-            self._reader = ShardedReader(self)
-        return self._reader
+        return self.reader()
 
     def _retake_cut(self) -> GlobalSnapshot:
         cut = self.router.snapshot()
@@ -1001,7 +952,7 @@ class RouterSession(ClientSession):
         self.router._forget_session(self)
 
 
-class ShardedReader(VersionReads):
+class ShardedReader(Routed):
     """The router session's lock-free read surface (the wire inline lane).
 
     Every call delegates to the session's **global cut** (one consistent
@@ -1014,48 +965,23 @@ class ShardedReader(VersionReads):
 
     def __init__(self, session: RouterSession) -> None:
         self._session = session
-        self._router = session.router
 
     def _cut(self) -> GlobalSnapshot:
         return self._session.current_cut()
+
+    def _at(self, oid: Oid, name: str, *args: Any) -> Any:
+        return getattr(self._cut(), name)(*args)
+
+    def _gather(self, fn: Callable[[Any], Any]) -> list[Any]:
+        return self._cut()._gather(fn)
 
     @property
     def epoch(self) -> tuple[int, ...]:
         """Per-shard publication epochs of the cut (-1 for a down shard)."""
         return self._cut().epoch
 
-    def latest_vid(self, oid: Oid) -> Vid:
-        return self._cut().latest_vid(oid)
-
     def read_latest_attr(self, oid: Oid, name: str) -> Any:
         return self._cut().read_latest_attr(oid, name)
-
-    def materialize(self, vid: Vid) -> Any:
-        return self._cut().materialize(vid)
-
-    def version_bytes(self, vid: Vid) -> bytes:
-        return self._cut().version_bytes(vid)
-
-    def read_attr(self, vid: Vid, name: str) -> Any:
-        return self._cut().read_attr(vid, name)
-
-    def object_exists(self, oid: Oid) -> bool:
-        return self._cut().object_exists(oid)
-
-    def version_exists(self, vid: Vid) -> bool:
-        return self._cut().version_exists(vid)
-
-    def type_name(self, oid: Oid) -> str:
-        return self._cut().type_name(oid)
-
-    def graph(self, target: Target) -> VersionGraph:
-        return self._cut().graph(target)
-
-    def write_version(self, vid: Vid, obj: Any) -> None:
-        self._cut().write_version(vid, obj)  # raises: the cut is read-only
-
-    def write_version_if_changed(self, vid: Vid, obj: Any) -> bool:
-        return self._cut().write_version_if_changed(vid, obj)
 
     def cluster(self, type_or_name: type | str) -> list[Ref]:
         return self._cut().cluster(type_or_name)
@@ -1076,41 +1002,38 @@ class _FanoutQuery(QueryTerminals):
     Supports the chaining, iteration and terminals of
     :class:`~repro.core.query.Query`; ``suchthat`` and ``over_versions``
     are pushed down to every part, so filtering runs where the data
-    lives (and, under a pinned snapshot, lock-free).  Given an executor,
-    iteration **materializes the parts in parallel** -- the scatter half
-    of scatter-gather -- then yields in shard order, so result order
-    matches the serial loop exactly.
+    lives (and, under a pinned snapshot, lock-free).  ``parts`` maps
+    shard index to part; iteration materializes them through
+    ``scatter`` -- :meth:`ShardedDatabase._scatter`, **in parallel**, with
+    its one rule for which shard's error surfaces -- then yields in
+    shard order, so result order matches the serial loop exactly.
 
-    A live router fan-out additionally carries its ``origin`` -- the
-    router, the router session the query was issued under, and the shard
-    index behind each part -- so materialization runs *inside*
-    :meth:`ShardedDatabase._on_shard` with the shard session activated.
-    That keeps per-shard reads under the caller's transaction (strict
-    2PL shared locks, like the embedded facade) or pin, instead of
-    escaping to autocommit on a bare worker thread; the lock waits a
-    part incurs behind writers then overlap across shards.  Cut-bound
-    fan-outs (a :class:`~repro.shard.snapshot.GlobalSnapshot`) have no
-    session and no locks to take, so they skip the wrapper.
+    A live router fan-out's ``scatter`` runs each part *inside*
+    :meth:`ShardedDatabase._on_shard` with the caller's router session
+    activated.  That keeps per-shard reads under the caller's
+    transaction (strict 2PL shared locks, like the embedded facade) or
+    pin, instead of escaping to autocommit on a bare worker thread; the
+    lock waits a part incurs behind writers then overlap across shards.
+    A cut's parts are pinned snapshots with no session and no locks to
+    take, so the cut passes ``_scatter`` itself.  Results are rebound
+    to ``rebind`` when one is given.
     """
 
     def __init__(
         self,
-        parts: list[Query],
+        parts: dict[int, Query],
+        scatter: Callable[[list[int], Callable[[int], Any]], list[Any]],
         rebind: ShardedDatabase | None = None,
-        executor: "ShardExecutor | None" = None,
-        origin: "tuple[ShardedDatabase, RouterSession, list[int]] | None" = None,
     ):
         self._parts = parts
+        self._scatter = scatter
         self._rebind = rebind
-        self._executor = executor
-        self._origin = origin
 
     def _pushed_down(self, op: Callable[[Query], Query]) -> "_FanoutQuery":
         return _FanoutQuery(
-            [op(part) for part in self._parts],
+            {idx: op(part) for idx, part in self._parts.items()},
+            self._scatter,
             self._rebind,
-            self._executor,
-            self._origin,
         )
 
     def suchthat(self, predicate: Callable[[Any], bool]) -> "_FanoutQuery":
@@ -1119,30 +1042,9 @@ class _FanoutQuery(QueryTerminals):
     def over_versions(self) -> "_FanoutQuery":
         return self._pushed_down(lambda part: part.over_versions())
 
-    def _materialize_part(self, pos: int) -> list[Any]:
-        """List one part's matches, via ``_on_shard`` when this fan-out
-        has a live origin (shard session activated on this thread)."""
-        part = self._parts[pos]
-        if self._origin is None:
-            return list(part)
-        router, sess, indices = self._origin
-        return router._on_shard(indices[pos], lambda _db: list(part), sess=sess)
-
-    def _materialized(self) -> list[list[Any]]:
-        """Each part's matches, scattered across the executor when one
-        is attached (and the caller is not itself a pool worker)."""
-        exe = self._executor
-        positions = range(len(self._parts))
-        if exe is None or len(self._parts) <= 1 or exe.in_worker():
-            return [self._materialize_part(pos) for pos in positions]
-        outcomes = exe.run_all(list(positions), self._materialize_part)
-        for _, err in outcomes:
-            if err is not None:
-                raise err
-        return [result for result, _ in outcomes]
-
     def __iter__(self) -> Iterator[Ref | VersionRef]:
-        for refs in self._materialized():
+        parts = self._parts
+        for refs in self._scatter(list(parts), lambda idx: list(parts[idx])):
             for ref in refs:
                 if self._rebind is not None:
                     yield self._rebind.deref(plain_id(ref))

@@ -28,14 +28,15 @@ appends -- so cut latency stays bounded by the slowest in-flight commit.
 per-shard :class:`~repro.core.snapshot.Snapshot` -- materialization,
 attribute reads, the paper-§4 traversals, clusters, queries -- routed
 over its pinned parts, so every parallel fan-out read resolves against
-the one cut.
+the one cut.  The per-object reads are written once, on :class:`Routed`,
+which the router and the session reader inherit too.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref
@@ -47,7 +48,7 @@ if TYPE_CHECKING:
     from repro.core.vgraph import VersionGraph
     from repro.shard.router import ShardedDatabase
 
-__all__ = ["GlobalSnapshot"]
+__all__ = ["GlobalSnapshot", "Routed"]
 
 
 class _CutLatch:
@@ -98,7 +99,61 @@ class _CutLatch:
                 self._cond.notify_all()
 
 
-class GlobalSnapshot(VersionReads):
+class Routed(VersionReads):
+    """The per-object reads of a sharded surface, each written once.
+
+    The router, the global cut and the session reader differ only in
+    where an object lives and what "every part" means, so each supplies
+    two primitives and inherits the reads from here:
+
+    * ``_at(oid, name, *args)`` -- call ``name(*args)`` where ``oid``
+      lives (the owning shard, the cut's part, the session's cut);
+    * ``_gather(fn)`` -- ``fn`` applied to every part, in shard order.
+
+    Adding a per-object read to the sharded surfaces is one method here.
+    """
+
+    def latest_vid(self, oid: Oid) -> Vid:
+        return self._at(oid, "latest_vid", oid)
+
+    def materialize(self, vid: Vid) -> Any:
+        return self._at(vid.oid, "materialize", vid)
+
+    def version_bytes(self, vid: Vid) -> bytes:
+        return self._at(vid.oid, "version_bytes", vid)
+
+    def read_attr(self, vid: Vid, name: str) -> Any:
+        return self._at(vid.oid, "read_attr", vid, name)
+
+    def object_exists(self, oid: Oid) -> bool:
+        return self._at(oid, "object_exists", oid)
+
+    def version_exists(self, vid: Vid) -> bool:
+        return self._at(vid.oid, "version_exists", vid)
+
+    def type_name(self, oid: Oid) -> str:
+        return self._at(oid, "type_name", oid)
+
+    def graph(self, target: Target) -> VersionGraph:
+        oid = oid_of(target)
+        return self._at(oid, "graph", oid)
+
+    def write_version(self, vid: Vid, obj: Any) -> None:
+        self._at(vid.oid, "write_version", vid, obj)
+
+    def write_version_if_changed(self, vid: Vid, obj: Any) -> bool:
+        """False for a no-op write-back, also on a read-only part (pure
+        reader methods run through cut-bound references)."""
+        return self._at(vid.oid, "write_version_if_changed", vid, obj)
+
+    def cluster_names(self) -> list[str]:
+        return sorted(set().union(*self._gather(lambda part: part.cluster_names())))
+
+    def object_count(self) -> int:
+        return sum(self._gather(lambda part: part.object_count()))
+
+
+class GlobalSnapshot(Routed):
     """One pinned point-in-time view spanning every up shard.
 
     Holds one per-shard :class:`~repro.core.snapshot.Snapshot` pinned
@@ -183,76 +238,30 @@ class GlobalSnapshot(VersionReads):
             )
         return part
 
+    def _at(self, oid: Oid, name: str, *args: Any) -> Any:
+        return getattr(self._locate(oid), name)(*args)
+
+    def _gather(self, fn: Callable[["Snapshot"], Any]) -> list[Any]:
+        return [fn(self.parts[idx]) for idx in sorted(self.parts)]
+
     # -- reads ---------------------------------------------------------------
-
-    def latest_vid(self, oid: Oid) -> Vid:
-        return self._locate(oid).latest_vid(oid)
-
-    def materialize(self, vid: Vid) -> Any:
-        return self._locate(vid.oid).materialize(vid)
-
-    def version_bytes(self, vid: Vid) -> bytes:
-        return self._locate(vid.oid).version_bytes(vid)
-
-    def read_attr(self, vid: Vid, name: str) -> Any:
-        return self._locate(vid.oid).read_attr(vid, name)
 
     def read_latest_attr(self, oid: Oid, name: str) -> Any:
         return self._locate(oid).read_latest_attr(oid, name)
 
-    def object_exists(self, oid: Oid) -> bool:
-        return self._locate(oid).object_exists(oid)
-
-    def version_exists(self, vid: Vid) -> bool:
-        return self._locate(vid.oid).version_exists(vid)
-
-    def type_name(self, oid: Oid) -> str:
-        return self._locate(oid).type_name(oid)
-
-    def graph(self, target: Target) -> "VersionGraph":
-        oid = oid_of(target)
-        return self._locate(oid).graph(oid)
-
-    def write_version(self, vid: Vid, obj: Any) -> None:
-        self._locate(vid.oid).write_version(vid, obj)  # raises
-
-    def write_version_if_changed(self, vid: Vid, obj: Any) -> bool:
-        """False for a no-op write-back (pure reader methods run through
-        cut-bound references); a real write fails read-only in the part."""
-        return self._locate(vid.oid).write_version_if_changed(vid, obj)
-
-    # -- clusters & queries ---------------------------------------------------
-
     def cluster(self, type_or_name: type | str) -> list[Ref]:
         """The type's cluster across every part (refs stay part-bound:
         reads through them resolve lock-free against the cut)."""
-        out: list[Ref] = []
-        for idx in sorted(self.parts):
-            out.extend(self.parts[idx].cluster(type_or_name))
-        return out
-
-    def cluster_names(self) -> list[str]:
-        names: set[str] = set()
-        for idx in self.parts:
-            names.update(self.parts[idx].cluster_names())
-        return sorted(names)
-
-    def object_count(self) -> int:
-        return sum(
-            len(self.parts[idx].cluster(name))
-            for idx in self.parts
-            for name in self.parts[idx].cluster_names()
-        )
+        return [
+            ref
+            for refs in self._gather(lambda part: part.cluster(type_or_name))
+            for ref in refs
+        ]
 
     def query(self, type_or_name: type | str):
-        """A fanned-out query over the cut (parallel-materialized by the
-        router's executor, like every fan-out)."""
+        """A fanned-out query over the cut (materialized through the
+        router's ``_scatter``, like every fan-out)."""
         from repro.shard.router import _FanoutQuery
 
-        return _FanoutQuery(
-            [
-                self.parts[idx].query(type_or_name)
-                for idx in sorted(self.parts)
-            ],
-            executor=self._router._exec,
-        )
+        parts = self._gather(lambda part: part.query(type_or_name))
+        return _FanoutQuery(dict(zip(sorted(self.parts), parts)), self._router._scatter)

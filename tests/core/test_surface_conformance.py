@@ -7,11 +7,14 @@ This suite asks every host the same questions about the paper's figure
 (v0 -> v1, v0 -> v2, v1 -> v3) with every kind of argument, inside and
 outside transactions, and requires equal answers by ``(oid, serial)``,
 results bound to the surface that was asked, and the same two domain
-errors everywhere.
+errors everywhere.  The three sharded hosts take their per-object reads
+from ``repro.shard.snapshot.Routed``, whose signatures must be the
+kernel's own.
 """
 
 from __future__ import annotations
 
+import inspect
 from contextlib import nullcontext
 
 import pytest
@@ -21,6 +24,7 @@ from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref, VersionRef
 from repro.errors import UnknownObjectError, UnknownVersionError
 from repro.shard import ShardedDatabase
+from repro.shard.snapshot import Routed
 
 SURFACES = ("store", "database", "snapshot", "router-1", "router-4", "cut", "reader")
 KINDS = ("ref", "oid", "vref", "vid")
@@ -205,3 +209,23 @@ def test_a_non_id_argument_is_a_type_error(world, traversal):
     call, _ = TRAVERSALS[traversal]
     with pytest.raises(TypeError):
         call(world.surface, "not an id")
+
+
+ROUTED_READS = sorted(name for name in vars(Routed) if not name.startswith("_"))
+
+
+@pytest.mark.parametrize("name", ROUTED_READS)
+def test_routed_reads_have_the_kernels_signatures(name):
+    """The router and the kernel speak one op: same parameters, same
+    annotations, for every read the sharded surfaces inherit."""
+    assert inspect.signature(getattr(Routed, name)) == inspect.signature(
+        getattr(Database, name)
+    )
+
+
+def test_cluster_names_and_object_count_agree(world):
+    s = world.surface
+    for mode in MODES:
+        with world.mode(mode):
+            assert s.cluster_names() == ["conformance.Figure"], mode
+            assert s.object_count() == 4, mode

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro import PersistentObject, persistent, probe
+from repro.core.query import Query
 from repro.errors import ShardUnavailableError
 from repro.shard import ShardedDatabase, ShardExecutor, executor
 from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
@@ -324,6 +325,41 @@ def test_reader_epoch_spans_shards_and_down_shard_is_minus_one(trio):
     with sess.activate():
         assert sess.reader().epoch[2] == -1
     sess.close()
+
+
+# -- one failure rule for every fan-out ---------------------------------------
+
+
+@pytest.mark.parametrize("surface", ["router", "cut"])
+def test_fanout_query_fails_by_the_scatter_rule(tmp_path, monkeypatch, surface):
+    """A query's parts fail on shard 1 (plain error) and shard 3 (simulated
+    crash): materializing raises the crash, as every other scatter does --
+    not the first failing part."""
+    router = ShardedDatabase(tmp_path / "shards", nshards=4)
+    try:
+        for i in range(8):
+            router.pnew(PxAcct(tag=i))
+        cut = router.snapshot() if surface == "cut" else None
+        host = router if cut is None else cut
+        sources = router.shards if cut is None else cut.parts
+        real_iter = Query.__iter__
+
+        def failing_iter(query):
+            if query._store is sources[1]:
+                raise ValueError("shard 1 failed")
+            if query._store is sources[3]:
+                raise SimulatedCrash("shard 3 crashed")
+            return real_iter(query)
+
+        monkeypatch.setattr(Query, "__iter__", failing_iter)
+        with pytest.raises(SimulatedCrash, match="shard 3"):
+            host.query(PxAcct).all()
+        monkeypatch.undo()
+        assert sorted(acct.tag for acct in host.query(PxAcct)) == list(range(8))
+        if cut is not None:
+            cut.close()
+    finally:
+        router.close()
 
 
 # -- chaos: fan-outs and 2PC racing shard death -------------------------------
