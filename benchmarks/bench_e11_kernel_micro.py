@@ -434,6 +434,69 @@ def test_e11_publish_cost_is_flat_in_table_size(tmp_path, benchmark):
     benchmark(lambda: None)
 
 
+@persistent(name="bench.E11Rec")
+class E11Rec:
+    """A ~720-byte payload: past the inline threshold, so blob-backed."""
+
+    def __init__(self, n: int = 0) -> None:
+        self.n = n
+        self.pad = "r" * 700
+
+
+def _commit_and_abort(path, objects: int, rounds: int = 7) -> dict:
+    """One attribute write per transaction among ``objects`` objects:
+    median milliseconds of a committed and of an aborted transaction, and
+    the buffer-pool lookups (hits + misses) of each abort."""
+    db = Database(
+        path,
+        policy=StoragePolicy(kind="delta", keyframe_interval=8),
+        checkpoint_threshold=0,
+    )
+    try:
+        rng = random.Random(objects)
+        with db.transaction():
+            refs = [db.pnew(E11Rec(i)) for i in range(objects)]
+        pool = db._pool
+        commits, aborts, lookups = [], [], set()
+        for i in range(rounds):
+            ref = rng.choice(refs)
+            t0 = time.perf_counter()
+            with db.transaction():
+                ref.n = -i
+            commits.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            txn = db.begin()
+            ref.n = i
+            before = pool.hits + pool.misses
+            txn.abort()
+            lookups.add(pool.hits + pool.misses - before)
+            aborts.append(time.perf_counter() - t0)
+            assert ref.n == -i
+        return {
+            "commit_ms": statistics.median(commits) * 1e3,
+            "abort_ms": statistics.median(aborts) * 1e3,
+            "lookups": lookups,
+        }
+    finally:
+        db.close()
+
+
+def test_e11_abort_costs_what_it_touched(tmp_path, benchmark):
+    """An abort restores memory from the records it undid, so it costs
+    what its transaction touched: every abort of one attribute write makes
+    the same number of buffer-pool lookups at 500, 2,000 and 8,000
+    objects (EXPERIMENTS.md E38 has the times against a rescan of every
+    heap).  The times are reported, not gated."""
+    table = {n: _commit_and_abort(tmp_path / f"abort_{n}", n) for n in (500, 2000, 8000)}
+    for n, row in table.items():
+        benchmark.extra_info[f"commit_ms_{n}"] = round(row["commit_ms"], 3)
+        benchmark.extra_info[f"abort_ms_{n}"] = round(row["abort_ms"], 3)
+        benchmark.extra_info[f"abort_pool_lookups_{n}"] = sorted(row["lookups"])
+    counts = {n: row["lookups"] for n, row in table.items()}
+    assert len(set().union(*counts.values())) == 1, counts
+    benchmark(lambda: None)
+
+
 def test_e11_identical_base_delta(benchmark):
     """``newversion`` diffs a version against a byte-identical base: that
     must be one COPY found by comparison, never a block-matching pass."""

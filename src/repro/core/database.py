@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro import probe
 from repro.errors import (
@@ -380,13 +380,10 @@ class Database(VersionReads, SessionHost):
             self._log.append(LogRecord(COMMIT, txid))
             self._log.flush()
         else:
-            with self._storage_mutex:
-                undo_operations(
-                    info.ops, self._catalog.heap_by_id, self._log, txid
-                )
-                self._log.append(LogRecord(ABORT_END, txid))
-                self._log.flush()
-                self._reload_after_undo(None)
+            self._undo(txid, info.ops, None)
+            self._log.append(LogRecord(ABORT_END, txid))
+            self._log.flush()
+            self._publish()
         # Only now: "not in doubt" is what lets the router release the
         # verdict, so it must not read true before the outcome is durable.
         with self._twopc_mutex:
@@ -526,9 +523,8 @@ class Database(VersionReads, SessionHost):
             txid=next(self._txids),
             log=self._log,
             lock_manager=self._locks,
-            heap_resolver=self._catalog.heap_by_id,
+            undo=self._undo,
             on_finish=self._txn_finished,
-            storage_mutex=self._storage_mutex,
             lock_timeout=lock_timeout,
         )
         txn.session = sess
@@ -559,19 +555,14 @@ class Database(VersionReads, SessionHost):
             txn.snapshot = None
         if probe.crashed():
             # A simulated process death: the "dead" process must touch
-            # nothing further (no reload I/O, no checkpoint).  Locks were
+            # nothing further (no publication, no checkpoint).  Locks were
             # already released by commit/abort cleanup.
             return
-        if txn.state == "aborted":
-            with self._storage_mutex:
-                self._reload_after_undo(txn)
-        else:
-            exclude = self._active_touched()
-            if self._store.has_unpublished_changes(exclude):
-                # Publish this transaction's commits for snapshot readers;
-                # objects other active transactions touched stay back.
-                with self._storage_mutex:
-                    self._store.publish_snapshot(exclude=self._active_touched())
+        # Publish what this transaction committed, or restored, for
+        # snapshot readers; objects other active transactions touched
+        # stay back.
+        self._publish()
+        if txn.state == "committed":
             self._pace_reclaim()
             if (
                 self._checkpoint_threshold
@@ -584,26 +575,28 @@ class Database(VersionReads, SessionHost):
                         self._log.flush()
                         self._write_back()
 
-    def _reload_after_undo(self, txn: Transaction | None, publish: bool = True) -> None:
-        """WAL undo rewound the heaps: rebuild the in-memory state.
+    def _undo(self, txid: int, records: Sequence[LogRecord], touched: set[Oid] | None) -> None:
+        """The one undo step: roll ``records`` back on disk and in memory.
 
-        Only the caches of objects ``txn`` touched are invalidated (a full
-        clear would punish every other hot object); a tainted touch set
-        -- an op failed partway -- or no live transaction at all (an
-        in-doubt participant's undo) forces the conservative full reload.
-        The table is rebuilt wholesale, so everything is republished
-        (minus other transactions' still-uncommitted objects) -- except
-        while ``txn`` itself goes on.  The caller holds the storage mutex:
-        reload scans the heaps, and an unsynchronized scan racing a
-        concurrent mutation (a table-record relocation mid-flight)
-        rebuilds a table with other transactions' objects missing.
+        Under one hold of the storage mutex, and before the transaction
+        releases any lock: the WAL undo (compensations logged), the
+        catalog's handful of records, the store's inverse of what was
+        undone (:meth:`VersionStore.undone`) and the indexes of the
+        objects that moved.  ``touched`` bounds the objects to restore;
+        None -- a partial operation, an in-doubt participant, or an undo
+        that fails partway -- re-derives the whole store.  A simulated
+        crash leaves memory alone: the dead process touches nothing more.
         """
-        self._catalog.reload()
-        tainted = txn is None or txn.cache_taint
-        self._store.reload(None if tainted else txn.touched_oids)
-        self._indexes.rebuild()
-        if publish:
-            self._store.publish_snapshot(exclude=self._active_touched(), full=True)
+        with self._storage_mutex:
+            try:
+                undo_operations(records, self._catalog.heap_by_id, self._log, txid)
+            except BaseException:
+                touched = None
+                raise
+            finally:
+                if not probe.crashed():
+                    self._catalog.reload()
+                    self._indexes.refresh(self._store.undone(records, touched))
 
     def savepoint(self) -> int:
         """Mark a rollback point inside the current transaction."""
@@ -622,13 +615,7 @@ class Database(VersionReads, SessionHost):
         txn = self.current_transaction()
         if txn is None:
             raise TransactionStateError("savepoints require an active transaction")
-        undone = txn.rollback_to(savepoint)
-        if undone:
-            # touched_oids is a superset of the objects behind the undone
-            # ops, so precise invalidation stays safe here too.
-            with self._storage_mutex:
-                self._reload_after_undo(txn, publish=False)
-        return undone
+        return txn.rollback_to(savepoint)
 
     def _txn_work(self, txid: int) -> int:
         """Operations logged by an active transaction (deadlock victim cost)."""
@@ -676,16 +663,19 @@ class Database(VersionReads, SessionHost):
         References obtained from a snapshot stay bound to it; the view
         never changes, no matter what commits afterwards.
         """
-        exclude = self._active_touched()
-        if self._store.has_unpublished_changes(exclude):
-            # Catch-up publish for mutations that bypassed a transaction
-            # finish (direct store access, tools).  The common path --
-            # everything unpublished belongs to active transactions --
-            # skips this entirely, so pinning does not need the storage
-            # mutex and cannot block behind a writer holding it.
+        # Catch-up publish for mutations that bypassed a transaction
+        # finish (direct store access, tools).  The common path --
+        # everything unpublished belongs to active transactions -- skips
+        # the storage mutex, so pinning cannot block behind a writer.
+        self._publish()
+        return self._store.pin_snapshot(index_source=self)
+
+    def _publish(self) -> None:
+        """Publish every unpublished object no active transaction touched;
+        takes the storage mutex only when there is one."""
+        if self._store.has_unpublished_changes(self._active_touched()):
             with self._storage_mutex:
                 self._store.publish_snapshot(exclude=self._active_touched())
-        return self._store.pin_snapshot(index_source=self)
 
     def _mutate(self, lock_oid: Oid | None, op) -> Any:
         """Run ``op(log_op)`` inside the current or an autocommit txn."""

@@ -13,9 +13,11 @@ those reads would see.  ``over_versions`` queries are historical scans and
 intentionally bypass indexes.
 
 Indexes are in-memory and rebuilt on open (they are derived data; the
-heap records are the durable truth).  ``IndexManager.ensure`` registers an
-index idempotently, and the query layer consults :meth:`IndexManager.lookup`
-for equality predicates created with :func:`attr_equals`.
+heap records are the durable truth); an undo refreshes the entries of the
+objects it restored (:meth:`IndexManager.refresh`).
+``IndexManager.ensure`` registers an index idempotently, and the query
+layer consults :meth:`IndexManager.lookup` for equality predicates created
+with :func:`attr_equals`.
 """
 
 from __future__ import annotations
@@ -288,24 +290,12 @@ class IndexManager:
             return None
         return list(index.range(lo, hi)) + sorted(index.unindexed)
 
-    def rebuild(self) -> None:
-        """Rebuild every index from the store (after a transaction abort)."""
-        for (type_name, _attr), index in self._indexes.items():
-            index._by_value.clear()
-            index._value_of.clear()
-            index.unindexed.clear()
-            for ref in self._store.cluster(type_name):
-                index.put(
-                    ref.oid, self._store.materialize(self._store.latest_vid(ref.oid))
-                )
-        for (type_name, _attr), ordered in self._ordered.items():
-            ordered._pairs.clear()
-            ordered._value_of.clear()
-            ordered.unindexed.clear()
-            for ref in self._store.cluster(type_name):
-                ordered.put(
-                    ref.oid, self._store.materialize(self._store.latest_vid(ref.oid))
-                )
+    def refresh(self, oids: Iterable[Oid]) -> None:
+        """Re-derive the entries of ``oids`` from the store (after an undo
+        restored them: each may have changed, appeared or gone)."""
+        for oid in oids:
+            self._on_event("delete_object", oid, None)
+            self._on_event("create", oid, None)
 
     # -- maintenance ----------------------------------------------------------------
 

@@ -11,10 +11,11 @@ state, taking **no SHARED locks and never touching the storage mutex**.
 The design is epoch + copy-on-write at three granularities:
 
 * **Entries.**  The store keeps a *committed table* (oid -> frozen
-  :class:`SnapshotEntry`) beside its live table.  At every commit (and
-  abort cleanup) the store *publishes*: for each object the finished
-  transaction changed, the committed table's slot is overwritten with a
-  fresh frozen entry and the epoch counter advances.  Objects touched by
+  :class:`SnapshotEntry`) beside its live table.  At every commit and
+  abort the store *publishes*: for each object the finished transaction
+  changed (its undo marks what it restored dirty, like a write), the
+  committed table's slot is overwritten with a fresh frozen entry and the
+  epoch counter advances.  Objects touched by
   transactions that are still active are excluded, so uncommitted state
   is never published.  Before a slot is overwritten, the displaced entry
   is stashed into the *overlay* of every pinned snapshot that does not
@@ -30,8 +31,8 @@ The design is epoch + copy-on-write at three granularities:
   type overlays.  A commit that only adds or rewrites versions leaves
   every tuple the same object.  Publish therefore costs what the
   finished transaction changed (times the pinned snapshots), never the
-  table or cluster size; only ``full=True`` -- open, and the reload
-  after an abort -- visits every object.
+  table or cluster size; only the store's full derivation -- at open, or
+  after an undo it cannot bound -- marks every object dirty.
 * **Graphs.**  A published entry shares the live ``VersionGraph`` object
   and marks it ``graph_shared``; a writer about to mutate a shared graph
   clones it first (:meth:`VersionGraph.clone`), so published graphs are
@@ -223,25 +224,18 @@ class SnapshotRegistry:
         self,
         store: "VersionStore",
         exclude: "frozenset[Oid] | set[Oid]" = frozenset(),
-        full: bool = False,
     ) -> int:
-        """Advance the committed table to the store's current state.
+        """Advance the committed table over the store's dirty objects.
 
         ``exclude`` lists oids touched by still-active transactions: their
         live state is uncommitted, so their committed-table slots (and any
-        pending byte stashes) are left exactly as they are.  ``full``
-        republishes every object rather than only the dirty set -- used at
-        open and after an abort's full reload, when the live table was
-        rebuilt wholesale.  Returns the (possibly unchanged) epoch.
+        pending byte stashes) are left exactly as they are.  Returns the
+        (possibly unchanged) epoch.
         """
         probe.point("snap.publish")
         with self._lock:
             dirty = store._dirty_oids
-            if full:
-                candidates = set(store._table) | set(store._committed) | dirty
-            else:
-                candidates = set(dirty)
-            publish_now = [oid for oid in candidates if oid not in exclude]
+            publish_now = [oid for oid in dirty if oid not in exclude]
             if not publish_now:
                 return self.epoch
             committed = store._committed

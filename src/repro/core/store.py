@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro import probe
 from repro.errors import (
@@ -60,13 +60,15 @@ from repro.storage import serialization
 from repro.storage.blobs import BlobStore
 from repro.storage.catalog import Catalog
 from repro.storage.delta import apply_delta, compute_delta
-from repro.storage.heap import HeapFile, LogOp, Rid
-from repro.storage.wal import PAYLOAD
+from repro.storage.heap import HeapFile, LogOp, Rid, body_payload
+from repro.storage.wal import OP_DELETE, PAYLOAD
+
+if TYPE_CHECKING:
+    from repro.storage.wal import LogRecord
 
 #: Heap names used by the store.
 OBJECTS_HEAP = "ode.objects"
 VERSIONS_HEAP = "ode.versions"
-CLUSTERS_HEAP = "ode.clusters"
 
 #: Largest stored payload (full copy or delta body) kept inline in its
 #: ``ode.versions`` record instead of the blob store: 1/16 page, so a
@@ -115,28 +117,15 @@ class StoragePolicy:
 class _Entry:
     """In-memory object-table entry for one persistent object."""
 
-    __slots__ = (
-        "oid",
-        "type_name",
-        "graph",
-        "rid",
-        "cluster_rid",
-        "graph_shared",
-    )
+    __slots__ = ("oid", "type_name", "graph", "rid", "graph_shared")
 
     def __init__(
-        self,
-        oid: Oid,
-        type_name: str,
-        graph: VersionGraph,
-        rid: Rid | None,
-        cluster_rid: Rid | None,
+        self, oid: Oid, type_name: str, graph: VersionGraph, rid: Rid | None
     ) -> None:
         self.oid = oid
         self.type_name = type_name
         self.graph = graph
         self.rid = rid
-        self.cluster_rid = cluster_rid
         #: True once the graph was published into the snapshot committed
         #: table: pinned readers may be traversing it, so any mutation must
         #: clone first (see :meth:`VersionStore._mutable_graph`).
@@ -157,9 +146,9 @@ class VersionStore(VersionReads):
     """Versioned persistent objects over the heap layer.
 
     One store per database.  The object table (oid -> entry) is cached in
-    memory and written through to the ``ode.objects`` heap; version
-    payloads live in ``ode.versions``; per-type cluster membership in
-    ``ode.clusters``.
+    memory and written through to the ``ode.objects`` heap, one home
+    record per object (its type name is its cluster); version payloads
+    live in ``ode.versions``.
 
     A version-heap record holds a stored payload (full copy or delta
     body) one of two ways, chosen by its size alone.  Up to
@@ -170,8 +159,9 @@ class VersionStore(VersionReads):
 
     Those references are the only durable statement of who uses a blob.
     The refcount index (key -> count, size) is derived from them: counted
-    from one ``ode.versions`` scan at open and after every rollback, kept
-    current in memory in between, never stored.  A frame nothing
+    from one ``ode.versions`` scan at open, then kept current record by
+    record -- by every write, and by every undo (:meth:`undone`) -- and
+    never stored.  A frame nothing
     references -- displaced, rolled back, or left by a crashed put -- is
     a zero-count entry: a GC candidate stamped with the snapshot epoch at
     which it was found unreferenced (see ``repro.core.gc`` for the
@@ -197,7 +187,6 @@ class VersionStore(VersionReads):
         self._oid_residue = oid_residue
         self._objects: HeapFile = catalog.ensure_heap(OBJECTS_HEAP)
         self._versions: HeapFile = catalog.ensure_heap(VERSIONS_HEAP)
-        self._clusters: HeapFile = catalog.ensure_heap(CLUSTERS_HEAP)
         self._blobs = blobs
         #: key -> (refcount, size), derived from the payload records.
         self._blob_index: dict[str, _BlobRef] = {}
@@ -238,8 +227,8 @@ class VersionStore(VersionReads):
         self._committed: dict[Oid, SnapshotEntry] = {}
         self._committed_by_type: dict[str, tuple[Oid, ...]] = {}
         self._snapshots = SnapshotRegistry()
-        self._load(opening=True)
-        self._snapshots.publish(self, full=True)
+        self._load()
+        self._snapshots.publish(self)
 
     @property
     def policy(self) -> StoragePolicy:
@@ -251,67 +240,49 @@ class VersionStore(VersionReads):
         """The catalog this store was opened against."""
         return self._catalog
 
-    # -- loading / reloading -------------------------------------------------
+    # -- loading, and undoing ---------------------------------------------------
 
-    def _load(self, opening: bool = False) -> None:
+    def _load(self) -> None:
+        """The one full derivation: every object from its home record, the
+        refcounts from every payload record.  Each object before and after
+        is marked dirty, so the next publish carries the lot."""
         self._bytes_cache.clear()
         self._decoded_cache.clear()
-        self._load_table()
-        self._load_blob_index(opening)
+        self._dirty_oids.update(self._table)
+        self._table.clear()
+        self._by_type.clear()
+        for rid, payload in self._objects.scan():
+            self._dirty_oids.add(self._load_entry(rid, payload).oid)
+        self._load_blob_index()
 
-    def _load_blob_index(self, opening: bool = False) -> None:
+    def _load_entry(self, rid: Rid, payload: bytes) -> _Entry:
+        oid, type_name, graph_state = serialization.decode(payload)
+        entry = _Entry(oid, type_name, VersionGraph.from_state(graph_state), rid)
+        self._table[oid] = entry
+        self._by_type.setdefault(type_name, set()).add(oid)
+        return entry
+
+    def _load_blob_index(self) -> None:
         """Derive the refcount index from the payload records.
 
         The references in ``ode.versions`` are under their object's lock
-        and the WAL's undo, so after an open or any rollback they are the
-        truth: one scan counts them.  Every other known key is
-        unreferenced and enters with count zero as a GC candidate.
-        ``opening`` takes the known keys from the pack files (a crashed
-        put, or a payload displaced before the last close); a reload takes
-        them from the index it replaces, so a candidate keeps the epoch
-        stamp it had and a rolled-back put becomes one at this epoch.
+        and the WAL's undo, so at open they are the truth: one scan counts
+        them.  Every other frame in the packs -- a crashed put, or a
+        payload displaced before the last close -- enters with count zero
+        as a GC candidate stamped at this epoch.
         """
-        old, stamps = self._blob_index, self._gc_candidates
-        index: dict[str, _BlobRef] = {}
+        self._blob_index, self._gc_candidates = {}, {}
+        self._live_bytes = self._pending_bytes = 0
         self._inline_records = self._inline_bytes = 0
         for _rid, raw in self._versions.scan():
-            if blobstore.is_ref(raw):
-                key, size = blobstore.decode_ref(raw)
-                ref = index.get(key)
-                if ref is None:
-                    index[key] = _BlobRef(1, size)
-                else:
-                    ref.refcount += 1
-            else:
-                self._inline_records += 1
-                self._inline_bytes += len(raw)
-        self._live_bytes = sum(ref.size for ref in index.values())
-        self._pending_bytes = 0
+            self._count_record(raw)
         epoch = self._snapshots.epoch
-        candidates: dict[str, int] = {}
-        for key in self._blobs.keys() if opening else old:
-            if key in index:
-                continue
-            size = self._blobs.size_of(key) if opening else old[key].size
-            if size is not None:
-                index[key] = _BlobRef(0, size)
-                candidates[key] = stamps.get(key, epoch)
+        for key in self._blobs.keys():
+            size = self._blobs.size_of(key)
+            if key not in self._blob_index and size is not None:
+                self._blob_index[key] = _BlobRef(0, size)
+                self._gc_candidates[key] = epoch
                 self._pending_bytes += size
-        self._blob_index, self._gc_candidates = index, candidates
-
-    def _load_table(self) -> None:
-        self._table.clear()
-        self._by_type.clear()
-        cluster_rids: dict[Oid, Rid] = {}
-        for rid, payload in self._clusters.scan():
-            type_name, oid = serialization.decode(payload)
-            cluster_rids[oid] = rid
-        for rid, payload in self._objects.scan():
-            oid, type_name, graph_state = serialization.decode(payload)
-            graph = VersionGraph.from_state(graph_state)
-            entry = _Entry(oid, type_name, graph, rid, cluster_rids.get(oid))
-            self._table[oid] = entry
-            self._by_type.setdefault(type_name, set()).add(oid)
 
     def misplaced_oids(self) -> list[Oid]:
         """Objects outside this store's allocation slice.  The store never
@@ -321,26 +292,49 @@ class VersionStore(VersionReads):
             if oid.value % self._oid_stride != self._oid_residue
         )
 
-    def reload(self, touched: "set[Oid] | None" = None) -> None:
-        """Rebuild all in-memory state from the heaps.
+    def undone(
+        self, records: "Sequence[LogRecord]", touched: "set[Oid] | None"
+    ) -> set[Oid]:
+        """Bring memory back in line after the WAL undo of ``records``;
+        returns the objects whose state may have moved.
 
-        Called after a transaction abort or partial rollback: the WAL undo
-        restored the heap records, and this brings the caches back in line.
-
-        ``touched`` (when known) is the set of object ids the rolled-back
-        transaction mutated or created; only their cached payloads are
-        invalidated, so the rest of the hot set survives the rollback.
-        With ``touched=None`` every cache entry is dropped (conservative).
+        The undone records are walked in undo order.  For each payload
+        record the reference its before-image holds is taken back, then
+        the one its after-image holds is dropped -- in that order, so a
+        key both images share never underflows.  Each ``touched`` object
+        (every object the transaction changed or created) loses its entry
+        and is re-read from its home record, and so is each home the undo
+        re-inserted (an object deleted inside the transaction): the memory
+        half costs what the transaction touched.  ``touched=None`` -- a
+        partial operation or undo, or an in-doubt participant -- runs the
+        open's full derivation instead.
         """
         if touched is None:
+            changed = set(self._table)
             self._load()
-            return
-        self._load_table()
-        # The undo rewound payload records the in-memory counts had
-        # followed, possibly sharing keys with other objects: recount.
-        self._load_blob_index()
+            return changed | set(self._table)
+        homes: set[Rid] = set()
+        for record in reversed(records):
+            if record.file_id == self._versions.file_id:
+                before, after = body_payload(record.undo_payload), body_payload(record.payload)
+                if before is not None:
+                    self._count_record(before)
+                if after is not None:
+                    self._release_record(after)
+            elif record.file_id == self._objects.file_id and record.kind == OP_DELETE:
+                homes.add(Rid(record.page_id, record.slot))
         for oid in touched:
+            entry = self._table.pop(oid, None)
+            if entry is not None:
+                homes.add(entry.rid)
+                self._by_type[entry.type_name].discard(oid)
             self._invalidate_object(oid)
+        changed = set(touched)
+        for rid in homes:
+            if self._objects.exists(rid):
+                changed.add(self._load_entry(rid, self._objects.read(rid)).oid)
+        self._dirty_oids |= changed
+        return changed
 
     # -- snapshot publication (lock-free read path) ----------------------------
 
@@ -376,18 +370,14 @@ class VersionStore(VersionReads):
             except RuntimeError:  # set changed size during iteration
                 continue
 
-    def publish_snapshot(
-        self,
-        exclude: "frozenset[Oid] | set[Oid]" = frozenset(),
-        full: bool = False,
-    ) -> int:
+    def publish_snapshot(self, exclude: "frozenset[Oid] | set[Oid]" = frozenset()) -> int:
         """Publish committed state for snapshot readers; returns the epoch.
 
         Must run with writers quiesced (the database facade calls this
         under the storage mutex after a transaction finishes).  ``exclude``
         lists objects touched by still-active transactions.
         """
-        return self._snapshots.publish(self, exclude=exclude, full=full)
+        return self._snapshots.publish(self, exclude=exclude)
 
     def pin_snapshot(self, index_source: Any = None) -> Snapshot:
         """Pin the current publication epoch for lock-free reads."""
@@ -504,20 +494,30 @@ class VersionStore(VersionReads):
         record that references it, and a put that appends a frame logs
         the body as a ``PAYLOAD`` record first: the flush that makes the
         reference durable makes the payload durable.  A crash or rollback
-        in between leaves an unreferenced frame, the next recount's GC
-        candidate.  The count moves with the caller's heap write, under
-        the same storage mutex.
+        in between leaves an unreferenced frame: a GC candidate once the
+        count of its reference is dropped again.  The count moves with the
+        caller's heap write, under the same storage mutex.
         """
         if len(stored) <= INLINE_PAYLOAD_MAX and not blobstore.is_ref(stored):
+            record = stored
+        else:
+            key = self._blobs.put(
+                stored,
+                None if log_op is None else lambda body: log_op(PAYLOAD, 0, 0, 0, body, b""),
+            )
+            record = blobstore.encode_ref(key, len(stored))
+        self._count_record(record)
+        return record
+
+    def _count_record(self, record: bytes) -> None:
+        """Take the blob reference a heap record holds, if any: the
+        inverse of :meth:`_release_record`."""
+        if blobstore.is_ref(record):
+            key, size = blobstore.decode_ref(record)
+            self._blob_incref(key, size)
+        else:
             self._inline_records += 1
-            self._inline_bytes += len(stored)
-            return stored
-        key = self._blobs.put(
-            stored,
-            None if log_op is None else lambda body: log_op(PAYLOAD, 0, 0, 0, body, b""),
-        )
-        self._blob_incref(key, len(stored))
-        return blobstore.encode_ref(key, len(stored))
+            self._inline_bytes += len(record)
 
     def _release_record(self, record: bytes) -> None:
         """Drop the blob reference a displaced heap record held, if any."""
@@ -854,7 +854,7 @@ class VersionStore(VersionReads):
         if oid in self._table:
             raise VersionError(f"object {oid!r} already exists")
         graph = VersionGraph()
-        entry = _Entry(oid, type_name, graph, None, None)
+        entry = _Entry(oid, type_name, graph, None)
         for serial, dprev, ctime, content in versions:
             data = self._store_payload(entry, serial, content, dprev, log_op)
             graph.create(serial, dprev, ctime, data)
@@ -863,8 +863,6 @@ class VersionStore(VersionReads):
             raise VersionError(f"object {oid!r} has no versions to install")
         graph.reserve(max_serial)
         self._save_entry(entry, log_op)
-        cluster_payload = serialization.encode((type_name, oid))
-        entry.cluster_rid = self._clusters.insert(cluster_payload, log_op)
         self._table[oid] = entry
         self._by_type.setdefault(type_name, set()).add(oid)
         self._dirty_oids.add(oid)
@@ -969,8 +967,6 @@ class VersionStore(VersionReads):
         self._invalidate_object(oid)
         if entry.rid is not None:
             self._objects.delete(entry.rid, log_op)
-        if entry.cluster_rid is not None:
-            self._clusters.delete(entry.cluster_rid, log_op)
         del self._table[oid]
         self._by_type[entry.type_name].discard(oid)
         self._notify(EV_DELETE_OBJECT, oid, None)

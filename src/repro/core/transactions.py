@@ -15,13 +15,12 @@ none of it does.  This module provides:
   stalling.  The acquire timeout remains as a per-transaction *deadline*
   backstop for non-deadlock stalls (a holder that simply never releases).
 * :class:`Transaction` -- collects WAL records for its heap operations,
-  commits by flushing the log through its ``COMMIT`` record, and aborts by
-  applying undo images in reverse while logging the compensation ops so
-  that crash recovery repeats them (see :mod:`repro.storage.wal`).
-
-In-memory rollback after abort is coarse: the store and catalog caches are
-rebuilt from the (restored) heaps by the database facade.  Aborts are rare
-in the paper's workloads; simplicity wins.
+  commits by flushing the log through its ``COMMIT`` record, and aborts or
+  rolls back to a savepoint through one undo step the database facade
+  supplies: it applies the undo images in reverse, logging the
+  compensation ops so that crash recovery repeats them (see
+  :mod:`repro.storage.wal`), and restores memory from the records it
+  undid -- all before any lock is released.
 """
 
 from __future__ import annotations
@@ -401,10 +400,12 @@ def undo_operations(
 class Transaction:
     """One atomic unit of work against the database.
 
-    Created by the database facade, which passes ``heap_resolver`` (file id
-    -> :class:`HeapFile`) for abort-time undo and ``on_finish`` for cache
-    invalidation and lock release.  The transaction's :meth:`log_op` is the
-    callback threaded through every heap mutation it performs.
+    Created by the database facade, which passes ``undo(txid, records,
+    touched)`` -- roll ``records`` back on disk and in memory, ``touched``
+    bounding the objects to restore (None: no bound) -- and ``on_finish``
+    for publication after the locks are released.  The transaction's
+    :meth:`log_op` is the callback threaded through every heap mutation it
+    performs.
     """
 
     #: A local transaction has no verdict apart from its own ``COMMIT``
@@ -416,9 +417,8 @@ class Transaction:
         txid: int,
         log: LogManager,
         lock_manager: LockManager,
-        heap_resolver: Callable[[int], "HeapFile"],
+        undo: Callable[[int, "list[LogRecord]", "set | None"], None],
         on_finish: Callable[["Transaction"], None],
-        storage_mutex: "threading.RLock | None" = None,
         lock_timeout: float | None = None,
     ) -> None:
         self.txid = txid
@@ -427,11 +427,10 @@ class Transaction:
         #: the timeout backstop of the wait-for-graph deadlock detector.
         self.lock_timeout = lock_timeout
         #: Object ids this transaction may have mutated (X-locked targets
-        #: plus objects it created).  On abort the database facade uses the
-        #: set to invalidate caches precisely instead of clearing them.
+        #: plus objects it created): what an undo restores in memory.
         self.touched_oids: set = set()
         #: Set when an operation failed partway through -- the touched set
-        #: can no longer be trusted, so abort falls back to a full reload.
+        #: can no longer be trusted, so an undo re-derives everything.
         self.cache_taint = False
         #: Pinned snapshot for snapshot-read transactions (set by the
         #: database facade); reads route through it, lock-free.
@@ -451,9 +450,8 @@ class Transaction:
         self.session = None
         self._log = log
         self._locks = lock_manager
-        self._heap_resolver = heap_resolver
+        self._undo = undo
         self._on_finish = on_finish
-        self._storage_mutex = storage_mutex
         self._ops: list[LogRecord] = []
         self._log.append(LogRecord(BEGIN, txid))
 
@@ -506,7 +504,6 @@ class Transaction:
 
         Compensation ops are logged (as in abort) so crash recovery agrees
         with the in-memory undo.  Returns the number of ops undone.
-        The caller (the database facade) must refresh derived caches.
         """
         self._require_active()
         if not 0 <= savepoint <= len(self._ops):
@@ -515,11 +512,8 @@ class Transaction:
             )
         victims = self._ops[savepoint:]
         del self._ops[savepoint:]
-        if self._storage_mutex is not None:
-            with self._storage_mutex:
-                self._undo_records(victims)
-        else:
-            self._undo_records(victims)
+        if victims:
+            self._undo(self.txid, victims, None if self.cache_taint else self.touched_oids)
         return len(victims)
 
     # -- outcome --------------------------------------------------------------
@@ -587,7 +581,6 @@ class Transaction:
                     # The abort failed too (dead disk / simulated crash):
                     # durable repair is recovery's job, but the locks and
                     # the wait-for edges must not outlive the corpse.
-                    self.cache_taint = True
                     self.state = ABORTED
                     self._finish()
             raise
@@ -598,6 +591,8 @@ class Transaction:
     def abort(self, *, release_prepared: bool = False) -> None:
         """Undo every operation (in reverse), log the compensations, finish.
 
+        Memory is restored by the undo step itself, so no other
+        transaction can take a released lock and read the undone state.
         Locks are released even when the undo itself fails partway (I/O
         error mid-rollback): the heaps are then repaired by WAL recovery
         on reopen, but no other transaction is left waiting on a corpse.
@@ -616,26 +611,13 @@ class Transaction:
             )
         probe.point("txn.abort")
         try:
-            if self._storage_mutex is not None:
-                with self._storage_mutex:
-                    self._undo_all()
-            else:
-                self._undo_all()
+            if self._ops or self.cache_taint:  # else nothing moved
+                self._undo(self.txid, self._ops, None if self.cache_taint else self.touched_oids)
             self._log.append(LogRecord(ABORT_END, self.txid))
             self._log.flush()
-        except BaseException:
-            # Partial undo: the touched set no longer bounds the damage.
-            self.cache_taint = True
-            raise
         finally:
             self.state = ABORTED
             self._finish()
-
-    def _undo_all(self) -> None:
-        self._undo_records(self._ops)
-
-    def _undo_records(self, records: list[LogRecord]) -> None:
-        undo_operations(records, self._heap_resolver, self._log, self.txid)
 
     def _finish(self) -> None:
         probe.point("txn.release")

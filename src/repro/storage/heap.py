@@ -84,6 +84,23 @@ class Rid(NamedTuple):
         return (self.page_id, self.slot)
 
 
+def body_payload(physical: bytes) -> bytes | None:
+    """The logical payload a physical record holds whole, as a WAL image
+    shows it: an inline, short or relocated body.  None for no image, a
+    forward stub or a fragment, which hold no record of their own; a
+    spanning master's payload lives in its fragments, so it raises."""
+    if not physical:
+        return None
+    marker = physical[0]
+    if marker in (_INLINE, _RELOC_INLINE):
+        return physical[1:]
+    if marker == _SHORT:
+        return physical[2 : 2 + physical[1]]
+    if marker in (_MASTER, _RELOC_MASTER):
+        raise HeapError("a spanning record's payload is not in its master")
+    return None
+
+
 def _forward_stub(target: Rid) -> bytes:
     """The fixed-width home-slot record that points at a relocated body."""
     stub = bytes([_FORWARD]) + serialization.encode(target.pack())
@@ -268,11 +285,8 @@ class HeapFile:
 
     def _assemble(self, rid: Rid, body: bytes) -> bytes:
         """Logical payload from a body record (inline or spanning master)."""
-        marker = body[0]
-        if marker in (_INLINE, _RELOC_INLINE):
-            return body[1:]
-        if marker == _SHORT:
-            return body[2 : 2 + body[1]]
+        if body[0] not in (_MASTER, _RELOC_MASTER):
+            return body_payload(body)
         total_len, fragments = serialization.decode(body[1:])
         out = bytearray()
         for page_id, slot in fragments:
@@ -362,10 +376,8 @@ class HeapFile:
                 entries = list(page.records())
             for slot, physical in entries:
                 marker = physical[0]
-                if marker == _INLINE:
-                    yield Rid(page_id, slot), physical[1:]
-                elif marker == _SHORT:
-                    yield Rid(page_id, slot), physical[2 : 2 + physical[1]]
+                if marker in (_INLINE, _SHORT):
+                    yield Rid(page_id, slot), body_payload(physical)
                 elif marker in (_MASTER, _FORWARD):
                     rid = Rid(page_id, slot)
                     yield rid, self.read(rid)

@@ -8,25 +8,25 @@ Checks, for an open database:
    chains reconstruct, spanning records assemble);
 3. every payload record in the versions heap is referenced by exactly one
    live version (no orphans, no double-references);
-4. cluster membership matches the object table in both directions;
-5. the object-table heap decodes record by record.
+4. the object-table heap decodes record by record.
 
 With ``strict=True`` (used by the crash-matrix harness after every
 simulated crash + recovery) it additionally cross-checks the physical
 layers against each other:
 
-6. every page owned by a registered heap has a structurally sound
+5. every page owned by a registered heap has a structurally sound
    slotted layout (slot extents in bounds, no overlaps);
-7. every page in the file is either unowned (zeroed/free) or tagged with
+6. every page in the file is either unowned (zeroed/free) or tagged with
    a registered heap file id;
-8. the durable object table round-trips: each record rebuilds a valid
+7. the durable object table round-trips: each record rebuilds a valid
    version graph, object ids are unique, and the result matches the
    in-memory table (oids, types, serials, record ids);
-9. the ``ode.oid`` counter is at or above every live object id, so a
+8. the ``ode.oid`` counter is at or above every live object id, so a
    recovered database can never re-issue an id;
-10. every blob frame re-hashes to the key it is indexed under and is
-    known to the refcount index (dead pack space is a warning);
-11. every object id lies in the store's allocation slice (a shard holds
+9. every blob frame re-hashes to the key it is indexed under and is
+   known to the refcount index (dead pack space is a warning); the
+   index's counts are audited against a recount even without ``strict``;
+10. every object id lies in the store's allocation slice (a shard holds
     only ids of its own residue class -- routing relies on it).
 
 Returns a :class:`CheckReport`; ``ok`` is True when no problems were
@@ -87,9 +87,8 @@ def check_database(db: Database, strict: bool = False) -> CheckReport:
 
     versions_heap = catalog.ensure_heap("ode.versions")
     objects_heap = catalog.ensure_heap("ode.objects")
-    clusters_heap = catalog.ensure_heap("ode.clusters")
 
-    # 5. object-table heap decodes.
+    # 4. object-table heap decodes.
     from repro.storage import serialization
 
     table_rids = set()
@@ -150,7 +149,7 @@ def check_database(db: Database, strict: bool = False) -> CheckReport:
         if rid not in referenced:
             report.problems.append(f"orphan payload record at {rid}")
 
-    # 10. content-addressed refcount audit: the derived blob index must
+    # 9. content-addressed refcount audit: the derived blob index must
     # agree with a from-scratch recount of the payload records, live keys
     # must have their frames, and counts are never negative.
     recounted: dict[str, int] = {}
@@ -188,30 +187,6 @@ def check_database(db: Database, strict: bool = False) -> CheckReport:
                     "pack holds its content"
                 )
 
-    # 4. cluster membership symmetric with the object table.
-    cluster_oids = set()
-    for rid, payload in clusters_heap.scan():
-        try:
-            type_name, oid = serialization.decode(payload)
-        except (OdeError, ValueError) as exc:
-            report.problems.append(f"cluster record {rid} undecodable: {exc}")
-            continue
-        if oid in cluster_oids:
-            report.problems.append(f"object {oid!r} has duplicate cluster records")
-        cluster_oids.add(oid)
-        if not store.object_exists(oid):
-            report.problems.append(
-                f"cluster record {rid} names dead object {oid!r}"
-            )
-        elif store.type_name(oid) != type_name:
-            report.problems.append(
-                f"object {oid!r} clustered as {type_name!r} but typed "
-                f"{store.type_name(oid)!r}"
-            )
-    for ref in store.all_objects():
-        if ref.oid not in cluster_oids:
-            report.problems.append(f"object {ref.oid!r} missing from clusters heap")
-
     if strict:
         _check_strict(db, report)
 
@@ -233,7 +208,7 @@ def _check_strict(db: Database, report: CheckReport) -> None:
         heap = catalog.ensure_heap(name)
         heaps[heap.file_id] = heap
 
-    # 6+7: page layout soundness and page ownership.  Pages with flags 0
+    # 5+6: page layout soundness and page ownership.  Pages with flags 0
     # are unowned -- free-listed, or allocated by a loser transaction and
     # never claimed (a benign leak, since nothing references them).
     for page_id in range(1, disk.num_pages):
@@ -249,7 +224,7 @@ def _check_strict(db: Database, report: CheckReport) -> None:
             for problem in page.validate():
                 report.problems.append(f"page {page_id} (heap {flags}): {problem}")
 
-    # 8: durable object table round-trips and matches the in-memory table.
+    # 7: durable object table round-trips and matches the in-memory table.
     objects_heap = catalog.ensure_heap("ode.objects")
     durable: dict = {}
     for rid, payload in objects_heap.scan():
@@ -283,7 +258,7 @@ def _check_strict(db: Database, report: CheckReport) -> None:
                 f"live serials {live[oid].serials()}"
             )
 
-    # 9: the id counter must never re-issue a live object id.
+    # 8: the id counter must never re-issue a live object id.
     next_oid = catalog.peek_value("ode.oid")
     for oid in live:
         if oid.value > next_oid:
@@ -292,14 +267,14 @@ def _check_strict(db: Database, report: CheckReport) -> None:
                 f"its id could be re-issued"
             )
 
-    # 11: a shard opened with its stride holds only its own residue class.
+    # 10: a shard opened with its stride holds only its own residue class.
     for oid in store.misplaced_oids():
         report.problems.append(
             f"object {oid!r} is outside this store's allocation slice "
             "(another shard's object: the router cannot reach it here)"
         )
 
-    # 10 (strict): the pack files against the index.  Every frame must
+    # 9 (strict): the pack files against the index.  Every frame must
     # re-hash to the key it is indexed under, and none may be unknown to
     # the refcount index: every put enters its key and every load lists
     # the packs, so an unknown frame is leaked content the collector will

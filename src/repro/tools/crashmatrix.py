@@ -342,7 +342,7 @@ class _Worker:
             pass  # expected: the armed fault fired on this thread
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised by runner
             # Once the other thread's fault has killed the "process", what
-            # this one still reads in memory (a table mid-reload) is moot.
+            # this one still reads in memory (a table mid-undo) is moot.
             if not probe.crashed():
                 self.error = exc
 

@@ -279,6 +279,18 @@ _register(
 
 _register(
     Scenario(
+        name="rollback_then_rmw",
+        doc="A transaction writes then rolls back while another "
+        "read-modify-writes the same cell; the abort must restore memory "
+        "before it releases its lock, or the RMW reads the undone write.",
+        seed=(("pnew", "x", 10),),
+        threads=(("T1", _write_then_rollback("x", 101)), ("T2", _rmw("x", 1))),
+        keys=("x",),
+    )
+)
+
+_register(
+    Scenario(
         name="write_vs_snapshot",
         doc="A transaction commits the same value into two cells while a "
         "reader pins snapshots; every pinned view must be untorn and "

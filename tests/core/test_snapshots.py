@@ -533,8 +533,8 @@ def test_membership_after_abort_full_republish(any_db):
                 any_db.pnew(Part("never", 3))
                 any_db.pdelete(doomed)
                 raise RuntimeError("boom")
-        # The abort reloads the table and republishes everything
-        # (full=True): nothing was created or deleted, so nothing moved.
+        # The abort restores the objects it touched and republishes
+        # them: nothing was created or deleted, so nothing moved.
         assert any_db.store._committed_by_type["tests.Part"] is before
         assert _cluster_names(pinned) == ["keep", "doomed"]
     with any_db.snapshot() as snap:

@@ -188,16 +188,6 @@ def test_check_detects_orphan_payload(db):
     assert any("orphan" in p for p in report.problems)
 
 
-def test_check_detects_missing_cluster_record(db):
-    ref = db.pnew(Part("p", 1))
-    clusters_heap = db.catalog.ensure_heap("ode.clusters")
-    rid = db.store._table[ref.oid].cluster_rid
-    clusters_heap.delete(rid)
-    report = check_database(db)
-    assert not report.ok
-    assert any("missing from clusters" in p for p in report.problems)
-
-
 def test_check_detects_corrupt_payload(delta_db):
     db = delta_db
     ref = db.pnew(Doc("base " * 200))

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import shutil
 import threading
 
 import pytest
 
-from repro import Database
+from repro import Database, probe
 from repro.errors import (
     LockTimeoutError,
     TransactionAborted,
@@ -294,6 +295,125 @@ def test_reclaim_inside_a_transaction_spares_what_it_displaced(tmp_path, collect
         assert check_database(reopened, strict=True).problems == []
 
 
+class _ParkAtFinish(probe.Observer):
+    """Parks the thread named ``aborter`` at ``txn.finish``: its locks are
+    released, its publication has not run."""
+
+    def __init__(self) -> None:
+        self.parked = threading.Event()
+        self.resume = threading.Event()
+
+    def point(self, name: str) -> None:
+        if name == "txn.finish" and threading.current_thread().name == "aborter":
+            self.parked.set()
+            self.resume.wait(10)
+
+
+@contextlib.contextmanager
+def _aborted_and_parked(db, work):
+    """Run ``work()`` in a transaction on another thread and abort it; the
+    body runs while that thread is parked past its lock release."""
+    session = db.session("aborter")
+
+    def abort():
+        with session.activate():
+            txn = db.begin()
+            work()
+            txn.abort()
+        session.close()
+
+    observer = probe.attach(_ParkAtFinish())
+    thread = threading.Thread(target=abort, name="aborter")
+    thread.start()
+    try:
+        assert observer.parked.wait(10)
+        yield
+    finally:
+        observer.resume.set()
+        thread.join(10)
+        probe.detach()
+    assert not thread.is_alive()
+
+
+def test_abort_restores_memory_before_it_releases_a_lock(tmp_path):
+    """An abort's locks are free the moment its transaction finishes, so
+    its memory must be back by then.  Restored after the release, a
+    transaction taking the lock in that window read the undone write."""
+    db = Database(tmp_path / "db")
+    x = db.pnew(Part("x", 1))
+    with _aborted_and_parked(db, lambda: setattr(x, "weight", 99)):
+        with db.transaction():
+            assert x.weight == 1
+    assert x.weight == 1
+    db.close()
+
+
+def test_newversion_after_an_abort_commits_no_aborted_node(tmp_path):
+    """The newversion variant: restored after the release, the second
+    transaction derived serial 3 from a graph still holding the aborted
+    serial 2, whose payload slot its own new record then reused -- one
+    record referenced by two versions, before and after a reopen."""
+    db = Database(tmp_path / "db")
+    x = db.pnew(Part("x", 1))
+    with _aborted_and_parked(db, lambda: setattr(db.newversion(x), "weight", 99)):
+        with db.transaction():
+            db.newversion(x).weight = 7
+
+    def committed_history(opened):
+        assert [(v.vid.serial, v.weight) for v in opened.versions(x.oid)] == [(1, 1), (2, 7)]
+        assert check_database(opened, strict=True).problems == []
+
+    committed_history(db)
+    db.close()
+    with Database(tmp_path / "db") as reopened:
+        committed_history(reopened)
+
+
+def _lookups_per_undo(tmp_path, objects: int) -> dict[str, int]:
+    """Buffer-pool lookups (hits + misses) of one abort of each kind of
+    operation, and of one ``rollback_to``, among ``objects`` objects."""
+    db = Database(tmp_path / f"db{objects}", checkpoint_threshold=0)
+    with db.transaction():
+        refs = [db.pnew(Part(f"p{i}", i)) for i in range(objects)]
+    target = refs[objects // 2]
+    pool = db._pool
+
+    def lookups(undo) -> int:
+        before = pool.hits + pool.misses
+        undo()
+        return pool.hits + pool.misses - before
+
+    ops = {
+        "write": lambda: setattr(target, "weight", -1),
+        "newversion": lambda: db.newversion(target),
+        "pdelete": lambda: db.pdelete(target),
+        "pnew": lambda: db.pnew(Part("new", 0)),
+    }
+    out = {}
+    for name, op in ops.items():
+        txn = db.begin()
+        op()
+        out[name] = lookups(txn.abort)
+    with db.transaction():
+        savepoint = db.savepoint()
+        target.weight = -2
+        out["rollback_to"] = lookups(lambda: db.rollback_to(savepoint))
+    assert target.weight == objects // 2 and db.object_count() == objects
+    assert check_database(db, strict=True).problems == []
+    db.close()
+    return out
+
+
+def test_an_undo_costs_what_the_transaction_touched(tmp_path):
+    """The counted gate: an undo restores memory from the records it
+    undid, so its buffer-pool lookups do not grow with the database (a
+    rescan of every heap grows about 11x from 200 to 4,000 objects)."""
+    small = _lookups_per_undo(tmp_path, 200)
+    large = _lookups_per_undo(tmp_path, 4000)
+    assert small == large
+    assert max(small.values()) <= 16, small
+
+
 def test_multi_op_transaction_is_atomic(db):
     ref = db.pnew(Part("acct", 100))
     other = db.pnew(Part("acct2", 0))
@@ -362,7 +482,7 @@ def test_concurrent_writers_serialize(db):
 
 
 def test_deadlock_resolved_by_timeout(tmp_path):
-    from repro import Database
+    from repro import Database, probe
 
     db = Database(tmp_path / "dl", lock_timeout=0.3)
     a = db.pnew(Part("a", 1))

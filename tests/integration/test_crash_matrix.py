@@ -51,13 +51,12 @@ def test_matrix_sees_payloads_swapped_at_open(tmp_path, monkeypatch):
     reported by some row of the full matrix."""
     load = VersionStore._load
 
-    def swapping_load(self, opening=False):
-        load(self, opening)
-        if opening:
-            for entry in self._table.values():
-                nodes = list(entry.graph.walk_temporal())
-                if len(nodes) > 2:
-                    nodes[0].data, nodes[-2].data = nodes[-2].data, nodes[0].data
+    def swapping_load(self):
+        load(self)
+        for entry in self._table.values():
+            nodes = list(entry.graph.walk_temporal())
+            if len(nodes) > 2:
+                nodes[0].data, nodes[-2].data = nodes[-2].data, nodes[0].data
 
     monkeypatch.setattr(VersionStore, "_load", swapping_load)
     report = harness.run(scenarios(["plain"]), tmp_path)
