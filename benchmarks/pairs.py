@@ -29,6 +29,13 @@ run of the same round (ties count for neither) and a verdict:
 ``same``
     otherwise.
 
+The count metrics in ``PER_SEED`` also get a paired reading per seed,
+stored and printed beside the verdict (which it does not change), for the
+change and for the A/A arm: ``equal on k/n seeds`` when no direction of
+movement holds on more seeds than equality does, else the median signed
+change over the seeds that moved the commonest way and their number
+(``-3.1 % on 7/10 seeds``, three significant digits).
+
 The table printed at the end is the EXPERIMENTS.md section's.
 
     python -m benchmarks.pairs --pr N
@@ -53,6 +60,9 @@ from pathlib import Path
 ARMS = ("parent", "change", "parent_aa")
 FIRST_SEED = 101
 WIN_SHARE = 0.9
+#: Count metrics with a per-seed paired reading beside the verdict: a
+#: median can hide a change that holds on a few seeds only.
+PER_SEED = ("stored_bytes_per_user_byte", "fsyncs_per_commit")
 
 
 def _git(root: Path, *args: str) -> str:
@@ -134,6 +144,29 @@ def judge(parent: list[float], change: list[float], wins: int, n: int,
     return "same"
 
 
+def per_seed(parent: dict[int, float], other: dict[int, float]) -> dict:
+    """``other``'s per-seed reading against ``parent`` (both keyed by round)."""
+    rounds = sorted(set(parent) & set(other))
+    moved = {"higher": [], "lower": []}
+    equal = 0
+    for rnd in rounds:
+        p, o = parent[rnd], other[rnd]
+        if math.isclose(o, p, rel_tol=1e-9, abs_tol=1e-12):
+            equal += 1
+        else:
+            moved["higher" if o > p else "lower"].append((o - p) / abs(p) if p else o - p)
+    n = len(rounds)
+    reading = {"equal": equal, **{k: len(v) for k, v in moved.items()}, "pairs": n}
+    commonest = max(moved.values(), key=len)
+    if equal >= len(commonest):
+        reading["reading"] = f"equal on {equal}/{n} seeds"
+    else:
+        # Three significant digits: a count that moved by 0.02 % moved.
+        shift = statistics.median(commonest) * 100
+        reading["reading"] = f"{shift:+.3g} % on {len(commonest)}/{n} seeds"
+    return reading
+
+
 def _value(run: dict, metric: str) -> float | None:
     result = run.get("result")
     if not result:
@@ -187,6 +220,10 @@ def summarize(runs: list[dict], workloads: list[str], metrics: list[dict]) -> di
                 "verdict": judge(parent, change, wins, len(paired),
                                  metric["better"], metric["bound"]),
             }
+            if name in PER_SEED:
+                row["metrics"][name]["per_seed"] = per_seed(by_arm["parent"], by_arm["change"])
+                row["metrics"][name]["aa_per_seed"] = per_seed(by_arm["parent"],
+                                                               by_arm["parent_aa"])
         rows[workload] = row
     return rows
 
@@ -197,17 +234,20 @@ def _pct(x: float | None) -> str:
 
 def render(rows: dict) -> str:
     out = ["| workload | metric | parent | change | shift | A/A shift | parent IQR "
-           "| wins | verdict |", "|---|---|---|---|---|---|---|---|---|"]
+           "| wins | verdict | per seed (A/A) |", "|---|---|---|---|---|---|---|---|---|---|"]
     for workload, row in rows.items():
         for name, m in row["metrics"].items():
             if m["verdict"] == "missing":
-                out.append(f"| {workload} | {name} | – | – | – | – | – | – | missing |")
+                out.append(f"| {workload} | {name} | – | – | – | – | – | – | missing | – |")
                 continue
+            seeds = "–"
+            if "per_seed" in m:
+                seeds = f"{m['per_seed']['reading']} ({m['aa_per_seed']['reading']})"
             out.append(
                 f"| {workload} | {name} | {m['parent_median']:.4g} | "
                 f"{m['change_median']:.4g} | {_pct(m['shift'])} | "
                 f"{_pct(m['aa_shift'])} | {m['parent_iqr']:.3g} | "
-                f"{m['wins']}/{m['pairs']} | {m['verdict']} |"
+                f"{m['wins']}/{m['pairs']} | {m['verdict']} | {seeds} |"
             )
     return "\n".join(out)
 

@@ -15,7 +15,6 @@ from repro.storage.delta import (
     apply_delta,
     compute_delta,
     delta_stats,
-    materialize_chain,
 )
 from repro.storage.disk import DiskManager, META_PAGE_ID
 from repro.storage.heap import MAX_INLINE, HeapFile, Rid
@@ -32,7 +31,6 @@ __all__ = [
     "apply_delta",
     "compute_delta",
     "delta_stats",
-    "materialize_chain",
     "DiskManager",
     "META_PAGE_ID",
     "MAX_INLINE",

@@ -279,12 +279,3 @@ def delta_stats(base: bytes, target: bytes, delta: bytes) -> DeltaStats:
         add_bytes=add_bytes,
     )
 
-
-def materialize_chain(
-    root: bytes, deltas: list[bytes], counters: object | None = None
-) -> bytes:
-    """Apply a derivation chain of deltas in order starting from ``root``."""
-    current = root
-    for delta in deltas:
-        current = apply_delta(current, delta, counters)
-    return current

@@ -19,12 +19,16 @@ its slot; :meth:`SlottedPage.compact` squeezes out the holes.  Record offsets
 are never exposed outside this module -- callers use ``(page_id, slot)``
 pairs (see :mod:`repro.storage.heap`).
 
-The implementation favours explicitness over cleverness: every structural
-mutation re-checks the page invariants in ``__debug__`` builds.
+No mutation re-checks the page invariants as it goes.  What checks them is
+:meth:`SlottedPage.validate` (run over every heap page by ``check
+--strict``) and the property test in ``tests/storage/test_pages.py``, which
+runs it after every random operation and compares each page image byte for
+byte with a reference page compacted slot by slot.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections.abc import Iterator
 
@@ -46,6 +50,13 @@ _EMPTY_OFFSET = 0
 
 #: Maximum payload a single page can hold (one slot + the record bytes).
 MAX_RECORD_PAYLOAD = PAGE_SIZE - _HEADER_SIZE - _SLOT.size
+
+
+@functools.cache
+def _directory_struct(num_slots: int) -> struct.Struct:
+    """The whole slot directory of a ``num_slots``-slot page as one struct
+    (a page holds at most 1,022 slots, so the cache stays small)."""
+    return struct.Struct(f"<{2 * num_slots}H")
 
 
 class SlottedPage:
@@ -82,10 +93,6 @@ class SlottedPage:
         return _HEADER.unpack_from(self._buf, 0)[0]
 
     @property
-    def _free_ptr(self) -> int:
-        return _HEADER.unpack_from(self._buf, 0)[1]
-
-    @property
     def flags(self) -> int:
         """Free-form 16-bit flags word for the page's owner."""
         return _HEADER.unpack_from(self._buf, 0)[2]
@@ -110,6 +117,14 @@ class SlottedPage:
 
     # -- space accounting ----------------------------------------------------
 
+    def _layout(self) -> tuple[int, int, int, tuple[int, ...]]:
+        """``(num_slots, free_ptr, flags, directory)`` from one header and
+        one directory unpack; ``directory`` is ``(offset0, length0,
+        offset1, ...)``.  Space accounting runs on every insert and update."""
+        num_slots, free_ptr, flags, _ = _HEADER.unpack_from(self._buf, 0)
+        directory = _directory_struct(num_slots).unpack_from(self._buf, _HEADER_SIZE)
+        return num_slots, free_ptr, flags, directory
+
     @property
     def free_space(self) -> int:
         """Bytes available for a new record, accounting for its slot entry.
@@ -117,22 +132,14 @@ class SlottedPage:
         Includes space reclaimable by compaction, since :meth:`insert`
         compacts automatically when fragmentation is the only blocker.
         """
-        dir_end = _HEADER_SIZE + self.num_slots * _SLOT.size
-        gap = max(self._free_ptr - dir_end, self._compacted_gap())
+        num_slots, free_ptr, _flags, directory = self._layout()
+        dir_end = _HEADER_SIZE + num_slots * _SLOT.size
+        gap = max(free_ptr - dir_end, self._compacted_gap(directory))
         return max(0, gap - _SLOT.size)
 
-    def _slot_directory(self) -> tuple[int, ...]:
-        """Every slot entry in one unpack: ``(offset0, length0, offset1, ...)``.
-
-        The space-accounting helpers run on every insert and update; one
-        bulk read replaces a property call and an unpack per slot.
-        """
-        return struct.unpack_from(
-            f"<{2 * self.num_slots}H", self._buf, _HEADER_SIZE
-        )
-
-    def _find_empty_slot(self) -> int | None:
-        offsets = self._slot_directory()[0::2]
+    @staticmethod
+    def _find_empty_slot(directory: tuple[int, ...]) -> int | None:
+        offsets = directory[0::2]
         return offsets.index(_EMPTY_OFFSET) if _EMPTY_OFFSET in offsets else None
 
     def can_insert(self, length: int) -> bool:
@@ -141,16 +148,14 @@ class SlottedPage:
         Accounts for space reclaimable by :meth:`compact` -- :meth:`insert`
         compacts automatically when fragmentation is the only blocker.
         """
-        dir_end = _HEADER_SIZE + self.num_slots * _SLOT.size
-        gap = self._free_ptr - dir_end
-        slot_cost = 0 if self._find_empty_slot() is not None else _SLOT.size
-        if gap >= length + slot_cost:
-            return True
-        return self._compacted_gap() >= length + slot_cost
+        num_slots, free_ptr, _flags, directory = self._layout()
+        gap = free_ptr - (_HEADER_SIZE + num_slots * _SLOT.size)
+        need = length + (0 if self._find_empty_slot(directory) is not None else _SLOT.size)
+        return gap >= need or self._compacted_gap(directory) >= need
 
-    def _compacted_gap(self) -> int:
+    @staticmethod
+    def _compacted_gap(directory: tuple[int, ...]) -> int:
         """The contiguous gap :meth:`compact` would produce."""
-        directory = self._slot_directory()
         # Every writer of an empty slot clears the length with the offset,
         # so the live bytes are simply the sum of the length fields.
         live_bytes = sum(directory[1::2])
@@ -170,16 +175,16 @@ class SlottedPage:
             raise PageFullError(
                 f"record of {length} bytes exceeds page capacity {MAX_RECORD_PAYLOAD}"
             )
-        if not self.can_insert(length):
-            raise PageFullError(f"record of {length} bytes does not fit in page")
-        slot = self._find_empty_slot()
-        num_slots, free_ptr, flags, _ = _HEADER.unpack_from(self._buf, 0)
-        dir_end = _HEADER_SIZE + (num_slots + (1 if slot is None else 0)) * _SLOT.size
-        if free_ptr - dir_end < length:
-            # Fits only after squeezing out holes left by deletes/updates.
+        num_slots, free_ptr, flags, directory = self._layout()
+        slot = self._find_empty_slot(directory)
+        slot_cost = _SLOT.size if slot is None else 0
+        if free_ptr - (_HEADER_SIZE + num_slots * _SLOT.size) < length + slot_cost:
+            if self._compacted_gap(directory) < length + slot_cost:
+                raise PageFullError(f"record of {length} bytes does not fit in page")
+            # Fits only after squeezing out holes left by deletes/updates
+            # (which keeps every slot number, so ``slot`` still holds).
             self.compact()
-            slot = self._find_empty_slot()
-            num_slots, free_ptr, flags, _ = _HEADER.unpack_from(self._buf, 0)
+            free_ptr = _HEADER.unpack_from(self._buf, 0)[1]
         if slot is None:
             slot = num_slots
             num_slots += 1
@@ -264,19 +269,17 @@ class SlottedPage:
         # Check fitness BEFORE touching the slot -- update must be atomic:
         # on PageFullError the old record is still intact.
         probe.point("page.update.grow")
-        num_slots, free_ptr, flags, _ = _HEADER.unpack_from(self._buf, 0)
-        dir_end = _HEADER_SIZE + num_slots * _SLOT.size
-        after_compact = self._compacted_gap() + length  # old copy freed too
-        if free_ptr - dir_end < new_length and after_compact < new_length:
+        num_slots, free_ptr, flags, directory = self._layout()
+        fits = free_ptr - (_HEADER_SIZE + num_slots * _SLOT.size) >= new_length
+        after_compact = self._compacted_gap(directory) + length  # old copy freed too
+        if not fits and after_compact < new_length:
             raise PageFullError(
                 f"updated record of {new_length} bytes does not fit in page"
             )
-        if free_ptr - dir_end < new_length:
-            self._write_slot(slot, _EMPTY_OFFSET, 0)
+        self._write_slot(slot, _EMPTY_OFFSET, 0)
+        if not fits:
             self.compact()
-            num_slots, free_ptr, flags, _ = _HEADER.unpack_from(self._buf, 0)
-        else:
-            self._write_slot(slot, _EMPTY_OFFSET, 0)
+            free_ptr = _HEADER.unpack_from(self._buf, 0)[1]
         if new_length:
             new_offset = free_ptr - new_length
             self._buf[new_offset : new_offset + new_length] = payload
@@ -301,22 +304,33 @@ class SlottedPage:
         self._write_header(num_slots, free_ptr, flags)
 
     def compact(self) -> None:
-        """Slide all live records to the end of the page, removing holes."""
+        """Slide all live records to the end of the page, removing holes.
+
+        Live records are packed down from the page end in slot order (slot
+        0's record ends at :data:`PAGE_SIZE`); bytes below the new
+        ``free_ptr`` are left as they were.  One directory unpack, one
+        record-area slice assignment and one directory pack.
+        """
         probe.point("page.compact")
-        records: list[tuple[int, bytes]] = list(self.records())
-        num_slots, _free_ptr, flags, _ = _HEADER.unpack_from(self._buf, 0)
+        buf = self._buf
+        num_slots, _free_ptr, flags, directory = self._layout()
+        placed = [_EMPTY_OFFSET] * len(directory)
+        records: list[bytes] = []
         free_ptr = PAGE_SIZE
-        # Clear every slot, then re-place the live records.
-        for slot in range(num_slots):
-            self._write_slot(slot, _EMPTY_OFFSET, 0)
-        for slot, payload in records:
-            length = len(payload)
-            if length:
-                free_ptr -= length
-                self._buf[free_ptr : free_ptr + length] = payload
-                self._write_slot(slot, free_ptr, length)
+        for i in range(0, len(directory), 2):
+            offset = directory[i]
+            if offset == _EMPTY_OFFSET:
+                continue
+            record = buf[offset : offset + directory[i + 1]]
+            if record:
+                free_ptr -= len(record)
+                records.append(record)
+                placed[i], placed[i + 1] = free_ptr, len(record)
             else:
-                self._write_slot(slot, PAGE_SIZE, 0)
+                placed[i] = PAGE_SIZE  # zero-length record: live, no extent
+        records.reverse()
+        buf[free_ptr:] = b"".join(records)
+        _directory_struct(num_slots).pack_into(buf, _HEADER_SIZE, *placed)
         self._write_header(num_slots, free_ptr, flags)
 
     def records(self) -> Iterator[tuple[int, bytes]]:
@@ -325,10 +339,6 @@ class SlottedPage:
             offset, length = self._read_slot(slot)
             if offset != _EMPTY_OFFSET:
                 yield slot, bytes(self._buf[offset : offset + length])
-
-    def live_count(self) -> int:
-        """Number of live records in the page."""
-        return sum(1 for _ in self.records())
 
     def validate(self) -> list[str]:
         """Structural problems with this page's layout (empty == sound).

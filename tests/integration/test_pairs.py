@@ -28,8 +28,12 @@ STUB = textwrap.dedent("""\
     print(json.dumps({"correct": True, "attempted": 100, "failed": 0,
                       "metrics": {k: {"value": v} for k, v in metrics.items()}}))
 """)
-PARENT = '{"ops_s": 100.0, "p50_ms": 1.0, "cpu_ms_per_op": 1.0, "setup_s": 1.0 + int(args.seed) % 2}'
-CHANGE = '{"ops_s": 150.0, "p50_ms": 1.0, "cpu_ms_per_op": 1.5, "setup_s": 1.7}'
+PARENT = ('{"ops_s": 100.0, "p50_ms": 1.0, "cpu_ms_per_op": 1.0, "setup_s": 1.0 + int(args.seed) % 2,'
+          ' "fsyncs_per_commit": 2.0, "stored_bytes_per_user_byte": 1.0}')
+#: The change saves an fsync per commit on seed 102 only (a median of the
+#: three reads "same"), and stores 10 % more on every seed.
+CHANGE = ('{"ops_s": 150.0, "p50_ms": 1.0, "cpu_ms_per_op": 1.5, "setup_s": 1.7,'
+          ' "fsyncs_per_commit": 2.0 - (args.seed == "102"), "stored_bytes_per_user_byte": 1.1}')
 SPEC = {
     "command": ["python3", "-m", "benchmarks.macro"],
     "paths": ["benchmarks/macro"],
@@ -40,6 +44,8 @@ SPEC = {
         {"name": "p50_ms", "unit": "ms", "better": "lower", "bound": 0.15},
         {"name": "cpu_ms_per_op", "unit": "ms", "better": "lower", "bound": 0.15},
         {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "stored_bytes_per_user_byte", "unit": "ratio", "better": "lower", "bound": 0.03},
+        {"name": "fsyncs_per_commit", "unit": "count", "better": "lower", "bound": 0.03},
     ],
 }
 
@@ -84,11 +90,22 @@ def test_pairs_writes_a_ledger_row_with_three_arms_and_verdicts(tmp_path, monkey
             "p50_ms": "same",
             "cpu_ms_per_op": "worse",  # +50 % against a 15 % bound
             "setup_s": "unresolved",  # parent IQR 1.0 s on a 1 s median
+            "stored_bytes_per_user_byte": "worse",
+            "fsyncs_per_commit": "same",  # the median does not see seed 102
         }
         assert row["metrics"]["ops_s"]["aa_shift"] == 0.0
         assert row["metrics"]["ops_s"]["wins"] == 3
+        assert "per_seed" not in row["metrics"]["ops_s"]
+        fsyncs = row["metrics"]["fsyncs_per_commit"]
+        assert fsyncs["per_seed"] == {"equal": 2, "higher": 0, "lower": 1, "pairs": 3,
+                                      "reading": "equal on 2/3 seeds"}
+        assert fsyncs["aa_per_seed"]["reading"] == "equal on 3/3 seeds"
+        stored = row["metrics"]["stored_bytes_per_user_byte"]
+        assert stored["per_seed"]["reading"] == "+10 % on 3/3 seeds"
     table = capsys.readouterr().out
-    assert "| w2 | cpu_ms_per_op | 1 | 1.5 | +50.0 % | +0.0 % | 0 | 0/3 | worse |" in table
+    assert "| w2 | cpu_ms_per_op | 1 | 1.5 | +50.0 % | +0.0 % | 0 | 0/3 | worse | – |" in table
+    assert ("| w1 | fsyncs_per_commit | 2 | 2 | +0.0 % | +0.0 % | 0 | 1/3 | same "
+            "| equal on 2/3 seeds (equal on 3/3 seeds) |") in table
     # Only the ledger is left behind in the repository.
     status = subprocess.run(["git", "status", "--porcelain"], cwd=repo,
                             capture_output=True, text=True, check=True).stdout
@@ -105,3 +122,15 @@ def test_pairs_writes_a_ledger_row_with_three_arms_and_verdicts(tmp_path, monkey
 ])
 def test_verdict_rule(parent, change, wins, verdict):
     assert pairs.judge(parent, change, wins, 3, "higher", 0.15) == verdict
+
+
+@pytest.mark.parametrize("change, reading", [
+    ([2.0, 2.0, 2.0, 2.0], "equal on 4/4 seeds"),
+    ([2.0, 2.0, 1.0, 3.0], "equal on 2/4 seeds"),  # ties go to equality
+    ([2.0, 1.0, 1.5, 3.0], "-37.5 % on 2/4 seeds"),  # median of -50 % and -25 %
+    ([2.2, 2.2, 2.2, 2.0], "+10 % on 3/4 seeds"),
+    ([2.0005, 2.0005, 2.0005, 2.0], "+0.025 % on 3/4 seeds"),  # small, but a move
+])
+def test_per_seed_reading(change, reading):
+    parent = {rnd: 2.0 for rnd in range(4)}
+    assert pairs.per_seed(parent, dict(enumerate(change)))["reading"] == reading

@@ -66,7 +66,7 @@ def test_unwritten_clean_page_not_flushed(disk, pool):
     pool.unpin(page_id, dirty=False)  # lie: not marked dirty
     pool.drop_clean()
     fresh = pool.fetch(page_id)
-    assert fresh.live_count() == 0  # mutation was (correctly) lost
+    assert len(dict(fresh.records())) == 0  # mutation was (correctly) lost
     pool.unpin(page_id)
 
 
@@ -110,7 +110,7 @@ def test_flush_all_clears_dirty(disk, pool):
     from repro.storage.pages import SlottedPage
 
     raw = SlottedPage(disk.read_page(page_id))
-    assert raw.live_count() == 1
+    assert len(dict(raw.records())) == 1
 
 
 def test_page_context_manager(pool):
@@ -118,7 +118,7 @@ def test_page_context_manager(pool):
     page.insert(b"x")
     pool.unpin(page_id, dirty=True)
     with pool.page(page_id) as view:
-        assert view.live_count() == 1
+        assert len(dict(view.records())) == 1
     assert pool.pinned_pages() == []
 
 
@@ -138,7 +138,7 @@ def test_discard_drops_without_writeback(disk, pool):
     pool.unpin(page_id, dirty=True)
     pool.discard(page_id)
     fresh = pool.fetch(page_id)
-    assert fresh.live_count() == 0
+    assert len(dict(fresh.records())) == 0
     pool.unpin(page_id)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 
@@ -15,7 +16,6 @@ from repro.storage.delta import (
     apply_delta,
     compute_delta,
     delta_stats,
-    materialize_chain,
 )
 from repro.storage.serialization import read_uvarint, write_uvarint
 from repro.workloads.synthetic import mutate_payload, random_payload
@@ -130,11 +130,7 @@ def test_chain_materialization():
         nxt = mutate_payload(current, 0.05, seed=100 + i)
         deltas.append(compute_delta(current, nxt))
         current = nxt
-    assert materialize_chain(root, deltas) == current
-
-
-def test_chain_empty():
-    assert materialize_chain(b"root", []) == b"root"
+    assert functools.reduce(apply_delta, deltas, root) == current
 
 
 @settings(max_examples=80)

@@ -423,7 +423,7 @@ def test_sub_stub_record_grows_out_of_a_packed_page(env, heap, gap):
     filler = heap.insert(b"f" * (free - gap - 1))  # marker byte included
     assert filler.page_id == home
     with pool.page(home) as page:
-        assert page._compacted_gap() == gap
+        assert page._compacted_gap(page._layout()[3]) == gap
     victim = next(rid for rid, payload in shorts.items() if len(payload) == 10)
     grown = b"G" * 118
     heap.update(victim, grown)
@@ -435,7 +435,7 @@ def test_sub_stub_record_grows_out_of_a_packed_page(env, heap, gap):
     assert all(scanned[rid] == payload for rid, payload in shorts.items())
     with pool.page(home) as page:
         assert page.validate() == []
-        assert page._compacted_gap() == gap
+        assert page._compacted_gap(page._layout()[3]) == gap
     heap.update(victim, b"")  # shrinks where it now lives; the stub stays
     assert heap.read(victim) == b""
     heap.delete(victim)

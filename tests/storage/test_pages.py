@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BadSlotError, PageFullError
-from repro.storage.pages import MAX_RECORD_PAYLOAD, PAGE_SIZE, SlottedPage
+from repro.storage.pages import _HEADER, MAX_RECORD_PAYLOAD, PAGE_SIZE, SlottedPage
 
 
 def test_new_page_is_empty():
     page = SlottedPage()
     assert page.num_slots == 0
-    assert page.live_count() == 0
     assert list(page.records()) == []
 
 
@@ -21,7 +20,7 @@ def test_insert_and_read_roundtrip():
     page = SlottedPage()
     slot = page.insert(b"hello")
     assert page.record(slot) == b"hello"
-    assert page.live_count() == 1
+    assert dict(page.records()) == {slot: b"hello"}
 
 
 def test_insert_returns_sequential_slots():
@@ -236,36 +235,79 @@ def test_has_record_bounds():
     assert page.record(1) is None
 
 
-@settings(max_examples=50)
+class _SlotBySlotPage(SlottedPage):
+    """The reference model for :meth:`SlottedPage.compact`: the page layer's
+    original loop, which clears every slot and then re-places the live
+    records one at a time.  Everything else is the real page's."""
+
+    __slots__ = ()
+
+    def compact(self) -> None:
+        records = list(self.records())
+        num_slots, _free_ptr, flags, _ = _HEADER.unpack_from(self._buf, 0)
+        free_ptr = PAGE_SIZE
+        for slot in range(num_slots):
+            self._write_slot(slot, 0, 0)
+        for slot, payload in records:
+            if payload:
+                free_ptr -= len(payload)
+                self._buf[free_ptr : free_ptr + len(payload)] = payload
+                self._write_slot(slot, free_ptr, len(payload))
+            else:
+                self._write_slot(slot, PAGE_SIZE, 0)
+        self._write_header(num_slots, free_ptr, flags)
+
+
+def _on_both(pages, method, *args):
+    """Run ``method`` on both pages; they must agree on the result (or on
+    refusing with PageFullError, returned as the class)."""
+    outcomes = []
+    for page in pages:
+        try:
+            outcomes.append(getattr(page, method)(*args))
+        except PageFullError:
+            outcomes.append(PageFullError)
+    assert outcomes[0] == outcomes[1], (method, outcomes)
+    return outcomes[0]
+
+
+@settings(max_examples=200)
 @given(
     st.lists(
         st.one_of(
             st.tuples(st.just("insert"), st.binary(min_size=0, max_size=300)),
             st.tuples(st.just("delete"), st.integers(min_value=0, max_value=20)),
             st.tuples(st.just("update"), st.binary(min_size=0, max_size=300)),
+            st.tuples(st.just("compact"), st.none()),
         ),
-        max_size=40,
+        max_size=60,
     )
 )
 def test_property_page_model(ops):
-    """Random op sequences: page contents always match a dict model."""
+    """Random op sequences: after every op the page's contents match a dict
+    model, it validates, and its image is byte for byte the image of a
+    reference page whose compaction is the slot-by-slot loop."""
     page = SlottedPage()
+    pages = (page, _SlotBySlotPage())
     model: dict[int, bytes] = {}
     for op, arg in ops:
         if op == "insert":
-            if page.can_insert(len(arg)):
-                slot = page.insert(arg)
+            fits = page.can_insert(len(arg))
+            slot = _on_both(pages, "insert", arg)
+            assert (slot is not PageFullError) == fits
+            if fits:
                 assert slot not in model
                 model[slot] = arg
         elif op == "delete" and model:
             slot = sorted(model)[arg % len(model)]
-            page.delete(slot)
+            _on_both(pages, "delete", slot)
             del model[slot]
         elif op == "update" and model:
-            slot = sorted(model)[0]
-            try:
-                page.update(slot, arg)
+            slot = sorted(model)[len(arg) % len(model)]
+            if _on_both(pages, "update", slot, arg) is not PageFullError:
                 model[slot] = arg
-            except PageFullError:
-                pass
-    assert dict(page.records()) == model
+        elif op == "compact":
+            _on_both(pages, "compact")
+        assert dict(page.records()) == model
+        assert page.validate() == []
+        assert page.raw() == pages[1].raw()
