@@ -81,10 +81,6 @@ class IrisStore:
         except KeyError:
             raise BaselineError(f"no object {object_id}") from None
 
-    def is_versioned(self, object_id: int) -> bool:
-        """True once the object has been transformed."""
-        return self._object(object_id).versioned
-
     def transform_to_versioned(self, object_id: int) -> None:
         """The IRIS transformation procedure (the E6 cost).
 

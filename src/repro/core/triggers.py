@@ -19,7 +19,7 @@ or a whole event kind, optionally filtered by a condition over
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.identity import Oid, Vid
@@ -56,7 +56,6 @@ class Trigger:
     deadline: float | None = None
     on_timeout: TimeoutAction | None = None
     timed_out: bool = False
-    _log: list[tuple[str, Oid, Vid | None]] = field(default_factory=list)
 
     def matches(self, event: str, oid: Oid, vid: Vid | None) -> bool:
         """True if this trigger should fire for the event."""
@@ -69,11 +68,6 @@ class Trigger:
         if self.condition is not None and not self.condition(event, oid, vid):
             return False
         return True
-
-    @property
-    def firings(self) -> list[tuple[str, Oid, Vid | None]]:
-        """Every event this trigger fired for (copy)."""
-        return list(self._log)
 
 
 class TriggerManager:
@@ -189,7 +183,6 @@ class TriggerManager:
                         continue
                 if trigger.matches(event, oid, vid):
                     trigger.fire_count += 1
-                    trigger._log.append((event, oid, vid))
                     trigger.deadline = None  # a timed trigger met its deadline
                     if trigger.mode == ONCE:
                         trigger.active = False
@@ -200,7 +193,3 @@ class TriggerManager:
     def triggers(self) -> list[Trigger]:
         """All registered triggers (copy)."""
         return list(self._triggers.values())
-
-    def active_count(self) -> int:
-        """Number of armed triggers."""
-        return sum(1 for t in self._triggers.values() if t.active)

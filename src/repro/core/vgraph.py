@@ -241,10 +241,6 @@ class VersionGraph:
         for serial in self._order:
             yield self._nodes[serial]
 
-    def derivation_depth(self, serial: int) -> int:
-        """Edges between ``serial`` and its derivation root."""
-        return len(self.history(serial)) - 1
-
     def clone(self) -> VersionGraph:
         """A structurally independent copy sharing only the ``data`` payloads.
 

@@ -255,7 +255,7 @@ class OdeConnection(asyncio.Protocol):
             # Connection-level error (e.g. our frame was oversized): the
             # server is hanging up.  Fail everything in flight *now* --
             # those responses are never coming, and EOF may never come.
-            self._condemn(_remote_exception(payload))
+            self._condemn(protocol.remote_error(payload))
             return
         future = self._pending.pop(cid, None)
         if future is None or future.done():
@@ -263,7 +263,7 @@ class OdeConnection(asyncio.Protocol):
         if opcode == protocol.RESP_OK:
             future.set_result(payload)
         else:
-            future.set_exception(payload if opcode is None else _remote_exception(payload))
+            future.set_exception(payload if opcode is None else protocol.remote_error(payload))
 
     def _condemn(self, reason: BaseException) -> None:
         """The stream is unusable: fail what is in flight, hang up."""
@@ -713,11 +713,3 @@ class OdeClient:
     async def __aexit__(self, *exc: object) -> None:
         await self.close()
 
-
-def _remote_exception(payload: Any) -> BaseException:
-    """Materialize the error envelope as a raisable exception."""
-    try:
-        protocol.raise_remote(payload)
-    except BaseException as exc:  # noqa: BLE001 - this *is* the result
-        return exc
-    return NetworkError(f"malformed error envelope: {payload!r}")

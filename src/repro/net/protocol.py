@@ -49,6 +49,8 @@ from repro.storage.serialization import (
 
 _LEN = struct.Struct("<I")
 _MAGIC = struct.Struct("<H")
+#: Length placeholder, magic and opcode: a frame's fixed head.
+_HEAD = struct.Struct("<IHB")
 
 #: Wire magic: two bytes at the start of every frame body.
 MAGIC = 0x0DE1
@@ -81,36 +83,18 @@ OP_HEALTH = 0x0D      #: heartbeat: liveness + drain state + shard health
 RESP_OK = 0x80
 RESP_ERR = 0x81
 
-_REQUEST_NAMES = {
-    OP_PING: "ping",
-    OP_BEGIN: "begin",
-    OP_COMMIT: "commit",
-    OP_ABORT: "abort",
-    OP_READ: "read",
-    OP_WRITE: "write",
-    OP_NEWVERSION: "newversion",
-    OP_PNEW: "pnew",
-    OP_PDELETE: "pdelete",
-    OP_QUERY: "query",
-    OP_SNAPSHOT: "snapshot",
-    OP_STATS: "stats",
-    OP_HEALTH: "health",
+#: Opcode -> name: ``OP_READ`` is "read", ``RESP_ERR`` "err".
+_NAMES = {
+    v: k.split("_")[1].lower() for k, v in list(globals().items()) if k.startswith(("OP_", "RESP_"))
 }
 
 
 def opcode_name(opcode: int) -> str:
     """Human name of an opcode (logs and error messages)."""
-    if opcode == RESP_OK:
-        return "ok"
-    if opcode == RESP_ERR:
-        return "err"
-    return _REQUEST_NAMES.get(opcode, f"op-0x{opcode:02x}")
+    return _NAMES.get(opcode, f"op-0x{opcode:02x}")
 
 
 # -- framing -----------------------------------------------------------------
-
-
-_MAGIC_BYTES = _MAGIC.pack(MAGIC)
 
 
 class Encoded:
@@ -135,10 +119,11 @@ def build_frame_into(out: bytearray, opcode: int, cid: int, payload: Any) -> Non
     """
     base = len(out)
     try:
-        out += b"\x00\x00\x00\x00"  # length, patched below
-        out += _MAGIC_BYTES
-        out.append(opcode)
-        write_uvarint(out, cid)
+        out += _HEAD.pack(0, MAGIC, opcode)  # length patched below
+        if 0 <= cid < 0x80:
+            out.append(cid)
+        else:
+            write_uvarint(out, cid)
         if type(payload) is Encoded:
             out += payload.body
         else:
@@ -173,8 +158,6 @@ class FrameDecoder:
     def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
         self._buf = bytearray()
         self._max = max_frame
-        self.frames_in = 0
-        self.bytes_in = 0
 
     @property
     def pending_bytes(self) -> int:
@@ -195,7 +178,6 @@ class FrameDecoder:
         so a pipelined chunk of N frames costs one buffer move.
         """
         self._buf += data
-        self.bytes_in += len(data)
         buf = self._buf
         pos = 0
         try:
@@ -228,11 +210,13 @@ class FrameDecoder:
                 # and detaches them from the reusable buffer.
                 body = bytes(buf[start : start + length])
                 pos = start + length
-                self.frames_in += 1
                 opcode = body[_MAGIC.size]
-                cid = None
+                cid = body[_FIXED_HEADER]
+                at = _FIXED_HEADER + 1
                 try:
-                    cid, at = read_uvarint(body, _FIXED_HEADER)
+                    if cid >= 0x80:  # a multi-byte cid: None until it parses
+                        cid = None
+                        cid, at = read_uvarint(body, _FIXED_HEADER)
                     payload, end = decode_from(body, at)
                     if end != length:
                         raise SerializationError(f"{length - end} trailing bytes in frame")
@@ -255,8 +239,8 @@ def error_payload(exc: BaseException) -> dict[str, str]:
     return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def raise_remote(payload: Any) -> None:
-    """Re-raise a RESP_ERR payload as the closest local exception.
+def remote_error(payload: Any) -> BaseException:
+    """The closest local exception for a RESP_ERR payload, to raise.
 
     Errors whose class lives in :mod:`repro.errors` come back as that
     class (so ``except DeadlockError`` works across the wire); anything
@@ -273,7 +257,7 @@ def raise_remote(payload: Any) -> None:
     cls = getattr(_errors, name, None)
     if isinstance(cls, type) and issubclass(cls, OdeError):
         try:
-            raise cls(message)
+            return cls(message)
         except TypeError:
             pass  # exotic constructor signature; fall through
-    raise RemoteError(message, error_name=name)
+    return RemoteError(message, error_name=name)

@@ -127,8 +127,11 @@ class ShardedDatabase(Routed, SessionHost):
         # (read-only) or down (detached).  ``_shard_gen`` counts
         # reattachments so cached shard sessions bound to a dead
         # Database object are recreated against the replacement.
+        # ``_topology`` counts kills and reattaches: a global cut taken
+        # before a bump is stale (RouterSession._cut_stale).
         self._shard_down: list[bool] = [False] * nshards
         self._shard_gen: list[int] = [0] * nshards
+        self._topology = 0
         self._health_counters: dict[str, int] = {
             "kills": 0,
             "reattaches": 0,
@@ -160,7 +163,6 @@ class ShardedDatabase(Routed, SessionHost):
         # keeps global snapshots consistent against phase-2 publication.
         self._exec = ShardExecutor(nshards, name=f"shard-exec-{id(self):x}")
         self._cut_latch = _CutLatch()
-        self._cut_seq = itertools.count(1)
         self._snap_counters: dict[str, int] = {"cuts": 0, "degraded_cuts": 0}
         self._init_session_host()
         self._closed = False
@@ -271,6 +273,7 @@ class ShardedDatabase(Routed, SessionHost):
         if self._shard_down[idx]:
             return
         self._shard_down[idx] = True
+        self._topology += 1  # after the flag: a cut racing this is stale
         self._health_counters["kills"] += 1
         db = self.shards[idx]
         # Abrupt stop: mark closed and drop the file handles without
@@ -313,6 +316,7 @@ class ShardedDatabase(Routed, SessionHost):
         self.shards[idx] = self._open_shard(idx)
         self._shard_gen[idx] += 1
         self._shard_down[idx] = False
+        self._topology += 1  # after the flag: a cut racing this is stale
         self._health_counters["reattaches"] += 1
         report = resolve_in_doubt(self)
         self._twopc_counters["resolved_commit"] += len(report.committed)
@@ -397,7 +401,7 @@ class ShardedDatabase(Routed, SessionHost):
                         gtxn.read_only
                         and cut is not None
                         and idx in cut.parts
-                        and cut.gens.get(idx) == self._shard_gen[idx]
+                        and cut.parts[idx].store is self.shards[idx].store
                     ):
                         # A snapshot-read global transaction reads at its
                         # begin-time *cut*, not at per-shard first-touch
@@ -697,7 +701,7 @@ class ShardedDatabase(Routed, SessionHost):
         """
         with self._cut_latch.cutting():
             parts: dict[int, Any] = {}
-            gens: dict[int, int] = {}
+            topology = self._topology  # before the first part is taken
             try:
                 for idx in self._up_shards():
                     try:
@@ -708,17 +712,14 @@ class ShardedDatabase(Routed, SessionHost):
                         # Raced kill_shard: degrade exactly like a
                         # fan-out that found the shard already down.
                         self._health_counters["skipped_fanouts"] += 1
-                        continue
-                    gens[idx] = self._shard_gen[idx]
             except BaseException:
                 for snap in parts.values():
                     snap.close()
                 raise
-            seq = next(self._cut_seq)
             self._snap_counters["cuts"] += 1
             if len(parts) < self.nshards:
                 self._snap_counters["degraded_cuts"] += 1
-        return GlobalSnapshot(self, parts, seq, gens)
+        return GlobalSnapshot(self, parts, topology)
 
     # -- stats ----------------------------------------------------------------
 
@@ -867,20 +868,13 @@ class RouterSession(ClientSession):
         return cut
 
     def _cut_stale(self, cut: GlobalSnapshot) -> bool:
-        """One-integer-compare-per-shard staleness probe (no locks)."""
-        router = self.router
-        for idx in range(router.nshards):
-            if router._shard_down[idx]:
-                if cut.parts.get(idx) is not None:
-                    # The cut predates the kill: its part reads a closed
-                    # store.  Retake so the down shard drops out of the
-                    # cut and its reads fail fast instead.
-                    return True
-                continue
-            part = cut.parts.get(idx)
-            if part is None or cut.gens.get(idx) != router._shard_gen[idx]:
-                return True  # shard (re)joined since the cut
-            if part.epoch < router.shards[idx].store.snapshots.epoch:
+        """A kill or reattach since the cut, else one epoch compare per
+        part (no locks).  A kill makes a cut holding the shard's part
+        stale, so its reads fail fast instead of reading a closed store."""
+        if cut.topology != self.router._topology:
+            return True
+        for registry, epoch in cut.marks:
+            if epoch < registry.epoch:
                 return True  # publication advanced
         return False
 
@@ -958,9 +952,11 @@ class ShardedReader(Routed):
     Every call delegates to the session's **global cut** (one consistent
     point across shards, see :class:`~repro.shard.snapshot.GlobalSnapshot`)
     via :meth:`RouterSession.current_cut`, which retakes the cut when any
-    shard's publication epoch advanced -- so freshness stays one integer
-    compare per shard, reads never take locks or the storage mutex, and a
-    cross-shard commit can never appear half-visible to a fan-out.
+    shard's publication epoch advanced or a shard was killed or
+    reattached -- so freshness is one compare of the router's topology
+    counter plus one epoch compare per part of the cut, reads never take
+    locks or the storage mutex, and a cross-shard commit can never appear
+    half-visible to a fan-out.
     """
 
     def __init__(self, session: RouterSession) -> None:

@@ -157,9 +157,9 @@ class GlobalSnapshot(Routed):
     """One pinned point-in-time view spanning every up shard.
 
     Holds one per-shard :class:`~repro.core.snapshot.Snapshot` pinned
-    under the cut latch, stamped with the router-wide cut sequence and
-    the shard generations it was taken against.  Reads route by
-    placement exactly like the live router; a shard that was down at the
+    under the cut latch, stamped with the router's kill/reattach count
+    and each part's ``(registry, epoch)`` mark for staleness probes.
+    Reads route by placement like the live router; a shard down at the
     cut has no part, and reads targeting it fail fast with
     :class:`~repro.errors.ShardUnavailableError` (its state at the cut
     is unknowable).
@@ -171,16 +171,15 @@ class GlobalSnapshot(Routed):
         self,
         router: "ShardedDatabase",
         parts: dict[int, "Snapshot"],
-        seq: int,
-        gens: dict[int, int],
+        topology: int,
     ) -> None:
         self._router = router
         #: shard index -> pinned per-shard snapshot (up shards only).
         self.parts = parts
-        #: Router-wide cut sequence number (monotonic per open).
-        self.seq = seq
-        #: shard index -> shard generation at the cut (staleness probes).
-        self.gens = gens
+        #: The router's kill/reattach count, read before the first part.
+        self.topology = topology
+        #: One ``(shard's snapshot registry, pinned epoch)`` per part.
+        self.marks = tuple((part.store.snapshots, part.epoch) for part in parts.values())
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -208,9 +207,7 @@ class GlobalSnapshot(Routed):
 
     def __repr__(self) -> str:
         state = "pinned" if not self._closed else "closed"
-        return (
-            f"GlobalSnapshot(seq={self.seq}, epoch={self.epoch}, {state})"
-        )
+        return f"GlobalSnapshot(epoch={self.epoch}, {state})"
 
     # -- epoch ---------------------------------------------------------------
 

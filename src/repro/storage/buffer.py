@@ -174,8 +174,3 @@ class BufferPool:
             self.flush_all()
             for page_id in [pid for pid, f in self._frames.items() if f.pins == 0]:
                 del self._frames[page_id]
-
-    def pinned_pages(self) -> list[int]:
-        """Page ids with outstanding pins (should be empty between ops)."""
-        with self._lock:
-            return [pid for pid, f in self._frames.items() if f.pins > 0]

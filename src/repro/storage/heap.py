@@ -142,11 +142,6 @@ class HeapFile:
         """This heap's id (also the flags tag on its pages)."""
         return self._file_id
 
-    @property
-    def page_ids(self) -> list[int]:
-        """The page ids currently owned by this heap (copy)."""
-        return list(self._pages)
-
     def _discover_pages(self) -> None:
         """Scan the database file for pages tagged with our file id."""
         for page_id in range(1, self._disk.num_pages):
@@ -381,10 +376,6 @@ class HeapFile:
                 elif marker in (_MASTER, _FORWARD):
                     rid = Rid(page_id, slot)
                     yield rid, self.read(rid)
-
-    def record_count(self) -> int:
-        """Number of logical records (spans and relocations count once)."""
-        return sum(1 for _ in self.scan())
 
     # -- WAL replay surface -----------------------------------------------------
 

@@ -21,6 +21,9 @@ Supported values:
 Integers use zig-zag varints; containers are length-prefixed.  ``dict``
 preserves insertion order (like Python).  ``set``/``frozenset`` elements are
 sorted by their encoded bytes so equal sets always encode identically.
+Each value costs one lookup: encoding indexes a dict by the value's exact
+type, decoding a list by the tag byte; a length, count or small int below
+0x80 is one byte read or written inline.
 
 We deliberately do **not** use :mod:`pickle`: pickle is neither stable
 across Python versions nor safe to load from an untrusted database file.
@@ -52,17 +55,11 @@ _T_OBJECT = 0x0E
 _T_BIGINT = 0x0F  # ints that overflow a 64-bit zig-zag varint
 
 _F64 = struct.Struct("<d")
+_F64_TAGGED = struct.Struct("<Bd")
 
 # Registry: class <-> stable name.  Populated by register_type().
 _TYPE_BY_NAME: dict[str, type] = {}
 _NAME_BY_TYPE: dict[type, str] = {}
-
-# Hooks installed by repro.core so that Oid/Vid/Ref encode without a
-# circular import at module load time.  They are set in repro.core.identity.
-_oid_codec: tuple[Callable[[Any], bytes], Callable[[bytes], Any]] | None = None
-_vid_codec: tuple[Callable[[Any], bytes], Callable[[bytes], Any]] | None = None
-_oid_type: type | None = None
-_vid_type: type | None = None
 
 
 def install_identity_codec(
@@ -73,12 +70,12 @@ def install_identity_codec(
     vid_encode: Callable[[Any], bytes],
     vid_decode: Callable[[bytes], Any],
 ) -> None:
-    """Wire the identity types into the codec (called by repro.core.identity)."""
-    global _oid_codec, _vid_codec, _oid_type, _vid_type
-    _oid_codec = (oid_encode, oid_decode)
-    _vid_codec = (vid_encode, vid_decode)
-    _oid_type = oid_type
-    _vid_type = vid_type
+    """Wire the identity types into the codec (called by repro.core.identity):
+    each is its packed image, length-prefixed."""
+    _ENCODERS[oid_type] = _sized_encoder(_T_OID, oid_encode)
+    _ENCODERS[vid_type] = _sized_encoder(_T_VID, vid_encode)
+    _DECODERS[_T_OID] = _converted(oid_decode, _sized)
+    _DECODERS[_T_VID] = _converted(vid_decode, _sized)
 
 
 _ref_unwrappers: list[tuple[type, Callable[[Any], Any]]] = []
@@ -130,27 +127,27 @@ def lookup_type(name: str) -> type:
         raise SerializationError(f"unknown persistent type {name!r}") from None
 
 
+
+
 # ---------------------------------------------------------------------------
 # Varints
 # ---------------------------------------------------------------------------
 
 
 def write_uvarint(out: bytearray, value: int) -> None:
-    """Append an unsigned LEB128 varint."""
+    """Append an unsigned LEB128 varint (a value below 0x80 is one byte)."""
     if value < 0:
         raise SerializationError("uvarint cannot encode negative values")
-    while True:
-        byte = value & 0x7F
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
     """Read an unsigned varint at ``pos``; return ``(value, new_pos)``."""
+    if pos < len(data) and data[pos] < 0x80:
+        return data[pos], pos + 1
     result = 0
     shift = 0
     while True:
@@ -166,104 +163,110 @@ def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
             raise SerializationError("varint too long")
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if -(1 << 63) <= value < (1 << 63) else -1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 # ---------------------------------------------------------------------------
-# Encoding
+# Encoding: one dict lookup on the exact type per value
 # ---------------------------------------------------------------------------
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif type(value) is int:
-        if -(1 << 63) <= value < (1 << 63):
-            out.append(_T_INT)
-            write_uvarint(out, _zigzag(value))
-        else:
-            out.append(_T_BIGINT)
-            raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "little", signed=True)
-            write_uvarint(out, len(raw))
-            out.extend(raw)
-    elif type(value) is float:
-        out.append(_T_FLOAT)
-        out.extend(_F64.pack(value))
-    elif type(value) is str:
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        write_uvarint(out, len(raw))
-        out.extend(raw)
-    elif type(value) is bytes:
-        out.append(_T_BYTES)
-        write_uvarint(out, len(value))
-        out.extend(value)
-    elif type(value) is list:
-        out.append(_T_LIST)
-        write_uvarint(out, len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif type(value) is tuple:
-        out.append(_T_TUPLE)
-        write_uvarint(out, len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        write_uvarint(out, len(value))
-        for key, val in value.items():
-            _encode_into(out, key)
-            _encode_into(out, val)
-    elif type(value) in (set, frozenset):
-        out.append(_T_SET if type(value) is set else _T_FROZENSET)
-        encoded = sorted(encode(item) for item in value)
-        write_uvarint(out, len(encoded))
-        for raw in encoded:
-            out.extend(raw)
-    elif _oid_type is not None and type(value) is _oid_type:
-        assert _oid_codec is not None
-        raw = _oid_codec[0](value)
-        out.append(_T_OID)
-        write_uvarint(out, len(raw))
-        out.extend(raw)
-    elif _vid_type is not None and type(value) is _vid_type:
-        assert _vid_codec is not None
-        raw = _vid_codec[0](value)
-        out.append(_T_VID)
-        write_uvarint(out, len(raw))
-        out.extend(raw)
+def _head(out: bytearray, tag: int, n: int) -> None:
+    """A tag byte and a length or count."""
+    out.append(tag)
+    if n < 0x80:
+        out.append(n)
     else:
-        for ref_type, to_id in _ref_unwrappers:
-            if isinstance(value, ref_type):
-                _encode_into(out, to_id(value))
-                return
-        name = _NAME_BY_TYPE.get(type(value))
-        if name is None:
-            raise SerializationError(
-                f"cannot persist value of unregistered type {type(value).__qualname__}"
-            )
-        getstate = getattr(value, "__getstate__", None)
-        state = getstate() if callable(getstate) else dict(value.__dict__)
-        if state is None:
-            # Python 3.11+: object.__getstate__ returns None when __dict__
-            # is empty; persist the empty state rather than failing.
-            state = dict(value.__dict__)
-        if not isinstance(state, dict):
-            raise SerializationError(
-                f"{name}: __getstate__ must return a dict, got {type(state).__qualname__}"
-            )
-        out.append(_T_OBJECT)
-        _encode_into(out, name)
-        _encode_into(out, state)
+        write_uvarint(out, n)
+
+
+def _encode_int(out: bytearray, value: int) -> None:
+    if -64 <= value < 64:  # the zig-zag form fits one varint byte
+        out.append(_T_INT)
+        out.append((value << 1) ^ (value >> 63))
+    elif -(1 << 63) <= value < (1 << 63):
+        out.append(_T_INT)
+        write_uvarint(out, (value << 1) ^ (value >> 63))
+    else:
+        raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "little", signed=True)
+        _head(out, _T_BIGINT, len(raw))
+        out += raw
+
+
+def _sized_encoder(tag: int, pack: Callable[[Any], bytes]) -> Callable:
+    """str, bytes, Oid and Vid: ``tag``, length, ``pack(value)``."""
+
+    def encode_sized(out: bytearray, value: Any) -> None:
+        raw = pack(value)
+        _head(out, tag, len(raw))
+        out += raw
+
+    return encode_sized
+
+
+def _items_encoder(tag: int, sort: bool = False) -> Callable:
+    """list and tuple (in order); set and frozenset (sorted by bytes)."""
+
+    def encode_items(out: bytearray, value: Any) -> None:
+        _head(out, tag, len(value))
+        if sort:
+            for raw in sorted(encode(item) for item in value):
+                out += raw
+            return
+        get = _ENCODERS.get
+        for item in value:
+            get(type(item), _encode_other)(out, item)
+
+    return encode_items
+
+
+def _encode_dict(out: bytearray, value: dict) -> None:
+    _head(out, _T_DICT, len(value))
+    get = _ENCODERS.get
+    for key, val in value.items():
+        get(type(key), _encode_other)(out, key)
+        get(type(val), _encode_other)(out, val)
+
+
+def _encode_other(out: bytearray, value: Any) -> None:
+    """The one fallback: a live reference, else a registered type."""
+    for ref_type, to_id in _ref_unwrappers:
+        if isinstance(value, ref_type):
+            ref_id = to_id(value)
+            _ENCODERS.get(type(ref_id), _encode_other)(out, ref_id)
+            return
+    name = _NAME_BY_TYPE.get(type(value))
+    if name is None:
+        raise SerializationError(
+            f"cannot persist value of unregistered type {type(value).__qualname__}"
+        )
+    getstate = getattr(value, "__getstate__", None)
+    state = getstate() if callable(getstate) else dict(value.__dict__)
+    if state is None:
+        # Python 3.11+: object.__getstate__ returns None when __dict__
+        # is empty; persist the empty state rather than failing.
+        state = dict(value.__dict__)
+    if not isinstance(state, dict):
+        raise SerializationError(
+            f"{name}: __getstate__ must return a dict, got {type(state).__qualname__}"
+        )
+    out.append(_T_OBJECT)
+    _ENCODERS.get(type(name), _encode_other)(out, name)
+    _ENCODERS.get(type(state), _encode_other)(out, state)
+
+
+#: Exact type -> encoder.  A subclass misses and takes the fallback, as
+#: it did in the ``type(value) is ...`` tests this table replaced.
+_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {
+    type(None): lambda out, value: out.append(_T_NONE),
+    bool: lambda out, value: out.append(_T_TRUE if value else _T_FALSE),
+    int: _encode_int,
+    float: lambda out, value: out.extend(_F64_TAGGED.pack(_T_FLOAT, value)),
+    str: _sized_encoder(_T_STR, str.encode),
+    bytes: _sized_encoder(_T_BYTES, bytes),
+    list: _items_encoder(_T_LIST),
+    tuple: _items_encoder(_T_TUPLE),
+    dict: _encode_dict,
+    set: _items_encoder(_T_SET, sort=True),
+    frozenset: _items_encoder(_T_FROZENSET, sort=True),
+}
 
 
 def encode_into(out: bytearray, value: Any) -> None:
@@ -275,108 +278,157 @@ def encode_into(out: bytearray, value: Any) -> None:
     Raises :class:`SerializationError`; on failure ``out`` may hold a
     partial encoding, so append into a scratch region you can truncate.
     """
-    _encode_into(out, value)
+    _ENCODERS.get(type(value), _encode_other)(out, value)
 
 
 def encode(value: Any) -> bytes:
     """Encode ``value`` to stable bytes.  Raises :class:`SerializationError`."""
     out = bytearray()
-    _encode_into(out, value)
+    _ENCODERS.get(type(value), _encode_other)(out, value)
     return bytes(out)
 
 
 # ---------------------------------------------------------------------------
-# Decoding
+# Decoding: one list index on the tag byte per value
 # ---------------------------------------------------------------------------
 
 
-def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
-    if pos >= len(data):
-        raise SerializationError("truncated value")
-    tag = data[pos]
-    pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_INT:
+def _sized(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The length-prefixed run at ``pos`` and the offset past it."""
+    length = data[pos]
+    if length < 0x80:
+        pos += 1
+    else:
+        length, pos = read_uvarint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise SerializationError(f"truncated: {length} bytes declared, {len(data) - pos} left")
+    return data[pos:end], end
+
+
+def _converted(convert: Callable[[Any], Any], read: Callable) -> Callable:
+    """The decoder of ``read``'s value passed through ``convert``."""
+
+    def decode_converted(data: bytes, pos: int) -> tuple[Any, int]:
+        value, end = read(data, pos)
+        return convert(value), end
+
+    return decode_converted
+
+
+def _decode_int(data: bytes, pos: int) -> tuple[int, int]:
+    raw = data[pos]
+    if raw < 0x80:
+        pos += 1
+    else:
         raw, pos = read_uvarint(data, pos)
-        return _unzigzag(raw), pos
-    if tag == _T_BIGINT:
-        length, pos = read_uvarint(data, pos)
-        if pos + length > len(data):
-            raise SerializationError("truncated bigint")
-        value = int.from_bytes(data[pos : pos + length], "little", signed=True)
-        return value, pos + length
-    if tag == _T_FLOAT:
-        if pos + 8 > len(data):
-            raise SerializationError("truncated float")
-        return _F64.unpack_from(data, pos)[0], pos + 8
-    if tag == _T_STR:
-        length, pos = read_uvarint(data, pos)
-        if pos + length > len(data):
-            raise SerializationError("truncated string")
-        return data[pos : pos + length].decode("utf-8"), pos + length
-    if tag == _T_BYTES:
-        length, pos = read_uvarint(data, pos)
-        if pos + length > len(data):
-            raise SerializationError("truncated bytes")
-        return data[pos : pos + length], pos + length
-    if tag in (_T_LIST, _T_TUPLE):
+    return (raw >> 1) ^ -(raw & 1), pos
+
+
+def _decode_float(data: bytes, pos: int) -> tuple[float, int]:
+    if pos + 8 > len(data):
+        raise SerializationError("truncated float")
+    return _F64.unpack_from(data, pos)[0], pos + 8
+
+
+def _decode_items(data: bytes, pos: int) -> tuple[list, int]:
+    """A count-prefixed run of values: a list, or a tuple's or set's items."""
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
         count, pos = read_uvarint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_at(data, pos)
-            items.append(item)
-        return (items if tag == _T_LIST else tuple(items)), pos
-    if tag == _T_DICT:
-        count, pos = read_uvarint(data, pos)
-        result: dict[Any, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_at(data, pos)
-            val, pos = _decode_at(data, pos)
-            result[key] = val
-        return result, pos
-    if tag in (_T_SET, _T_FROZENSET):
-        count, pos = read_uvarint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_at(data, pos)
-            items.append(item)
-        return (set(items) if tag == _T_SET else frozenset(items)), pos
-    if tag == _T_OID:
-        if _oid_codec is None:
-            raise SerializationError("identity codec not installed")
-        length, pos = read_uvarint(data, pos)
-        return _oid_codec[1](data[pos : pos + length]), pos + length
-    if tag == _T_VID:
-        if _vid_codec is None:
-            raise SerializationError("identity codec not installed")
-        length, pos = read_uvarint(data, pos)
-        return _vid_codec[1](data[pos : pos + length]), pos + length
-    if tag == _T_OBJECT:
-        name, pos = _decode_at(data, pos)
-        state, pos = _decode_at(data, pos)
-        cls = lookup_type(name)
-        obj = cls.__new__(cls)
-        setstate = getattr(obj, "__setstate__", None)
-        if callable(setstate):
-            setstate(state)
+    items: list[Any] = []
+    append = items.append
+    decoders = _DECODERS
+    for _ in range(count):
+        tag = data[pos]
+        if tag == _T_INT and data[pos + 1] < 0x80:  # inline small int
+            raw = data[pos + 1]
+            append((raw >> 1) ^ -(raw & 1))
+            pos += 2
         else:
-            obj.__dict__.update(state)
-        return obj, pos
-    raise SerializationError(f"unknown tag byte 0x{tag:02x}")
+            item, pos = decoders[tag](data, pos + 1)
+            append(item)
+    return items, pos
+
+
+def _decode_dict(data: bytes, pos: int) -> tuple[dict, int]:
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = read_uvarint(data, pos)
+    result: dict[Any, Any] = {}
+    decoders = _DECODERS
+    for _ in range(count):
+        key, pos = decoders[data[pos]](data, pos + 1)
+        tag = data[pos]
+        if tag == _T_INT and data[pos + 1] < 0x80:  # inline small int
+            raw = data[pos + 1]
+            result[key] = (raw >> 1) ^ -(raw & 1)
+            pos += 2
+        else:
+            result[key], pos = decoders[tag](data, pos + 1)
+    return result, pos
+
+
+def _decode_object(data: bytes, pos: int) -> tuple[Any, int]:
+    name, pos = _DECODERS[data[pos]](data, pos + 1)
+    state, pos = _DECODERS[data[pos]](data, pos + 1)
+    cls = lookup_type(name)
+    obj = cls.__new__(cls)
+    setstate = getattr(obj, "__setstate__", None)
+    if callable(setstate):
+        setstate(state)
+    else:
+        obj.__dict__.update(state)
+    return obj, pos
+
+
+def _unknown_tag(data: bytes, pos: int) -> tuple[Any, int]:
+    raise SerializationError(f"unknown tag byte 0x{data[pos - 1]:02x}")
+
+
+#: Tag byte -> decoder ``(data, offset past the tag) -> (value, end)``.
+_DECODERS: list[Callable[[bytes, int], tuple[Any, int]]] = [_unknown_tag] * 256
+_DECODERS[_T_NONE] = lambda data, pos: (None, pos)
+_DECODERS[_T_FALSE] = lambda data, pos: (False, pos)
+_DECODERS[_T_TRUE] = lambda data, pos: (True, pos)
+_DECODERS[_T_INT] = _decode_int
+_DECODERS[_T_BIGINT] = _converted(
+    lambda raw: int.from_bytes(raw, "little", signed=True), _sized
+)
+_DECODERS[_T_FLOAT] = _decode_float
+_DECODERS[_T_STR] = _converted(lambda raw: raw.decode("utf-8"), _sized)
+_DECODERS[_T_BYTES] = _sized
+_DECODERS[_T_LIST] = _decode_items
+_DECODERS[_T_TUPLE] = _converted(tuple, _decode_items)
+_DECODERS[_T_DICT] = _decode_dict
+_DECODERS[_T_SET] = _converted(set, _decode_items)
+_DECODERS[_T_FROZENSET] = _converted(frozenset, _decode_items)
+_DECODERS[_T_OBJECT] = _decode_object
+
+
+def _undecodable(exc: Exception) -> SerializationError:
+    """Any other decoder failure, as the one error decoding raises."""
+    if isinstance(exc, IndexError):
+        return SerializationError("truncated value")
+    return SerializationError(f"undecodable value: {type(exc).__name__}: {exc}")
 
 
 def decode(data: bytes) -> Any:
     """Decode bytes produced by :func:`encode`.
 
-    Raises :class:`SerializationError` on trailing garbage, so a decoded
-    record is always exactly one value.
+    Raises :class:`SerializationError`, and nothing else, on malformed
+    input or trailing garbage, so a decoded record is exactly one value.
     """
-    value, pos = _decode_at(data, 0)
+    try:
+        value, pos = _DECODERS[data[0]](data, 1)
+    except SerializationError:
+        raise
+    except Exception as exc:
+        raise _undecodable(exc) from exc
     if pos != len(data):
         raise SerializationError(f"{len(data) - pos} trailing bytes after value")
     return value
@@ -390,4 +442,9 @@ def decode_from(data: bytes, pos: int = 0) -> tuple[Any, int]:
     copy first.  No trailing-bytes check -- the enclosing format owns
     the length accounting.
     """
-    return _decode_at(data, pos)
+    try:
+        return _DECODERS[data[pos]](data, pos + 1)
+    except SerializationError:
+        raise
+    except Exception as exc:
+        raise _undecodable(exc) from exc

@@ -15,7 +15,7 @@ def store():
 
 def test_objects_start_unversioned(store):
     oid = store.create({"v": 1})
-    assert not store.is_versioned(oid)
+    assert not store._object(oid).versioned
     assert store.deref_generic(oid) == {"v": 1}
 
 
@@ -28,7 +28,7 @@ def test_versioning_requires_transformation(store):
 def test_transformation_enables_versioning(store):
     oid = store.create({"v": 1})
     store.transform_to_versioned(oid)
-    assert store.is_versioned(oid)
+    assert store._object(oid).versioned
     number = store.new_version(oid)
     assert number == 2
     assert store.versions_of(oid) == [1, 2]

@@ -202,6 +202,16 @@ def test_check_detects_corrupt_payload(delta_db):
     assert not report.ok
 
 
+def test_check_reports_an_undecodable_object_record(db):
+    """A home record holding an Oid tag with a short body is a problem to
+    report, not a crash of the check (it raised ``struct.error``)."""
+    db.pnew(Part("p", 1))
+    db.catalog.ensure_heap("ode.objects").insert(b"\x0c\x03abc")
+    report = check_database(db)
+    assert not report.ok
+    assert any("undecodable" in p for p in report.problems), report.problems
+
+
 def test_check_render(db):
     db.pnew(Part("p", 1))
     assert "OK" in check_database(db).render()

@@ -107,8 +107,8 @@ def test_descendants():
 
 def test_derivation_depth():
     graph = build_paper_graph()
-    assert graph.derivation_depth(1) == 0
-    assert graph.derivation_depth(4) == 2
+    assert len(graph.history(1)) - 1 == 0
+    assert len(graph.history(4)) - 1 == 2
 
 
 def test_remove_leaf_splices_temporal_chain():

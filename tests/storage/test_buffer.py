@@ -21,11 +21,16 @@ def pool(disk):
     return BufferPool(disk, capacity=4)
 
 
+def _pinned(pool):
+    """Page ids with outstanding pins (should be empty between ops)."""
+    return [pid for pid, frame in pool._frames.items() if frame.pins > 0]
+
+
 def test_new_page_comes_pinned(pool):
     page_id, page = pool.new_page()
-    assert pool.pinned_pages() == [page_id]
+    assert _pinned(pool) == [page_id]
     pool.unpin(page_id)
-    assert pool.pinned_pages() == []
+    assert _pinned(pool) == []
 
 
 def test_fetch_hit_and_miss_counters(pool):
@@ -78,7 +83,7 @@ def test_pinned_pages_never_evicted(pool):
     # Pool is full; the pinned page must survive more allocations.
     pid, _ = pool.new_page()
     pool.unpin(pid)
-    assert page_id in [p for p in pool.pinned_pages()]
+    assert page_id in [p for p in _pinned(pool)]
     pool.unpin(page_id)
 
 
@@ -119,7 +124,7 @@ def test_page_context_manager(pool):
     pool.unpin(page_id, dirty=True)
     with pool.page(page_id) as view:
         assert len(dict(view.records())) == 1
-    assert pool.pinned_pages() == []
+    assert _pinned(pool) == []
 
 
 def test_before_write_hook_called(disk, pool):

@@ -47,7 +47,7 @@ def test_make_chain_shape(db):
     graph.validate()
     # Pure chain: one leaf, every node <=1 child.
     assert len(graph.leaves()) == 1
-    assert graph.derivation_depth(versions[-1].vid.serial) == 9
+    assert len(graph.history(versions[-1].vid.serial)) - 1 == 9
 
 
 def test_make_chain_contents_differ(db):
