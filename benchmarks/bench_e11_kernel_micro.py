@@ -497,9 +497,96 @@ def test_e11_abort_costs_what_it_touched(tmp_path, benchmark):
     benchmark(lambda: None)
 
 
+def _flat_cost(path, sizes, build, op, commits: int = 96) -> dict:
+    """For each size, ``build(db, size)`` a database, then run ``commits``
+    autocommits of ``op(db, state, i)`` on each, alternating between them
+    so host drift lands on both: median buffer-pool lookups, WAL bytes
+    and milliseconds per commit, by size (auto-checkpoint off)."""
+    dbs = {n: Database(path / f"flat_{n}", checkpoint_threshold=0) for n in sizes}
+    try:
+        states = {n: build(db, n) for n, db in dbs.items()}
+        rows = {n: ([], [], []) for n in sizes}
+        for i in range(commits):
+            for n, db in dbs.items():
+                pool, log = db._pool, db._log
+                hits, size, t0 = pool.hits + pool.misses, log.size(), time.perf_counter()
+                op(db, states[n], i)
+                lookups, wal, spent = rows[n]
+                spent.append((time.perf_counter() - t0) * 1e3)
+                lookups.append(pool.hits + pool.misses - hits)
+                wal.append(log.size() - size)
+        return {
+            n: {
+                name: statistics.median(series)
+                for name, series in zip(("lookups", "wal_bytes", "ms"), rows[n])
+            }
+            for n in sizes
+        }
+    finally:
+        for db in dbs.values():
+            db.close()
+
+
+def _assert_flat(benchmark, table: dict) -> None:
+    """Equal lookups, WAL bytes within 8 (varint widths), ms within 1.5x."""
+    (_few, small), (_many, large) = sorted(table.items())
+    for n, row in table.items():
+        for name, value in row.items():
+            benchmark.extra_info[f"{name}_per_commit_{n}"] = round(value, 3)
+    assert small["lookups"] == large["lookups"], table
+    assert abs(small["wal_bytes"] - large["wal_bytes"]) <= 8, table
+    assert large["ms"] <= 1.5 * small["ms"], table
+    benchmark(lambda: None)
+
+
+def _history(db, depth: int):
+    """One object with a 100-byte body and ``depth`` versions."""
+    ref = db.pnew(E11Doc(b"d" * 100))
+    for start in range(1, depth, 500):
+        with db.transaction():
+            for _ in range(start, min(start + 500, depth)):
+                db.newversion(ref)
+    assert db.version_count(ref.oid) == depth
+    return ref
+
+
+def test_e11_newversion_cost_is_flat_in_depth(tmp_path, benchmark):
+    """A newversion writes one version record and leaves the object's
+    home record alone, so its commit costs the same at 10 and at 4,000
+    versions.  (A home record holding the whole graph made that 4 -> 85
+    pool lookups and 2.3 -> 216 KB of WAL; EXPERIMENTS.md E42.)"""
+    table = _flat_cost(
+        tmp_path, (10, 4000), _history, lambda db, ref, _i: db.newversion(ref)
+    )
+    _assert_flat(benchmark, table)
+
+
+def _tagged(db, tags: int):
+    """``tags`` tagged versions, and one more version to tag."""
+    ref = db.pnew(E11Doc(b"d" * 100))
+    with db.transaction():
+        vids = [db.newversion(ref).vid for _ in range(tags + 1)]
+        for vid in vids[:-1]:
+            db.tag_version(vid, f"release-{vid.serial}")
+    return vids[-1]
+
+
+def test_e11_tag_cost_is_flat_in_tag_count(tmp_path, benchmark):
+    """Each tag is its own catalog record, so tagging (and untagging) a
+    version costs the same at 10 and at 3,000 tags.  (One catalog record
+    holding every tag made that 2 -> 45 pool lookups and 0.4 -> 113 KB of
+    WAL; EXPERIMENTS.md E42.)"""
+    table = _flat_cost(
+        tmp_path, (10, 3000), _tagged,
+        lambda db, vid, i: db.tag_version(vid, "next") if i % 2 == 0 else db.untag_version(vid),
+    )
+    _assert_flat(benchmark, table)
+
+
 def test_e11_identical_base_delta(benchmark):
-    """``newversion`` diffs a version against a byte-identical base: that
-    must be one COPY found by comparison, never a block-matching pass."""
+    """A diff against a byte-identical base (which a ``newversion``'s
+    identity delta equals, built without one) must be one COPY found by
+    comparison, never a block-matching pass."""
     rng = random.Random(11)
     base = rng.randbytes(2048)
     unrelated = rng.randbytes(2048)  # no shared bytes: the matcher scans it all

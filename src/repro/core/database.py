@@ -740,9 +740,17 @@ class Database(VersionReads, SessionHost):
         return VersionRef(self, vref.vid)
 
     def pdelete(self, target: Ref | VersionRef | Oid | Vid) -> None:
-        """Delete an object (all versions) or one version (paper §4.4)."""
-        oid = oid_of(target)
-        self._mutate(oid, lambda log_op: self._store.pdelete(plain_id(target), log_op))
+        """Delete an object (all versions) or one version (paper §4.4);
+        the same transaction drops the tags of the versions it deletes."""
+        oid, ident = oid_of(target), plain_id(target)
+
+        def op(log_op):
+            serials = [ident.serial] if isinstance(ident, Vid) else self._store.graph(oid).serials()
+            self._store.pdelete(ident, log_op)
+            for serial in serials:
+                self._catalog.delete_root(gc_engine.tag_root(Vid(oid, serial)), log_op)
+
+        self._mutate(oid, op)
 
     # -- retention & garbage collection ---------------------------------------
 
@@ -755,16 +763,9 @@ class Database(VersionReads, SessionHost):
         root), so they survive restarts and travel with vacuum and dump/load.
         """
         key = gc_engine.scope_key(scope)
-
-        def op(log_op):
-            table = gc_engine.load_retention(self._catalog)
-            if policy is None:
-                table.pop(key, None)
-            else:
-                table[key] = policy
-            gc_engine.save_retention(self._catalog, table, log_op)
-
-        self._mutate(None, op)
+        self._mutate(
+            None, lambda log_op: gc_engine.save_retention(self._catalog, key, policy, log_op)
+        )
 
     def retention_policies(self) -> dict[str, Any]:
         """Every declared retention policy, keyed by scope string."""
@@ -776,10 +777,7 @@ class Database(VersionReads, SessionHost):
         if isinstance(target, (type, str)):
             return table.get(gc_engine.scope_key(target))
         oid = oid_of(target)
-        override = table.get(f"oid:{oid.value}")
-        if override is not None:
-            return override
-        return table.get(f"type:{self._store.type_name(oid)}")
+        return table.get(f"oid:{oid.value}") or table.get(f"type:{self._store.type_name(oid)}")
 
     def tag_version(self, target: VersionRef | Vid, tag: str) -> None:
         """Pin one version with a symbolic tag (``keep_tagged`` honors it)."""
@@ -790,30 +788,21 @@ class Database(VersionReads, SessionHost):
         def op(log_op):
             if not self._store.version_exists(vid):
                 raise UnknownVersionError(f"no such version: {vid}")
-            tags = gc_engine.load_tags(self._catalog)
-            tags.setdefault(vid.oid.value, {})[vid.serial] = str(tag)
-            gc_engine.save_tags(self._catalog, tags, log_op)
+            self._catalog.set_root(gc_engine.tag_root(vid), str(tag), log_op)
 
         self._mutate(vid.oid, op)
 
     def untag_version(self, target: VersionRef | Vid) -> None:
         """Remove a version's tag (a no-op if untagged)."""
         vid = plain_id(target)
-
-        def op(log_op):
-            tags = gc_engine.load_tags(self._catalog)
-            serials = tags.get(vid.oid.value)
-            if not serials or vid.serial not in serials:
-                return
-            del serials[vid.serial]
-            gc_engine.save_tags(self._catalog, tags, log_op)
-
-        self._mutate(vid.oid, op)
+        self._mutate(
+            vid.oid, lambda log_op: self._catalog.delete_root(gc_engine.tag_root(vid), log_op)
+        )
 
     def version_tags(self, target: Ref | VersionRef | Oid | Vid) -> dict[int, str]:
         """The object's tags: version serial -> tag string."""
         oid = oid_of(target)
-        return gc_engine.load_tags(self._catalog).get(oid.value, {})
+        return gc_engine.load_tags(self._catalog, oid).get(oid.value, {})
 
     def run_gc(
         self, batch_limit: int = 64, now: float | None = None, dry_run: bool = False

@@ -31,7 +31,7 @@ their overlays before the records are overwritten).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.identity import Oid, Vid
@@ -40,13 +40,13 @@ from repro.core.surface import oid_of, type_name_of
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
 
-#: Catalog root holding the retention table: a tuple of
-#: ``(scope_key, (keep_last_n, keep_days, keep_tagged))`` pairs.
-RETENTION_ROOT = "ode.retention"
+#: Catalog root prefix of the retention table, one root per scope:
+#: ``ode.retention:<scope_key>`` -> ``(keep_last_n, keep_days, keep_tagged)``.
+RETENTION_PREFIX = "ode.retention:"
 
-#: Catalog root holding version tags: a tuple of
-#: ``(oid_value, ((serial, tag), ...))`` pairs.
-TAGS_ROOT = "ode.tags"
+#: Catalog root prefix of the version tags, one root per tag:
+#: ``ode.tag:<oid value>:<serial>`` -> the tag string.
+TAG_PREFIX = "ode.tag:"
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,6 @@ class RetentionPolicy:
     def active(self) -> bool:
         return self.keep_last_n is not None or self.keep_days is not None
 
-    def to_state(self) -> tuple:
-        return (self.keep_last_n, self.keep_days, self.keep_tagged)
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "RetentionPolicy":
-        keep_last_n, keep_days, keep_tagged = state
-        return cls(keep_last_n, keep_days, keep_tagged)
-
 
 def scope_key(scope: Any) -> str:
     """Normalize a retention scope to its catalog key.
@@ -107,32 +99,33 @@ def scope_key(scope: Any) -> str:
 
 def load_retention(catalog: Any) -> dict[str, RetentionPolicy]:
     """The retention table stored in the catalog (empty dict if unset)."""
-    state = catalog.get_root(RETENTION_ROOT, ())
-    return {key: RetentionPolicy.from_state(pol) for key, pol in state}
+    return {
+        name[len(RETENTION_PREFIX):]: RetentionPolicy(*catalog.get_root(name))
+        for name in catalog.root_names(RETENTION_PREFIX)
+    }
 
 
-def save_retention(
-    catalog: Any, table: dict[str, RetentionPolicy], log_op: Any
-) -> None:
-    state = tuple(sorted((key, pol.to_state()) for key, pol in table.items()))
-    catalog.set_root(RETENTION_ROOT, state, log_op)
+def save_retention(catalog: Any, key: str, policy: RetentionPolicy | None, log_op: Any) -> None:
+    """Set (``None``: clear) one scope's policy: one catalog record."""
+    if policy is None:
+        catalog.delete_root(RETENTION_PREFIX + key, log_op)
+    else:
+        catalog.set_root(RETENTION_PREFIX + key, astuple(policy), log_op)
 
 
-def load_tags(catalog: Any) -> dict[int, dict[int, str]]:
-    """Version tags: oid value -> {serial -> tag}."""
-    state = catalog.get_root(TAGS_ROOT, ())
-    return {oid: dict(serials) for oid, serials in state}
+def tag_root(vid: Vid) -> str:
+    """The catalog root holding ``vid``'s tag."""
+    return f"{TAG_PREFIX}{vid.oid.value}:{vid.serial}"
 
 
-def save_tags(catalog: Any, tags: dict[int, dict[int, str]], log_op: Any) -> None:
-    state = tuple(
-        sorted(
-            (oid, tuple(sorted(serials.items())))
-            for oid, serials in tags.items()
-            if serials
-        )
-    )
-    catalog.set_root(TAGS_ROOT, state, log_op)
+def load_tags(catalog: Any, oid: Oid | None = None) -> dict[int, dict[int, str]]:
+    """Version tags: oid value -> {serial -> tag}, of one object or all."""
+    prefix = TAG_PREFIX if oid is None else f"{TAG_PREFIX}{oid.value}:"
+    tags: dict[int, dict[int, str]] = {}
+    for name in catalog.root_names(prefix):
+        oid_value, serial = name[len(TAG_PREFIX):].split(":")
+        tags.setdefault(int(oid_value), {})[int(serial)] = catalog.get_root(name)
+    return tags
 
 
 @dataclass

@@ -30,6 +30,7 @@ inherited from the heap layer through the ``log_op`` callback.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
@@ -54,14 +55,14 @@ from repro.core.identity import Oid, Vid
 from repro.core.pointers import Ref, VersionRef, unwrap_ids
 from repro.core.snapshot import Snapshot, SnapshotEntry, SnapshotRegistry
 from repro.core.surface import Target, VersionReads, oid_of, plain_id, type_name_of
-from repro.core.vgraph import VersionGraph
+from repro.core.vgraph import VersionGraph, VersionNode
 from repro.storage import blobs as blobstore
 from repro.storage import serialization
 from repro.storage.blobs import BlobStore
 from repro.storage.catalog import Catalog
-from repro.storage.delta import apply_delta, compute_delta
-from repro.storage.heap import HeapFile, LogOp, Rid, body_payload
-from repro.storage.wal import OP_DELETE, PAYLOAD
+from repro.storage.delta import apply_delta, compute_delta, identity_delta
+from repro.storage.heap import HOME, STUB, HeapFile, LogOp, Rid, wal_image
+from repro.storage.wal import PAYLOAD
 
 if TYPE_CHECKING:
     from repro.storage.wal import LogRecord
@@ -88,6 +89,40 @@ EV_DELETE_VERSION = "delete_version"
 EV_DELETE_OBJECT = "delete_object"
 
 Observer = Callable[[str, Oid, Vid | None], None]
+
+#: The node an ``ode.versions`` record starts with (its rid is the record's):
+#: its length, kind, ctime, then uvarint oid, serial and dprev (0: a root).
+_NODE = struct.Struct("<Bcd")
+
+
+def node_header(oid: Oid, serial: int, dprev: int | None, ctime: float, kind: str) -> bytes:
+    """The node header of a version record."""
+    out = bytearray(_NODE.pack(0, kind.encode(), ctime))
+    for value in (oid.value, serial, dprev or 0):
+        serialization.write_uvarint(out, value)
+    out[0] = len(out)
+    return bytes(out)
+
+
+def split_record(raw: bytes) -> tuple[tuple[Oid, int, int | None, float, str], bytes]:
+    """``((oid, serial, dprev, ctime, kind), payload record)`` of one
+    ``ode.versions`` record (:meth:`VersionStore._blob_ref_record`)."""
+    try:
+        size, kind, ctime = _NODE.unpack_from(raw)
+        oid, pos = serialization.read_uvarint(raw, _NODE.size)
+        serial, pos = serialization.read_uvarint(raw, pos)
+        dprev, pos = serialization.read_uvarint(raw, pos)
+    except struct.error as exc:
+        raise StorageError(f"malformed version record: {exc}") from None
+    if pos != size or kind not in (b"F", b"D") or not serial:
+        raise StorageError(f"malformed version record header {raw[:16]!r}")
+    return (Oid(oid), serial, dprev or None, ctime, kind.decode()), raw[size:]
+
+
+def payload_of(raw: bytes) -> bytes:
+    """:func:`split_record`'s payload record, without parsing the node."""
+    return raw[raw[0] :]
+
 
 #: One version as :meth:`VersionStore.install` takes it and
 #: :meth:`VersionStore.export` yields it: ``(serial, dprev, ctime, content)``.
@@ -117,15 +152,16 @@ class StoragePolicy:
 class _Entry:
     """In-memory object-table entry for one persistent object."""
 
-    __slots__ = ("oid", "type_name", "graph", "rid", "graph_shared")
+    __slots__ = ("oid", "type_name", "graph", "rid", "floor", "graph_shared")
 
     def __init__(
-        self, oid: Oid, type_name: str, graph: VersionGraph, rid: Rid | None
+        self, oid: Oid, type_name: str, graph: VersionGraph, rid: Rid | None, floor: int
     ) -> None:
         self.oid = oid
         self.type_name = type_name
         self.graph = graph
         self.rid = rid
+        self.floor = floor  # the home record's: no serial up to it is reissued
         #: True once the graph was published into the snapshot committed
         #: table: pinned readers may be traversing it, so any mutation must
         #: clone first (see :meth:`VersionStore._mutable_graph`).
@@ -145,27 +181,19 @@ class _BlobRef:
 class VersionStore(VersionReads):
     """Versioned persistent objects over the heap layer.
 
-    One store per database.  The object table (oid -> entry) is cached in
-    memory and written through to the ``ode.objects`` heap, one home
-    record per object (its type name is its cluster); version payloads
-    live in ``ode.versions``.
+    One store per database; the object table (oid -> entry) is cached in
+    memory.  An object's home record in ``ode.objects`` is ``(oid,
+    type_name, floor)``: fixed, and no ``newversion`` rewrites it.  Each
+    version is one ``ode.versions`` record: its graph node
+    (:func:`node_header`), then its stored payload (full copy or delta
+    body) -- the payload itself up to :data:`INLINE_PAYLOAD_MAX` bytes,
+    else a fixed-size **blob reference** to a content-addressed frame.
 
-    A version-heap record holds a stored payload (full copy or delta
-    body) one of two ways, chosen by its size alone.  Up to
-    :data:`INLINE_PAYLOAD_MAX` bytes it *is* the record: the WAL's group
-    commit makes it durable and physical undo rolls it back, like any
-    heap record.  Anything larger lives once in the blob store, keyed by
-    its sha256, and the record is a fixed-size **blob reference**.
-
-    Those references are the only durable statement of who uses a blob.
-    The refcount index (key -> count, size) is derived from them: counted
-    from one ``ode.versions`` scan at open, then kept current record by
-    record -- by every write, and by every undo (:meth:`undone`) -- and
-    never stored.  A frame nothing
-    references -- displaced, rolled back, or left by a crashed put -- is
-    a zero-count entry: a GC candidate stamped with the snapshot epoch at
-    which it was found unreferenced (see ``repro.core.gc`` for the
-    reclaim protocol, the only thing that unlinks a key).
+    Those references are the only durable statement of who uses a blob:
+    the refcount index (key -> count, size) is counted from them at open,
+    kept record by record by every write and undo, and never stored.  A
+    frame nothing references is a zero-count GC candidate stamped with
+    the snapshot epoch it was found at (``repro.core.gc`` reclaims it).
     """
 
     def __init__(
@@ -243,39 +271,30 @@ class VersionStore(VersionReads):
     # -- loading, and undoing ---------------------------------------------------
 
     def _load(self) -> None:
-        """The one full derivation: every object from its home record, the
-        refcounts from every payload record.  Each object before and after
-        is marked dirty, so the next publish carries the lot."""
+        """The one full derivation, one scan per heap: each version
+        record's node joins its object's graph and its payload enters the
+        refcounts; each home record makes an object (all marked dirty).
+        Every other frame in the packs -- a crashed put, or a payload
+        displaced before the last close -- is a GC candidate at this epoch.
+        """
         self._bytes_cache.clear()
         self._decoded_cache.clear()
         self._dirty_oids.update(self._table)
         self._table.clear()
         self._by_type.clear()
-        for rid, payload in self._objects.scan():
-            self._dirty_oids.add(self._load_entry(rid, payload).oid)
-        self._load_blob_index()
-
-    def _load_entry(self, rid: Rid, payload: bytes) -> _Entry:
-        oid, type_name, graph_state = serialization.decode(payload)
-        entry = _Entry(oid, type_name, VersionGraph.from_state(graph_state), rid)
-        self._table[oid] = entry
-        self._by_type.setdefault(type_name, set()).add(oid)
-        return entry
-
-    def _load_blob_index(self) -> None:
-        """Derive the refcount index from the payload records.
-
-        The references in ``ode.versions`` are under their object's lock
-        and the WAL's undo, so at open they are the truth: one scan counts
-        them.  Every other frame in the packs -- a crashed put, or a
-        payload displaced before the last close -- enters with count zero
-        as a GC candidate stamped at this epoch.
-        """
         self._blob_index, self._gc_candidates = {}, {}
         self._live_bytes = self._pending_bytes = 0
         self._inline_records = self._inline_bytes = 0
-        for _rid, raw in self._versions.scan():
+        rows: dict[Oid, list[tuple]] = {}
+        for rid, raw in self._versions.scan():
             self._count_record(raw)
+            (oid, serial, dprev, ctime, kind), _payload = split_record(raw)
+            rows.setdefault(oid, []).append((serial, dprev, ctime, (kind, *rid)))
+        for rid, home in self._objects.scan():
+            oid, type_name, floor = serialization.decode(home)
+            if oid in self._table:
+                raise StorageError(f"object {oid!r} has two home records")
+            self._enter(oid, type_name, rid, floor, rows.get(oid, ()))
         epoch = self._snapshots.epoch
         for key in self._blobs.keys():
             size = self._blobs.size_of(key)
@@ -283,6 +302,15 @@ class VersionStore(VersionReads):
                 self._blob_index[key] = _BlobRef(0, size)
                 self._gc_candidates[key] = epoch
                 self._pending_bytes += size
+
+    def _enter(self, oid: Oid, type_name: str, rid: Rid, floor: int, rows: Iterable[tuple]) -> None:
+        """Add an object from its home record and its node rows."""
+        self._add(_Entry(oid, type_name, VersionGraph.build(rows, floor), rid, floor))
+
+    def _add(self, entry: _Entry) -> None:
+        self._table[entry.oid] = entry
+        self._by_type.setdefault(entry.type_name, set()).add(entry.oid)
+        self._dirty_oids.add(entry.oid)
 
     def misplaced_oids(self) -> list[Oid]:
         """Objects outside this store's allocation slice.  The store never
@@ -298,43 +326,72 @@ class VersionStore(VersionReads):
         """Bring memory back in line after the WAL undo of ``records``;
         returns the objects whose state may have moved.
 
-        The undone records are walked in undo order.  For each payload
-        record the reference its before-image holds is taken back, then
-        the one its after-image holds is dropped -- in that order, so a
-        key both images share never underflows.  Each ``touched`` object
-        (every object the transaction changed or created) loses its entry
-        and is re-read from its home record, and so is each home the undo
-        re-inserted (an object deleted inside the transaction): the memory
-        half costs what the transaction touched.  ``touched=None`` -- a
-        partial operation or undo, or an in-doubt participant -- runs the
-        open's full derivation instead.
+        In undo order, a version record's before-image takes its reference
+        back before its after-image drops one (a key both share never
+        underflows).  Each ``touched`` object, and each one an image
+        names, is rebuilt from its node rows and home with the images
+        applied: an undone insert drops a row (or home), an undone delete
+        or update puts the before-image back -- a relocated body's at the
+        home its restored forward stub names, or the row's own.
+        ``touched=None`` (a partial operation or undo, an in-doubt
+        participant) runs :meth:`_load` instead.
         """
         if touched is None:
             changed = set(self._table)
             self._load()
             return changed | set(self._table)
-        homes: set[Rid] = set()
-        for record in reversed(records):
-            if record.file_id == self._versions.file_id:
-                before, after = body_payload(record.undo_payload), body_payload(record.payload)
-                if before is not None:
-                    self._count_record(before)
-                if after is not None:
-                    self._release_record(after)
-            elif record.file_id == self._objects.file_id and record.kind == OP_DELETE:
-                homes.add(Rid(record.page_id, record.slot))
+        rows: dict[Oid, dict[int, tuple]] = {}
+        homes: dict[Oid, tuple | None] = {}  # (type_name, rid, floor)
+
+        def rows_of(oid: Oid) -> dict[int, tuple]:
+            if oid not in rows:
+                entry = self._table.get(oid)
+                nodes = () if entry is None else entry.graph.walk_temporal()
+                rows[oid] = {n.serial: (n.serial, n.dprev, n.ctime, n.data) for n in nodes}
+                homes[oid] = None if entry is None else (entry.type_name, entry.rid, entry.floor)
+            return rows[oid]
+
+        def apply(file_id: int, home: Rid | None, payload: bytes, put: bool) -> None:
+            if file_id == self._objects.file_id:
+                oid, type_name, floor = serialization.decode(payload)
+                rows_of(oid)
+                homes[oid] = (type_name, home or homes[oid][1], floor) if put else None
+                return
+            (oid, serial, dprev, ctime, kind), _payload = split_record(payload)
+            nodes = rows_of(oid)
+            if put:
+                home = home or Rid(*nodes[serial][3][1:])
+                nodes[serial] = (serial, dprev, ctime, (kind, *home))
+            else:
+                nodes.pop(serial, None)
+
         for oid in touched:
+            rows_of(oid)
+        moved: dict[Rid, Rid] = {}  # relocated body -> its home
+        for record in reversed(records):
+            file_id = record.file_id
+            if file_id not in (self._versions.file_id, self._objects.file_id):
+                continue
+            rid = Rid(record.page_id, record.slot)
+            before, after = wal_image(record.undo_payload), wal_image(record.payload)
+            for image, sign in ((before, 1), (after, -1)):
+                if file_id == self._versions.file_id and image and image[0] != STUB:
+                    self._count_record(image[1], sign)
+            if after and after[0] == HOME:
+                apply(file_id, rid, after[1], put=False)
+            if before and before[0] == STUB:
+                moved[before[1]] = rid
+            elif before:
+                apply(file_id, rid if before[0] == HOME else moved.get(rid), before[1], put=True)
+        for oid, nodes in rows.items():
             entry = self._table.pop(oid, None)
             if entry is not None:
-                homes.add(entry.rid)
                 self._by_type[entry.type_name].discard(oid)
             self._invalidate_object(oid)
-        changed = set(touched)
-        for rid in homes:
-            if self._objects.exists(rid):
-                changed.add(self._load_entry(rid, self._objects.read(rid)).oid)
-        self._dirty_oids |= changed
-        return changed
+            if homes[oid] is not None:
+                self._enter(oid, *homes[oid], nodes.values())
+        self._dirty_oids.update(rows)
+        return set(rows)
 
     # -- snapshot publication (lock-free read path) ----------------------------
 
@@ -344,12 +401,8 @@ class VersionStore(VersionReads):
         return self._snapshots
 
     def _mutable_graph(self, entry: _Entry) -> VersionGraph:
-        """The entry's graph, cloned first if a snapshot may be reading it.
-
-        Published graphs are frozen (pinned readers traverse them without
-        locks); copy-on-write keeps the frozen original intact while the
-        writer mutates its private clone.
-        """
+        """The entry's graph, cloned first if a snapshot may be reading it
+        (published graphs are frozen: readers traverse them lock-free)."""
         if entry.graph_shared:
             entry.graph = entry.graph.clone()
             entry.graph_shared = False
@@ -358,11 +411,9 @@ class VersionStore(VersionReads):
     def has_unpublished_changes(self, exclude: "frozenset[Oid] | set[Oid]" = frozenset()) -> bool:
         """True when a publish (ignoring ``exclude``) would advance the epoch.
 
-        Deliberately lock-free (the snapshot pin path must not queue
-        behind writers holding the storage mutex), so the dirty set can
-        be resized mid-scan by a concurrent writer; re-probe when that
-        happens.  Either answer is sound during a race: a freshly dirtied
-        oid belongs to a still-active transaction and is excluded anyway.
+        Lock-free (pinning must not queue behind writers), so a writer may
+        resize the dirty set mid-scan: re-probe then.  Either answer is
+        sound in a race: a freshly dirtied oid's transaction is active.
         """
         while True:
             try:
@@ -372,11 +423,8 @@ class VersionStore(VersionReads):
 
     def publish_snapshot(self, exclude: "frozenset[Oid] | set[Oid]" = frozenset()) -> int:
         """Publish committed state for snapshot readers; returns the epoch.
-
-        Must run with writers quiesced (the database facade calls this
-        under the storage mutex after a transaction finishes).  ``exclude``
-        lists objects touched by still-active transactions.
-        """
+        Runs under the storage mutex; ``exclude`` lists objects touched by
+        still-active transactions."""
         return self._snapshots.publish(self, exclude=exclude)
 
     def pin_snapshot(self, index_source: Any = None) -> Snapshot:
@@ -384,12 +432,9 @@ class VersionStore(VersionReads):
         return self._snapshots.pin(self, index_source)
 
     def _stash_version(self, entry: _Entry, serial: int) -> None:
-        """Preserve a version's current content for pinned/pending snapshots.
-
-        Called *before* the version's heap record is rewritten or deleted;
-        snapshot readers re-check their overlays after every shared-state
-        probe, so stash-before-overwrite makes the lock-free path safe.
-        """
+        """Preserve a version's content for pinned/pending snapshots,
+        *before* its record is rewritten or deleted (readers re-check
+        their overlays after every shared-state probe)."""
         content = self._version_bytes(entry, serial)
         self._snapshots.stash_bytes(Vid(entry.oid, serial), content)
 
@@ -437,10 +482,8 @@ class VersionStore(VersionReads):
 
     # -- entry persistence -----------------------------------------------------
 
-    def _save_entry(self, entry: _Entry, log_op: LogOp | None) -> None:
-        payload = serialization.encode(
-            (entry.oid, entry.type_name, entry.graph.to_state())
-        )
+    def _save_home(self, entry: _Entry, log_op: LogOp | None) -> None:
+        payload = serialization.encode((entry.oid, entry.type_name, entry.floor))
         if entry.rid is None:
             entry.rid = self._objects.insert(payload, log_op)
         else:
@@ -485,76 +528,73 @@ class VersionStore(VersionReads):
             self._pending_bytes += ref.size
 
     def _blob_ref_record(self, stored: bytes, log_op: LogOp | None) -> bytes:
-        """The versions-heap record for ``stored``: itself, or a blob ref.
+        """The payload record for ``stored``: itself, or a blob ref.
 
         A payload of at most :data:`INLINE_PAYLOAD_MAX` bytes is its own
-        record -- unless it reads as a blob reference, in which case it
-        takes the blob path like a large one so the two encodings stay
-        disjoint.  A large payload is put in the blob store *before* the
-        record that references it, and a put that appends a frame logs
-        the body as a ``PAYLOAD`` record first: the flush that makes the
-        reference durable makes the payload durable.  A crash or rollback
-        in between leaves an unreferenced frame: a GC candidate once the
-        count of its reference is dropped again.  The count moves with the
-        caller's heap write, under the same storage mutex.
+        record, unless it reads as a blob reference (the two encodings
+        stay disjoint).  A larger one is put in the blob store first, its
+        body logged as a ``PAYLOAD`` record, so the flush that makes the
+        reference durable makes the payload durable; a crash or rollback
+        in between leaves an unreferenced frame, a GC candidate.  The
+        caller's heap write moves the count (:meth:`_count_record`).
         """
         if len(stored) <= INLINE_PAYLOAD_MAX and not blobstore.is_ref(stored):
-            record = stored
+            return stored
+        key = self._blobs.put(
+            stored,
+            None if log_op is None else lambda body: log_op(PAYLOAD, 0, 0, 0, body, b""),
+        )
+        return blobstore.encode_ref(key, len(stored))
+
+    def _count_record(self, record: bytes, sign: int = 1) -> None:
+        """Take (``sign`` -1: drop) the blob reference a version record's
+        payload holds, or count its inline payload."""
+        payload = payload_of(record)
+        if blobstore.is_ref(payload):
+            key, size = blobstore.decode_ref(payload)
+            if sign > 0:
+                self._blob_incref(key, size)
+            else:
+                self._blob_decref(key)
         else:
-            key = self._blobs.put(
-                stored,
-                None if log_op is None else lambda body: log_op(PAYLOAD, 0, 0, 0, body, b""),
-            )
-            record = blobstore.encode_ref(key, len(stored))
-        self._count_record(record)
-        return record
+            self._inline_records += sign
+            self._inline_bytes += sign * len(payload)
 
-    def _count_record(self, record: bytes) -> None:
-        """Take the blob reference a heap record holds, if any: the
-        inverse of :meth:`_release_record`."""
-        if blobstore.is_ref(record):
-            key, size = blobstore.decode_ref(record)
-            self._blob_incref(key, size)
+    def _record_write(
+        self, rid: Rid | None, header: bytes, stored: bytes | None, log_op: LogOp | None
+    ) -> Rid:
+        """Insert (``rid=None``) or rewrite a version record: ``header``, then
+        ``stored``'s payload record (``None``: the old record's payload)."""
+        old = None if rid is None else self._versions.read(rid)
+        payload = payload_of(old) if stored is None else self._blob_ref_record(stored, log_op)
+        if rid is None:
+            rid = self._versions.insert(header + payload, log_op)
         else:
-            self._inline_records += 1
-            self._inline_bytes += len(record)
-
-    def _release_record(self, record: bytes) -> None:
-        """Drop the blob reference a displaced heap record held, if any."""
-        if blobstore.is_ref(record):
-            key, _size = blobstore.decode_ref(record)
-            self._blob_decref(key)
-        else:
-            self._inline_records -= 1
-            self._inline_bytes -= len(record)
-
-    def _record_insert(self, stored: bytes, log_op: LogOp | None) -> Rid:
-        return self._versions.insert(self._blob_ref_record(stored, log_op), log_op)
-
-    def _record_update(self, rid: Rid, stored: bytes, log_op: LogOp | None) -> None:
+            self._versions.update(rid, header + payload, log_op)
         # Incref-new before decref-old: rewriting a record to the same
-        # content must never let the shared key's count touch zero.  Either
-        # side may be inline (no reference to take or drop).
-        old = self._versions.read(rid)
-        self._versions.update(rid, self._blob_ref_record(stored, log_op), log_op)
-        self._release_record(old)
+        # content must never let the shared key's count touch zero.
+        self._count_record(header + payload)
+        if old is not None:
+            self._count_record(old, -1)
+        return rid
 
     def _record_delete(self, rid: Rid, log_op: LogOp | None) -> None:
         old = self._versions.read(rid)
         self._versions.delete(rid, log_op)
-        self._release_record(old)
+        self._count_record(old, -1)
 
     def _resolve_payload(self, raw: bytes) -> bytes:
         """The stored payload of a versions-heap record.
 
         A blob reference is followed into the blob store; any other
-        record is a small payload stored inline (see
+        payload record is a small payload stored inline (see
         :meth:`_blob_ref_record`) and is returned as it is.
         """
-        if blobstore.is_ref(raw):
-            key, _size = blobstore.decode_ref(raw)
+        payload = payload_of(raw)
+        if blobstore.is_ref(payload):
+            key, _size = blobstore.decode_ref(payload)
             return self._blobs.get(key)
-        return raw
+        return payload
 
     # -- blob accounting surface (GC, check, inspect) ------------------------------
 
@@ -612,28 +652,27 @@ class VersionStore(VersionReads):
     # -- payload storage ---------------------------------------------------------
 
     def _store_payload(
-        self,
-        entry: _Entry,
-        serial: int,
-        content: bytes,
-        base_serial: int | None,
-        log_op: LogOp | None,
-    ) -> tuple:
-        """Write ``content`` for a (new) version; returns the node ``data``."""
-        use_delta = (
+        self, entry: _Entry, node: VersionNode, content: bytes, log_op: LogOp | None,
+        same: bool = False,
+    ) -> None:
+        """Write the record of a just-created node and set its ``data``.
+        ``same``: ``content`` is its base's image byte for byte (a
+        ``newversion``), so the delta is the identity, built without a diff."""
+        kind, stored, base = _FULL, content, node.dprev
+        if (
             self._policy.kind == "delta"
-            and base_serial is not None
-            and self._depth_since_keyframe(entry, base_serial) + 1
-            < self._policy.keyframe_interval
-        )
-        if use_delta:
-            base_bytes = self._version_bytes(entry, base_serial)
-            delta = compute_delta(base_bytes, content)
+            and base is not None
+            and self._depth_since_keyframe(entry, base) + 1 < self._policy.keyframe_interval
+        ):
+            delta = (
+                identity_delta(content) if same
+                else compute_delta(self._version_bytes(entry, base), content)
+            )
             if len(delta) < len(content):
-                rid = self._record_insert(delta, log_op)
-                return (_DELTA, rid.page_id, rid.slot)
-        rid = self._record_insert(content, log_op)
-        return (_FULL, rid.page_id, rid.slot)
+                kind, stored = _DELTA, delta
+        header = node_header(entry.oid, node.serial, base, node.ctime, kind)
+        rid = self._record_write(None, header, stored, log_op)
+        node.data = (kind, rid.page_id, rid.slot)
 
     def _depth_since_keyframe(self, entry: _Entry, serial: int) -> int:
         """Delta-chain length from ``serial`` back to the nearest full copy."""
@@ -656,25 +695,20 @@ class VersionStore(VersionReads):
     ) -> bytes:
         """Materialized payload bytes of one version: the one rebuild.
 
-        The live store passes no ``overlay``; a pinned snapshot passes its
-        byte overlay (the pre-images stashed for it, see
-        ``repro.core.snapshot``) and its frozen entry.  The delta chain is
-        walked back to the first step that supplies content, probing for
-        each step the overlay, the shared bytes cache, the overlay again
-        and -- at a full copy -- the heap record, then the overlay once
-        more (:meth:`_record_payload`).  A cached ancestor ends the walk
-        (chain-prefix memoization), so only the deltas past it are
-        applied.  Without an overlay, or while it is empty, every overlay
-        probe is skipped.
+        A pinned snapshot passes its frozen entry and byte ``overlay``
+        (the pre-images stashed for it, see ``repro.core.snapshot``); the
+        live store passes none.  The delta chain is walked back to the
+        first step that supplies content -- the overlay, the shared bytes
+        cache (a cached ancestor ends the walk: chain-prefix memoization),
+        or at a full copy the heap record (:meth:`_record_payload`) -- and
+        each overlay probe is repeated after the shared-state probe.
 
         Fill rule: only the version asked for is cached, and only when no
-        step came from the overlay.  Fence: a snapshot's fill re-checks its
-        overlay under the cache's lock and is skipped if the vid has
-        appeared there (``BudgetedLRU.put(unless=)``).  A writer stashes a
-        version's pre-image into every pinned overlay before it touches
-        the record, and replaces or drops the cached entry after, so a
-        fill that raced a commit is either refused or replaced: never
-        served stale, to live readers or to later snapshots.
+        step came from the overlay; a snapshot's fill is refused if the
+        vid has appeared in its overlay (``BudgetedLRU.put(unless=)``).
+        A writer stashes a pre-image into every pinned overlay before it
+        touches the record and replaces the cached entry after, so a fill
+        that raced a commit is refused or replaced, never served stale.
         """
         oid, graph = entry.oid, entry.graph
         cache, stats = self._bytes_cache, self._stats
@@ -724,11 +758,9 @@ class VersionStore(VersionReads):
     ) -> tuple[bytes, bool]:
         """``(payload, stashed)`` of one chain step's stored record.
 
-        With an overlay the heap read is re-checked against it: the writer
-        stashes the pre-image before it rewrites or deletes the record (and
-        so before its blob can be reclaimed), so a record that moved under
-        the read is covered by the stash, and without a stash the record
-        read is the snapshot's.
+        With an overlay the heap read is re-checked against it: a record
+        that moved under the read was stashed first, and without a stash
+        the record read is the snapshot's.
         """
         _kind, page_id, slot = data
         try:
@@ -768,11 +800,8 @@ class VersionStore(VersionReads):
 
     def _stash_rebased(self, entry: _Entry, serial: int) -> dict[int, bytes]:
         """Stash ``serial`` and its delta-stored children before their
-        records change; returns the children's content.
-
-        A child's content does not change when its base does, only its
-        encoding, so its stash is valid on both sides of the re-base.
-        """
+        records change; returns the children's content (which a re-base
+        leaves as it is, so the stash holds on both sides of it)."""
         graph = entry.graph
         children = {
             child: self._version_bytes(entry, child)
@@ -786,49 +815,44 @@ class VersionStore(VersionReads):
         return children
 
     def _reencode(
-        self, entry: _Entry, serial: int, content: bytes, log_op: LogOp | None
-    ) -> bool:
+        self, entry: _Entry, serial: int, content: bytes | None, log_op: LogOp | None
+    ) -> None:
         """Store ``content`` in the existing record of ``serial`` and cache it.
 
         A delta-stored node is re-encoded against its current derivation
         parent, or becomes a full copy when it has none or the delta no
-        longer pays; returns True when the node's storage kind changed.
+        longer pays.  ``content=None``: a full copy's parent moved, and
+        only its node header is rewritten.
         """
-        node = entry.graph.node(serial)
+        node = entry.graph.own(serial)
         kind, page_id, slot = node.data
-        full = kind == _FULL or node.dprev is None
-        if not full:
-            delta = compute_delta(self._version_bytes(entry, node.dprev), content)
-            full = len(delta) >= len(content)
-        self._record_update(Rid(page_id, slot), content if full else delta, log_op)
-        self._cache_bytes(Vid(entry.oid, serial), content)
-        if full and kind == _DELTA:
-            node.data = (_FULL, page_id, slot)
-            return True
-        return False
+        stored = content
+        if kind == _DELTA:
+            stored, kind = content, _FULL
+            if node.dprev is not None:
+                delta = compute_delta(self._version_bytes(entry, node.dprev), content)
+                if len(delta) < len(content):
+                    stored, kind = delta, _DELTA
+        node.data = (kind, page_id, slot)
+        header = node_header(entry.oid, serial, node.dprev, node.ctime, kind)
+        self._record_write(Rid(page_id, slot), header, stored, log_op)
+        if content is not None:
+            self._cache_bytes(Vid(entry.oid, serial), content)
 
     def _rewrite_payload(
         self, entry: _Entry, serial: int, content: bytes, log_op: LogOp | None
     ) -> None:
-        """Replace the stored payload of an existing version with ``content``.
-
-        The node and its delta-stored children are re-encoded
-        (:meth:`_reencode`): the children's *content* must not change
-        when their base does.
-        """
+        """Replace the stored payload of an existing version with ``content``;
+        its delta-stored children are re-encoded, their content unchanged."""
         self._mutable_graph(entry)  # copy-on-write before node kinds change
         children = self._stash_rebased(entry, serial)
         probe.point("store.rewrite.stashed")
-        kind_changed = self._reencode(entry, serial, content, log_op)
+        self._reencode(entry, serial, content, log_op)
         # The version's content changed: its decoded copy is stale.  The
         # children's stay valid (only their encoding changes).
         self._decoded_cache.pop(Vid(entry.oid, serial))
         for child, child_content in children.items():
-            kind_changed |= self._reencode(entry, child, child_content, log_op)
-        if kind_changed:
-            # A node's storage kind lives in the object-table record; a
-            # reopen must not read the full copy just written as a delta.
-            self._save_entry(entry, log_op)
+            self._reencode(entry, child, child_content, log_op)
 
     # -- the one door in, and the one door out ----------------------------------
 
@@ -843,29 +867,25 @@ class VersionStore(VersionReads):
         """Add one object with its history: the only way an object enters.
 
         ``versions`` are ``(serial, dprev, ctime, content)`` in serial
-        order (a parent precedes its children), ``content`` the encoded
-        payload; each is stored under this store's policy.  ``max_serial``
-        is the graph's high-water mark: serials up to it stay dead, as
-        they were where the history came from (paper §4: a version id
-        names one version).  ``pnew`` installs one version; vacuum and
-        dump/load install what :meth:`export` yields.  An oid already
-        here is refused.
+        order, ``content`` the encoded payload; each is stored under this
+        store's policy.  ``max_serial``, the home record's floor, keeps
+        serials up to it dead, as they were where the history came from
+        (paper §4: a version id names one version).  ``pnew`` installs one
+        version; vacuum and dump/load install what :meth:`export` yields.
+        An oid already here is refused.
         """
         if oid in self._table:
             raise VersionError(f"object {oid!r} already exists")
         graph = VersionGraph()
-        entry = _Entry(oid, type_name, graph, None)
+        entry = _Entry(oid, type_name, graph, None, max_serial)
         for serial, dprev, ctime, content in versions:
-            data = self._store_payload(entry, serial, content, dprev, log_op)
-            graph.create(serial, dprev, ctime, data)
+            self._store_payload(entry, graph.create(serial, dprev, ctime), content, log_op)
             self._cache_bytes(Vid(oid, serial), content)
         if not len(graph):
             raise VersionError(f"object {oid!r} has no versions to install")
         graph.reserve(max_serial)
-        self._save_entry(entry, log_op)
-        self._table[oid] = entry
-        self._by_type.setdefault(type_name, set()).add(oid)
-        self._dirty_oids.add(oid)
+        self._save_home(entry, log_op)
+        self._add(entry)
 
     def export(self) -> Iterator[tuple[Oid, str, int, list[VersionRecord]]]:
         """``(oid, type_name, max_serial, versions)`` for every live object,
@@ -926,7 +946,7 @@ class VersionStore(VersionReads):
         version; with a version id / specific reference, the base is that
         version -- deriving from a non-latest version is what creates
         variants (alternatives).  The new version starts with the base's
-        contents and becomes the object's latest.
+        contents and becomes the object's latest: one version record.
         """
         probe.point("store.newversion")
         base_vid = self._vid_of(target)
@@ -934,11 +954,9 @@ class VersionStore(VersionReads):
         graph = self._mutable_graph(entry)
         base_serial = base_vid.serial
         content = self._version_bytes(entry, base_serial)
-        serial = graph.max_serial + 1
-        data = self._store_payload(entry, serial, content, base_serial, log_op)
-        graph.create(serial, base_serial, time.time(), data)
-        self._save_entry(entry, log_op)
-        vid = Vid(entry.oid, serial)
+        node = graph.create(graph.max_serial + 1, base_serial, time.time())
+        self._store_payload(entry, node, content, log_op, same=True)
+        vid = Vid(entry.oid, node.serial)
         self._cache_bytes(vid, content)
         self._dirty_oids.add(entry.oid)
         self._notify(EV_NEWVERSION, entry.oid, vid)
@@ -965,8 +983,7 @@ class VersionStore(VersionReads):
             _kind, page_id, slot = node.data
             self._record_delete(Rid(page_id, slot), log_op)
         self._invalidate_object(oid)
-        if entry.rid is not None:
-            self._objects.delete(entry.rid, log_op)
+        self._objects.delete(entry.rid, log_op)
         del self._table[oid]
         self._by_type[entry.type_name].discard(oid)
         self._notify(EV_DELETE_OBJECT, oid, None)
@@ -981,16 +998,20 @@ class VersionStore(VersionReads):
             self._delete_object(vid.oid, log_op)
             return
         graph = self._mutable_graph(entry)
-        # Children stored as deltas against this version are re-based
-        # onto its parent (or become full copies) after the splice.
+        # Each child's record is rewritten for its new parent; one stored
+        # as a delta against this version is re-based (or goes full).
         children = self._stash_rebased(entry, vid.serial)
         removed = graph.remove(vid.serial)
         _kind, page_id, slot = removed.data
         self._record_delete(Rid(page_id, slot), log_op)
         self._invalidate_version(vid)
-        for child, child_content in children.items():
-            self._reencode(entry, child, child_content, log_op)
-        self._save_entry(entry, log_op)
+        for child in removed.children:
+            probe.point("store.rebase")
+            self._reencode(entry, child, children.get(child), log_op)
+        if vid.serial == graph.max_serial:  # the floor keeps it dead
+            probe.point("store.floor")
+            entry.floor = vid.serial
+            self._save_home(entry, log_op)
         self._notify(EV_DELETE_VERSION, vid.oid, vid)
 
     # -- dereferencing (used by Ref / VersionRef) --------------------------------
@@ -1022,13 +1043,10 @@ class VersionStore(VersionReads):
     def read_attr(self, vid: Vid, name: str) -> Any:
         """Attribute-read fast path over a *shared* cached decode.
 
-        Pointer transparency (``ref.field``) decodes a whole payload to
-        read one attribute; this caches the decoded object and serves
-        reads from it when the value cannot alias mutable cached state
-        (immutable scalars, ids, containers the pointer layer copies).
-        Returns :data:`READ_MISS` when the caller must fall back to a
-        fresh :meth:`materialize` (methods need a private receiver for
-        write-back; unknown types could leak shared mutable state).
+        Serves ``ref.field`` from the cached decoded object when the value
+        cannot alias mutable cached state (immutable scalars, ids,
+        containers the pointer layer copies); returns :data:`READ_MISS`
+        when the caller must fall back to a fresh :meth:`materialize`.
         """
         return shared_attr(self._shared_decode(self._version_entry(vid), vid), name)
 
@@ -1050,12 +1068,8 @@ class VersionStore(VersionReads):
         return serialization.encode(unwrap_ids(obj))
 
     def version_dirty(self, vid: Vid, obj: Any) -> bool:
-        """True unless ``obj`` re-encodes byte-identically to the stored version.
-
-        A false positive (codec not byte-stable for some value) only costs
-        a redundant write -- the pre-skip behaviour; a false negative is
-        impossible because the comparison is on exact payload bytes.
-        """
+        """True unless ``obj`` re-encodes byte-identically to the stored
+        version (a codec that is not byte-stable only costs a write)."""
         entry = self._table.get(vid.oid)
         if entry is None or vid.serial not in entry.graph:
             return True  # let write_version raise the precise error
@@ -1064,12 +1078,9 @@ class VersionStore(VersionReads):
     def write_version_if_changed(
         self, vid: Vid, obj: Any, log_op: LogOp | None = None
     ) -> bool:
-        """:meth:`write_version`, skipped when the payload is unchanged.
-
-        The write-back path behind ``ref.method(...)`` calls this so pure
-        reader methods stop generating WAL records, heap updates, and
-        cache invalidations.  Returns True when a write happened.
-        """
+        """:meth:`write_version`, skipped when the payload is unchanged (the
+        write-back behind ``ref.method(...)``: a pure reader method writes
+        nothing).  Returns True when a write happened."""
         if not self.version_dirty(vid, obj):
             self._stats.writebacks_skipped += 1
             return False

@@ -11,11 +11,9 @@ id.
 Within one object, version serials are assigned monotonically, so the
 *temporal chain* is simply the live serials in ascending order; deletion
 splices the chain implicitly.  The *derived-from* relationship is a parent
-pointer per version.  It starts as a tree rooted at the first version; the
-paper's figures draw it as a tree, and deleting a non-root version keeps it
-a tree by re-parenting the deleted version's children to its parent.
-Deleting the root promotes its children to roots, so in full generality the
-structure is a forest -- the invariant checker accounts for that.
+pointer per version: a tree rooted at the first version, kept a tree by
+re-parenting a deleted version's children to its parent -- a forest once
+the root itself is deleted (its children become roots).
 
 Terminology from the paper (§4):
 
@@ -30,8 +28,8 @@ location; the graph itself never interprets it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Any, Iterator
+from bisect import bisect_left, bisect_right
+from typing import Any, Iterable, Iterator
 
 from repro.errors import GraphInvariantError, UnknownVersionError
 
@@ -41,13 +39,7 @@ class VersionNode:
 
     __slots__ = ("serial", "dprev", "children", "ctime", "data")
 
-    def __init__(
-        self,
-        serial: int,
-        dprev: int | None,
-        ctime: float,
-        data: Any = None,
-    ) -> None:
+    def __init__(self, serial: int, dprev: int | None, ctime: float, data: Any = None) -> None:
         self.serial = serial
         self.dprev = dprev
         self.children: list[int] = []
@@ -62,10 +54,16 @@ class VersionGraph:
     """Temporal chain and derivation forest over one object's versions."""
 
     def __init__(self) -> None:
+        #: Live nodes in serial order, which is temporal order (a created
+        #: serial exceeds every key, so it is appended).
         self._nodes: dict[int, VersionNode] = {}
-        self._order: list[int] = []  # live serials, ascending == temporal
-        self._ctimes: list[float] = []  # creation times, parallel to _order
+        #: ``(serials, ctimes)`` for bisection, built on first use after a
+        #: change (:meth:`_chain`).
+        self._index: tuple[list[int], list[float]] | None = None
+        self._latest: int | None = None
         self._max_serial = 0  # high-water mark; never reused
+        #: Serials whose nodes this graph may change in place (None: all).
+        self._owned: set[int] | None = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -84,7 +82,7 @@ class VersionGraph:
 
     def serials(self) -> list[int]:
         """Live serials in temporal (ascending) order (copy)."""
-        return list(self._order)
+        return list(self._nodes)
 
     def latest(self) -> int | None:
         """Serial of the temporally latest version, or None when empty.
@@ -92,11 +90,19 @@ class VersionGraph:
         This is what an object id dereferences to (paper §4: the object id
         "logically refers to the latest version of the object").
         """
-        return self._order[-1] if self._order else None
+        return self._latest
 
     def roots(self) -> list[int]:
         """Serials whose derivation parent is gone or never existed."""
-        return [s for s in self._order if self._nodes[s].dprev is None]
+        return [n.serial for n in self.walk_temporal() if n.dprev is None]
+
+    def _chain(self) -> tuple[list[int], list[float]]:
+        """The temporal chain's serials and creation times, for bisection."""
+        index = self._index
+        if index is None:
+            nodes = self._nodes.values()
+            index = self._index = ([n.serial for n in nodes], [n.ctime for n in nodes])
+        return index
 
     @property
     def max_serial(self) -> int:
@@ -108,14 +114,10 @@ class VersionGraph:
     def create(self, serial: int, dprev: int | None, ctime: float, data: Any = None) -> VersionNode:
         """Add a version.  ``dprev`` is its derivation parent (None = root).
 
-        Serials must be fresh and strictly greater than every serial ever
-        assigned, which is what keeps the temporal chain equal to serial
-        order.
-
-        ``ctime`` is clamped to the newest live version's creation time
-        when the clock has run backwards (an NTP step): the temporal chain
-        is ordered by *creation*, and ``latest_at`` bisects ``_ctimes``,
-        so the list must stay sorted no matter what the wall clock does.
+        The serial must exceed every serial ever assigned (which keeps the
+        temporal chain in serial order).  ``ctime`` is clamped to the
+        newest live version's when the clock has run backwards (an NTP
+        step): ``latest_at`` bisects the creation times along the chain.
         """
         if serial in self._nodes:
             raise GraphInvariantError(f"serial {serial} already exists")
@@ -123,16 +125,16 @@ class VersionGraph:
             raise GraphInvariantError(
                 f"serial {serial} is not greater than high-water mark {self._max_serial}"
             )
-        if self._ctimes and ctime < self._ctimes[-1]:
-            ctime = self._ctimes[-1]
+        if self._latest is not None:
+            ctime = max(ctime, self._nodes[self._latest].ctime)
         if dprev is not None:
-            parent = self.node(dprev)
-            parent.children.append(serial)
+            self.own(dprev).children.append(serial)
         node = VersionNode(serial, dprev, ctime, data)
         self._nodes[serial] = node
-        self._order.append(serial)
-        self._ctimes.append(ctime)
-        self._max_serial = serial
+        if self._owned is not None:
+            self._owned.add(serial)
+        self._index = None
+        self._latest = self._max_serial = serial
         return node
 
     def reserve(self, max_serial: int) -> None:
@@ -141,26 +143,22 @@ class VersionGraph:
         self._max_serial = max(self._max_serial, max_serial)
 
     def remove(self, serial: int) -> VersionNode:
-        """Delete one version, splicing both relationships (paper §4.4).
-
-        The deleted version's derivation children are re-parented to its
-        derivation parent (they become roots if it had none).  The temporal
-        chain splices by construction.  Returns the removed node.
-        """
+        """Delete one version, splicing both relationships (paper §4.4):
+        its derivation children are re-parented to its parent (or become
+        roots).  Returns the removed node."""
         node = self.node(serial)
         parent_serial = node.dprev
-        if parent_serial is not None:
-            parent = self._nodes[parent_serial]
+        parent = None if parent_serial is None else self.own(parent_serial)
+        if parent is not None:
             parent.children.remove(serial)
         for child_serial in node.children:
-            child = self._nodes[child_serial]
-            child.dprev = parent_serial
-            if parent_serial is not None:
-                self._nodes[parent_serial].children.append(child_serial)
+            self.own(child_serial).dprev = parent_serial
+            if parent is not None:
+                parent.children.append(child_serial)
         del self._nodes[serial]
-        idx = bisect_left(self._order, serial)
-        del self._order[idx]
-        del self._ctimes[idx]
+        self._index = None
+        if serial == self._latest:
+            self._latest = next(reversed(self._nodes), None)
         return node
 
     # -- traversal (paper §4: Dprevious / Tprevious and duals) -----------------
@@ -176,26 +174,27 @@ class VersionGraph:
     def latest_at(self, timestamp: float) -> int | None:
         """Serial of the newest version created at or before ``timestamp``.
 
-        Binary search over creation times: the temporal chain is totally
-        ordered (serials are assigned monotonically, paper §3), so the
-        ctime list is sorted in parallel with ``_order``.  Among versions
-        sharing a ctime the temporally latest wins, matching a linear
-        scan.  Returns None when every live version is newer.
+        Binary search over the creation times, sorted along the temporal
+        chain; among versions sharing a ctime the temporally latest wins.
+        Returns None when every live version is newer.
         """
-        idx = bisect_right(self._ctimes, timestamp)
-        return self._order[idx - 1] if idx > 0 else None
+        order, ctimes = self._chain()
+        idx = bisect_right(ctimes, timestamp)
+        return order[idx - 1] if idx > 0 else None
 
     def tprevious(self, serial: int) -> int | None:
         """The temporally preceding live version, or None for the oldest."""
         self.node(serial)
-        idx = bisect_left(self._order, serial)
-        return self._order[idx - 1] if idx > 0 else None
+        order = self._chain()[0]
+        idx = bisect_left(order, serial)
+        return order[idx - 1] if idx > 0 else None
 
     def tnext(self, serial: int) -> int | None:
         """The temporally following live version, or None for the latest."""
         self.node(serial)
-        idx = bisect_left(self._order, serial)
-        return self._order[idx + 1] if idx + 1 < len(self._order) else None
+        order = self._chain()[0]
+        idx = bisect_left(order, serial)
+        return order[idx + 1] if idx + 1 < len(order) else None
 
     def history(self, serial: int) -> list[int]:
         """The version history of ``serial``: the derivation path, newest first.
@@ -212,7 +211,7 @@ class VersionGraph:
 
     def leaves(self) -> list[int]:
         """Serials with no derivation children -- the up-to-date alternatives."""
-        return [s for s in self._order if not self._nodes[s].children]
+        return [n.serial for n in self.walk_temporal() if not n.children]
 
     def alternatives(self) -> list[list[int]]:
         """Every root-to-leaf derivation path, each oldest-first.
@@ -238,45 +237,67 @@ class VersionGraph:
 
     def walk_temporal(self) -> Iterator[VersionNode]:
         """Yield live nodes oldest-first (the temporal chain)."""
-        for serial in self._order:
-            yield self._nodes[serial]
+        yield from list(self._nodes.values())
 
     def clone(self) -> VersionGraph:
-        """A structurally independent copy sharing only the ``data`` payloads.
+        """A copy sharing every node with this graph until it changes one.
 
-        The snapshot layer publishes graphs by reference and marks them
-        shared; a writer about to mutate a shared graph clones it first
-        (copy-on-write), so pinned snapshot readers keep traversing the
-        frozen original without any lock.  ``data`` values (payload
-        locations) are treated as immutable by the store -- every rewrite
-        installs a fresh tuple -- so they can be shared.
+        A writer clones a published graph before mutating it, so pinned
+        snapshot readers keep traversing the frozen original without a
+        lock; a node is copied only when the clone first changes it
+        (:meth:`own`), so a write costs the nodes it touches.
         """
         copy = VersionGraph()
-        for serial in self._order:
-            node = self._nodes[serial]
-            twin = VersionNode(serial, node.dprev, node.ctime, node.data)
-            twin.children = list(node.children)
-            copy._nodes[serial] = twin
-        copy._order = list(self._order)
-        copy._ctimes = list(self._ctimes)
-        copy._max_serial = self._max_serial
+        copy._nodes = self._nodes.copy()
+        copy._latest, copy._max_serial = self._latest, self._max_serial
+        copy._owned = set()
         return copy
+
+    def own(self, serial: int) -> VersionNode:
+        """The node for ``serial``, safe to change in place: a node still
+        shared with the graph this one was cloned from is copied first."""
+        node = self.node(serial)
+        if self._owned is None or serial in self._owned:
+            return node
+        twin = VersionNode(serial, node.dprev, node.ctime, node.data)
+        twin.children = list(node.children)
+        self._nodes[serial] = twin
+        self._owned.add(serial)
+        return twin
+
+    @staticmethod
+    def build(
+        rows: Iterable[tuple[int, int | None, float, Any]], max_serial: int
+    ) -> VersionGraph:
+        """A graph from its ``(serial, dprev, ctime, data)`` rows, any
+        order, and its high-water mark; raises when they do not form one."""
+        graph = VersionGraph()
+        for serial, dprev, ctime, data in sorted(rows, key=lambda row: row[0]):
+            graph._nodes[serial] = VersionNode(serial, dprev, ctime, data)
+        for node in graph._nodes.values():
+            parent = graph._nodes.get(node.dprev)
+            if parent is not None:
+                parent.children.append(node.serial)
+        graph._latest = next(reversed(graph._nodes), None)
+        graph._max_serial = max(max_serial, graph._latest or 0)
+        graph.validate()
+        return graph
 
     # -- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Check every structural invariant; raises on violation.
-
-        Exercised directly by the property-based tests after random op
-        sequences.
-        """
-        if sorted(self._nodes) != self._order:
-            raise GraphInvariantError("temporal chain out of sync with node set")
-        if self._ctimes != [self._nodes[s].ctime for s in self._order]:
-            raise GraphInvariantError("ctime index out of sync with temporal chain")
-        if any(a > b for a, b in zip(self._ctimes, self._ctimes[1:])):
+        """Check every structural invariant; raises on violation."""
+        order = list(self._nodes)
+        ctimes = [node.ctime for node in self._nodes.values()]
+        if order != sorted(order):
+            raise GraphInvariantError("temporal chain out of serial order")
+        if self._index is not None and self._index != (order, ctimes):
+            raise GraphInvariantError("chain index out of sync with temporal chain")
+        if any(a > b for a, b in zip(ctimes, ctimes[1:])):
             raise GraphInvariantError("creation times not sorted along temporal chain")
-        if self._order and self._order[-1] > self._max_serial:
+        if (order[-1] if order else None) != self._latest:
+            raise GraphInvariantError("latest serial out of sync with temporal chain")
+        if order and order[-1] > self._max_serial:
             raise GraphInvariantError("high-water mark below a live serial")
         for serial, node in self._nodes.items():
             if node.serial != serial:
@@ -302,39 +323,3 @@ class VersionGraph:
                         f"child {child} does not point back to {serial}"
                     )
         # Acyclicity follows from dprev < serial, checked above.
-
-    # -- persistence ------------------------------------------------------------
-
-    def to_state(self) -> tuple:
-        """Codec-friendly snapshot: ``(max_serial, [(serial, dprev, ctime, data)...])``."""
-        rows = [
-            (n.serial, -1 if n.dprev is None else n.dprev, n.ctime, n.data)
-            for n in self.walk_temporal()
-        ]
-        return (self._max_serial, rows)
-
-    @staticmethod
-    def from_state(state: tuple) -> VersionGraph:
-        """Rebuild a graph from :meth:`to_state` output."""
-        max_serial, rows = state
-        graph = VersionGraph()
-        for serial, dprev, ctime, data in rows:
-            node = VersionNode(serial, None if dprev == -1 else dprev, ctime, data)
-            graph._nodes[serial] = node
-            insort(graph._order, serial)
-        for node in graph._nodes.values():
-            if node.dprev is not None:
-                graph._nodes[node.dprev].children.append(node.serial)
-        # Graphs persisted before ctime clamping existed may carry a
-        # wall-clock regression; repair it the same way create() would have.
-        floor = float("-inf")
-        for serial in graph._order:
-            node = graph._nodes[serial]
-            if node.ctime < floor:
-                node.ctime = floor
-            else:
-                floor = node.ctime
-            graph._ctimes.append(node.ctime)
-        graph._max_serial = max_serial
-        graph.validate()
-        return graph

@@ -59,6 +59,9 @@ POINTS: dict[str, str] = {
             "heap.update.post", "heap.delete.pre", "heap.delete.post",
             "heap.span.fragment", "heap.replay_insert", "heap.replay_delete",
             "page.compact", "page.update.grow",
+            # a version pdelete's child re-base and floor write
+            # (repro.core.store)
+            "store.rebase", "store.floor",
             # cross-shard two-phase commit (repro.shard.coordinator)
             "shard.2pc.pre_prepare", "shard.2pc.post_prepare",
             "shard.2pc.pre_decision", "shard.2pc.post_decision",

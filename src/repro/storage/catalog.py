@@ -10,7 +10,8 @@ Catalog records are codec-encoded tuples:
 
 * ``("heap", name, file_id)`` -- a named heap file
 * ``("counter", name, value)`` -- a monotonic counter (updated in place)
-* ``("root", name, value)`` -- a named root value (any codec value)
+* ``("root", name, value)`` -- a named root value (any codec value);
+  a table whose rows change one at a time keeps one root per row
 """
 
 from __future__ import annotations
@@ -47,31 +48,22 @@ class Catalog:
         self._pool = pool
         self._page_locks = page_locks
         self._heap = HeapFile(CATALOG_FILE_ID, disk, pool, page_locks=page_locks)
+        self._open_heaps: dict[int, HeapFile] = {CATALOG_FILE_ID: self._heap}
+        self.reload()
+
+    def reload(self) -> None:
+        """Rebuild the in-memory catalog caches from heap file 1.
+
+        Run at open and after a transaction abort (the WAL undo has
+        restored the records; this brings counters/roots/heap names back
+        in line).  Open heap handles are kept -- pages never disappear.
+        """
         self._heaps: dict[str, int] = {}
         self._heap_rids: dict[str, Rid] = {}
         self._counters: dict[str, int] = {}
         self._counter_rids: dict[str, Rid] = {}
         self._roots: dict[str, Any] = {}
         self._root_rids: dict[str, Rid] = {}
-        self._open_heaps: dict[int, HeapFile] = {CATALOG_FILE_ID: self._heap}
-        self._load()
-
-    def reload(self) -> None:
-        """Rebuild the in-memory catalog caches from heap file 1.
-
-        Used after a transaction abort (the WAL undo has restored the
-        records; this brings counters/roots/heap names back in line).
-        Open heap handles are kept -- pages never disappear.
-        """
-        self._heaps.clear()
-        self._heap_rids.clear()
-        self._counters.clear()
-        self._counter_rids.clear()
-        self._roots.clear()
-        self._root_rids.clear()
-        self._load()
-
-    def _load(self) -> None:
         for rid, payload in self._heap.scan():
             entry = serialization.decode(payload)
             if not isinstance(entry, tuple) or len(entry) != 3:
@@ -174,6 +166,13 @@ class Catalog:
             self._heap.update(rid, payload, log_op)
         self._roots[name] = value
 
-    def root_names(self) -> list[str]:
-        """Registered root names, sorted."""
-        return sorted(self._roots)
+    def delete_root(self, name: str, log_op: LogOp | None = None) -> None:
+        """Remove a named root (a no-op if it is not set)."""
+        rid = self._root_rids.pop(name, None)
+        if rid is not None:
+            self._heap.delete(rid, log_op)
+            del self._roots[name]
+
+    def root_names(self, prefix: str = "") -> list[str]:
+        """Registered root names starting with ``prefix``, sorted."""
+        return [name for name in sorted(self._roots) if name.startswith(prefix)]

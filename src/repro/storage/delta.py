@@ -171,6 +171,19 @@ def compute_delta(
     return bytes(out)
 
 
+def identity_delta(content: bytes) -> bytes:
+    """``compute_delta(content, content)`` without the diff: ``COPY(0, n)``
+    from the length alone (the diff's literal where that is no shorter)."""
+    out = bytearray(_MAGIC)
+    write_uvarint(out, len(content))
+    write_uvarint(out, len(content))
+    op = bytearray((_OP_COPY, 0))
+    write_uvarint(op, len(content))
+    if len(op) >= len(content):
+        return compute_delta(content, content)
+    return bytes(out + op)
+
+
 def _emit_add(out: bytearray, data: bytes | memoryview) -> None:
     if len(data) == 0:
         return

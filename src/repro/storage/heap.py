@@ -84,18 +84,26 @@ class Rid(NamedTuple):
         return (self.page_id, self.slot)
 
 
-def body_payload(physical: bytes) -> bytes | None:
-    """The logical payload a physical record holds whole, as a WAL image
-    shows it: an inline, short or relocated body.  None for no image, a
-    forward stub or a fragment, which hold no record of their own; a
-    spanning master's payload lives in its fragments, so it raises."""
+#: What a WAL image holds (:func:`wal_image`).
+HOME, MOVED, STUB = 0, 1, 2
+
+
+def wal_image(physical: bytes) -> tuple[int, "bytes | Rid"] | None:
+    """What one WAL image of a physical record holds: ``(HOME, payload)``
+    for an inline or short body, ``(MOVED, payload)`` for a relocated one,
+    ``(STUB, target)`` for a forward stub, None for no image or a fragment
+    (a spanning master raises: its payload lives in its fragments)."""
     if not physical:
         return None
     marker = physical[0]
-    if marker in (_INLINE, _RELOC_INLINE):
-        return physical[1:]
+    if marker == _INLINE:
+        return HOME, physical[1:]
     if marker == _SHORT:
-        return physical[2 : 2 + physical[1]]
+        return HOME, physical[2 : 2 + physical[1]]
+    if marker == _RELOC_INLINE:
+        return MOVED, physical[1:]
+    if marker == _FORWARD:
+        return STUB, Rid(*serialization.decode_from(physical, 1)[0])
     if marker in (_MASTER, _RELOC_MASTER):
         raise HeapError("a spanning record's payload is not in its master")
     return None
@@ -281,7 +289,7 @@ class HeapFile:
     def _assemble(self, rid: Rid, body: bytes) -> bytes:
         """Logical payload from a body record (inline or spanning master)."""
         if body[0] not in (_MASTER, _RELOC_MASTER):
-            return body_payload(body)
+            return wal_image(body)[1]
         total_len, fragments = serialization.decode(body[1:])
         out = bytearray()
         for page_id, slot in fragments:
@@ -372,7 +380,7 @@ class HeapFile:
             for slot, physical in entries:
                 marker = physical[0]
                 if marker in (_INLINE, _SHORT):
-                    yield Rid(page_id, slot), body_payload(physical)
+                    yield Rid(page_id, slot), wal_image(physical)[1]
                 elif marker in (_MASTER, _FORWARD):
                     rid = Rid(page_id, slot)
                     yield rid, self.read(rid)

@@ -6,9 +6,9 @@ Checks, for an open database:
    temporal chain consistent, parent/child symmetry);
 2. every live version's payload materializes through the codec (delta
    chains reconstruct, spanning records assemble);
-3. every payload record in the versions heap is referenced by exactly one
-   live version (no orphans, no double-references);
-4. the object-table heap decodes record by record.
+3. every record in the versions heap is referenced by exactly one live
+   version (no orphans, no double-references);
+4. both heaps decode record by record, as an open loads them.
 
 With ``strict=True`` (used by the crash-matrix harness after every
 simulated crash + recovery) it additionally cross-checks the physical
@@ -18,9 +18,9 @@ layers against each other:
    slotted layout (slot extents in bounds, no overlaps);
 6. every page in the file is either unowned (zeroed/free) or tagged with
    a registered heap file id;
-7. the durable object table round-trips: each record rebuilds a valid
-   version graph, object ids are unique, and the result matches the
-   in-memory table (oids, types, serials, record ids);
+7. what an open derives from the home records and node headers is the
+   live table: same objects and types, graphs equal node for node and in
+   the high-water mark; and every version tag names a live version;
 8. the ``ode.oid`` counter is at or above every live object id, so a
    recovered database can never re-issue an id;
 9. every blob frame re-hashes to the key it is indexed under and is
@@ -37,8 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core import gc as gc_engine
 from repro.core.database import Database
-from repro.core.identity import Vid
+from repro.core.identity import Oid, Vid
+from repro.core.store import VersionStore
 from repro.core.vgraph import VersionGraph
 from repro.errors import BlobError, OdeError
 from repro.storage import blobs as blobstore
@@ -85,19 +87,12 @@ def check_database(db: Database, strict: bool = False) -> CheckReport:
     store = db.store
     catalog = db.catalog
 
-    versions_heap = catalog.ensure_heap("ode.versions")
-    objects_heap = catalog.ensure_heap("ode.objects")
-
-    # 4. object-table heap decodes.
-    from repro.storage import serialization
-
-    table_rids = set()
-    for rid, payload in objects_heap.scan():
-        table_rids.add(rid)
-        try:
-            serialization.decode(payload)
-        except OdeError as exc:
-            report.problems.append(f"object-table record {rid} undecodable: {exc}")
+    # 4. both heaps load, record by record, as an open loads them.
+    try:
+        durable: VersionStore | None = VersionStore(catalog, store.blobs, store.policy)
+    except (OdeError, ValueError, TypeError) as exc:
+        report.problems.append(f"the durable state is undecodable: {exc}")
+        durable = None
 
     # Delta chains longer than 2x the keyframe interval mean the policy's
     # keyframe cadence is not bounding replay cost (deep interior deletes
@@ -145,18 +140,16 @@ def check_database(db: Database, strict: bool = False) -> CheckReport:
             )
 
     # 3. orphan payload records.
-    for rid, _payload in versions_heap.scan():
+    for rid, _raw in catalog.ensure_heap("ode.versions").scan():
         if rid not in referenced:
             report.problems.append(f"orphan payload record at {rid}")
 
     # 9. content-addressed refcount audit: the derived blob index must
-    # agree with a from-scratch recount of the payload records, live keys
-    # must have their frames, and counts are never negative.
-    recounted: dict[str, int] = {}
-    for _rid, payload in versions_heap.scan():
-        if blobstore.is_ref(payload):
-            key, _size = blobstore.decode_ref(payload)
-            recounted[key] = recounted.get(key, 0) + 1
+    # agree with the recount an open derives from the payload records,
+    # live keys must have their frames, and counts are never negative.
+    recounted = {} if durable is None else {
+        key: count for key, (count, _size) in durable.blob_entries().items() if count
+    }
     entries = store.blob_entries()
     for key, count in recounted.items():
         entry = entries.get(key)
@@ -188,15 +181,13 @@ def check_database(db: Database, strict: bool = False) -> CheckReport:
                 )
 
     if strict:
-        _check_strict(db, report)
+        _check_strict(db, report, durable)
 
     return report
 
 
-def _check_strict(db: Database, report: CheckReport) -> None:
+def _check_strict(db: Database, report: CheckReport, durable: VersionStore | None) -> None:
     """Physical cross-consistency checks (crash-matrix teeth)."""
-    from repro.storage import serialization
-
     store = db.store
     catalog = db.catalog
     pool = db._pool
@@ -224,39 +215,32 @@ def _check_strict(db: Database, report: CheckReport) -> None:
             for problem in page.validate():
                 report.problems.append(f"page {page_id} (heap {flags}): {problem}")
 
-    # 7: durable object table round-trips and matches the in-memory table.
-    objects_heap = catalog.ensure_heap("ode.objects")
-    durable: dict = {}
-    for rid, payload in objects_heap.scan():
-        try:
-            oid, type_name, graph_state = serialization.decode(payload)
-            graph = VersionGraph.from_state(graph_state)
-        except (OdeError, ValueError, TypeError) as exc:
-            report.problems.append(
-                f"object-table record {rid} does not round-trip: {exc}"
-            )
-            continue
-        if oid in durable:
-            report.problems.append(f"object {oid!r} has duplicate table records")
-            continue
-        durable[oid] = (rid, type_name, graph)
+    # 7: the durable state, as an open derives it, matches memory.
     live = {ref.oid: store.graph(ref.oid) for ref in store.all_objects()}
-    for oid in sorted(set(durable) ^ set(live), key=lambda o: o.value):
-        where = "durable table only" if oid in durable else "in-memory table only"
+    on_disk = {} if durable is None else {
+        ref.oid: durable.graph(ref.oid) for ref in durable.all_objects()
+    }
+    for oid in sorted(set(on_disk) ^ set(live), key=lambda o: o.value):
+        where = "durable table only" if oid in on_disk else "in-memory table only"
         report.problems.append(f"object {oid!r} present in {where}")
-    for oid, (rid, type_name, graph) in durable.items():
-        if oid not in live:
-            continue
-        if type_name != store.type_name(oid):
+    for oid in set(on_disk) & set(live):
+        if durable.type_name(oid) != store.type_name(oid):
             report.problems.append(
-                f"object {oid!r} typed {type_name!r} on disk but "
+                f"object {oid!r} typed {durable.type_name(oid)!r} on disk but "
                 f"{store.type_name(oid)!r} in memory"
             )
-        if graph.serials() != live[oid].serials():
+        disk_nodes, live_nodes = _nodes(on_disk[oid]), _nodes(live[oid])
+        if disk_nodes != live_nodes:
+            first = next(((a, b) for a, b in zip(disk_nodes, live_nodes) if a != b), "count")
             report.problems.append(
-                f"object {oid!r}: durable serials {graph.serials()} != "
-                f"live serials {live[oid].serials()}"
+                f"object {oid!r}: durable graph != live graph (first difference: {first})"
             )
+    for oid_value, serials in gc_engine.load_tags(catalog).items():
+        for serial, tag in serials.items():
+            if not store.version_exists(Vid(Oid(oid_value), serial)):
+                report.problems.append(
+                    f"tag {tag!r} names {oid_value}:{serial}, not a live version"
+                )
 
     # 8: the id counter must never re-issue a live object id.
     next_oid = catalog.peek_value("ode.oid")
@@ -297,3 +281,10 @@ def _check_strict(db: Database, report: CheckReport) -> None:
             f"{blobs.dead_bytes()} dead byte(s) in {blobs.pack_count()} blob "
             "pack(s) await compaction (reclaim_blobs)"
         )
+
+
+def _nodes(graph: VersionGraph) -> list[tuple]:
+    """A graph's high-water mark, then its nodes, for comparison."""
+    return [("max_serial", graph.max_serial)] + [
+        (n.serial, n.dprev, n.ctime, n.data) for n in graph.walk_temporal()
+    ]

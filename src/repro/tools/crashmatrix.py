@@ -14,7 +14,7 @@ demands four things:
 
 1. ``tools.check.check_database(db, strict=True)`` reports no problems:
    graphs validate, payloads materialize, pages are structurally sound,
-   the durable object table round-trips, the id counter is safe;
+   the durable graphs round-trip, the id counter is safe;
 2. the recovered state is admissible.  Each workload mirrors its calls
    into a reference model (:class:`repro.verify.model.ModelStore`):
    ``committed`` holds what was acknowledged, ``pending`` a clone with
@@ -69,6 +69,7 @@ from typing import Callable, NamedTuple
 from repro import Database, PersistentObject, StoragePolicy, persistent, probe
 from repro.core.identity import Vid
 from repro.core.pointers import Ref
+from repro.core.store import split_record
 from repro.shard import ShardedDatabase
 from repro.storage import blobs
 from repro.storage.faults import (
@@ -89,15 +90,16 @@ from repro.verify.model import ModelStore, history
 ROUNDS = 8
 
 #: Bytes added to the blob payload per growth step; sized so later steps
-#: exceed one page (forcing spanning records) and shrink-then-grow cycles
-#: force in-page compaction.
+#: exceed one page and shrink-then-grow cycles force in-page compaction.
 BLOB_CHUNK = 1300
 
-#: newversions per explicit-transaction batch.  Graph state costs ~25
-#: bytes per node in the object table, so two batches push that record
-#: past one page -- the spanning/compaction paths no version record
-#: reaches (a payload over 256 bytes is a fixed-size blob reference).
+#: newversions per explicit-transaction batch: each is one version record.
 HISTORY_BATCH = 85
+
+#: Length of the tag a pruned version carries: past one page, so the
+#: catalog record spans (no version record does: a payload over 256
+#: bytes is a fixed-size blob reference).
+SPAN_TAG = 5000
 
 _JOIN_TIMEOUT = 60.0
 
@@ -220,9 +222,12 @@ _CRASH_HITS: dict[str, tuple[int, ...]] = {
     "heap.delete.pre": (1, 4),
     "heap.delete.post": (1, 4),
     "heap.span.fragment": (1, 4),
+    # A version pdelete: a child's re-base (a full copy here), the floor.
+    "store.rebase": (1, 2),
+    "store.floor": (1, 2),
     # Fire during transaction abort / savepoint rollback in the workload
     # (undo uses the replay helpers), i.e. a crash *mid-rollback*.
-    "heap.replay_insert": (1, 6),
+    "heap.replay_insert": (1, 4),
     "heap.replay_delete": (1,),
     "page.compact": (1,),
     "page.update.grow": (1, 5),
@@ -395,14 +400,16 @@ class _Worker:
 
             self._attempt(lambda model: model.write(item.oid, Item(self.wid, val)), sp_fn)
         elif self.committed.version_count(item.oid) > 3:
-            # Prune the two oldest versions once history is deep enough
-            # (exercises heap.delete on the version-index records).  Each
-            # pdelete is its own autocommit, so each gets its own ledger
-            # attempt (a crash between them is a valid intermediate state).
-            for _ in range(2):
+            # Prune the oldest version once history is deep enough (its
+            # full-copy children's records are re-based; its spanning tag
+            # goes with it), then the latest (the floor write keeps its
+            # serial dead).  Each pdelete is its own autocommit, so each
+            # gets its own ledger attempt.
+            db.tag_version(db.versions(item)[0], "t" * SPAN_TAG)
+            for pick in (0, -1):
                 self._attempt(
-                    lambda model: model.vdelete(item.oid, model.serials(item.oid)[0]),
-                    lambda: db.pdelete(db.versions(item)[0]),
+                    lambda model: model.vdelete(item.oid, model.serials(item.oid)[pick]),
+                    lambda: db.pdelete(db.versions(item)[pick]),
                 )
         else:
             self._write(item, Item(self.wid, base + 400), "val")
@@ -1152,7 +1159,7 @@ def _stored_inline(db: Database, vid: Vid) -> bool:
     """True when the version's heap record holds its payload, not a blob ref."""
     _kind, page_id, slot = db.store.graph(vid.oid).node(vid.serial).data
     record = db.catalog.ensure_heap("ode.versions").read(Rid(page_id, slot))
-    return not blobs.is_ref(record)
+    return not blobs.is_ref(split_record(record)[1])
 
 
 def _verify_gc(

@@ -1,7 +1,7 @@
 """Rewound-clock regression tests for version creation times.
 
 The temporal chain is ordered by creation, and ``latest_at`` bisects the
-parallel ``_ctimes`` list -- so a wall clock stepping backwards (NTP)
+creation times along it -- so a wall clock stepping backwards (NTP)
 between ``newversion`` calls used to silently break ``version_as_of``.
 ``create`` now clamps a rewound ctime to the newest live version's, and
 ``validate`` rejects unsorted chains outright.
@@ -48,27 +48,16 @@ def test_validate_rejects_unsorted_ctimes():
     graph.create(2, 1, 150.0)
     # Corrupt the chain the way the old bug did.
     graph.node(2).ctime = 10.0
-    graph._ctimes[1] = 10.0
     with pytest.raises(GraphInvariantError):
         graph.validate()
 
 
-def test_from_state_repairs_legacy_unsorted_graphs():
-    """Databases written before the clamp may hold unsorted ctimes; the
-    state loader applies the forward clamp so they validate again."""
-    graph = VersionGraph()
-    graph.create(1, None, 100.0)
-    graph.create(2, 1, 150.0)
-    max_serial, rows = graph.to_state()
-
-    # Forge a legacy state with a rewound middle entry.
-    legacy_rows = [
-        (serial, dprev, 10.0 if serial == 2 else ctime, data)
-        for serial, dprev, ctime, data in rows
-    ]
-    repaired = VersionGraph.from_state((max_serial, legacy_rows))
-    repaired.validate()
-    assert repaired.node(2).ctime == 100.0
+def test_build_rejects_unsorted_node_rows():
+    """Node rows are written with the clamped ctime, so rows whose ctimes
+    run backwards along the serials are refused, not repaired."""
+    rows = [(1, None, 100.0, None), (2, 1, 10.0, None)]
+    with pytest.raises(GraphInvariantError):
+        VersionGraph.build(rows, 2)
 
 
 def test_newversion_with_rewound_wall_clock(tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ from hypothesis.stateful import (
 
 from repro import Database, StoragePolicy
 from repro.core.identity import Oid, Vid
-from repro.core.store import INLINE_PAYLOAD_MAX
+from repro.core.store import INLINE_PAYLOAD_MAX, node_header, payload_of
 from repro.storage import blobs as blobstore
 from repro.storage import serialization
 from repro.storage.pages import PAGE_SIZE
@@ -39,6 +39,9 @@ from repro.verify.model import ModelStore
 #: Stored sizes the kernel-level tests draw from.  (0 is below the codec's
 #: one-byte floor; the record-funnel test below covers it.)
 SIZES = (1, 12, 13, blobstore.REF_SIZE, 255, 256, 257, PAGE_SIZE, PAGE_SIZE + 904)
+
+#: The node header the record-funnel tests put in front of their payloads.
+HEAD = node_header(Oid(999), 1, None, 0.0, "F")
 
 
 def value_of_stored_size(size: int, fill: int = 0x61):
@@ -56,7 +59,8 @@ def recount(db: Database):
     """(refs by key, inline record count, inline bytes) from ``ode.versions``."""
     refs: dict[str, int] = {}
     inline_records = inline_bytes = 0
-    for _rid, raw in db.catalog.ensure_heap("ode.versions").scan():
+    for _rid, record in db.catalog.ensure_heap("ode.versions").scan():
+        raw = payload_of(record)
         if blobstore.is_ref(raw):
             key, _size = blobstore.decode_ref(raw)
             refs[key] = refs.get(key, 0) + 1
@@ -93,13 +97,13 @@ def test_every_size_pair_round_trips_through_the_record_funnel(db):
     for a in sizes:
         for b in sizes:
             first, second = bytes([0x41]) * a, bytes([0x42]) * b
-            rid = db._mutate(None, lambda log: store._record_insert(first, log))
+            rid = db._mutate(None, lambda log: store._record_write(None, HEAD, first, log))
             raw = versions.read(rid)
-            assert blobstore.is_ref(raw) == (a > INLINE_PAYLOAD_MAX)
+            assert blobstore.is_ref(payload_of(raw)) == (a > INLINE_PAYLOAD_MAX)
             assert store._resolve_payload(raw) == first
-            db._mutate(None, lambda log: store._record_update(rid, second, log))
+            db._mutate(None, lambda log: store._record_write(rid, HEAD, second, log))
             raw = versions.read(rid)
-            assert blobstore.is_ref(raw) == (b > INLINE_PAYLOAD_MAX)
+            assert blobstore.is_ref(payload_of(raw)) == (b > INLINE_PAYLOAD_MAX)
             assert store._resolve_payload(raw) == second
             assert_accounting_exact(db)
             db._mutate(None, lambda log: store._record_delete(rid, log))
@@ -119,17 +123,17 @@ def test_ref_lookalike_is_stored_behind_a_real_reference(tmp_path):
     db = Database(path)
     store = db.store
     versions = db.catalog.ensure_heap("ode.versions")
-    rid = db._mutate(None, lambda log: store._record_insert(look, log))
+    rid = db._mutate(None, lambda log: store._record_write(None, HEAD, look, log))
     raw = versions.read(rid)
-    assert blobstore.decode_ref(raw) == (key, len(look))
+    assert blobstore.decode_ref(payload_of(raw)) == (key, len(look))
     assert store._resolve_payload(raw) == look
     assert store.blob_entries()[key] == (1, len(look))
     # Rewrite away (the real reference is dropped, not a phantom one) ...
-    db._mutate(None, lambda log: store._record_update(rid, b"plain", log))
+    db._mutate(None, lambda log: store._record_write(rid, HEAD, b"plain", log))
     assert store.blob_refcount(key) == 0
     assert store._resolve_payload(versions.read(rid)) == b"plain"
     # ... and back, then across a reopen: the recount finds the reference.
-    db._mutate(None, lambda log: store._record_update(rid, look, log))
+    db._mutate(None, lambda log: store._record_write(rid, HEAD, look, log))
     db.close()
     db = Database(path)
     try:

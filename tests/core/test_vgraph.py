@@ -182,10 +182,14 @@ def test_traversal_of_unknown_serial_raises():
         graph.tprevious(99)
 
 
-def test_state_roundtrip():
+def _rows(graph):
+    return [(n.serial, n.dprev, n.ctime, n.data) for n in graph.walk_temporal()]
+
+
+def test_build_roundtrip():
     graph = build_paper_graph()
     graph.node(2).data = ("F", 3, 1)
-    restored = VersionGraph.from_state(graph.to_state())
+    restored = VersionGraph.build(reversed(_rows(graph)), graph.max_serial)
     assert restored.serials() == graph.serials()
     assert restored.latest() == graph.latest()
     assert restored.node(2).data == ("F", 3, 1)
@@ -193,10 +197,10 @@ def test_state_roundtrip():
     assert restored.max_serial == graph.max_serial
 
 
-def test_state_roundtrip_preserves_high_water_mark():
+def test_build_keeps_the_high_water_mark():
     graph = build_paper_graph()
     graph.remove(4)
-    restored = VersionGraph.from_state(graph.to_state())
+    restored = VersionGraph.build(_rows(graph), 4)
     assert restored.max_serial == 4
     with pytest.raises(GraphInvariantError):
         restored.create(4, None, 9.9)

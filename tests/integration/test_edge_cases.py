@@ -151,20 +151,19 @@ def test_delta_database_reopens_under_full_policy(tmp_path):
 # -- vgraph: malformed persisted state ---------------------------------------------
 
 
-def test_from_state_rejects_cycles():
+def test_build_rejects_cycles():
     from repro.core.vgraph import VersionGraph
 
-    state = (2, [(1, 2, 0.0, None), (2, 1, 1.0, None)])  # 1 <- 2 <- 1
-    with pytest.raises((GraphInvariantError, KeyError)):
-        VersionGraph.from_state(state)
+    rows = [(1, 2, 0.0, None), (2, 1, 1.0, None)]  # 1 <- 2 <- 1
+    with pytest.raises(GraphInvariantError):
+        VersionGraph.build(rows, 2)
 
 
-def test_from_state_rejects_dangling_parent():
+def test_build_rejects_dangling_parent():
     from repro.core.vgraph import VersionGraph
 
-    state = (2, [(2, 7, 0.0, None)])
-    with pytest.raises((GraphInvariantError, KeyError)):
-        VersionGraph.from_state(state)
+    with pytest.raises(GraphInvariantError):
+        VersionGraph.build([(2, 7, 0.0, None)], 2)
 
 
 # -- render: degenerate graphs -----------------------------------------------------

@@ -38,6 +38,7 @@ from hypothesis.stateful import (
 )
 
 from repro import Database, persistent
+from repro.core.store import split_record
 from repro.errors import BlobCorruptError, BlobMissingError, SerializationError
 from repro.storage import blobs as blobstore
 from repro.storage import serialization
@@ -601,7 +602,8 @@ class BlobMachine(RuleBasedStateMachine):
         """Live blobs == union of reachable payload records, exactly."""
         recounted: dict[str, int] = {}
         heap = self.db.catalog.ensure_heap("ode.versions")
-        for _rid, payload in heap.scan():
+        for _rid, record in heap.scan():
+            payload = split_record(record)[1]
             if blobstore.is_ref(payload):
                 key, _size = blobstore.decode_ref(payload)
                 recounted[key] = recounted.get(key, 0) + 1

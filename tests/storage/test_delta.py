@@ -7,7 +7,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeltaError
@@ -16,6 +16,7 @@ from repro.storage.delta import (
     apply_delta,
     compute_delta,
     delta_stats,
+    identity_delta,
 )
 from repro.storage.serialization import read_uvarint, write_uvarint
 from repro.workloads.synthetic import mutate_payload, random_payload
@@ -352,3 +353,19 @@ def test_repeated_content_outside_the_middle_still_copies():
     delta = compute_delta(base, target)
     assert apply_delta(base, delta) == target
     assert len(delta) < 64
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=4096), st.integers(min_value=0, max_value=2**32))
+@example(0, 0)
+@example(3, 0)  # COPY(0, 3) is three bytes: the diff's literal instead
+@example(4, 0)
+@example(128, 0)  # a two-byte length
+@example(4096, 0)
+def test_property_identity_delta_is_the_diff_of_a_payload_with_itself(size, seed):
+    """A newversion's delta is written from the length alone; it is the
+    very bytes the diff would produce, at every size (the short ones
+    take the diff's literal)."""
+    content = random.Random(seed).randbytes(size)
+    assert identity_delta(content) == compute_delta(content, content)
+    assert apply_delta(content, identity_delta(content)) == content

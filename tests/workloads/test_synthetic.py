@@ -68,13 +68,13 @@ def test_make_random_tree_deterministic(db, tmp_path):
     from repro import Database
 
     _, versions1 = make_random_tree(db, 25, seed=9)
-    shape1 = db.graph(versions1[0].oid).to_state()[1]
+    shape1 = [(n.serial, n.dprev) for n in db.graph(versions1[0].oid).walk_temporal()]
 
     other = Database(tmp_path / "other")
     _, versions2 = make_random_tree(other, 25, seed=9)
-    shape2 = other.graph(versions2[0].oid).to_state()[1]
+    shape2 = [(n.serial, n.dprev) for n in other.graph(versions2[0].oid).walk_temporal()]
     # Same derivation structure (ignore wall-clock ctimes and payload rids).
-    assert [(s, d) for s, d, _, _ in shape1] == [(s, d) for s, d, _, _ in shape2]
+    assert shape1 == shape2
     other.close()
 
 
