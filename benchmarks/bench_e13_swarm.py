@@ -388,10 +388,13 @@ def test_e13_commit_grouping(swarm_server, benchmark):
 def test_e13_lane_hops_are_counted(tmp_path, benchmark):
     """Counted gate on the commit path's plumbing (counts, not times).
 
-    Per *awaited* stateful frame: exactly one lane run of one frame
-    (BEGIN, alone in its chunk on an idle lane, is served on the reactor
-    and costs none).  Per *pipelined* BEGIN/WRITE/COMMIT triple: exactly
-    one lane run for all three frames.  And the threads that do it: one
+    Per *awaited* stateful frame: exactly one lane run (BEGIN, alone in
+    its chunk on an idle lane, is served on the reactor and costs none;
+    a WRITE inside a transaction is not awaited and rides with the next
+    frame).  So an awaited BEGIN/WRITE/COMMIT is one lane run of two
+    frames, and BEGIN/NEWVERSION/WRITE/COMMIT two runs of three.  Per
+    *pipelined* BEGIN/WRITE/COMMIT triple: exactly one lane run for all
+    three frames.  And the threads that do it: one
     reactor and no worker for 256 idle connections, never more than
     1 + ``workers`` once lanes run.
     """
@@ -427,6 +430,12 @@ def test_e13_lane_hops_are_counted(tmp_path, benchmark):
                 await conn.commit()
             awaited = lanes()
             for j in range(txns):
+                await conn.begin()
+                vid = await conn.newversion(oid)
+                await conn.write(vid, "n", j)
+                await conn.commit()
+            versioned = lanes()
+            for j in range(txns):
                 conn.send(protocol.OP_BEGIN)
                 conn.send(protocol.OP_WRITE, (oid, "n", -j))
                 await conn.send(protocol.OP_COMMIT)
@@ -435,8 +444,10 @@ def test_e13_lane_hops_are_counted(tmp_path, benchmark):
                 "begin_runs": after_begin[0] - start[0],
                 "awaited_runs": awaited[0] - aborted[0],
                 "awaited_frames": awaited[1] - aborted[1],
-                "burst_runs": burst[0] - awaited[0],
-                "burst_frames": burst[1] - awaited[1],
+                "versioned_runs": versioned[0] - awaited[0],
+                "versioned_frames": versioned[1] - awaited[1],
+                "burst_runs": burst[0] - versioned[0],
+                "burst_frames": burst[1] - versioned[1],
             }
         finally:
             await conn.close()
@@ -458,8 +469,10 @@ def test_e13_lane_hops_are_counted(tmp_path, benchmark):
         counts, idle_threads=len(idle_census), busy_threads=len(busy_census)
     )
     assert counts["begin_runs"] == 0, "an awaited plain BEGIN must not take the lane"
-    # BEGIN inline + WRITE and COMMIT one single-frame lane run each.
-    assert (counts["awaited_runs"], counts["awaited_frames"]) == (2 * txns, 2 * txns)
+    # BEGIN inline; WRITE rides with COMMIT: one lane run of two frames.
+    assert (counts["awaited_runs"], counts["awaited_frames"]) == (txns, 2 * txns)
+    # NEWVERSION waits for its vid: one run; WRITE + COMMIT: another.
+    assert (counts["versioned_runs"], counts["versioned_frames"]) == (2 * txns, 3 * txns)
     assert (counts["burst_runs"], counts["burst_frames"]) == (txns, 3 * txns)
     assert idle_census == ["ode-net-reactor"], idle_census
     assert len(busy_census) <= 1 + workers, busy_census

@@ -800,9 +800,12 @@ class Database(VersionReads, SessionHost):
         )
 
     def version_tags(self, target: Ref | VersionRef | Oid | Vid) -> dict[int, str]:
-        """The object's tags: version serial -> tag string."""
+        """The object's tags: version serial -> tag string.  One catalog
+        lookup per live version, however many tags other objects hold."""
         oid = oid_of(target)
-        return gc_engine.load_tags(self._catalog, oid).get(oid.value, {})
+        serials = self._store.graph(oid).serials() if self._store.object_exists(oid) else ()
+        tags = ((s, self._catalog.get_root(gc_engine.tag_root(Vid(oid, s)))) for s in serials)
+        return {serial: tag for serial, tag in tags if tag is not None}
 
     def run_gc(
         self, batch_limit: int = 64, now: float | None = None, dry_run: bool = False
@@ -889,7 +892,8 @@ class Database(VersionReads, SessionHost):
         # the packs that emptied once the copies are synced.
         store.blobs.compact()
         store.blobs.sync()
-        self._gc_mark = store.garbage_and_live_bytes()[0]
+        # Candidates displaced but not yet published clear at that publish.
+        self._gc_mark = store.garbage_and_live_bytes()[0] - store.unpublished_garbage()
         self._gc_counters["blobs_unlinked"] += len(eligible)
         self._gc_counters["bytes_freed"] += freed
         return (len(eligible), freed, remaining)

@@ -118,11 +118,10 @@ def tag_root(vid: Vid) -> str:
     return f"{TAG_PREFIX}{vid.oid.value}:{vid.serial}"
 
 
-def load_tags(catalog: Any, oid: Oid | None = None) -> dict[int, dict[int, str]]:
-    """Version tags: oid value -> {serial -> tag}, of one object or all."""
-    prefix = TAG_PREFIX if oid is None else f"{TAG_PREFIX}{oid.value}:"
+def load_tags(catalog: Any) -> dict[int, dict[int, str]]:
+    """Every version tag: oid value -> {serial -> tag}."""
     tags: dict[int, dict[int, str]] = {}
-    for name in catalog.root_names(prefix):
+    for name in catalog.root_names(TAG_PREFIX):
         oid_value, serial = name[len(TAG_PREFIX):].split(":")
         tags.setdefault(int(oid_value), {})[int(serial)] = catalog.get_root(name)
     return tags

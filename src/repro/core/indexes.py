@@ -24,13 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable
 
-from repro.errors import OdeError
 from repro.core.identity import Oid, Vid
 from repro.core.surface import type_name_of
-
-
-class IndexError_(OdeError):
-    """An index operation failed (shadow of the builtin name on purpose)."""
 
 
 class AttrEquals:

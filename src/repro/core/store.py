@@ -634,6 +634,11 @@ class VersionStore(VersionReads):
         referenced payload bytes (what the garbage pacer compares)."""
         return self._pending_bytes + self._blobs.dead_bytes(), self._live_bytes
 
+    def unpublished_garbage(self) -> int:
+        """Bytes of the candidates displaced since the last publish."""
+        epoch, index = self._snapshots.epoch, self._blob_index
+        return sum(index[k].size for k, stamp in self._gc_candidates.items() if stamp >= epoch)
+
     def blob_stats(self) -> dict[str, int]:
         """Blob-store counters plus index totals (``blobs.*`` namespace)."""
         out = self._blobs.stats_dict()

@@ -18,18 +18,14 @@ decides what happens to each connection and each forwarded chunk:
   connection dies, which is the point;
 * **truncate** -- forward only a prefix of a chunk, then kill the
   connection: the canonical *truncate-mid-frame*;
-* **drip** -- slow-drip a chunk a few bytes at a time (a pathologically
-  slow peer; exercises incremental decoders and server write-buffer
-  caps);
-* **kill_after** -- abruptly close a connection after N forwarded bytes;
 * **partition** -- refuse new connections and black-hole traffic on
   established ones until :meth:`ChaosProxy.heal` (an asymmetric-free,
-  full partition).
+  full partition); :meth:`ChaosProxyThread.kill_all` drops every live
+  connection at once.
 
 Determinism: all probabilistic choices draw from one ``random.Random``
 seeded in the plan, and chunk/connection ordinals are deterministic for
-a deterministic workload.  Scripted one-shots (``kill_conn``,
-``partition_at``) need no randomness at all.
+a deterministic workload.
 
 Fault-registry composition: the proxy visits the ``net.proxy.*`` error
 points (:data:`repro.probe.POINTS`) on accept and on every forwarded
@@ -80,20 +76,10 @@ class _DirRule:
     dup_prob: float = 0.0
     drop_prob: float = 0.0
     truncate_prob: float = 0.0
-    drip_bytes: int = 0
-    drip_interval: float = 0.0
-
-
-@dataclass
-class _ConnScript:
-    """Scripted one-shots for one connection ordinal."""
-
-    refuse: bool = False
-    kill_after_bytes: int | None = None
 
 
 class ChaosPlan:
-    """A seeded, scriptable schedule of network faults.
+    """A seeded schedule of network faults.
 
     Chainable like :class:`~repro.storage.faults.FaultPlan`::
 
@@ -102,7 +88,6 @@ class ChaosPlan:
             .delay(S2C, prob=0.05, min_s=0.001, max_s=0.02)
             .duplicate(C2S, prob=0.02)
             .truncate(S2C, prob=0.01)
-            .kill_conn(3)               # refuse the 4th connection
         )
 
     Probabilities are evaluated per forwarded chunk against a
@@ -117,7 +102,6 @@ class ChaosPlan:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._rules: dict[str, _DirRule] = {C2S: _DirRule(), S2C: _DirRule()}
-        self._scripts: dict[int, _ConnScript] = {}
 
     def stream_rng(self, conn_ordinal: int, direction: str) -> random.Random:
         """An independent RNG for one connection's one direction.
@@ -135,9 +119,6 @@ class ChaosPlan:
             raise ValueError(
                 f"direction must be {C2S!r} or {S2C!r}, not {direction!r}"
             ) from None
-
-    def _script(self, conn: int) -> _ConnScript:
-        return self._scripts.setdefault(conn, _ConnScript())
 
     # -- probabilistic knobs (chainable) -----------------------------------
 
@@ -164,26 +145,6 @@ class ChaosPlan:
         self._rule(direction).truncate_prob = prob
         return self
 
-    def drip(
-        self, direction: str, bytes_per_tick: int, interval_s: float
-    ) -> "ChaosPlan":
-        """Slow-drip every chunk ``bytes_per_tick`` at a time."""
-        rule = self._rule(direction)
-        rule.drip_bytes, rule.drip_interval = bytes_per_tick, interval_s
-        return self
-
-    # -- scripted one-shots (deterministic, no randomness) ------------------
-
-    def kill_conn(self, conn_ordinal: int) -> "ChaosPlan":
-        """Refuse the Nth accepted connection outright (0-based)."""
-        self._script(conn_ordinal).refuse = True
-        return self
-
-    def kill_after(self, conn_ordinal: int, nbytes: int) -> "ChaosPlan":
-        """Abruptly close the Nth connection after forwarding ``nbytes``."""
-        self._script(conn_ordinal).kill_after_bytes = nbytes
-        return self
-
 
 @dataclass
 class ChaosStats:
@@ -200,9 +161,6 @@ class ChaosStats:
     bytes_forwarded: int = 0
     bytes_blackholed: int = 0
     partitions: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {f"chaos.{k}": v for k, v in self.__dict__.items()}
 
 
 class _Link:
@@ -221,7 +179,6 @@ class _Link:
         self.client_writer = client_writer
         self.server_reader = server_reader
         self.server_writer = server_writer
-        self.forwarded = 0
         self.dead = False
 
     def kill(self) -> None:
@@ -268,10 +225,6 @@ class ChaosProxy:
         assert self._server is not None, "proxy not started"
         return self._server.sockets[0].getsockname()[1]
 
-    @property
-    def partitioned(self) -> bool:
-        return self._partitioned
-
     async def start(self) -> "ChaosProxy":
         self._server = await asyncio.start_server(
             self._handle, self.host, self._requested_port
@@ -294,12 +247,6 @@ class ChaosProxy:
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-
-    async def __aenter__(self) -> "ChaosProxy":
-        return await self.start()
-
-    async def __aexit__(self, *exc: object) -> None:
-        await self.close()
 
     # -- partition control ---------------------------------------------------
 
@@ -330,12 +277,12 @@ class ChaosProxy:
             task.add_done_callback(self._tasks.discard)
         ordinal = next(self._ordinals)
         self.stats.conns_total += 1
-        script = self.plan._scripts.get(ordinal)
         try:
             probe.point("net.proxy.accept")
+            refuse = self._partitioned
         except faults.InjectedFaultError:
-            script = _ConnScript(refuse=True)
-        if self._partitioned or (script is not None and script.refuse):
+            refuse = True
+        if refuse:
             self.stats.conns_refused += 1
             transport = writer.transport
             if transport is not None:
@@ -374,7 +321,6 @@ class ChaosProxy:
             failpoint = "net.proxy.forward.s2c"
         rule = self.plan._rule(direction)
         rng = self.plan.stream_rng(link.ordinal, direction)
-        script = self.plan._scripts.get(link.ordinal)
         try:
             while not link.dead:
                 data = await reader.read(_CHUNK)
@@ -419,25 +365,10 @@ class ChaosProxy:
                     self.stats.chunks_duplicated += 1
                     repeats = 2
                 for _ in range(repeats):
-                    if rule.drip_bytes:
-                        for at in range(0, len(data), rule.drip_bytes):
-                            writer.write(data[at : at + rule.drip_bytes])
-                            await writer.drain()
-                            await asyncio.sleep(rule.drip_interval)
-                    else:
-                        writer.write(data)
-                        await writer.drain()
+                    writer.write(data)
+                    await writer.drain()
                     self.stats.bytes_forwarded += len(data)
                 self.stats.chunks_forwarded += 1
-                link.forwarded += len(data)
-                if (
-                    script is not None
-                    and script.kill_after_bytes is not None
-                    and link.forwarded >= script.kill_after_bytes
-                ):
-                    self.stats.conns_killed += 1
-                    link.kill()
-                    return
         except (
             ConnectionResetError,
             BrokenPipeError,
@@ -480,10 +411,6 @@ class ChaosProxyThread:
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
-
-    @property
-    def proxy(self) -> ChaosProxy:
-        return self._proxy
 
     @property
     def port(self) -> int:

@@ -9,9 +9,8 @@ plain :meth:`OdeConnection.request` calls::
     conn = await OdeConnection.open(host, port)
     vals = await asyncio.gather(*(conn.read(oid, "n") for oid in oids))
 
-An :class:`OdeClient` pools N connections.  Stateless requests
-round-robin across the pool; a transaction lives on one session, so it
-runs through :meth:`OdeClient.lease`::
+An :class:`OdeClient` pools N connections.  Reads round-robin across
+the pool; a write or a transaction runs through :meth:`OdeClient.lease`::
 
     async with client.lease() as conn:
         await conn.begin()
@@ -24,6 +23,10 @@ commit`` may be one burst (only health checks, plain pings and reads
 outside a transaction overtake queued work); kernel errors come back as
 themselves (``except DeadlockError`` works across the wire), anything
 else as :class:`~repro.errors.RemoteError`.
+
+**Write-behind.**  Inside a transaction ``write`` and ``pdelete`` do not
+wait (up to the server's ``max_inflight`` unanswered): one that fails
+dooms the transaction server-side, and ``commit()`` raises its error.
 
 **Deadlines.**  Every request is bounded by the connection's
 ``default_deadline`` or its own ``deadline=`` (``None``: wait forever).
@@ -71,6 +74,8 @@ from repro.net import protocol
 #: iteration.  (Client-side buffering is bounded by the transport's
 #: ``pause_writing``: see :meth:`OdeConnection.request`.)
 _FLUSH_BYTES = 128 * 1024
+
+_TXN_END = frozenset({protocol.OP_COMMIT, protocol.OP_ABORT})
 
 #: Default per-op deadline (seconds).  Every wire op completes or fails
 #: within this bound unless the caller overrides it; ``None`` (wait
@@ -171,13 +176,15 @@ class OdeConnection(asyncio.Protocol):
         self.default_deadline = default_deadline
         #: Requests on this connection that hit their deadline.
         self.deadline_expired = 0
-        #: Highest number of simultaneously in-flight requests seen.
-        self.pipeline_max = 0
         self._loop = asyncio.get_running_loop()
         #: Pending from ``pause_writing`` (the transport's write buffer
         #: is over its high-water mark) to ``resume_writing``.
         self._paused: asyncio.Future[None] | None = None
         self._lost = self._loop.create_future()  # set by ``connection_lost``
+        self._in_txn = False  # from an answered begin() to a COMMIT/ABORT sent
+        #: The server's ``max_inflight``, learnt with the first ``begin()``.
+        self._max_inflight = 0
+        self._behind: asyncio.Future | None = None  # the last write-behind
 
     @classmethod
     async def open(
@@ -311,11 +318,11 @@ class OdeConnection(asyncio.Protocol):
                 "connection is closed"
                 + (f" ({reason!r})" if reason is not None else "")
             )
+        if opcode in _TXN_END:
+            self._in_txn = False
         cid = next(self._cids)
         future = self._loop.create_future()
         self._pending[cid] = future
-        if len(self._pending) > self.pipeline_max:
-            self.pipeline_max = len(self._pending)
         try:
             protocol.build_frame_into(self._outbuf, opcode, cid, payload)
         except BaseException:
@@ -370,6 +377,18 @@ class OdeConnection(asyncio.Protocol):
             if give_up is not None:
                 left = max(0.0, give_up - self._loop.time())
         return left
+
+    async def _write_behind(self, opcode: int, payload: Any, deadline: Any) -> None:
+        """Send a frame answered ``None``; inside a transaction without
+        waiting (the COMMIT reports its error), but at the server's
+        ``max_inflight`` only once the write before it is answered."""
+        if not self._in_txn or self._paused:
+            return await self.request(opcode, payload, deadline=deadline)
+        if len(self._pending) >= self._max_inflight and self._behind is not None:
+            timeout = self.default_deadline if deadline is _UNSET else deadline
+            await asyncio.wait((self._behind,), timeout=timeout)  # lanes answer in order
+        self._behind = self.send(opcode, payload)
+        self._behind.add_done_callback(_retrieved)
 
     def _expire(self, future: asyncio.Future, opcode: int, timeout: float) -> None:
         """Deadline timer: fail the still-pending request's future."""
@@ -442,12 +461,22 @@ class OdeConnection(asyncio.Protocol):
     async def begin(
         self, *, snapshot_reads: bool = False, deadline: Any = _UNSET
     ) -> int:
-        """Open this session's transaction; returns the txid."""
-        return await self.request(
+        """Open this session's transaction; returns the txid.  The first
+        also asks the server's ``max_inflight`` with a pipelined health check."""
+        health = None
+        if not self._max_inflight:
+            health = self.send(protocol.OP_HEALTH)
+            health.add_done_callback(_retrieved)  # if the BEGIN raises
+        txid = await self.request(
             protocol.OP_BEGIN, {"snapshot_reads": snapshot_reads}, deadline=deadline
         )
+        if health is not None:
+            self._max_inflight = (await health)["max_inflight"]
+        self._in_txn = True
+        return txid
 
     async def commit(self, *, deadline: Any = _UNSET) -> None:
+        """Commit, or roll back and raise the error of a failed write."""
         await self.request(protocol.OP_COMMIT, deadline=deadline)
 
     async def abort(self, *, deadline: Any = _UNSET) -> None:
@@ -463,7 +492,7 @@ class OdeConnection(asyncio.Protocol):
         return await self.request(protocol.OP_NEWVERSION, target, deadline=deadline)
 
     async def pdelete(self, target: Oid | Vid, *, deadline: Any = _UNSET) -> None:
-        await self.request(protocol.OP_PDELETE, target, deadline=deadline)
+        await self._write_behind(protocol.OP_PDELETE, target, deadline)
 
     async def read(
         self,
@@ -478,8 +507,10 @@ class OdeConnection(asyncio.Protocol):
     async def write(
         self, target: Oid | Vid, attr: str, value: Any, *, deadline: Any = _UNSET
     ) -> None:
-        """In-place update of one attribute of the target version."""
-        await self.request(protocol.OP_WRITE, (target, attr, value), deadline=deadline)
+        """In-place update of one attribute of the target version
+        (write-behind in a transaction: ``deadline`` then bounds only a
+        wait for room under the server's ``max_inflight``)."""
+        await self._write_behind(protocol.OP_WRITE, (target, attr, value), deadline)
 
     async def query(
         self,
@@ -507,10 +538,15 @@ class OdeConnection(asyncio.Protocol):
         return await self.request(protocol.OP_STATS, deadline=deadline)
 
 
+def _retrieved(future: asyncio.Future) -> None:
+    """A write-behind's error is the COMMIT's to report, not a lost one."""
+    future.cancelled() or future.exception()
+
+
 class OdeClient:
     """A pool of connections to one server.
 
-    ``pool_size`` connections are opened up front; stateless helpers
+    ``pool_size`` connections are opened up front; the read helpers
     round-robin across them, :meth:`lease` checks one out for a
     transactional sequence (returned on exit, even on error -- with the
     transaction aborted if the caller left it open).
@@ -623,11 +659,11 @@ class OdeClient:
     def _any(self) -> OdeConnection:
         if not self._conns:
             raise NetworkError("client is not connected")
-        # Round-robin, skipping dead connections when a live one exists
-        # (the dead one still gets surfaced -- and healed -- by lease()).
+        # Round-robin, skipping dead connections (lease() heals them) and
+        # ones inside a leased transaction (whose doom a read would answer).
         for _ in range(len(self._conns)):
             conn = self._conns[next(self._rr) % len(self._conns)]
-            if not conn.closed:
+            if not conn.closed and not conn._in_txn:
                 return conn
         return self._conns[next(self._rr) % len(self._conns)]
 
@@ -673,25 +709,14 @@ class OdeClient:
                     pass
             self._free.put_nowait(conn)
 
-    # Stateless conveniences (round-robin; do not call begin/commit here).
-
-    async def ping(self, payload: Any = None) -> Any:
-        return await self._any().ping(payload)
+    # Reads round-robin over the pool (see _any); anything that changes
+    # the database goes through lease().
 
     async def health(self) -> dict[str, Any]:
         return await self._any().health()
 
-    async def pnew(self, obj: Any) -> Oid:
-        return await self._any().pnew(obj)
-
     async def read(self, target: Oid | Vid, attr: str | None = None) -> Any:
         return await self._any().read(target, attr)
-
-    async def write(self, target: Oid | Vid, attr: str, value: Any) -> None:
-        await self._any().write(target, attr, value)
-
-    async def newversion(self, target: Oid | Vid) -> Vid:
-        return await self._any().newversion(target)
 
     async def query(
         self, type_name: str, where: tuple[str, Any] | None = None

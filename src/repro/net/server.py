@@ -23,8 +23,10 @@ count.
   thread hop per awaited frame, one wake-up and one socket write per
   pipelined ``BEGIN/.../COMMIT`` burst.  Acks are batched only inside an
   open transaction, so a COMMIT's ack never waits on a follower that
-  blocks.  Disconnect is the lane's last item: frames still queued are
-  dropped unexecuted, then the session closes (aborting its open txn).
+  blocks.  A write that fails inside a transaction dooms it (see
+  ``_run_batch``).  Disconnect is the lane's last item: frames still
+  queued are dropped unexecuted, then the session closes (aborting its
+  open txn).
 
 Response bytes the kernel will not take are parked per connection; the
 reactor then watches that socket for writability *instead of* reading
@@ -77,10 +79,13 @@ from repro.net.protocol import (
     RESP_OK,
 )
 
+_WRITE_OPS = frozenset({OP_PNEW, OP_NEWVERSION, OP_PDELETE, OP_WRITE})
+_ENDS = (OP_COMMIT, OP_ABORT)
+
 #: Opcodes that start new work on the database.  While draining these
 #: are refused for sessions with no open transaction -- in-flight
 #: transactions get to finish, new ones are turned away.
-_MUTATING_OPS = frozenset({OP_BEGIN, OP_PNEW, OP_NEWVERSION, OP_PDELETE, OP_WRITE})
+_MUTATING_OPS = _WRITE_OPS | {OP_BEGIN}
 
 _READ_OPS = (OP_READ, OP_QUERY)
 
@@ -183,6 +188,8 @@ class _Connection:
         #: Reactor only: since when it has watched the socket for
         #: writability instead of reading from it (None: reading).
         self.stalled_since: float | None = None
+        #: The error of a write that failed in the open transaction.
+        self.doomed: BaseException | None = None
 
 
 class OdeServer:
@@ -202,7 +209,8 @@ class OdeServer:
         Admission control: per-connection cap on queued-or-executing
         lane frames.  Beyond it, requests are rejected
         with :class:`ServerOverloadedError` *before* execution (always
-        safe to retry).
+        safe to retry), but one slot more is kept for a COMMIT or ABORT.
+        Health checks report it (``OdeConnection`` stays within it).
     slow_client_timeout:
         Seconds response bytes may sit unsent on an unread socket before
         the connection is dropped (a client that never reads must not
@@ -504,6 +512,8 @@ class OdeServer:
                 _error_frame_into(out, cid, rejection)
                 served += 1
                 errors += 1
+                if opcode in _WRITE_OPS:
+                    self._refused(conn, rejection)
                 continue
             queued += 1
             with conn.lock:
@@ -537,7 +547,7 @@ class OdeServer:
                 "server is draining: finishing in-flight transactions, "
                 "accepting no new work"
             )
-        if conn.inflight >= self._max_inflight:
+        if conn.inflight >= self._max_inflight + (opcode in _ENDS):
             self.stats.add(shed=1)
             return ServerOverloadedError(
                 f"connection exceeded {self._max_inflight} in-flight ops; "
@@ -545,12 +555,22 @@ class OdeServer:
             )
         return None
 
+    def _refused(self, conn: _Connection, error: Exception) -> None:
+        """A write refused unqueued dooms the transaction open at its place
+        in the lane: a mark ``(None, 0, error)``, one per run of refusals.
+        An idle lane has none open (a shed needs a busy lane; a drain
+        refuses only outside one)."""
+        with conn.lock:
+            if conn.lane_active and (not conn.lane or conn.lane[-1][0] is not None):
+                conn.lane.append((None, 0, error))
+
     def _health_payload(self) -> dict[str, Any]:
         """The OP_HEALTH response body: liveness + drain + shard health."""
         payload: dict[str, Any] = {
             "status": "draining" if self.draining else "ok",
             "draining": self.draining,
             "connections": len(self._connections),
+            "max_inflight": self._max_inflight,
         }
         shard_health = getattr(self.db, "shard_health", None)
         if callable(shard_health):
@@ -638,12 +658,12 @@ class OdeServer:
         elif opcode in _READ_OPS:
             # An autocommit write running on the lane shows as a transient
             # txn: the read then queues behind it, which is always safe.
-            if conn.ordered or session.txn is not None:
+            if conn.ordered or session.txn is not None or conn.doomed is not None:
                 return None
             was_read = True
         elif opcode != OP_BEGIN or not final or conn.lane or conn.lane_active:
             return None
-        elif self.draining or _snapshot_reads(payload):
+        elif self.draining or conn.doomed is not None or _snapshot_reads(payload):
             return None
         try:
             if opcode == OP_READ:
@@ -725,7 +745,9 @@ class OdeServer:
         write.  The batch ends once the session is outside a transaction
         (after a COMMIT, an autocommit write): the next frame may block
         on a lock, and the ack of durable work must not sit behind it.
-        Returns ``(out, frames finished, of them ordered, closing)``.
+        A write that fails inside a transaction dooms it (``_doomed``):
+        its COMMIT, which the client's unawaited writes ride with, reports
+        it.  Returns ``(out, frames finished, of them ordered, closing)``.
         """
         out = bytearray()
         served = errors = snap_reads = dropped = ordered = 0
@@ -736,22 +758,32 @@ class OdeServer:
             if frame is _CLOSE:
                 closing = True
                 break
+            opcode, cid, payload = frame
+            if opcode is None:  # a refused write's place (see _refused)
+                if session.txn is not None and conn.doomed is None:
+                    conn.doomed = payload
+                continue
             if conn.dead:
                 dropped += 1
                 continue
-            opcode, cid, payload = frame
             served += 1
             ordered += opcode not in _PASSABLE
+            txn = session.txn
             try:
                 if refusal is not None:
                     raise refusal
-                snap_reads += opcode in _READ_OPS and session.txn is None
-                result = self._stateful(session, opcode, payload)
+                if conn.doomed is not None:
+                    result = self._doomed(conn, opcode)
+                else:
+                    snap_reads += opcode in _READ_OPS and txn is None
+                    result = self._stateful(session, opcode, payload)
                 protocol.build_frame_into(out, RESP_OK, cid, result)
             except BaseException as exc:  # noqa: BLE001 - enveloped
                 errors += 1
                 _error_frame_into(out, cid, exc)
-            if session.txn is None:
+                if txn is not None and opcode in _WRITE_OPS and conn.doomed is None:
+                    conn.doomed = exc
+            if session.txn is None and conn.doomed is None:
                 break
         self.stats.add(
             lane_runs=first and served > 0,
@@ -766,6 +798,19 @@ class OdeServer:
         return out, served + dropped, ordered, closing
 
     # -- request execution ---------------------------------------------------
+
+    def _doomed(self, conn: _Connection, opcode: int) -> None:
+        """A frame behind a failed write of its transaction answers that
+        error unexecuted; COMMIT and ABORT roll back (ABORT answers OK)."""
+        error = conn.doomed
+        if opcode in _ENDS:
+            conn.doomed = None
+            txn = self.db.current_transaction()
+            if txn is not None:
+                txn.abort()
+            if opcode == OP_ABORT:
+                return None
+        raise error.with_traceback(None)
 
     def _stateful(self, session: Session, opcode: int, payload: Any) -> Any:
         """Execute one lane frame (pool thread, session activated)."""

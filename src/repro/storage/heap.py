@@ -53,9 +53,6 @@ _RELOC_INLINE = 0x04
 _RELOC_MASTER = 0x05
 _SHORT = 0x06
 
-#: Relocated counterpart of each primary marker (forwarding targets).
-_RELOC_OF = {_INLINE: _RELOC_INLINE, _MASTER: _RELOC_MASTER}
-
 #: Max logical payload that fits inline (one marker byte of overhead).
 MAX_INLINE = MAX_RECORD_PAYLOAD - 1
 

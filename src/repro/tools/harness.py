@@ -255,10 +255,11 @@ async def run_txn(
                 await conn.begin()
                 val = await conn.read(oid, "val")
                 await conn.write(oid, "val", val + 1)
+                sent = not conn.closed  # else the COMMIT raises before it leaves
                 try:
                     await conn.commit()
                 except (DeadlineExceededError, ConnectionClosedError):
-                    indeterminate = True
+                    indeterminate = sent
                     raise
                 ledger.ack(idx)
                 try:

@@ -84,6 +84,24 @@ def test_blocked_garbage_waits_for_another_live_sized_batch(tmp_path):
         assert check_database(db, strict=True).ok
 
 
+def test_a_body_displaced_beside_a_reclaim_does_not_delay_the_next(tmp_path):
+    """A reclaim that runs while a transaction has displaced a body but
+    not yet published it must leave that body, and must not raise the
+    mark by it: the next publish makes it eligible, so it counts toward
+    the next live-sized batch, which then reclaims on time."""
+    with Database(tmp_path / "db") as db:
+        refs = _load(db)
+        live = db.stats()["blobs.live_bytes"]
+        with db.transaction():
+            _rewrite_all(refs[:1], 1)
+            assert db.reclaim_blobs() == (0, 0, 1)
+        _rewrite_all(refs[1:], 1)
+        stats = db.stats()
+        assert stats["gc.paced_runs"] == 1
+        assert stats["gc.paced_bytes_freed"] == live
+        assert stats["blobs.pending_reclaim_bytes"] == 0
+
+
 def test_a_failed_pacer_flush_does_not_fail_its_commit(tmp_path):
     """The pacer runs after its commit is durable: an fsync error on its
     tombstone flush is counted by the WAL, the commit still returns, and

@@ -18,6 +18,7 @@ from repro import Database, StoragePolicy
 from repro.core import gc as gc_engine
 from repro.core.identity import Vid
 from repro.core.store import node_header, split_record
+from repro.storage.catalog import Catalog
 from repro.storage.heap import Rid
 from repro.tools.check import check_database
 from tests.conftest import Part, open_engine
@@ -123,6 +124,46 @@ def test_one_tag_is_one_catalog_record(tmp_path):
         assert db.version_tags(ref.oid) == {3: "t3", 4: "t4"}
     finally:
         db.close()
+
+
+def _version_tags_lookups(engine, monkeypatch, oid) -> tuple[dict[int, str], int]:
+    """``engine.version_tags(oid)`` and the catalog root names it looked
+    at: one per ``get_root``, every root per ``root_names`` (it sorts
+    them all)."""
+    looked = [0]
+
+    def get_root(catalog, name, default=None):
+        looked[0] += 1
+        return real_get(catalog, name, default)
+
+    def root_names(catalog, prefix=""):
+        looked[0] += len(real_names(catalog))
+        return real_names(catalog, prefix)
+
+    real_get, real_names = Catalog.get_root, Catalog.root_names
+    with monkeypatch.context() as patch:
+        patch.setattr(Catalog, "get_root", get_root)
+        patch.setattr(Catalog, "root_names", root_names)
+        tags = engine.version_tags(oid)
+    return tags, looked[0]
+
+
+def test_version_tags_of_one_object_does_not_scan_every_tag(engine, monkeypatch):
+    """An untagged object's ``version_tags`` makes the same catalog
+    lookups with 10 tags on other objects as with 3,000."""
+    quiet = engine.pnew(Part("quiet", 0))
+    engine.newversion(quiet)
+    with engine.transaction():
+        others = [engine.pnew(Part(f"o{k}", k)) for k in range(3000)]
+    readings = []
+    for batch in (others[:10], others[10:]):  # 10 tags, then 3,000
+        with engine.transaction():
+            for ref in batch:
+                engine.tag_version(Vid(ref.oid, 1), f"t{ref.oid.value}")
+        readings.append(_version_tags_lookups(engine, monkeypatch, quiet.oid))
+    assert readings[0] == readings[1] == ({}, 2), readings
+    tagged = others[-1].oid
+    assert engine.version_tags(tagged) == {1: f"t{tagged.value}"}
 
 
 def test_check_reports_a_tag_on_a_dead_version(tmp_path):

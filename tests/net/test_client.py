@@ -13,7 +13,10 @@ The regressions pinned here:
   the client's buffer stays bounded;
 * :meth:`OdeClient.lease` must never hand out -- or re-queue -- a dead
   connection: one lost socket costs one reconnect, not a permanently
-  poisoned pool slot.
+  poisoned pool slot;
+* write-behind: inside a transaction ``write`` does not wait, so its
+  failure -- a bad target, a lock timeout, a lost connection -- must
+  surface at ``commit()``, with nothing committed.
 """
 
 from __future__ import annotations
@@ -23,9 +26,19 @@ import gc
 
 import pytest
 
-from repro.errors import ConnectionClosedError, DeadlineExceededError, NetworkError
+from repro import Database
+from repro.core.identity import Vid
+from repro.errors import (
+    ConnectionClosedError,
+    DeadlineExceededError,
+    LockTimeoutError,
+    NetworkError,
+    ProtocolError,
+    ServerDrainingError,
+    UnknownVersionError,
+)
 from repro.net import protocol
-from repro.net.client import OdeClient, OdeConnection, local_client_stats
+from repro.net.client import OdeClient, OdeConnection, is_retryable, local_client_stats
 from repro.net.server import ServerThread
 from tests.conftest import Part
 
@@ -373,3 +386,172 @@ def test_lease_surfaces_outage_without_losing_the_pool_slot(db):
             await client.close()
 
     asyncio.run(run())
+
+
+# -- write-behind --------------------------------------------------------------
+
+
+def test_a_failed_write_surfaces_at_commit(served):
+    """Inside a transaction ``write`` returns before its answer; a bad
+    target's ProtocolError comes back from ``commit()``, and the
+    transaction's good write is rolled back with it."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            await conn.begin()
+            await conn.write(oid, "weight", 20)
+            await conn.write("not-an-oid", "weight", 0)  # does not raise
+            with pytest.raises(ProtocolError, match="write target must be"):
+                await conn.commit()
+            return await conn.read(oid, "weight")
+
+    assert asyncio.run(run()) == 10
+
+
+def test_a_lock_timeout_surfaces_at_commit_and_a_rerun_succeeds(tmp_path):
+    """Another session holds the X lock: the write's LockTimeoutError
+    arrives with the COMMIT, keeps its type (so it is retryable), and
+    re-running the whole transaction once the lock is free commits."""
+    db = Database(tmp_path / "db", lock_timeout=0.2)
+    try:
+        with db.transaction():
+            oid = db.pnew(Part("bolt", 10)).oid
+        with ServerThread(db) as server:
+
+            async def run():
+                async with await OdeConnection.open(server.host, server.port) as holder, \
+                        await OdeConnection.open(server.host, server.port) as conn:
+                    await holder.begin()
+                    await holder.send(protocol.OP_WRITE, (oid, "weight", 11))
+                    await conn.begin()
+                    await conn.write(oid, "weight", 12)
+                    with pytest.raises(LockTimeoutError) as failed:
+                        await conn.commit()
+                    await holder.abort()
+                    await conn.begin()  # the re-run, with the lock free
+                    await conn.write(oid, "weight", 12)
+                    await conn.commit()
+                    return is_retryable(failed.value), await conn.read(oid, "weight")
+
+            assert asyncio.run(run()) == (True, 12)
+    finally:
+        db.close()
+
+
+def test_write_outside_a_transaction_still_waits_and_raises(served):
+    """An autocommit write, and a write after a ``begin()`` that raised,
+    wait for their acks and raise their own errors."""
+    db, host, port, oid = served
+    with ServerThread(db) as server:
+
+        async def run():
+            async with await OdeConnection.open(server.host, server.port) as conn, \
+                    await OdeConnection.open(server.host, server.port) as other:
+                with pytest.raises(ProtocolError):
+                    await conn.write("not-an-oid", "weight", 0)
+                await conn.write(oid, "weight", 30)  # acknowledged on return
+                with db.snapshot() as snap:
+                    assert snap.read_attr(snap.latest_vid(oid), "weight") == 30
+                await other.begin()  # holds the drain open
+                drain = asyncio.ensure_future(asyncio.to_thread(server.drain, 5.0))
+                while not (await other.health())["draining"]:
+                    await asyncio.sleep(0.01)
+                with pytest.raises(ServerDrainingError):
+                    await conn.begin()
+                with pytest.raises(ServerDrainingError):
+                    await conn.write(oid, "weight", 31)
+                await other.commit()
+                await drain
+
+        asyncio.run(run())
+
+
+def test_a_connection_killed_before_commit_commits_nothing(served):
+    """The connection dies between ``write()`` and ``commit()``: the
+    commit raises ConnectionClosedError, and the server's teardown
+    rolls the write back."""
+    db, host, port, oid = served
+
+    async def run():
+        conn = await OdeConnection.open(host, port)
+        await conn.begin()
+        await conn.write(oid, "weight", 40)
+        await asyncio.sleep(0)  # the corked WRITE leaves
+        conn.transport.abort()
+        with pytest.raises(ConnectionClosedError):
+            await conn.commit()
+        await conn.close()
+        async with await OdeConnection.open(host, port) as again:
+            await again.begin(deadline=2.0)
+            await again.write(oid, "weight", 41)  # the X lock is free again
+            await again.abort(deadline=2.0)
+            return await again.read(oid, "weight")
+
+    assert asyncio.run(run()) == 10
+
+
+def test_pdelete_rides_with_the_commit_too(served):
+    """``pdelete`` is write-behind like ``write``: a version that does not
+    exist fails at ``commit()``; a real one is gone after it."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            await conn.begin()
+            vid = await conn.newversion(oid)
+            await conn.commit()
+            await conn.begin()
+            await conn.pdelete(Vid(oid, 99))  # does not raise
+            with pytest.raises(UnknownVersionError):
+                await conn.commit()
+            await conn.begin()
+            await conn.pdelete(vid)
+            await conn.commit()
+            return [v.vid.serial for v in db.versions(oid)]
+
+    assert asyncio.run(run()) == [1]
+
+
+@pytest.mark.parametrize("max_inflight", [1, 2])
+def test_write_behind_stays_within_a_small_max_inflight(served, max_inflight):
+    """The server's ``max_inflight`` bounds the writes a transaction
+    leaves unanswered: past it a write waits for the ones before it, and
+    the COMMIT has a slot of its own, so nothing is shed."""
+    db, host, port, oid = served
+    with ServerThread(db, max_inflight=max_inflight) as server:
+
+        async def run():
+            async with await OdeConnection.open(server.host, server.port) as conn:
+                await conn.begin()
+                for weight in (21, 22, 23):
+                    await conn.write(oid, "weight", weight)
+                await conn.commit()
+                await conn.begin()  # the session is free for the next one
+                await conn.write(oid, "weight", 24)
+                await conn.abort()
+                return (await conn.health())["max_inflight"], await conn.read(oid, "weight")
+
+        assert asyncio.run(run()) == (max_inflight, 23)
+        assert db.stats()["net.shed"] == 0
+
+
+def test_pooled_reads_skip_a_connection_inside_a_transaction(served):
+    """A pooled read never rides on a leased connection whose transaction
+    is doomed while another connection is free."""
+    db, host, port, oid = served
+
+    async def run():
+        client = await OdeClient.connect(host, port, pool_size=2)
+        try:
+            async with client.lease() as conn:
+                await conn.begin()
+                await conn.write("not-an-oid", "weight", 0)  # dooms it
+                reads = [await client.read(oid, "weight") for _ in range(4)]
+                with pytest.raises(ProtocolError):
+                    await conn.commit()
+            return reads
+        finally:
+            await client.close()
+
+    assert asyncio.run(run()) == [10] * 4

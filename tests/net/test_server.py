@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.core.identity import Vid
 from repro.errors import (
     ProtocolError,
     RemoteError,
@@ -23,6 +24,7 @@ from repro.errors import (
     ServerOverloadedError,
     SessionStateError,
     TransactionStateError,
+    UnknownVersionError,
 )
 from repro.net import protocol
 from repro.net.client import OdeClient, OdeConnection
@@ -279,7 +281,7 @@ def test_pipelined_out_of_order_completion(served):
         async with await OdeConnection.open(host, port) as holder, \
                 await OdeConnection.open(host, port) as conn:
             await holder.begin()
-            await holder.write(oid, "weight", 11)  # X lock, held
+            await holder.send(protocol.OP_WRITE, (oid, "weight", 11))  # X lock, held
             slow = conn.send(protocol.OP_WRITE, (oid, "weight", 12))
             fast = [conn.send(protocol.OP_READ, (oid, "weight")) for _ in range(8)]
             echo = conn.send(protocol.OP_PING, {"tag": "quick"})
@@ -413,7 +415,8 @@ def test_reads_count_the_reactor_recvs_a_burst_arrives_in(served):
 def test_awaited_stateful_frames_cost_one_lane_run_each(served):
     """Request/response traffic: BEGIN is served on the loop (it is the
     only frame in its chunk and the lane is idle); every other awaited
-    stateful frame is exactly one lane run of one frame."""
+    stateful frame is exactly one lane run of one frame.  A WRITE inside
+    the transaction is not awaited: it rides with the READ behind it."""
     db, host, port, oid = served
 
     async def run():
@@ -428,7 +431,7 @@ def test_awaited_stateful_frames_cost_one_lane_run_each(served):
 
     before, after_begin, after = asyncio.run(run())
     assert after_begin == before, "an awaited plain BEGIN must not take the lane"
-    assert (after[0] - before[0], after[1] - before[1]) == (3, 3)
+    assert (after[0] - before[0], after[1] - before[1]) == (2, 3)
 
 
 def test_read_pipelined_behind_begin_and_write_sees_its_own_write(served):
@@ -447,9 +450,11 @@ def test_read_pipelined_behind_begin_and_write_sees_its_own_write(served):
     assert asyncio.run(run()) == (55, 10)
 
 
-def test_error_mid_burst_fails_only_its_own_future(served):
-    """A failing frame in the middle of a burst answers with its error;
-    the frames queued behind it still execute, in order."""
+def test_failed_write_dooms_its_transaction(served):
+    """A WRITE that fails inside a transaction dooms it: the WRITE
+    behind it answers the same error unexecuted, and the COMMIT rolls
+    back and answers it too, so the first WRITE does not land either.
+    The next transaction on the connection runs normally."""
     db, host, port, oid = served
 
     async def run():
@@ -460,13 +465,116 @@ def test_error_mid_burst_fails_only_its_own_future(served):
             second = conn.send(protocol.OP_WRITE, (oid, "weight", 42))
             commit = conn.send(protocol.OP_COMMIT)
             assert await first is None
+            for future in (bad, second, commit):
+                with pytest.raises(ProtocolError, match="write target must be"):
+                    await future
+            doomed = await conn.read(oid, "weight")
+            conn.send(protocol.OP_BEGIN)
+            conn.send(protocol.OP_WRITE, (oid, "weight", 43))
+            await conn.send(protocol.OP_COMMIT)
+            return doomed, await conn.read(oid, "weight")
+
+    assert asyncio.run(run()) == (10, 43)
+
+
+def test_abort_after_a_doomed_frame_answers_ok_and_frees_the_lock(served):
+    """ABORT of a doomed transaction rolls it back and answers OK; the
+    X lock its good WRITE took is free for another connection at once."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as a, \
+                await OdeConnection.open(host, port) as b:
+            a.send(protocol.OP_BEGIN)
+            a.send(protocol.OP_WRITE, (oid, "weight", 50))  # takes the X lock
+            bad = a.send(protocol.OP_WRITE, ("not-an-oid", "weight", 0))
+            abort = a.send(protocol.OP_ABORT)
             with pytest.raises(ProtocolError):
                 await bad
-            assert await second is None
-            assert await commit is None
+            assert await abort is None
+            await b.write(oid, "weight", 51, deadline=2.0)  # autocommit: waits
+            return await a.read(oid, "weight")
+
+    assert asyncio.run(run()) == 51
+
+
+def test_read_behind_a_doomed_frame_answers_the_error(served):
+    """Reads and BEGIN behind a failed WRITE answer its error, not a
+    value: nothing the doomed transaction could see is served, inline or
+    on the lane, until its ABORT."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            conn.send(protocol.OP_BEGIN)
+            conn.send(protocol.OP_WRITE, (oid, "weight", 60))
+            bad = conn.send(protocol.OP_WRITE, ("not-an-oid", "weight", 0))
+            pipelined = conn.send(protocol.OP_READ, (oid, "weight"))
+            begin = conn.send(protocol.OP_BEGIN)
+            for future in (bad, pipelined, begin):
+                with pytest.raises(ProtocolError):
+                    await future
+            with pytest.raises(ProtocolError):
+                await conn.read(oid, "weight")  # sent after the doom, alone
+            assert await conn.ping("up") == "up"  # pings still answer
+            await conn.abort()
             return await conn.read(oid, "weight")
 
-    assert asyncio.run(run()) == 42
+    assert asyncio.run(run()) == 10
+
+
+def test_failed_newversion_dooms_its_transaction(served):
+    """A NEWVERSION that fails inside a transaction dooms it just as a
+    failed WRITE does: the COMMIT answers its error with its type."""
+    db, host, port, oid = served
+
+    async def run():
+        async with await OdeConnection.open(host, port) as conn:
+            conn.send(protocol.OP_BEGIN)
+            conn.send(protocol.OP_WRITE, (oid, "weight", 70))
+            bad = conn.send(protocol.OP_NEWVERSION, Vid(oid, 99))
+            after = conn.send(protocol.OP_WRITE, (oid, "weight", 71))
+            commit = conn.send(protocol.OP_COMMIT)
+            for future in (bad, after, commit):
+                with pytest.raises(UnknownVersionError):
+                    await future
+            return await conn.read(oid, "weight")
+
+    assert asyncio.run(run()) == 10
+    assert [v.vid.serial for v in db.versions(oid)] == [1]
+
+
+def test_a_write_shed_inside_a_transaction_dooms_it(served):
+    """Admission control refuses a WRITE before queueing it; inside a
+    transaction the refusal dooms the transaction at the WRITE's place
+    in the lane, so the COMMIT behind it answers ServerOverloadedError
+    and commits nothing (the write ahead of it included)."""
+    db, host, port, oid = served
+    with db.transaction():
+        other = db.pnew(Part("nut", 1)).oid
+    with ServerThread(db, max_inflight=1) as server:
+
+        async def run():
+            holder = await OdeConnection.open(server.host, server.port)
+            conn = await OdeConnection.open(server.host, server.port)
+            try:
+                await holder.begin()
+                await holder.send(protocol.OP_WRITE, (oid, "weight", 11))  # X lock
+                await conn.begin()
+                first = conn.send(protocol.OP_WRITE, (oid, "weight", 12))  # waits
+                shed = conn.send(protocol.OP_WRITE, (other, "weight", 2))
+                with pytest.raises(ServerOverloadedError):
+                    await shed
+                await holder.commit()
+                assert await first is None
+                with pytest.raises(ServerOverloadedError):
+                    await conn.commit()
+                return [await conn.read(o, "weight") for o in (oid, other)]
+            finally:
+                await holder.close()
+                await conn.close()
+
+        assert asyncio.run(run()) == [11, 1]
 
 
 class _ParkedStats:
@@ -530,7 +638,7 @@ def test_commit_ack_does_not_wait_on_a_lock_blocked_follower(served):
         try:
             o2 = await b.pnew(Part("nut", 1))
             await b.begin()
-            await b.write(o2, "weight", 2)  # B holds o2's X lock
+            await b.send(protocol.OP_WRITE, (o2, "weight", 2))  # B holds o2's X lock
             await a.begin()
             await a.write(oid, "weight", 71)
             commit = a.send(protocol.OP_COMMIT)
@@ -792,7 +900,7 @@ def test_overload_sheds_excess_inflight_before_execution(served):
             conn = await OdeConnection.open(server.host, server.port)
             try:
                 await holder.begin()
-                await holder.write(oid, "weight", 11)  # X lock, held
+                await holder.send(protocol.OP_WRITE, (oid, "weight", 11))  # X lock, held
                 # An autocommit write waiting for that lock occupies the
                 # connection's single in-flight slot.
                 slow = conn.send(protocol.OP_WRITE, (oid, "weight", 12))
