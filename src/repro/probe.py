@@ -57,7 +57,7 @@ POINTS: dict[str, str] = {
             # heap files (repro.storage.heap) and slotted pages (.pages)
             "heap.insert.pre", "heap.insert.post", "heap.update.pre",
             "heap.update.post", "heap.delete.pre", "heap.delete.post",
-            "heap.span.fragment", "heap.replay_insert", "heap.replay_delete",
+            "heap.replay_insert", "heap.replay_delete",
             "page.compact", "page.update.grow",
             # a version pdelete's child re-base and floor write
             # (repro.core.store)

@@ -59,7 +59,6 @@ class Catalog:
         in line).  Open heap handles are kept -- pages never disappear.
         """
         self._heaps: dict[str, int] = {}
-        self._heap_rids: dict[str, Rid] = {}
         self._counters: dict[str, int] = {}
         self._counter_rids: dict[str, Rid] = {}
         self._roots: dict[str, Any] = {}
@@ -71,7 +70,6 @@ class Catalog:
             kind, name, value = entry
             if kind == "heap":
                 self._heaps[name] = value
-                self._heap_rids[name] = rid
             elif kind == "counter":
                 self._counters[name] = value
                 self._counter_rids[name] = rid
@@ -92,11 +90,8 @@ class Catalog:
         file_id = self._heaps.get(name)
         if file_id is None:
             file_id = self._next_file_id()
-            rid = self._heap.insert(
-                serialization.encode(("heap", name, file_id)), log_op
-            )
+            self._heap.insert(serialization.encode(("heap", name, file_id)), log_op)
             self._heaps[name] = file_id
-            self._heap_rids[name] = rid
         return self.heap_by_id(file_id)
 
     def heap_by_id(self, file_id: int) -> HeapFile:

@@ -5,31 +5,28 @@ the page ``flags`` word.  A record id (:class:`Rid`) is ``(page_id, slot)``
 and is stable for the life of the record -- the object table and version
 store persist Rids inside other records.
 
-Records larger than one page are stored *spanning*: the payload is split
-into fragment records and a small master record lists the fragment Rids.
-The split is internal; callers only ever see logical payloads and the
-master's Rid.  Physically, every stored record starts with a marker byte::
+Every record fits one page: a payload over :data:`MAX_INLINE` bytes is
+refused with :class:`HeapError` before anything is written.  Physically,
+every stored record starts with one of four marker bytes::
 
-    0x00  inline    marker | payload
-    0x01  master    marker | codec(total_len, [fragment rids...])
-    0x02  fragment  marker | chunk
-    0x03  forward   marker | codec((page_id, slot)) | zero padding
-    0x06  short     marker | payload length (u8) | payload | zero padding
+    0x00  inline     marker | payload
+    0x03  forward    marker | codec((page_id, slot)) | zero padding
+    0x04  relocated  marker | payload
+    0x06  short      marker | payload length (u8) | payload | zero padding
 
-A home-slot record is never physically shorter than a forward stub: a
-payload that would be is stored *short*, padded to the stub's size, so
-relocation can always overwrite the home slot with a stub in place
-however tightly its page is packed.
-
-The WAL logs *physical* records (marker included), so crash recovery never
-needs to understand spanning.
+A record that outgrows its home page moves to another page (*relocated*)
+and its home slot becomes a *forward* stub.  A home-slot record is never
+physically shorter than a forward stub: a payload that would be is stored
+*short*, padded to the stub's size, so relocation can always overwrite the
+home slot with a stub in place however tightly its page is packed.  Any
+other marker is corruption: ``read`` and ``scan`` raise :class:`HeapError`.
 
 Write-ahead logging is threaded through an optional ``log_op`` callback:
-``log_op(kind, file_id, page_id, slot, payload, undo_payload)``.  The
-transaction
-layer passes a callback that appends to the WAL (and records the op for
-in-memory rollback); passing ``None`` performs unlogged writes (used by
-bulk loaders in benchmarks, and by WAL replay itself).
+``log_op(kind, file_id, page_id, slot, payload, undo_payload)``.  The WAL
+logs *physical* records (marker included).  The transaction layer passes
+a callback that appends to the WAL (and records the op for in-memory
+rollback); passing ``None`` performs unlogged writes (used by bulk loaders
+in benchmarks, and by WAL replay itself).
 """
 
 from __future__ import annotations
@@ -46,18 +43,12 @@ from repro.storage.stripes import StripedLock
 from repro.storage.wal import OP_DELETE, OP_INSERT, OP_UPDATE
 
 _INLINE = 0x00
-_MASTER = 0x01
-_FRAGMENT = 0x02
 _FORWARD = 0x03
 _RELOC_INLINE = 0x04
-_RELOC_MASTER = 0x05
 _SHORT = 0x06
 
-#: Max logical payload that fits inline (one marker byte of overhead).
+#: Max logical payload of a record (one marker byte of overhead).
 MAX_INLINE = MAX_RECORD_PAYLOAD - 1
-
-#: Fragment chunk size: leave room for marker + slot overhead.
-_FRAGMENT_CHUNK = MAX_RECORD_PAYLOAD - 1
 
 #: Every forward stub is zero-padded to this size: the marker plus the
 #: codec's longest encoding of a 32-bit page id and a 16-bit slot.  The
@@ -88,8 +79,8 @@ HOME, MOVED, STUB = 0, 1, 2
 def wal_image(physical: bytes) -> tuple[int, "bytes | Rid"] | None:
     """What one WAL image of a physical record holds: ``(HOME, payload)``
     for an inline or short body, ``(MOVED, payload)`` for a relocated one,
-    ``(STUB, target)`` for a forward stub, None for no image or a fragment
-    (a spanning master raises: its payload lives in its fragments)."""
+    ``(STUB, target)`` for a forward stub, None for no image; any other
+    marker raises :class:`HeapError`."""
     if not physical:
         return None
     marker = physical[0]
@@ -101,9 +92,7 @@ def wal_image(physical: bytes) -> tuple[int, "bytes | Rid"] | None:
         return MOVED, physical[1:]
     if marker == _FORWARD:
         return STUB, Rid(*serialization.decode_from(physical, 1)[0])
-    if marker in (_MASTER, _RELOC_MASTER):
-        raise HeapError("a spanning record's payload is not in its master")
-    return None
+    raise HeapError(f"unknown record marker {marker:#04x}")
 
 
 def _forward_stub(target: Rid) -> bytes:
@@ -229,97 +218,57 @@ class HeapFile:
     #
     # A record's home Rid is stable for its whole life.  If an update no
     # longer fits in the home page, the record body is *relocated* to
-    # another page (marker _RELOC_*) and the home slot becomes a small
+    # another page (marker _RELOC_INLINE) and the home slot becomes a small
     # _FORWARD stub pointing at it -- the classic slotted-page forwarding
     # technique.  Forward chains never exceed one hop: re-relocation
-    # rewrites the home stub.  Relocated records and fragments are not
-    # addressable and are skipped by scan().
+    # rewrites the home stub.  Relocated bodies are not addressable and
+    # are skipped by scan().
 
-    def _build_body(
-        self, payload: bytes, relocated: bool, log_op: LogOp | None
-    ) -> bytes:
-        """The physical body record for a logical payload (spans if needed)."""
+    @staticmethod
+    def _build_body(payload: bytes, relocated: bool) -> bytes:
+        """The physical body record for a logical payload; a payload too
+        big for one page raises :class:`HeapError`."""
+        if len(payload) > MAX_INLINE:
+            raise HeapError(
+                f"a {len(payload)}-byte record does not fit a page "
+                f"(at most {MAX_INLINE} bytes)"
+            )
         if relocated:
-            inline_marker, master_marker = _RELOC_INLINE, _RELOC_MASTER
-        else:
-            inline_marker, master_marker = _INLINE, _MASTER
-            if len(payload) < _STUB_SIZE - 1:
-                short = bytes([_SHORT, len(payload)]) + payload
-                return short.ljust(_STUB_SIZE, b"\x00")
-        if len(payload) <= MAX_INLINE:
-            return bytes([inline_marker]) + payload
-        fragments: list[tuple[int, int]] = []
-        for start in range(0, len(payload), _FRAGMENT_CHUNK):
-            probe.point("heap.span.fragment")
-            chunk = payload[start : start + _FRAGMENT_CHUNK]
-            frag_rid = self._physical_insert(bytes([_FRAGMENT]) + chunk, log_op)
-            fragments.append(frag_rid.pack())
-        master = bytes([master_marker]) + serialization.encode(
-            (len(payload), fragments)
-        )
-        if len(master) > MAX_RECORD_PAYLOAD:
-            raise HeapError("record too large: master fragment list overflows a page")
-        return master
+            return bytes([_RELOC_INLINE]) + payload
+        if len(payload) < _STUB_SIZE - 1:
+            short = bytes([_SHORT, len(payload)]) + payload
+            return short.ljust(_STUB_SIZE, b"\x00")
+        return bytes([_INLINE]) + payload
 
     def _resolve(self, rid: Rid) -> tuple[bytes, Rid | None]:
-        """Return ``(body_physical, target_rid)`` for the record at ``rid``.
+        """Return ``(payload, target_rid)`` for the record at ``rid``.
 
         ``target_rid`` is None for a record living in its home slot, or the
         relocated body's Rid when the home slot is a forward stub.  Raises
-        for fragments and directly-addressed relocated bodies.
+        for a directly-addressed relocated body and an unknown marker.
         """
-        physical = self._physical_read(rid)
-        marker = physical[0]
-        if marker == _FRAGMENT:
-            raise HeapError(f"{rid} is a spanning fragment, not a record")
-        if marker in (_RELOC_INLINE, _RELOC_MASTER):
+        kind, value = wal_image(self._physical_read(rid))
+        if kind == HOME:
+            return value, None
+        if kind == MOVED:
             raise HeapError(f"{rid} is a relocated body, not an addressable record")
-        if marker != _FORWARD:
-            return physical, None
-        (page_id, slot), _end = serialization.decode_from(physical, 1)
-        target = Rid(page_id, slot)
-        body = self._physical_read(target)
-        if body[0] not in (_RELOC_INLINE, _RELOC_MASTER):
+        kind, payload = wal_image(self._physical_read(value))
+        if kind != MOVED:
             raise HeapError(f"corrupt forward stub at {rid}")
-        return body, target
-
-    def _assemble(self, rid: Rid, body: bytes) -> bytes:
-        """Logical payload from a body record (inline or spanning master)."""
-        if body[0] not in (_MASTER, _RELOC_MASTER):
-            return wal_image(body)[1]
-        total_len, fragments = serialization.decode(body[1:])
-        out = bytearray()
-        for page_id, slot in fragments:
-            frag = self._physical_read(Rid(page_id, slot))
-            if frag[0] != _FRAGMENT:
-                raise HeapError(f"corrupt spanning chain at {rid}")
-            out.extend(frag[1:])
-        if len(out) != total_len:
-            raise HeapError(
-                f"spanning record at {rid}: got {len(out)} bytes, expected {total_len}"
-            )
-        return bytes(out)
-
-    def _release_body(self, body: bytes, log_op: LogOp | None) -> None:
-        """Delete the fragments of a spanning body (not the body itself)."""
-        if body[0] in (_MASTER, _RELOC_MASTER):
-            _total, fragments = serialization.decode(body[1:])
-            for page_id, slot in fragments:
-                self._physical_change(OP_DELETE, Rid(page_id, slot), b"", log_op)
+        return payload, value
 
     def insert(self, payload: bytes, log_op: LogOp | None = None) -> Rid:
-        """Store ``payload`` and return its Rid (spanning if necessary)."""
-        return self._physical_insert(self._build_body(payload, False, log_op), log_op)
+        """Store ``payload`` and return its Rid."""
+        return self._physical_insert(self._build_body(payload, False), log_op)
 
     def read(self, rid: Rid) -> bytes:
         """Return the logical payload at ``rid``.
 
         Raises :class:`RecordNotFoundError` for missing records and
-        :class:`HeapError` when ``rid`` names a spanning fragment or a
-        relocated body (neither is an addressable record).
+        :class:`HeapError` when ``rid`` names a relocated body (not an
+        addressable record) or a record with an unknown marker.
         """
-        body, _target = self._resolve(rid)
-        return self._assemble(rid, body)
+        return self._resolve(rid)[0]
 
     def update(self, rid: Rid, payload: bytes, log_op: LogOp | None = None) -> None:
         """Replace the payload at ``rid``; the Rid remains valid forever.
@@ -327,10 +276,9 @@ class HeapFile:
         Falls back to relocation-with-forwarding when the grown record no
         longer fits in its home (or current) page.
         """
-        body, target = self._resolve(rid)
-        self._release_body(body, log_op)
+        _old, target = self._resolve(rid)
         home = target if target is not None else rid
-        new_body = self._build_body(payload, target is not None, log_op)
+        new_body = self._build_body(payload, target is not None)
         try:
             self._physical_change(OP_UPDATE, home, new_body, log_op)
             return
@@ -341,44 +289,34 @@ class HeapFile:
         if target is not None:
             # Already relocated once; move the body again and repoint.
             self._physical_change(OP_DELETE, target, b"", log_op)
-            new_target = self._physical_insert(new_body, log_op)
-            self._physical_change(OP_UPDATE, rid, _forward_stub(new_target), log_op)
-            return
-        reloc_body = self._build_body(payload, True, log_op)
-        new_target = self._physical_insert(reloc_body, log_op)
+        else:
+            new_body = self._build_body(payload, True)
+        new_target = self._physical_insert(new_body, log_op)
         # A home record is never shorter than the stub: this fits in place.
         self._physical_change(OP_UPDATE, rid, _forward_stub(new_target), log_op)
 
     def delete(self, rid: Rid, log_op: LogOp | None = None) -> None:
-        """Delete the record (with any fragments and relocated body) at ``rid``."""
-        body, target = self._resolve(rid)
-        self._release_body(body, log_op)
+        """Delete the record (with any relocated body) at ``rid``."""
+        _payload, target = self._resolve(rid)
         if target is not None:
             self._physical_change(OP_DELETE, target, b"", log_op)
         self._physical_change(OP_DELETE, rid, b"", log_op)
 
-    def exists(self, rid: Rid) -> bool:
-        """True if an addressable logical record lives at ``rid``."""
-        try:
-            physical = self._physical_read(rid)
-        except RecordNotFoundError:
-            return False
-        return physical[0] in (_INLINE, _SHORT, _MASTER, _FORWARD)
-
     def scan(self) -> Iterator[tuple[Rid, bytes]]:
         """Yield every logical record as ``(rid, payload)``, page order.
 
-        Fragments and relocated bodies are internal and never yielded;
-        forwarded records are yielded at their home Rid.
+        Relocated bodies are internal and never yielded; forwarded records
+        are yielded at their home Rid.  An unknown marker raises
+        :class:`HeapError`.
         """
         for page_id in list(self._pages):
             with self._pool.page(page_id) as page:
                 entries = list(page.records())
             for slot, physical in entries:
-                marker = physical[0]
-                if marker in (_INLINE, _SHORT):
-                    yield Rid(page_id, slot), wal_image(physical)[1]
-                elif marker in (_MASTER, _FORWARD):
+                kind, value = wal_image(physical)
+                if kind == HOME:
+                    yield Rid(page_id, slot), value
+                elif kind == STUB:
                     rid = Rid(page_id, slot)
                     yield rid, self.read(rid)
 

@@ -10,8 +10,8 @@ recreate the mutex this layer exists to remove.
 
 :class:`StripedLock` is the standard middle ground -- N plain locks, a
 page id hashing to one stripe.  Heap physical operations hold exactly one
-stripe at a time (one page per physical op; spanning records take stripes
-fragment-by-fragment), so stripes can never deadlock against each other.
+stripe at a time (one page per physical op), so stripes can never
+deadlock against each other.
 Writers still serialize logical mutations through the storage mutex; the
 stripes only guard the short window in which an op touches a page's bytes
 (a writer's fetch..unpin, a reader's copy) against lock-free readers.

@@ -4,8 +4,7 @@ Checks, for an open database:
 
 1. every version graph validates structurally (acyclic derivation,
    temporal chain consistent, parent/child symmetry);
-2. every live version's payload materializes through the codec (delta
-   chains reconstruct, spanning records assemble);
+2. every live version's payload materializes (delta chains reconstruct);
 3. every record in the versions heap is referenced by exactly one live
    version (no orphans, no double-references);
 4. both heaps decode record by record, as an open loads them.

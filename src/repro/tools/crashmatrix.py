@@ -96,11 +96,6 @@ BLOB_CHUNK = 1300
 #: newversions per explicit-transaction batch: each is one version record.
 HISTORY_BATCH = 85
 
-#: Length of the tag a pruned version carries: past one page, so the
-#: catalog record spans (no version record does: a payload over 256
-#: bytes is a fixed-size blob reference).
-SPAN_TAG = 5000
-
 _JOIN_TIMEOUT = 60.0
 
 #: Databases the running workload opened (shards included): each loses its
@@ -119,7 +114,8 @@ class Item(PersistentObject):
 
 @persistent(name="crashmatrix.Blob")
 class Blob(PersistentObject):
-    """Growing payload: exercises page growth, compaction, and spanning."""
+    """Growing payload: past 256 bytes it is a blob, so each growth step
+    exercises the blob store and the version record stays small."""
 
     def __init__(self, tag: int = 0, text: str = "") -> None:
         self.tag = tag
@@ -221,7 +217,6 @@ _CRASH_HITS: dict[str, tuple[int, ...]] = {
     "heap.update.post": (1, 15),
     "heap.delete.pre": (1, 4),
     "heap.delete.post": (1, 4),
-    "heap.span.fragment": (1, 4),
     # A version pdelete: a child's re-base (a full copy here), the floor.
     "store.rebase": (1, 2),
     "store.floor": (1, 2),
@@ -361,11 +356,9 @@ class _Worker:
             self._write(item, Item(self.wid, base + 100), "val")
         elif op == 1:
             # Explicit transaction: a *batch* of newversions + a write.
-            # Version records stay small (an inline payload of at most
-            # 256 bytes, or a fixed-size blob reference), so the record
-            # that grows with use is the object table's graph-state
-            # entry -- the batches push it past a page (forcing spanning
-            # + in-page compaction).
+            # Each newversion inserts one small version record (its node
+            # header plus an inline payload of at most 256 bytes, or a
+            # fixed-size blob reference), so the batches fill heap pages.
             val = base + 200
 
             def model_fn(model: ModelStore) -> None:
@@ -381,9 +374,10 @@ class _Worker:
 
             self._attempt(model_fn, txn_fn)
         elif op == 2:
-            # Shrink then grow the blob: two autocommits.  The shrink
-            # leaves a hole; the regrow forces compaction / relocation /
-            # spanning once the payload outgrows a page.
+            # Shrink then grow the blob: two autocommits, each rewriting
+            # the current version's record in place.  The shrink makes its
+            # payload inline; the regrow makes it a blob reference again
+            # and appends a new frame to the blob store.
             self._write(blob, Blob(self.wid, "s"), "text")
             self._write(blob, Blob(self.wid, "b" * (BLOB_CHUNK * (j + 2))), "text")
         elif op == 3:
@@ -401,11 +395,11 @@ class _Worker:
             self._attempt(lambda model: model.write(item.oid, Item(self.wid, val)), sp_fn)
         elif self.committed.version_count(item.oid) > 3:
             # Prune the oldest version once history is deep enough (its
-            # full-copy children's records are re-based; its spanning tag
-            # goes with it), then the latest (the floor write keeps its
-            # serial dead).  Each pdelete is its own autocommit, so each
-            # gets its own ledger attempt.
-            db.tag_version(db.versions(item)[0], "t" * SPAN_TAG)
+            # full-copy children's records are re-based; its tag goes with
+            # it), then the latest (the floor write keeps its serial dead).
+            # Each pdelete is its own autocommit, so each gets its own
+            # ledger attempt.
+            db.tag_version(db.versions(item)[0], "pruned")
             for pick in (0, -1):
                 self._attempt(
                     lambda model: model.vdelete(item.oid, model.serials(item.oid)[pick]),

@@ -55,7 +55,7 @@ def build_rich_db(db):
     variant = db.newversion(base)
     variant.weight = 3
     holder = db.pnew(Node("holder", next_ref=ref.oid))
-    doc = db.pnew(Doc("x" * 9000))  # spanning record
+    doc = db.pnew(Doc("x" * 9000))  # over a page: a blob pack frame
     return ref, base, v2, variant, holder, doc
 
 

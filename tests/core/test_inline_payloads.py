@@ -5,7 +5,7 @@ A stored payload (full copy or delta body) of at most
 one is a content-addressed file behind a fixed-size reference.  These
 tests drive sizes that straddle every boundary on the way: the heap's
 short-record padding (12/13), the reference's own size (42), the
-threshold (255/256/257), a page-sized payload, and one that spans pages.
+threshold (255/256/257), a page-sized payload, and one over a page.
 
 Objects are raw ``bytes`` (and ``None``): under the full-copy policy the
 stored payload is exactly the codec's encoding, so a test picks its

@@ -220,7 +220,7 @@ def test_history_and_traversal_surface(any_db):
 
 
 def test_large_object_spanning_versions(any_db):
-    big_text = "x" * 20_000  # spans multiple pages
+    big_text = "x" * 20_000  # several pages long: a blob pack frame
     ref = any_db.pnew(Doc(big_text))
     version = any_db.newversion(ref)
     version.text = big_text + "tail"

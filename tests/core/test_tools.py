@@ -212,6 +212,15 @@ def test_check_reports_an_undecodable_object_record(db):
     assert any("undecodable" in p for p in report.problems), report.problems
 
 
+def test_check_reports_a_record_with_an_unknown_marker(db):
+    """A heap record is one of four markers; a spanning master (0x01), which
+    the heap no longer writes, makes the open a check derives refuse."""
+    db.pnew(Part("p", 1))
+    db.catalog.ensure_heap("ode.objects")._physical_insert(b"\x01" + b"master", None)
+    report = check_database(db)
+    assert any("unknown record marker" in p for p in report.problems), report.problems
+
+
 def test_check_render(db):
     db.pnew(Part("p", 1))
     assert "OK" in check_database(db).render()

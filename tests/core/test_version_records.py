@@ -18,6 +18,7 @@ from repro import Database, StoragePolicy
 from repro.core import gc as gc_engine
 from repro.core.identity import Vid
 from repro.core.store import node_header, split_record
+from repro.errors import HeapError
 from repro.storage.catalog import Catalog
 from repro.storage.heap import Rid
 from repro.tools.check import check_database
@@ -124,6 +125,22 @@ def test_one_tag_is_one_catalog_record(tmp_path):
         assert db.version_tags(ref.oid) == {3: "t3", 4: "t4"}
     finally:
         db.close()
+
+
+def test_a_tag_too_big_for_a_page_is_refused_and_writes_nothing(engine):
+    """A tag's catalog record must fit one page: a 5,000-character tag
+    raises ``HeapError`` before anything is written, and a short tag on
+    the same version then commits."""
+    ref = engine.pnew(Part("p", 1))
+    v2 = engine.newversion(ref)
+    engine.tag_version(engine.versions(ref.oid)[0], "first")
+    with pytest.raises(HeapError):
+        engine.tag_version(v2, "t" * 5000)
+    assert engine.version_tags(ref.oid) == {1: "first"}
+    assert not _strict_problems(engine)
+    engine.tag_version(v2, "short")
+    assert engine.version_tags(ref.oid) == {1: "first", 2: "short"}
+    assert not _strict_problems(engine)
 
 
 def _version_tags_lookups(engine, monkeypatch, oid) -> tuple[dict[int, str], int]:

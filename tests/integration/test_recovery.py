@@ -115,7 +115,7 @@ def test_repeated_crashes(tmp_path):
 
 def test_crash_with_large_spanning_objects(tmp_path):
     db = Database(tmp_path / "c6")
-    big = "payload " * 4000  # ~32 KiB, spans pages
+    big = "payload " * 4000  # ~32 KiB, over a page: a blob pack frame
     ref = db.pnew(Doc(big))
     v2 = db.newversion(ref)
     v2.text = big + "END"

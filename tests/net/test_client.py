@@ -77,7 +77,9 @@ def test_connection_error_frame_fails_inflight_requests_immediately():
                 )
             )
             await writer.drain()
-            await hold.wait()  # crucially: do NOT close the socket
+            await hold.wait()  # crucially: do NOT close the socket until the end
+            writer.close()
+            await writer.wait_closed()
 
         server, port = await _fake_server(handler)
         conn = await OdeConnection.open("127.0.0.1", port)

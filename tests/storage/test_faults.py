@@ -148,7 +148,7 @@ def test_write_and_error_failpoints_are_registered():
         "wal.flush.fsync", "disk.sync.fsync", "blobs.sync.fsync",
         "net.proxy.accept", "net.proxy.forward.c2s", "net.proxy.forward.s2c",
     }
-    assert len(kind(probe.CRASH)) == 45
+    assert len(kind(probe.CRASH)) == 44
 
 
 # -- stats surface -----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from repro.errors import HeapError, RecordNotFoundError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heap import MAX_INLINE, HeapFile, Rid
-from repro.storage.pages import PAGE_SIZE
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ def heap(env):
 
 
 def _count(heap):
-    """Logical records (spans and relocations count once)."""
+    """Logical records (a relocated one counts once)."""
     return sum(1 for _ in heap.scan())
 
 
@@ -73,10 +74,12 @@ def test_update_grow_beyond_page_is_error_free_for_small(heap):
 
 def test_exists(heap):
     rid = heap.insert(b"here")
-    assert heap.exists(rid)
+    assert heap.read(rid) == b"here"
     heap.delete(rid)
-    assert not heap.exists(rid)
-    assert not heap.exists(Rid(999, 3))
+    with pytest.raises(RecordNotFoundError):
+        heap.read(rid)
+    with pytest.raises(RecordNotFoundError):
+        heap.read(Rid(999, 3))
 
 
 def test_scan_yields_all_records(heap):
@@ -114,77 +117,46 @@ def test_empty_record(heap):
     assert heap.read(rid) == b""
 
 
-# -- spanning records ---------------------------------------------------------
+# -- one record, one page ----------------------------------------------------
 
 
-def test_spanning_insert_read(heap):
-    payload = bytes(range(256)) * 64  # 16 KiB > page
-    rid = heap.insert(payload)
-    assert heap.read(rid) == payload
+def test_max_inline_boundary(env, heap):
+    """MAX_INLINE bytes fit a page; one more is refused before anything is
+    written: no page is allocated, no log record fires, the old payload stays."""
+    disk, _pool = env
+    logged = []
+
+    def log_op(*op):
+        logged.append(op)
+
+    full = heap.insert(b"b" * MAX_INLINE, log_op)
+    assert heap.read(full) == b"b" * MAX_INLINE
+    home = heap.insert(b"home")
+    moved = heap.insert(b"x")
+    _fill_page_around(heap, moved)
+    heap.update(moved, b"M" * 3000)
+    assert heap._resolve(moved)[1] is not None, "must have been relocated"
+    pages, disk_pages = len(heap._pages), disk.num_pages
+    logged.clear()
+    too_big = b"b" * (MAX_INLINE + 1)
+    with pytest.raises(HeapError):
+        heap.insert(too_big, log_op)
+    for rid, payload in ((full, b"b" * MAX_INLINE), (home, b"home"), (moved, b"M" * 3000)):
+        with pytest.raises(HeapError):
+            heap.update(rid, too_big, log_op)
+        assert heap.read(rid) == payload
+    assert (len(heap._pages), disk.num_pages, logged) == (pages, disk_pages, [])
 
 
-def test_spanning_fragments_hidden_from_scan(heap):
-    payload = b"s" * (PAGE_SIZE * 3)
-    heap.insert(payload)
-    heap.insert(b"small")
-    records = list(heap.scan())
-    assert len(records) == 2
-    assert {p for _, p in records} == {payload, b"small"}
-
-
-def test_spanning_update_shrink_to_inline(heap):
-    rid = heap.insert(b"L" * (PAGE_SIZE * 2))
-    heap.update(rid, b"now small")
-    assert heap.read(rid) == b"now small"
-    # Fragments were released: only one logical record remains, and the
-    # physical count shrank accordingly.
-    assert _count(heap) == 1
-
-
-def test_spanning_update_grow_from_inline(heap):
-    rid = heap.insert(b"small")
-    big = b"G" * (PAGE_SIZE * 2 + 17)
-    heap.update(rid, big)
-    assert heap.read(rid) == big
-
-
-def test_spanning_delete_releases_fragments(heap):
-    payload = b"d" * (PAGE_SIZE * 4)
-    rid = heap.insert(payload)
-    pages_before = len(list(heap._pages))
-    heap.delete(rid)
-    assert _count(heap) == 0
-    # Space is reusable: a same-size insert does not add pages.
-    heap.insert(payload)
-    assert len(list(heap._pages)) == pages_before
-
-
-def test_fragment_rid_not_directly_readable(heap):
-    payload = b"f" * (PAGE_SIZE * 2)
-    master = heap.insert(payload)
-    # Find a fragment rid: scan pages for a slot that is not the master.
-    for page_id in list(heap._pages):
-        for slot in range(10):
-            rid = Rid(page_id, slot)
-            if rid != master and heap._physical_read.__self__ is heap:
-                try:
-                    heap._physical_read(rid)
-                except RecordNotFoundError:
-                    continue
-                if rid != master:
-                    with pytest.raises(HeapError):
-                        heap.read(rid)
-                    return
-    pytest.fail("no fragment found")
-
-
-def test_max_inline_boundary(heap):
-    payload = b"b" * MAX_INLINE
-    rid = heap.insert(payload)
-    assert heap.read(rid) == payload
-    payload2 = b"b" * (MAX_INLINE + 1)
-    rid2 = heap.insert(payload2)
-    assert heap.read(rid2) == payload2
+def test_unknown_marker_is_refused(heap):
+    """A record is one of four markers; any other byte (0x01 was a spanning
+    master) is corrupt, and ``read`` and ``scan`` say so."""
+    heap.insert(b"good")
+    rid = heap._physical_insert(b"\x01" + b"payload", None)
+    with pytest.raises(HeapError, match="marker"):
+        heap.read(rid)
+    with pytest.raises(HeapError, match="marker"):
+        list(heap.scan())
 
 
 # -- persistence & discovery -----------------------------------------------------
@@ -253,7 +225,8 @@ def test_replay_update_inserts_if_missing(heap):
 
 def test_replay_delete_missing_is_noop(heap):
     heap.replay_delete(7, 1)  # must not raise
-    assert not heap.exists(Rid(7, 1))
+    with pytest.raises(RecordNotFoundError):
+        heap.read(Rid(7, 1))
 
 
 def test_replay_claims_fresh_pages(env, heap):
@@ -286,13 +259,16 @@ def test_property_heap_model(tmp_path_factory, ops):
     model: dict[Rid, bytes] = {}
     try:
         for op, payload in ops:
+            # A payload too big for a page is refused and writes nothing.
+            refused = pytest.raises(HeapError) if len(payload) > MAX_INLINE else nullcontext()
             if op == "insert":
-                rid = heap.insert(payload)
-                model[rid] = payload
+                with refused:
+                    model[heap.insert(payload)] = payload
             elif op == "update" and model:
                 rid = sorted(model)[0]
-                heap.update(rid, payload)
-                model[rid] = payload
+                with refused:
+                    heap.update(rid, payload)
+                    model[rid] = payload
             elif op == "delete" and model:
                 rid = sorted(model)[-1]
                 heap.delete(rid)
@@ -322,7 +298,6 @@ def test_update_grow_relocates_with_forwarding(heap):
     big = b"G" * 3000
     heap.update(rid, big)  # cannot fit in page: must forward
     assert heap.read(rid) == big  # the home Rid still works
-    assert heap.exists(rid)
 
 
 def test_forwarded_record_scan_yields_home_rid(heap):
@@ -352,20 +327,9 @@ def test_forwarded_record_delete_cleans_body(heap):
     heap.update(rid, b"D" * 3000)
     total_before = _count(heap)
     heap.delete(rid)
-    assert not heap.exists(rid)
+    with pytest.raises(RecordNotFoundError):
+        heap.read(rid)
     assert _count(heap) == total_before - 1
-
-
-def test_forwarded_spanning_record(heap):
-    from repro.storage.pages import PAGE_SIZE
-
-    rid = heap.insert(b"x")
-    _fill_page_around(heap, rid)
-    huge = b"H" * (PAGE_SIZE * 2)
-    heap.update(rid, huge)  # spans AND forwards
-    assert heap.read(rid) == huge
-    heap.delete(rid)
-    assert not heap.exists(rid)
 
 
 def test_second_relocation_past_page_63_in_a_packed_home_page(env, heap):
@@ -444,14 +408,15 @@ def test_sub_stub_record_grows_out_of_a_packed_page(env, heap, gap):
     heap.update(victim, b"")  # shrinks where it now lives; the stub stays
     assert heap.read(victim) == b""
     heap.delete(victim)
-    assert not heap.exists(victim)
+    with pytest.raises(RecordNotFoundError):
+        heap.read(victim)
 
 
 def test_unpadded_short_records_keep_reading(heap):
     """Records written before short payloads were padded are plain inline
     records; they read, scan, and take the padded form when rewritten."""
     old = heap._physical_insert(b"\x00abc", None)
-    assert heap.read(old) == b"abc" and heap.exists(old)
+    assert heap.read(old) == b"abc"
     assert dict(heap.scan())[old] == b"abc"
     heap.update(old, b"abcd")
     assert heap.read(old) == b"abcd"

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.errors import RecordNotFoundError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heap import HeapFile, Rid
@@ -133,7 +134,8 @@ def test_recover_undoes_loser_insert(tmp_path, log):
     report = recover(log, resolver)
     assert report.loser_txids == (1,)
     assert report.ops_undone == 1
-    assert not resolver(2).exists(Rid(3, 0))
+    with pytest.raises(RecordNotFoundError):
+        resolver(2).read(Rid(3, 0))
     disk.close()
 
 
@@ -174,7 +176,8 @@ def test_recover_respects_abort_end(tmp_path, log):
     log.flush()
     report = recover(log, resolver)
     assert report.loser_txids == ()
-    assert not resolver(2).exists(Rid(3, 0))
+    with pytest.raises(RecordNotFoundError):
+        resolver(2).read(Rid(3, 0))
     disk.close()
 
 
@@ -202,7 +205,8 @@ def test_recover_interleaved_transactions(tmp_path, log):
     report = recover(log, resolver)
     assert report.loser_txids == (1,)
     heap = resolver(2)
-    assert not heap.exists(Rid(3, 0))
+    with pytest.raises(RecordNotFoundError):
+        heap.read(Rid(3, 0))
     assert heap.read(Rid(3, 1)) == b"from-t2"
     disk.close()
 
