@@ -388,11 +388,10 @@ def test_e13_commit_grouping(swarm_server, benchmark):
 def test_e13_lane_hops_are_counted(tmp_path, benchmark):
     """Counted gate on the commit path's plumbing (counts, not times).
 
-    Per *awaited* stateful frame: exactly one lane run (BEGIN, alone in
-    its chunk on an idle lane, is served on the reactor and costs none;
-    a WRITE inside a transaction is not awaited and rides with the next
-    frame).  So an awaited BEGIN/WRITE/COMMIT is one lane run of two
-    frames, and BEGIN/NEWVERSION/WRITE/COMMIT two runs of three.  Per
+    Per *awaited* stateful frame: exactly one lane run (BEGIN, and a
+    WRITE inside a transaction, are not awaited and ride with the next
+    frame).  So an awaited BEGIN/WRITE/COMMIT is one lane run of three
+    frames, and BEGIN/NEWVERSION/WRITE/COMMIT two runs of four.  Per
     *pipelined* BEGIN/WRITE/COMMIT triple: exactly one lane run for all
     three frames.  And the threads that do it: one
     reactor and no worker for 256 idle connections, never more than
@@ -418,10 +417,11 @@ def test_e13_lane_hops_are_counted(tmp_path, benchmark):
     async def run() -> dict:
         conn = await OdeConnection.open(server.host, server.port)
         try:
-            await conn.ping("warm")
+            await conn.begin()  # the first also awaits a health check
+            await conn.abort()
             start = lanes()
             await conn.begin()
-            after_begin = lanes()
+            after_begin = lanes()  # the BEGIN is still corked
             await conn.abort()
             aborted = lanes()
             for j in range(txns):
@@ -468,11 +468,11 @@ def test_e13_lane_hops_are_counted(tmp_path, benchmark):
     benchmark.extra_info.update(
         counts, idle_threads=len(idle_census), busy_threads=len(busy_census)
     )
-    assert counts["begin_runs"] == 0, "an awaited plain BEGIN must not take the lane"
-    # BEGIN inline; WRITE rides with COMMIT: one lane run of two frames.
-    assert (counts["awaited_runs"], counts["awaited_frames"]) == (txns, 2 * txns)
-    # NEWVERSION waits for its vid: one run; WRITE + COMMIT: another.
-    assert (counts["versioned_runs"], counts["versioned_frames"]) == (2 * txns, 3 * txns)
+    assert counts["begin_runs"] == 0, "a BEGIN must ride with the frame behind it"
+    # BEGIN and WRITE ride with COMMIT: one lane run of three frames.
+    assert (counts["awaited_runs"], counts["awaited_frames"]) == (txns, 3 * txns)
+    # BEGIN + NEWVERSION wait for its vid: one run; WRITE + COMMIT: another.
+    assert (counts["versioned_runs"], counts["versioned_frames"]) == (2 * txns, 4 * txns)
     assert (counts["burst_runs"], counts["burst_frames"]) == (txns, 3 * txns)
     assert idle_census == ["ode-net-reactor"], idle_census
     assert len(busy_census) <= 1 + workers, busy_census

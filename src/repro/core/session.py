@@ -94,8 +94,7 @@ class ClientSession:
         # The thread the session is currently activated on, or None.
         self._active_thread: int | None = None
 
-    @contextmanager
-    def activate(self) -> Iterator[Any]:
+    def activate(self) -> "_Activation":
         """Bind the session to the calling thread for one request.
 
         While active, the engine's ``begin()`` / ``current_transaction()``
@@ -105,24 +104,7 @@ class ClientSession:
         is a single client, and its requests must be serialized by the
         caller.
         """
-        if self.closed:
-            raise SessionStateError(f"{self.name} is closed")
-        me = threading.get_ident()
-        with self._mutex:
-            if self._active_thread is not None and self._active_thread != me:
-                raise SessionStateError(
-                    f"{self.name} is already active on another thread"
-                )
-            nested = self._active_thread == me
-            self._active_thread = me
-        prev = self._host._swap_active_session(self)
-        try:
-            yield self
-        finally:
-            self._host._swap_active_session(prev)
-            if not nested:
-                with self._mutex:
-                    self._active_thread = None
+        return _Activation(self, True)
 
     def __enter__(self) -> Any:
         return self
@@ -221,24 +203,46 @@ class Session(ClientSession):
                 # (or restart recovery): detach it, never roll it back.
                 pass
             else:
-                with self.activate_for_teardown():
+                # Unchecked: the last request may have died on another thread.
+                with _Activation(self, False):
                     txn.abort()
         self.txn = None
         self.unpin()
         self._host._forget_session(self)
 
-    @contextmanager
-    def activate_for_teardown(self) -> Iterator[None]:
-        """Activation that bypasses the closed/other-thread checks.
 
-        ``close()`` must be able to abort the open transaction even when
-        the session's last request died mid-flight on another thread.
-        """
-        prev = self._host._swap_active_session(self)
-        try:
-            yield
-        finally:
-            self._host._swap_active_session(prev)
+class _Activation:
+    """``with session.activate():`` as a slotted object, not a generator
+    (a cross-shard wire commit makes two dozen).  Only a thread's first
+    entry takes the mutex: the owner alone sets and clears
+    ``_active_thread``."""
+
+    __slots__ = ("session", "checked", "owner", "prev")
+
+    def __init__(self, session: ClientSession, checked: bool) -> None:
+        self.session, self.checked, self.owner = session, checked, False
+
+    def __enter__(self) -> Any:
+        sess = self.session
+        if self.checked:
+            if sess.closed:
+                raise SessionStateError(f"{sess.name} is closed")
+            if sess._active_thread != (me := threading.get_ident()):
+                with sess._mutex:
+                    if sess._active_thread is not None:
+                        raise SessionStateError(
+                            f"{sess.name} is already active on another thread"
+                        )
+                    sess._active_thread, self.owner = me, True
+        local = sess._host._tlocal
+        self.prev = getattr(local, "active_session", None)
+        local.active_session = sess
+        return sess
+
+    def __exit__(self, *exc: object) -> None:
+        self.session._host._tlocal.active_session = self.prev
+        if self.owner:
+            self.session._active_thread = None
 
 
 class ResilienceCounters:
@@ -310,12 +314,6 @@ class SessionHost:
     def _forget_session(self, sess: Any) -> None:
         with self._session_mutex:
             self._sessions.discard(sess)
-
-    def _swap_active_session(self, sess: Any) -> Any:
-        """Bind ``sess`` to the calling thread; return the previous binding."""
-        prev = getattr(self._tlocal, "active_session", None)
-        self._tlocal.active_session = sess
-        return prev
 
     def _current_session(self, create: bool = True) -> Any:
         """The calling thread's session: the activated one, else implicit.

@@ -24,9 +24,9 @@ outside a transaction overtake queued work); kernel errors come back as
 themselves (``except DeadlockError`` works across the wire), anything
 else as :class:`~repro.errors.RemoteError`.
 
-**Write-behind.**  Inside a transaction ``write`` and ``pdelete`` do not
-wait (up to the server's ``max_inflight`` unanswered): one that fails
-dooms the transaction server-side, and ``commit()`` raises its error.
+**Write-behind.**  ``begin()``, and ``write`` and ``pdelete`` inside a
+transaction, do not wait (up to the server's ``max_inflight``): one that
+fails dooms the transaction, and the next awaited frame raises its error.
 
 **Deadlines.**  Every request is bounded by the connection's
 ``default_deadline`` or its own ``deadline=`` (``None``: wait forever).
@@ -76,6 +76,7 @@ from repro.net import protocol
 _FLUSH_BYTES = 128 * 1024
 
 _TXN_END = frozenset({protocol.OP_COMMIT, protocol.OP_ABORT})
+_UNCOUNTED = _TXN_END | {protocol.OP_HEALTH, protocol.OP_PING}  # not in max_inflight
 
 #: Default per-op deadline (seconds).  Every wire op completes or fails
 #: within this bound unless the caller overrides it; ``None`` (wait
@@ -181,10 +182,10 @@ class OdeConnection(asyncio.Protocol):
         #: is over its high-water mark) to ``resume_writing``.
         self._paused: asyncio.Future[None] | None = None
         self._lost = self._loop.create_future()  # set by ``connection_lost``
-        self._in_txn = False  # from an answered begin() to a COMMIT/ABORT sent
+        self._in_txn = False  # from begin() to a COMMIT/ABORT sent
         #: The server's ``max_inflight``, learnt with the first ``begin()``.
         self._max_inflight = 0
-        self._behind: asyncio.Future | None = None  # the last write-behind
+        self._behind: asyncio.Future | None = None  # the last unawaited frame
 
     @classmethod
     async def open(
@@ -349,6 +350,8 @@ class OdeConnection(asyncio.Protocol):
         timeout = self.default_deadline if deadline is _UNSET else deadline
         if self._paused is not None:
             timeout = await self._writable(opcode, timeout)
+        elif self._in_txn and opcode not in _UNCOUNTED:
+            await self._room(timeout)
         future = self.send(opcode, payload)
         if timeout is None:
             return await future
@@ -378,15 +381,18 @@ class OdeConnection(asyncio.Protocol):
                 left = max(0.0, give_up - self._loop.time())
         return left
 
+    async def _room(self, timeout: float | None) -> None:
+        """At ``max_inflight``, wait for the last unawaited frame's answer."""
+        if len(self._pending) >= self._max_inflight and self._behind is not None:
+            await asyncio.wait((self._behind,), timeout=timeout)
+
     async def _write_behind(self, opcode: int, payload: Any, deadline: Any) -> None:
         """Send a frame answered ``None``; inside a transaction without
         waiting (the COMMIT reports its error), but at the server's
-        ``max_inflight`` only once the write before it is answered."""
+        ``max_inflight`` only once the frame before it is answered."""
         if not self._in_txn or self._paused:
             return await self.request(opcode, payload, deadline=deadline)
-        if len(self._pending) >= self._max_inflight and self._behind is not None:
-            timeout = self.default_deadline if deadline is _UNSET else deadline
-            await asyncio.wait((self._behind,), timeout=timeout)  # lanes answer in order
+        await self._room(self.default_deadline if deadline is _UNSET else deadline)
         self._behind = self.send(opcode, payload)
         self._behind.add_done_callback(_retrieved)
 
@@ -460,23 +466,20 @@ class OdeConnection(asyncio.Protocol):
 
     async def begin(
         self, *, snapshot_reads: bool = False, deadline: Any = _UNSET
-    ) -> int:
-        """Open this session's transaction; returns the txid.  The first
-        also asks the server's ``max_inflight`` with a pipelined health check."""
-        health = None
-        if not self._max_inflight:
-            health = self.send(protocol.OP_HEALTH)
-            health.add_done_callback(_retrieved)  # if the BEGIN raises
-        txid = await self.request(
-            protocol.OP_BEGIN, {"snapshot_reads": snapshot_reads}, deadline=deadline
-        )
-        if health is not None:
-            self._max_inflight = (await health)["max_inflight"]
+    ) -> None:
+        """Open this session's transaction without waiting: a BEGIN refused
+        (drain, shed) or failed (one already open) dooms the frames behind
+        it, so the next awaited one or ``commit()`` raises its error.  The
+        first also awaits a pipelined health check for ``max_inflight``."""
         self._in_txn = True
-        return txid
+        await self._write_behind(
+            protocol.OP_BEGIN, {"snapshot_reads": snapshot_reads}, deadline
+        )
+        if not self._max_inflight:
+            self._max_inflight = (await self.health(deadline=deadline))["max_inflight"]
 
     async def commit(self, *, deadline: Any = _UNSET) -> None:
-        """Commit, or roll back and raise the error of a failed write."""
+        """Commit, or roll back and raise the error that doomed it."""
         await self.request(protocol.OP_COMMIT, deadline=deadline)
 
     async def abort(self, *, deadline: Any = _UNSET) -> None:
@@ -539,7 +542,7 @@ class OdeConnection(asyncio.Protocol):
 
 
 def _retrieved(future: asyncio.Future) -> None:
-    """A write-behind's error is the COMMIT's to report, not a lost one."""
+    """An unawaited frame's error is the COMMIT's to report, not a lost one."""
     future.cancelled() or future.exception()
 
 

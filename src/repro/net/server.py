@@ -13,9 +13,8 @@ per frame.  Threads: 1 + at most ``workers``, whatever the connection
 count.
 
 * **Inline, if idle** -- served on the reactor, the chunk's answers in
-  one buffer: health checks and pings always; a plain ``BEGIN``
-  while the connection's lane is idle; reads and queries outside a
-  transaction (the session's pinned snapshot) unless a frame that
+  one buffer: health checks and pings always; reads and queries outside
+  a transaction (the session's pinned snapshot) unless a frame that
   decides what they see is still on the lane.
 * **The lane** -- everything else joins the connection's FIFO deque.
   One runner on the worker pool activates the session once, drains the
@@ -23,7 +22,8 @@ count.
   thread hop per awaited frame, one wake-up and one socket write per
   pipelined ``BEGIN/.../COMMIT`` burst.  Acks are batched only inside an
   open transaction, so a COMMIT's ack never waits on a follower that
-  blocks.  A write that fails inside a transaction dooms it (see
+  blocks.  A write that fails inside a transaction dooms it, and a
+  BEGIN that is refused or fails dooms the frames behind it (see
   ``_run_batch``).  Disconnect is the lane's last item: frames still
   queued are dropped unexecuted, then the session closes (aborting its
   open txn).
@@ -188,8 +188,11 @@ class _Connection:
         #: Reactor only: since when it has watched the socket for
         #: writability instead of reading from it (None: reading).
         self.stalled_since: float | None = None
-        #: The error of a write that failed in the open transaction.
+        #: The error of a failed BEGIN, or of a write in the open transaction.
         self.doomed: BaseException | None = None
+        #: The cid of the BEGIN that opened the session's transaction: its
+        #: replay (a duplicated chunk) fails without dooming anything.
+        self.begun = 0
 
 
 class OdeServer:
@@ -497,10 +500,8 @@ class OdeServer:
         """
         out = bytearray()
         served = errors = snap_reads = queued = 0
-        frames = list(conn.decoder.feed(data))
-        final = len(frames) - 1
-        for at, (opcode, cid, payload) in enumerate(frames):
-            inline = self._try_inline(conn, opcode, cid, payload, out, at == final)
+        for opcode, cid, payload in list(conn.decoder.feed(data)):  # all or none
+            inline = self._try_inline(conn, opcode, cid, payload, out)
             if inline is not None:
                 served += 1
                 ok, was_read = inline
@@ -512,8 +513,8 @@ class OdeServer:
                 _error_frame_into(out, cid, rejection)
                 served += 1
                 errors += 1
-                if opcode in _WRITE_OPS:
-                    self._refused(conn, rejection)
+                if opcode in _MUTATING_OPS:
+                    self._refused(conn, opcode, rejection)
                 continue
             queued += 1
             with conn.lock:
@@ -555,14 +556,19 @@ class OdeServer:
             )
         return None
 
-    def _refused(self, conn: _Connection, error: Exception) -> None:
+    def _refused(self, conn: _Connection, opcode: int, error: Exception) -> None:
         """A write refused unqueued dooms the transaction open at its place
-        in the lane: a mark ``(None, 0, error)``, one per run of refusals.
-        An idle lane has none open (a shed needs a busy lane; a drain
-        refuses only outside one)."""
+        in the lane, a BEGIN what follows it: a mark ``(None, begin,
+        error)`` (ordered), one per run of like refusals.  On an idle lane
+        (a drain) no transaction is open: a BEGIN's refusal dooms at once."""
+        mark = (None, opcode == OP_BEGIN, error)
         with conn.lock:
-            if conn.lane_active and (not conn.lane or conn.lane[-1][0] is not None):
-                conn.lane.append((None, 0, error))
+            if conn.lane_active:
+                if not conn.lane or conn.lane[-1][:2] != mark[:2]:
+                    conn.lane.append(mark)
+                    conn.ordered += 1
+            elif mark[1] and conn.doomed is None:
+                conn.doomed = error
 
     def _health_payload(self) -> dict[str, Any]:
         """The OP_HEALTH response body: liveness + drain + shard health."""
@@ -636,16 +642,12 @@ class OdeServer:
 
     def _try_inline(
         self, conn: _Connection, opcode: int, cid: int, payload: Any,
-        out: bytearray, final: bool,
+        out: bytearray,
     ) -> tuple[bool, bool] | None:
         """Serve a frame on the reactor if it needs no locks and no I/O.
 
         Returns ``(ok, was_snapshot_read)`` when served, ``None`` when
         the frame belongs to the lane (see the module docstring).
-        BEGIN qualifies only as the ``final`` frame of its chunk -- what
-        follows it needs the lane anyway, and the burst kept together
-        costs one wake-up and one socket write -- and never with
-        ``snapshot_reads``: a global cut can wait on the 2PC cut latch.
         """
         session = conn.session
         was_read = False
@@ -661,18 +663,13 @@ class OdeServer:
             if conn.ordered or session.txn is not None or conn.doomed is not None:
                 return None
             was_read = True
-        elif opcode != OP_BEGIN or not final or conn.lane or conn.lane_active:
-            return None
-        elif self.draining or conn.doomed is not None or _snapshot_reads(payload):
+        else:
             return None
         try:
             if opcode == OP_READ:
                 result = _snap_read(session.reader(), payload)
             elif opcode == OP_QUERY:
                 result = _do_query(session.reader(), payload)
-            elif opcode == OP_BEGIN:
-                with session.activate():
-                    result = self.db.begin().txid
             else:
                 result = payload
             protocol.build_frame_into(out, RESP_OK, cid, result)
@@ -703,8 +700,6 @@ class OdeServer:
                         break
                     self._batch_done(conn, *batch, False)
                     first = False
-            # The last write follows deactivation: once the lane reads
-            # idle the reactor may serve this session's BEGIN inline.
             if closing:  # the lane stays marked active: nothing runs after
                 try:
                     conn.session.close()
@@ -722,9 +717,9 @@ class OdeServer:
         """A batch ended: settle its counts, write its responses and, if
         the run is ``over`` and no frame came meanwhile, mark the lane
         idle (returned).  All under the connection's mutex: an ack is on
-        the wire only after the lane reads idle (the awaited BEGIN behind
-        a COMMIT's ack is served inline, every time), and the next run's
-        responses cannot overtake this one's."""
+        the wire only after the lane reads idle (what the client sends
+        behind it starts a run of its own, every time), and the next
+        run's responses cannot overtake this one's."""
         with conn.lock:
             conn.inflight -= finished
             conn.ordered -= ordered
@@ -745,9 +740,10 @@ class OdeServer:
         write.  The batch ends once the session is outside a transaction
         (after a COMMIT, an autocommit write): the next frame may block
         on a lock, and the ack of durable work must not sit behind it.
-        A write that fails inside a transaction dooms it (``_doomed``):
-        its COMMIT, which the client's unawaited writes ride with, reports
-        it.  Returns ``(out, frames finished, of them ordered, closing)``.
+        A write that fails inside a transaction dooms it (``_doomed``), as
+        does a BEGIN that fails: the COMMIT, which the client's unawaited
+        BEGIN and writes ride with, reports it.  Returns ``(out, frames
+        finished, of them ordered, closing)``.
         """
         out = bytearray()
         served = errors = snap_reads = dropped = ordered = 0
@@ -759,8 +755,9 @@ class OdeServer:
                 closing = True
                 break
             opcode, cid, payload = frame
-            if opcode is None:  # a refused write's place (see _refused)
-                if session.txn is not None and conn.doomed is None:
+            if opcode is None:  # a refused frame's place (see _refused)
+                ordered += 1
+                if conn.doomed is None and (cid or session.txn is not None):
                     conn.doomed = payload
                 continue
             if conn.dead:
@@ -777,11 +774,16 @@ class OdeServer:
                 else:
                     snap_reads += opcode in _READ_OPS and txn is None
                     result = self._stateful(session, opcode, payload)
+                    if opcode == OP_BEGIN:
+                        conn.begun = cid
                 protocol.build_frame_into(out, RESP_OK, cid, result)
             except BaseException as exc:  # noqa: BLE001 - enveloped
                 errors += 1
                 _error_frame_into(out, cid, exc)
-                if txn is not None and opcode in _WRITE_OPS and conn.doomed is None:
+                if conn.doomed is None and (
+                    opcode == OP_BEGIN and cid != conn.begun
+                    or txn is not None and opcode in _WRITE_OPS
+                ):
                     conn.doomed = exc
             if session.txn is None and conn.doomed is None:
                 break
@@ -800,8 +802,8 @@ class OdeServer:
     # -- request execution ---------------------------------------------------
 
     def _doomed(self, conn: _Connection, opcode: int) -> None:
-        """A frame behind a failed write of its transaction answers that
-        error unexecuted; COMMIT and ABORT roll back (ABORT answers OK)."""
+        """A frame behind a failed BEGIN or write answers that error
+        unexecuted; COMMIT and ABORT roll back (ABORT answers OK)."""
         error = conn.doomed
         if opcode in _ENDS:
             conn.doomed = None
@@ -816,7 +818,8 @@ class OdeServer:
         """Execute one lane frame (pool thread, session activated)."""
         db = self.db
         if opcode == OP_BEGIN:
-            return db.begin(snapshot_reads=_snapshot_reads(payload)).txid
+            snapshot_reads = isinstance(payload, dict) and payload.get("snapshot_reads")
+            return db.begin(snapshot_reads=bool(snapshot_reads)).txid
         if opcode == OP_COMMIT or opcode == OP_ABORT:
             txn = db.current_transaction()
             if txn is None:
@@ -860,11 +863,6 @@ class OdeServer:
 
 def _error_frame_into(out: bytearray, cid: int, exc: BaseException) -> None:
     protocol.build_frame_into(out, RESP_ERR, cid, protocol.error_payload(exc))
-
-
-def _snapshot_reads(payload: Any) -> bool:
-    """Does this BEGIN payload ask for a snapshot-read transaction?"""
-    return bool(isinstance(payload, dict) and payload.get("snapshot_reads"))
 
 
 def _ident(payload: Any) -> Oid | Vid:

@@ -48,11 +48,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro import probe
-from repro.errors import WalError
+from repro.errors import SerializationError, WalError
 from repro.storage import serialization
 
 _FRAME = struct.Struct("<II")  # length, crc32
-_FIELD_TYPES = [int] * 5 + [bytes] * 2  # a record body: ids, then payloads
 
 # Record kinds (on-disk values; never renumber).
 BEGIN = 1
@@ -92,29 +91,30 @@ class LogRecord:
         return self.kind in (OP_INSERT, OP_UPDATE, OP_DELETE)
 
     def to_bytes(self) -> bytes:
-        return serialization.encode(
-            (
-                self.kind,
-                self.txid,
-                self.file_id,
-                self.page_id,
-                self.slot,
-                self.payload,
-                self.undo_payload,
-            )
-        )
+        """The body: uvarints kind, txid, file_id, page_id, slot and the
+        payload's length, then the payload, then the undo image."""
+        out = bytearray()
+        for value in (self.kind, self.txid, self.file_id, self.page_id, self.slot):
+            serialization.write_uvarint(out, value)
+        serialization.write_uvarint(out, len(self.payload))
+        out += self.payload
+        out += self.undo_payload
+        return bytes(out)
 
     @staticmethod
     def from_bytes(raw: bytes) -> LogRecord:
         """Decode a body; :class:`WalError` for anything :meth:`to_bytes`
         cannot have written (only reachable past a matching crc)."""
+        fields, pos = [0] * 6, 0
         try:
-            fields = serialization.decode(raw)
-        except Exception as exc:  # noqa: BLE001 - garbage may fail any way
-            raise WalError(f"malformed log record body: {exc!r}") from exc
-        if type(fields) is not tuple or list(map(type, fields)) != _FIELD_TYPES:
-            raise WalError("malformed log record body")
-        return LogRecord(*fields)
+            for i in range(6):
+                fields[i], pos = serialization.read_uvarint(raw, pos)
+        except SerializationError as exc:
+            raise WalError(f"malformed log record body: {exc}") from exc
+        end = pos + fields.pop()
+        if end > len(raw):
+            raise WalError("malformed log record body: payload overruns it")
+        return LogRecord(*fields, bytes(raw[pos:end]), bytes(raw[end:]))
 
 
 class LogManager:

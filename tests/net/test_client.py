@@ -265,7 +265,9 @@ def test_requests_wait_out_a_server_that_is_not_reading():
                 calls.append(asyncio.ensure_future(conn.ping(body, deadline=0.5)))
                 if n % 50 == 49:  # debug mode: 2 000 tasks made in one step is slow
                     await asyncio.sleep(0)
-            results = await asyncio.gather(*calls, return_exceptions=True)
+            results = []
+            for at in range(0, len(calls), 50):  # debug mode: so is one 2 000-future gather
+                results += await asyncio.gather(*calls[at : at + 50], return_exceptions=True)
             assert {type(r) for r in results} == {DeadlineExceededError}
             assert conn.deadline_expired == 2000
             high_water = conn.transport.get_write_buffer_limits()[1]
@@ -442,8 +444,9 @@ def test_a_lock_timeout_surfaces_at_commit_and_a_rerun_succeeds(tmp_path):
 
 
 def test_write_outside_a_transaction_still_waits_and_raises(served):
-    """An autocommit write, and a write after a ``begin()`` that raised,
-    wait for their acks and raise their own errors."""
+    """An autocommit write waits for its ack and raises its own error.
+    A ``begin()`` the draining server refuses returns at once; the write
+    behind it does not land, and ``commit()`` raises the refusal."""
     db, host, port, oid = served
     with ServerThread(db) as server:
 
@@ -455,14 +458,19 @@ def test_write_outside_a_transaction_still_waits_and_raises(served):
                 await conn.write(oid, "weight", 30)  # acknowledged on return
                 with db.snapshot() as snap:
                     assert snap.read_attr(snap.latest_vid(oid), "weight") == 30
-                await other.begin()  # holds the drain open
+                await other.begin()
+                await other.read(oid, "weight")  # its BEGIN ran: it holds the drain open
                 drain = asyncio.ensure_future(asyncio.to_thread(server.drain, 5.0))
                 while not (await other.health())["draining"]:
                     await asyncio.sleep(0.01)
+                await conn.begin()  # refused, but does not wait to hear it
+                await conn.write(oid, "weight", 31)  # rides behind it: doomed
                 with pytest.raises(ServerDrainingError):
-                    await conn.begin()
+                    await conn.commit()
                 with pytest.raises(ServerDrainingError):
-                    await conn.write(oid, "weight", 31)
+                    await conn.write(oid, "weight", 32)  # autocommit: waits
+                with db.snapshot() as snap:
+                    assert snap.read_attr(snap.latest_vid(oid), "weight") == 30
                 await other.commit()
                 await drain
 

@@ -27,7 +27,7 @@ from repro.errors import (
     UnknownVersionError,
 )
 from repro.net import protocol
-from repro.net.client import OdeClient, OdeConnection
+from repro.net.client import OdeClient, OdeConnection, is_retryable
 from repro.net.server import ServerThread
 from tests.conftest import Part
 
@@ -413,14 +413,16 @@ def test_reads_count_the_reactor_recvs_a_burst_arrives_in(served):
 
 
 def test_awaited_stateful_frames_cost_one_lane_run_each(served):
-    """Request/response traffic: BEGIN is served on the loop (it is the
-    only frame in its chunk and the lane is idle); every other awaited
-    stateful frame is exactly one lane run of one frame.  A WRITE inside
-    the transaction is not awaited: it rides with the READ behind it."""
+    """Request/response traffic: every awaited stateful frame is exactly
+    one lane run.  BEGIN, and a WRITE inside the transaction, are not
+    awaited: they ride with the READ behind them (one run of three
+    frames), and the COMMIT is a run of its own."""
     db, host, port, oid = served
 
     async def run():
         async with await OdeConnection.open(host, port) as conn:
+            await conn.begin()  # the first also awaits a health check
+            await conn.abort()
             before = _lane_counters(db)
             await conn.begin()
             after_begin = _lane_counters(db)
@@ -430,8 +432,8 @@ def test_awaited_stateful_frames_cost_one_lane_run_each(served):
             return before, after_begin, _lane_counters(db)
 
     before, after_begin, after = asyncio.run(run())
-    assert after_begin == before, "an awaited plain BEGIN must not take the lane"
-    assert (after[0] - before[0], after[1] - before[1]) == (2, 3)
+    assert after_begin == before, "a BEGIN must ride with the frames behind it"
+    assert (after[0] - before[0], after[1] - before[1]) == (2, 4)
 
 
 def test_read_pipelined_behind_begin_and_write_sees_its_own_write(served):
@@ -559,8 +561,11 @@ def test_a_write_shed_inside_a_transaction_dooms_it(served):
             conn = await OdeConnection.open(server.host, server.port)
             try:
                 await holder.begin()
-                await holder.send(protocol.OP_WRITE, (oid, "weight", 11))  # X lock
+                # Awaited (write() would not wait), and only once the BEGIN
+                # ahead of it has its answer: one slot per connection.
+                await holder.request(protocol.OP_WRITE, (oid, "weight", 11))  # X lock
                 await conn.begin()
+                assert await conn.read(other, "weight") == 1  # the BEGIN has run
                 first = conn.send(protocol.OP_WRITE, (oid, "weight", 12))  # waits
                 shed = conn.send(protocol.OP_WRITE, (other, "weight", 2))
                 with pytest.raises(ServerOverloadedError):
@@ -758,7 +763,7 @@ def test_lane_handoff_stress_keeps_fifo_and_loses_nothing(db):
     async def drive(host, port, oid):
         async with await OdeConnection.open(host, port) as conn:
             for j in range(rounds):
-                if j % 3 == 2:  # awaited: BEGIN inline, the rest one frame per run
+                if j % 3 == 2:  # awaited: BEGIN rides with the read
                     await conn.begin()
                     inside = await conn.read(oid, "weight")
                     await conn.write(oid, "weight", j + 1)
@@ -800,27 +805,34 @@ def test_lane_handoff_stress_keeps_fifo_and_loses_nothing(db):
 
 def test_session_closed_under_the_server_answers_errors(served):
     """``db.close()`` (or anyone) closing a served session must turn its
-    queued frames into typed errors -- one lane run, not a runner that
-    re-arms forever on a session it cannot activate -- and the
-    connection still tears down cleanly."""
+    queued frames into typed errors -- one lane run per burst, not a
+    runner that re-arms forever on a session it cannot activate -- and
+    the connection still tears down cleanly.  A BEGIN that fails that
+    way dooms the WRITE behind it, and ``commit()`` raises the error."""
     db, host, port, oid = served
 
     async def run():
         async with await OdeConnection.open(host, port) as conn:
             assert await conn.read(oid, "weight") == 10
+            await conn.begin()  # the first also awaits a health check
+            await conn.abort()
             for session in list(db._sessions):
                 session.close()
             before = _lane_counters(db)
             burst = [conn.send(protocol.OP_WRITE, (oid, "weight", n)) for n in (1, 2)]
             results = await asyncio.gather(*burst, return_exceptions=True)
             assert [type(r) for r in results] == [SessionStateError] * 2
+            await conn.begin()
+            await conn.write(oid, "weight", 3)
             with pytest.raises(SessionStateError):
-                await conn.begin()  # the inline lane refuses it too
+                await conn.commit()
             assert await conn.ping("alive") == "alive"
             return before, _lane_counters(db)
 
     before, after = asyncio.run(run())
-    assert (after[0] - before[0], after[1] - before[1]) == (1, 2)
+    assert (after[0] - before[0], after[1] - before[1]) == (2, 5)
+    with db.snapshot() as snap:
+        assert snap.read_attr(snap.latest_vid(oid), "weight") == 10
     assert _wait_stats(db, "net.connections", 0)["net.connections"] == 0
 
 
@@ -900,7 +912,8 @@ def test_overload_sheds_excess_inflight_before_execution(served):
             conn = await OdeConnection.open(server.host, server.port)
             try:
                 await holder.begin()
-                await holder.send(protocol.OP_WRITE, (oid, "weight", 11))  # X lock, held
+                # Awaited, and only once the BEGIN ahead of it is answered.
+                await holder.request(protocol.OP_WRITE, (oid, "weight", 11))  # X lock
                 # An autocommit write waiting for that lock occupies the
                 # connection's single in-flight slot.
                 slow = conn.send(protocol.OP_WRITE, (oid, "weight", 12))
@@ -920,8 +933,9 @@ def test_overload_sheds_excess_inflight_before_execution(served):
 
 def test_drain_refuses_new_mutations_but_finishes_open_txns(served):
     """Graceful drain: the open transaction runs to commit, an idle
-    session's new BEGIN is refused with the retryable draining error,
-    and health keeps answering (reporting draining) throughout."""
+    session's new BEGIN is refused with the retryable draining error
+    (its ``commit()`` raises it), and health keeps answering (reporting
+    draining) throughout."""
     db, host, port, oid = served
     server = ServerThread(db).start()
     try:
@@ -932,6 +946,7 @@ def test_drain_refuses_new_mutations_but_finishes_open_txns(served):
             try:
                 await a.begin()
                 await a.write(oid, "weight", 77)
+                assert await a.read(oid, "weight") == 77  # open server-side
                 drain = asyncio.ensure_future(
                     asyncio.to_thread(server.drain, 10.0)
                 )
@@ -942,8 +957,11 @@ def test_drain_refuses_new_mutations_but_finishes_open_txns(served):
                     await asyncio.sleep(0.01)
                 else:
                     pytest.fail("drain never engaged")
-                with pytest.raises(ServerDrainingError):
-                    await b.begin()
+                await b.begin()
+                await b.write(oid, "weight", 78)  # behind the refused BEGIN
+                with pytest.raises(ServerDrainingError) as refused:
+                    await b.commit()
+                assert is_retryable(refused.value)
                 await a.commit()  # in-flight work finishes cleanly
                 await drain
             finally:
