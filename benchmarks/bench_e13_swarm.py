@@ -389,9 +389,9 @@ def test_e13_lane_hops_are_counted(tmp_path, benchmark):
     """Counted gate on the commit path's plumbing (counts, not times).
 
     Per *awaited* stateful frame: exactly one lane run (BEGIN, and a
-    WRITE inside a transaction, are not awaited and ride with the next
-    frame).  So an awaited BEGIN/WRITE/COMMIT is one lane run of three
-    frames, and BEGIN/NEWVERSION/WRITE/COMMIT two runs of four.  Per
+    WRITE or NEWVERSION inside a transaction, are not awaited and ride
+    with the next frame).  So an awaited BEGIN/WRITE/COMMIT is one lane
+    run of three frames, and BEGIN/NEWVERSION/WRITE/COMMIT one of four.  Per
     *pipelined* BEGIN/WRITE/COMMIT triple: exactly one lane run for all
     three frames.  And the threads that do it: one
     reactor and no worker for 256 idle connections, never more than
@@ -471,8 +471,8 @@ def test_e13_lane_hops_are_counted(tmp_path, benchmark):
     assert counts["begin_runs"] == 0, "a BEGIN must ride with the frame behind it"
     # BEGIN and WRITE ride with COMMIT: one lane run of three frames.
     assert (counts["awaited_runs"], counts["awaited_frames"]) == (txns, 3 * txns)
-    # BEGIN + NEWVERSION wait for its vid: one run; WRITE + COMMIT: another.
-    assert (counts["versioned_runs"], counts["versioned_frames"]) == (2 * txns, 4 * txns)
+    # NEWVERSION answers a promise the WRITE targets: all ride with COMMIT.
+    assert (counts["versioned_runs"], counts["versioned_frames"]) == (txns, 4 * txns)
     assert (counts["burst_runs"], counts["burst_frames"]) == (txns, 3 * txns)
     assert idle_census == ["ode-net-reactor"], idle_census
     assert len(busy_census) <= 1 + workers, busy_census

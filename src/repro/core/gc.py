@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.identity import Oid, Vid
 from repro.core.surface import oid_of, type_name_of
+from repro.core.transactions import EXCLUSIVE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
@@ -154,21 +155,21 @@ class GCReport:
 
 
 def doomed_versions(
-    db: "Database",
+    source: Any,
     oid: Oid,
     policy: RetentionPolicy,
     tags: dict[int, str],
     now: float,
 ) -> list[Vid]:
-    """The versions of ``oid`` the policy displaces, oldest first.
+    """The versions of ``oid`` the policy displaces in ``source.graph(oid)``
+    (a snapshot, or a database), oldest first.
 
     Pure selection -- no mutation.  The latest version is always kept;
     protection rules are a union (see :class:`RetentionPolicy`).
     """
     if not policy.active:
         return []
-    graph = db.store.graph(oid)
-    nodes = list(graph.walk_temporal())
+    nodes = list(source.graph(oid).walk_temporal())
     if len(nodes) <= 1:
         return []
     keep: set[int] = {nodes[-1].serial}  # the latest always survives
@@ -200,20 +201,20 @@ def collect(
     if policies:
         all_tags = load_tags(db.catalog)
         doomed: list[Vid] = []
-        # Plan against a pinned snapshot: a consistent cut of every graph,
+        rules = {}  # oid -> (policy, tags)
+        # Plan against a pinned snapshot: a consistent cut of committed
+        # graphs (never another transaction's uncommitted versions),
         # taken without blocking writers.
         with db.snapshot() as snap:
             for ref in snap.all_objects():
                 oid = ref.oid
-                pol = policies.get(f"oid:{oid.value}")
-                if pol is None:
-                    pol = policies.get(f"type:{snap.type_name(oid)}")
+                pol = policies.get(f"oid:{oid.value}") or policies.get(
+                    f"type:{snap.type_name(oid)}")
                 if pol is None or not pol.active:
                     continue
-                report.versions_examined += db.version_count(oid)
-                victims = doomed_versions(
-                    db, oid, pol, all_tags.get(oid.value, {}), now
-                )
+                report.versions_examined += snap.version_count(oid)
+                rules[oid] = pol, all_tags.get(oid.value, {})
+                victims = doomed_versions(snap, oid, *rules[oid], now)
                 if victims:
                     report.objects_pruned += 1
                     doomed.extend(victims)
@@ -223,17 +224,20 @@ def collect(
             if dry_run:
                 report.versions_deleted += len(batch)
                 continue
-            with db.transaction():
+            with db.transaction() as txn:
+                still: dict[Oid, set[Vid]] = {}
                 for vid in batch:
-                    # Replanned state may have moved underneath us (a
-                    # concurrent writer pruned or deleted); skip stale
-                    # victims rather than fail the batch.
-                    if not db.version_exists(vid):
-                        continue
-                    if db.latest_vid(vid.oid) == vid:
-                        continue  # became the latest: now protected
-                    db.pdelete(vid)
-                    report.versions_deleted += 1
+                    # Writers may have committed since the plan: re-plan the
+                    # object once its lock is held, delete what still goes.
+                    oid = vid.oid
+                    if oid not in still:
+                        txn.lock(oid, EXCLUSIVE)
+                        live = db.object_exists(oid)
+                        plan = doomed_versions(db, oid, *rules[oid], now) if live else ()
+                        still[oid] = set(plan)
+                    if vid in still[oid]:
+                        db.pdelete(vid)
+                        report.versions_deleted += 1
     report.blobs_unlinked, report.bytes_freed, report.candidates_remaining = (
         db.reclaim_blobs(limit=batch_limit, dry_run=dry_run)
     )

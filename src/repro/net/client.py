@@ -24,24 +24,15 @@ outside a transaction overtake queued work); kernel errors come back as
 themselves (``except DeadlockError`` works across the wire), anything
 else as :class:`~repro.errors.RemoteError`.
 
-**Write-behind.**  ``begin()``, and ``write`` and ``pdelete`` inside a
-transaction, do not wait (up to the server's ``max_inflight``): one that
-fails dooms the transaction, and the next awaited frame raises its error.
+**Write-behind.**  ``begin()``, and ``write``, ``pdelete`` and
+``newversion`` inside a transaction, do not wait (up to the server's
+``max_inflight``): one that fails dooms the transaction, and the next
+awaited frame raises its error.  ``newversion`` answers a
+:class:`VidPromise`, which later frames of the transaction may target.
 
-**Deadlines.**  Every request is bounded by the connection's
-``default_deadline`` or its own ``deadline=`` (``None``: wait forever).
-Expiry raises :class:`~repro.errors.DeadlineExceededError` -- the op
-*may* still execute server-side; its late response is discarded.  The
-bound covers the wait to *send* too: while the server is not reading
-(the transport paused writing), :meth:`OdeConnection.request` holds its
-frame back instead of growing the write buffer.
-
-**Error taxonomy.**  :func:`is_retryable`: deadline expiry, shed/drain
-rejections, connection loss, a down shard and the kernel's transient
-conflicts are worth a backoff and a re-run; protocol violations and
-unknown remote errors are not.  The pool heals itself with jittered
-exponential backoff (:meth:`OdeClient.connect`), so one server hiccup
-costs a bounded retry loop, not a poisoned pool.
+Every request is bounded by a deadline, the wait to send included
+(:meth:`OdeConnection.request`); :func:`is_retryable` is the error
+taxonomy, and the pool heals itself (:meth:`OdeClient._heal`).
 """
 
 from __future__ import annotations
@@ -66,6 +57,7 @@ from repro.errors import (
     ServerDrainingError,
     ServerOverloadedError,
     ShardUnavailableError,
+    TransactionStateError,
 )
 from repro.net import protocol
 
@@ -113,39 +105,23 @@ def is_retryable(exc: BaseException) -> bool:
     return isinstance(exc, RETRYABLE_WIRE_ERRORS)
 
 
-class _ClientCounters:
-    """Process-wide wire-client counters (all clients, all loops).
-
-    Surfaced as ``net.deadline_expired`` / ``net.reconnects`` through an
-    embedded server's stats source, so ``db.stats()`` and ``inspect``
-    report client-observed failure handling next to the server's own
-    numbers (meaningful for the in-process embeddings -- the stress and
-    chaos harnesses -- where client and server share the process).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.deadline_expired = 0
-        self.reconnects = 0
-
-    def bump(self, name: str) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + 1)
-
-    def as_dict(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "net.deadline_expired": self.deadline_expired,
-                "net.reconnects": self.reconnects,
-            }
+#: Process-wide wire-client counters (all clients, all loops), surfaced
+#: through an embedded server's stats source: ``db.stats()`` and ``inspect``
+#: report client-observed failure handling next to the server's numbers
+#: (the stress and chaos harnesses run client and server in one process).
+_COUNTERS = {"net.deadline_expired": 0, "net.reconnects": 0}
+_COUNTERS_LOCK = threading.Lock()
 
 
-_COUNTERS = _ClientCounters()
+def _bump(name: str) -> None:
+    with _COUNTERS_LOCK:
+        _COUNTERS[name] += 1
 
 
 def local_client_stats() -> dict[str, int]:
-    """This process's wire-client counters (see :class:`_ClientCounters`)."""
-    return _COUNTERS.as_dict()
+    """This process's wire-client counters (see :data:`_COUNTERS`)."""
+    with _COUNTERS_LOCK:
+        return dict(_COUNTERS)
 
 
 _UNSET = object()
@@ -165,7 +141,7 @@ class OdeConnection(asyncio.Protocol):
     ) -> None:
         #: The socket transport, from ``connection_made`` on.
         self.transport: asyncio.Transport | None = None
-        self._cids = itertools.count(1)
+        self._cid = 0  # the last correlation id sent
         self._pending: dict[int, asyncio.Future] = {}
         self._decoder = protocol.FrameDecoder(max_frame)
         self._closed = False
@@ -213,7 +189,7 @@ class OdeConnection(asyncio.Protocol):
                 timeout,
             )
         except asyncio.TimeoutError:
-            _COUNTERS.bump("deadline_expired")
+            _bump("net.deadline_expired")
             raise DeadlineExceededError(
                 f"connect to {host}:{port} did not complete within {timeout:g}s"
             ) from None
@@ -286,11 +262,9 @@ class OdeConnection(asyncio.Protocol):
             self._close_reason = reason
         for future in self._pending.values():
             if not future.done():
+                suffix = f" ({reason!r})" if reason else ""
                 future.set_exception(
-                    ConnectionClosedError(
-                        f"connection closed with request in flight"
-                        + (f" ({reason!r})" if reason else "")
-                    )
+                    ConnectionClosedError(f"connection closed with request in flight{suffix}")
                 )
         self._pending.clear()
 
@@ -315,13 +289,11 @@ class OdeConnection(asyncio.Protocol):
             # Fail eagerly: corking a frame onto a dead transport would
             # park the caller on a future no response can ever resolve.
             reason = self._close_reason
-            raise ConnectionClosedError(
-                "connection is closed"
-                + (f" ({reason!r})" if reason is not None else "")
-            )
+            suffix = f" ({reason!r})" if reason is not None else ""
+            raise ConnectionClosedError(f"connection is closed{suffix}")
         if opcode in _TXN_END:
             self._in_txn = False
-        cid = next(self._cids)
+        self._cid = cid = self._cid + 1
         future = self._loop.create_future()
         self._pending[cid] = future
         try:
@@ -386,9 +358,9 @@ class OdeConnection(asyncio.Protocol):
         if len(self._pending) >= self._max_inflight and self._behind is not None:
             await asyncio.wait((self._behind,), timeout=timeout)
 
-    async def _write_behind(self, opcode: int, payload: Any, deadline: Any) -> None:
-        """Send a frame answered ``None``; inside a transaction without
-        waiting (the COMMIT reports its error), but at the server's
+    async def _write_behind(self, opcode: int, payload: Any, deadline: Any) -> Any:
+        """Send a frame; inside a transaction without waiting (``None``:
+        the COMMIT reports its error), but at the server's
         ``max_inflight`` only once the frame before it is answered."""
         if not self._in_txn or self._paused:
             return await self.request(opcode, payload, deadline=deadline)
@@ -406,7 +378,7 @@ class OdeConnection(asyncio.Protocol):
 
     def _expired(self, opcode: int, what: str) -> DeadlineExceededError:
         self.deadline_expired += 1
-        _COUNTERS.bump("deadline_expired")
+        _bump("net.deadline_expired")
         return DeadlineExceededError(f"{protocol.opcode_name(opcode)} {what}")
 
     def _flush(self) -> None:
@@ -489,31 +461,33 @@ class OdeConnection(asyncio.Protocol):
         """Create a persistent object server-side; returns its Oid."""
         return await self.request(protocol.OP_PNEW, obj, deadline=deadline)
 
-    async def newversion(
-        self, target: Oid | Vid, *, deadline: Any = _UNSET
-    ) -> Vid:
-        return await self.request(protocol.OP_NEWVERSION, target, deadline=deadline)
+    async def newversion(self, target: Target, *, deadline: Any = _UNSET) -> Any:
+        """Derive a version: its Vid, or inside a transaction at once a
+        :class:`VidPromise` of it (write-behind; the frames behind it may
+        target the promise, so derive-and-edit is one round trip)."""
+        vid = await self._write_behind(protocol.OP_NEWVERSION, _wire(target), deadline)
+        return vid if vid is not None else VidPromise(self._cid, self._behind)
 
-    async def pdelete(self, target: Oid | Vid, *, deadline: Any = _UNSET) -> None:
-        await self._write_behind(protocol.OP_PDELETE, target, deadline)
+    async def pdelete(self, target: Target, *, deadline: Any = _UNSET) -> None:
+        await self._write_behind(protocol.OP_PDELETE, _wire(target), deadline)
 
     async def read(
         self,
-        target: Oid | Vid,
+        target: Target,
         attr: str | None = None,
         *,
         deadline: Any = _UNSET,
     ) -> Any:
         """Materialize the target version, or read one attribute of it."""
-        return await self.request(protocol.OP_READ, (target, attr), deadline=deadline)
+        return await self.request(protocol.OP_READ, (_wire(target), attr), deadline=deadline)
 
     async def write(
-        self, target: Oid | Vid, attr: str, value: Any, *, deadline: Any = _UNSET
+        self, target: Target, attr: str, value: Any, *, deadline: Any = _UNSET
     ) -> None:
         """In-place update of one attribute of the target version
         (write-behind in a transaction: ``deadline`` then bounds only a
         wait for room under the server's ``max_inflight``)."""
-        await self._write_behind(protocol.OP_WRITE, (target, attr, value), deadline)
+        await self._write_behind(protocol.OP_WRITE, (_wire(target), attr, value), deadline)
 
     async def query(
         self,
@@ -544,6 +518,47 @@ class OdeConnection(asyncio.Protocol):
 def _retrieved(future: asyncio.Future) -> None:
     """An unawaited frame's error is the COMMIT's to report, not a lost one."""
     future.cancelled() or future.exception()
+
+
+class VidPromise:
+    """The Vid a NEWVERSION sent inside a transaction answers: ``.vid``,
+    ``.oid`` and ``.serial`` once it is in (at the latest with the next
+    awaited frame), before that :class:`TransactionStateError`, after a
+    failed NEWVERSION its error; ``await promise`` for the Vid.  As a
+    target it travels as the Vid once answered, else as ``(cid,)``, the
+    NEWVERSION's cid.  Not a Vid: equal and hashed by identity only."""
+
+    __slots__ = ("cid", "_answer")
+
+    def __init__(self, cid: int, answer: asyncio.Future) -> None:
+        self.cid = cid
+        self._answer = answer
+
+    @property
+    def vid(self) -> Vid:
+        if not self._answer.done():
+            raise TransactionStateError(f"NEWVERSION {self.cid} is not answered yet")
+        return self._answer.result()
+
+    oid = property(lambda self: self.vid.oid)
+    serial = property(lambda self: self.vid.serial)
+
+    def __await__(self):
+        return asyncio.shield(self._answer).__await__()
+
+
+Target = Oid | Vid | VidPromise
+
+
+def _wire(target: Any) -> Any:
+    """A :class:`VidPromise` travels as its Vid once answered, else as
+    ``(cid,)``; any other target as it is."""
+    if target.__class__ is not VidPromise:
+        return target
+    answer = target._answer
+    if answer.done() and not answer.cancelled() and answer.exception() is None:
+        return answer.result()
+    return (target.cid,)
 
 
 class OdeClient:
@@ -651,7 +666,7 @@ class OdeClient:
             ) from last_exc
         self._conns.append(replacement)
         self.heals += 1
-        _COUNTERS.bump("reconnects")
+        _bump("net.reconnects")
         return replacement
 
     @property

@@ -23,6 +23,11 @@ real exception class when :mod:`repro.errors` defines it.  A whole-version
 READ answers with the version's stored image (:class:`Encoded`): the
 codec's bytes for that object, so the server never decodes it.
 
+The target of a READ, WRITE, PDELETE or NEWVERSION is an Oid, a Vid, or
+inside a transaction a promise ``(cid,)``: the Vid that NEWVERSION ``cid``
+of the same transaction answered (the client's ``VidPromise``), which
+the server's lane redeems -- no new type enters the codec or the store.
+
 :class:`FrameDecoder` is the incremental parser both ends run: feed it
 whatever the transport delivered -- half a header, three frames and a
 tail, one byte at a time -- and it yields complete frames, rejecting

@@ -193,6 +193,8 @@ class _Connection:
         #: The cid of the BEGIN that opened the session's transaction: its
         #: replay (a duplicated chunk) fails without dooming anything.
         self.begun = 0
+        #: cid -> Vid of each NEWVERSION the open transaction answered.
+        self.promised: dict[int, Vid] = {}
 
 
 class OdeServer:
@@ -773,9 +775,11 @@ class OdeServer:
                     result = self._doomed(conn, opcode)
                 else:
                     snap_reads += opcode in _READ_OPS and txn is None
-                    result = self._stateful(session, opcode, payload)
+                    result = self._stateful(conn, opcode, payload)
                     if opcode == OP_BEGIN:
                         conn.begun = cid
+                    elif opcode == OP_NEWVERSION and txn is not None:
+                        conn.promised[cid] = result
                 protocol.build_frame_into(out, RESP_OK, cid, result)
             except BaseException as exc:  # noqa: BLE001 - enveloped
                 errors += 1
@@ -785,8 +789,10 @@ class OdeServer:
                     or txn is not None and opcode in _WRITE_OPS
                 ):
                     conn.doomed = exc
-            if session.txn is None and conn.doomed is None:
-                break
+            if session.txn is None:
+                conn.promised.clear()  # they die with their transaction
+                if conn.doomed is None:
+                    break
         self.stats.add(
             lane_runs=first and served > 0,
             lane_frames=served,
@@ -814,9 +820,9 @@ class OdeServer:
                 return None
         raise error.with_traceback(None)
 
-    def _stateful(self, session: Session, opcode: int, payload: Any) -> Any:
+    def _stateful(self, conn: _Connection, opcode: int, payload: Any) -> Any:
         """Execute one lane frame (pool thread, session activated)."""
-        db = self.db
+        db, session, promised = self.db, conn.session, conn.promised
         if opcode == OP_BEGIN:
             snapshot_reads = isinstance(payload, dict) and payload.get("snapshot_reads")
             return db.begin(snapshot_reads=bool(snapshot_reads)).txid
@@ -836,17 +842,18 @@ class OdeServer:
         if opcode == OP_PNEW:
             return db.pnew(payload).oid
         if opcode == OP_NEWVERSION:
-            return db.newversion(_ident(payload)).vid
+            return db.newversion(_ident(payload, promised, "newversion")).vid
         if opcode == OP_PDELETE:
-            db.pdelete(_ident(payload))
+            db.pdelete(_ident(payload, promised, "pdelete"))
             return None
         if opcode == OP_WRITE:
-            return _do_write(db, payload)
+            return _do_write(db, payload, promised)
         if opcode in _READ_OPS:
             # Inside a transaction the facade (2PL SHARED locks); outside
             # one -- queued behind lane work -- the snapshot, zero locks.
             source = db if session.txn is not None else session.reader()
-            return (_do_read if opcode == OP_READ else _do_query)(source, payload)
+            return (_do_read(source, payload, promised) if opcode == OP_READ
+                    else _do_query(source, payload))
         if opcode == OP_SNAPSHOT:
             return _do_snapshot(session, payload)
         if opcode == OP_STATS:
@@ -865,13 +872,24 @@ def _error_frame_into(out: bytearray, cid: int, exc: BaseException) -> None:
     protocol.build_frame_into(out, RESP_ERR, cid, protocol.error_payload(exc))
 
 
-def _ident(payload: Any) -> Oid | Vid:
-    if isinstance(payload, (Oid, Vid)):
-        return payload
-    raise ProtocolError(f"expected an Oid or Vid, got {type(payload).__name__}")
+def _ident(target: Any, promised: dict[int, Vid], op: str) -> Oid | Vid:
+    """The frame's Oid or Vid, or for a promise ``(cid,)`` the Vid that
+    NEWVERSION ``cid`` of the open transaction answered."""
+    if isinstance(target, (Oid, Vid)):
+        return target
+    cid = target[0] if type(target) is tuple and len(target) == 1 else None
+    if type(cid) is int and cid in promised:
+        return promised[cid]
+    raise ProtocolError(f"{op} target must be an Oid, a Vid or a promise (cid,) "
+                        f"of a NEWVERSION in this transaction, got {target!r:.60}")
 
 
-def _do_read(reader: Any, payload: Any) -> Any:
+def _version(reader: Any, target: Any, promised: dict[int, Vid], op: str) -> Vid:
+    target = _ident(target, promised, op)
+    return reader.latest_vid(target) if isinstance(target, Oid) else target
+
+
+def _do_read(reader: Any, payload: Any, promised: dict[int, Vid]) -> Any:
     """READ: ``(target, attr)`` -> value; ``attr=None`` answers with the
     version's stored image, framed as it is (the client decodes it).
 
@@ -883,12 +901,7 @@ def _do_read(reader: Any, payload: Any) -> Any:
     if type(payload) is not tuple or len(payload) != 2:
         raise ProtocolError("read payload must be (target, attr)")
     target, attr = payload
-    if isinstance(target, Oid):
-        vid = reader.latest_vid(target)
-    elif isinstance(target, Vid):
-        vid = target
-    else:
-        raise ProtocolError("read target must be an Oid or Vid")
+    vid = _version(reader, target, promised, "read")
     if attr is None:
         return protocol.Encoded(reader.version_bytes(vid))
     value = reader.read_attr(vid, attr)
@@ -908,10 +921,10 @@ def _snap_read(snap: Any, payload: Any) -> Any:
         value = snap.read_latest_attr(payload[0], payload[1])
         if value is not READ_MISS:
             return value
-    return _do_read(snap, payload)
+    return _do_read(snap, payload, {})
 
 
-def _do_write(db: Database, payload: Any) -> Any:
+def _do_write(db: Database, payload: Any, promised: dict[int, Vid]) -> Any:
     """WRITE: ``(target, attr, value)``; ``attr=None`` replaces the object.
 
     In-place update of the target version (or the latest, when the
@@ -921,12 +934,7 @@ def _do_write(db: Database, payload: Any) -> Any:
     if type(payload) is not tuple or len(payload) != 3:
         raise ProtocolError("write payload must be (target, attr, value)")
     target, attr, value = payload
-    if isinstance(target, Oid):
-        vid = db.latest_vid(target)
-    elif isinstance(target, Vid):
-        vid = target
-    else:
-        raise ProtocolError("write target must be an Oid or Vid")
+    vid = _version(db, target, promised, "write")
     if attr is None:
         db.write_version(vid, value)
         return None

@@ -14,10 +14,10 @@ bytes-level comparisons, and emits each as one ``COPY``.  Identical
 payloads end there: one ``COPY(0, n)``, nothing indexed.  Only the
 *middle* of the target -- proportional to the edit, not to the payload --
 reaches the block matcher: the base is split into fixed-size blocks
-indexed by Adler-32, the target middle is scanned with the rolling form
-of the same checksum, a checksum hit is confirmed by comparing the
-block's bytes, and a confirmed match is extended past the block boundary
-slice by slice.
+indexed by their bytes (the first of equal blocks wins), every window of
+the target middle is looked up in that index as it is -- one slice and
+one hash probe per position, no rolling checksum to confirm -- and a
+match is extended past the block boundary slice by slice.
 Unmatched bytes accumulate into ``ADD`` ops, and a ``COPY`` whose
 encoding would be no shorter than the bytes it stands for is folded into
 the surrounding literal.  Applying a delta is a single pass over its ops.
@@ -34,7 +34,6 @@ base fails loudly instead of producing garbage.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from repro.errors import DeltaError
@@ -47,10 +46,6 @@ DEFAULT_BLOCK_SIZE = 64
 _MAGIC = b"D1"
 _OP_ADD = 0x01
 _OP_COPY = 0x02
-
-#: Adler-32's modulus (the rolling update must reduce exactly as zlib does).
-_ADLER_MOD = 65521
-
 
 def _common_prefix(a: bytes, a_at: int, b: bytes, b_at: int, limit: int) -> int:
     """Length of the run ``a[a_at:]`` and ``b[b_at:]`` share, up to ``limit``.
@@ -119,50 +114,24 @@ def compute_delta(
     literal_start = _emit_copy(out, target, 0, 0, 0, prefix)
 
     if end - prefix >= block_size:
-        # Index the base's blocks (all of them: an edit may repeat content
-        # from outside the middle): Adler-32 -> [block_start, ...].
-        index: dict[int, list[int]] = {}
+        # Index the base's blocks by their bytes (all of them: an edit may
+        # repeat content from outside the middle); the first one wins.
+        blocks: dict[bytes, int] = {}
         for start in range(0, len(base) - block_size + 1, block_size):
-            index.setdefault(
-                zlib.adler32(base[start : start + block_size]), []
-            ).append(start)
+            blocks.setdefault(base[start : start + block_size], start)
         pos = prefix
-        a = b = 0
-        rolled = False  # (a, b) hold the checksum of the window at ``pos``
         while pos + block_size <= end:
-            if not rolled:
-                weak = zlib.adler32(target[pos : pos + block_size])
-                a, b = weak & 0xFFFF, weak >> 16
-                rolled = True
-            match_start = -1
-            candidates = index.get((b << 16) | a)
-            if candidates:
-                window = target[pos : pos + block_size]
-                for start in candidates:
-                    if base[start : start + block_size] == window:
-                        match_start = start
-                        break
-            if match_start >= 0:
-                # Extend the match greedily beyond the block.
-                length = block_size + _common_prefix(
-                    base,
-                    match_start + block_size,
-                    target,
-                    pos + block_size,
-                    min(len(base) - match_start, end - pos) - block_size,
-                )
-                literal_start = _emit_copy(
-                    out, target, literal_start, pos, match_start, length
-                )
-                pos += length
-                rolled = False
-            else:
-                # Roll one byte forward.
-                if pos + block_size < end:
-                    out_byte = target[pos]
-                    a = (a - out_byte + target[pos + block_size]) % _ADLER_MOD
-                    b = (b - block_size * out_byte + a - 1) % _ADLER_MOD
+            match_start = blocks.get(target[pos : pos + block_size])
+            if match_start is None:
                 pos += 1
+                continue
+            # Extend the match greedily beyond the block.
+            length = block_size + _common_prefix(
+                base, match_start + block_size, target, pos + block_size,
+                min(len(base) - match_start, end - pos) - block_size,
+            )
+            literal_start = _emit_copy(out, target, literal_start, pos, match_start, length)
+            pos += length
 
     literal_start = _emit_copy(
         out, target, literal_start, end, len(base) - suffix, suffix
@@ -185,11 +154,10 @@ def identity_delta(content: bytes) -> bytes:
 
 
 def _emit_add(out: bytearray, data: bytes | memoryview) -> None:
-    if len(data) == 0:
-        return
-    out.append(_OP_ADD)
-    write_uvarint(out, len(data))
-    out.extend(data)
+    if len(data):
+        out.append(_OP_ADD)
+        write_uvarint(out, len(data))
+        out.extend(data)
 
 
 def _emit_copy(

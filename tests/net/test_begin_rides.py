@@ -61,8 +61,8 @@ async def _open(server) -> OdeConnection:
 
 
 def test_a_transaction_costs_one_read_and_one_lane_run(db, parts):
-    """``begin/write/write/commit``: one reactor read, one lane run;
-    ``begin/newversion/write/commit``: two of each (the vid is awaited)."""
+    """``begin/write/write/commit``: one reactor read, one lane run; and
+    ``begin/newversion/write/commit`` too (the write targets the promise)."""
     a, b = parts
 
     async def run(server):
@@ -82,7 +82,7 @@ def test_a_transaction_costs_one_read_and_one_lane_run(db, parts):
     with ServerThread(db) as server:
         start, written, versioned = asyncio.run(run(server))
     assert (written[0] - start[0], written[1] - start[1]) == (1, 1)
-    assert (versioned[0] - written[0], versioned[1] - written[1]) == (2, 2)
+    assert (versioned[0] - written[0], versioned[1] - written[1]) == (1, 1)
     assert _weights(db, parts) == [12, 21]
 
 
