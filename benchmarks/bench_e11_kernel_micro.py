@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro import Database, StoragePolicy, persistent
+from repro.core import gc
 from repro.core.identity import Vid
 from repro.net.client import OdeConnection
 from repro.net.server import ServerThread
@@ -567,18 +568,20 @@ def _tagged(db, tags: int):
     with db.transaction():
         vids = [db.newversion(ref).vid for _ in range(tags + 1)]
         for vid in vids[:-1]:
-            db.tag_version(vid, f"release-{vid.serial}")
+            gc.tag_version(db, vid, f"release-{vid.serial}")
     return vids[-1]
 
 
 def test_e11_tag_cost_is_flat_in_tag_count(tmp_path, benchmark):
-    """Each tag is its own catalog record, so tagging (and untagging) a
-    version costs the same at 10 and at 3,000 tags.  (One catalog record
-    holding every tag made that 2 -> 45 pool lookups and 0.4 -> 113 KB of
-    WAL; EXPERIMENTS.md E42.)"""
+    """Each tag is its own object, found through the hash index on its
+    ``vid``, so tagging (and untagging) a version costs the same at 10 and
+    at 3,000 tags.  (One catalog record holding every tag made that
+    2 -> 45 pool lookups and 0.4 -> 113 KB of WAL; EXPERIMENTS.md E42.)"""
     table = _flat_cost(
         tmp_path, (10, 3000), _tagged,
-        lambda db, vid, i: db.tag_version(vid, "next") if i % 2 == 0 else db.untag_version(vid),
+        lambda db, vid, i: (
+            gc.tag_version(db, vid, "next") if i % 2 == 0 else gc.untag_version(db, vid)
+        ),
     )
     _assert_flat(benchmark, table)
 

@@ -6,13 +6,22 @@ linear models were built for.  This experiment runs the address-book and
 ledger workloads on the kernel and the equivalent as-of queries on the
 linear baseline, asserting both give the same answers (the kernel loses
 nothing by supporting trees too).
+
+It also counts what a historical database costs to *open*: today
+``VersionStore._load`` reads every stored record before the first read,
+so the scan gate below pins that O(history) baseline.
 """
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import pytest
 
-from repro import Database
+from repro import Database, PersistentObject, persistent
+from repro.storage.catalog import CATALOG_FILE_ID
+from repro.storage.heap import HeapFile
 from repro.baselines.linear import LinearStore
 from repro.workloads.history import (
     audit_trail,
@@ -143,3 +152,69 @@ def test_e12_versions_query_over_cluster(tmp_path, benchmark):
         assert count == 8  # one 'Move0' state per person
     finally:
         db.close()
+
+
+@persistent(name="e12.Doc")
+class E12Doc(PersistentObject):
+    def __init__(self, body: bytes = b"") -> None:
+        self.body = body
+
+
+def _history_store(path, objects: int, versions: int) -> None:
+    """``objects`` 100-byte documents of ``versions`` versions each, built
+    through ``Database`` in transactions of 500 ``newversion``s."""
+    with Database(path) as db:
+        with db.transaction():
+            refs = [db.pnew(E12Doc(bytes([n % 256]) * 100)) for n in range(objects)]
+        pending = [ref for ref in refs for _ in range(versions - 1)]
+        for start in range(0, len(pending), 500):
+            with db.transaction():
+                for ref in pending[start : start + 500]:
+                    db.newversion(ref)
+
+
+def _open_cost(path) -> tuple[float, int, int]:
+    """Open ``path``: the milliseconds, the heap records scanned outside
+    the catalog (wrapping ``HeapFile.scan``), and ``tracemalloc``'s
+    current bytes after a second, traced open."""
+    scanned = [0]
+    real_scan = HeapFile.scan
+
+    def counting_scan(heap):
+        for row in real_scan(heap):
+            if heap.file_id != CATALOG_FILE_ID:
+                scanned[0] += 1
+            yield row
+
+    HeapFile.scan = counting_scan
+    try:
+        start = time.perf_counter()
+        db = Database(path)
+        open_ms = (time.perf_counter() - start) * 1e3
+    finally:
+        HeapFile.scan = real_scan
+    db.close()
+    tracemalloc.start()
+    try:
+        db = Database(path)
+        traced = tracemalloc.get_traced_memory()[0]
+        db.close()
+    finally:
+        tracemalloc.stop()
+    return open_ms, scanned[0], traced
+
+
+@pytest.mark.parametrize("objects, versions", [(100, 10), (100, 100), (1000, 40)])
+def test_e12_open_scans_every_stored_record(tmp_path, benchmark, objects, versions):
+    """Opening reads the whole history: the records scanned equal the
+    records stored (one per version, one home record per object).  The
+    count is gated; open time and traced memory are reported only."""
+    path = tmp_path / f"e12_open_{objects}x{versions}"
+    _history_store(path, objects, versions)
+    open_ms, scanned, traced = _open_cost(path)
+    benchmark.extra_info.update(
+        stored_versions=objects * versions, open_ms=round(open_ms, 1),
+        records_scanned=scanned, traced_bytes_after_open=traced,
+    )
+    assert scanned == objects * versions + objects
+    benchmark(lambda: None)

@@ -21,11 +21,13 @@ run of the same round (ties count for neither) and a verdict:
 ``better``
     wins in at least 9 of 10 rounds *and* a median shift larger than the
     parent's IQR;
+``unresolved``
+    the parent's IQR exceeds the bound (relative to its median): the
+    parent alone spreads wider than the bound, so a median shift says
+    nothing -- unless every change run reads worse than every parent run
+    (``worse``) or better than every one (``same``);
 ``worse``
     the change's median is worse than the parent's by more than the bound;
-``unresolved``
-    the parent's IQR exceeds the bound (relative to its median), unless
-    every change run beats every parent run;
 ``same``
     otherwise.
 
@@ -134,14 +136,17 @@ def judge(parent: list[float], change: list[float], wins: int, n: int,
     gain = sign * (cm - pm)
     if n and wins >= WIN_SHARE * n and gain > q3 - q1:
         return "better"
-    loss = -gain / abs(pm) if pm else (0.0 if gain >= 0 else math.inf)
-    if loss > bound:
-        return "worse"
     spread = (q3 - q1) / abs(pm) if pm else 0.0
-    dominates = min(sign * c for c in change) > max(sign * p for p in parent)
-    if spread > bound and not dominates:
+    if spread > bound:
+        # The spread is asked about first: a bimodal metric whose mode one
+        # seed flips moves the median by more than the bound.
+        if max(sign * c for c in change) < min(sign * p for p in parent):
+            return "worse"
+        if min(sign * c for c in change) > max(sign * p for p in parent):
+            return "same"
         return "unresolved"
-    return "same"
+    loss = -gain / abs(pm) if pm else (0.0 if gain >= 0 else math.inf)
+    return "worse" if loss > bound else "same"
 
 
 def per_seed(parent: dict[int, float], other: dict[int, float]) -> dict:

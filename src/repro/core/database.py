@@ -36,7 +36,6 @@ from repro.errors import (
     DatabaseDegradedError,
     ReadOnlySnapshotError,
     TransactionStateError,
-    UnknownVersionError,
 )
 from repro.core import gc as gc_engine
 from repro.core.cache import DEFAULT_BYTES_BUDGET
@@ -740,85 +739,28 @@ class Database(VersionReads, SessionHost):
         return VersionRef(self, vref.vid)
 
     def pdelete(self, target: Ref | VersionRef | Oid | Vid) -> None:
-        """Delete an object (all versions) or one version (paper §4.4);
-        the same transaction drops the tags of the versions it deletes."""
-        oid, ident = oid_of(target), plain_id(target)
-
-        def op(log_op):
-            serials = [ident.serial] if isinstance(ident, Vid) else self._store.graph(oid).serials()
-            self._store.pdelete(ident, log_op)
-            for serial in serials:
-                self._catalog.delete_root(gc_engine.tag_root(Vid(oid, serial)), log_op)
-
-        self._mutate(oid, op)
+        """Delete an object (all versions) or one version (paper §4.4)."""
+        oid = oid_of(target)
+        self._mutate(oid, lambda log_op: self._store.pdelete(plain_id(target), log_op))
 
     # -- retention & garbage collection ---------------------------------------
 
-    def set_retention(self, scope: Any, policy: "Any | None") -> None:
-        """Declare (or with ``None``, clear) a retention policy.
-
-        ``scope`` is a ``@persistent`` class, a registered type name, an
-        :class:`Oid` or a bound ``Ref``; an object-scoped policy
-        overrides its type's.  Policies live in the catalog (a logged
-        root), so they survive restarts and travel with vacuum and dump/load.
-        """
-        key = gc_engine.scope_key(scope)
-        self._mutate(
-            None, lambda log_op: gc_engine.save_retention(self._catalog, key, policy, log_op)
-        )
-
-    def retention_policies(self) -> dict[str, Any]:
-        """Every declared retention policy, keyed by scope string."""
-        return gc_engine.load_retention(self._catalog)
-
-    def retention_for(self, target: Ref | Oid | type | str) -> Any | None:
-        """The effective policy for an object (override beats type)."""
-        table = gc_engine.load_retention(self._catalog)
-        if isinstance(target, (type, str)):
-            return table.get(gc_engine.scope_key(target))
-        oid = oid_of(target)
-        return table.get(f"oid:{oid.value}") or table.get(f"type:{self._store.type_name(oid)}")
-
-    def tag_version(self, target: VersionRef | Vid, tag: str) -> None:
-        """Pin one version with a symbolic tag (``keep_tagged`` honors it)."""
-        vid = plain_id(target)
-        if not isinstance(vid, Vid):
-            raise TypeError("tag_version needs a specific version reference")
-
-        def op(log_op):
-            if not self._store.version_exists(vid):
-                raise UnknownVersionError(f"no such version: {vid}")
-            self._catalog.set_root(gc_engine.tag_root(vid), str(tag), log_op)
-
-        self._mutate(vid.oid, op)
-
-    def untag_version(self, target: VersionRef | Vid) -> None:
-        """Remove a version's tag (a no-op if untagged)."""
-        vid = plain_id(target)
-        self._mutate(
-            vid.oid, lambda log_op: self._catalog.delete_root(gc_engine.tag_root(vid), log_op)
-        )
-
-    def version_tags(self, target: Ref | VersionRef | Oid | Vid) -> dict[int, str]:
-        """The object's tags: version serial -> tag string.  One catalog
-        lookup per live version, however many tags other objects hold."""
-        oid = oid_of(target)
-        serials = self._store.graph(oid).serials() if self._store.object_exists(oid) else ()
-        tags = ((s, self._catalog.get_root(gc_engine.tag_root(Vid(oid, s)))) for s in serials)
-        return {serial: tag for serial, tag in tags if tag is not None}
+    def set_retention(self, scope: Any, policy: "Any | None") -> Any:
+        """:func:`repro.core.gc.set_retention` on this database."""
+        return gc_engine.set_retention(self, scope, policy)
 
     def run_gc(
         self, batch_limit: int = 64, now: float | None = None, dry_run: bool = False
     ) -> Any:
-        """One incremental GC pass: retention pruning, then blob reclaim.
+        """One incremental GC pass (:func:`repro.core.gc.collect`) over the
+        policy state :func:`repro.core.gc.load` reads; returns its
+        :class:`~repro.core.gc.GCReport`."""
+        state = gc_engine.load(self)
+        return self._counted(gc_engine.collect(self, state, batch_limit, now, dry_run))
 
-        Bounded batches, each its own transaction -- safe to run online
-        next to writers and pinned snapshots.  Returns a
-        :class:`~repro.core.gc.GCReport`; ``dry_run`` plans without
-        deleting anything.
-        """
-        report = gc_engine.collect(self, batch_limit, now, dry_run)
-        if not dry_run:
+    def _counted(self, report: Any) -> Any:
+        """Add a pass that was not a dry run to the ``gc.*`` counters."""
+        if not report.dry_run:
             self._gc_counters["runs"] += 1
             self._gc_counters["versions_deleted"] += report.versions_deleted
         return report

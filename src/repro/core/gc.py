@@ -1,53 +1,61 @@
-"""Retention policies and the snapshot-safe online garbage collector.
+"""Retention and version tags as a *policy*, and the online garbage collector.
 
 Version histories grow without bound (the paper's model never discards a
 version implicitly), so long-lived databases need an *explicit* reclaim
-path.  This module supplies it in two stages:
+path.  Like the policies in :mod:`repro.policies`, this one is built from
+the kernel primitives alone: its state is ordinary persistent objects and
+it reaches an engine -- a :class:`~repro.core.database.Database` or a
+:class:`~repro.shard.ShardedDatabase` -- only through ``pnew``,
+``pdelete``, ``transaction``, ``snapshot``, ``cluster``, ``query``,
+``create_index``, ``object_exists``, ``version_exists``, ``graph`` and
+``reclaim_blobs``.
 
-1. **Retention** -- declarative :class:`RetentionPolicy` descriptors
-   stored in the catalog (per type, with per-object overrides) decide
-   which versions are *displaced*: everything not protected by
-   ``keep_last_n`` / ``keep_days`` / ``keep_tagged`` (and never the
-   latest version) is deleted through the ordinary transactional
-   ``pdelete`` path in bounded batches.
+* A :class:`RetentionRule` holds one scope's :class:`RetentionPolicy`
+  (per type, with per-object overrides); :func:`set_retention` writes it.
+* A :class:`VersionTag` pins one version with a name; :func:`tag_version`
+  writes it, found again through a hash index on its ``vid``.  A tag
+  whose version is gone (``pdelete`` knows nothing about tags) is *dead*:
+  readers skip it and the next :func:`collect` that is not a dry run
+  deletes it.
+* Two first-time writes that raced may leave two objects for one scope or
+  one version: readers take the one with the smallest oid, and the next
+  write on that key deletes the rest.
 
+A pass is :func:`load` (rules and tags, read from one snapshot, no lock
+taken) and then :func:`collect` in two stages:
+
+1. **Retention** -- everything not protected by ``keep_last_n`` /
+   ``keep_days`` / ``keep_tagged`` (and never the latest version) is
+   deleted through the ordinary transactional ``pdelete`` path in bounded
+   batches; then the dead tags go, in one transaction.
 2. **Blob reclaim** -- deleting version records drops content-addressed
    payload refcounts; keys that reach zero become *candidates* stamped
-   with the snapshot epoch at displacement.  ``Database.reclaim_blobs``
-   unlinks a candidate's file only once the epoch-reclamation signal
-   proves no pinned snapshot and no still-active transaction can reach
-   it, journaling a WAL tombstone first so a crash in any window of the
-   unlink protocol is repaired at recovery (see
-   ``Database._repair_gc_tombstones``).  Commits run the same step once
-   garbage has grown by the live payload bytes; this pass forces one.
+   with the snapshot epoch at displacement.  ``reclaim_blobs`` unlinks a
+   candidate's file only once the epoch-reclamation signal proves no
+   pinned snapshot and no still-active transaction can reach it,
+   journaling a WAL tombstone first so a crash in any window of the
+   unlink protocol is repaired at recovery.  Commits run the same step
+   once garbage has grown by the live payload bytes; this pass forces one.
 
 Both stages are incremental: bounded batches under the same mutexes as
 any writer (each pruning batch its own transaction) -- the collector
 never blocks writers for longer than one small batch, and readers on
-pinned snapshots are never broken (displaced payloads are stashed into
-their overlays before the records are overwritten).
+pinned snapshots are never broken.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass
-from typing import TYPE_CHECKING, Any
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 from repro.core.identity import Oid, Vid
-from repro.core.surface import oid_of, type_name_of
+from repro.core.indexes import attr_equals
+from repro.core.persistent import PersistentObject, persistent
+from repro.core.surface import oid_of, plain_id, type_name_of
 from repro.core.transactions import EXCLUSIVE
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.database import Database
-
-#: Catalog root prefix of the retention table, one root per scope:
-#: ``ode.retention:<scope_key>`` -> ``(keep_last_n, keep_days, keep_tagged)``.
-RETENTION_PREFIX = "ode.retention:"
-
-#: Catalog root prefix of the version tags, one root per tag:
-#: ``ode.tag:<oid value>:<serial>`` -> the tag string.
-TAG_PREFIX = "ode.tag:"
+from repro.errors import UnknownVersionError
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ class RetentionPolicy:
 
 
 def scope_key(scope: Any) -> str:
-    """Normalize a retention scope to its catalog key.
+    """Normalize a retention scope to its key.
 
     Accepts a ``@persistent`` class, a registered type name, or any
     reference or id of the object (see :func:`repro.core.surface.oid_of`).
@@ -98,33 +106,151 @@ def scope_key(scope: Any) -> str:
     return f"oid:{oid_of(scope).value}"
 
 
-def load_retention(catalog: Any) -> dict[str, RetentionPolicy]:
-    """The retention table stored in the catalog (empty dict if unset)."""
-    return {
-        name[len(RETENTION_PREFIX):]: RetentionPolicy(*catalog.get_root(name))
-        for name in catalog.root_names(RETENTION_PREFIX)
-    }
+@persistent(name="ode.gc.RetentionRule")
+class RetentionRule(PersistentObject):
+    """One scope's retention policy (``scope`` is a :func:`scope_key`)."""
+
+    def __init__(self, scope: str, policy: RetentionPolicy) -> None:
+        self.scope = scope
+        self.keep_last_n = policy.keep_last_n
+        self.keep_days = policy.keep_days
+        self.keep_tagged = policy.keep_tagged
+
+    def policy(self) -> RetentionPolicy:
+        return RetentionPolicy(self.keep_last_n, self.keep_days, self.keep_tagged)
 
 
-def save_retention(catalog: Any, key: str, policy: RetentionPolicy | None, log_op: Any) -> None:
-    """Set (``None``: clear) one scope's policy: one catalog record."""
-    if policy is None:
-        catalog.delete_root(RETENTION_PREFIX + key, log_op)
+@persistent(name="ode.gc.VersionTag")
+class VersionTag(PersistentObject):
+    """A symbolic name pinned to one version (``keep_tagged`` honors it)."""
+
+    def __init__(self, vid: Vid, name: str) -> None:
+        self.vid = vid
+        self.name = name
+
+
+@dataclass(frozen=True)
+class PolicyState:
+    """What :func:`load` read: the input of :func:`collect`."""
+
+    #: Scope key -> policy.
+    rules: dict[str, RetentionPolicy] = field(default_factory=dict)
+    #: Object -> {serial -> tag}, live versions only.
+    tags: dict[Oid, dict[int, str]] = field(default_factory=dict)
+    #: The tag objects whose version is gone.
+    dead_tags: tuple[Oid, ...] = ()
+
+
+def _objects(source: Any, cls: type) -> list[tuple[Oid, Any]]:
+    """``(oid, object copy)`` for every ``cls`` object, smallest oid first."""
+    return sorted(((ref.oid, ref.deref()) for ref in source.cluster(cls)), key=lambda row: row[0])
+
+
+def _rules(source: Any) -> dict[str, RetentionPolicy]:
+    rules: dict[str, RetentionPolicy] = {}
+    for _oid, rule in _objects(source, RetentionRule):
+        rules.setdefault(rule.scope, rule.policy())
+    return rules
+
+
+def load(db: Any) -> PolicyState:
+    """Every rule and tag, read from one snapshot; writes and locks nothing."""
+    tags: dict[Oid, dict[int, str]] = {}
+    dead: list[Oid] = []
+    with db.snapshot() as snap:
+        rules = _rules(snap)
+        for oid, tag in _objects(snap, VersionTag):
+            if snap.version_exists(tag.vid):
+                tags.setdefault(tag.vid.oid, {}).setdefault(tag.vid.serial, tag.name)
+            else:
+                dead.append(oid)
+    return PolicyState(rules, tags, tuple(dead))
+
+
+@contextmanager
+def _atomic(db: Any) -> Iterator[None]:
+    """Join the caller's transaction, or run in a new one."""
+    if db.current_transaction() is not None:
+        yield
     else:
-        catalog.set_root(RETENTION_PREFIX + key, astuple(policy), log_op)
+        with db.transaction():
+            yield
 
 
-def tag_root(vid: Vid) -> str:
-    """The catalog root holding ``vid``'s tag."""
-    return f"{TAG_PREFIX}{vid.oid.value}:{vid.serial}"
+def _keep_one(db: Any, cls: type, attr: str, value: Any, obj: Any) -> Any:
+    """Leave ``obj`` (``None``: nothing) as the one ``cls`` object whose
+    ``attr`` is ``value``: the smallest-oid match is rewritten in place and
+    every other match deleted.  Returns the survivor's reference."""
+    with _atomic(db):
+        found = sorted(db.query(cls).suchthat(attr_equals(attr, value)), key=lambda ref: ref.oid)
+        for ref in found if obj is None else found[1:]:
+            db.pdelete(ref)
+        if obj is None:
+            return None
+        if not found:
+            return db.pnew(obj)
+        with found[0].modify() as current:
+            current.__dict__.update(vars(obj))
+        return found[0]
 
 
-def load_tags(catalog: Any) -> dict[int, dict[int, str]]:
-    """Every version tag: oid value -> {serial -> tag}."""
-    tags: dict[int, dict[int, str]] = {}
-    for name in catalog.root_names(TAG_PREFIX):
-        oid_value, serial = name[len(TAG_PREFIX):].split(":")
-        tags.setdefault(int(oid_value), {})[int(serial)] = catalog.get_root(name)
+def set_retention(db: Any, scope: Any, policy: RetentionPolicy | None) -> Any:
+    """Declare (or with ``None``, clear) a retention policy.
+
+    ``scope`` is a ``@persistent`` class, a registered type name, an
+    :class:`Oid` or a bound ``Ref``; an object-scoped policy overrides its
+    type's.  Returns the rule object's reference (``None`` when cleared).
+    """
+    key = scope_key(scope)
+    rule = None if policy is None else RetentionRule(key, policy)
+    return _keep_one(db, RetentionRule, "scope", key, rule)
+
+
+def retention_for(db: Any, target: Any) -> RetentionPolicy | None:
+    """The policy a scope declares, or an object's effective policy
+    (override beats type)."""
+    with db.snapshot() as snap:
+        rules = _rules(snap)
+        if isinstance(target, (type, str)):
+            return rules.get(scope_key(target))
+        oid = oid_of(target)
+        return rules.get(f"oid:{oid.value}") or rules.get(f"type:{snap.type_name(oid)}")
+
+
+def _tag_target(db: Any, target: Any) -> Vid:
+    vid = plain_id(target)
+    if not isinstance(vid, Vid):
+        raise TypeError("a tag names a specific version reference")
+    db.create_index(VersionTag, "vid")  # idempotent; a reopened shard gets it back
+    return vid
+
+
+def tag_version(db: Any, target: Any, name: str) -> Any:
+    """Pin one version with a symbolic tag; returns the tag object's reference."""
+    vid = _tag_target(db, target)
+    with _atomic(db):
+        if not db.version_exists(vid):
+            raise UnknownVersionError(f"no such version: {vid}")
+        return _keep_one(db, VersionTag, "vid", vid, VersionTag(vid, str(name)))
+
+
+def untag_version(db: Any, target: Any) -> None:
+    """Remove a version's tag (a no-op if untagged)."""
+    _keep_one(db, VersionTag, "vid", _tag_target(db, target), None)
+
+
+def version_tags(db: Any, target: Any) -> dict[int, str]:
+    """The object's tags: version serial -> tag.  One index lookup per
+    live version, however many tags other objects hold."""
+    oid = oid_of(target)
+    db.create_index(VersionTag, "vid")
+    if not db.object_exists(oid):
+        return {}
+    tags: dict[int, str] = {}
+    for serial in db.graph(oid).serials():
+        found = db.query(VersionTag).suchthat(attr_equals("vid", Vid(oid, serial))).all()
+        if found:
+            tags[serial] = min(found, key=lambda ref: ref.oid).name
     return tags
 
 
@@ -152,6 +278,15 @@ class GCReport:
             f"unlinked {self.blobs_unlinked} blob(s) / {self.bytes_freed} "
             f"byte(s); {self.candidates_remaining} candidate(s) remaining"
         )
+
+
+def merge(reports: list[GCReport], dry_run: bool) -> GCReport:
+    """One report summing every count of ``reports``."""
+    merged = GCReport(dry_run=dry_run)
+    for name in vars(merged):
+        if name != "dry_run":
+            setattr(merged, name, sum(getattr(part, name) for part in reports))
+    return merged
 
 
 def doomed_versions(
@@ -184,10 +319,11 @@ def doomed_versions(
 
 
 def collect(
-    db: "Database", batch_limit: int = 64, now: float | None = None,
+    db: Any, state: PolicyState, batch_limit: int = 64, now: float | None = None,
     dry_run: bool = False,
 ) -> GCReport:
-    """One incremental GC pass: apply retention, then reclaim blobs.
+    """One incremental GC pass over ``db``'s objects: apply ``state``'s
+    retention, delete the dead tags ``db`` holds, then reclaim blobs.
 
     Retention deletions run through the ordinary transactional delete
     path in batches of at most ``batch_limit`` versions -- each batch is
@@ -197,9 +333,7 @@ def collect(
     if now is None:
         now = time.time()
     report = GCReport(dry_run=dry_run)
-    policies = load_retention(db.catalog)
-    if policies:
-        all_tags = load_tags(db.catalog)
+    if state.rules:
         doomed: list[Vid] = []
         rules = {}  # oid -> (policy, tags)
         # Plan against a pinned snapshot: a consistent cut of committed
@@ -208,12 +342,12 @@ def collect(
         with db.snapshot() as snap:
             for ref in snap.all_objects():
                 oid = ref.oid
-                pol = policies.get(f"oid:{oid.value}") or policies.get(
+                pol = state.rules.get(f"oid:{oid.value}") or state.rules.get(
                     f"type:{snap.type_name(oid)}")
                 if pol is None or not pol.active:
                     continue
                 report.versions_examined += snap.version_count(oid)
-                rules[oid] = pol, all_tags.get(oid.value, {})
+                rules[oid] = pol, state.tags.get(oid, {})
                 victims = doomed_versions(snap, oid, *rules[oid], now)
                 if victims:
                     report.objects_pruned += 1
@@ -238,6 +372,13 @@ def collect(
                     if vid in still[oid]:
                         db.pdelete(vid)
                         report.versions_deleted += 1
+    dead = () if dry_run else [oid for oid in state.dead_tags if db.object_exists(oid)]
+    if dead:
+        with db.transaction() as txn:
+            for oid in dead:
+                txn.lock(oid, EXCLUSIVE)
+                if db.object_exists(oid):  # an untag may have beaten us to it
+                    db.pdelete(oid)
     report.blobs_unlinked, report.bytes_freed, report.candidates_remaining = (
         db.reclaim_blobs(limit=batch_limit, dry_run=dry_run)
     )

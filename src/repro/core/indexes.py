@@ -25,24 +25,26 @@ from __future__ import annotations
 from typing import Any, Hashable, Iterable
 
 from repro.core.identity import Oid, Vid
-from repro.core.surface import type_name_of
+from repro.core.surface import plain_id, type_name_of
 
 
 class AttrEquals:
     """An indexable equality predicate: ``attr == value``.
 
     Usable directly as a query predicate (it is callable on a reference),
-    and recognised by the query layer for index lookup.
+    and recognised by the query layer for index lookup.  References compare
+    by their ids on both sides, as the index stores them: a read through a
+    reference wraps a stored ``Vid`` as a ``VersionRef``.
     """
 
     __slots__ = ("attr", "value")
 
     def __init__(self, attr: str, value: Hashable) -> None:
         self.attr = attr
-        self.value = value
+        self.value = plain_id(value)
 
     def __call__(self, ref: Any) -> bool:
-        return getattr(ref, self.attr, None) == self.value
+        return plain_id(getattr(ref, self.attr, None)) == self.value
 
     def __repr__(self) -> str:
         return f"AttrEquals({self.attr!r}, {self.value!r})"

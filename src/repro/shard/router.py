@@ -42,8 +42,9 @@ import threading
 from typing import Any, Callable, Iterator
 
 from repro import probe
+from repro.core import gc as gc_engine
 from repro.core.database import Database
-from repro.core.identity import Oid, Vid
+from repro.core.identity import Oid
 from repro.core.pointers import Ref, VersionRef
 from repro.core.query import Query, QueryTerminals
 from repro.core.session import ClientSession, Session, SessionHost
@@ -516,69 +517,29 @@ class ShardedDatabase(Routed, SessionHost):
 
     # -- retention & garbage collection ---------------------------------------
 
-    def set_retention(self, scope: Any, policy: Any | None) -> None:
-        """Declare (or clear) a retention policy across the cluster.
-
-        Type-scoped policies are broadcast to every up shard (each
-        shard's catalog carries its own copy, so a shard GC needs no
-        cross-shard coordination); object-scoped policies route to the
-        owning shard alone.
-        """
-        if isinstance(scope, (type, str)):
-            self._gather(lambda db: db.set_retention(scope, policy))
-        else:
-            oid = oid_of(scope)
-            self._at(oid, "set_retention", oid, policy)
-
-    def retention_policies(self) -> dict[str, Any]:
-        """The union of every up shard's retention table."""
-        merged: dict[str, Any] = {}
-        for part in self._gather(lambda db: db.retention_policies()):
-            merged.update(part)
-        return merged
-
-    def retention_for(self, target: Ref | Oid | type | str) -> Any | None:
-        """The effective policy: routed for objects, any up shard for types."""
-        if not isinstance(target, (type, str)):
-            oid = oid_of(target)
-            return self._at(oid, "retention_for", oid)
-        # Type policies are broadcast identically to every shard.
-        for policy in self._gather(lambda db: db.retention_for(target)):
-            return policy
-        raise ShardUnavailableError("no shard is up", shard=-1)
-
-    def tag_version(self, target: VersionRef | Vid, tag: str) -> None:
-        """Pin one version with a tag on its owning shard."""
-        vid = plain_id(target)
-        self._at(vid.oid, "tag_version", vid, tag)
-
-    def untag_version(self, target: VersionRef | Vid) -> None:
-        vid = plain_id(target)
-        self._at(vid.oid, "untag_version", vid)
-
-    def version_tags(self, target: Target) -> dict[int, str]:
-        oid = oid_of(target)
-        return self._at(oid, "version_tags", oid)
+    def set_retention(self, scope: Any, policy: Any | None) -> Any:
+        """:func:`repro.core.gc.set_retention` on the cluster (one rule object)."""
+        return gc_engine.set_retention(self, scope, policy)
 
     def run_gc(
         self, batch_limit: int = 64, now: float | None = None, dry_run: bool = False
     ) -> Any:
         """Scatter one incremental GC pass across every up shard.
 
-        Each shard collects independently (retention tables are
-        shard-local); a shard holding in-doubt 2PC participants skips
-        blob reclaim on its own (their verdict may undo displacements),
-        so running GC during a partial outage is safe.  Reports are
-        merged: every count is summed.
+        The policy state is read once, through the router; each shard then
+        collects its own objects (every prune batch one shard-local
+        transaction) and its own blobs, and the reports are summed.  While
+        any shard is down nothing is pruned -- a tag that protects a
+        version may live on the missing shard -- but the up shards still
+        reclaim blobs.  A shard holding in-doubt 2PC participants skips
+        blob reclaim on its own (their verdict may undo displacements).
         """
-        from repro.core.gc import GCReport
-
-        parts = self._gather(lambda db: db.run_gc(batch_limit, now, dry_run))
-        merged = GCReport(dry_run=dry_run)
-        for name in vars(merged):
-            if name != "dry_run":
-                setattr(merged, name, sum(getattr(part, name) for part in parts))
-        return merged
+        state = gc_engine.load(self)
+        if any(self._shard_down):  # checked after the load: a kill during it counts
+            state = gc_engine.PolicyState()
+        return gc_engine.merge(self._gather(
+            lambda db: db._counted(gc_engine.collect(db, state, batch_limit, now, dry_run))
+        ), dry_run)
 
     def reclaim_blobs(
         self, limit: int | None = None, dry_run: bool = False
@@ -681,6 +642,13 @@ class ShardedDatabase(Routed, SessionHost):
         indices = self._fanout_shards()
         parts = scatter(indices, lambda idx: self.shards[idx].query(type_or_name))
         return _FanoutQuery(dict(zip(indices, parts)), scatter, rebind=self)
+
+    def create_index(self, type_or_name: type | str, attr: str) -> None:
+        """:meth:`Database.create_index` on every up shard; joins no
+        transaction (an index is derived, in-memory data)."""
+        self._scatter(
+            self._up_shards(), lambda idx: self.shards[idx].create_index(type_or_name, attr)
+        )
 
     # -- the global snapshot epoch ---------------------------------------------
 

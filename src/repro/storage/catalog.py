@@ -1,4 +1,4 @@
-"""System catalog: named heaps, durable counters, and named roots.
+"""System catalog: named heaps and durable counters.
 
 Ode groups persistent objects into per-type *clusters* and needs a handful
 of database-wide counters (the object-id and version-id generators of paper
@@ -10,13 +10,13 @@ Catalog records are codec-encoded tuples:
 
 * ``("heap", name, file_id)`` -- a named heap file
 * ``("counter", name, value)`` -- a monotonic counter (updated in place)
-* ``("root", name, value)`` -- a named root value (any codec value);
-  a table whose rows change one at a time keeps one root per row
+
+Any other record kind is refused with :class:`~repro.errors.CatalogError`.
+Everything else a database keeps -- retention rules and version tags
+included (:mod:`repro.core.gc`) -- is ordinary persistent objects.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.errors import CatalogError
 from repro.storage import serialization
@@ -30,7 +30,7 @@ CATALOG_FILE_ID = 1
 
 
 class Catalog:
-    """Registry of heaps, counters, and roots backed by heap file 1.
+    """Registry of heaps and counters backed by heap file 1.
 
     All state is cached in memory at open (the catalog is small) and
     written through on every mutation.  Mutations accept the same optional
@@ -55,14 +55,12 @@ class Catalog:
         """Rebuild the in-memory catalog caches from heap file 1.
 
         Run at open and after a transaction abort (the WAL undo has
-        restored the records; this brings counters/roots/heap names back
+        restored the records; this brings counters and heap names back
         in line).  Open heap handles are kept -- pages never disappear.
         """
         self._heaps: dict[str, int] = {}
         self._counters: dict[str, int] = {}
         self._counter_rids: dict[str, Rid] = {}
-        self._roots: dict[str, Any] = {}
-        self._root_rids: dict[str, Rid] = {}
         for rid, payload in self._heap.scan():
             entry = serialization.decode(payload)
             if not isinstance(entry, tuple) or len(entry) != 3:
@@ -73,9 +71,6 @@ class Catalog:
             elif kind == "counter":
                 self._counters[name] = value
                 self._counter_rids[name] = rid
-            elif kind == "root":
-                self._roots[name] = value
-                self._root_rids[name] = rid
             else:
                 raise CatalogError(f"unknown catalog record kind {kind!r}")
 
@@ -143,31 +138,3 @@ class Catalog:
     def peek_value(self, counter: str) -> int:
         """Current value of the counter without incrementing."""
         return self._counters.get(counter, 0)
-
-    # -- roots -----------------------------------------------------------------
-
-    def get_root(self, name: str, default: Any = None) -> Any:
-        """Read a named root value."""
-        return self._roots.get(name, default)
-
-    def set_root(self, name: str, value: Any, log_op: LogOp | None = None) -> None:
-        """Write a named root value (any codec-encodable value)."""
-        payload = serialization.encode(("root", name, value))
-        rid = self._root_rids.get(name)
-        if rid is None:
-            rid = self._heap.insert(payload, log_op)
-            self._root_rids[name] = rid
-        else:
-            self._heap.update(rid, payload, log_op)
-        self._roots[name] = value
-
-    def delete_root(self, name: str, log_op: LogOp | None = None) -> None:
-        """Remove a named root (a no-op if it is not set)."""
-        rid = self._root_rids.pop(name, None)
-        if rid is not None:
-            self._heap.delete(rid, log_op)
-            del self._roots[name]
-
-    def root_names(self, prefix: str = "") -> list[str]:
-        """Registered root names starting with ``prefix``, sorted."""
-        return [name for name in sorted(self._roots) if name.startswith(prefix)]

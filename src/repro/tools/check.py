@@ -19,7 +19,7 @@ layers against each other:
    a registered heap file id;
 7. what an open derives from the home records and node headers is the
    live table: same objects and types, graphs equal node for node and in
-   the high-water mark; and every version tag names a live version;
+   the high-water mark;
 8. the ``ode.oid`` counter is at or above every live object id, so a
    recovered database can never re-issue an id;
 9. every blob frame re-hashes to the key it is indexed under and is
@@ -36,9 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import gc as gc_engine
 from repro.core.database import Database
-from repro.core.identity import Oid, Vid
+from repro.core.identity import Vid
 from repro.core.store import VersionStore
 from repro.core.vgraph import VersionGraph
 from repro.errors import BlobError, OdeError
@@ -234,12 +233,6 @@ def _check_strict(db: Database, report: CheckReport, durable: VersionStore | Non
             report.problems.append(
                 f"object {oid!r}: durable graph != live graph (first difference: {first})"
             )
-    for oid_value, serials in gc_engine.load_tags(catalog).items():
-        for serial, tag in serials.items():
-            if not store.version_exists(Vid(Oid(oid_value), serial)):
-                report.problems.append(
-                    f"tag {tag!r} names {oid_value}:{serial}, not a live version"
-                )
 
     # 8: the id counter must never re-issue a live object id.
     next_oid = catalog.peek_value("ode.oid")

@@ -67,6 +67,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from repro import Database, PersistentObject, StoragePolicy, persistent, probe
+from repro.core import gc
 from repro.core.identity import Vid
 from repro.core.pointers import Ref
 from repro.core.store import split_record
@@ -395,11 +396,15 @@ class _Worker:
             self._attempt(lambda model: model.write(item.oid, Item(self.wid, val)), sp_fn)
         elif self.committed.version_count(item.oid) > 3:
             # Prune the oldest version once history is deep enough (its
-            # full-copy children's records are re-based; its tag goes with
-            # it), then the latest (the floor write keeps its serial dead).
-            # Each pdelete is its own autocommit, so each gets its own
-            # ledger attempt.
-            db.tag_version(db.versions(item)[0], "pruned")
+            # full-copy children's records are re-based; its tag object
+            # stays, dead), then the latest (the floor write keeps its
+            # serial dead).  The tag is an autocommit pnew; each pdelete is
+            # its own autocommit, so each gets its own ledger attempt.
+            oldest = db.versions(item)[0].vid
+            self.creating = True
+            tag = gc.tag_version(db, oldest, "pruned")
+            self.committed.pnew(tag.oid, gc.VersionTag(oldest, "pruned"))
+            self.creating = False
             for pick in (0, -1):
                 self._attempt(
                     lambda model: model.vdelete(item.oid, model.serials(item.oid)[pick]),
@@ -1097,8 +1102,6 @@ def _build_gc_history(path: Path, ledger: _GcLedger) -> Database:
     window; two mixed objects keep serial 1 by tag, so pruning serial 2
     re-bases a delta child across the inline threshold, once each way.
     """
-    from repro.core.gc import RetentionPolicy
-
     db = Database(path, pool_size=8, policy=_GC_POLICY)
     #: (texts by serial, the serial tagged outside the keep-last window or
     #: None, the mixed direction or None).  keep_tagged must shield the
@@ -1115,8 +1118,10 @@ def _build_gc_history(path: Path, ledger: _GcLedger) -> Database:
         (_gc_mixed_history(7000, to_inline=False), 1, False),
         (_gc_mixed_history(8000, to_inline=True), 1, True),
     ]
-    db.set_retention(Blob, RetentionPolicy(keep_last_n=_GC_KEEP))
     model = ledger.committed
+    policy = gc.RetentionPolicy(keep_last_n=_GC_KEEP)
+    rule = gc.set_retention(db, Blob, policy)
+    model.pnew(rule.oid, gc.RetentionRule(gc.scope_key(Blob), policy))
     for i, (texts, tagged, to_inline) in enumerate(histories):
         ref = db.pnew(Blob(tag=i, text=texts[0]))
         model.pnew(ref.oid, Blob(tag=i, text=texts[0]))
@@ -1126,7 +1131,9 @@ def _build_gc_history(path: Path, ledger: _GcLedger) -> Database:
             model.newversion(ref.oid)
             model.write(ref.oid, Blob(tag=i, text=text))
         if tagged is not None:
-            db.tag_version(db.versions(ref)[tagged - 1], "pinned")
+            vid = Vid(ref.oid, tagged)
+            tag = gc.tag_version(db, vid, "pinned")
+            model.pnew(tag.oid, gc.VersionTag(vid, "pinned"))
             ledger.tags[ref.oid] = (tagged,)
         if to_inline is not None:
             ledger.mixed[ref.oid] = to_inline

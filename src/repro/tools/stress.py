@@ -296,7 +296,7 @@ def _scenario_gc_churn(path: Path, workers: int, rounds: int) -> Result:
        counter never decreases and the final convergence run drains the
        candidate set to zero, leaving exactly the retention keep set.
     """
-    from repro.core.gc import RetentionPolicy
+    from repro.core import gc
     from repro.errors import BlobMissingError
 
     result = Result("gc_churn")
@@ -304,7 +304,7 @@ def _scenario_gc_churn(path: Path, workers: int, rounds: int) -> Result:
     readers = max(1, workers - writers - 1)
     keep = 3
     with Database(path, lock_timeout=LOCK_TIMEOUT) as db:
-        db.set_retention(Counter, RetentionPolicy(keep_last_n=keep))
+        gc.set_retention(db, Counter, gc.RetentionPolicy(keep_last_n=keep))
         refs = [db.pnew(Counter(tag=i)) for i in range(writers)]
         oids = [ref.oid for ref in refs]
         committed = [0] * writers

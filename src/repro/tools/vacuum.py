@@ -9,9 +9,10 @@ structure exactly -- and reports the space saved.
 
 Objects leave the source through ``VersionStore.export`` and enter the
 target through ``VersionStore.install``, the door ``pnew`` uses too, so
-ids, high-water marks and every catalog root (retention policies, tags)
-arrive exactly as they were.  The source database is never modified;
-callers swap directories after a successful run.
+ids and high-water marks arrive exactly as they were.  Retention rules
+and version tags are ordinary objects (:mod:`repro.core.gc`), so they
+travel like any other.  The source database is never modified; callers
+swap directories after a successful run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.core.database import Database
 from repro.core.identity import Oid
@@ -73,12 +74,8 @@ def vacuum(
     source_store = source.store
     target = Database(target_path, policy=policy or source_store.policy)
     try:
-        catalog = source.catalog
         objects, versions = fill(
-            target,
-            source_store.export(),
-            {name: catalog.get_root(name) for name in catalog.root_names()},
-            catalog.peek_value("ode.oid"),
+            target, source_store.export(), source.catalog.peek_value("ode.oid")
         )
         report = VacuumReport(
             objects_copied=objects,
@@ -96,17 +93,15 @@ def vacuum(
 def fill(
     db: Database,
     objects: Iterable[tuple[Oid, str, int, list[VersionRecord]]],
-    roots: dict[str, Any],
     oid_counter: int,
 ) -> tuple[int, int]:
     """Fill a fresh database: the one copy step of vacuum and ``load_database``.
 
     ``objects`` are what ``VersionStore.export`` yields, installed in
-    order; ``roots`` are catalog roots, set as given; the oid counter is
-    carried forward so later ``pnew`` calls cannot collide.  Nothing here
-    runs in a transaction, so it ends with one publish (snapshots and
-    session readers see the copy at once) and a checkpoint (the copy is
-    durable).  Returns ``(objects, versions)`` installed.
+    order; the oid counter is carried forward so later ``pnew`` calls
+    cannot collide.  Nothing here runs in a transaction, so it ends with
+    one publish (snapshots and session readers see the copy at once) and a
+    checkpoint (the copy is durable).  Returns ``(objects, versions)`` installed.
     """
     store, catalog = db.store, db.catalog
     count = versions = 0
@@ -114,8 +109,6 @@ def fill(
         store.install(oid, type_name, max_serial, history)
         count += 1
         versions += len(history)
-    for name, value in roots.items():
-        catalog.set_root(name, value)
     while catalog.peek_value("ode.oid") < oid_counter:
         catalog.next_value("ode.oid")
     store.publish_snapshot()

@@ -220,7 +220,7 @@ def test_retention_matches_model_exactly(tmp_path, policy_kw):
         for serial in range(2, n_versions + 1):
             db.newversion(ref)
             ref.v = serial * 10
-        db.tag_version(db.deref(Vid(ref.oid, tagged_serial)), "milestone")
+        gc_engine.tag_version(db, db.deref(Vid(ref.oid, tagged_serial)), "milestone")
 
         # Mirror the kernel's actual ctimes into the model so keep_days
         # horizons compute over the same timeline.
@@ -234,13 +234,13 @@ def test_retention_matches_model_exactly(tmp_path, policy_kw):
         # The pure selections agree, in order.
         policy = RetentionPolicy(**policy_kw)
         doomed = gc_engine.doomed_versions(
-            db, ref.oid, policy, db.version_tags(ref), now
+            db, ref.oid, policy, gc_engine.version_tags(db, ref), now
         )
         model_doomed = model.doomed("x", tags=[tagged_serial], now=now, **policy_kw)
         assert [vid.serial for vid in doomed] == model_doomed
 
         # Applying them agrees too: survivors and payloads match.
-        db.set_retention(ref, policy)
+        gc_engine.set_retention(db, ref, policy)
         db.run_gc(now=now)
         model.apply_retention("x", tags=[tagged_serial], now=now, **policy_kw)
         survivors = [vr.vid.serial for vr in db.versions(ref)]

@@ -8,31 +8,9 @@ import pytest
 
 from repro import Database
 from repro.tools import check_database, dump_database, load_database, migrate_cluster
-from repro.tools.dump import DumpError, _decode_value, _encode_value
+from repro.tools.dump import DumpError
 from repro.tools.migrate import MigrationError, add_field, drop_field, rename_field
 from tests.conftest import Doc, Node, Part
-
-
-# -- dump value lowering ----------------------------------------------------
-
-
-def test_value_roundtrip_plain():
-    for value in (None, True, 0, -7, 1.5, "text", [1, [2]], {"$dict": [[1, 2]]}):
-        if isinstance(value, dict):
-            continue
-        assert _decode_value(_encode_value(value)) == value
-
-
-def test_value_roundtrip_tagged():
-    from repro.core.identity import Oid, Vid
-
-    value = {
-        "ids": [Oid(3), Vid(Oid(3), 2)],
-        "blob": b"\x00\xff",
-        "tup": (1, 2),
-        "set": {1, 2},
-    }
-    assert _decode_value(_encode_value(value)) == value
 
 
 def test_dump_is_json_serializable(db):
@@ -97,6 +75,20 @@ def test_load_rejects_unknown_format(tmp_path, db):
     with Database(tmp_path / "fmt") as target:
         with pytest.raises(DumpError):
             load_database(document, target)
+
+
+@pytest.mark.parametrize("old", [1, 2])
+def test_load_rejects_a_format_with_catalog_roots(tmp_path, db, old):
+    """Format 3 is the one read: formats 1 and 2 carried catalog roots
+    (2 in a ``"roots"`` field), and no reader for them is kept."""
+    db.pnew(Part("p", 1))
+    document = dump_database(db)
+    assert document["format"] == 3 and "roots" not in document
+    document.update(format=old, roots={})
+    with Database(tmp_path / "fmt") as target:
+        with pytest.raises(DumpError, match="unsupported dump format"):
+            load_database(document, target)
+        assert target.object_count() == 0
 
 
 def test_dump_load_into_delta_policy(tmp_path, db):

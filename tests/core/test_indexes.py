@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.indexes import attr_equals
-from tests.conftest import Doc, Part
+from tests.conftest import Doc, Node, Part
 
 
 def populate(db, n=10):
@@ -101,6 +101,24 @@ def test_indexed_query_matches_scan(db):
     db.create_index(Part, "name")
     index_result = {r.oid for r in db.query(Part).suchthat(attr_equals("name", "part2"))}
     assert index_result == scan_result
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_equality_on_a_reference_valued_attribute(db, indexed):
+    """A stored id reads back through a reference as a bound ``Ref`` /
+    ``VersionRef``; ``attr_equals`` compares ids on both sides, so it
+    matches what the index holds, and what a scan reads."""
+    target = db.pnew(Part("t", 1))
+    pinned = db.newversion(target)
+    by_oid = db.pnew(Node("oid", next_ref=target.oid))
+    by_vid = db.pnew(Node("vid", next_ref=pinned.vid))
+    db.pnew(Node("none"))
+    if indexed:
+        db.create_index(Node, "next_ref")
+    cases = ((target, by_oid), (target.oid, by_oid), (pinned, by_vid), (pinned.vid, by_vid))
+    for value, ref in cases:
+        found = db.query(Node).suchthat(attr_equals("next_ref", value)).all()
+        assert [r.oid for r in found] == [ref.oid], value
 
 
 def test_indexed_query_with_extra_predicates(db):

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro import Database, StoragePolicy
+from repro.core import gc
 from repro.core.gc import RetentionPolicy
 from repro.core.identity import Vid
 from repro.errors import VersionError
@@ -322,7 +323,7 @@ def test_vacuum_cli(tmp_path, capsys):
         ref = db.pnew(Doc("base " * 300))
         for i in range(4):
             db.newversion(ref).text = "base " * 300 + f"rev{i}"
-        db.set_retention(Doc, RetentionPolicy(keep_last_n=2))
+        gc.set_retention(db, Doc, RetentionPolicy(keep_last_n=2))
     assert main([str(source), "--gc-only", "--dry-run", "--json"]) == 0
     planned = json.loads(capsys.readouterr().out)
     assert planned["source"] == str(source) and "vacuum" not in planned
@@ -333,8 +334,9 @@ def test_vacuum_cli(tmp_path, capsys):
     assert main([str(source), str(target), "--policy", "delta", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["target"] == str(target)
-    assert out["vacuum"]["objects_copied"] == 1
-    assert out["vacuum"]["versions_copied"] == 5
+    # The document and its retention rule.
+    assert out["vacuum"]["objects_copied"] == 2
+    assert out["vacuum"]["versions_copied"] == 6
     # Deltas of one-word edits sit inline: only the keyframe is a blob.
     vacuumed = out["vacuum"]
     assert vacuumed["target_blob_bytes"] * 4 < vacuumed["source_blob_bytes"]
@@ -396,19 +398,19 @@ def test_loaded_objects_are_visible_at_once(tmp_path, db):
 
 
 def test_copies_keep_retention_and_tags(tmp_path, db):
-    """Retention policies and version tags are catalog roots, and every
-    root travels: the copy's collector keeps the tagged version."""
+    """Retention rules and version tags are ordinary objects, so they
+    travel like any other: the copy's collector keeps the tagged version."""
     ref = db.pnew(Part("p", 0))
     for weight in range(1, 6):
         db.newversion(ref).weight = weight
-    db.set_retention(Part, RetentionPolicy(keep_last_n=2))
-    db.tag_version(Vid(ref.oid, 2), "release")
-    policies, tags = db.retention_policies(), db.version_tags(ref)
+    gc.set_retention(db, Part, RetentionPolicy(keep_last_n=2))
+    gc.tag_version(db, Vid(ref.oid, 2), "release")
+    policies, tags = gc.load(db).rules, gc.version_tags(db, ref)
     assert policies and tags == {2: "release"}
     for path in _copies(db, tmp_path):
         with Database(path) as copy:
-            assert copy.retention_policies() == policies
-            assert copy.version_tags(ref.oid) == tags
+            assert gc.load(copy).rules == policies
+            assert gc.version_tags(copy, ref.oid) == tags
             copy.run_gc()
             assert [v.vid.serial for v in copy.versions(ref.oid)] == [2, 5, 6]
 
@@ -430,10 +432,11 @@ def test_copies_export_every_version_equal(tmp_path, any_db):
     db.pdelete(trunk)  # an interior delete re-bases the tip
     part = db.pnew(Part("p", 1))
     db.pdelete(db.newversion(part))  # the newest deleted
-    db.set_retention(Doc, RetentionPolicy(keep_last_n=3))
-    db.tag_version(base, "first")
+    gc.set_retention(db, Doc, RetentionPolicy(keep_last_n=3))
+    gc.tag_version(db, base, "first")
     exported = db.export()
-    assert sum(len(versions) for *_, versions in exported) == 4
+    # Four versions of the two objects, and one each of the rule and the tag.
+    assert sum(len(versions) for *_, versions in exported) == 6
     for path in _copies(db, tmp_path):
         with Database(path) as copy:
             assert copy.export() == exported

@@ -4,7 +4,7 @@ Each version record starts with its graph node (``node_header``); an
 object's home record holds ``(oid, type_name, floor)`` and a
 ``newversion`` never rewrites it.  These tests pin down what that layout
 must keep: a deleted serial is never issued again (across a reopen and an
-abort), a deleted version takes its tag with it, ``check --strict``
+abort), a deleted version's tag is skipped, ``check --strict``
 compares the durable graph with memory node for node, and a commit's
 undo restores the graph from the records it undid.  The engine tests run
 on the embedded database and on a four-shard router.
@@ -15,11 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, StoragePolicy
-from repro.core import gc as gc_engine
+from repro.core import gc
 from repro.core.identity import Vid
-from repro.core.store import node_header, split_record
-from repro.errors import HeapError
-from repro.storage.catalog import Catalog
+from repro.core.store import VersionStore, node_header, split_record
 from repro.storage.heap import Rid
 from repro.tools.check import check_database
 from tests.conftest import Part, open_engine
@@ -89,85 +87,68 @@ def test_an_aborted_delete_of_the_latest_restores_the_floor(engine, engine_kind,
         engine.close()
 
 
-# -- a deleted version takes its tag with it -----------------------------------
+# -- a deleted version's tag is dead: readers skip it ----------------------------
 
 
 def test_a_deleted_version_loses_its_tag(engine):
     ref = engine.pnew(Part("p", 1))
     v2 = engine.newversion(ref)
     v3 = engine.newversion(ref)
-    engine.tag_version(v2, "rel")
-    engine.tag_version(v3, "next")
+    gc.tag_version(engine, v2, "rel")
+    gc.tag_version(engine, v3, "next")
     engine.pdelete(v2.vid)
-    assert engine.version_tags(ref.oid) == {3: "next"}
+    assert gc.version_tags(engine, ref.oid) == {3: "next"}
     with pytest.raises(_Abort):
         with engine.transaction():
             engine.pdelete(v3.vid)
             raise _Abort
-    assert engine.version_tags(ref.oid) == {3: "next"}
+    assert gc.version_tags(engine, ref.oid) == {3: "next"}
     engine.pdelete(ref.oid)
-    assert engine.version_tags(ref.oid) == {}
+    assert gc.version_tags(engine, ref.oid) == {}
     assert not _strict_problems(engine)
 
 
-def test_one_tag_is_one_catalog_record(tmp_path):
-    db = Database(tmp_path / "db")
-    try:
-        ref = db.pnew(Part("p", 1))
-        vids = [db.newversion(ref).vid for _ in range(3)]
-        before = set(db.catalog.root_names())
-        for vid in vids:
-            db.tag_version(vid, f"t{vid.serial}")
-        assert set(db.catalog.root_names()) - before == {
-            gc_engine.tag_root(vid) for vid in vids
-        }
-        db.untag_version(vids[0])
-        assert db.version_tags(ref.oid) == {3: "t3", 4: "t4"}
-    finally:
-        db.close()
-
-
-def test_a_tag_too_big_for_a_page_is_refused_and_writes_nothing(engine):
-    """A tag's catalog record must fit one page: a 5,000-character tag
-    raises ``HeapError`` before anything is written, and a short tag on
-    the same version then commits."""
+def test_a_long_tag_is_an_ordinary_object(engine):
+    """A tag is an object, so a 5,000-character tag is stored like any
+    large payload (a catalog record that had to fit one page refused it)."""
     ref = engine.pnew(Part("p", 1))
     v2 = engine.newversion(ref)
-    engine.tag_version(engine.versions(ref.oid)[0], "first")
-    with pytest.raises(HeapError):
-        engine.tag_version(v2, "t" * 5000)
-    assert engine.version_tags(ref.oid) == {1: "first"}
+    gc.tag_version(engine, engine.versions(ref.oid)[0], "first")
+    gc.tag_version(engine, v2, "t" * 5000)
+    assert gc.version_tags(engine, ref.oid) == {1: "first", 2: "t" * 5000}
     assert not _strict_problems(engine)
-    engine.tag_version(v2, "short")
-    assert engine.version_tags(ref.oid) == {1: "first", 2: "short"}
+    gc.tag_version(engine, v2, "short")
+    assert gc.version_tags(engine, ref.oid) == {1: "first", 2: "short"}
+    assert len(engine.cluster(gc.VersionTag)) == 2
     assert not _strict_problems(engine)
 
 
-def _version_tags_lookups(engine, monkeypatch, oid) -> tuple[dict[int, str], int]:
-    """``engine.version_tags(oid)`` and the catalog root names it looked
-    at: one per ``get_root``, every root per ``root_names`` (it sorts
-    them all)."""
-    looked = [0]
+def _version_tags_cost(engine, monkeypatch, oid) -> tuple[dict[int, str], int, int]:
+    """``gc.version_tags(engine, oid)``, the buffer-pool lookups it made
+    on every shard, and the object reads (materializations and attribute
+    reads) it asked of the stores."""
+    reads = [0]
 
-    def get_root(catalog, name, default=None):
-        looked[0] += 1
-        return real_get(catalog, name, default)
+    def counted(real):
+        def read(store, *args):
+            reads[0] += 1
+            return real(store, *args)
+        return read
 
-    def root_names(catalog, prefix=""):
-        looked[0] += len(real_names(catalog))
-        return real_names(catalog, prefix)
-
-    real_get, real_names = Catalog.get_root, Catalog.root_names
+    pools = [each._pool for each in getattr(engine, "shards", [engine])]
+    before = sum(pool.hits + pool.misses for pool in pools)
     with monkeypatch.context() as patch:
-        patch.setattr(Catalog, "get_root", get_root)
-        patch.setattr(Catalog, "root_names", root_names)
-        tags = engine.version_tags(oid)
-    return tags, looked[0]
+        for name in ("materialize", "read_attr"):
+            patch.setattr(VersionStore, name, counted(getattr(VersionStore, name)))
+        tags = gc.version_tags(engine, oid)
+    return tags, sum(pool.hits + pool.misses for pool in pools) - before, reads[0]
 
 
 def test_version_tags_of_one_object_does_not_scan_every_tag(engine, monkeypatch):
-    """An untagged object's ``version_tags`` makes the same catalog
-    lookups with 10 tags on other objects as with 3,000."""
+    """The tag index answers one object's tags: an untagged object's
+    ``version_tags`` makes the same pool lookups and reads no object with
+    10 tags on other objects as with 3,000, and a tagged one reads only its
+    own tag.  (A scan of the tag cluster reads every tag.)"""
     quiet = engine.pnew(Part("quiet", 0))
     engine.newversion(quiet)
     with engine.transaction():
@@ -176,22 +157,15 @@ def test_version_tags_of_one_object_does_not_scan_every_tag(engine, monkeypatch)
     for batch in (others[:10], others[10:]):  # 10 tags, then 3,000
         with engine.transaction():
             for ref in batch:
-                engine.tag_version(Vid(ref.oid, 1), f"t{ref.oid.value}")
-        readings.append(_version_tags_lookups(engine, monkeypatch, quiet.oid))
-    assert readings[0] == readings[1] == ({}, 2), readings
+                gc.tag_version(engine, Vid(ref.oid, 1), f"t{ref.oid.value}")
+        readings.append(_version_tags_cost(engine, monkeypatch, quiet.oid))
+    assert readings[0] == readings[1] and readings[0][::2] == ({}, 0), readings
     tagged = others[-1].oid
-    assert engine.version_tags(tagged) == {1: f"t{tagged.value}"}
-
-
-def test_check_reports_a_tag_on_a_dead_version(tmp_path):
-    db = Database(tmp_path / "db")
-    try:
-        ref = db.pnew(Part("p", 1))
-        db.catalog.set_root(gc_engine.tag_root(Vid(ref.oid, 9)), "ghost")
-        problems = check_database(db, strict=True).problems
-        assert any("'ghost'" in p and "not a live version" in p for p in problems), problems
-    finally:
-        db.close()
+    # The tagged object's one tag, read twice: its vid (the query's
+    # predicate) and its name.
+    assert _version_tags_cost(engine, monkeypatch, tagged)[::2] == (
+        {1: f"t{tagged.value}"}, 2,
+    )
 
 
 # -- check --strict compares nodes, not serial lists ------------------------------

@@ -119,6 +119,8 @@ def test_pairs_writes_a_ledger_row_with_three_arms_and_verdicts(tmp_path, monkey
     ([100, 101, 102], [80, 80, 80], 0, "worse"),
     ([10, 20, 30], [19, 20, 21], 1, "unresolved"),
     ([10, 20, 30], [31, 32, 33], 2, "same"),  # every change run beats every parent run
+    ([10, 20, 30], [12, 13, 14], 0, "unresolved"),  # the parent spreads wider than the bound
+    ([10, 20, 30], [5, 6, 7], 0, "worse"),  # every change run below every parent run
 ])
 def test_verdict_rule(parent, change, wins, verdict):
     assert pairs.judge(parent, change, wins, 3, "higher", 0.15) == verdict

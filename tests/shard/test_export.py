@@ -11,6 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, PersistentObject, StoragePolicy, persistent
+from repro.core import gc
+from repro.core.identity import Vid
 from repro.shard import ShardedDatabase
 from repro.storage.serialization import decode
 from repro.verify.model import history
@@ -24,7 +26,8 @@ class Doc(PersistentObject):
 
 
 def _script(db) -> None:
-    """pnew, newversion, attribute writes, one version's pdelete, a tag."""
+    """pnew, newversion, attribute writes, one version's pdelete, a tag
+    (an object of its own)."""
     a = db.pnew(Doc(1, "a"))
     db.pnew(Doc(2, "x" * 2000))  # a blob-sized payload
     pinned = db.newversion(a)
@@ -32,7 +35,7 @@ def _script(db) -> None:
     db.newversion(a)
     a.body = "latest"
     db.pdelete(db.versions(a)[1])
-    db.tag_version(db.versions(a)[0], "first")
+    gc.tag_version(db, db.versions(a)[0], "first")
 
 
 @pytest.mark.parametrize("kind", ["full", "delta"])
@@ -45,10 +48,11 @@ def test_one_script_exports_the_same_on_both_engines(tmp_path, kind):
         _script(router)
         routed = history(router.export(), decode)
     assert routed == plain
-    [(a_max, a_rows), (b_max, b_rows)] = plain.values()
+    (a, (a_max, a_rows)), (_, (b_max, b_rows)), (_, tag) = plain.items()
     assert a_max == 3 and [(s, d) for s, d, _ in a_rows] == [(1, None), (3, 1)]
     assert a_rows[-1][2] == Doc(10, "latest")  # derived from the deleted serial 2
     assert b_max == 1 and b_rows == ((1, None, Doc(2, "x" * 2000)),)
+    assert tag == (1, ((1, None, gc.VersionTag(Vid(a, 1), "first")),))
 
 
 def test_router_export_merges_every_shard_in_oid_order(tmp_path):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import CatalogError
+from repro.storage import serialization
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import CATALOG_FILE_ID, Catalog
 from repro.storage.disk import DiskManager
@@ -55,19 +57,6 @@ def test_counters_independent(catalog):
     assert catalog.next_value("b") == 1
 
 
-def test_roots_roundtrip(catalog):
-    catalog.set_root("config", {"retention": 30, "tags": ["x", "y"]})
-    assert catalog.get_root("config") == {"retention": 30, "tags": ["x", "y"]}
-    assert catalog.get_root("missing", "fallback") == "fallback"
-    assert catalog.root_names() == ["config"]
-
-
-def test_root_overwrite(catalog):
-    catalog.set_root("k", 1)
-    catalog.set_root("k", 2)
-    assert catalog.get_root("k") == 2
-
-
 def test_persistence_across_reopen(tmp_path):
     disk = DiskManager(tmp_path / "d.odb")
     pool = BufferPool(disk)
@@ -76,7 +65,6 @@ def test_persistence_across_reopen(tmp_path):
     rid = heap.insert(b"a record")
     catalog.next_value("ids")
     catalog.next_value("ids")
-    catalog.set_root("root1", [1, 2, 3])
     pool.flush_all()
     disk.close()
 
@@ -86,18 +74,15 @@ def test_persistence_across_reopen(tmp_path):
     assert catalog2.heap_names() == ["things"]
     assert catalog2.peek_value("ids") == 2
     assert catalog2.next_value("ids") == 3
-    assert catalog2.get_root("root1") == [1, 2, 3]
     assert catalog2.ensure_heap("things").read(rid) == b"a record"
     disk2.close()
 
 
 def test_reload_restores_cached_view(catalog):
     catalog.next_value("n")
-    catalog.set_root("r", "v")
     catalog.ensure_heap("h")
     catalog.reload()
     assert catalog.peek_value("n") == 1
-    assert catalog.get_root("r") == "v"
     assert catalog.heap_names() == ["h"]
 
 
@@ -106,3 +91,12 @@ def test_file_ids_not_reused_for_new_names(catalog):
     b = catalog.ensure_heap("b")
     c = catalog.ensure_heap("c")
     assert len({a.file_id, b.file_id, c.file_id}) == 3
+
+
+def test_a_record_of_another_kind_is_refused(catalog):
+    """The catalog holds heaps and counters only: a ``"root"`` record (the
+    named roots retention rules and tags once lived in) raises at load."""
+    catalog.ensure_heap("alpha")
+    catalog._heap.insert(serialization.encode(("root", "ode.tag:1:1", "x")))
+    with pytest.raises(CatalogError, match="unknown catalog record kind 'root'"):
+        catalog.reload()
