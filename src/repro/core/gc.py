@@ -7,8 +7,8 @@ the kernel primitives alone: its state is ordinary persistent objects and
 it reaches an engine -- a :class:`~repro.core.database.Database` or a
 :class:`~repro.shard.ShardedDatabase` -- only through ``pnew``,
 ``pdelete``, ``transaction``, ``snapshot``, ``cluster``, ``query``,
-``create_index``, ``object_exists``, ``version_exists``, ``graph`` and
-``reclaim_blobs``.
+``create_index``, ``object_exists``, ``version_exists``, ``latest_vid``,
+``graph``, ``reclaim_blobs`` and, on a router, ``shard_health``.
 
 * A :class:`RetentionRule` holds one scope's :class:`RetentionPolicy`
   (per type, with per-object overrides); :func:`set_retention` writes it.
@@ -20,6 +20,10 @@ it reaches an engine -- a :class:`~repro.core.database.Database` or a
 * Two first-time writes that raced may leave two objects for one scope or
   one version: readers take the one with the smallest oid, and the next
   write on that key deletes the rest.
+* A router answers fan-outs from its up shards only, so while a shard is
+  down every function here but :func:`load` and :func:`collect` raises
+  :class:`~repro.errors.ShardUnavailableError`: the key's object may be on
+  the missing shard, and a write would add a duplicate beside it.
 
 A pass is :func:`load` (rules and tags, read from one snapshot, no lock
 taken) and then :func:`collect` in two stages:
@@ -46,7 +50,7 @@ pinned snapshots are never broken.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -55,7 +59,7 @@ from repro.core.indexes import attr_equals
 from repro.core.persistent import PersistentObject, persistent
 from repro.core.surface import oid_of, plain_id, type_name_of
 from repro.core.transactions import EXCLUSIVE
-from repro.errors import UnknownVersionError
+from repro.errors import ShardUnavailableError, UnknownObjectError, UnknownVersionError
 
 
 @dataclass(frozen=True)
@@ -167,13 +171,30 @@ def load(db: Any) -> PolicyState:
     return PolicyState(rules, tags, tuple(dead))
 
 
+def _check_shards(db: Any) -> None:
+    down = [idx for idx, state in getattr(db, "shard_health", dict)().items() if state == "down"]
+    if down:
+        raise ShardUnavailableError(
+            f"shard {down[0]} is down; the retention policy spans every shard", shard=down[0])
+
+
+@contextmanager
+def _whole(db: Any) -> Iterator[None]:
+    """Refuse a router that has a shard down before or after the body
+    (an exception at exit aborts the body's writes)."""
+    _check_shards(db)
+    yield
+    _check_shards(db)
+
+
 @contextmanager
 def _atomic(db: Any) -> Iterator[None]:
-    """Join the caller's transaction, or run in a new one."""
+    """Join the caller's transaction, or run in a new one; in :func:`_whole`."""
     if db.current_transaction() is not None:
-        yield
+        with _whole(db):
+            yield
     else:
-        with db.transaction():
+        with db.transaction(), _whole(db):
             yield
 
 
@@ -209,7 +230,7 @@ def set_retention(db: Any, scope: Any, policy: RetentionPolicy | None) -> Any:
 def retention_for(db: Any, target: Any) -> RetentionPolicy | None:
     """The policy a scope declares, or an object's effective policy
     (override beats type)."""
-    with db.snapshot() as snap:
+    with _whole(db), db.snapshot() as snap:
         rules = _rules(snap)
         if isinstance(target, (type, str)):
             return rules.get(scope_key(target))
@@ -229,6 +250,8 @@ def tag_version(db: Any, target: Any, name: str) -> Any:
     """Pin one version with a symbolic tag; returns the tag object's reference."""
     vid = _tag_target(db, target)
     with _atomic(db):
+        with suppress(UnknownObjectError):  # S-locks the object: waits out
+            db.latest_vid(vid.oid)  # another transaction's uncommitted newversion
         if not db.version_exists(vid):
             raise UnknownVersionError(f"no such version: {vid}")
         return _keep_one(db, VersionTag, "vid", vid, VersionTag(vid, str(name)))
@@ -244,13 +267,12 @@ def version_tags(db: Any, target: Any) -> dict[int, str]:
     live version, however many tags other objects hold."""
     oid = oid_of(target)
     db.create_index(VersionTag, "vid")
-    if not db.object_exists(oid):
-        return {}
     tags: dict[int, str] = {}
-    for serial in db.graph(oid).serials():
-        found = db.query(VersionTag).suchthat(attr_equals("vid", Vid(oid, serial))).all()
-        if found:
-            tags[serial] = min(found, key=lambda ref: ref.oid).name
+    with _whole(db):
+        for serial in db.graph(oid).serials() if db.object_exists(oid) else ():
+            found = db.query(VersionTag).suchthat(attr_equals("vid", Vid(oid, serial))).all()
+            if found:
+                tags[serial] = min(found, key=lambda ref: ref.oid).name
     return tags
 
 

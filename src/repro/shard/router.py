@@ -534,8 +534,9 @@ class ShardedDatabase(Routed, SessionHost):
         reclaim blobs.  A shard holding in-doubt 2PC participants skips
         blob reclaim on its own (their verdict may undo displacements).
         """
+        topology = self._topology  # a kill or a reattach during the load counts
         state = gc_engine.load(self)
-        if any(self._shard_down):  # checked after the load: a kill during it counts
+        if any(self._shard_down) or self._topology != topology:
             state = gc_engine.PolicyState()
         return gc_engine.merge(self._gather(
             lambda db: db._counted(gc_engine.collect(db, state, batch_limit, now, dry_run))
@@ -644,11 +645,11 @@ class ShardedDatabase(Routed, SessionHost):
         return _FanoutQuery(dict(zip(indices, parts)), scatter, rebind=self)
 
     def create_index(self, type_or_name: type | str, attr: str) -> None:
-        """:meth:`Database.create_index` on every up shard; joins no
-        transaction (an index is derived, in-memory data)."""
-        self._scatter(
-            self._up_shards(), lambda idx: self.shards[idx].create_index(type_or_name, attr)
-        )
+        """:meth:`Database.create_index` on every up shard, one after another
+        (a present index is one dict probe); joins no transaction (an index
+        is derived, in-memory data)."""
+        for idx in self._up_shards():
+            self.shards[idx].create_index(type_or_name, attr)
 
     # -- the global snapshot epoch ---------------------------------------------
 

@@ -5,14 +5,22 @@ engine only through its public surface, so each rule below is checked on
 the embedded database and on a four-shard router: a dead tag is skipped
 and then collected, duplicates left by racing first writes read as the
 smallest oid until the next write leaves one, reading the policy state
-writes nothing, and a router with a shard down prunes nothing.
+writes nothing, a tag waits out another transaction's uncommitted version,
+and a router with a shard down prunes nothing and refuses the policy's
+reads and writes.
 """
 
 from __future__ import annotations
 
+import threading
+
+import pytest
+
+from repro import probe
 from repro.core import gc
 from repro.core.gc import RetentionPolicy
 from repro.core.identity import Vid
+from repro.errors import ShardUnavailableError, UnknownVersionError
 from repro.shard import ShardedDatabase
 from tests.conftest import Doc, Part
 
@@ -107,3 +115,110 @@ def test_a_router_with_a_shard_down_prunes_nothing_but_reclaims_blobs(tmp_path):
         report = router.run_gc()
         assert report.versions_deleted == 8 == router.stats()["gc.versions_deleted"]
         assert all(router.version_count(doc) == 1 for doc in docs)
+
+
+class _Asked(probe.Observer):
+    """Sets ``gate`` when any thread asks for a lock it does not hold."""
+
+    def __init__(self, gate: threading.Event) -> None:
+        self.gate = gate
+
+    def point(self, name: str) -> None:
+        if name == "txn.lock":
+            self.gate.set()
+
+
+class _Abort(Exception):
+    pass
+
+
+def test_a_tag_waits_out_another_transactions_uncommitted_version(engine):
+    """Another transaction holds an uncommitted ``newversion`` and aborts
+    once the tagger has asked for a lock: the tag is refused, and the
+    serial handed out again later carries no tag."""
+    ref = engine.pnew(Part("p", 1))
+    held, end, gate = threading.Event(), threading.Event(), threading.Event()
+    outcome: list[BaseException] = []
+
+    def owner() -> None:
+        try:
+            with engine.transaction():
+                engine.newversion(ref)
+                held.set()
+                end.wait(10)
+                raise _Abort
+        except _Abort:
+            pass
+
+    def tagger() -> None:
+        try:
+            gc.tag_version(engine, Vid(ref.oid, 2), "v2")
+        except BaseException as exc:  # noqa: BLE001 - checked below
+            outcome.append(exc)
+        finally:
+            gate.set()
+
+    threads = [threading.Thread(target=owner), threading.Thread(target=tagger)]
+    threads[0].start()
+    assert held.wait(10)
+    probe.attach(_Asked(gate))
+    try:
+        threads[1].start()
+        assert gate.wait(10)  # the tagger waits for the lock, or is done
+        end.set()
+        for thread in threads:
+            thread.join(10)
+    finally:
+        probe.detach()
+    assert [type(exc) for exc in outcome] == [UnknownVersionError]
+    assert engine.newversion(ref).vid.serial == 2
+    assert gc.version_tags(engine, ref) == {} and engine.cluster(gc.VersionTag) == []
+
+
+def test_a_router_with_a_shard_down_refuses_the_policy_reads_and_writes(tmp_path):
+    """The rule's shard is down: a write would add a second rule beside
+    it, a read would miss it, so each raises and writes nothing."""
+    with ShardedDatabase(tmp_path / "router", nshards=4) as router:
+        parts = [router.pnew(Part(f"p{n}", n)) for n in range(4)]
+        rule = gc.set_retention(router, Part, RetentionPolicy(keep_last_n=2))
+        home = router.placement.shard_of(rule.oid)
+        target = next(p for p in parts if router.placement.shard_of(p.oid) != home)
+        router.kill_shard(home)
+        for call in (
+            lambda: gc.set_retention(router, Part, RetentionPolicy(keep_last_n=5)),
+            lambda: gc.retention_for(router, Part),
+            lambda: gc.tag_version(router, Vid(target.oid, 1), "t"),
+            lambda: gc.untag_version(router, Vid(target.oid, 1)),
+            lambda: gc.version_tags(router, target),
+        ):
+            with pytest.raises(ShardUnavailableError):
+                call()
+        assert router.cluster(gc.RetentionRule) == router.cluster(gc.VersionTag) == []
+        router.reattach_shard(home)
+        gc.set_retention(router, Part, RetentionPolicy(keep_last_n=5))
+        assert [r.oid for r in router.cluster(gc.RetentionRule)] == [rule.oid]
+        assert gc.retention_for(router, Part) == RetentionPolicy(keep_last_n=5)
+
+
+def test_a_shard_reattached_during_the_load_still_prunes_nothing(tmp_path, monkeypatch):
+    """A shard down when the policy was read may hold a tag the read
+    missed, even if it is back by the time the pass would prune."""
+    with ShardedDatabase(tmp_path / "router", nshards=4) as router:
+        with router.transaction():
+            parts = [router.pnew(Part(f"p{n}", n)) for n in range(4)]
+            for part in parts:
+                router.newversion(part)
+        rule = gc.set_retention(router, Part, RetentionPolicy(keep_last_n=1))
+        down = (router.placement.shard_of(rule.oid) + 1) % 4
+        router.kill_shard(down)
+        load = gc.load
+
+        def load_then_reattach(db):
+            state = load(db)
+            router.reattach_shard(down)
+            return state
+
+        monkeypatch.setattr(gc, "load", load_then_reattach)
+        assert router.run_gc().versions_deleted == 0
+        monkeypatch.undo()
+        assert router.run_gc().versions_deleted == 4
